@@ -48,8 +48,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for sampled checks, recorded in the report")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes for the sharded scans")
     p.add_argument("--timings", action="store_true",
                    help="include per-check timings (breaks byte determinism)")
 
@@ -103,9 +101,6 @@ def _context(args):
     except FieldError as exc:
         print(f"{TOOL_NAME}: {exc}", file=sys.stderr)
         raise SystemExit(USAGE_ERROR)
-    if args.jobs < 1:
-        print(f"{TOOL_NAME}: --jobs must be at least 1", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
     return ctx
 
 
@@ -126,7 +121,6 @@ def _header(ctx, args, extra: dict | None = None) -> dict:
             "command": args.command,
             "format": args.format,
             "seed": args.seed,
-            "jobs": args.jobs,
         },
     }
     if extra:
@@ -146,7 +140,7 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite == "figueroa":
         _require_figueroa(ctx)
-    sess = Session(ctx, seed=args.seed, jobs=args.jobs)
+    sess = Session(ctx, seed=args.seed)
     entries = []
     note = None
     run_maps = suite in ("maps", "all")
@@ -184,7 +178,7 @@ def _census_csv(sess: Session) -> str:
 
 def cmd_census(args) -> int:
     ctx = _context(args)
-    sess = Session(ctx, seed=args.seed, jobs=args.jobs)
+    sess = Session(ctx, seed=args.seed)
     entries = census_checks(sess)
     report = Report(_header(ctx, args, {"suite": "census"}), entries)
     if args.format == "csv":
@@ -198,7 +192,7 @@ def cmd_census(args) -> int:
 
 def cmd_maps(args) -> int:
     ctx = _context(args)
-    sess = Session(ctx, seed=args.seed, jobs=args.jobs)
+    sess = Session(ctx, seed=args.seed)
     entries = maps_checks(sess, which=args.check)
     report = Report(_header(ctx, args, {"check": args.check}), entries)
     return _emit(report, args)
@@ -211,7 +205,7 @@ def cmd_figueroa(args) -> int:
         print(f"{TOOL_NAME}: the even-order structure check needs q even "
               f"(got q = {ctx.q})", file=sys.stderr)
         return USAGE_ERROR
-    sess = Session(ctx, seed=args.seed, jobs=args.jobs)
+    sess = Session(ctx, seed=args.seed)
     entries = figueroa_checks(sess, which=args.check, full_pairs=args.full_pairs)
     report = Report(_header(ctx, args,
                             {"check": args.check, "full_pairs": args.full_pairs}),

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .field import FieldContext, FieldError
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, ProjectivePlane, Triple,
                     canonical)
@@ -209,18 +211,23 @@ def _side_of(P: Triple) -> int | None:
     return {2: 0, 0: 1, 1: 2}[zeros[0]]
 
 
-def point_types_table(plane: ProjectivePlane) -> list[int]:
-    ctx = plane.ctx
-    return [point_type(ctx, P) for P in plane.points]
+def point_types_table(plane: ProjectivePlane) -> np.ndarray:
+    """Read-only int8 array: the type of every point, by index."""
+    return plane.tables.types
 
 
-def line_types_table(plane: ProjectivePlane) -> list[int]:
-    ctx = plane.ctx
-    return [line_type(ctx, l) for l in plane.lines]
+def line_types_table(plane: ProjectivePlane) -> np.ndarray:
+    """Read-only int8 array: the type of every line, by index.
+
+    The line orbit matrix of a triple is the transpose of its point
+    orbit matrix, and lines share the point enumeration, so this is the
+    point type table itself.
+    """
+    return plane.tables.types
 
 
 def partition_orbits(plane: ProjectivePlane,
-                     types: list[int] | None = None) -> list[OrbitClass]:
+                     types=None) -> list[OrbitClass]:
     """Partition all points into stabilizer orbits, classified and counted.
 
     Orbits are discovered by scanning points in index order; each class
@@ -229,6 +236,7 @@ def partition_orbits(plane: ProjectivePlane,
     ctx = plane.ctx
     if types is None:
         types = point_types_table(plane)
+    types = np.asarray(types).tolist()
     idx = plane.point_index
     visited = bytearray(plane.size)
     classes: list[OrbitClass] = []
@@ -264,7 +272,7 @@ def partition_orbits(plane: ProjectivePlane,
         secant = canonical(ctx, (ctx.mul(P[1], P[2]),
                                  ctx.mul(P[2], P[0]),
                                  ctx.mul(P[0], P[1])))
-        ltype = line_type(ctx, secant)
+        ltype = types[idx[secant]]
         category = {(TYPE_I, TYPE_I): "plane_I_I",
                     (TYPE_II, TYPE_III): "plane_II_III",
                     (TYPE_III, TYPE_II): "plane_III_II",
@@ -296,21 +304,19 @@ def census_of(plane: ProjectivePlane,
     return Census(plane.ctx.q, orbit_counts, point_counts)
 
 
-def type_counts(plane: ProjectivePlane,
-                point_types: list[int] | None = None,
-                line_types: list[int] | None = None):
+def tally_types(types) -> dict[int, int]:
+    """Number of objects of each type in a type table."""
+    counts = np.bincount(np.asarray(types), minlength=TYPE_III + 1)
+    return {t: int(counts[t]) for t in (TYPE_I, TYPE_II, TYPE_III)}
+
+
+def type_counts(plane: ProjectivePlane, point_types=None, line_types=None):
     """Point and line tallies per type, computed by direct classification."""
     if point_types is None:
         point_types = point_types_table(plane)
     if line_types is None:
         line_types = line_types_table(plane)
-    pts = {t: 0 for t in (TYPE_I, TYPE_II, TYPE_III)}
-    lns = {t: 0 for t in (TYPE_I, TYPE_II, TYPE_III)}
-    for t in point_types:
-        pts[t] += 1
-    for t in line_types:
-        lns[t] += 1
-    return pts, lns
+    return tally_types(point_types), tally_types(line_types)
 
 
 def expected_type_counts(q: int) -> dict[int, int]:

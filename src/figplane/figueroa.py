@@ -74,12 +74,9 @@ class IncidencePlane:
 
 def pg_incidence(plane: ProjectivePlane) -> IncidencePlane:
     """PG(2,q^3) itself, as a reference incidence structure."""
-    ctx = plane.ctx
-    blocks, tags = [], []
-    for l in plane.lines:
-        blocks.append(tuple(sorted(plane.points_on(l))))
-        tags.append("line_I" if line_type(ctx, l) == TYPE_I
-                    else "line_II" if line_type(ctx, l) == TYPE_II else "line_III")
+    names = {TYPE_I: "line_I", TYPE_II: "line_II", TYPE_III: "line_III"}
+    blocks = [tuple(sorted(plane.points_on(l))) for l in plane.lines]
+    tags = [names[t] for t in plane.tables.types.tolist()]
     return IncidencePlane(plane, blocks, tags)
 
 
@@ -89,16 +86,14 @@ def build_fig_plane(plane: ProjectivePlane) -> IncidencePlane:
     if not ctx.figueroa_ok:
         raise GeometryError(
             f"q = {ctx.q}: the Figueroa construction needs a prime power q > 2")
-    idx = plane.point_index
-    ptypes = [point_type(ctx, P) for P in plane.points]
-    ltypes = [line_type(ctx, l) for l in plane.lines]
-    # the involution pairs each Type III line with its anchor point;
-    # precomputing it once covers both directions of the block build
-    mu_of_line = {l: conjugate_meet(ctx, l)
-                  for l, t in zip(plane.lines, ltypes) if t == TYPE_III}
+    lidx = plane.line_index
+    # one table serves point and line types, and the involution table pairs
+    # each Type III line with its anchor point and back
+    types = plane.tables.types.tolist()
+    mu = plane.tables.mu.tolist()
     blocks: list[tuple[int, ...]] = []
     tags: list[str] = []
-    for l, t in zip(plane.lines, ltypes):
+    for li, (l, t) in enumerate(zip(plane.lines, types)):
         members = plane.points_on(l)
         if t == TYPE_I:
             blocks.append(tuple(sorted(members)))
@@ -107,11 +102,10 @@ def build_fig_plane(plane: ProjectivePlane) -> IncidencePlane:
             blocks.append(tuple(sorted(members)))
             tags.append("line_II")
         else:
-            anchor = mu_of_line[l]
-            e_idx = [i for i in members if ptypes[i] == TYPE_II]
-            f_idx = [idx[mu_of_line[m]]
-                     for m in lines_through_point(ctx, anchor)
-                     if m in mu_of_line]
+            anchor = plane.points[mu[li]]
+            e_idx = [i for i in members if types[i] == TYPE_II]
+            through = [lidx[m] for m in lines_through_point(ctx, anchor)]
+            f_idx = [mu[mi] for mi in through if types[mi] == TYPE_III]
             block = tuple(sorted(e_idx + f_idx))
             assert len(block) == ctx.q ** 3 + 1
             blocks.append(block)
@@ -283,16 +277,16 @@ class CharacterizationReport:
 
 
 def characterize_fig_points(plane: ProjectivePlane,
-                            jobs: int = 1) -> CharacterizationReport:
+                            census=None) -> CharacterizationReport:
     """Exhaustive equivalence scan: a point off the axis and distinct from
     the anchor projects the fixed subplane onto a side linear set exactly
-    when it belongs to the anchor's block."""
+    when it belongs to the anchor's block.  ``census`` is the vertex census
+    of the fixed subplane, computed here when not given."""
     from .linear_sets import fixed_subplane
     from .maps import vertex_census
     ctx = plane.ctx
     q = ctx.q
-    B = fixed_subplane(ctx)
-    vc = vertex_census(plane, B, jobs=jobs)
+    vc = census if census is not None else vertex_census(plane, fixed_subplane(ctx))
     vertices = set()
     for vs in vc.by_class.values():
         vertices.update(vs)

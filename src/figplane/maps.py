@@ -21,12 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .arrays import CLUB, OTHER
 from .field import FieldContext
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane, Triple,
                     GeometryError, canonical, join, meet)
 from .collineation import (TYPE_III, OrbitClass, collineate_line,
                            collineate_point, line_type, point_type)
-from .linear_sets import SlsId, SubplaneSet, plane_from_rep
+from .linear_sets import SlsId, SubplaneSet
 
 
 class TypeRestrictionError(ValueError):
@@ -133,77 +136,14 @@ class VertexCensus:
         return {j: len(v) for j, v in self.by_class.items()}
 
 
-def _vertex_scan_range(args):
-    """Classify projection images for a contiguous range of candidate
-    vertices.  Image points (a, b, 0) are tracked by the exponent of a/b
-    (or a marker when a or b vanishes), which is enough to read off both
-    the cardinality and, for marker-free images, the norm classes."""
-    ctx, pts_B, points, lo, hi = args
-    mul, sub = ctx.mul, ctx.sub
-    n = ctx.n
-    qm1 = ctx.q - 1
-    sub_order = ctx.sub_order
-    club_size = ctx.q ** 2 + 1
-    by_class: dict[int, list[Triple]] = {j: [] for j in range(qm1)}
-    club = other = 0
-    bset = set(pts_B)
-    for V in points[lo:hi]:
-        if V[2] == 0 or V in bset:
-            continue
-        v1, v2, v3 = V
-        img = set()
-        markers = False
-        for (p1, p2, p3) in pts_B:
-            a = sub(mul(v3, p1), mul(v1, p3))
-            b = sub(mul(v3, p2), mul(v2, p3))
-            if b == 0:
-                img.add(-1)
-                markers = True
-            elif a == 0:
-                img.add(-2)
-                markers = True
-            else:
-                img.add((a - b) % n)
-        if not markers and len(img) == sub_order:
-            classes = {s % qm1 for s in img}
-            if len(classes) == 1:
-                by_class[classes.pop()].append(V)
-                continue
-        if len(img) == club_size:
-            club += 1
-        else:
-            other += 1
-    return by_class, club, other
-
-
-def vertex_census(plane: ProjectivePlane, B: SubplaneSet,
-                  jobs: int = 1) -> VertexCensus:
-    """Scan every point off the axis and outside B; classify its projection.
-
-    With jobs > 1 the point range is split into contiguous shards handled
-    by worker processes and merged in shard order, reproducing the
-    sequential result exactly.
-    """
-    ctx = plane.ctx
-    pts_B = tuple(sorted(B.points))
+def vertex_census(plane: ProjectivePlane, B: SubplaneSet) -> VertexCensus:
+    """Scan every point off the axis and outside B; classify its projection."""
+    kinds = plane.tables.vertex_kinds(B.points)
     points = plane.points
-    if jobs <= 1:
-        merged = [_vertex_scan_range((ctx, pts_B, points, 0, len(points)))]
-    else:
-        import multiprocessing as mp
-        bounds = [(len(points) * i // jobs, len(points) * (i + 1) // jobs)
-                  for i in range(jobs)]
-        with mp.Pool(jobs) as pool:
-            merged = pool.map(_vertex_scan_range,
-                              [(ctx, pts_B, points, lo, hi) for lo, hi in bounds])
-    by_class: dict[int, list[Triple]] = {j: [] for j in range(ctx.q - 1)}
-    club = other = 0
-    for part, c, o in merged:
-        for j, vs in part.items():
-            by_class[j].extend(vs)
-        club += c
-        other += o
-    return VertexCensus(by_class, club, other)
+    by_class = {j: [points[i] for i in np.flatnonzero(kinds == j)]
+                for j in range(plane.ctx.q - 1)}
+    return VertexCensus(by_class, int(np.count_nonzero(kinds == CLUB)),
+                        int(np.count_nonzero(kinds == OTHER)))
 
 
 def projection_vertices(plane: ProjectivePlane, B: SubplaneSet, theta: int,
@@ -218,14 +158,12 @@ def projection_vertices(plane: ProjectivePlane, B: SubplaneSet, theta: int,
 def phi_fixed_planes(plane: ProjectivePlane,
                      classes: list[OrbitClass]) -> list[OrbitClass]:
     """Orbit subplanes fixed setwise by the collineation, by exhaustive scan."""
-    ctx = plane.ctx
-    idx = plane.point_index
+    phi = plane.tables.phi
     out = []
     for cl in classes:
         if cl.category.startswith("plane"):
-            members = set(cl.members)
-            image = {idx[collineate_point(ctx, plane.points[i])] for i in members}
-            if image == members:
+            members = np.asarray(cl.members)
+            if np.array_equal(np.sort(phi[members]), members):
                 out.append(cl)
     return out
 
@@ -233,15 +171,21 @@ def phi_fixed_planes(plane: ProjectivePlane,
 def mu_fixed_planes(plane: ProjectivePlane,
                     classes: list[OrbitClass]) -> list[OrbitClass]:
     """Orbit subplanes whose point set maps onto their own line set under
-    the involution, by exhaustive scan over the all-Type-III classes."""
-    ctx = plane.ctx
+    the involution, by exhaustive scan over the all-Type-III classes.
+
+    The stabilizer commutes with the collineation, so the line set of an
+    orbit subplane is the set of secant lines of its points.
+    """
+    tables = plane.tables
+    mu, sec = tables.mu, tables.sec
     out = []
     for cl in classes:
         if cl.category != "plane_III_III":
             continue
-        B = plane_from_rep(ctx, cl.rep)
-        if involution_point_image(ctx, B) == B.lines:
-            if involution_line_image(ctx, B) != B.points:
+        members = np.asarray(cl.members)
+        lines = np.sort(sec[members])
+        if np.array_equal(np.sort(mu[members]), lines):
+            if not np.array_equal(np.sort(mu[lines]), members):
                 raise RuntimeError(f"involution fixes lines but not points at {cl.rep}")
             out.append(cl)
     return out

@@ -20,6 +20,8 @@ element, 1 + discrete log otherwise).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .field import FieldContext
 
 Triple = tuple[int, int, int]
@@ -149,6 +151,13 @@ class ProjectivePlane:
         out.extend((0, 1, c) for c in range(q3))
         out.append((0, 0, 1))
         return out
+
+    @cached_property
+    def tables(self):
+        """The bulk per-index tables (:class:`figplane.arrays.PlaneTables`),
+        each built on first use."""
+        from .arrays import PlaneTables
+        return PlaneTables(self.ctx)
 
     def index_of(self, P: Triple) -> int:
         return self.point_index[P]

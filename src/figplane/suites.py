@@ -13,14 +13,16 @@ import random
 import time
 from functools import cached_property
 
+import numpy as np
+
 from . import figueroa as fg
 from . import linear_sets as ls
 from . import maps as gm
-from .collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES,
+from .collineation import (TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES,
                            census_of, collineate_line, collineate_point,
                            line_type, line_types_table, norm_det_identity,
                            partition_orbits, point_type, point_types_table,
-                           expected_type_counts)
+                           expected_type_counts, tally_types)
 from .field import FieldContext
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, ProjectivePlane, canonical,
                     format_line, format_point, incident)
@@ -28,10 +30,9 @@ from .report import CheckEntry, entry
 
 
 class Session:
-    def __init__(self, ctx: FieldContext, seed: int = 0, jobs: int = 1):
+    def __init__(self, ctx: FieldContext, seed: int = 0):
         self.ctx = ctx
         self.seed = seed
-        self.jobs = jobs
 
     @cached_property
     def plane(self) -> ProjectivePlane:
@@ -52,6 +53,11 @@ class Session:
     @cached_property
     def census(self):
         return census_of(self.plane, self.classes)
+
+    @cached_property
+    def fixed_census(self) -> gm.VertexCensus:
+        """Projection vertex census of the fixed subplane."""
+        return gm.vertex_census(self.plane, ls.fixed_subplane(self.ctx))
 
     @cached_property
     def fig_structure(self) -> fg.IncidencePlane:
@@ -104,9 +110,7 @@ def census_checks(sess: Session) -> list[CheckEntry]:
     for kind, table in (("point", lambda: sess.point_types),
                         ("line", lambda: sess.line_types)):
         def type_tally(kind=kind, table=table):
-            tally = {TYPE_I: 0, TYPE_II: 0, TYPE_III: 0}
-            for t in table():
-                tally[t] += 1
+            tally = tally_types(table())
             want = expected_type_counts(ctx.q)
             return entry(f"census.{kind}-types",
                          f"{kind} counts per type match the closed forms",
@@ -116,9 +120,7 @@ def census_checks(sess: Session) -> list[CheckEntry]:
         _run(out, type_tally)
 
     def permutes():
-        plane = sess.plane
-        idx = plane.point_index
-        perm = [idx[collineate_point(ctx, P)] for P in plane.points]
+        perm = sess.plane.tables.phi.tolist()
         by_members = {frozenset(cl.members): cl.category for cl in sess.classes}
         bad = []
         for cl in sess.classes:
@@ -244,17 +246,18 @@ def _mu_checks(sess: Session) -> list[CheckEntry]:
         generic = [cl for cl in plane_classes
                    if frozenset(sess.plane.points[i] for i in cl.members) not in side_sets]
         point_sets = {frozenset(cl.members) for cl in sess.classes}
-        line_sets = {}
-        for cl in sess.classes:
-            if cl.category.startswith("plane"):
-                line_sets[ls.plane_from_rep(ctx, cl.rep).lines] = cl.rep
+        # the line set of an orbit subplane is the set of its points' secants
+        sec = sess.plane.tables.sec
+        line_sets = {frozenset(sec[np.asarray(cl.members)].tolist())
+                     for cl in sess.classes if cl.category.startswith("plane")}
         bad = []
         for cl in generic[:3]:
             B = ls.plane_from_rep(ctx, cl.rep)
             img_pts = frozenset(idx[P] for P in gm.involution_line_image(ctx, B))
             if img_pts not in point_sets:
                 bad.append(f"line image of {format_point(cl.rep)} is no orbit class")
-            if gm.involution_point_image(ctx, B) not in line_sets:
+            img_lns = frozenset(idx[l] for l in gm.involution_point_image(ctx, B))
+            if img_lns not in line_sets:
                 bad.append(f"point image of {format_point(cl.rep)} is no orbit line set")
         return entry("mu.generic-plane",
                      "involution images of generic all-Type-III subplanes are again orbit elements",
@@ -408,8 +411,7 @@ def _vertex_checks(sess: Session) -> list[CheckEntry]:
     ctx = sess.ctx
     q = ctx.q
     out = []
-    fixed = ls.fixed_subplane(ctx)
-    vc = gm.vertex_census(sess.plane, fixed, jobs=sess.jobs)
+    vc = sess.fixed_census
 
     def census_check():
         counts = vc.counts()
@@ -449,21 +451,23 @@ def _vertex_checks(sess: Session) -> list[CheckEntry]:
     def cross_plane():
         bad = []
         pairs = 0
+        tables = sess.plane.tables
         for jk in range(q - 1):
             kappa = ctx.norm_class_rep(jk)
-            Bk = ls.t_plane(ctx, kappa)
+            vertices = sorted(ls.t_plane(ctx, kappa).points)
             for jt in range(q - 1):
                 if jt == jk:
                     continue
                 theta = ctx.norm_class_rep(jt)
                 Bt = ls.t_plane(ctx, theta)
-                want = ls.sls_points(ctx, ctx.neg(ctx.mul(kappa, theta)))
+                # an image is the side linear set of a norm class exactly
+                # when it is classified as scattered with that class
+                want = ctx.norm_class(ctx.neg(ctx.mul(kappa, theta)))
                 pairs += 1
-                for V in sorted(Bk.points):
-                    img = gm.project_from_vertex(ctx, V, Bt)
-                    if img.points != want:
-                        bad.append(f"vertex {format_point(V)} of plane {kappa} onto plane {theta}")
-                        break
+                wrong = np.flatnonzero(tables.project(vertices, Bt.points) != want)
+                if wrong.size:
+                    V = vertices[wrong[0]]
+                    bad.append(f"vertex {format_point(V)} of plane {kappa} onto plane {theta}")
         return entry("vertices.cross-plane",
                      "from any point of one side subplane, another norm class projects onto the negated-product linear set",
                      not bad, {"pairs": pairs}, bad[:5])
@@ -554,7 +558,7 @@ def _build_checks(sess: Session) -> list[CheckEntry]:
         pg_set = set(pg_blocks)
         fig_differ = all(struct.blocks[i] not in pg_set
                          for i in range(plane.size) if tags[i] == "fig")
-        perm = [plane.point_index[collineate_point(ctx, P)] for P in plane.points]
+        perm = plane.tables.phi.tolist()
         block_set = {frozenset(b) for b in struct.blocks}
         phi_invariant = all(frozenset(perm[i] for i in b) in block_set
                             for b in struct.blocks)
@@ -674,7 +678,7 @@ def _arching_checks(sess: Session) -> list[CheckEntry]:
 
 def _characterization_checks(sess: Session) -> list[CheckEntry]:
     def characterization():
-        rep = fg.characterize_fig_points(sess.plane, jobs=sess.jobs)
+        rep = fg.characterize_fig_points(sess.plane, sess.fixed_census)
         return entry("fig.characterization",
                      "off the axis, block membership is equivalent to projecting the fixed subplane onto a side linear set",
                      rep.ok,

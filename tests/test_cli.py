@@ -138,17 +138,6 @@ def test_reports_byte_identical_subprocess():
     assert a == b and a
 
 
-def test_jobs_flag_deterministic(capsys):
-    code1, out1 = run_cli(["maps", "--q", "3", "--check", "vertices",
-                           "--format", "json", "--jobs", "1"], capsys)
-    code2, out2 = run_cli(["maps", "--q", "3", "--check", "vertices",
-                           "--format", "json", "--jobs", "2"], capsys)
-    assert code1 == code2 == 0
-    d1, d2 = json.loads(out1), json.loads(out2)
-    d1["header"]["config"]["jobs"] = d2["header"]["config"]["jobs"] = None
-    assert d1 == d2
-
-
 def test_text_format_lines(capsys):
     code, out = run_cli(["verify", "--q", "3", "--suite", "census"], capsys)
     assert code == 0

@@ -246,11 +246,3 @@ def test_fixed_planes(plane3, classes3, plane4, classes4):
         for cl in phif:
             assert cl.category in ("plane_I_I", "plane_III_III")
 
-
-def test_vertex_census_parallel_matches(plane3):
-    ctx = plane3.ctx
-    fixed = fixed_subplane(ctx)
-    seq = vertex_census(plane3, fixed, jobs=1)
-    par = vertex_census(plane3, fixed, jobs=2)
-    assert seq.by_class == par.by_class
-    assert (seq.club, seq.other) == (par.club, par.other)
