@@ -7,6 +7,10 @@ constructs the scattered linear sets and subplanes that arise, and
 assembles and verifies the Figueroa plane FIG(q^3).
 """
 
+# The one place the version is written: pyproject.toml reads it from here,
+# and report headers carry it as figplane.report.TOOL_VERSION.
+__version__ = "0.1.0"
+
 from .field import FieldContext, FieldError, build_field_tower, context_for_q
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                     ProjectivePlane, canonical, format_line, format_point,
@@ -25,5 +29,3 @@ from .figueroa import (FigBlock, IncidencePlane, arching_census,
                        build_fig_plane, characterize_fig_points, check_axioms,
                        even_structure_check, fig_block, pg_incidence,
                        pr_fig_block, splash_involution_check)
-
-__version__ = "0.1.0"

@@ -61,8 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--suite", choices=("census", "maps", "figueroa", "all"),
                    default="all")
-    p.add_argument("--full-pairs", action="store_true",
-                   help="force the exact axiom check regardless of order")
     p.add_argument("--emit-plane", metavar="FILE",
                    help="write the block structure as point index rows")
 
@@ -80,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("build", "axioms", "pr", "arching",
                             "characterization", "even-structure", "sp-mu"),
                    required=True)
-    p.add_argument("--full-pairs", action="store_true")
     p.add_argument("--emit-plane", metavar="FILE")
 
     p = sub.add_parser("sls", help="print one side linear set")
@@ -111,6 +108,25 @@ def _require_figueroa(ctx):
         raise SystemExit(USAGE_ERROR)
 
 
+def _require_writable(path: str | None):
+    """Refuse an --emit-plane target that cannot be written, before any work."""
+    import os
+    if path is None:
+        return
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.path.isdir(folder):
+        problem = f"directory {folder} does not exist"
+    elif not os.access(folder, os.W_OK):
+        problem = f"directory {folder} is not writable"
+    else:
+        return
+    print(f"{TOOL_NAME}: cannot write --emit-plane file {path}: {problem}",
+          file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
+
+
 def _header(ctx, args, extra: dict | None = None) -> dict:
     header = {
         "tool": TOOL_NAME,
@@ -138,8 +154,9 @@ def _emit(report: Report, args) -> int:
 def cmd_verify(args) -> int:
     ctx = _context(args)
     suite = args.suite
-    if suite == "figueroa":
+    if suite == "figueroa" or args.emit_plane:
         _require_figueroa(ctx)
+    _require_writable(args.emit_plane)
     sess = Session(ctx, seed=args.seed)
     entries = []
     note = None
@@ -153,14 +170,12 @@ def cmd_verify(args) -> int:
     if run_maps:
         entries.extend(maps_checks(sess))
     if run_fig and ctx.figueroa_ok:
-        entries.extend(figueroa_checks(sess, full_pairs=args.full_pairs))
-    extra = {"suite": suite, "full_pairs": args.full_pairs}
-    header = _header(ctx, args, extra)
+        entries.extend(figueroa_checks(sess))
+    header = _header(ctx, args, {"suite": suite})
     if note:
         header["note"] = note
     report = Report(header, entries)
     if args.emit_plane:
-        _require_figueroa(ctx)
         fg.emit_plane(sess.fig_structure, args.emit_plane)
     return _emit(report, args)
 
@@ -205,11 +220,10 @@ def cmd_figueroa(args) -> int:
         print(f"{TOOL_NAME}: the even-order structure check needs q even "
               f"(got q = {ctx.q})", file=sys.stderr)
         return USAGE_ERROR
+    _require_writable(args.emit_plane)
     sess = Session(ctx, seed=args.seed)
-    entries = figueroa_checks(sess, which=args.check, full_pairs=args.full_pairs)
-    report = Report(_header(ctx, args,
-                            {"check": args.check, "full_pairs": args.full_pairs}),
-                    entries)
+    entries = figueroa_checks(sess, which=args.check)
+    report = Report(_header(ctx, args, {"check": args.check}), entries)
     if args.emit_plane:
         fg.emit_plane(sess.fig_structure, args.emit_plane)
     return _emit(report, args)

@@ -43,10 +43,8 @@ def collineate_point(ctx: FieldContext, P: Triple, times: int = 1) -> Triple:
 
 
 def collineate_line(ctx: FieldContext, l: Triple, times: int = 1) -> Triple:
-    f = ctx.frob
-    for _ in range(times % 3):
-        l = canonical(ctx, (f(l[2]), f(l[0]), f(l[1])))
-    return l
+    """Lines map by the same coordinate formula as points."""
+    return collineate_point(ctx, l, times)
 
 
 def point_orbit_matrix(ctx: FieldContext, P: Triple):
@@ -199,16 +197,26 @@ class OrbitInconsistency(RuntimeError):
     """An orbit class whose members disagree on type; indicates a bug."""
 
 
-def _side_of(P: Triple) -> int | None:
-    """Which triangle side a point lies on, by its zero coordinate.
+@dataclass(frozen=True)
+class SlsId:
+    """A scattered linear set on a triangle side, keyed by norm class."""
+    side: int
+    norm_class: int
+
+
+def sls_id_of_point(ctx: FieldContext, P: Triple) -> SlsId:
+    """Identify the side and norm class of a point on a triangle side.
 
     Side 0 is the axis (opposite ANCHOR, z = 0), side 1 is x = 0
-    (opposite ANCHOR_1), side 2 is y = 0 (opposite ANCHOR_2).
+    (opposite ANCHOR_1), side 2 is y = 0 (opposite ANCHOR_2).  The norm
+    class is that of a/b once the point is moved to the axis as (a, b, 0).
     """
     zeros = [i for i in range(3) if P[i] == 0]
     if len(zeros) != 1:
-        return None
-    return {2: 0, 0: 1, 1: 2}[zeros[0]]
+        raise FieldError(f"{P} is not on exactly one triangle side")
+    side = {2: 0, 0: 1, 1: 2}[zeros[0]]
+    Q = collineate_point(ctx, P, (3 - side) % 3)
+    return SlsId(side, ctx.norm_class(ctx.div(Q[0], Q[1])))
 
 
 def point_types_table(plane: ProjectivePlane) -> np.ndarray:
@@ -262,12 +270,11 @@ def partition_orbits(plane: ProjectivePlane,
         if len(members) != ctx.sub_order:
             raise OrbitInconsistency(
                 f"orbit of {P} has size {len(members)}, not {ctx.sub_order}")
-        side = _side_of(P)
-        if side is not None:
+        if 0 in P:   # on a triangle side: the vertices were handled above
             category = "sls_II" if ptype == TYPE_II else "sls_III"
-            nz = _sls_norm_class(ctx, P, side)
+            sid = sls_id_of_point(ctx, P)
             classes.append(OrbitClass(P, tuple(members), category,
-                                      ptype, None, side, nz))
+                                      ptype, None, sid.side, sid.norm_class))
             continue
         secant = canonical(ctx, (ctx.mul(P[1], P[2]),
                                  ctx.mul(P[2], P[0]),
@@ -283,13 +290,6 @@ def partition_orbits(plane: ProjectivePlane,
         classes.append(OrbitClass(P, tuple(members), category,
                                   ptype, ltype, None, None))
     return classes
-
-
-def _sls_norm_class(ctx: FieldContext, P: Triple, side: int) -> int:
-    """Norm class identifying the scattered linear set through P."""
-    Q = collineate_point(ctx, P, (3 - side) % 3)   # move to the axis
-    a, b, _ = Q
-    return ctx.norm_class(ctx.div(a, b))
 
 
 def census_of(plane: ProjectivePlane,

@@ -19,15 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .field import FieldContext, FieldError
-from .plane import ANCHOR, Triple, canonical, join
+from .plane import ANCHOR, GeometryError, Triple, canonical, join
 from .collineation import collineate_line, collineate_point, line_type
-
-
-@dataclass(frozen=True)
-class SlsId:
-    """A scattered linear set on a triangle side, keyed by norm class."""
-    side: int
-    norm_class: int
+from .collineation import SlsId, sls_id_of_point  # noqa: F401  re-exported
 
 
 @dataclass(frozen=True)
@@ -45,23 +39,15 @@ def sls_points(ctx: FieldContext, theta: int, side: int = 0) -> frozenset[Triple
            for x in ctx.units()}
     if side:
         pts = {collineate_point(ctx, P, side) for P in pts}
-    out = frozenset(pts)
-    assert len(out) == ctx.sub_order
-    return out
+    _require_size(ctx, f"linear set of {theta}", pts)
+    return frozenset(pts)
 
 
-def sls_id_of_point(ctx: FieldContext, P: Triple) -> SlsId:
-    """Identify the side and norm class of a point on a triangle side."""
-    zeros = [i for i in range(3) if P[i] == 0]
-    if len(zeros) != 1:
-        raise FieldError(f"{P} is not on exactly one triangle side")
-    side = {2: 0, 0: 1, 1: 2}[zeros[0]]
-    Q = collineate_point(ctx, P, (3 - side) % 3)
-    return SlsId(side, ctx.norm_class(ctx.div(Q[0], Q[1])))
-
-
-def sls_for_id(ctx: FieldContext, ident: SlsId) -> frozenset[Triple]:
-    return sls_points(ctx, ctx.norm_class_rep(ident.norm_class), ident.side)
+def _require_size(ctx: FieldContext, what: str, *sets) -> None:
+    """Raise unless each set has the q^2+q+1 members of a stabilizer orbit."""
+    sizes = [len(s) for s in sets]
+    if any(size != ctx.sub_order for size in sizes):
+        raise GeometryError(f"{what} has {sizes} members, not {ctx.sub_order}")
 
 
 def pencil_lines(ctx: FieldContext, theta: int) -> frozenset[Triple]:
@@ -72,7 +58,8 @@ def pencil_lines(ctx: FieldContext, theta: int) -> frozenset[Triple]:
 def pencil_type(ctx: FieldContext, theta: int) -> int:
     """Common type of the pencil lines, verified to be uniform."""
     kinds = {line_type(ctx, l) for l in pencil_lines(ctx, theta)}
-    assert len(kinds) == 1, f"pencil of {theta} mixes line types {kinds}"
+    if len(kinds) != 1:
+        raise GeometryError(f"pencil of {theta} mixes line types {sorted(kinds)}")
     return kinds.pop()
 
 
@@ -86,8 +73,7 @@ def t_plane(ctx: FieldContext, theta: int) -> SubplaneSet:
            for r in ctx.units()}
     lns = {canonical(ctx, (s, ctx.mul(f(s), tq1), ctx.mul(f(s, 2), f(theta))))
            for s in ctx.units()}
-    sub = ctx.sub_order
-    assert len(pts) == sub and len(lns) == sub
+    _require_size(ctx, f"t_plane[{theta}]", pts, lns)
     return SubplaneSet(frozenset(pts), frozenset(lns), f"t_plane[{theta}]")
 
 
@@ -112,8 +98,7 @@ def plane_from_rep(ctx: FieldContext, P: Triple) -> SubplaneSet:
     yz, xz, xy = ctx.mul(y, z), ctx.mul(x, z), ctx.mul(x, y)
     lns = {canonical(ctx, (ctx.mul(yz, s), ctx.mul(xz, ctx.frob(s)), ctx.mul(xy, f2(s))))
            for s in ctx.units()}
-    sub = ctx.sub_order
-    assert len(pts) == sub and len(lns) == sub
+    _require_size(ctx, f"orbit plane of {P}", pts, lns)
     return SubplaneSet(frozenset(pts), frozenset(lns), "orbit_plane")
 
 

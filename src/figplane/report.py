@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import __version__ as TOOL_VERSION
+
 TOOL_NAME = "figplane"
-TOOL_VERSION = "0.1.0"
 
 
 @dataclass

@@ -20,7 +20,7 @@ from . import linear_sets as ls
 from . import maps as gm
 from .collineation import (TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES,
                            census_of, collineate_line, collineate_point,
-                           line_type, line_types_table, norm_det_identity,
+                           line_types_table, norm_det_identity,
                            partition_orbits, point_type, point_types_table,
                            expected_type_counts, tally_types)
 from .field import FieldContext
@@ -158,39 +158,22 @@ def _mu_checks(sess: Session) -> list[CheckEntry]:
     out = []
 
     def involution():
-        exhaustive = q <= 4
-        if exhaustive:
-            pts = [P for P, t in zip(sess.plane.points, sess.point_types) if t == TYPE_III]
-            lns = [l for l, t in zip(sess.plane.lines, sess.line_types) if t == TYPE_III]
-        else:
-            rng = random.Random(sess.seed)
-
-            def draw(classify):
-                while True:
-                    t = (rng.randrange(ctx.q3), rng.randrange(ctx.q3),
-                         rng.randrange(ctx.q3))
-                    if t == (0, 0, 0):
-                        continue
-                    obj = canonical(ctx, t)
-                    if classify(ctx, obj) == TYPE_III:
-                        return obj
-            pts = [draw(point_type) for _ in range(2000)]
-            lns = [draw(line_type) for _ in range(2000)]
-        bad = []
-        for P in pts:
-            img = gm.conjugate_join(ctx, P)
-            if line_type(ctx, img) != TYPE_III or gm.conjugate_meet(ctx, img) != P:
-                bad.append(format_point(P))
-        for l in lns:
-            img = gm.conjugate_meet(ctx, l)
-            if point_type(ctx, img) != TYPE_III or gm.conjugate_join(ctx, img) != l:
-                bad.append(format_line(l))
+        # one table serves points and lines: the same coordinates give the
+        # same index, and mu is both the conjugate join and the conjugate meet
+        types, mu = sess.plane.tables.types, sess.plane.tables.mu
+        type3 = types == TYPE_III
+        image = np.where(type3, mu, 0)
+        bad = type3 & ((mu < 0) | (types[image] != TYPE_III)
+                       | (mu[image] != np.arange(len(mu), dtype=np.int32)))
+        bad_idx = np.flatnonzero(bad)[:5].tolist()
+        witnesses = ([format_point(sess.plane.points[i]) for i in bad_idx]
+                     + [format_line(sess.plane.lines[i]) for i in bad_idx])
+        count = int(np.count_nonzero(type3))
         return entry("mu.involution",
                      "the conjugate join/meet maps are mutually inverse on Type III objects",
-                     not bad,
-                     {"points": len(pts), "lines": len(lns),
-                      "mode": "exhaustive" if exhaustive else "sampled"},
-                     bad[:5])
+                     not witnesses,
+                     {"points": count, "lines": count, "mode": "exhaustive"},
+                     witnesses[:5])
     _run(out, involution)
 
     def rejects():
@@ -580,14 +563,11 @@ def _build_checks(sess: Session) -> list[CheckEntry]:
     return out
 
 
-def _axiom_checks(sess: Session, full_pairs: bool) -> list[CheckEntry]:
-    ctx = sess.ctx
-    q = ctx.q
+def _axiom_checks(sess: Session) -> list[CheckEntry]:
     out = []
-    sample = None if (q <= 4 or full_pairs) else 1_000_000
 
     def axioms():
-        rep = fg.check_axioms(sess.fig_structure, sample_pairs=sample, seed=sess.seed)
+        rep = fg.check_axioms(sess.fig_structure)
         return entry("fig.axioms",
                      "every point pair lies in one block and every block pair meets in one point",
                      rep.ok,
@@ -598,8 +578,7 @@ def _axiom_checks(sess: Session, full_pairs: bool) -> list[CheckEntry]:
     _run(out, axioms)
 
     def pg_reference():
-        rep = fg.check_axioms(fg.pg_incidence(sess.plane),
-                              sample_pairs=sample, seed=sess.seed)
+        rep = fg.check_axioms(fg.pg_incidence(sess.plane))
         return entry("fig.axioms-reference",
                      "the unmodified plane passes the same axiom checker",
                      rep.ok, {"mode": rep.mode}, rep.witnesses)
@@ -610,13 +589,12 @@ def _axiom_checks(sess: Session, full_pairs: bool) -> list[CheckEntry]:
         mutated = fg.IncidencePlane(sess.plane, list(struct.blocks), list(struct.tags))
         i = struct.tags.index("fig")
         mutated.blocks[i] = tuple(sorted(sess.plane.points_on(sess.plane.lines[i])))
-        rep = fg.check_axioms(mutated, sample_pairs=sample, seed=sess.seed)
+        rep = fg.check_axioms(mutated)
         return entry("fig.axioms-mutation",
                      "replacing one block by the line it displaced breaks the axioms with a witness",
                      (not rep.ok) and bool(rep.witnesses),
                      {"witnesses": len(rep.witnesses)}, rep.witnesses[:2])
-    if q <= 4 or full_pairs:
-        _run(out, mutation)
+    _run(out, mutation)
     return out
 
 
@@ -719,22 +697,12 @@ def _sp_mu_checks(sess: Session) -> list[CheckEntry]:
     return out
 
 
-FIG_CHECKS = {
-    "build": _build_checks,
-    "pr": _projection_checks,
-    "arching": _arching_checks,
-    "characterization": _characterization_checks,
-    "sp-mu": _sp_mu_checks,
-}
-
-
-def figueroa_checks(sess: Session, which: str | None = None,
-                    full_pairs: bool = False) -> list[CheckEntry]:
+def figueroa_checks(sess: Session, which: str | None = None) -> list[CheckEntry]:
     out = []
     if which in (None, "build"):
         out.extend(_build_checks(sess))
     if which in (None, "axioms"):
-        out.extend(_axiom_checks(sess, full_pairs))
+        out.extend(_axiom_checks(sess))
     if which in (None, "pr"):
         out.extend(_projection_checks(sess))
     if which in (None, "arching"):

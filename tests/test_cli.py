@@ -144,3 +144,20 @@ def test_text_format_lines(capsys):
     assert out.splitlines()[-1] == "overall: PASS"
     assert all(l.startswith(("PASS", "FAIL", " ", "figplane", "overall"))
                for l in out.splitlines())
+
+
+@pytest.mark.parametrize("command", [["verify", "--q", "3", "--suite", "census"],
+                                     ["figueroa", "--q", "3", "--check", "build"]])
+def test_unwritable_emit_plane_rejected_before_work(tmp_path, capsys, monkeypatch,
+                                                    command):
+    def no_session(*args, **kwargs):
+        raise AssertionError("a check ran before the path was validated")
+    monkeypatch.setattr("figplane.cli.Session", no_session)
+    target = tmp_path / "missing" / "plane.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(command + ["--emit-plane", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("figplane: cannot write --emit-plane file")
+    assert captured.err.count("\n") == 1

@@ -9,7 +9,7 @@ from figplane.figueroa import (IncidencePlane, arching_census, build_fig_plane,
 from figplane.linear_sets import sls_points, t_plane
 from figplane.maps import TypeRestrictionError
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
-                            join, points_on_line)
+                            format_point, join, points_on_line)
 
 
 def test_block_anatomy_q3(ctx3):
@@ -101,20 +101,82 @@ def test_axioms_pass(plane3, fig3, fig4):
     assert check_axioms(fig4).ok
 
 
-def test_axioms_sampled_mode(fig3):
-    rep = check_axioms(fig3, sample_pairs=20_000, seed=1)
-    assert rep.ok and rep.mode == "sampled"
+def _line_mutation(plane, fig):
+    """FIG with its first replaced line put back: sizes fail nowhere, but
+    point degrees and pairs do."""
+    mutated = IncidencePlane(plane, list(fig.blocks), list(fig.tags))
+    i = fig.tags.index("fig")
+    mutated.blocks[i] = tuple(sorted(plane.points_on(plane.lines[i])))
+    return mutated
+
+
+def _swap_mutation(fig):
+    """Blocks b1, b2 through a common point x trade y in b1 for z in b2.
+
+    Block sizes and point degrees are unchanged, so only the pair count
+    sees it: y now shares b2 with points it already had a block with."""
+    mutated = IncidencePlane(fig.plane, list(fig.blocks), list(fig.tags))
+    b1, b2 = set(fig.blocks[0]), set(fig.blocks[1])
+    (x,) = b1 & b2
+    y, z = max(b1 - b2), max(b2 - b1)
+    mutated.blocks[0] = tuple(sorted(b1 - {y} | {z}))
+    mutated.blocks[1] = tuple(sorted(b2 - {z} | {y}))
+    return mutated
+
+
+def _brute_force_axioms(structure, max_witnesses=5):
+    """Reference pair count: blocks through each point as sets."""
+    n = structure.size
+    k = structure.plane.ctx.q ** 3 + 1
+    through = [set() for _ in range(n)]
+    for bi, b in enumerate(structure.blocks):
+        for P in b:
+            through[P].add(bi)
+    witnesses = []
+    pairs_ok = True
+    for P in range(n):
+        for Q in range(n):
+            c = len(through[P] & through[Q]) if Q != P else 1
+            if c != 1:
+                pairs_ok = False
+                if len(witnesses) < max_witnesses:
+                    witnesses.append(
+                        f"point pair {format_point(structure.plane.points[P])} , "
+                        f"{format_point(structure.plane.points[Q])} lies in {c} blocks")
+        if len(witnesses) >= max_witnesses:
+            break
+    sizes_ok = len(structure.blocks) == n and all(len(b) == k for b in structure.blocks)
+    degrees_ok = all(len(s) == k for s in through)
+    return sizes_ok, degrees_ok, pairs_ok, witnesses
 
 
 def test_axioms_mutation_fails_with_witness(plane3, fig3):
-    mutated = IncidencePlane(plane3, list(fig3.blocks), list(fig3.tags))
-    i = fig3.tags.index("fig")
-    mutated.blocks[i] = tuple(sorted(plane3.points_on(plane3.lines[i])))
-    rep = check_axioms(mutated)
-    assert not rep.ok
+    rep = check_axioms(_line_mutation(plane3, fig3))
+    assert not rep.ok and not rep.point_degree_ok
     assert rep.witnesses
-    sampled = check_axioms(mutated, sample_pairs=200_000, seed=0)
-    assert not sampled.ok
+
+
+def test_axioms_swap_mutation_caught_by_pairs_only(fig3):
+    rep = check_axioms(_swap_mutation(fig3))
+    assert rep.block_size_ok and rep.point_degree_ok
+    assert not rep.point_pairs_ok and not rep.ok
+    assert any(w.endswith("lies in 2 blocks") for w in rep.witnesses)
+
+
+def test_axioms_match_brute_force(plane3, fig3):
+    from figplane.field import build_field_tower
+    from figplane.plane import ProjectivePlane
+    pg8 = pg_incidence(ProjectivePlane(build_field_tower(2, 1)))
+    assert pg8.size == 73
+    for structure in (pg8, fig3, _line_mutation(plane3, fig3), _swap_mutation(fig3)):
+        rep = check_axioms(structure)
+        sizes_ok, degrees_ok, pairs_ok, witnesses = _brute_force_axioms(structure)
+        assert (rep.block_size_ok, rep.point_degree_ok, rep.point_pairs_ok) == \
+            (sizes_ok, degrees_ok, pairs_ok)
+        assert rep.ok == (sizes_ok and degrees_ok and pairs_ok)
+        assert rep.witnesses == witnesses
+        assert rep.mode == "full"
+        assert rep.checked_pairs == structure.size * (structure.size - 1)
 
 
 def test_projection_of_anchor_block(ctx3, ctx4, ctx5):
@@ -229,3 +291,48 @@ def test_emit_plane(tmp_path, fig3):
     assert len(lines) == 758
     row = list(map(int, lines[1].split()))
     assert len(row) == 28 and all(0 <= i < 757 for i in row)
+
+
+GUARD_SCRIPT = """
+import itertools, sys
+from figplane import figueroa, linear_sets
+from figplane.field import build_field_tower
+from figplane.plane import ANCHOR, GeometryError, ProjectivePlane
+
+ctx = build_field_tower(3, 1)
+fired = []
+
+def attempt(name, fn, *args):
+    try:
+        fn(*args)
+    except GeometryError:
+        fired.append(name)
+
+flip = itertools.count()
+linear_sets.line_type = lambda ctx, l: 1 + next(flip) % 2
+attempt("pencil_type", linear_sets.pencil_type, ctx, 1)
+figueroa.points_on_line = lambda ctx, l: []
+attempt("fig_block", figueroa.fig_block, ctx, ANCHOR)
+figueroa.lines_through_point = lambda ctx, P: []
+attempt("build_fig_plane", figueroa.build_fig_plane, ProjectivePlane(ctx))
+ctx.units = lambda: range(1, 10)
+attempt("sls_points", linear_sets.sls_points, ctx, 1)
+attempt("t_plane", linear_sets.t_plane, ctx, 1)
+attempt("plane_from_rep", linear_sets.plane_from_rep, ctx, (1, 2, 3))
+print(sys.flags.optimize, *fired)
+"""
+
+
+def test_guards_fire_under_optimize():
+    """The size and uniformity guards are raises, which ``python -O``,
+    unlike ``assert``, keeps."""
+    import os
+    import subprocess
+    import sys
+    import figplane
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(figplane.__file__)))
+    out = subprocess.run([sys.executable, "-O", "-c", GUARD_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["1", "pencil_type", "fig_block", "build_fig_plane",
+                           "sls_points", "t_plane", "plane_from_rep"]

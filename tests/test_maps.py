@@ -246,3 +246,18 @@ def test_fixed_planes(plane3, classes3, plane4, classes4):
         for cl in phif:
             assert cl.category in ("plane_I_I", "plane_III_III")
 
+
+def test_involution_check_reports_a_corrupted_table(ctx3):
+    from figplane.plane import format_point
+    from figplane.suites import Session, maps_checks
+    sess = Session(ctx3)
+    tables = sess.plane.tables
+    mu = tables.mu.copy()
+    type3 = [i for i, t in enumerate(tables.types.tolist()) if t == TYPE_III]
+    i = type3[0]
+    mu[i] = mu[type3[1]]        # no longer sent back to i
+    tables.mu = mu
+    (rep,) = [e for e in maps_checks(sess, which="mu") if e.id == "mu.involution"]
+    assert rep.status == "fail"
+    assert format_point(sess.plane.points[i]) in rep.witnesses
+    assert rep.counts["mode"] == "exhaustive"
