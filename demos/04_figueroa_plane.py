@@ -30,9 +30,9 @@ print(f"axioms: {'pass' if rep.ok else 'FAIL'} "
       f"(mode {rep.mode}, {time.perf_counter() - t0:.2f}s)")
 
 # break it on purpose: put one replaced line back
-mutated = IncidencePlane(plane, list(fig.blocks), list(fig.tags))
+mutated = IncidencePlane(plane, fig.blocks.copy(), list(fig.tags))
 i = fig.tags.index("fig")
-mutated.blocks[i] = tuple(sorted(plane.points_on(plane.lines[i])))
+mutated.blocks[i] = sorted(plane.points_on(plane.lines[i]))
 bad = check_axioms(mutated)
 print(f"with one block undone: {'pass' if bad.ok else 'FAIL, as expected'}")
 print(f"  first witness: {bad.witnesses[0]}")

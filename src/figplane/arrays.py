@@ -21,10 +21,16 @@ are derived from the index:
   point, equally the conjugate meet of a Type III line, and -1 elsewhere;
 * ``sec``    the secant line [yz, xz, xy] of a point off the triangle
   sides, -1 on them;
-* ``phi``    the index of the collineation image.
+* ``phi``    the index of the collineation image;
+* ``incidence``  one row of q^3 + 1 sorted point indices per line, the
+  points on that line, built in chunks of ``CHUNK // (q^3 + 1)`` rows;
+  since a point lies on line l exactly when l lies on the point read as
+  a line, row i is equally the lines through point i.
 
-``PlaneTables.project`` classifies the projection images of a batch of
-vertices.  The scalar functions (``point_type``, ``conjugate_join``,
+``PlaneTables.fig_blocks`` assembles the blocks of FIG(q^3) from the
+incidence, type and involution tables, and ``PlaneTables.project``
+classifies the projection images of a batch of vertices.  The scalar
+functions (``point_type``, ``conjugate_join``, ``points_on_line``,
 ``project_from_vertex``, ...) remain the single-object API and the test
 oracle for everything here.
 """
@@ -36,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .field import FieldContext
-from .plane import GeometryError
+from .plane import GeometryError, format_line
 
 # Objects per chunk of a table build, and (vertex, subplane point) pairs
 # per chunk of a projection; bounds the size of every temporary array.
@@ -142,10 +148,13 @@ class PlaneTables:
         self.size = size
         self.field = FieldArrays(ctx)
 
-    def _build(self, fn, dtype) -> np.ndarray:
-        out = np.empty(self.size, dtype=dtype)
-        for lo in range(0, self.size, CHUNK):
-            hi = min(lo + CHUNK, self.size)
+    def _build(self, fn, dtype, width: int | None = None) -> np.ndarray:
+        """One entry per object, or one row of ``width`` entries per object
+        in chunks of ``CHUNK // width`` objects."""
+        out = np.empty((self.size,) if width is None else (self.size, width), dtype=dtype)
+        step = max(1, CHUNK // (width or 1))
+        for lo in range(0, self.size, step):
+            hi = min(lo + step, self.size)
             out[lo:hi] = fn(*self.field.coords(lo, hi))
         out.setflags(write=False)
         return out
@@ -210,6 +219,69 @@ class PlaneTables:
         F = self.field
         return self._build(lambda x, y, z: F.index(*F.canonical(
             *self._conjugate_rows(x, y, z)[0])), np.int32)
+
+    def _incidence_chunk(self, a, b, c):
+        """Sorted point indices of each line [a:b:c], one row per line.
+
+        With c != 0 the points are (1, t, A + B t) for every t, then
+        (0, 1, B), where A = -a/c and B = -b/c; with c = 0 and b != 0 they
+        are (1, -a/b, t), then (0, 0, 1); on [1:0:0] they are (0, 1, t),
+        then (0, 0, 1).  Indices grow with t, and the last point, which
+        has x = 0, comes after every point with x = 1.
+        """
+        F, q3 = self.field, self.ctx.q3
+        t = np.arange(q3, dtype=np.int32)
+        rows = np.empty((len(a), q3 + 1), dtype=np.int32)
+        cz = c != 0
+        inv_c = F.inv(c[cz])
+        A, B = F.neg(F.mul(a[cz], inv_c)), F.neg(F.mul(b[cz], inv_c))
+        rows[cz, :q3] = t * q3 + F.add(A[:, None], F.mul(B[:, None], t))
+        rows[cz, q3] = q3 * q3 + B
+        b0 = b[~cz]
+        lead = np.where(b0 != 0, F.neg(F.mul(a[~cz], F.inv(b0))) * q3, q3 * q3)
+        rows[~cz, :q3] = lead[:, None] + t
+        rows[~cz, q3] = q3 * q3 + q3
+        return rows
+
+    @cached_property
+    def incidence(self) -> np.ndarray:
+        """Points on every line, equally lines through every point: an
+        (n, q^3 + 1) table of sorted indices."""
+        return self._build(self._incidence_chunk, np.int32, self.ctx.q3 + 1)
+
+    def fig_blocks(self) -> np.ndarray:
+        """Blocks of FIG(q^3), one sorted row per line of PG(2, q^3).
+
+        A Type I or II line keeps its incidence row.  A Type III line L is
+        replaced by the block of its involution image A = mu[L]: the Type II
+        points of L together with mu[M] for the Type III lines M through A,
+        assembled in chunks of ``CHUNK // (q^3 + 1)`` lines.  A block of the
+        wrong size raises ``GeometryError``.
+        """
+        inc, types, mu = self.incidence, self.types, self.mu
+        k = inc.shape[1]
+        out = inc.copy()
+        replaced = np.flatnonzero(types == 3)            # Type III lines
+        step = max(1, CHUNK // k)
+        for lo in range(0, len(replaced), step):
+            L = replaced[lo:lo + step]
+            on = inc[L]
+            through = inc[mu[L]]
+            # Type II points of L, then mu of the Type III lines through A;
+            # -1 marks the entries that are neither
+            members = np.concatenate((np.where(types[on] == 2, on, -1),
+                                      np.where(types[through] == 3, mu[through], -1)),
+                                     axis=1)
+            keep = members >= 0
+            sizes = np.count_nonzero(keep, axis=1)
+            if np.any(sizes != k):
+                i = int(np.argmax(sizes != k))
+                line = tuple(int(v[0]) for v in self.field.coords(L[i], L[i] + 1))
+                raise GeometryError(f"block replacing line {format_line(line)} has "
+                                    f"{sizes[i]} points, not {k}")
+            out[L] = np.sort(members[keep].reshape(-1, k), axis=1)
+        out.setflags(write=False)
+        return out
 
     def _subplane(self, B) -> np.ndarray:
         pts = np.asarray(sorted(B), dtype=np.int32).reshape(-1, 3)

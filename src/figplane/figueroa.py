@@ -63,57 +63,41 @@ def fig_block(ctx: FieldContext, anchor: Triple) -> FigBlock:
 
 @dataclass
 class IncidencePlane:
-    """Point/block incidence structure over dense point indices."""
+    """Point/block incidence structure over dense point indices.
+
+    ``blocks`` is an (n, k) int32 array with one row of sorted point
+    indices per block; the builders return it read-only, so a mutation
+    starts from ``blocks.copy()``."""
     plane: ProjectivePlane
-    blocks: list[tuple[int, ...]]
-    tags: list[str]                  # per block: line_I | line_II | fig
+    blocks: np.ndarray
+    tags: list[str]                  # per block: line_I | line_II | line_III | fig
 
     @property
     def size(self) -> int:
         return self.plane.size
 
 
+def _tags(plane: ProjectivePlane, type_iii: str) -> list[str]:
+    names = {TYPE_I: "line_I", TYPE_II: "line_II", TYPE_III: type_iii}
+    return [names[t] for t in plane.tables.types.tolist()]
+
+
 def pg_incidence(plane: ProjectivePlane) -> IncidencePlane:
-    """PG(2,q^3) itself, as a reference incidence structure."""
-    names = {TYPE_I: "line_I", TYPE_II: "line_II", TYPE_III: "line_III"}
-    blocks = [tuple(sorted(plane.points_on(l))) for l in plane.lines]
-    tags = [names[t] for t in plane.tables.types.tolist()]
-    return IncidencePlane(plane, blocks, tags)
+    """PG(2,q^3) itself, as a reference incidence structure: the blocks
+    are the rows of the closed-form incidence table."""
+    return IncidencePlane(plane, plane.tables.incidence, _tags(plane, "line_III"))
 
 
 def build_fig_plane(plane: ProjectivePlane) -> IncidencePlane:
-    """Assemble FIG(q^3); blocks are indexed by the line they replace."""
-    ctx = plane.ctx
-    if not ctx.figueroa_ok:
+    """Assemble FIG(q^3); blocks are indexed by the line they replace.
+
+    The Type I and II rows are the incidence table's; each Type III row is
+    the block of the line's involution image, assembled from the
+    incidence, type and involution tables (``PlaneTables.fig_blocks``)."""
+    if not plane.ctx.figueroa_ok:
         raise GeometryError(
-            f"q = {ctx.q}: the Figueroa construction needs a prime power q > 2")
-    lidx = plane.line_index
-    # one table serves point and line types, and the involution table pairs
-    # each Type III line with its anchor point and back
-    types = plane.tables.types.tolist()
-    mu = plane.tables.mu.tolist()
-    blocks: list[tuple[int, ...]] = []
-    tags: list[str] = []
-    for li, (l, t) in enumerate(zip(plane.lines, types)):
-        members = plane.points_on(l)
-        if t == TYPE_I:
-            blocks.append(tuple(sorted(members)))
-            tags.append("line_I")
-        elif t == TYPE_II:
-            blocks.append(tuple(sorted(members)))
-            tags.append("line_II")
-        else:
-            anchor = plane.points[mu[li]]
-            e_idx = [i for i in members if types[i] == TYPE_II]
-            through = [lidx[m] for m in lines_through_point(ctx, anchor)]
-            f_idx = [mu[mi] for mi in through if types[mi] == TYPE_III]
-            block = tuple(sorted(e_idx + f_idx))
-            if len(block) != ctx.q ** 3 + 1:
-                raise GeometryError(f"block replacing line {format_line(l)} has "
-                                    f"{len(block)} points, not {ctx.q ** 3 + 1}")
-            blocks.append(block)
-            tags.append("fig")
-    return IncidencePlane(plane, blocks, tags)
+            f"q = {plane.ctx.q}: the Figueroa construction needs a prime power q > 2")
+    return IncidencePlane(plane, plane.tables.fig_blocks(), _tags(plane, "fig"))
 
 
 @dataclass
@@ -137,7 +121,7 @@ def check_axioms(structure: IncidencePlane,
     """Verify exactly that an incidence structure is a projective plane.
 
     With k = q^3 + 1 and n = k^2 - k + 1 points, the structure passes
-    when it has n blocks of k points each, every point lies in k blocks,
+    when its block array has shape (n, k), every point lies in k blocks,
     and every pair of distinct points lies in exactly one block.  Those
     facts make it a symmetric 2-(n, k, 1) design, in which any two blocks
     meet in exactly one point (Hughes & Piper, *Projective Planes*, 1973),
@@ -152,15 +136,11 @@ def check_axioms(structure: IncidencePlane,
     """
     n = structure.size
     k = structure.plane.ctx.q ** 3 + 1
-    blocks = structure.blocks
-    block_size_ok = len(blocks) == n and all(len(b) == k for b in blocks)
-    # one row per block; short rows are padded with the sentinel point n
-    width = max(map(len, blocks), default=0)
-    rows = np.full((len(blocks), width), n, dtype=np.int32)
-    for bi, b in enumerate(blocks):
-        rows[bi, :len(b)] = b
+    rows = structure.blocks
+    block_size_ok = rows.shape == (n, k)
+    width = rows.shape[1]
     flat = rows.ravel()
-    degree = np.bincount(flat, minlength=n + 1)[:n]
+    degree = np.bincount(flat, minlength=n)
     point_degree_ok = bool(np.all(degree == k))
     # blocks through each point, in block order: the CSR lists of the
     # transposed incidence
@@ -170,15 +150,14 @@ def check_axioms(structure: IncidencePlane,
     points = structure.plane.points
     witnesses: list[str] = []
     point_pairs_ok = True
-    step = max(1, PAIR_CHUNK // (n + 1))
+    step = max(1, PAIR_CHUNK // n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         owner = np.repeat(np.arange(hi - lo, dtype=np.int64), degree[lo:hi])
-        cells = owner[:, None] * (n + 1) + rows[through[start[lo]:start[hi]]]
-        count = np.bincount(cells.ravel(), minlength=(hi - lo) * (n + 1))
-        count = count.reshape(hi - lo, n + 1)
+        cells = owner[:, None] * n + rows[through[start[lo]:start[hi]]]
+        count = np.bincount(cells.ravel(), minlength=(hi - lo) * n)
+        count = count.reshape(hi - lo, n)
         count[np.arange(hi - lo), np.arange(lo, hi)] = 1   # P with itself
-        count[:, n] = 1                                    # the sentinel
         bad = count != 1
         if not bad.any():
             continue

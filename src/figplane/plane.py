@@ -142,7 +142,6 @@ class ProjectivePlane:
         self.points = self._enumerate()
         self.lines = list(self.points)   # same canonical triples, dual role
         self.point_index = {P: i for i, P in enumerate(self.points)}
-        self.line_index = self.point_index   # identical ordering
         self.size = len(self.points)
 
     def _enumerate(self) -> list[Triple]:

@@ -530,23 +530,21 @@ def _build_checks(sess: Session) -> list[CheckEntry]:
     def assembly():
         struct = sess.fig_structure
         plane = sess.plane
+        blocks = struct.blocks
         tags = struct.tags
         s = ctx.sub_order
         n_I = tags.count("line_I")
         n_II = tags.count("line_II")
         n_fig = tags.count("fig")
-        pg_blocks = [tuple(sorted(plane.points_on(l))) for l in plane.lines]
-        agree = all(struct.blocks[i] == pg_blocks[i]
-                    for i in range(plane.size) if tags[i] != "fig")
-        pg_set = set(pg_blocks)
-        fig_differ = all(struct.blocks[i] not in pg_set
-                         for i in range(plane.size) if tags[i] == "fig")
-        perm = plane.tables.phi.tolist()
-        block_set = {frozenset(b) for b in struct.blocks}
-        phi_invariant = all(frozenset(perm[i] for i in b) in block_set
-                            for b in struct.blocks)
+        inc = plane.tables.incidence
+        fig = np.array(tags) == "fig"
+        agree = np.array_equal(blocks[~fig], inc[~fig])
+        fig_differ = not np.isin(_row_keys(blocks[fig]), _row_keys(inc)).any()
+        image = np.sort(plane.tables.phi[blocks], axis=1)
+        phi_invariant = bool(np.isin(_row_keys(image),
+                                     _row_keys(np.sort(blocks, axis=1))).all())
         checks = {
-            "block_count": len(struct.blocks) == plane.size,
+            "block_count": len(blocks) == plane.size,
             "kept_line_counts": n_I == s and n_II == (q ** 3 - q) * s,
             "kept_lines_agree": agree,
             "blocks_differ_from_lines": fig_differ,
@@ -556,11 +554,18 @@ def _build_checks(sess: Session) -> list[CheckEntry]:
         return entry("fig.build",
                      "the assembled plane keeps Type I and II lines, replaces each Type III line, and is collineation invariant",
                      not bad,
-                     {"blocks": len(struct.blocks), "line_I": n_I,
+                     {"blocks": len(blocks), "line_I": n_I,
                       "line_II": n_II, "fig": n_fig},
                      bad)
     _run(out, assembly)
     return out
+
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque scalar per row, equal exactly when the rows are, so that
+    whole rows can be looked up with ``np.isin``."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
 def _axiom_checks(sess: Session) -> list[CheckEntry]:
@@ -586,9 +591,9 @@ def _axiom_checks(sess: Session) -> list[CheckEntry]:
 
     def mutation():
         struct = sess.fig_structure
-        mutated = fg.IncidencePlane(sess.plane, list(struct.blocks), list(struct.tags))
+        mutated = fg.IncidencePlane(sess.plane, struct.blocks.copy(), list(struct.tags))
         i = struct.tags.index("fig")
-        mutated.blocks[i] = tuple(sorted(sess.plane.points_on(sess.plane.lines[i])))
+        mutated.blocks[i] = sorted(sess.plane.points_on(sess.plane.lines[i]))
         rep = fg.check_axioms(mutated)
         return entry("fig.axioms-mutation",
                      "replacing one block by the line it displaced breaks the axioms with a witness",

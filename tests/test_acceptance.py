@@ -224,9 +224,9 @@ def test_11_figueroa_axioms(plane3, plane4):
     assert rep4.ok
     assert q4_elapsed < 180.0, f"axioms at q=4 took {q4_elapsed:.1f}s"
 
-    mutated = IncidencePlane(plane3, list(fig3.blocks), list(fig3.tags))
+    mutated = IncidencePlane(plane3, fig3.blocks.copy(), list(fig3.tags))
     i = fig3.tags.index("fig")
-    mutated.blocks[i] = tuple(sorted(plane3.points_on(plane3.lines[i])))
+    mutated.blocks[i] = sorted(plane3.points_on(plane3.lines[i]))
     bad = check_axioms(mutated)
     assert not bad.ok and bad.witnesses
     _ok("11 projective axioms of FIG(27) and FIG(64); mutation fails with witness")

@@ -3,7 +3,9 @@
 Every bulk table is compared entry by entry with the scalar function it
 replaces, exhaustively at q = 2, 3 and 4 and on hypothesis-drawn indices
 at q = 5 and 7.  ``disagreements`` is the comparison; a corrupted table
-shows that it reports a wrong entry.
+shows that it reports a wrong entry.  The row tables (incidence, FIG
+blocks) have their own row comparisons, ``incidence_disagreements`` and
+``fig_disagreements``, shown able to fail in the same way.
 """
 
 import numpy as np
@@ -16,9 +18,11 @@ from figplane.collineation import (TYPE_III, collineate_line, collineate_point,
                                    line_type, line_types_table, partition_orbits,
                                    point_type, point_types_table)
 from figplane.field import build_field_tower, context_for_q
+from figplane.figueroa import build_fig_plane, fig_block
 from figplane.linear_sets import fixed_subplane, plane_from_rep, t_plane
 from figplane.maps import conjugate_join, conjugate_meet, project_from_vertex
-from figplane.plane import GeometryError, ProjectivePlane, canonical, cross
+from figplane.plane import (GeometryError, ProjectivePlane, canonical, cross,
+                            lines_through_point)
 
 TABLES = ("types", "mu", "sec", "phi")
 
@@ -153,6 +157,83 @@ def test_comparison_reports_a_corrupted_entry(plane3, name):
              and point_type(plane3.ctx, plane3.points[j]) == TYPE_III)
     table[i] = table[i] % 3 + 1 if name == "types" else (table[i] + 1) % plane3.size
     assert disagreements(plane3, name, table, range(plane3.size)) == [i]
+
+
+# ------------------------------------------------------------ row tables
+
+def incidence_disagreements(plane, table, indices) -> list[int]:
+    """Rows of ``table`` that differ from the sorted points on the line, or
+    the sorted lines through the point, with that index."""
+    ctx, idx = plane.ctx, plane.point_index
+    bad = []
+    for i in indices:
+        row = table[i].tolist()
+        on = sorted(plane.points_on(plane.lines[i]))
+        through = sorted(idx[l] for l in lines_through_point(ctx, plane.points[i]))
+        if row != on or row != through:
+            bad.append(i)
+    return bad
+
+
+def fig_disagreements(plane, blocks, indices) -> list[int]:
+    """Rows of ``blocks`` that differ from the scalar FIG assembly: the
+    block of the involution image of a Type III line, the points of any
+    other line."""
+    ctx, idx = plane.ctx, plane.point_index
+    bad = []
+    for i in indices:
+        l = plane.lines[i]
+        if line_type(ctx, l) == TYPE_III:
+            want = sorted(idx[P] for P in fig_block(ctx, conjugate_meet(ctx, l)).points)
+        else:
+            want = sorted(plane.points_on(l))
+        if blocks[i].tolist() != want:
+            bad.append(i)
+    return bad
+
+
+@pytest.fixture(scope="module", params=[4, 5], ids=["q4", "q5"])
+def sampled_fig(request):
+    plane = ProjectivePlane(context_for_q(request.param))
+    return plane, build_fig_plane(plane).blocks
+
+
+def test_incidence_matches_oracle_exhaustive(small_plane):
+    inc = small_plane.tables.incidence
+    assert inc.shape == (small_plane.size, small_plane.ctx.q3 + 1)
+    assert inc.dtype == np.int32
+    assert incidence_disagreements(small_plane, inc, range(small_plane.size)) == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_incidence_matches_oracle_sampled(plane5, data):
+    i = data.draw(st.integers(0, plane5.size - 1), label="index")
+    assert incidence_disagreements(plane5, plane5.tables.incidence, [i]) == []
+
+
+def test_fig_blocks_match_oracle_exhaustive(plane3):
+    blocks = build_fig_plane(plane3).blocks
+    assert fig_disagreements(plane3, blocks, range(plane3.size)) == []
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fig_blocks_match_oracle_sampled(sampled_fig, data):
+    plane, blocks = sampled_fig
+    i = data.draw(st.integers(0, plane.size - 1), label="line")
+    assert fig_disagreements(plane, blocks, [i]) == []
+
+
+@pytest.mark.parametrize("name", ("incidence", "fig"))
+def test_row_comparison_reports_a_corrupted_row(plane3, name):
+    if name == "incidence":
+        rows, compare = plane3.tables.incidence.copy(), incidence_disagreements
+    else:
+        rows, compare = build_fig_plane(plane3).blocks.copy(), fig_disagreements
+    i = next(j for j in range(plane3.size) if line_type(plane3.ctx, plane3.lines[j]) == TYPE_III)
+    rows[i, -1] = next(P for P in range(plane3.size) if P not in rows[i])
+    assert compare(plane3, rows, range(plane3.size)) == [i]
 
 
 # ------------------------------------------------------------ projection

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from figplane.collineation import TYPE_II, TYPE_III, collineate_point, point_type
@@ -59,14 +60,22 @@ def test_build_counts(fig3, fig4):
 
 
 def test_build_agrees_with_pg_on_kept_lines(plane3, fig3):
-    pg = pg_incidence(plane3)
-    pg_set = set(pg.blocks)
+    pg_rows = [tuple(b) for b in pg_incidence(plane3).blocks.tolist()]
+    fig_rows = [tuple(b) for b in fig3.blocks.tolist()]
+    pg_set = set(pg_rows)
     for i, tag in enumerate(fig3.tags):
         if tag == "fig":
-            assert fig3.blocks[i] != pg.blocks[i]
-            assert fig3.blocks[i] not in pg_set
+            assert fig_rows[i] != pg_rows[i]
+            assert fig_rows[i] not in pg_set
         else:
-            assert fig3.blocks[i] == pg.blocks[i]
+            assert fig_rows[i] == pg_rows[i]
+
+
+def test_block_arrays_are_read_only_int32(plane3, fig3):
+    for structure in (fig3, pg_incidence(plane3)):
+        assert structure.blocks.shape == (757, 28)
+        assert structure.blocks.dtype == np.int32
+        assert not structure.blocks.flags.writeable
 
 
 def test_fig_blocks_contain_triangles(plane3, fig3):
@@ -104,9 +113,9 @@ def test_axioms_pass(plane3, fig3, fig4):
 def _line_mutation(plane, fig):
     """FIG with its first replaced line put back: sizes fail nowhere, but
     point degrees and pairs do."""
-    mutated = IncidencePlane(plane, list(fig.blocks), list(fig.tags))
+    mutated = IncidencePlane(plane, fig.blocks.copy(), list(fig.tags))
     i = fig.tags.index("fig")
-    mutated.blocks[i] = tuple(sorted(plane.points_on(plane.lines[i])))
+    mutated.blocks[i] = sorted(plane.points_on(plane.lines[i]))
     return mutated
 
 
@@ -115,12 +124,12 @@ def _swap_mutation(fig):
 
     Block sizes and point degrees are unchanged, so only the pair count
     sees it: y now shares b2 with points it already had a block with."""
-    mutated = IncidencePlane(fig.plane, list(fig.blocks), list(fig.tags))
-    b1, b2 = set(fig.blocks[0]), set(fig.blocks[1])
+    mutated = IncidencePlane(fig.plane, fig.blocks.copy(), list(fig.tags))
+    b1, b2 = set(fig.blocks[0].tolist()), set(fig.blocks[1].tolist())
     (x,) = b1 & b2
     y, z = max(b1 - b2), max(b2 - b1)
-    mutated.blocks[0] = tuple(sorted(b1 - {y} | {z}))
-    mutated.blocks[1] = tuple(sorted(b2 - {z} | {y}))
+    mutated.blocks[0] = sorted(b1 - {y} | {z})
+    mutated.blocks[1] = sorted(b2 - {z} | {y})
     return mutated
 
 
@@ -163,6 +172,17 @@ def test_axioms_swap_mutation_caught_by_pairs_only(fig3):
     assert any(w.endswith("lies in 2 blocks") for w in rep.witnesses)
 
 
+def test_axioms_reject_a_wrong_block_shape(fig3):
+    """A block array with a row or a column too few fails the size check."""
+    short = IncidencePlane(fig3.plane, fig3.blocks[:-1], fig3.tags[:-1])
+    rep = check_axioms(short)
+    assert not rep.ok and not rep.block_size_ok and not rep.point_degree_ok
+    narrow = IncidencePlane(fig3.plane, fig3.blocks[:, :-1], fig3.tags)
+    rep = check_axioms(narrow)
+    assert not rep.ok and not rep.block_size_ok and not rep.point_degree_ok
+    assert rep.witnesses
+
+
 def test_axioms_match_brute_force(plane3, fig3):
     from figplane.field import build_field_tower
     from figplane.plane import ProjectivePlane
@@ -177,6 +197,45 @@ def test_axioms_match_brute_force(plane3, fig3):
         assert rep.witnesses == witnesses
         assert rep.mode == "full"
         assert rep.checked_pairs == structure.size * (structure.size - 1)
+
+
+def _build_failures(fig, blocks):
+    """The failing sub-checks that ``fig.build`` names for a session whose
+    FIG structure has the given blocks."""
+    from figplane.suites import Session, figueroa_checks
+    sess = Session(fig.plane.ctx)
+    sess.plane = fig.plane
+    sess.fig_structure = IncidencePlane(fig.plane, blocks, list(fig.tags))
+    (build,) = [e for e in figueroa_checks(sess, "build") if e.id == "fig.build"]
+    assert build.passed == (build.witnesses == [])
+    return build.witnesses
+
+
+def test_build_check_names_each_failing_subcheck(plane3, fig3):
+    """Each vectorized ``fig.build`` sub-check fails alone, with its name as
+    the witness, on a mutation that leaves the other sub-checks true."""
+    inc, phi = plane3.tables.incidence, plane3.tables.phi
+    assert _build_failures(fig3, fig3.blocks) == []
+    # a whole collineation orbit of blocks put back to the lines they
+    # displaced: still invariant, but some blocks are lines now
+    i = fig3.tags.index("fig")
+    blocks = fig3.blocks.copy()
+    for j in {i, phi[i], phi[phi[i]]}:
+        blocks[j] = inc[j]
+    assert _build_failures(fig3, blocks) == ["blocks_differ_from_lines"]
+    # one Type I line replaced by another: both are fixed by the collineation
+    l1, l2 = [j for j, t in enumerate(fig3.tags) if t == "line_I"][:2]
+    assert phi[l1] == l1 and phi[l2] == l2
+    blocks = fig3.blocks.copy()
+    blocks[l1] = inc[l2]
+    assert _build_failures(fig3, blocks) == ["kept_lines_agree"]
+    # one block with one point traded: a k-set that is no line and whose
+    # collineation image is no block
+    block = set(fig3.blocks[i].tolist())
+    outside = min(set(range(plane3.size)) - block)
+    blocks = fig3.blocks.copy()
+    blocks[i] = sorted(block - {max(block)} | {outside})
+    assert _build_failures(fig3, blocks) == ["collineation_invariant"]
 
 
 def test_projection_of_anchor_block(ctx3, ctx4, ctx5):
@@ -295,6 +354,7 @@ def test_emit_plane(tmp_path, fig3):
 
 GUARD_SCRIPT = """
 import itertools, sys
+import numpy as np
 from figplane import figueroa, linear_sets
 from figplane.field import build_field_tower
 from figplane.plane import ANCHOR, GeometryError, ProjectivePlane
@@ -313,8 +373,10 @@ linear_sets.line_type = lambda ctx, l: 1 + next(flip) % 2
 attempt("pencil_type", linear_sets.pencil_type, ctx, 1)
 figueroa.points_on_line = lambda ctx, l: []
 attempt("fig_block", figueroa.fig_block, ctx, ANCHOR)
-figueroa.lines_through_point = lambda ctx, P: []
-attempt("build_fig_plane", figueroa.build_fig_plane, ProjectivePlane(ctx))
+plane = ProjectivePlane(ctx)
+types = plane.tables.types
+plane.tables.types = np.where(types == 2, 1, types)   # no Type II: short blocks
+attempt("build_fig_plane", figueroa.build_fig_plane, plane)
 ctx.units = lambda: range(1, 10)
 attempt("sls_points", linear_sets.sls_points, ctx, 1)
 attempt("t_plane", linear_sets.t_plane, ctx, 1)
