@@ -28,8 +28,10 @@ are derived from the index:
   a line, row i is equally the lines through point i.
 
 ``PlaneTables.fig_blocks`` assembles the blocks of FIG(q^3) from the
-incidence, type and involution tables, and ``PlaneTables.project``
-classifies the projection images of a batch of vertices.  The scalar
+incidence, type and involution tables, ``PlaneTables.project``
+classifies the projection images of a batch of vertices, and
+``PlaneTables.norm_det_mismatches`` tests the norm/determinant relation
+at every point off the triangle sides.  The scalar
 functions (``point_type``, ``conjugate_join``, ``points_on_line``,
 ``project_from_vertex``, ...) remain the single-object API and the test
 oracle for everything here.
@@ -102,6 +104,10 @@ class FieldArrays:
         i %= 3
         return a if i == 0 else self._frob[i][a]
 
+    def norm(self, a):
+        """a ** (1 + q + q^2), the relative norm onto GF(q)."""
+        return self.mul(self.mul(a, self.frob(a, 1)), self.frob(a, 2))
+
     def cross(self, u, v):
         mul, sub = self.mul, self.sub
         return (sub(mul(u[1], v[2]), mul(u[2], v[1])),
@@ -166,19 +172,48 @@ class PlaneTables:
         return ((frob(z, 1), frob(x, 1), frob(y, 1)),
                 (frob(y, 2), frob(z, 2), frob(x, 2)))
 
-    def _type_chunk(self, x, y, z):
+    def _orbit_det(self, x, y, z):
+        """det(M) and r0 x r1 for the point orbit matrix M of each (x, y, z),
+        whose rows are r0 = (x, y, z) and its two conjugate rows, unscaled."""
         F = self.field
         r0 = (x, y, z)
         r1, r2 = self._conjugate_rows(x, y, z)
         c01 = F.cross(r0, r1)
-        c02 = F.cross(r0, r2)
         det = F.add(F.add(F.mul(r2[0], c01[0]), F.mul(r2[1], c01[1])),
                     F.mul(r2[2], c01[2]))
-        # r0 is nonzero, so the rank is 1 exactly when r1 and r2 are
-        # parallel to it, and 3 exactly when the determinant is nonzero
-        rank1 = ((c01[0] == 0) & (c01[1] == 0) & (c01[2] == 0)
-                 & (c02[0] == 0) & (c02[1] == 0) & (c02[2] == 0))
+        return det, c01
+
+    def _type_chunk(self, x, y, z):
+        det, c01 = self._orbit_det(x, y, z)
+        # r2 is the collineation image of r1 as r1 is of r0, and the
+        # collineation is semilinear: r1 = t r0 gives r2 = t^q r1.  So the
+        # rank is 1 exactly when r0 x r1 = 0, and 3 exactly when det != 0
+        rank1 = (c01[0] == 0) & (c01[1] == 0) & (c01[2] == 0)
         return np.where(det != 0, 3, np.where(rank1, 1, 2))
+
+    def norm_det_mismatches(self) -> np.ndarray:
+        """Indices of the points off the triangle sides at which the norm and
+        determinant relation of ``norm_det_identity`` fails, in index order.
+
+        Every such point is (1, y, z) with yz != 0.  det(M_l) of the secant
+        l = [yz, zx, xy] is the point orbit determinant of the unscaled
+        triple l, since the line orbit matrix is the transposed point orbit
+        matrix.
+        """
+        F, q3 = self.field, self.ctx.q3
+        bad = []
+        for lo in range(q3, q3 * q3, CHUNK):        # y != 0: index y q^3 + z
+            x, y, z = F.coords(lo, min(lo + CHUNK, q3 * q3))
+            keep = np.flatnonzero(z != 0)
+            x, y, z = x[keep], y[keep], z[keep]
+            det_p, _ = self._orbit_det(x, y, z)
+            det_l, _ = self._orbit_det(F.mul(y, z), F.mul(z, x), F.mul(x, y))
+            ok = np.ones(len(x), dtype=bool)
+            for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):   # X, Y, Z
+                w = F.sub(F.mul(a, F.frob(a)), F.mul(b, F.frob(c)))
+                ok &= F.sub(F.norm(w), F.mul(F.norm(a), det_p)) == F.neg(det_l)
+            bad.append(lo + keep[~ok])
+        return np.concatenate(bad)
 
     @cached_property
     def types(self) -> np.ndarray:

@@ -4,16 +4,18 @@ Subcommands
 -----------
 verify    run whole suites (census, maps, figueroa, or all)
 census    orbit partition census; csv format emits the category table
-maps      one named map check: mu, pr-sp, fixed, vertices
-figueroa  one named block check: build, axioms, pr, arching,
-          characterization, even-structure, sp-mu
+maps      one group of map checks, named by --check
+figueroa  one group of block checks, named by --check
 sls       print the points of one side linear set
 tplane    print the points of one side subplane
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or
-configuration error.  Output is byte-identical across runs with the
-same configuration and seed; pass --timings to include (nondeterministic)
-per-check timings.
+The --check groups come from the check table in figplane.suites.  Every
+check is exhaustive; --seed is only recorded in the report header.
+
+Exit codes: 0 all checks pass, 1 a check failed, 2 usage or configuration
+error, or a geometry or kernel error during a run.  Output is
+byte-identical across runs with the same configuration; pass --timings
+to include (nondeterministic) per-check timings.
 """
 
 from __future__ import annotations
@@ -23,11 +25,13 @@ import sys
 
 from . import figueroa as fg
 from . import linear_sets as ls
+from .arrays import KernelError
 from .collineation import CATEGORIES
 from .field import FieldError, context_for_q
-from .plane import format_point
+from .plane import GeometryError, format_point
 from .report import Report, TOOL_NAME, TOOL_VERSION
-from .suites import Session, census_checks, figueroa_checks, maps_checks
+from .suites import (Session, census_checks, check_groups, figueroa_checks,
+                     maps_checks)
 
 USAGE_ERROR = 2
 
@@ -47,7 +51,7 @@ def _add_common(p: argparse.ArgumentParser):
                    help="order of the middle field; a prime power")
     p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for sampled checks, recorded in the report")
+                   help="recorded in the report header; no check samples")
     p.add_argument("--timings", action="store_true",
                    help="include per-check timings (breaks byte determinism)")
 
@@ -69,15 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maps", help="checks for the involution, projection and splash")
     _add_common(p)
-    p.add_argument("--check", choices=("mu", "pr-sp", "fixed", "vertices"),
-                   required=True)
+    p.add_argument("--check", choices=check_groups("maps"), required=True)
 
     p = sub.add_parser("figueroa", help="block construction and structure checks")
     _add_common(p)
-    p.add_argument("--check",
-                   choices=("build", "axioms", "pr", "arching",
-                            "characterization", "even-structure", "sp-mu"),
-                   required=True)
+    p.add_argument("--check", choices=check_groups("figueroa"), required=True)
     p.add_argument("--emit-plane", metavar="FILE")
 
     p = sub.add_parser("sls", help="print one side linear set")
@@ -157,7 +157,7 @@ def cmd_verify(args) -> int:
     if suite == "figueroa" or args.emit_plane:
         _require_figueroa(ctx)
     _require_writable(args.emit_plane)
-    sess = Session(ctx, seed=args.seed)
+    sess = Session(ctx)
     entries = []
     note = None
     run_maps = suite in ("maps", "all")
@@ -193,7 +193,7 @@ def _census_csv(sess: Session) -> str:
 
 def cmd_census(args) -> int:
     ctx = _context(args)
-    sess = Session(ctx, seed=args.seed)
+    sess = Session(ctx)
     entries = census_checks(sess)
     report = Report(_header(ctx, args, {"suite": "census"}), entries)
     if args.format == "csv":
@@ -207,7 +207,7 @@ def cmd_census(args) -> int:
 
 def cmd_maps(args) -> int:
     ctx = _context(args)
-    sess = Session(ctx, seed=args.seed)
+    sess = Session(ctx)
     entries = maps_checks(sess, which=args.check)
     report = Report(_header(ctx, args, {"check": args.check}), entries)
     return _emit(report, args)
@@ -221,7 +221,7 @@ def cmd_figueroa(args) -> int:
               f"(got q = {ctx.q})", file=sys.stderr)
         return USAGE_ERROR
     _require_writable(args.emit_plane)
-    sess = Session(ctx, seed=args.seed)
+    sess = Session(ctx)
     entries = figueroa_checks(sess, which=args.check)
     report = Report(_header(ctx, args, {"check": args.check}), entries)
     if args.emit_plane:
@@ -268,7 +268,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except FieldError as exc:
+    except (FieldError, GeometryError, KernelError) as exc:
         print(f"{TOOL_NAME}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

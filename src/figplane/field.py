@@ -306,10 +306,6 @@ class FieldContext:
         """The q - 1 codes of GF(q)*."""
         return [e * self.sub_order + 1 for e in range(self.q - 1)]
 
-    def base_squares(self):
-        """Nonzero squares of GF(q) (all of GF(q)* when q is even)."""
-        return [c for c in self.base_units() if self.is_nonzero_square(c)]
-
     def describe(self) -> dict:
         """Serializable field description pinned into every report header."""
         return {

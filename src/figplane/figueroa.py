@@ -188,7 +188,8 @@ def expected_pr_fig_block(ctx: FieldContext, which: int = 0) -> frozenset[Triple
 
     For the anchor's own block: the whole axis when q is even; for odd q
     the two axis vertices, the norm minus-one linear set, and the linear
-    sets whose norm class is a nonzero square.  For the conjugate blocks
+    sets whose norm is a nonzero square, each keyed by a theta of that norm
+    (not by the square c itself, whose norm is c^3).  For the conjugate blocks
     the image is the axis minus the norm-one linear set and minus the
     co-vertex that is the conjugate's own projection shadow.
     """
@@ -198,8 +199,10 @@ def expected_pr_fig_block(ctx: FieldContext, which: int = 0) -> frozenset[Triple
             return axis_pts
         img = {ANCHOR_1, ANCHOR_2}
         img.update(sls_points(ctx, ctx.neg_one))
-        for c in ctx.base_squares():
-            img.update(sls_points(ctx, c))
+        for j in range(ctx.q - 1):
+            theta = ctx.norm_class_rep(j)
+            if ctx.is_nonzero_square(ctx.norm(theta)):
+                img.update(sls_points(ctx, theta))
         return frozenset(img)
     s1 = sls_points(ctx, ctx.one)
     gone = {ANCHOR_1} if which == 1 else {ANCHOR_2}

@@ -30,7 +30,6 @@ ANCHOR: Triple = (0, 0, 1)
 ANCHOR_1: Triple = (1, 0, 0)
 ANCHOR_2: Triple = (0, 1, 0)
 AXIS: Triple = (0, 0, 1)
-TRIANGLE = (ANCHOR, ANCHOR_1, ANCHOR_2)
 
 
 class GeometryError(ValueError):
@@ -157,9 +156,6 @@ class ProjectivePlane:
         each built on first use."""
         from .arrays import PlaneTables
         return PlaneTables(self.ctx)
-
-    def index_of(self, P: Triple) -> int:
-        return self.point_index[P]
 
     def points_on(self, line: Triple) -> list[int]:
         return [self.point_index[P] for P in points_on_line(self.ctx, line)]

@@ -15,7 +15,9 @@ from hypothesis import given, settings, strategies as st
 from figplane.arrays import (CLUB, OTHER, SKIPPED, FieldArrays, KernelError,
                              PlaneTables)
 from figplane.collineation import (TYPE_III, collineate_line, collineate_point,
-                                   line_type, line_types_table, partition_orbits,
+                                   det3, line_orbit_matrix, line_type,
+                                   line_types_table, norm_det_identity,
+                                   partition_orbits, point_orbit_matrix,
                                    point_type, point_types_table)
 from figplane.field import build_field_tower, context_for_q
 from figplane.figueroa import build_fig_plane, fig_block
@@ -265,6 +267,29 @@ def test_projection_matches_oracle_sampled(sampled_plane, data):
     want = scalar_kind(ctx, V, B)
     assert table[i] == want
     assert plane.tables.project([V], B.points).tolist() == [want]
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_norm_det_matches_oracle_exhaustive(q):
+    """The array norm/determinant pass agrees with the scalar
+    ``norm_det_identity`` on every point off the triangle sides, and its
+    two determinants with the scalar ``det3`` of the point orbit matrix of
+    P and the line orbit matrix of its unscaled secant."""
+    ctx = context_for_q(q)
+    plane = ProjectivePlane(ctx)
+    tables, F = plane.tables, plane.tables.field
+    off = [P for P in plane.points if 0 not in P]
+    assert len(off) == (ctx.q3 - 1) ** 2
+    assert tables.norm_det_mismatches().size == 0
+    assert all(norm_det_identity(ctx, P) for P in off)
+    x, y, z = (np.array(c) for c in zip(*off))
+    det_p, _ = tables._orbit_det(x, y, z)
+    det_l, _ = tables._orbit_det(F.mul(y, z), F.mul(z, x), F.mul(x, y))
+    want_p = [det3(ctx, point_orbit_matrix(ctx, P)) for P in off]
+    want_l = [det3(ctx, line_orbit_matrix(ctx, (ctx.mul(b, c), ctx.mul(c, a), ctx.mul(a, b))))
+              for a, b, c in off]
+    assert det_p.tolist() == want_p
+    assert det_l.tolist() == want_l
 
 
 def test_projection_comparison_reports_a_corrupted_entry(plane3):

@@ -4,7 +4,9 @@ import sys
 
 import pytest
 
+from figplane.arrays import KernelError
 from figplane.cli import main
+from figplane.plane import GeometryError
 from figplane.report import Report, entry
 
 
@@ -87,6 +89,30 @@ def test_figueroa_axioms_cmd(capsys):
     doc = json.loads(out)
     ids = [c["id"] for c in doc["checks"]]
     assert "fig.axioms" in ids and "fig.axioms-mutation" in ids
+
+
+def test_figueroa_pr_when_3_divides_q_minus_1(capsys):
+    # at q = 7 the squares 1, 2, 4 of GF(7) all cube to 1, so a closed form
+    # that keys the square-norm linear sets by the squares themselves
+    # rather than by elements of those norms misses two thirds of the image
+    code, out = run_cli(["figueroa", "--q", "7", "--check", "pr",
+                         "--format", "json"], capsys)
+    doc = json.loads(out)
+    assert [c["status"] for c in doc["checks"]] == ["pass", "pass"]
+    assert doc["checks"][0]["counts"] == {"image_size": 230, "expected_size": 230}
+    assert code == 0
+
+
+@pytest.mark.parametrize("error", [GeometryError, KernelError])
+def test_stray_library_error_exits_two(monkeypatch, capsys, error):
+    def broken(ctx):
+        raise error("broken on purpose")
+    monkeypatch.setattr("figplane.figueroa.splash_involution_check", broken)
+    code = main(["figueroa", "--q", "3", "--check", "sp-mu"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "figplane: broken on purpose\n"
 
 
 def test_figueroa_even_structure_odd_q(capsys):

@@ -249,10 +249,11 @@ def test_projection_of_anchor_block(ctx3, ctx4, ctx5):
     assert len(img5) == 64
     assert img5 == expected_pr_fig_block(ctx5, 0)
     # odd q: the image is the two carriers, the norm minus-one set, and
-    # the square-norm sets
+    # the sets of every theta whose norm is a square
     want5 = {ANCHOR_1, ANCHOR_2} | set(sls_points(ctx5, ctx5.neg_one))
-    for c in ctx5.base_squares():
-        want5 |= set(sls_points(ctx5, c))
+    for theta in ctx5.units():
+        if ctx5.is_nonzero_square(ctx5.norm(theta)):
+            want5 |= set(sls_points(ctx5, theta))
     assert img5 == want5
 
 

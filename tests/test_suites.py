@@ -1,0 +1,167 @@
+"""The check table of ``figplane.suites``: its groups, its golden reports,
+and the table-driven entries shown able to fail with a witness.
+
+The golden reports are the output of
+
+    figplane verify --q Q --suite all --format json --seed 1
+
+at q = 3 and 4, kept under ``tests/data``; they pin every entry, its
+counts and the report order.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from figplane.cli import main
+from figplane.collineation import TYPE_III, collineate_point
+from figplane.field import build_field_tower
+from figplane.figueroa import IncidencePlane
+from figplane.linear_sets import t_plane
+from figplane.plane import format_point
+from figplane.suites import (CHECKS, Session, block_incidence_twist,
+                             block_sizes, check_groups, generic_plane,
+                             maps_checks, norm_det_relation)
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_check_groups_in_report_order():
+    assert check_groups("maps") == ["mu", "pr-sp", "fixed", "vertices"]
+    assert check_groups("figueroa") == ["build", "axioms", "pr", "arching",
+                                        "characterization", "even-structure", "sp-mu"]
+    assert check_groups("census") == ["census"]
+    assert len({c.run for c in CHECKS}) == len(CHECKS)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_verify_all_matches_golden_report(q, capsys):
+    golden = (DATA / f"verify-all-q{q}.json").read_text()
+    args = ["verify", "--q", str(q), "--suite", "all", "--format", "json"]
+    assert main(args + ["--seed", "1"]) == 0
+    assert capsys.readouterr().out == golden
+    # the seed is recorded and selects nothing
+    assert main(args + ["--seed", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["header"]["config"]["seed"] == 2
+    doc["header"]["config"]["seed"] = 1
+    assert json.dumps(doc, indent=2) + "\n" == golden
+    assert "sampled" not in golden
+
+
+def test_twist_runs_at_every_figueroa_order(ctx5):
+    (twist,) = [c for c in CHECKS if c.run is block_incidence_twist]
+    assert twist.applies(ctx5) and not twist.applies(build_field_tower(2, 1))
+    assert block_incidence_twist(Session(ctx5)).passed
+
+
+def test_norm_det_check_reports_a_wrong_det(ctx3):
+    sess = Session(ctx3)
+    tables = sess.plane.tables
+    assert norm_det_relation(sess).passed
+    P = (1, 2, 5)
+    orbit_det = tables._orbit_det
+
+    def wrong_det(x, y, z):
+        det, c01 = orbit_det(x, y, z)
+        hit = (x == P[0]) & (y == P[1]) & (z == P[2])
+        return np.where(hit, det % (ctx3.q3 - 1) + 1, det), c01
+
+    tables._orbit_det = wrong_det
+    e = norm_det_relation(sess)
+    assert not e.passed
+    assert format_point(P) in e.witnesses
+    assert e.counts == {"points": 26 ** 2, "mode": "exhaustive"}
+
+
+def _side_points(sess):
+    """Indices of the points of the side subplanes and their conjugates."""
+    idx = sess.plane.point_index
+    return {idx[collineate_point(sess.ctx, P, s)]
+            for th in sess.norm_reps() for P in t_plane(sess.ctx, th).points
+            for s in range(3)}
+
+
+def _generic_classes(sess):
+    side = _side_points(sess)
+    return [cl for cl in sess.classes
+            if cl.category == "plane_III_III" and cl.members[0] not in side]
+
+
+def test_mu_checks_report_a_swapped_entry(ctx3):
+    """Swap the involution images of a point of a side subplane, whose
+    image passes through the anchor, and of a point of a generic subplane,
+    whose image does not: the twist names the first, generic-plane the
+    class of the second."""
+    sess = Session(ctx3)
+    plane, tables = sess.plane, sess.plane.tables
+    assert generic_plane(sess).passed and block_incidence_twist(sess).passed
+    side = _side_points(sess)
+    generic = _generic_classes(sess)
+    mu = tables.mu.copy()
+    i = next(k for k in sorted(side)
+             if tables.types[k] == TYPE_III and plane.lines[mu[k]][2] == 0)
+    j = generic[0].members[1]
+    mu[i], mu[j] = mu[j], mu[i]
+    tables.mu = mu
+
+    twist = block_incidence_twist(sess)
+    assert not twist.passed
+    assert format_point(plane.points[i]) in twist.witnesses
+    generic_entry = generic_plane(sess)
+    assert not generic_entry.passed
+    assert (f"point image of {format_point(generic[0].rep)} is no orbit line set"
+            in generic_entry.witnesses)
+    assert generic_entry.counts == {"tested": len(generic), "mode": "exhaustive"}
+    (involution,) = [e for e in maps_checks(sess, "mu") if e.id == "mu.involution"]
+    assert not involution.passed
+
+
+@pytest.mark.parametrize("corruption", ["repeated", "off-orbit"])
+def test_generic_plane_needs_one_orbit_line_set(ctx3, corruption):
+    """The point image of a generic subplane fails when two of its points
+    share an image line, or when every image line is off the orbit line
+    sets: here the lines [1:b:0] through the anchor."""
+    sess = Session(ctx3)
+    tables = sess.plane.tables
+    cl = _generic_classes(sess)[0]
+    members = list(cl.members)
+    mu = tables.mu.copy()
+    if corruption == "repeated":
+        mu[members[1]] = mu[members[0]]
+    else:
+        mu[members] = [sess.plane.point_index[(1, b, 0)] for b in range(len(members))]
+    tables.mu = mu
+    e = generic_plane(sess)
+    assert not e.passed
+    assert f"point image of {format_point(cl.rep)} is no orbit line set" in e.witnesses
+
+
+def test_twist_reads_block_membership_from_the_block(ctx3, monkeypatch):
+    """Membership comes from the scalar anchor block, independently of the
+    involution table: a block that lost one Type III point fails."""
+    import figplane.figueroa as fg
+    sess = Session(ctx3)
+    block = fg.fig_block(ctx3, fg.ANCHOR)
+    P = min(block.f_points)
+    short = fg.FigBlock(block.anchor, block.line, block.e_points, block.f_points - {P})
+    monkeypatch.setattr(fg, "fig_block", lambda ctx, anchor: short)
+    e = block_incidence_twist(sess)
+    assert not e.passed and e.witnesses == [format_point(P)]
+
+
+def test_block_sizes_report_a_repeated_point(fig3):
+    sess = Session(fig3.plane.ctx)
+    sess.plane = fig3.plane
+    assert block_sizes(sess).passed
+    i = fig3.tags.index("fig")
+    blocks = fig3.blocks.copy()
+    blocks[i, 1] = blocks[i, 0]
+    sess.fig_structure = IncidencePlane(fig3.plane, blocks, list(fig3.tags))
+    e = block_sizes(sess)
+    assert not e.passed
+    anchor = fig3.plane.points[fig3.plane.tables.mu[i]]
+    assert e.witnesses == [format_point(anchor)]
+    assert e.counts == {"anchors": fig3.tags.count("fig"), "mode": "exhaustive"}
