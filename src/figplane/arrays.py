@@ -22,6 +22,8 @@ are derived from the index:
 * ``sec``    the secant line [yz, xz, xy] of a point off the triangle
   sides, -1 on them;
 * ``phi``    the index of the collineation image;
+* ``orbit``  the least index in the stabilizer orbit of every point, which
+  ``figplane.collineation.partition_orbits`` reads;
 * ``incidence``  one row of q^3 + 1 sorted point indices per line, the
   points on that line, built in chunks of ``CHUNK // (q^3 + 1)`` rows;
   since a point lies on line l exactly when l lies on the point read as
@@ -60,6 +62,12 @@ _MARK_B0 = -1   # b = 0: the point (1, 0, 0)
 _MARK_A0 = -2   # a = 0: the point (0, 1, 0)
 
 _INT32_LIMIT = 2 ** 31
+
+
+def chunks(rows: np.ndarray, width: int = 1):
+    """Consecutive slices of the index array ``rows``, ``CHUNK // width`` long."""
+    step = max(1, CHUNK // width)
+    return (rows[lo:lo + step] for lo in range(0, len(rows), step))
 
 
 class KernelError(RuntimeError):
@@ -130,10 +138,10 @@ class FieldArrays:
         return np.where(lead_x, y.astype(np.int64) * q3 + z,
                         np.where(lead_y, q3 * q3 + z, q3 * q3 + q3))
 
-    def coords(self, lo: int, hi: int):
-        """Coordinate columns of the canonical triples with indices lo .. hi-1."""
+    def coords(self, i):
+        """Coordinate columns of the canonical triples with the index array i."""
         q3 = self.q3
-        i = np.arange(lo, hi, dtype=np.int64)
+        i = np.asarray(i, dtype=np.int64)
         head = i < q3 * q3
         tail = i - q3 * q3
         x = head.astype(np.int32)
@@ -158,10 +166,8 @@ class PlaneTables:
         """One entry per object, or one row of ``width`` entries per object
         in chunks of ``CHUNK // width`` objects."""
         out = np.empty((self.size,) if width is None else (self.size, width), dtype=dtype)
-        step = max(1, CHUNK // (width or 1))
-        for lo in range(0, self.size, step):
-            hi = min(lo + step, self.size)
-            out[lo:hi] = fn(*self.field.coords(lo, hi))
+        for i in chunks(np.arange(self.size), width or 1):
+            out[i] = fn(*self.field.coords(i))
         out.setflags(write=False)
         return out
 
@@ -202,8 +208,8 @@ class PlaneTables:
         """
         F, q3 = self.field, self.ctx.q3
         bad = []
-        for lo in range(q3, q3 * q3, CHUNK):        # y != 0: index y q^3 + z
-            x, y, z = F.coords(lo, min(lo + CHUNK, q3 * q3))
+        for i in chunks(np.arange(q3, q3 * q3)):    # y != 0: index y q^3 + z
+            x, y, z = F.coords(i)
             keep = np.flatnonzero(z != 0)
             x, y, z = x[keep], y[keep], z[keep]
             det_p, _ = self._orbit_det(x, y, z)
@@ -212,7 +218,7 @@ class PlaneTables:
             for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):   # X, Y, Z
                 w = F.sub(F.mul(a, F.frob(a)), F.mul(b, F.frob(c)))
                 ok &= F.sub(F.norm(w), F.mul(F.norm(a), det_p)) == F.neg(det_l)
-            bad.append(lo + keep[~ok])
+            bad.append(i[keep[~ok]])
         return np.concatenate(bad)
 
     @cached_property
@@ -255,6 +261,21 @@ class PlaneTables:
         return self._build(lambda x, y, z: F.index(*F.canonical(
             *self._conjugate_rows(x, y, z)[0])), np.int32)
 
+    @cached_property
+    def orbit(self) -> np.ndarray:
+        """Least index in the stabilizer orbit of every point: the stabilizer
+        is generated by the torus step (x, y, z) -> (g x, g^q y, g^q^2 z), g
+        primitive, and r rounds of pointer jumping take the least of 2^r steps."""
+        F, g = self.field, np.int32(2)
+        step = self._build(lambda x, y, z: F.index(*F.canonical(
+            F.mul(x, g), F.mul(y, F.frob(g, 1)), F.mul(z, F.frob(g, 2)))), np.int32)
+        least = np.arange(self.size, dtype=np.int32)
+        for _ in range((self.ctx.sub_order - 1).bit_length()):
+            least = np.minimum(least, least[step])
+            step = step[step]
+        least.setflags(write=False)
+        return least
+
     def _incidence_chunk(self, a, b, c):
         """Sorted point indices of each line [a:b:c], one row per line.
 
@@ -296,10 +317,7 @@ class PlaneTables:
         inc, types, mu = self.incidence, self.types, self.mu
         k = inc.shape[1]
         out = inc.copy()
-        replaced = np.flatnonzero(types == 3)            # Type III lines
-        step = max(1, CHUNK // k)
-        for lo in range(0, len(replaced), step):
-            L = replaced[lo:lo + step]
+        for L in chunks(np.flatnonzero(types == 3), k):     # Type III lines
             on = inc[L]
             through = inc[mu[L]]
             # Type II points of L, then mu of the Type III lines through A;
@@ -311,7 +329,7 @@ class PlaneTables:
             sizes = np.count_nonzero(keep, axis=1)
             if np.any(sizes != k):
                 i = int(np.argmax(sizes != k))
-                line = tuple(int(v[0]) for v in self.field.coords(L[i], L[i] + 1))
+                line = tuple(int(v[0]) for v in self.field.coords(L[i:i + 1]))
                 raise GeometryError(f"block replacing line {format_line(line)} has "
                                     f"{sizes[i]} points, not {k}")
             out[L] = np.sort(members[keep].reshape(-1, k), axis=1)
@@ -361,11 +379,9 @@ class PlaneTables:
         V = np.asarray(vertices, dtype=np.int32).reshape(-1, 3)
         if np.any(V[:, 2] == 0):
             raise GeometryError("a vertex lies on the axis")
-        step = max(1, CHUNK // len(pts))
         out = np.empty(len(V), dtype=np.int32)
-        for lo in range(0, len(V), step):
-            x, y, z = V[lo:lo + step].T
-            out[lo:lo + step] = self._project_chunk(x, y, z, rows_a, rows_b)
+        for i in chunks(np.arange(len(V)), len(pts)):
+            out[i] = self._project_chunk(*V[i].T, rows_a, rows_b)
         return out
 
     def vertex_kinds(self, B) -> np.ndarray:
@@ -375,12 +391,9 @@ class PlaneTables:
         rows_a, rows_b = self._projection_rows(pts)
         outside = np.ones(self.size, dtype=bool)
         outside[self.field.index(*pts.T)] = False
-        step = max(1, CHUNK // len(pts))
         out = np.full(self.size, SKIPPED, dtype=np.int32)
-        for lo in range(0, self.size, step):
-            hi = min(lo + step, self.size)
-            x, y, z = self.field.coords(lo, hi)
-            keep = (z != 0) & outside[lo:hi]
-            out[lo:hi][keep] = self._project_chunk(x[keep], y[keep], z[keep],
-                                                   rows_a, rows_b)
+        for i in chunks(np.arange(self.size), len(pts)):
+            x, y, z = self.field.coords(i)
+            keep = (z != 0) & outside[i]
+            out[i[keep]] = self._project_chunk(x[keep], y[keep], z[keep], rows_a, rows_b)
         return out

@@ -14,6 +14,8 @@ The triangle stabilizer is the group of q^2+q+1 projectivities
 (x,y,z) |-> (t x, t^q y, t^q^2 z) fixing the frame triangle vertexwise;
 its point orbits partition PG(2,q^3) into seven kinds of classes, and
 ``partition_orbits`` plus ``census_of`` compute and count them all.
+``partition_orbits`` reads them from ``PlaneTables.orbit``, for which
+``stabilizer_orbit`` and ``apply_stabilizer`` are the scalar reference.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import FieldContext, FieldError
-from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, ProjectivePlane, Triple,
-                    canonical)
+from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, GeometryError, ProjectivePlane,
+                    Triple, canonical)
 
 TYPE_I, TYPE_II, TYPE_III = 1, 2, 3
 
@@ -152,10 +154,10 @@ def norm_det_identity(ctx: FieldContext, P: Triple) -> bool:
                for w, c in ((X, x), (Y, y), (Z, z)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrbitClass:
     rep: Triple                    # member of minimal enumeration index
-    members: tuple[int, ...]       # sorted point indices
+    members: np.ndarray            # sorted point indices, a read-only int32 slice
     category: str                  # one of CATEGORIES
     point_type: int
     line_type: int | None          # secant-line type, planes only
@@ -193,8 +195,9 @@ class Census:
         return sum(self.point_counts.values())
 
 
-class OrbitInconsistency(RuntimeError):
-    """An orbit class whose members disagree on type; indicates a bug."""
+class OrbitInconsistency(GeometryError):
+    """An orbit class whose members disagree on type, or whose size or
+    type profile is impossible; indicates a bug."""
 
 
 @dataclass(frozen=True)
@@ -234,38 +237,34 @@ def line_types_table(plane: ProjectivePlane) -> np.ndarray:
     return plane.tables.types
 
 
-def partition_orbits(plane: ProjectivePlane,
-                     types=None) -> list[OrbitClass]:
+def partition_orbits(plane: ProjectivePlane) -> list[OrbitClass]:
     """Partition all points into stabilizer orbits, classified and counted.
 
-    Orbits are discovered by scanning points in index order; each class
-    representative is its minimal-index member, so output is deterministic.
+    A class is the set of points sharing one entry of the orbit table, their
+    least index, whose point is the representative; classes come in
+    representative order, so output is deterministic.
     """
-    ctx = plane.ctx
-    if types is None:
-        types = point_types_table(plane)
-    types = np.asarray(types).tolist()
-    idx = plane.point_index
-    visited = bytearray(plane.size)
+    ctx, tables = plane.ctx, plane.tables
+    types, orbit = tables.types, tables.orbit
+    mixed = np.flatnonzero(types[orbit] != types)
+    if mixed.size:
+        i = mixed[0]
+        raise OrbitInconsistency(
+            f"orbit of {plane.points[orbit[i]]} mixes point types "
+            f"{sorted({int(types[orbit[i]]), int(types[i])})}")
+    reps = np.flatnonzero(orbit == np.arange(plane.size))
+    order = np.argsort(orbit, kind="stable").astype(np.int32)
+    order.setflags(write=False)
+    ends = np.cumsum(np.bincount(orbit)[reps]).tolist()
+    ptypes, ltypes = types[reps].tolist(), types[tables.sec[reps]].tolist()  # ltype: planes only
     classes: list[OrbitClass] = []
-    for i, P in enumerate(plane.points):
-        if visited[i]:
-            continue
-        orbit = stabilizer_orbit(ctx, P)
-        members = sorted(idx[Q] for Q in orbit)
-        for j in members:
-            visited[j] = 1
-        ptypes = {types[j] for j in members}
-        if len(ptypes) != 1:
-            raise OrbitInconsistency(
-                f"orbit of {P} mixes point types {sorted(ptypes)}")
-        ptype = ptypes.pop()
+    for r, lo, hi, ptype, ltype in zip(reps.tolist(), [0] + ends, ends, ptypes, ltypes):
+        P, members = plane.points[r], order[lo:hi]
         if len(members) == 1:
             if P not in (ANCHOR, ANCHOR_1, ANCHOR_2):
                 raise OrbitInconsistency(f"unexpected singleton orbit at {P}")
             side = (ANCHOR, ANCHOR_1, ANCHOR_2).index(P)
-            classes.append(OrbitClass(P, tuple(members), "vertex",
-                                      ptype, None, side, None))
+            classes.append(OrbitClass(P, members, "vertex", ptype, None, side, None))
             continue
         if len(members) != ctx.sub_order:
             raise OrbitInconsistency(
@@ -273,13 +272,9 @@ def partition_orbits(plane: ProjectivePlane,
         if 0 in P:   # on a triangle side: the vertices were handled above
             category = "sls_II" if ptype == TYPE_II else "sls_III"
             sid = sls_id_of_point(ctx, P)
-            classes.append(OrbitClass(P, tuple(members), category,
+            classes.append(OrbitClass(P, members, category,
                                       ptype, None, sid.side, sid.norm_class))
             continue
-        secant = canonical(ctx, (ctx.mul(P[1], P[2]),
-                                 ctx.mul(P[2], P[0]),
-                                 ctx.mul(P[0], P[1])))
-        ltype = types[idx[secant]]
         category = {(TYPE_I, TYPE_I): "plane_I_I",
                     (TYPE_II, TYPE_III): "plane_II_III",
                     (TYPE_III, TYPE_II): "plane_III_II",
@@ -287,8 +282,7 @@ def partition_orbits(plane: ProjectivePlane,
         if category is None:
             raise OrbitInconsistency(
                 f"plane orbit of {P} has point type {ptype}, line type {ltype}")
-        classes.append(OrbitClass(P, tuple(members), category,
-                                  ptype, ltype, None, None))
+        classes.append(OrbitClass(P, members, category, ptype, ltype, None, None))
     return classes
 
 
@@ -308,15 +302,6 @@ def tally_types(types) -> dict[int, int]:
     """Number of objects of each type in a type table."""
     counts = np.bincount(np.asarray(types), minlength=TYPE_III + 1)
     return {t: int(counts[t]) for t in (TYPE_I, TYPE_II, TYPE_III)}
-
-
-def type_counts(plane: ProjectivePlane, point_types=None, line_types=None):
-    """Point and line tallies per type, computed by direct classification."""
-    if point_types is None:
-        point_types = point_types_table(plane)
-    if line_types is None:
-        line_types = line_types_table(plane)
-    return tally_types(point_types), tally_types(line_types)
 
 
 def expected_type_counts(q: int) -> dict[int, int]:

@@ -6,9 +6,9 @@ The involution pairs Type III points with Type III lines:
     point P |-> join of its two conjugates
     line  l |-> meet of its two conjugates
 
-It is undefined on Type I and II objects and raising on them is
-deliberate: a silent fallback would corrupt Figueroa block construction
-downstream.
+It is undefined on Type I and II objects, and the error it raises on
+them is deliberate: a silent fallback would corrupt Figueroa block
+construction downstream.
 
 Projection sends P != anchor to (anchor P) meet axis; the splash sends a
 line != axis to its meet with the axis.  Projecting an orbit subplane
@@ -27,8 +27,9 @@ from .arrays import CLUB, OTHER
 from .field import FieldContext
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane, Triple,
                     GeometryError, canonical, join, meet)
-from .collineation import (TYPE_III, OrbitClass, collineate_line,
-                           collineate_point, line_type, point_type)
+from .collineation import (TYPE_III, OrbitClass, OrbitInconsistency,
+                           collineate_line, collineate_point, line_type,
+                           point_type)
 from .linear_sets import SlsId, SubplaneSet
 
 
@@ -157,15 +158,13 @@ def projection_vertices(plane: ProjectivePlane, B: SubplaneSet, theta: int,
 
 def phi_fixed_planes(plane: ProjectivePlane,
                      classes: list[OrbitClass]) -> list[OrbitClass]:
-    """Orbit subplanes fixed setwise by the collineation, by exhaustive scan."""
-    phi = plane.tables.phi
-    out = []
-    for cl in classes:
-        if cl.category.startswith("plane"):
-            members = np.asarray(cl.members)
-            if np.array_equal(np.sort(phi[members]), members):
-                out.append(cl)
-    return out
+    """Orbit subplanes fixed setwise by the collineation, by exhaustive scan:
+    a class is fixed when no member i has its image in another class."""
+    orbit = plane.tables.orbit
+    moved = np.zeros(plane.size, dtype=bool)        # by class representative
+    moved[orbit[orbit[plane.tables.phi] != orbit]] = True
+    return [cl for cl in classes
+            if cl.category.startswith("plane") and not moved[cl.members[0]]]
 
 
 def mu_fixed_planes(plane: ProjectivePlane,
@@ -182,11 +181,11 @@ def mu_fixed_planes(plane: ProjectivePlane,
     for cl in classes:
         if cl.category != "plane_III_III":
             continue
-        members = np.asarray(cl.members)
-        lines = np.sort(sec[members])
-        if np.array_equal(np.sort(mu[members]), lines):
-            if not np.array_equal(np.sort(mu[lines]), members):
-                raise RuntimeError(f"involution fixes lines but not points at {cl.rep}")
+        lines = np.sort(sec[cl.members])
+        if np.array_equal(np.sort(mu[cl.members]), lines):
+            if not np.array_equal(np.sort(mu[lines]), cl.members):
+                raise OrbitInconsistency(
+                    f"involution fixes lines but not points at {cl.rep}")
             out.append(cl)
     return out
 

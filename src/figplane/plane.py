@@ -41,7 +41,7 @@ def canonical(ctx: FieldContext, t: Triple) -> Triple:
     a, b, c = t
     if a:
         if a == 1:
-            return (a, b, c) if isinstance(t, tuple) else tuple(t)
+            return (a, b, c)
         s = ctx.inv(a)
         return (1, ctx.mul(b, s), ctx.mul(c, s))
     if b:

@@ -19,7 +19,8 @@ import numpy as np
 from . import figueroa as fg
 from . import linear_sets as ls
 from . import maps as gm
-from .collineation import (TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES,
+from .arrays import chunks
+from .collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES,
                            census_of, collineate_line, collineate_point,
                            line_types_table, partition_orbits, point_type,
                            point_types_table, expected_type_counts, tally_types)
@@ -38,16 +39,8 @@ class Session:
         return ProjectivePlane(self.ctx)
 
     @cached_property
-    def point_types(self) -> list[int]:
-        return point_types_table(self.plane)
-
-    @cached_property
-    def line_types(self) -> list[int]:
-        return line_types_table(self.plane)
-
-    @cached_property
     def classes(self):
-        return partition_orbits(self.plane, self.point_types)
+        return partition_orbits(self.plane)
 
     @cached_property
     def census(self):
@@ -140,7 +133,8 @@ def orbit_sizes(sess: Session) -> CheckEntry:
 
 
 def type_tally(sess: Session, kind: str) -> CheckEntry:
-    tally = tally_types(getattr(sess, f"{kind}_types"))
+    table = point_types_table if kind == "point" else line_types_table
+    tally = tally_types(table(sess.plane))
     want = expected_type_counts(sess.ctx.q)
     return entry(f"census.{kind}-types",
                  f"{kind} counts per type match the closed forms",
@@ -155,16 +149,18 @@ check("census")(partial(type_tally, kind="line"))
 
 @check("census")
 def collineation_permutes(sess: Session) -> CheckEntry:
-    perm = sess.plane.tables.phi.tolist()
-    by_members = {frozenset(cl.members): cl.category for cl in sess.classes}
-    bad = []
-    for cl in sess.classes:
-        image = frozenset(perm[i] for i in cl.members)
-        if by_members.get(image) != cl.category:
-            bad.append(format_point(cl.rep))
+    # a class maps onto a class of its category exactly when the class of
+    # phi[i] is the same for every member i, in the category of i's class
+    orbit, phi = sess.plane.tables.orbit, sess.plane.tables.phi
+    category = np.full(sess.plane.size, -1, dtype=np.int8)    # rep -> category
+    category[[cl.members[0] for cl in sess.classes]] = \
+        [CATEGORIES.index(cl.category) for cl in sess.classes]
+    image = orbit[phi]
+    moved = (image != image[orbit]) | (category[image] != category[orbit])
+    bad = [format_point(sess.plane.points[r]) for r in np.unique(orbit[moved])[:5]]
     return entry("census.collineation-permutes",
                  "the collineation permutes the orbit classes within their categories",
-                 not bad, {"classes": len(sess.classes)}, bad[:5])
+                 not bad, {"classes": len(sess.classes)}, bad)
 
 
 @check("census")
@@ -254,15 +250,12 @@ def generic_plane(sess: Session) -> CheckEntry:
     (lines).  Classes have one or q^2+q+1 members, so q^2+q+1 distinct
     images with one owner are exactly one class, or one class's line set.
     """
-    tables, classes = sess.plane.tables, sess.classes
+    tables = sess.plane.tables
     mu, sec, phi = tables.mu, tables.sec, tables.phi
-    owner = np.empty(sess.plane.size, dtype=np.int32)       # point -> class
-    for c, cl in enumerate(classes):
-        owner[list(cl.members)] = c
-    planes = [c for c, cl in enumerate(classes) if cl.category.startswith("plane")]
-    line_owner = np.full(sess.plane.size, -1, dtype=np.int32)   # line -> class
-    line_owner[sec[np.array([classes[c].members for c in planes])]] = \
-        np.array(planes, dtype=np.int32)[:, None]
+    owner = tables.orbit                                    # point -> class rep
+    line_owner = np.full(sess.plane.size, -1, dtype=np.int32)   # line -> class rep
+    off = sec >= 0                                          # the plane classes
+    line_owner[sec[off]] = owner[off]
     # the side subplanes and their two conjugates
     idx = sess.plane.point_index
     side = set()
@@ -270,15 +263,15 @@ def generic_plane(sess: Session) -> CheckEntry:
         pts = np.array([idx[P] for P in ls.t_plane(sess.ctx, th).points])
         for members in (pts, phi[pts], phi[phi[pts]]):
             side.update(owner[members].tolist())
-    generic = [c for c in planes
-               if classes[c].category == "plane_III_III" and c not in side]
-    members = np.array([classes[c].members for c in generic],
+    generic = [cl for cl in sess.classes
+               if cl.category == "plane_III_III" and cl.members[0] not in side]
+    members = np.array([cl.members for cl in generic],
                        dtype=np.int32).reshape(len(generic), sess.ctx.sub_order)
     point_ok = _one_class(mu[sec[members]], owner)
     line_ok = _one_class(mu[members], line_owner)
     bad = []
     for i in np.flatnonzero(~(point_ok & line_ok)):
-        rep = format_point(classes[generic[i]].rep)
+        rep = format_point(generic[i].rep)
         if not point_ok[i]:
             bad.append(f"line image of {rep} is no orbit class")
         if not line_ok[i]:
@@ -297,7 +290,7 @@ def block_incidence_twist(sess: Session) -> CheckEntry:
     mu = tables.mu
     member = np.zeros(len(mu), dtype=bool)
     member[[sess.plane.point_index[P] for P in fg.fig_block(sess.ctx, ANCHOR).f_points]] = True
-    through = tables.field.coords(0, len(mu))[2] == 0
+    through = tables.field.coords(np.arange(len(mu)))[2] == 0
     type3 = tables.types == TYPE_III
     bad = np.flatnonzero(type3 & (member != through[mu]))[:5]
     return entry("mu.block-incidence-twist",
@@ -522,44 +515,49 @@ def block_anatomy(sess: Session) -> CheckEntry:
 @check("figueroa", "build")
 def block_sizes(sess: Session) -> CheckEntry:
     # rows are stored sorted, so a block of k distinct points in range is
-    # a strictly increasing row of width k from 0 to n - 1
-    struct = sess.fig_structure
+    # a strictly increasing row of width k from 0 to n - 1; its E part,
+    # the Type II points of the line it replaces, has q^2 + q + 1 points,
+    # and a block has no Type I point
+    struct, types = sess.fig_structure, sess.plane.tables.types
     fig = np.flatnonzero(np.array(struct.tags) == "fig")
-    rows = struct.blocks[fig]
-    if rows.shape[1] == sess.ctx.q ** 3 + 1:
-        bad = fig[~((rows[:, 0] >= 0) & (rows[:, -1] < struct.size)
-                    & (np.diff(rows, axis=1) > 0).all(axis=1))]
-    else:
-        bad = fig
+    bad = []
+    for L in chunks(fig, struct.blocks.shape[1]):
+        rows = struct.blocks[L]
+        kinds = types[np.clip(rows, 0, struct.size - 1)]
+        ok = ((rows.shape[1] == sess.ctx.q3 + 1) & (rows[:, 0] >= 0)
+              & (rows[:, -1] < struct.size) & (np.diff(rows, axis=1) > 0).all(axis=1)
+              & (np.count_nonzero(kinds == TYPE_II, axis=1) == sess.ctx.sub_order)
+              & (kinds != TYPE_I).all(axis=1))
+        bad.extend(L[~ok].tolist())
     # a fig row replacing line L is the block anchored at mu[L]
     anchors = sess.plane.tables.mu[bad[:5]]
     return entry("fig.block-sizes",
-                 "every block has exactly q^3 + 1 points",
-                 not bad.size, {"anchors": len(fig), "mode": "exhaustive"},
+                 "every block has exactly q^3 + 1 points, q^2 + q + 1 of them Type II and none Type I",
+                 not bad, {"anchors": len(fig), "mode": "exhaustive"},
                  [format_point(sess.plane.points[a]) for a in anchors])
-
-
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque scalar per row, equal exactly when the rows are, so that
-    whole rows can be looked up with ``np.isin``."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.dtype.itemsize * rows.shape[1]))).ravel()
 
 
 @check("figueroa", "build")
 def assembly(sess: Session) -> CheckEntry:
+    """Row-aligned, chunk by chunk: block L replaces line L, and phi maps
+    lines by the point formula, so invariance is sort(phi[blocks[L]]) ==
+    blocks[phi[L]]; a k-set is a line exactly when it is the incidence row
+    of the join of its first two points."""
     struct = sess.fig_structure
     plane = sess.plane
     q, s = sess.ctx.q, sess.ctx.sub_order
     blocks, tags = struct.blocks, struct.tags
     n_I, n_II, n_fig = (tags.count(t) for t in ("line_I", "line_II", "fig"))
-    inc = plane.tables.incidence
+    F, inc, phi = plane.tables.field, plane.tables.incidence, plane.tables.phi
     fig = np.array(tags) == "fig"
-    agree = np.array_equal(blocks[~fig], inc[~fig])
-    fig_differ = not np.isin(_row_keys(blocks[fig]), _row_keys(inc)).any()
-    image = np.sort(plane.tables.phi[blocks], axis=1)
-    phi_invariant = bool(np.isin(_row_keys(image),
-                                 _row_keys(np.sort(blocks, axis=1))).all())
+    agree = fig_differ = phi_invariant = True
+    for L in chunks(np.arange(len(blocks)), blocks.shape[1]):
+        rows, kept = blocks[L], ~fig[L]
+        agree &= np.array_equal(rows[kept], inc[L[kept]])
+        new = rows[~kept & (rows[:, 0] != rows[:, 1])]
+        joins = F.index(*F.canonical(*F.cross(F.coords(new[:, 0]), F.coords(new[:, 1]))))
+        fig_differ &= not (inc[joins] == new).all(axis=1).any()
+        phi_invariant &= np.array_equal(np.sort(phi[rows], axis=1), blocks[phi[L]])
     checks = {
         "block_count": len(blocks) == plane.size,
         "kept_line_counts": n_I == s and n_II == (q ** 3 - q) * s,

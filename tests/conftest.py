@@ -42,8 +42,8 @@ def types3(plane3):
 
 
 @pytest.fixture(scope="session")
-def classes3(plane3, types3):
-    return partition_orbits(plane3, types3)
+def classes3(plane3):
+    return partition_orbits(plane3)
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,8 @@ from figplane.collineation import (TYPE_III, collineate_line, collineate_point,
                                    det3, line_orbit_matrix, line_type,
                                    line_types_table, norm_det_identity,
                                    partition_orbits, point_orbit_matrix,
-                                   point_type, point_types_table)
+                                   point_type, point_types_table,
+                                   stabilizer_orbit)
 from figplane.field import build_field_tower, context_for_q
 from figplane.figueroa import build_fig_plane, fig_block
 from figplane.linear_sets import fixed_subplane, plane_from_rep, t_plane
@@ -26,7 +27,7 @@ from figplane.maps import conjugate_join, conjugate_meet, project_from_vertex
 from figplane.plane import (GeometryError, ProjectivePlane, canonical, cross,
                             lines_through_point)
 
-TABLES = ("types", "mu", "sec", "phi")
+TABLES = ("types", "mu", "sec", "phi", "orbit")
 
 
 def oracle(plane, name, i):
@@ -45,6 +46,8 @@ def oracle(plane, name, i):
         if 0 in P:
             return {-1}
         return {idx[canonical(ctx, (ctx.mul(y, z), ctx.mul(x, z), ctx.mul(x, y)))]}
+    if name == "orbit":
+        return {min(idx[Q] for Q in stabilizer_orbit(ctx, P))}
     return {idx[collineate_point(ctx, P)], idx[collineate_line(ctx, l)]}
 
 
@@ -103,7 +106,7 @@ def test_field_arrays_triples_and_index(small_plane):
     plane = small_plane
     ctx = plane.ctx
     F = FieldArrays(ctx)
-    x, y, z = F.coords(0, plane.size)
+    x, y, z = F.coords(np.arange(plane.size))
     assert list(zip(x.tolist(), y.tolist(), z.tolist())) == plane.points
     assert F.index(x, y, z).tolist() == list(range(plane.size))
     rng = np.random.default_rng(0)

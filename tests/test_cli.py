@@ -6,6 +6,7 @@ import pytest
 
 from figplane.arrays import KernelError
 from figplane.cli import main
+from figplane.collineation import OrbitInconsistency
 from figplane.plane import GeometryError
 from figplane.report import Report, entry
 
@@ -103,7 +104,7 @@ def test_figueroa_pr_when_3_divides_q_minus_1(capsys):
     assert code == 0
 
 
-@pytest.mark.parametrize("error", [GeometryError, KernelError])
+@pytest.mark.parametrize("error", [GeometryError, KernelError, OrbitInconsistency])
 def test_stray_library_error_exits_two(monkeypatch, capsys, error):
     def broken(ctx):
         raise error("broken on purpose")

@@ -1,13 +1,18 @@
 import random
 
+import numpy as np
 import pytest
 
-from figplane.plane import ANCHOR, ANCHOR_1, ANCHOR_2, canonical, incident
+from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, ProjectivePlane,
+                            canonical, incident)
 from figplane.collineation import (TYPE_I, TYPE_II, TYPE_III,
-                                   apply_stabilizer, census_of, collineate_line,
+                                   OrbitInconsistency, apply_stabilizer,
+                                   census_of, collineate_line,
                                    collineate_point, expected_type_counts,
-                                   line_type, norm_det_identity, point_type,
-                                   stabilizer_orbit, type_counts)
+                                   line_type, norm_det_identity,
+                                   partition_orbits, point_type,
+                                   sls_id_of_point, stabilizer_orbit,
+                                   tally_types)
 from figplane.field import FieldError
 from figplane.linear_sets import fixed_subplane, sls_points
 
@@ -97,6 +102,69 @@ def test_partition_census_q4(plane4, classes4):
         "plane_II_III": 57, "plane_III_II": 57, "plane_III_III": 74}
 
 
+def scalar_partition(plane):
+    """The scalar orbit walk: scan the points in index order, and classify
+    each new stabilizer orbit by the scalar point and secant-line types."""
+    ctx, idx = plane.ctx, plane.point_index
+    seen, out = set(), []
+    for P in plane.points:
+        if P in seen:
+            continue
+        orbit = stabilizer_orbit(ctx, P)
+        seen |= orbit
+        ptype, ltype, side, norm = point_type(ctx, P), None, None, None
+        if len(orbit) == 1:
+            category, side = "vertex", (ANCHOR, ANCHOR_1, ANCHOR_2).index(P)
+        elif 0 in P:
+            category = "sls_II" if ptype == TYPE_II else "sls_III"
+            sid = sls_id_of_point(ctx, P)
+            side, norm = sid.side, sid.norm_class
+        else:
+            x, y, z = P
+            ltype = line_type(ctx, canonical(ctx, (ctx.mul(y, z), ctx.mul(z, x),
+                                                   ctx.mul(x, y))))
+            category = {(TYPE_I, TYPE_I): "plane_I_I",
+                        (TYPE_II, TYPE_III): "plane_II_III",
+                        (TYPE_III, TYPE_II): "plane_III_II",
+                        (TYPE_III, TYPE_III): "plane_III_III"}[(ptype, ltype)]
+        out.append((P, sorted(idx[Q] for Q in orbit), category, ptype, ltype,
+                    side, norm))
+    return out
+
+
+def test_partition_matches_scalar_walk(plane3, classes3, plane4, classes4):
+    for plane, classes in ((plane3, classes3), (plane4, classes4)):
+        got = [(cl.rep, cl.members.tolist(), cl.category, cl.point_type,
+                cl.line_type, cl.side, cl.norm_class) for cl in classes]
+        assert got == scalar_partition(plane)
+        # the members are read-only int32 slices of one array
+        assert {cl.members.dtype for cl in classes} == {np.dtype(np.int32)}
+        assert not any(cl.members.flags.writeable for cl in classes)
+        assert len({id(cl.members.base) for cl in classes}) == 1
+
+
+def test_partition_rejects_a_mixed_orbit(ctx3, classes3):
+    # one member of a plane class flipped to another type
+    plane = ProjectivePlane(ctx3)
+    i = next(cl for cl in classes3 if cl.category == "plane_III_III").members[1]
+    types = plane.tables.types.copy()
+    types[i] = TYPE_II
+    plane.tables.types = types
+    with pytest.raises(OrbitInconsistency, match="mixes point types"):
+        partition_orbits(plane)
+
+
+def test_partition_rejects_a_merged_orbit(ctx3, classes3):
+    # two classes of one category merged into one of twice the size
+    plane = ProjectivePlane(ctx3)
+    a, b = [cl.members[0] for cl in classes3 if cl.category == "plane_II_III"][:2]
+    orbit = plane.tables.orbit.copy()
+    orbit[orbit == b] = a
+    plane.tables.orbit = orbit
+    with pytest.raises(OrbitInconsistency, match="has size 26, not 13"):
+        partition_orbits(plane)
+
+
 def test_orbit_members_share_types(plane3, classes3, types3):
     for cl in classes3:
         assert {types3[i] for i in cl.members} == {cl.point_type}
@@ -112,11 +180,9 @@ def test_collineation_permutes_classes(plane3, classes3):
         assert categories[image] == cl.category
 
 
-def test_type_counts_closed_forms(plane3, types3):
-    pts, lns = type_counts(plane3, types3)
+def test_type_counts_closed_forms(plane3):
     want = expected_type_counts(3)
-    assert pts == want
-    assert lns == want
+    assert tally_types(plane3.tables.types) == want
     assert want == {TYPE_I: 13, TYPE_II: 312, TYPE_III: 432}
 
 

@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 from figplane.cli import main
-from figplane.collineation import TYPE_III, collineate_point
+from figplane.collineation import TYPE_I, TYPE_II, TYPE_III, collineate_point
 from figplane.field import build_field_tower
 from figplane.figueroa import IncidencePlane
 from figplane.linear_sets import t_plane
 from figplane.plane import format_point
 from figplane.suites import (CHECKS, Session, block_incidence_twist,
-                             block_sizes, check_groups, generic_plane,
-                             maps_checks, norm_det_relation)
+                             block_sizes, check_groups, collineation_permutes,
+                             generic_plane, maps_checks, norm_det_relation)
 
 DATA = Path(__file__).parent / "data"
 
@@ -119,18 +119,21 @@ def test_mu_checks_report_a_swapped_entry(ctx3):
     assert not involution.passed
 
 
-@pytest.mark.parametrize("corruption", ["repeated", "off-orbit"])
+@pytest.mark.parametrize("corruption", ["repeated", "mixed", "off-orbit"])
 def test_generic_plane_needs_one_orbit_line_set(ctx3, corruption):
     """The point image of a generic subplane fails when two of its points
-    share an image line, or when every image line is off the orbit line
-    sets: here the lines [1:b:0] through the anchor."""
+    share an image line, when its image lines lie in two orbit line sets,
+    or when every image line is off the orbit line sets: here the lines
+    [1:b:0] through the anchor."""
     sess = Session(ctx3)
     tables = sess.plane.tables
-    cl = _generic_classes(sess)[0]
+    cl, other = _generic_classes(sess)[:2]
     members = list(cl.members)
     mu = tables.mu.copy()
     if corruption == "repeated":
         mu[members[1]] = mu[members[0]]
+    elif corruption == "mixed":
+        mu[members[0]], mu[other.members[0]] = mu[other.members[0]], mu[members[0]]
     else:
         mu[members] = [sess.plane.point_index[(1, b, 0)] for b in range(len(members))]
     tables.mu = mu
@@ -165,3 +168,46 @@ def test_block_sizes_report_a_repeated_point(fig3):
     anchor = fig3.plane.points[fig3.plane.tables.mu[i]]
     assert e.witnesses == [format_point(anchor)]
     assert e.counts == {"anchors": fig3.tags.count("fig"), "mode": "exhaustive"}
+
+
+@pytest.mark.parametrize("out_type, in_type", [(TYPE_II, TYPE_III), (TYPE_III, TYPE_I)],
+                         ids=["II-for-III", "III-for-I"])
+def test_block_sizes_count_the_point_types(fig3, out_type, in_type):
+    """A sorted block of k distinct points still fails when it has one Type II
+    point too few, or a Type I point."""
+    plane = fig3.plane
+    types = plane.tables.types
+    sess = Session(plane.ctx)
+    sess.plane = plane
+    i = fig3.tags.index("fig")
+    row = set(fig3.blocks[i].tolist())
+    out = next(P for P in sorted(row) if types[P] == out_type)
+    into = next(P for P in range(plane.size) if types[P] == in_type and P not in row)
+    blocks = fig3.blocks.copy()
+    blocks[i] = sorted(row - {out} | {into})
+    sess.fig_structure = IncidencePlane(plane, blocks, list(fig3.tags))
+    e = block_sizes(sess)
+    assert not e.passed
+    assert e.witnesses == [format_point(plane.points[plane.tables.mu[i]])]
+
+
+@pytest.mark.parametrize("corruption", ["split", "recategorized"])
+def test_collineation_permutes_reports_a_wrong_image(ctx3, corruption):
+    """Two points of one category trading images split both their classes'
+    images; a class mapped onto a class of another category keeps one
+    image class."""
+    sess = Session(ctx3)
+    assert collineation_permutes(sess).passed
+    a, b = [cl for cl in sess.classes if cl.category == "plane_II_III"][:2]
+    phi = sess.plane.tables.phi.copy()
+    if corruption == "split":
+        phi[[a.members[0], b.members[0]]] = phi[[b.members[0], a.members[0]]]
+        want = [a, b]
+    else:
+        c = next(cl for cl in sess.classes if cl.category == "plane_III_II")
+        phi[a.members] = c.members
+        want = [a]
+    sess.plane.tables.phi = phi
+    e = collineation_permutes(sess)
+    assert not e.passed
+    assert e.witnesses == [format_point(cl.rep) for cl in want]
