@@ -32,7 +32,7 @@ print(f"axioms: {'pass' if rep.ok else 'FAIL'} "
 # break it on purpose: put one replaced line back
 mutated = IncidencePlane(plane, fig.blocks.copy(), list(fig.tags))
 i = fig.tags.index("fig")
-mutated.blocks[i] = sorted(plane.points_on(plane.lines[i]))
+mutated.blocks[i] = plane.tables.incidence[i]
 bad = check_axioms(mutated)
 print(f"with one block undone: {'pass' if bad.ok else 'FAIL, as expected'}")
 print(f"  first witness: {bad.witnesses[0]}")

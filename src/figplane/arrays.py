@@ -22,6 +22,8 @@ are derived from the index:
 * ``sec``    the secant line [yz, xz, xy] of a point off the triangle
   sides, -1 on them;
 * ``phi``    the index of the collineation image;
+* ``tau``, ``tau_line``  the index of the torus image of every point and
+  of every line, the generator of the stabilizer, which commutes with phi;
 * ``orbit``  the least index in the stabilizer orbit of every point, which
   ``figplane.collineation.partition_orbits`` reads;
 * ``incidence``  one row of q^3 + 1 sorted point indices per line, the
@@ -261,14 +263,29 @@ class PlaneTables:
         return self._build(lambda x, y, z: F.index(*F.canonical(
             *self._conjugate_rows(x, y, z)[0])), np.int32)
 
+    def _torus_table(self, g) -> np.ndarray:
+        """Index of (g x, g^q y, g^q^2 z) for every triple (x, y, z)."""
+        F = self.field
+        return self._build(lambda x, y, z: F.index(*F.canonical(
+            F.mul(x, g), F.mul(y, F.frob(g, 1)), F.mul(z, F.frob(g, 2)))), np.int32)
+
+    @cached_property
+    def tau(self) -> np.ndarray:
+        """Index of the torus image (g x, g^q y, g^q^2 z) of every point, g
+        primitive (code 2); tau generates the stabilizer and commutes with phi."""
+        return self._torus_table(np.int32(2))
+
+    @cached_property
+    def tau_line(self) -> np.ndarray:
+        """Index of the tau image [a/g, b/g^q, c/g^q^2] of every line [a:b:c]:
+        tau maps the points of line L onto the points of tau_line[L]."""
+        return self._torus_table(self.field.inv(np.int32(2)))
+
     @cached_property
     def orbit(self) -> np.ndarray:
-        """Least index in the stabilizer orbit of every point: the stabilizer
-        is generated by the torus step (x, y, z) -> (g x, g^q y, g^q^2 z), g
-        primitive, and r rounds of pointer jumping take the least of 2^r steps."""
-        F, g = self.field, np.int32(2)
-        step = self._build(lambda x, y, z: F.index(*F.canonical(
-            F.mul(x, g), F.mul(y, F.frob(g, 1)), F.mul(z, F.frob(g, 2)))), np.int32)
+        """Least index in the stabilizer orbit of every point: r rounds of
+        pointer jumping along ``tau`` take the least of 2^r steps."""
+        step = self.tau
         least = np.arange(self.size, dtype=np.int32)
         for _ in range((self.ctx.sub_order - 1).bit_length()):
             least = np.minimum(least, least[step])

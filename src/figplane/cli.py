@@ -162,9 +162,9 @@ def cmd_verify(args) -> int:
     note = None
     run_maps = suite in ("maps", "all")
     run_fig = suite in ("figueroa", "all")
-    if suite == "all" and ctx.q >= 7:
+    if suite == "all" and ctx.q >= 8:
         run_maps = run_fig = False   # desk-scale default; request suites explicitly
-        note = "maps and figueroa suites skipped by default at q >= 7"
+        note = "maps and figueroa suites skipped by default at q >= 8"
     if suite in ("census", "all"):
         entries.extend(census_checks(sess))
     if run_maps:

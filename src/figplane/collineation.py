@@ -250,7 +250,7 @@ def partition_orbits(plane: ProjectivePlane) -> list[OrbitClass]:
     if mixed.size:
         i = mixed[0]
         raise OrbitInconsistency(
-            f"orbit of {plane.points[orbit[i]]} mixes point types "
+            f"orbit of {plane.point(orbit[i])} mixes point types "
             f"{sorted({int(types[orbit[i]]), int(types[i])})}")
     reps = np.flatnonzero(orbit == np.arange(plane.size))
     order = np.argsort(orbit, kind="stable").astype(np.int32)
@@ -259,7 +259,7 @@ def partition_orbits(plane: ProjectivePlane) -> list[OrbitClass]:
     ptypes, ltypes = types[reps].tolist(), types[tables.sec[reps]].tolist()  # ltype: planes only
     classes: list[OrbitClass] = []
     for r, lo, hi, ptype, ltype in zip(reps.tolist(), [0] + ends, ends, ptypes, ltypes):
-        P, members = plane.points[r], order[lo:hi]
+        P, members = plane.point(r), order[lo:hi]
         if len(members) == 1:
             if P not in (ANCHOR, ANCHOR_1, ANCHOR_2):
                 raise OrbitInconsistency(f"unexpected singleton orbit at {P}")

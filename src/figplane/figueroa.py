@@ -10,16 +10,20 @@ and Type II line of PG(2,q^3) and replaces each Type III line m by the
 block anchored at the involution image of m.  ``check_axioms`` verifies
 exactly, at every order, that the resulting incidence structure is a
 projective plane: block sizes, point degrees, and one block through
-every pair of distinct points, counted sparsely from the blocks through
-each point.
+every pair of distinct points.  The pairs are orbit-reduced: the
+structure is shown invariant under the collineation phi and the torus
+shift tau, row by row, and the pairs are then counted only from the
+least point of each <phi, tau>-orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .arrays import chunks
 from .field import FieldContext
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                     ProjectivePlane, Triple, format_line, format_point,
@@ -103,17 +107,41 @@ def build_fig_plane(plane: ProjectivePlane) -> IncidencePlane:
 @dataclass
 class AxiomReport:
     ok: bool
-    mode: str                        # always "full": every point pair is counted
+    mode: str                        # "orbit-reduced": pairs counted from one point per orbit
     block_size_ok: bool
     point_degree_ok: bool
     point_pairs_ok: bool
-    checked_pairs: int
+    checked_pairs: int               # n(n - 1), the ordered point pairs the verdict covers
+    representatives: int             # points whose pairs were counted
     witnesses: list[str] = field(default_factory=list)
 
 
-# Entries of the (point, point) count array per chunk of the pair-cover
-# scan: bounds its int64 temporary to 1 MiB, which keeps it in cache.
+# Entries of the block rows per chunk of the degree and gather passes, and
+# of the (representative, point) count array per chunk of the pair cover:
+# bounds each int64 temporary to 1 MiB, which keeps it in cache.
 PAIR_CHUNK = 1 << 17
+
+
+def orbit_representatives(plane: ProjectivePlane) -> np.ndarray:
+    """The least point index of every <phi, tau>-orbit, in increasing order.
+
+    phi and tau commute, so the orbit of P is the union of the tau-orbits
+    of P, phi(P) and phi^2(P), and its least index is the least of their
+    ``orbit`` entries."""
+    orbit, phi = plane.tables.orbit, plane.tables.phi
+    least = np.minimum(orbit, np.minimum(orbit[phi], orbit[phi[phi]]))
+    return np.flatnonzero(least == np.arange(plane.size))
+
+
+def first_moved_row(blocks: np.ndarray, g: np.ndarray, g_line: np.ndarray) -> int | None:
+    """The first row L with sort(g[blocks[L]]) != blocks[g_line[L]], for a
+    map acting on points by ``g`` and on lines by ``g_line``, read in
+    chunks of rows; None when the block array is invariant row by row."""
+    for L in chunks(np.arange(len(blocks)), blocks.shape[1]):
+        image, target = np.sort(g[blocks[L]], axis=1), blocks[g_line[L]]
+        if not np.array_equal(image, target):
+            return int(L[np.argmax((image != target).any(axis=1))])
+    return None
 
 
 def check_axioms(structure: IncidencePlane,
@@ -121,57 +149,106 @@ def check_axioms(structure: IncidencePlane,
     """Verify exactly that an incidence structure is a projective plane.
 
     With k = q^3 + 1 and n = k^2 - k + 1 points, the structure passes
-    when its block array has shape (n, k), every point lies in k blocks,
-    and every pair of distinct points lies in exactly one block.  Those
-    facts make it a symmetric 2-(n, k, 1) design, in which any two blocks
-    meet in exactly one point (Hughes & Piper, *Projective Planes*, 1973),
-    so block pairs need no check of their own.
+    when its block array has shape (n, k) with entries in [0, n), every
+    point lies in k blocks, and every pair of distinct points lies in
+    exactly one block.  Those facts make it a symmetric 2-(n, k, 1)
+    design, in which any two blocks meet in exactly one point (Hughes &
+    Piper, *Projective Planes*, 1973), so block pairs need no check of
+    their own.
 
-    Pairs are counted sparsely: for a chunk of points P, the points of
-    the blocks through P are tallied with one ``bincount``, so every
-    ordered pair (P, Q) is counted once and no n x n matrix is built.
-    Witnesses name the first failing pairs in row-major (P, Q) order; the
-    scan stops once ``max_witnesses`` of them are found.  ``checked_pairs``
-    is n(n - 1), the ordered pairs a passing structure has had counted.
+    Pairs are counted from one point per orbit of G = <phi, tau>, the
+    collineation and the torus shift, which commute.  Rows are indexed by
+    the line they replace, as both builders make them, and the
+    construction is equivariant, so G-invariance is row-aligned:
+    sort(g[blocks[L]]) == blocks[g[L]], with g acting on the line L by
+    its line table.  In an invariant structure the pair (gP, gQ) lies in
+    as many blocks as (P, Q), so the pairs of the least point of each
+    G-orbit stand for all.  The steps, in order:
+
+    1. shape and range, before any gather, since numpy wraps negative
+       indices; a structure that fails is examined no further and fails
+       every half;
+    2. point degrees, one ``bincount`` per chunk of rows;
+    3. invariance under phi and tau, one ``array_equal`` per chunk of rows
+       (``first_moved_row``);
+    4. the cover: the blocks through the representatives come from one
+       gather of a position table, and for each representative P, in
+       chunks whose count array has ``PAIR_CHUNK`` entries, every other
+       point must lie in exactly one block through P.
+
+    ``point_pairs_ok`` holds when steps 3 and 4 pass.  So a structure that
+    is not G-invariant row by row fails it with an invariance witness,
+    plane or not.  ``checked_pairs`` is n(n - 1), the ordered pairs a
+    pass covers (through invariance, not one by one);
+    ``representatives`` is the number of points whose pairs are counted.
+    Witnesses name the shape or range fault, or the first failing row per
+    generator and then the first failing (representative, point) pairs,
+    at most ``max_witnesses`` in all.
     """
-    n = structure.size
-    k = structure.plane.ctx.q ** 3 + 1
-    rows = structure.blocks
-    block_size_ok = rows.shape == (n, k)
-    width = rows.shape[1]
-    flat = rows.ravel()
-    degree = np.bincount(flat, minlength=n)
-    point_degree_ok = bool(np.all(degree == k))
-    # blocks through each point, in block order: the CSR lists of the
-    # transposed incidence
-    through = (np.argsort(flat, kind="stable") // width).astype(np.int32)
-    start = np.concatenate(([0], np.cumsum(degree)))
+    plane, blocks = structure.plane, structure.blocks
+    n, k = structure.size, plane.ctx.q3 + 1
+    step = max(1, PAIR_CHUNK // k)
+    report = partial(AxiomReport, mode="orbit-reduced", checked_pairs=n * (n - 1))
+    rejected = partial(report, ok=False, block_size_ok=False, point_degree_ok=False,
+                       point_pairs_ok=False, representatives=0)
 
-    points = structure.plane.points
-    witnesses: list[str] = []
-    point_pairs_ok = True
-    step = max(1, PAIR_CHUNK // n)
+    # 1 and 2: shape and range, and the point degrees
+    if blocks.shape != (n, k):
+        return rejected(witnesses=[f"block array has shape {blocks.shape}, not {(n, k)}"])
+    degree = np.zeros(n, dtype=np.int64)
     for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        owner = np.repeat(np.arange(hi - lo, dtype=np.int64), degree[lo:hi])
-        cells = owner[:, None] * n + rows[through[start[lo]:start[hi]]]
-        count = np.bincount(cells.ravel(), minlength=(hi - lo) * n)
-        count = count.reshape(hi - lo, n)
-        count[np.arange(hi - lo), np.arange(lo, hi)] = 1   # P with itself
-        bad = count != 1
-        if not bad.any():
-            continue
-        point_pairs_ok = False
-        for i, j in np.argwhere(bad)[:max_witnesses - len(witnesses)]:
-            witnesses.append(
-                f"point pair {format_point(points[lo + i])} , {format_point(points[j])}"
-                f" lies in {count[i, j]} blocks")
-        if len(witnesses) >= max_witnesses:
-            break   # the verdict and the witnesses are settled
+        rows = blocks[lo:lo + step]
+        if rows.min() < 0 or rows.max() >= n:
+            i, j = np.argwhere((rows < 0) | (rows >= n))[0]
+            return rejected(witnesses=[f"block {format_line(plane.point(lo + i))} holds "
+                                       f"{rows[i, j]}, outside [0, {n})"])
+        degree += np.bincount(rows.ravel(), minlength=n)
+    point_degree_ok = bool(np.all(degree == k))
 
-    ok = block_size_ok and point_degree_ok and point_pairs_ok
-    return AxiomReport(ok, "full", block_size_ok, point_degree_ok,
-                       point_pairs_ok, n * (n - 1), witnesses)
+    # 3: invariance, the first failing row of each generator
+    tables = plane.tables
+    witnesses = []
+    for name, g, g_line in (("phi", tables.phi, tables.phi),
+                            ("tau", tables.tau, tables.tau_line)):
+        L = first_moved_row(blocks, g, g_line)
+        if L is not None:
+            witnesses.append(f"the {name} image of block {format_line(plane.point(L))} "
+                             f"is not block {format_line(plane.point(g_line[L]))}")
+    del witnesses[max_witnesses:]
+    point_pairs_ok = not witnesses
+
+    # 4: the cover at the least point of each G-orbit
+    reps = orbit_representatives(plane)
+    pos = np.full(n, -1, dtype=np.int32)
+    pos[reps] = np.arange(len(reps), dtype=np.int32)
+    owner, through = [], []           # (representative position, row) pairs
+    for lo in range(0, n, step):
+        hit = pos[blocks[lo:lo + step]]
+        r, c = np.nonzero(hit >= 0)
+        owner.append(hit[r, c])
+        through.append(r + lo)
+    order = np.argsort(np.concatenate(owner), kind="stable")
+    owner, through = np.concatenate(owner)[order], np.concatenate(through)[order]
+    start = np.searchsorted(owner, np.arange(len(reps) + 1))
+    per = max(1, PAIR_CHUNK // n)
+    for lo in range(0, len(reps), per):
+        if not point_pairs_ok and len(witnesses) >= max_witnesses:
+            break   # the verdict and the witnesses are settled
+        hi = min(lo + per, len(reps))
+        a, b = start[lo], start[hi]
+        cells = (owner[a:b, None] - lo).astype(np.int64) * n + blocks[through[a:b]]
+        count = np.bincount(cells.ravel(), minlength=(hi - lo) * n).reshape(hi - lo, n)
+        count[np.arange(hi - lo), reps[lo:hi]] = 1   # P with itself
+        bad = count != 1
+        if bad.any():
+            point_pairs_ok = False
+            for i, j in np.argwhere(bad)[:max_witnesses - len(witnesses)]:
+                witnesses.append(f"point pair {format_point(plane.point(reps[lo + i]))} , "
+                                 f"{format_point(plane.point(j))} lies in {count[i, j]} blocks")
+
+    return report(ok=point_degree_ok and point_pairs_ok, block_size_ok=True,
+                  point_degree_ok=point_degree_ok, point_pairs_ok=point_pairs_ok,
+                  representatives=len(reps), witnesses=witnesses)
 
 
 def pr_fig_block(ctx: FieldContext, which: int = 0) -> frozenset[Triple]:

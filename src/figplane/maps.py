@@ -140,8 +140,7 @@ class VertexCensus:
 def vertex_census(plane: ProjectivePlane, B: SubplaneSet) -> VertexCensus:
     """Scan every point off the axis and outside B; classify its projection."""
     kinds = plane.tables.vertex_kinds(B.points)
-    points = plane.points
-    by_class = {j: [points[i] for i in np.flatnonzero(kinds == j)]
+    by_class = {j: [plane.point(i) for i in np.flatnonzero(kinds == j)]
                 for j in range(plane.ctx.q - 1)}
     return VertexCensus(by_class, int(np.count_nonzero(kinds == CLUB)),
                         int(np.count_nonzero(kinds == OTHER)))

@@ -133,22 +133,54 @@ class ProjectivePlane:
 
     Enumeration order is fixed (canonical triples sorted by leading-zero
     pattern, then numerically), so indices are reproducible and orbit
-    partitions can live in flat arrays.
+    partitions can live in flat arrays.  The index has a closed form
+    (see :mod:`figplane.arrays`), which ``index`` and ``point`` evaluate
+    for one object; the ``points``, ``lines`` and ``point_index``
+    collections are built only on first use.
     """
 
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
-        self.points = self._enumerate()
-        self.lines = list(self.points)   # same canonical triples, dual role
-        self.point_index = {P: i for i, P in enumerate(self.points)}
-        self.size = len(self.points)
+        self.size = ctx.q3 * ctx.q3 + ctx.q3 + 1
 
-    def _enumerate(self) -> list[Triple]:
+    def index(self, P: Triple) -> int:
+        """Dense index of the canonical triple P (a point, or a line)."""
+        q3 = self.ctx.q3
+        x, y, z = P
+        if x == 1 and 0 <= y < q3 and 0 <= z < q3:
+            return y * q3 + z
+        if x == 0 and y == 1 and 0 <= z < q3:
+            return q3 * q3 + z
+        if (x, y, z) == (0, 0, 1):
+            return q3 * q3 + q3
+        raise GeometryError(f"{P} is not a canonical triple of PG(2, {q3})")
+
+    def point(self, i: int) -> Triple:
+        """The canonical triple with dense index i (a point, or a line)."""
+        q3, i = self.ctx.q3, int(i)
+        if not 0 <= i < self.size:
+            raise GeometryError(f"index {i} outside [0, {self.size})")
+        if i < q3 * q3:
+            return (1, i // q3, i % q3)
+        if i < q3 * q3 + q3:
+            return (0, 1, i - q3 * q3)
+        return (0, 0, 1)
+
+    @cached_property
+    def points(self) -> list[Triple]:
         q3 = self.ctx.q3
         out = [(1, b, c) for b in range(q3) for c in range(q3)]
         out.extend((0, 1, c) for c in range(q3))
         out.append((0, 0, 1))
         return out
+
+    @cached_property
+    def lines(self) -> list[Triple]:
+        return list(self.points)   # same canonical triples, dual role
+
+    @cached_property
+    def point_index(self) -> dict[Triple, int]:
+        return {P: i for i, P in enumerate(self.points)}
 
     @cached_property
     def tables(self):
@@ -158,7 +190,7 @@ class ProjectivePlane:
         return PlaneTables(self.ctx)
 
     def points_on(self, line: Triple) -> list[int]:
-        return [self.point_index[P] for P in points_on_line(self.ctx, line)]
+        return [self.index(P) for P in points_on_line(self.ctx, line)]
 
     def __len__(self):
         return self.size

@@ -157,7 +157,7 @@ def collineation_permutes(sess: Session) -> CheckEntry:
         [CATEGORIES.index(cl.category) for cl in sess.classes]
     image = orbit[phi]
     moved = (image != image[orbit]) | (category[image] != category[orbit])
-    bad = [format_point(sess.plane.points[r]) for r in np.unique(orbit[moved])[:5]]
+    bad = [format_point(sess.plane.point(r)) for r in np.unique(orbit[moved])[:5]]
     return entry("census.collineation-permutes",
                  "the collineation permutes the orbit classes within their categories",
                  not bad, {"classes": len(sess.classes)}, bad)
@@ -169,7 +169,7 @@ def norm_det_relation(sess: Session) -> CheckEntry:
     return entry("census.norm-det-identity",
                  "the norm and determinant relation holds on every point off the triangle sides",
                  not bad.size, {"points": (sess.ctx.q3 - 1) ** 2, "mode": "exhaustive"},
-                 [format_point(sess.plane.points[i]) for i in bad])
+                 [format_point(sess.plane.point(i)) for i in bad])
 
 
 # ------------------------------------------------------------------ maps
@@ -184,8 +184,8 @@ def involution(sess: Session) -> CheckEntry:
     bad = type3 & ((mu < 0) | (types[image] != TYPE_III)
                    | (mu[image] != np.arange(len(mu), dtype=np.int32)))
     bad_idx = np.flatnonzero(bad)[:5].tolist()
-    witnesses = ([format_point(sess.plane.points[i]) for i in bad_idx]
-                 + [format_line(sess.plane.lines[i]) for i in bad_idx])
+    witnesses = ([format_point(sess.plane.point(i)) for i in bad_idx]
+                 + [format_line(sess.plane.point(i)) for i in bad_idx])
     count = int(np.count_nonzero(type3))
     return entry("mu.involution",
                  "the conjugate join/meet maps are mutually inverse on Type III objects",
@@ -257,10 +257,9 @@ def generic_plane(sess: Session) -> CheckEntry:
     off = sec >= 0                                          # the plane classes
     line_owner[sec[off]] = owner[off]
     # the side subplanes and their two conjugates
-    idx = sess.plane.point_index
     side = set()
     for th in sess.norm_reps():
-        pts = np.array([idx[P] for P in ls.t_plane(sess.ctx, th).points])
+        pts = np.array([sess.plane.index(P) for P in ls.t_plane(sess.ctx, th).points])
         for members in (pts, phi[pts], phi[phi[pts]]):
             side.update(owner[members].tolist())
     generic = [cl for cl in sess.classes
@@ -289,13 +288,13 @@ def block_incidence_twist(sess: Session) -> CheckEntry:
     tables = sess.plane.tables
     mu = tables.mu
     member = np.zeros(len(mu), dtype=bool)
-    member[[sess.plane.point_index[P] for P in fg.fig_block(sess.ctx, ANCHOR).f_points]] = True
+    member[[sess.plane.index(P) for P in fg.fig_block(sess.ctx, ANCHOR).f_points]] = True
     through = tables.field.coords(np.arange(len(mu)))[2] == 0
     type3 = tables.types == TYPE_III
     bad = np.flatnonzero(type3 & (member != through[mu]))[:5]
     return entry("mu.block-incidence-twist",
                  "Type III block membership at the anchor equals anchor incidence of the involution image",
-                 not bad.size, {}, [format_point(sess.plane.points[i]) for i in bad])
+                 not bad.size, {}, [format_point(sess.plane.point(i)) for i in bad])
 
 
 @check("maps", "pr-sp")
@@ -383,8 +382,7 @@ def _fixed_planes(sess: Session, id: str, claim: str, found, reps, expected: int
                   ok: bool = True) -> CheckEntry:
     """Entry for an exhaustive scan that found the classes ``found``, which
     must be the ``expected`` subplanes through the closed-form ``reps``."""
-    idx = sess.plane.point_index
-    want = {frozenset(idx[P] for P in ls.plane_from_rep(sess.ctx, R).points)
+    want = {frozenset(sess.plane.index(P) for P in ls.plane_from_rep(sess.ctx, R).points)
             for R in reps}
     got = {frozenset(cl.members) for cl in found}
     ok = ok and len(found) == expected and got == want
@@ -534,7 +532,7 @@ def block_sizes(sess: Session) -> CheckEntry:
     return entry("fig.block-sizes",
                  "every block has exactly q^3 + 1 points, q^2 + q + 1 of them Type II and none Type I",
                  not bad, {"anchors": len(fig), "mode": "exhaustive"},
-                 [format_point(sess.plane.points[a]) for a in anchors])
+                 [format_point(sess.plane.point(a)) for a in anchors])
 
 
 @check("figueroa", "build")
@@ -550,20 +548,19 @@ def assembly(sess: Session) -> CheckEntry:
     n_I, n_II, n_fig = (tags.count(t) for t in ("line_I", "line_II", "fig"))
     F, inc, phi = plane.tables.field, plane.tables.incidence, plane.tables.phi
     fig = np.array(tags) == "fig"
-    agree = fig_differ = phi_invariant = True
+    agree = fig_differ = True
     for L in chunks(np.arange(len(blocks)), blocks.shape[1]):
         rows, kept = blocks[L], ~fig[L]
         agree &= np.array_equal(rows[kept], inc[L[kept]])
         new = rows[~kept & (rows[:, 0] != rows[:, 1])]
         joins = F.index(*F.canonical(*F.cross(F.coords(new[:, 0]), F.coords(new[:, 1]))))
         fig_differ &= not (inc[joins] == new).all(axis=1).any()
-        phi_invariant &= np.array_equal(np.sort(phi[rows], axis=1), blocks[phi[L]])
     checks = {
         "block_count": len(blocks) == plane.size,
         "kept_line_counts": n_I == s and n_II == (q ** 3 - q) * s,
         "kept_lines_agree": agree,
         "blocks_differ_from_lines": fig_differ,
-        "collineation_invariant": phi_invariant,
+        "collineation_invariant": fg.first_moved_row(blocks, phi, phi) is None,
     }
     bad = [k for k, v in checks.items() if not v]
     return entry("fig.build",
@@ -580,6 +577,7 @@ def axioms(sess: Session) -> CheckEntry:
                  "every point pair lies in one block and every block pair meets in one point",
                  rep.ok,
                  {"mode": rep.mode, "checked_pairs": rep.checked_pairs,
+                  "representatives": rep.representatives,
                   "block_size_ok": str(rep.block_size_ok),
                   "point_degree_ok": str(rep.point_degree_ok)},
                  rep.witnesses)
@@ -590,7 +588,8 @@ def axioms_reference(sess: Session) -> CheckEntry:
     rep = fg.check_axioms(fg.pg_incidence(sess.plane))
     return entry("fig.axioms-reference",
                  "the unmodified plane passes the same axiom checker",
-                 rep.ok, {"mode": rep.mode}, rep.witnesses)
+                 rep.ok, {"mode": rep.mode, "representatives": rep.representatives},
+                 rep.witnesses)
 
 
 @check("figueroa", "axioms")
@@ -598,12 +597,13 @@ def axioms_mutation(sess: Session) -> CheckEntry:
     struct = sess.fig_structure
     mutated = fg.IncidencePlane(sess.plane, struct.blocks.copy(), list(struct.tags))
     i = struct.tags.index("fig")
-    mutated.blocks[i] = sorted(sess.plane.points_on(sess.plane.lines[i]))
+    mutated.blocks[i] = sess.plane.tables.incidence[i]
     rep = fg.check_axioms(mutated)
     return entry("fig.axioms-mutation",
                  "replacing one block by the line it displaced breaks the axioms with a witness",
                  (not rep.ok) and bool(rep.witnesses),
-                 {"witnesses": len(rep.witnesses)}, rep.witnesses[:2])
+                 {"mode": rep.mode, "representatives": rep.representatives,
+                  "witnesses": len(rep.witnesses)}, rep.witnesses[:2])
 
 
 @check("figueroa", "pr")

@@ -25,9 +25,9 @@ from figplane.figueroa import build_fig_plane, fig_block
 from figplane.linear_sets import fixed_subplane, plane_from_rep, t_plane
 from figplane.maps import conjugate_join, conjugate_meet, project_from_vertex
 from figplane.plane import (GeometryError, ProjectivePlane, canonical, cross,
-                            lines_through_point)
+                            join, lines_through_point, points_on_line)
 
-TABLES = ("types", "mu", "sec", "phi", "orbit")
+TABLES = ("types", "mu", "sec", "phi", "orbit", "tau", "tau_line")
 
 
 def oracle(plane, name, i):
@@ -48,7 +48,18 @@ def oracle(plane, name, i):
         return {idx[canonical(ctx, (ctx.mul(y, z), ctx.mul(x, z), ctx.mul(x, y)))]}
     if name == "orbit":
         return {min(idx[Q] for Q in stabilizer_orbit(ctx, P))}
+    if name == "tau":
+        return {idx[torus_step(ctx, P)]}
+    if name == "tau_line":
+        # the line through the torus images of two points of l
+        A, B = (torus_step(ctx, Q) for Q in points_on_line(ctx, l)[:2])
+        return {idx[join(ctx, A, B)]}
     return {idx[collineate_point(ctx, P)], idx[collineate_line(ctx, l)]}
+
+
+def torus_step(ctx, P):
+    """(g x, g^q y, g^q^2 z) for the primitive element g (code 2)."""
+    return canonical(ctx, tuple(ctx.mul(ctx.frob(2, i), c) for i, c in enumerate(P)))
 
 
 def disagreements(plane, name, table, indices) -> list[int]:

@@ -92,6 +92,17 @@ def test_figueroa_axioms_cmd(capsys):
     assert "fig.axioms" in ids and "fig.axioms-mutation" in ids
 
 
+def test_verify_all_skips_maps_and_figueroa_from_q8(capsys):
+    """The default skip starts at q = 8: the report notes it and holds only
+    the census checks (q = 7 runs every suite)."""
+    code, out = run_cli(["verify", "--q", "8", "--suite", "all",
+                         "--format", "json"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["header"]["note"] == "maps and figueroa suites skipped by default at q >= 8"
+    assert doc["checks"] and all(c["id"].startswith("census.") for c in doc["checks"])
+
+
 def test_figueroa_pr_when_3_divides_q_minus_1(capsys):
     # at q = 7 the squares 1, 2, 4 of GF(7) all cube to 1, so a closed form
     # that keys the square-norm linear sets by the squares themselves

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -5,12 +8,12 @@ from figplane.collineation import TYPE_II, TYPE_III, collineate_point, point_typ
 from figplane.figueroa import (IncidencePlane, arching_census, build_fig_plane,
                                characterize_fig_points, check_axioms,
                                even_structure_check, emit_plane, fig_block,
-                               pg_incidence, pr_fig_block,
+                               orbit_representatives, pg_incidence, pr_fig_block,
                                expected_pr_fig_block, splash_involution_check)
 from figplane.linear_sets import sls_points, t_plane
 from figplane.maps import TypeRestrictionError
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
-                            format_point, join, points_on_line)
+                            format_line, join, points_on_line)
 
 
 def test_block_anatomy_q3(ctx3):
@@ -106,7 +109,7 @@ def test_build_rejects_q2():
 def test_axioms_pass(plane3, fig3, fig4):
     assert check_axioms(pg_incidence(plane3)).ok
     rep = check_axioms(fig3)
-    assert rep.ok and rep.mode == "full"
+    assert rep.ok and rep.mode == "orbit-reduced" and not rep.witnesses
     assert check_axioms(fig4).ok
 
 
@@ -119,44 +122,128 @@ def _line_mutation(plane, fig):
     return mutated
 
 
+def _swapped(fig, swaps):
+    """FIG with rows L1 and L2 trading y (of L1) and z (of L2), for each
+    (L1, L2, y, z) in ``swaps``."""
+    mutated = IncidencePlane(fig.plane, fig.blocks.copy(), list(fig.tags))
+    for L1, L2, y, z in swaps:
+        b1, b2 = set(fig.blocks[L1].tolist()), set(fig.blocks[L2].tolist())
+        mutated.blocks[L1] = sorted(b1 - {y} | {z})
+        mutated.blocks[L2] = sorted(b2 - {z} | {y})
+    return mutated
+
+
 def _swap_mutation(fig):
     """Blocks b1, b2 through a common point x trade y in b1 for z in b2.
 
     Block sizes and point degrees are unchanged, so only the pair count
     sees it: y now shares b2 with points it already had a block with."""
-    mutated = IncidencePlane(fig.plane, fig.blocks.copy(), list(fig.tags))
     b1, b2 = set(fig.blocks[0].tolist()), set(fig.blocks[1].tolist())
     (x,) = b1 & b2
-    y, z = max(b1 - b2), max(b2 - b1)
-    mutated.blocks[0] = sorted(b1 - {y} | {z})
-    mutated.blocks[1] = sorted(b2 - {z} | {y})
+    return _swapped(fig, [(0, 1, max(b1 - b2), max(b2 - b1))])
+
+
+def _orbit(start, generators):
+    """The orbit of the index tuple ``start`` under the group generated by
+    ``generators``, each one index table per tuple entry."""
+    seen, todo = {start}, [start]
+    while todo:
+        t = todo.pop()
+        for tables in generators:
+            u = tuple(int(g[v]) for g, v in zip(tables, t))
+            if u not in seen:
+                seen.add(u)
+                todo.append(u)
+    return sorted(seen)
+
+
+def _orbit_mutation(fig):
+    """FIG with one whole <phi, tau>-orbit of 3(q^2+q+1) fig rows put back
+    to the lines they displaced: still invariant, so only the cover at the
+    representatives can see it."""
+    tables = fig.plane.tables
+    gens = [(tables.phi,), (tables.tau_line,)]
+    size = 3 * fig.plane.ctx.sub_order
+    orbit = next(o for o in (_orbit((L,), gens) for L in range(fig.size)
+                             if fig.tags[L] == "fig") if len(o) == size)
+    rows = [L for (L,) in orbit]
+    mutated = IncidencePlane(fig.plane, fig.blocks.copy(), list(fig.tags))
+    mutated.blocks[rows] = tables.incidence[rows]
     return mutated
 
 
-def _brute_force_axioms(structure, max_witnesses=5):
-    """Reference pair count: blocks through each point as sets."""
+def _equivariant_swap_mutation(fig):
+    """The swap of ``_swap_mutation`` made on two fig rows with free
+    <phi, tau>-orbits and carried along both orbits: rows g(b1) and g(b2)
+    trade g(y) and g(z) for every g.  Invariance and point degrees hold."""
+    tables = fig.plane.tables
+    size = 3 * fig.plane.ctx.sub_order
+    free = [o for o in sorted({tuple(_orbit((L,), [(tables.phi,), (tables.tau_line,)]))
+                               for L in range(fig.size) if fig.tags[L] == "fig"})
+            if len(o) == size]
+    (L1,), (L2,) = min(free[0]), min(free[1])
+    b1, b2 = set(fig.blocks[L1].tolist()), set(fig.blocks[L2].tolist())
+    y, z = max(b1 - b2), max(b2 - b1)
+    gens = [(tables.phi,) * 4, (tables.tau_line, tables.tau_line, tables.tau, tables.tau)]
+    orbit = _orbit((L1, L2, y, z), gens)
+    assert len({t[0] for t in orbit} | {t[1] for t in orbit}) == 2 * size   # free, disjoint
+    return _swapped(fig, orbit)
+
+
+def _phi_swap_mutation(fig):
+    """The swap of ``_swap_mutation`` carried along a phi-orbit only.  The
+    two blocks pass through the representative 0, and they and y, z are
+    chosen so that no changed row holds another representative:
+    phi-invariance and the cover at the representatives hold, and only
+    tau-invariance sees it."""
+    B, phi = fig.blocks, fig.plane.tables.phi
+    rep = np.zeros(fig.size, dtype=bool)
+    rep[orbit_representatives(fig.plane)] = True
+    images = lambda t: [t, tuple(phi[list(t)].tolist()), tuple(phi[phi[list(t)]].tolist())]
+    L1, L2 = [L for L in np.flatnonzero((B == 0).any(axis=1)).tolist()
+              if all(np.count_nonzero(rep[B[gL]]) == rep[gx]
+                     for gL, gx in images((L, 0)))][:2]
+    b1, b2 = set(B[L1].tolist()), set(B[L2].tolist())
+    y, z = (max(v for v in part if not rep[list(images((v,)))].any())
+            for part in (b1 - b2, b2 - b1))
+    return _swapped(fig, images((L1, L2, y, z)))
+
+
+def _brute_force_axioms(structure):
+    """Reference full count over every ordered point pair, from a dense
+    block-by-point incidence matrix: the three verdict halves, every pair
+    that lies in other than one block (with its count), and every row
+    holding both points of such a pair."""
     n = structure.size
     k = structure.plane.ctx.q ** 3 + 1
-    through = [set() for _ in range(n)]
-    for bi, b in enumerate(structure.blocks):
-        for P in b:
-            through[P].add(bi)
-    witnesses = []
-    pairs_ok = True
-    for P in range(n):
-        for Q in range(n):
-            c = len(through[P] & through[Q]) if Q != P else 1
-            if c != 1:
-                pairs_ok = False
-                if len(witnesses) < max_witnesses:
-                    witnesses.append(
-                        f"point pair {format_point(structure.plane.points[P])} , "
-                        f"{format_point(structure.plane.points[Q])} lies in {c} blocks")
-        if len(witnesses) >= max_witnesses:
-            break
-    sizes_ok = len(structure.blocks) == n and all(len(b) == k for b in structure.blocks)
-    degrees_ok = all(len(s) == k for s in through)
-    return sizes_ok, degrees_ok, pairs_ok, witnesses
+    blocks = np.asarray(structure.blocks)
+    M = np.zeros((len(blocks), n))          # floats: BLAS, exact at these sizes
+    for r, row in enumerate(blocks.tolist()):
+        M[r, row] = 1
+    count = (M.T @ M).round().astype(np.int64)
+    np.fill_diagonal(count, 1)
+    bad = {(P, Q): int(count[P, Q]) for P, Q in np.argwhere(count != 1).tolist()}
+    rows = {r for (P, Q) in bad for r in np.flatnonzero(M[:, P] * M[:, Q]).tolist()}
+    sizes_ok = blocks.shape == (n, k)
+    degrees_ok = bool(np.all(M.sum(axis=0) == k))
+    return sizes_ok, degrees_ok, not bad, bad, rows
+
+
+PAIR_WITNESS = re.compile(r"point pair (\S+) , (\S+) lies in (\d+) blocks")
+ROW_WITNESS = re.compile(r"the (phi|tau) image of block \[(\S+)\] is not block \[(\S+)\]")
+
+
+def _witness_kind(plane, witness, bad, rows):
+    """'pair' or 'row' when the witness names a pair (with its count) or a
+    row that the brute force flags; None otherwise."""
+    index = lambda text: plane.index(tuple(int(c) for c in text.split(":")))
+    m = PAIR_WITNESS.fullmatch(witness)
+    if m and bad.get((index(m[1]), index(m[2]))) == int(m[3]):
+        return "pair"
+    m = ROW_WITNESS.fullmatch(witness)
+    if m and {index(m[2]), index(m[3])} & rows:
+        return "row"
+    return None
 
 
 def test_axioms_mutation_fails_with_witness(plane3, fig3):
@@ -169,7 +256,7 @@ def test_axioms_swap_mutation_caught_by_pairs_only(fig3):
     rep = check_axioms(_swap_mutation(fig3))
     assert rep.block_size_ok and rep.point_degree_ok
     assert not rep.point_pairs_ok and not rep.ok
-    assert any(w.endswith("lies in 2 blocks") for w in rep.witnesses)
+    assert rep.witnesses[0].startswith("the phi image of block")
 
 
 def test_axioms_reject_a_wrong_block_shape(fig3):
@@ -180,7 +267,20 @@ def test_axioms_reject_a_wrong_block_shape(fig3):
     narrow = IncidencePlane(fig3.plane, fig3.blocks[:, :-1], fig3.tags)
     rep = check_axioms(narrow)
     assert not rep.ok and not rep.block_size_ok and not rep.point_degree_ok
-    assert rep.witnesses
+    assert rep.witnesses == ["block array has shape (757, 27), not (757, 28)"]
+
+
+@pytest.mark.parametrize("value", [-1, 757])
+def test_axioms_range_guard(fig3, value):
+    """An entry outside [0, n) fails before any gather, with a witness; -1
+    would otherwise be read as the last point."""
+    blocks = fig3.blocks.copy()
+    blocks[5, 3] = value
+    rep = check_axioms(IncidencePlane(fig3.plane, blocks, list(fig3.tags)))
+    assert not rep.ok and not rep.block_size_ok
+    assert not rep.point_degree_ok and not rep.point_pairs_ok
+    assert rep.witnesses == [f"block {format_line(fig3.plane.point(5))} holds {value}, "
+                             "outside [0, 757)"]
 
 
 def test_axioms_match_brute_force(plane3, fig3):
@@ -188,15 +288,69 @@ def test_axioms_match_brute_force(plane3, fig3):
     from figplane.plane import ProjectivePlane
     pg8 = pg_incidence(ProjectivePlane(build_field_tower(2, 1)))
     assert pg8.size == 73
-    for structure in (pg8, fig3, _line_mutation(plane3, fig3), _swap_mutation(fig3)):
+    for structure in (pg8, fig3, _line_mutation(plane3, fig3), _swap_mutation(fig3),
+                      _orbit_mutation(fig3), _equivariant_swap_mutation(fig3),
+                      _phi_swap_mutation(fig3)):
         rep = check_axioms(structure)
-        sizes_ok, degrees_ok, pairs_ok, witnesses = _brute_force_axioms(structure)
+        sizes_ok, degrees_ok, pairs_ok, bad, rows = _brute_force_axioms(structure)
         assert (rep.block_size_ok, rep.point_degree_ok, rep.point_pairs_ok) == \
             (sizes_ok, degrees_ok, pairs_ok)
         assert rep.ok == (sizes_ok and degrees_ok and pairs_ok)
-        assert rep.witnesses == witnesses
-        assert rep.mode == "full"
+        assert bool(rep.witnesses) == (not rep.ok)
+        assert all(_witness_kind(structure.plane, w, bad, rows) for w in rep.witnesses)
+        assert rep.mode == "orbit-reduced"
         assert rep.checked_pairs == structure.size * (structure.size - 1)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_axioms_orbit_mutation_fails_the_cover(q, fig3, fig4):
+    """Lines put back on a whole <phi, tau>-orbit of fig rows keep the
+    structure invariant, so the cover half, not the invariance half,
+    catches it; each pair witness holds its stated count."""
+    fig = {3: fig3, 4: fig4}[q]
+    mutated = _orbit_mutation(fig)
+    rep = check_axioms(mutated)
+    assert rep.block_size_ok and not rep.point_pairs_ok and not rep.ok
+    assert rep.witnesses
+    for w in rep.witnesses:
+        m = PAIR_WITNESS.fullmatch(w)
+        assert m, w
+        P, Q = (fig.plane.index(tuple(int(c) for c in t.split(":"))) for t in m.group(1, 2))
+        holds = lambda p: (mutated.blocks == p).any(axis=1)
+        assert np.count_nonzero(holds(P) & holds(Q)) == int(m[3])
+
+
+def test_axioms_equivariant_swap_fails_only_the_pairs(fig3):
+    rep = check_axioms(_equivariant_swap_mutation(fig3))
+    assert rep.block_size_ok and rep.point_degree_ok
+    assert not rep.point_pairs_ok and not rep.ok
+    assert rep.witnesses and all(PAIR_WITNESS.fullmatch(w) for w in rep.witnesses)
+
+
+def test_axioms_phi_swap_needs_the_tau_half(fig3):
+    """Without the tau half, a phi-invariant structure whose faults avoid
+    every representative would pass."""
+    rep = check_axioms(_phi_swap_mutation(fig3))
+    assert rep.block_size_ok and rep.point_degree_ok and not rep.point_pairs_ok
+    assert len(rep.witnesses) == 1 and rep.witnesses[0].startswith("the tau image")
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_representatives_follow_the_census(q):
+    """One representative for the three vertices, one per phi-orbit of
+    three stabilizer classes, and one per class phi fixes, of which there
+    are f = gcd(3, q - 1): 1 + (C - 3 - f)/3 + f for C classes."""
+    from figplane.field import context_for_q
+    from figplane.plane import ProjectivePlane
+    from figplane.suites import Session, census_checks
+    sess = Session(context_for_q(q))
+    (cats,) = [e for e in census_checks(sess) if e.id == "census.categories"]
+    C, f = cats.counts["total_orbits"], math.gcd(3, q - 1)
+    want = 1 + (C - 3 - f) // 3 + f
+    assert want == {3: 21, 4: 69, 5: 171, 7: 693}[q]
+    assert len(orbit_representatives(sess.plane)) == want
+    if q <= 5:
+        assert check_axioms(pg_incidence(sess.plane)).representatives == want
 
 
 def _build_failures(fig, blocks):

@@ -64,6 +64,29 @@ def test_enumeration_counts(plane3, plane4):
     assert all(P == canonical(plane3.ctx, P) for P in plane3.points)
 
 
+def test_closed_form_index_matches_enumeration(ctx3, ctx4):
+    for ctx in (ctx3, ctx4):
+        plane = ProjectivePlane(ctx)
+        assert [plane.point(i) for i in range(plane.size)] == plane.points
+        assert [plane.index(P) for P in plane.points] == list(range(plane.size))
+        for bad in ((2, 0, 0), (0, 0, 0), (1, ctx.q3, 0)):
+            with pytest.raises(GeometryError):
+                plane.index(bad)
+        for bad in (-1, plane.size):
+            with pytest.raises(GeometryError):
+                plane.point(bad)
+
+
+def test_no_suite_builds_the_point_lists(ctx3):
+    """Every suite reads the closed-form index, so the points, lines and
+    point_index collections stay unbuilt."""
+    from figplane.suites import Session, census_checks, figueroa_checks, maps_checks
+    sess = Session(ctx3)
+    entries = census_checks(sess) + maps_checks(sess) + figueroa_checks(sess)
+    assert all(e.passed for e in entries)
+    assert not {"points", "lines", "point_index"} & set(vars(sess.plane))
+
+
 def test_line_sizes_spot_check(plane3):
     ctx = plane3.ctx
     rng = random.Random(11)
@@ -83,7 +106,7 @@ def test_pencil_of_lines(plane3):
 
 def test_plane_axioms_exhaustive_q3(plane3):
     rep = check_axioms(pg_incidence(plane3))
-    assert rep.ok and rep.mode == "full"
+    assert rep.ok and rep.mode == "orbit-reduced"
 
 
 def test_every_point_on_q3_plus_1_lines(plane3):
