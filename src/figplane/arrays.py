@@ -33,7 +33,10 @@ are derived from the index:
 
 ``PlaneTables.fig_blocks`` assembles the blocks of FIG(q^3) from the
 incidence, type and involution tables, ``PlaneTables.project``
-classifies the projection images of a batch of vertices, and
+classifies the projection images of a batch of vertices, each from its
+own coordinates, ``PlaneTables.vertex_kinds`` classifies every point as
+a vertex for an orbit subplane by projecting one vertex per stabilizer
+orbit and reading the rest through ``orbit``, and
 ``PlaneTables.norm_det_mismatches`` tests the norm/determinant relation
 at every point off the triangle sides.  The scalar
 functions (``point_type``, ``conjugate_join``, ``points_on_line``,
@@ -74,7 +77,8 @@ def chunks(rows: np.ndarray, width: int = 1):
 
 class KernelError(RuntimeError):
     """A bulk-table invariant failed: a non-canonical triple was indexed,
-    an empty point set was projected, or the plane is too large for
+    an empty point set was projected, vertex kinds were asked for a set
+    that is no union of stabilizer orbits, or the plane is too large for
     32-bit index tables."""
 
 
@@ -359,22 +363,16 @@ class PlaneTables:
             raise KernelError("projection of an empty point set")
         return pts
 
-    def _projection_rows(self, pts: np.ndarray):
-        """Codes of p1 - w p3 and of p2 - w p3, one row per field element w
-        and one column per point P of the subplane.  A vertex V scaled to
-        (w1, w2, 1) projects P onto the axis point (a : b : 0) with a in row
-        w1 of the first table and b in row w2 of the second."""
-        F = self.field
-        neg_w = F.neg(np.arange(self.ctx.q3, dtype=np.int32))[:, None]
-        p1, p2, p3 = (pts[:, k][None, :] for k in range(3))
-        return F.add(p1, F.mul(neg_w, p3)), F.add(p2, F.mul(neg_w, p3))
-
-    def _project_chunk(self, x, y, z, rows_a, rows_b):
-        """Projection kind of each vertex (x, y, z), z != 0."""
+    def _project_chunk(self, x, y, z, pts):
+        """Projection kind of each vertex (x, y, z), z != 0, for the points
+        pts: V scaled to (w1, w2, 1) projects P onto the axis point (a : b : 0)
+        with a = p1 - w1 p3 and b = p2 - w2 p3, one row per vertex and one
+        column per point."""
         F, ctx = self.field, self.ctx
         inv_z = F.inv(z)
-        a = rows_a[F.mul(x, inv_z)]
-        b = rows_b[F.mul(y, inv_z)]
+        p1, p2, p3 = (pts[None, :, k] for k in range(3))
+        a = F.add(p1, F.mul(F.neg(F.mul(x, inv_z))[:, None], p3))
+        b = F.add(p2, F.mul(F.neg(F.mul(y, inv_z))[:, None], p3))
         if np.any((a == 0) & (b == 0)):
             raise GeometryError("a vertex belongs to the projected subplane")
         # image point (a : b : 0) keyed by the exponent of a/b, or a marker
@@ -387,30 +385,47 @@ class PlaneTables:
         return np.where(sls, cls[:, 0],
                         np.where(distinct == ctx.q ** 2 + 1, CLUB, OTHER))
 
+    def _project(self, x, y, z, pts) -> np.ndarray:
+        out = np.empty(len(x), dtype=np.int32)
+        for i in chunks(np.arange(len(x)), len(pts)):
+            out[i] = self._project_chunk(x[i], y[i], z[i], pts)
+        return out
+
     def project(self, vertices, B) -> np.ndarray:
         """Projection kind of each vertex V (off the axis, outside B) for the
         point set B onto the axis: the norm class j of a scattered image, or
-        CLUB or OTHER, exactly as ``project_from_vertex`` classifies it."""
+        CLUB or OTHER, exactly as ``project_from_vertex`` classifies it.
+        Each vertex is projected on its own, in blocks of
+        ``CHUNK // |B|`` vertices."""
         pts = self._subplane(B)
-        rows_a, rows_b = self._projection_rows(pts)
         V = np.asarray(vertices, dtype=np.int32).reshape(-1, 3)
         if np.any(V[:, 2] == 0):
             raise GeometryError("a vertex lies on the axis")
-        out = np.empty(len(V), dtype=np.int32)
-        for i in chunks(np.arange(len(V)), len(pts)):
-            out[i] = self._project_chunk(*V[i].T, rows_a, rows_b)
-        return out
+        return self._project(*V.T, pts)
 
     def vertex_kinds(self, B) -> np.ndarray:
         """Projection kind of every point as a vertex for B, by index;
-        SKIPPED for points on the axis and points of B."""
+        SKIPPED for points on the axis and points of B.
+
+        B must be a union of stabilizer orbits, as every orbit subplane and
+        its conjugates are: ``KernelError`` unless tau maps B onto itself.
+        Then the kind is constant on each orbit.  tau fixes B and the axis,
+        and on the axis it multiplies a/b of (a : b : 0) by g^(1-q), whose
+        norm is one, fixing (1 : 0 : 0) and (0 : 1 : 0); so B projects from
+        V and from tau V onto images of one norm class and one size.  One
+        vertex per orbit, the least index, is projected, and every point
+        reads the kind of its orbit's least member.
+        """
         pts = self._subplane(B)
-        rows_a, rows_b = self._projection_rows(pts)
-        outside = np.ones(self.size, dtype=bool)
-        outside[self.field.index(*pts.T)] = False
-        out = np.full(self.size, SKIPPED, dtype=np.int32)
-        for i in chunks(np.arange(self.size), len(pts)):
-            x, y, z = self.field.coords(i)
-            keep = (z != 0) & outside[i]
-            out[i[keep]] = self._project_chunk(x[keep], y[keep], z[keep], rows_a, rows_b)
-        return out
+        idx = self.field.index(*pts.T)
+        inside = np.zeros(self.size, dtype=bool)
+        inside[idx] = True
+        if not inside[self.tau[idx]].all():
+            raise KernelError("vertex kinds of a point set that the torus shift tau moves")
+        orbit = self.orbit
+        reps = np.flatnonzero(orbit == np.arange(self.size))
+        x, y, z = self.field.coords(reps)
+        keep = (z != 0) & ~inside[reps]
+        at = np.full(self.size, SKIPPED, dtype=np.int32)
+        at[reps[keep]] = self._project(x[keep], y[keep], z[keep], pts)
+        return at[orbit]

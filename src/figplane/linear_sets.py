@@ -17,6 +17,7 @@ its images under the collineation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .field import FieldContext, FieldError
 from .plane import ANCHOR, GeometryError, Triple, canonical, join
@@ -63,8 +64,10 @@ def pencil_type(ctx: FieldContext, theta: int) -> int:
     return kinds.pop()
 
 
+@cache
 def t_plane(ctx: FieldContext, theta: int) -> SubplaneSet:
-    """The orbit subplane of theta, with its q^2+q+1 secant lines."""
+    """The orbit subplane of theta, with its q^2+q+1 secant lines, built
+    once per field context and theta: the result is immutable."""
     if theta == 0:
         raise FieldError("theta must be nonzero")
     f = ctx.frob

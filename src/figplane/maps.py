@@ -138,7 +138,9 @@ class VertexCensus:
 
 
 def vertex_census(plane: ProjectivePlane, B: SubplaneSet) -> VertexCensus:
-    """Scan every point off the axis and outside B; classify its projection."""
+    """Classify the projection of B from every point off the axis and
+    outside B.  B is a union of stabilizer orbits, as every orbit subplane
+    is, so one vertex per orbit is projected (``PlaneTables.vertex_kinds``)."""
     kinds = plane.tables.vertex_kinds(B.points)
     by_class = {j: [plane.point(i) for i in np.flatnonzero(kinds == j)]
                 for j in range(plane.ctx.q - 1)}

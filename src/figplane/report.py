@@ -69,6 +69,8 @@ class Report:
 
     def to_text(self, timings: bool = False) -> str:
         lines = [f"{TOOL_NAME} {TOOL_VERSION}  q={self.header.get('q')}"]
+        if self.header.get("note"):
+            lines.append(f"note: {self.header['note']}")
         for e in self.entries:
             mark = "PASS" if e.passed else "FAIL"
             t = f"  [{e.elapsed_ms:.0f} ms]" if timings and e.elapsed_ms is not None else ""

@@ -21,9 +21,9 @@ from . import linear_sets as ls
 from . import maps as gm
 from .arrays import chunks
 from .collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES,
-                           census_of, collineate_line, collineate_point,
-                           line_types_table, partition_orbits, point_type,
-                           point_types_table, expected_type_counts, tally_types)
+                           census_of, collineate_point, line_types_table,
+                           partition_orbits, point_type, point_types_table,
+                           expected_type_counts, tally_types)
 from .field import FieldContext
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, ProjectivePlane,
                     format_line, format_point)
@@ -210,23 +210,38 @@ def rejects_fixed_objects(sess: Session) -> CheckEntry:
 
 @check("maps", "mu")
 def plane_images(sess: Session) -> CheckEntry:
-    ctx = sess.ctx
+    """Table-driven: the lines of an orbit subplane with point indices P
+    are the secants sec[P], so its involution images are mu[sec[P]]
+    (points) and mu[P] (lines).  phi, which serves points and lines alike,
+    carries P and both closed forms to each conjugate side.  A point
+    without a secant or without an involution image (-1) fails the
+    comparison."""
+    ctx, plane = sess.ctx, sess.plane
+    mu, sec, phi = plane.tables.mu, plane.tables.sec, plane.tables.phi
+
+    def indices(objs):
+        return np.array([plane.index(P) for P in objs], dtype=np.int32)
+
+    def same_set(image, want):
+        # want holds distinct indices >= 0, so equal sorted arrays are
+        # equal sets and a -1 in the image never matches
+        return np.array_equal(np.sort(image), np.sort(want))
+
     bad = []
     for th in sess.norm_reps():
         if ctx.norm(th) == 1:
             continue
-        B = ls.t_plane(ctx, th)
-        want_pts = ls.sls_points(ctx, ctx.neg(ctx.inv(th)))
-        want_lns = ls.pencil_lines(ctx, ctx.inv(th))
+        P = indices(ls.t_plane(ctx, th).points)
+        want_pts = indices(ls.sls_points(ctx, ctx.neg(ctx.inv(th))))
+        want_lns = indices(ls.pencil_lines(ctx, ctx.inv(th)))
         for side in (0, 1, 2):
-            C = ls.conjugate_subplane(ctx, B, side)
             name = f"conjugate {side} of plane {th}" if side else f"plane {th}"
-            if gm.involution_line_image(ctx, C) != frozenset(
-                    collineate_point(ctx, P, side) for P in want_pts):
+            lines = sec[P]
+            if not same_set(np.where(lines >= 0, mu[lines], -1), want_pts):
                 bad.append(f"line image of {name}")
-            if gm.involution_point_image(ctx, C) != frozenset(
-                    collineate_line(ctx, l, side) for l in want_lns):
+            if not same_set(mu[P], want_lns):
                 bad.append(f"point image of {name}")
+            P, want_pts, want_lns = phi[P], phi[want_pts], phi[want_lns]
     return entry("mu.plane-images",
                  "involution images of the side subplanes are the reciprocal-norm linear sets and pencils",
                  not bad, {"norm_classes": ctx.q - 2}, bad[:5])
@@ -289,9 +304,11 @@ def block_incidence_twist(sess: Session) -> CheckEntry:
     mu = tables.mu
     member = np.zeros(len(mu), dtype=bool)
     member[[sess.plane.index(P) for P in fg.fig_block(sess.ctx, ANCHOR).f_points]] = True
-    through = tables.field.coords(np.arange(len(mu)))[2] == 0
+    # [a:b:0] is [1:b:0], index b q^3, or [0:1:0], index q^6: the indices
+    # divisible by q^3 other than q^6 + q^3, the index of [0:0:1]
+    through = (mu % sess.ctx.q3 == 0) & (mu != len(mu) - 1)
     type3 = tables.types == TYPE_III
-    bad = np.flatnonzero(type3 & (member != through[mu]))[:5]
+    bad = np.flatnonzero(type3 & (member != through))[:5]
     return entry("mu.block-incidence-twist",
                  "Type III block membership at the anchor equals anchor incidence of the involution image",
                  not bad.size, {}, [format_point(sess.plane.point(i)) for i in bad])

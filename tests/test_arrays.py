@@ -22,7 +22,8 @@ from figplane.collineation import (TYPE_III, collineate_line, collineate_point,
                                    stabilizer_orbit)
 from figplane.field import build_field_tower, context_for_q
 from figplane.figueroa import build_fig_plane, fig_block
-from figplane.linear_sets import fixed_subplane, plane_from_rep, t_plane
+from figplane.linear_sets import (conjugate_subplane, fixed_subplane,
+                                  plane_from_rep, t_plane)
 from figplane.maps import conjugate_join, conjugate_meet, project_from_vertex
 from figplane.plane import (GeometryError, ProjectivePlane, canonical, cross,
                             join, lines_through_point, points_on_line)
@@ -72,6 +73,18 @@ def scalar_kind(ctx, V, B) -> int:
     if img.kind == "sls":
         return img.sls.norm_class
     return CLUB if img.kind == "club" else OTHER
+
+
+def full_scan_kinds(plane, B) -> np.ndarray:
+    """Projection kind of every point, each vertex projected on its own:
+    the full scan that ``vertex_kinds`` reduces to one vertex per orbit."""
+    x, y, z = plane.tables.field.coords(np.arange(plane.size))
+    inside = np.zeros(plane.size, dtype=bool)
+    inside[[plane.index(P) for P in B.points]] = True
+    keep = (z != 0) & ~inside
+    out = np.full(plane.size, SKIPPED, dtype=np.int32)
+    out[keep] = plane.tables.project(np.stack((x, y, z), axis=1)[keep], B.points)
+    return out
 
 
 def subplanes(ctx):
@@ -262,6 +275,26 @@ def test_vertex_kinds_match_oracle_exhaustive(small_plane):
         want = [SKIPPED if V[2] == 0 or V in B.points else scalar_kind(ctx, V, B)
                 for V in plane.points]
         assert kinds == want
+
+
+def test_vertex_kinds_match_full_scan(sampled_plane):
+    """Every norm-class side subplane, a phi-conjugate of one and a generic
+    orbit subplane: one vertex per orbit gives the kinds of the full scan."""
+    plane, _ = sampled_plane
+    ctx = plane.ctx
+    sides = [t_plane(ctx, ctx.norm_class_rep(j)) for j in range(ctx.q - 1)]
+    for B in sides + [conjugate_subplane(ctx, sides[1]), plane_from_rep(ctx, (1, 2, 5))]:
+        kinds = plane.tables.vertex_kinds(B.points)
+        assert np.array_equal(kinds, full_scan_kinds(plane, B)), B.tag
+
+
+def test_vertex_kinds_refuse_a_set_tau_moves(plane3):
+    """The fixed subplane with one point swapped for a point outside it is
+    no union of stabilizer orbits, and is refused before any projection."""
+    B = fixed_subplane(plane3.ctx).points
+    outside = next(P for P in plane3.points if P[2] != 0 and P not in B)
+    with pytest.raises(KernelError, match="tau"):
+        plane3.tables.vertex_kinds(B - {min(B)} | {outside})
 
 
 @settings(max_examples=150, deadline=None)

@@ -103,6 +103,15 @@ def test_verify_all_skips_maps_and_figueroa_from_q8(capsys):
     assert doc["checks"] and all(c["id"].startswith("census.") for c in doc["checks"])
 
 
+def test_text_report_prints_the_header_note(capsys):
+    """The text report says what the default skipped, under its title line;
+    a report without a note has no note line."""
+    code, out = run_cli(["verify", "--q", "8", "--suite", "all"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "note: maps and figueroa suites skipped by default at q >= 8"
+    assert "note" not in Report({"q": 3}, [entry("x", "claim", True)]).to_text()
+
+
 def test_figueroa_pr_when_3_divides_q_minus_1(capsys):
     # at q = 7 the squares 1, 2, 4 of GF(7) all cube to 1, so a closed form
     # that keys the square-norm linear sets by the squares themselves

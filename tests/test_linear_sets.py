@@ -76,6 +76,14 @@ def test_t_plane_norm_one_is_fixed_subplane(ctx3):
     assert B.points == fixed_subplane(ctx3).points
 
 
+def test_t_plane_is_built_once(ctx3):
+    assert t_plane(ctx3, 2) is t_plane(ctx3, 2)
+    assert t_plane(ctx3, 2) is not t_plane(ctx3, 3)
+    for _ in range(2):
+        with pytest.raises(FieldError):
+            t_plane(ctx3, 0)
+
+
 def test_t_planes_distinct(ctx3, ctx4):
     for ctx in (ctx3, ctx4):
         planes = {t_plane(ctx, th).points for th in ctx.units()}

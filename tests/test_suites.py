@@ -15,15 +15,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from figplane.arrays import OTHER
 from figplane.cli import main
 from figplane.collineation import TYPE_I, TYPE_II, TYPE_III, collineate_point
 from figplane.field import build_field_tower
 from figplane.figueroa import IncidencePlane
 from figplane.linear_sets import t_plane
+from figplane.maps import VertexCensus
 from figplane.plane import format_point
 from figplane.suites import (CHECKS, Session, block_incidence_twist,
                              block_sizes, check_groups, collineation_permutes,
-                             generic_plane, maps_checks, norm_det_relation)
+                             cross_plane, generic_plane, maps_checks,
+                             norm_det_relation, plane_images, vertices_census)
 
 DATA = Path(__file__).parent / "data"
 
@@ -211,3 +214,56 @@ def test_collineation_permutes_reports_a_wrong_image(ctx3, corruption):
     e = collineation_permutes(sess)
     assert not e.passed
     assert e.witnesses == [format_point(cl.rep) for cl in want]
+
+
+@pytest.mark.parametrize("corruption, image", [("repeated", "point"), ("missing", "point"),
+                                               ("no-secant", "line")])
+def test_plane_images_report_a_wrong_table_entry(ctx3, corruption, image):
+    """A point of a side subplane that shares the involution image of
+    another of its points or has none (-1) breaks the point image of its
+    plane; one without a secant (-1) breaks the line image."""
+    sess = Session(ctx3)
+    tables = sess.plane.tables
+    assert plane_images(sess).passed
+    th = next(t for t in sess.norm_reps() if ctx3.norm(t) != 1)
+    P, Q = sorted(sess.plane.index(R) for R in t_plane(ctx3, th).points)[:2]
+    if corruption == "no-secant":
+        sec = tables.sec.copy()
+        sec[P] = -1
+        tables.sec = sec
+    else:
+        mu = tables.mu.copy()
+        mu[P] = mu[Q] if corruption == "repeated" else -1
+        tables.mu = mu
+    e = plane_images(sess)
+    assert not e.passed
+    assert f"{image} image of plane {th}" in e.witnesses
+    assert e.counts == {"norm_classes": ctx3.q - 2}
+
+
+def test_vertex_census_reports_a_wrong_class_count(ctx3):
+    sess = Session(ctx3)
+    assert vertices_census(sess).passed
+    vc = sess.fixed_census
+    j, count = next((j, c) for j, c in vc.counts().items() if c)
+    sess.fixed_census = VertexCensus({**vc.by_class, j: vc.by_class[j][1:]},
+                                     vc.club, vc.other)
+    e = vertices_census(sess)
+    assert not e.passed
+    assert e.witnesses == [f"norm class {j}: {count - 1} vertices, expected {count}"]
+
+
+def test_cross_plane_reports_a_wrong_projection(ctx3):
+    """A projection that misclassifies the first vertex of every call fails
+    every ordered pair of side subplanes, each with that vertex."""
+    sess = Session(ctx3)
+    assert cross_plane(sess).passed
+    tables = sess.plane.tables
+    project = tables.project
+    tables.project = lambda V, B: np.where(np.arange(len(V)) == 0, OTHER, project(V, B))
+    e = cross_plane(sess)
+    assert not e.passed
+    reps = sess.norm_reps()
+    assert e.witnesses == [
+        f"vertex {format_point(min(t_plane(ctx3, kappa).points))} of plane {kappa} onto plane {theta}"
+        for kappa in reps for theta in reps if theta != kappa]
