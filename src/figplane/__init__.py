@@ -25,7 +25,7 @@ from .maps import (LinearSetImage, TypeRestrictionError, conjugate_join,
                    conjugate_meet, mu_fixed_planes, phi_fixed_planes, pr_set,
                    project_from_anchor, project_from_vertex,
                    projection_vertices, sp_set, splash, vertex_census)
-from .figueroa import (FigBlock, IncidencePlane, arching_census,
-                       build_fig_plane, characterize_fig_points, check_axioms,
-                       even_structure_check, fig_block, pg_incidence,
-                       pr_fig_block, splash_involution_check)
+from .figueroa import (FigBlock, IncidencePlane, LineRows, RowSwap,
+                       arching_census, build_fig_plane, characterize_fig_points,
+                       check_axioms, even_structure_check, fig_block,
+                       pg_incidence, pr_fig_block, splash_involution_check)

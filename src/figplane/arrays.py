@@ -3,16 +3,19 @@
 ``FieldArrays`` is the numpy counterpart of the scalar arithmetic of
 :class:`figplane.field.FieldContext`: every operation takes and returns
 arrays of integer codes (0 is zero, c >= 1 is g**(c-1)) and agrees with
-the scalar method element for element.  Triples travel as three
+the scalar method element for element.  Addition and multiplication are
+one gather each from a q^3 x q^3 uint16 table built once per context,
+negation and inversion from a q^3-entry vector.  Triples travel as three
 coordinate columns.  Points and lines share the dense index of
 :class:`figplane.plane.ProjectivePlane`, which has a closed form, so no
 tuple or dict is consulted:
 
     (1, b, c) -> b q^3 + c        (0, 1, c) -> q^6 + c        (0, 0, 1) -> q^6 + q^3
 
-``PlaneTables`` holds the tables that the bulk scans read, each built
-lazily, on first use, in chunks of ``CHUNK`` objects whose coordinates
-are derived from the index:
+``PlaneTables`` holds the one-entry-per-object tables that the bulk scans
+read, each built lazily, on first use, in chunks of ``CHUNK`` objects
+whose coordinates are derived from the index.  One pass over the
+coordinates builds the first five together:
 
 * ``types``  the Type I/II/III rank of every point, which is also the
   type of the line with the same coordinates: the line orbit matrix of a
@@ -25,21 +28,21 @@ are derived from the index:
 * ``tau``, ``tau_line``  the index of the torus image of every point and
   of every line, the generator of the stabilizer, which commutes with phi;
 * ``orbit``  the least index in the stabilizer orbit of every point, which
-  ``figplane.collineation.partition_orbits`` reads;
-* ``incidence``  one row of q^3 + 1 sorted point indices per line, the
-  points on that line, built in chunks of ``CHUNK // (q^3 + 1)`` rows;
-  since a point lies on line l exactly when l lies on the point read as
-  a line, row i is equally the lines through point i.
+  ``figplane.collineation.partition_orbits`` reads.
 
-``PlaneTables.fig_blocks`` assembles the blocks of FIG(q^3) from the
-incidence, type and involution tables, ``PlaneTables.project``
-classifies the projection images of a batch of vertices, each from its
-own coordinates, ``PlaneTables.vertex_kinds`` classifies every point as
-a vertex for an orbit subplane by projecting one vertex per stabilizer
-orbit and reading the rest through ``orbit``, and
-``PlaneTables.norm_det_mismatches`` tests the norm/determinant relation
-at every point off the triangle sides.  The scalar
-functions (``point_type``, ``conjugate_join``, ``points_on_line``,
+No table has a row per object.  ``PlaneTables.incidence_rows`` makes the
+rows of q^3 + 1 sorted point indices of any lines from their closed form
+when they are asked for; since a point lies on line l exactly when l lies
+on the point read as a line, row i is equally the lines through point i.
+``PlaneTables.fig_blocks`` fills the one (n, q^3 + 1) array of a run, the
+blocks of FIG(q^3), from those rows and the type and involution tables.
+``PlaneTables.project`` classifies the projection images of a batch of
+vertices, each from its own coordinates, ``PlaneTables.vertex_kinds``
+classifies every point as a vertex for an orbit subplane by projecting
+one vertex per stabilizer orbit and reading the rest through ``orbit``,
+and ``PlaneTables.norm_det_mismatches`` tests the norm/determinant
+relation at every point off the triangle sides.  The scalar functions
+(``point_type``, ``conjugate_join``, ``points_on_line``,
 ``project_from_vertex``, ...) remain the single-object API and the test
 oracle for everything here.
 """
@@ -69,6 +72,11 @@ _MARK_A0 = -2   # a = 0: the point (0, 1, 0)
 _INT32_LIMIT = 2 ** 31
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 def chunks(rows: np.ndarray, width: int = 1):
     """Consecutive slices of the index array ``rows``, ``CHUNK // width`` long."""
     step = max(1, CHUNK // width)
@@ -78,45 +86,68 @@ def chunks(rows: np.ndarray, width: int = 1):
 class KernelError(RuntimeError):
     """A bulk-table invariant failed: a non-canonical triple was indexed,
     an empty point set was projected, vertex kinds were asked for a set
-    that is no union of stabilizer orbits, or the plane is too large for
-    32-bit index tables."""
+    that is no union of stabilizer orbits, or the plane or the field is
+    too large for 32-bit index tables."""
 
 
 class FieldArrays:
-    """Vectorized code arithmetic of one field context."""
+    """Vectorized code arithmetic of one field context, by table lookup.
+
+    ``add`` and ``mul`` read flat, read-only q^3 x q^3 uint16 tables at
+    a q^3 + b, built once from the log/successor formulas of the scalar
+    arithmetic; ``neg`` and ``inv`` read q^3-entry vectors, and ``sub``
+    adds the negative.  Codes are below q^3 and a q^3 + b below 2^31, so
+    ``KernelError`` refuses a field of q^3 * q^3 >= 2^31 elements, as
+    ``PlaneTables`` refuses its plane.
+    """
 
     def __init__(self, ctx: FieldContext):
+        q3, n = ctx.q3, ctx.n
+        if q3 * q3 >= _INT32_LIMIT:
+            raise KernelError(f"field of {q3} elements is too large for its lookup tables")
         self.p = ctx.p
-        self.n = ctx.n
-        self.q3 = ctx.q3
-        self._succ = np.asarray(ctx.successor, dtype=np.int32)
+        self.n = n
+        self.q3 = q3
         self._frob = (None, np.asarray(ctx._frob1, dtype=np.int32),
                       np.asarray(ctx._frob2, dtype=np.int32))
+        # 0 is zero and c >= 1 is g**(c-1): logs add, and x + y is
+        # x (1 + y/x), where successor[c] is the code of g**(c-1) + 1
+        a = np.arange(q3, dtype=np.int32)[:, None]
+        b = np.arange(q3, dtype=np.int32)[None, :]
+        s = np.asarray(ctx.successor, dtype=np.int32)[(b - a) % n + 1]
+        add = np.where(a == 0, b, np.where(b == 0, a, np.where(s == 0, 0, (a + s - 2) % n + 1)))
+        mul = np.where((a == 0) | (b == 0), 0, (a + b - 2) % n + 1)
+        self._add, self._mul = (_frozen(t.astype(np.uint16).ravel()) for t in (add, mul))
+        c = np.arange(q3, dtype=np.int32)
+        neg = c if self.p == 2 else np.where(c == 0, 0, (c - 1 + n // 2) % n + 1)
+        self._neg = _frozen(neg.astype(np.int32))
+        self._inv = _frozen(np.where(c == 0, 0, (n - (c - 1)) % n + 1).astype(np.int32))
 
     def mul(self, a, b):
-        return np.where((a == 0) | (b == 0), 0, (a + b - 2) % self.n + 1)
+        return np.take(self._mul, a * self.q3 + b).astype(np.int32)
 
     def add(self, a, b):
-        s = self._succ[(b - a) % self.n + 1]
-        out = np.where(s == 0, 0, (a + s - 2) % self.n + 1)
-        return np.where(a == 0, b, np.where(b == 0, a, out))
+        return np.take(self._add, a * self.q3 + b).astype(np.int32)
+
+    def mul_rows(self, b):
+        """b t for every code t in increasing order, one row per entry of b:
+        rows of the multiplication table, left as uint16 codes."""
+        return self._mul.reshape(self.q3, self.q3)[b]
 
     def neg(self, a):
-        if self.p == 2:
-            return a
-        return np.where(a == 0, 0, (a - 1 + self.n // 2) % self.n + 1)
+        return np.take(self._neg, a)
 
     def sub(self, a, b):
         return self.add(a, self.neg(b))
 
     def inv(self, a):
         """Inverse codes; zero maps to zero, so callers mask it out."""
-        return np.where(a == 0, 0, (self.n - (a - 1)) % self.n + 1)
+        return np.take(self._inv, a)
 
     def frob(self, a, i: int = 1):
         """a ** (q ** i) for i in {0, 1, 2}."""
         i %= 3
-        return a if i == 0 else self._frob[i][a]
+        return a if i == 0 else np.take(self._frob[i], a)
 
     def norm(self, a):
         """a ** (1 + q + q^2), the relative norm onto GF(q)."""
@@ -168,14 +199,15 @@ class PlaneTables:
         self.size = size
         self.field = FieldArrays(ctx)
 
-    def _build(self, fn, dtype, width: int | None = None) -> np.ndarray:
-        """One entry per object, or one row of ``width`` entries per object
-        in chunks of ``CHUNK // width`` objects."""
-        out = np.empty((self.size,) if width is None else (self.size, width), dtype=dtype)
-        for i in chunks(np.arange(self.size), width or 1):
-            out[i] = fn(*self.field.coords(i))
-        out.setflags(write=False)
-        return out
+    def _build(self, fn, *dtypes) -> tuple[np.ndarray, ...]:
+        """One read-only table per dtype, one entry per object: ``fn`` maps
+        the coordinates of a chunk of ``CHUNK`` objects to one column per
+        table."""
+        out = tuple(np.empty(self.size, dtype=d) for d in dtypes)
+        for i in chunks(np.arange(self.size)):
+            for table, column in zip(out, fn(*self.field.coords(i))):
+                table[i] = column
+        return tuple(_frozen(t) for t in out)
 
     def _conjugate_rows(self, x, y, z):
         """Rows two and three of the point orbit matrix: the collineation
@@ -194,14 +226,6 @@ class PlaneTables:
         det = F.add(F.add(F.mul(r2[0], c01[0]), F.mul(r2[1], c01[1])),
                     F.mul(r2[2], c01[2]))
         return det, c01
-
-    def _type_chunk(self, x, y, z):
-        det, c01 = self._orbit_det(x, y, z)
-        # r2 is the collineation image of r1 as r1 is of r0, and the
-        # collineation is semilinear: r1 = t r0 gives r2 = t^q r1.  So the
-        # rank is 1 exactly when r0 x r1 = 0, and 3 exactly when det != 0
-        rank1 = (c01[0] == 0) & (c01[1] == 0) & (c01[2] == 0)
-        return np.where(det != 0, 3, np.where(rank1, 1, 2))
 
     def norm_det_mismatches(self) -> np.ndarray:
         """Indices of the points off the triangle sides at which the norm and
@@ -227,63 +251,80 @@ class PlaneTables:
             bad.append(i[keep[~ok]])
         return np.concatenate(bad)
 
+    def _point_chunk(self, x, y, z):
+        """Type, involution, secant, collineation and torus image of each
+        point (x, y, z), equally of each line [x:y:z], from one set of
+        coordinates.
+
+        The point orbit matrix has the rows r0 = (x, y, z), r1 = f(r0) and
+        r2 = f(r1), with f(v) = (v2^q, v0^q, v1^q): a Frobenius and then a
+        cyclic shift, each of which commutes with the cross product.  So
+        r1 x r2 = f(r0 x r1), and det = r0 . (r1 x r2) = r2 . (r0 x r1):
+        the type and the involution share one cross product and one
+        determinant.  r2 is the image of r1 as r1 is of r0, and f is
+        semilinear: r1 = t r0 gives r2 = t^q r1.  So the rank is 1 exactly
+        when r0 x r1 = 0, and 3 exactly when det != 0; the involution image
+        of a rank-3 triple is r1 x r2.
+        """
+        F = self.field
+        det, c01 = self._orbit_det(x, y, z)
+        c12 = (F.frob(c01[2]), F.frob(c01[0]), F.frob(c01[1]))
+        rank1 = (c01[0] == 0) & (c01[1] == 0) & (c01[2] == 0)
+        types = np.where(det != 0, 3, np.where(rank1, 1, 2))
+        mu = np.full(len(x), -1, dtype=np.int64)
+        sel = det != 0          # Type III
+        mu[sel] = F.index(*F.canonical(c12[0][sel], c12[1][sel], c12[2][sel]))
+        sec = np.full(len(x), -1, dtype=np.int64)
+        off = (x != 0) & (y != 0) & (z != 0)
+        x0, y0, z0 = x[off], y[off], z[off]
+        sec[off] = F.index(*F.canonical(F.mul(y0, z0), F.mul(x0, z0), F.mul(x0, y0)))
+        phi = F.index(*F.canonical(*self._conjugate_rows(x, y, z)[0]))
+        return types, mu, sec, phi, self._torus_image(x, y, z, np.int32(2))
+
+    def _torus_image(self, x, y, z, g):
+        """Index of (g x, g^q y, g^q^2 z) for each triple (x, y, z)."""
+        F = self.field
+        return F.index(*F.canonical(F.mul(x, g), F.mul(y, F.frob(g, 1)), F.mul(z, F.frob(g, 2))))
+
+    @cached_property
+    def _point_tables(self) -> dict[str, np.ndarray]:
+        names = ("types", "mu", "sec", "phi", "tau")
+        tables = self._build(self._point_chunk, np.int8, *[np.int32] * 4)
+        return dict(zip(names, tables))
+
     @cached_property
     def types(self) -> np.ndarray:
         """Type (1, 2, 3) of every point, and of every line, by index."""
-        return self._build(self._type_chunk, np.int8)
-
-    def _mu_chunk(self, x, y, z):
-        F = self.field
-        r1, r2 = self._conjugate_rows(x, y, z)
-        c = F.cross(r1, r2)
-        det = F.add(F.add(F.mul(x, c[0]), F.mul(y, c[1])), F.mul(z, c[2]))
-        sel = det != 0          # Type III
-        out = np.full(len(x), -1, dtype=np.int64)
-        out[sel] = F.index(*F.canonical(c[0][sel], c[1][sel], c[2][sel]))
-        return out
+        return self._point_tables["types"]
 
     @cached_property
     def mu(self) -> np.ndarray:
         """Involution image index of every Type III object, -1 elsewhere."""
-        return self._build(self._mu_chunk, np.int32)
-
-    def _sec_chunk(self, x, y, z):
-        F = self.field
-        out = np.full(len(x), -1, dtype=np.int64)
-        sel = (x != 0) & (y != 0) & (z != 0)
-        x, y, z = x[sel], y[sel], z[sel]
-        out[sel] = F.index(*F.canonical(F.mul(y, z), F.mul(x, z), F.mul(x, y)))
-        return out
+        return self._point_tables["mu"]
 
     @cached_property
     def sec(self) -> np.ndarray:
         """Secant line index of every point off the triangle sides, -1 on them."""
-        return self._build(self._sec_chunk, np.int32)
+        return self._point_tables["sec"]
 
     @cached_property
     def phi(self) -> np.ndarray:
         """Index of the collineation image of every point (and line)."""
-        F = self.field
-        return self._build(lambda x, y, z: F.index(*F.canonical(
-            *self._conjugate_rows(x, y, z)[0])), np.int32)
-
-    def _torus_table(self, g) -> np.ndarray:
-        """Index of (g x, g^q y, g^q^2 z) for every triple (x, y, z)."""
-        F = self.field
-        return self._build(lambda x, y, z: F.index(*F.canonical(
-            F.mul(x, g), F.mul(y, F.frob(g, 1)), F.mul(z, F.frob(g, 2)))), np.int32)
+        return self._point_tables["phi"]
 
     @cached_property
     def tau(self) -> np.ndarray:
         """Index of the torus image (g x, g^q y, g^q^2 z) of every point, g
         primitive (code 2); tau generates the stabilizer and commutes with phi."""
-        return self._torus_table(np.int32(2))
+        return self._point_tables["tau"]
 
     @cached_property
     def tau_line(self) -> np.ndarray:
         """Index of the tau image [a/g, b/g^q, c/g^q^2] of every line [a:b:c]:
         tau maps the points of line L onto the points of tau_line[L]."""
-        return self._torus_table(self.field.inv(np.int32(2)))
+        h = self.field.inv(np.int32(2))
+        (table,) = self._build(lambda x, y, z: (self._torus_image(x, y, z, h),), np.int32)
+        return table
 
     @cached_property
     def orbit(self) -> np.ndarray:
@@ -297,8 +338,10 @@ class PlaneTables:
         least.setflags(write=False)
         return least
 
-    def _incidence_chunk(self, a, b, c):
-        """Sorted point indices of each line [a:b:c], one row per line.
+    def incidence_rows(self, L) -> np.ndarray:
+        """The points on each line with an index in L, equally the lines
+        through each point with an index in L: one row of q^3 + 1 sorted
+        indices per entry of L, made from the closed form on every call.
 
         With c != 0 the points are (1, t, A + B t) for every t, then
         (0, 1, B), where A = -a/c and B = -b/c; with c = 0 and b != 0 they
@@ -307,55 +350,55 @@ class PlaneTables:
         has x = 0, comes after every point with x = 1.
         """
         F, q3 = self.field, self.ctx.q3
+        a, b, c = F.coords(L)
         t = np.arange(q3, dtype=np.int32)
         rows = np.empty((len(a), q3 + 1), dtype=np.int32)
-        cz = c != 0
-        inv_c = F.inv(c[cz])
-        A, B = F.neg(F.mul(a[cz], inv_c)), F.neg(F.mul(b[cz], inv_c))
-        rows[cz, :q3] = t * q3 + F.add(A[:, None], F.mul(B[:, None], t))
-        rows[cz, q3] = q3 * q3 + B
-        b0 = b[~cz]
-        lead = np.where(b0 != 0, F.neg(F.mul(a[~cz], F.inv(b0))) * q3, q3 * q3)
-        rows[~cz, :q3] = lead[:, None] + t
-        rows[~cz, q3] = q3 * q3 + q3
+        # every row by the c != 0 form, then the q^3 + 1 lines with c = 0
+        inv_c = F.inv(c)
+        A, B = F.neg(F.mul(a, inv_c)), F.neg(F.mul(b, inv_c))
+        np.add(t * q3, F.add(A[:, None], F.mul_rows(B)), out=rows[:, :q3])
+        rows[:, q3] = q3 * q3 + B
+        flat = np.flatnonzero(c == 0)
+        if flat.size:
+            a0, b0 = a[flat], b[flat]
+            lead = np.where(b0 != 0, F.neg(F.mul(a0, F.inv(b0))) * q3, q3 * q3)
+            rows[flat, :q3] = lead[:, None] + t
+            rows[flat, q3] = q3 * q3 + q3
         return rows
-
-    @cached_property
-    def incidence(self) -> np.ndarray:
-        """Points on every line, equally lines through every point: an
-        (n, q^3 + 1) table of sorted indices."""
-        return self._build(self._incidence_chunk, np.int32, self.ctx.q3 + 1)
 
     def fig_blocks(self) -> np.ndarray:
         """Blocks of FIG(q^3), one sorted row per line of PG(2, q^3).
 
         A Type I or II line keeps its incidence row.  A Type III line L is
         replaced by the block of its involution image A = mu[L]: the Type II
-        points of L together with mu[M] for the Type III lines M through A,
-        assembled in chunks of ``CHUNK // (q^3 + 1)`` lines.  A block of the
-        wrong size raises ``GeometryError``.
+        points of L together with mu[M] for the Type III lines M through A.
+        The one (n, q^3 + 1) output array is filled in chunks of
+        ``4 CHUNK // (q^3 + 1)`` lines from ``incidence_rows`` of the lines
+        and of their involution images.  A block of the wrong size raises
+        ``GeometryError``.
         """
-        inc, types, mu = self.incidence, self.types, self.mu
-        k = inc.shape[1]
-        out = inc.copy()
-        for L in chunks(np.flatnonzero(types == 3), k):     # Type III lines
-            on = inc[L]
-            through = inc[mu[L]]
+        types, mu = self.types, self.mu
+        k = self.ctx.q3 + 1
+        out = np.empty((self.size, k), dtype=np.int32)
+        for L in chunks(np.arange(self.size), max(1, k // 4)):   # 4 CHUNK entries
+            rows = self.incidence_rows(L)
+            new = np.take(types, L) == 3                        # Type III lines
+            on, through = rows[new], self.incidence_rows(np.take(mu, L[new]))
             # Type II points of L, then mu of the Type III lines through A;
             # -1 marks the entries that are neither
-            members = np.concatenate((np.where(types[on] == 2, on, -1),
-                                      np.where(types[through] == 3, mu[through], -1)),
-                                     axis=1)
+            members = np.concatenate(
+                (np.where(np.take(types, on) == 2, on, -1),
+                 np.where(np.take(types, through) == 3, np.take(mu, through), -1)), axis=1)
             keep = members >= 0
             sizes = np.count_nonzero(keep, axis=1)
             if np.any(sizes != k):
-                i = int(np.argmax(sizes != k))
-                line = tuple(int(v[0]) for v in self.field.coords(L[i:i + 1]))
+                j = int(np.argmax(sizes != k))
+                line = tuple(int(v[0]) for v in self.field.coords(L[new][j:j + 1]))
                 raise GeometryError(f"block replacing line {format_line(line)} has "
-                                    f"{sizes[i]} points, not {k}")
-            out[L] = np.sort(members[keep].reshape(-1, k), axis=1)
-        out.setflags(write=False)
-        return out
+                                    f"{sizes[j]} points, not {k}")
+            rows[new] = np.sort(members[keep].reshape(-1, k), axis=1)
+            out[L[0]:L[-1] + 1] = rows
+        return _frozen(out)
 
     def _subplane(self, B) -> np.ndarray:
         pts = np.asarray(sorted(B), dtype=np.int32).reshape(-1, 3)

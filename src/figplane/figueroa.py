@@ -14,6 +14,13 @@ every pair of distinct points.  The pairs are orbit-reduced: the
 structure is shown invariant under the collineation phi and the torus
 shift tau, row by row, and the pairs are then counted only from the
 least point of each <phi, tau>-orbit.
+
+An ``IncidencePlane`` is a row source: every reader, the axiom checker,
+``fig.build``, ``fig.block-sizes`` and ``emit_plane``, takes blocks
+through ``rows(L)`` in chunks.  The FIG gathers its rows from the one
+(n, q^3 + 1) array a run holds; ``pg_incidence`` makes PG's rows from
+their closed form when they are read (``LineRows``); and ``RowSwap``
+overrides one row of another source, so a mutation copies nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +30,6 @@ from functools import partial
 
 import numpy as np
 
-from .arrays import chunks
 from .field import FieldContext
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                     ProjectivePlane, Triple, format_line, format_point,
@@ -69,16 +75,61 @@ def fig_block(ctx: FieldContext, anchor: Triple) -> FigBlock:
 class IncidencePlane:
     """Point/block incidence structure over dense point indices.
 
-    ``blocks`` is an (n, k) int32 array with one row of sorted point
-    indices per block; the builders return it read-only, so a mutation
-    starts from ``blocks.copy()``."""
+    Blocks are read only through ``rows(L)``: for an index array L of
+    blocks, a (len(L), k) int32 array with the sorted point indices of
+    each.  This class holds its rows as ``blocks``, an (n, k) int32 array
+    (``build_fig_plane`` returns it read-only, so a mutation starts from
+    ``blocks.copy()``).  ``LineRows`` makes the rows of PG(2, q^3) from
+    their closed form on each read, and ``RowSwap`` replaces one row of
+    another structure; neither holds an (n, k) array."""
     plane: ProjectivePlane
-    blocks: np.ndarray
+    blocks: np.ndarray | None
     tags: list[str]                  # per block: line_I | line_II | line_III | fig
 
     @property
     def size(self) -> int:
         return self.plane.size
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """(blocks, points per block)."""
+        return self.blocks.shape
+
+    def rows(self, L: np.ndarray) -> np.ndarray:
+        return self.blocks[L]
+
+
+class LineRows(IncidencePlane):
+    """The lines of PG(2, q^3) as blocks: row L is the incidence row of
+    line L, made by ``PlaneTables.incidence_rows`` when it is read."""
+
+    def __init__(self, plane: ProjectivePlane, tags: list[str]):
+        super().__init__(plane, None, tags)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return (self.size, self.plane.ctx.q3 + 1)
+
+    def rows(self, L: np.ndarray) -> np.ndarray:
+        return self.plane.tables.incidence_rows(L)
+
+
+class RowSwap(IncidencePlane):
+    """``base`` with the row of block ``line`` replaced by ``row``; the
+    other rows are read from ``base``, and nothing is copied."""
+
+    def __init__(self, base: IncidencePlane, line: int, row):
+        super().__init__(base.plane, None, base.tags)
+        self.base, self.line, self.row = base, line, np.asarray(row, dtype=np.int32)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.base.shape
+
+    def rows(self, L: np.ndarray) -> np.ndarray:
+        hit = np.asarray(L) == self.line
+        out = self.base.rows(L)
+        return np.where(hit[:, None], self.row, out) if hit.any() else out
 
 
 def _tags(plane: ProjectivePlane, type_iii: str) -> list[str]:
@@ -88,16 +139,17 @@ def _tags(plane: ProjectivePlane, type_iii: str) -> list[str]:
 
 def pg_incidence(plane: ProjectivePlane) -> IncidencePlane:
     """PG(2,q^3) itself, as a reference incidence structure: the blocks
-    are the rows of the closed-form incidence table."""
-    return IncidencePlane(plane, plane.tables.incidence, _tags(plane, "line_III"))
+    are the closed-form incidence rows, made when they are read."""
+    return LineRows(plane, _tags(plane, "line_III"))
 
 
 def build_fig_plane(plane: ProjectivePlane) -> IncidencePlane:
     """Assemble FIG(q^3); blocks are indexed by the line they replace.
 
-    The Type I and II rows are the incidence table's; each Type III row is
-    the block of the line's involution image, assembled from the
-    incidence, type and involution tables (``PlaneTables.fig_blocks``)."""
+    The Type I and II rows are the lines' incidence rows; each Type III
+    row is the block of the line's involution image, assembled from the
+    incidence rows and the type and involution tables into the structure's
+    one (n, q^3 + 1) array (``PlaneTables.fig_blocks``)."""
     if not plane.ctx.figueroa_ok:
         raise GeometryError(
             f"q = {plane.ctx.q}: the Figueroa construction needs a prime power q > 2")
@@ -116,10 +168,18 @@ class AxiomReport:
     witnesses: list[str] = field(default_factory=list)
 
 
-# Entries of the block rows per chunk of the degree and gather passes, and
-# of the (representative, point) count array per chunk of the pair cover:
-# bounds each int64 temporary to 1 MiB, which keeps it in cache.
-PAIR_CHUNK = 1 << 17
+# Entries of the block rows per chunk of the row pass, and of the
+# (representative, point) count array per chunk of the pair cover: bounds
+# each int64 temporary to 512 KiB, which keeps it in cache.
+PAIR_CHUNK = 1 << 16
+
+
+def row_chunks(structure: IncidencePlane):
+    """Consecutive index arrays over the blocks of ``structure``, of
+    ``PAIR_CHUNK`` entries of rows each."""
+    count, k = structure.shape
+    step = max(1, PAIR_CHUNK // k)
+    return (np.arange(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 def orbit_representatives(plane: ProjectivePlane) -> np.ndarray:
@@ -133,14 +193,25 @@ def orbit_representatives(plane: ProjectivePlane) -> np.ndarray:
     return np.flatnonzero(least == np.arange(plane.size))
 
 
-def first_moved_row(blocks: np.ndarray, g: np.ndarray, g_line: np.ndarray) -> int | None:
-    """The first row L with sort(g[blocks[L]]) != blocks[g_line[L]], for a
-    map acting on points by ``g`` and on lines by ``g_line``, read in
-    chunks of rows; None when the block array is invariant row by row."""
-    for L in chunks(np.arange(len(blocks)), blocks.shape[1]):
-        image, target = np.sort(g[blocks[L]], axis=1), blocks[g_line[L]]
-        if not np.array_equal(image, target):
-            return int(L[np.argmax((image != target).any(axis=1))])
+def _moved(structure: IncidencePlane, L: np.ndarray, rows: np.ndarray,
+           g: np.ndarray, g_line: np.ndarray) -> int | None:
+    """The first block of L, whose rows are ``rows``, with
+    sort(g[rows]) != the row of g_line[L]; None when there is none."""
+    image, target = np.sort(np.take(g, rows), axis=1), structure.rows(g_line[L])
+    if np.array_equal(image, target):
+        return None
+    return int(L[np.argmax((image != target).any(axis=1))])
+
+
+def first_moved_row(structure: IncidencePlane, g: np.ndarray,
+                    g_line: np.ndarray) -> int | None:
+    """The first row L with sort(g[rows(L)]) != rows(g_line[L]), for a map
+    acting on points by ``g`` and on lines by ``g_line``, read in chunks of
+    rows; None when the structure is invariant row by row."""
+    for L in row_chunks(structure):
+        moved = _moved(structure, L, structure.rows(L), g, g_line)
+        if moved is not None:
+            return moved
     return None
 
 
@@ -149,84 +220,84 @@ def check_axioms(structure: IncidencePlane,
     """Verify exactly that an incidence structure is a projective plane.
 
     With k = q^3 + 1 and n = k^2 - k + 1 points, the structure passes
-    when its block array has shape (n, k) with entries in [0, n), every
-    point lies in k blocks, and every pair of distinct points lies in
-    exactly one block.  Those facts make it a symmetric 2-(n, k, 1)
-    design, in which any two blocks meet in exactly one point (Hughes &
-    Piper, *Projective Planes*, 1973), so block pairs need no check of
-    their own.
+    when it has n blocks of k entries in [0, n), every point lies in k
+    blocks, and every pair of distinct points lies in exactly one block.
+    Those facts make it a symmetric 2-(n, k, 1) design, in which any two
+    blocks meet in exactly one point (Hughes & Piper, *Projective Planes*,
+    1973), so block pairs need no check of their own.
 
     Pairs are counted from one point per orbit of G = <phi, tau>, the
     collineation and the torus shift, which commute.  Rows are indexed by
     the line they replace, as both builders make them, and the
     construction is equivariant, so G-invariance is row-aligned:
-    sort(g[blocks[L]]) == blocks[g[L]], with g acting on the line L by
-    its line table.  In an invariant structure the pair (gP, gQ) lies in
-    as many blocks as (P, Q), so the pairs of the least point of each
-    G-orbit stand for all.  The steps, in order:
+    sort(g[rows(L)]) == rows(g[L]), with g acting on the line L by its
+    line table.  In an invariant structure the pair (gP, gQ) lies in as
+    many blocks as (P, Q), so the pairs of the least point of each G-orbit
+    stand for all.
 
-    1. shape and range, before any gather, since numpy wraps negative
-       indices; a structure that fails is examined no further and fails
-       every half;
-    2. point degrees, one ``bincount`` per chunk of rows;
-    3. invariance under phi and tau, one ``array_equal`` per chunk of rows
-       (``first_moved_row``);
-    4. the cover: the blocks through the representatives come from one
-       gather of a position table, and for each representative P, in
-       chunks whose count array has ``PAIR_CHUNK`` entries, every other
-       point must lie in exactly one block through P.
+    Blocks are read through ``structure.rows``, in one pass over chunks of
+    ``PAIR_CHUNK`` entries, so a closed-form source makes each row once in
+    the pass, besides the image rows that invariance compares with.  Per
+    chunk, in order:
 
-    ``point_pairs_ok`` holds when steps 3 and 4 pass.  So a structure that
-    is not G-invariant row by row fails it with an invariance witness,
-    plane or not.  ``checked_pairs`` is n(n - 1), the ordered pairs a
-    pass covers (through invariance, not one by one);
+    1. range, before any gather, since numpy wraps negative indices; a
+       structure of the wrong shape, or with an entry outside [0, n), is
+       examined no further and fails every half;
+    2. point degrees, one ``bincount``;
+    3. invariance under phi and tau, until the first failing row of each;
+    4. the gather of the (representative, block) incidences, from a
+       position table.
+
+    Then the cover: for each representative P, in chunks whose count
+    array has ``PAIR_CHUNK`` entries, the blocks through P are read again
+    and every other point must lie in exactly one of them.
+
+    ``point_pairs_ok`` holds when step 3 and the cover pass.  So a
+    structure that is not G-invariant row by row fails it with an
+    invariance witness, plane or not.  ``checked_pairs`` is n(n - 1), the
+    ordered pairs a pass covers (through invariance, not one by one);
     ``representatives`` is the number of points whose pairs are counted.
     Witnesses name the shape or range fault, or the first failing row per
     generator and then the first failing (representative, point) pairs,
     at most ``max_witnesses`` in all.
     """
-    plane, blocks = structure.plane, structure.blocks
+    plane = structure.plane
     n, k = structure.size, plane.ctx.q3 + 1
-    step = max(1, PAIR_CHUNK // k)
     report = partial(AxiomReport, mode="orbit-reduced", checked_pairs=n * (n - 1))
     rejected = partial(report, ok=False, block_size_ok=False, point_degree_ok=False,
                        point_pairs_ok=False, representatives=0)
+    if structure.shape != (n, k):
+        return rejected(witnesses=[f"block array has shape {structure.shape}, not {(n, k)}"])
 
-    # 1 and 2: shape and range, and the point degrees
-    if blocks.shape != (n, k):
-        return rejected(witnesses=[f"block array has shape {blocks.shape}, not {(n, k)}"])
-    degree = np.zeros(n, dtype=np.int64)
-    for lo in range(0, n, step):
-        rows = blocks[lo:lo + step]
-        if rows.min() < 0 or rows.max() >= n:
-            i, j = np.argwhere((rows < 0) | (rows >= n))[0]
-            return rejected(witnesses=[f"block {format_line(plane.point(lo + i))} holds "
-                                       f"{rows[i, j]}, outside [0, {n})"])
-        degree += np.bincount(rows.ravel(), minlength=n)
-    point_degree_ok = bool(np.all(degree == k))
-
-    # 3: invariance, the first failing row of each generator
     tables = plane.tables
-    witnesses = []
-    for name, g, g_line in (("phi", tables.phi, tables.phi),
-                            ("tau", tables.tau, tables.tau_line)):
-        L = first_moved_row(blocks, g, g_line)
-        if L is not None:
-            witnesses.append(f"the {name} image of block {format_line(plane.point(L))} "
-                             f"is not block {format_line(plane.point(g_line[L]))}")
-    del witnesses[max_witnesses:]
-    point_pairs_ok = not witnesses
-
-    # 4: the cover at the least point of each G-orbit
+    generators = {"phi": (tables.phi, tables.phi), "tau": (tables.tau, tables.tau_line)}
+    moved = dict.fromkeys(generators)   # generator -> first failing row
     reps = orbit_representatives(plane)
     pos = np.full(n, -1, dtype=np.int32)
     pos[reps] = np.arange(len(reps), dtype=np.int32)
+    degree = np.zeros(n, dtype=np.int64)
     owner, through = [], []           # (representative position, row) pairs
-    for lo in range(0, n, step):
-        hit = pos[blocks[lo:lo + step]]
+    for L in row_chunks(structure):
+        rows = structure.rows(L)
+        if rows.min() < 0 or rows.max() >= n:
+            i, j = np.argwhere((rows < 0) | (rows >= n))[0]
+            return rejected(witnesses=[f"block {format_line(plane.point(L[i]))} holds "
+                                       f"{rows[i, j]}, outside [0, {n})"])
+        degree += np.bincount(rows.ravel(), minlength=n)
+        for name, (g, g_line) in generators.items():
+            if moved[name] is None:
+                moved[name] = _moved(structure, L, rows, g, g_line)
+        hit = np.take(pos, rows)
         r, c = np.nonzero(hit >= 0)
         owner.append(hit[r, c])
-        through.append(r + lo)
+        through.append(L[r])
+    point_degree_ok = bool(np.all(degree == k))
+    witnesses = [f"the {name} image of block {format_line(plane.point(L))} "
+                 f"is not block {format_line(plane.point(generators[name][1][L]))}"
+                 for name, L in moved.items() if L is not None][:max_witnesses]
+    point_pairs_ok = not witnesses
+
+    # the cover at the least point of each G-orbit
     order = np.argsort(np.concatenate(owner), kind="stable")
     owner, through = np.concatenate(owner)[order], np.concatenate(through)[order]
     start = np.searchsorted(owner, np.arange(len(reps) + 1))
@@ -236,7 +307,7 @@ def check_axioms(structure: IncidencePlane,
             break   # the verdict and the witnesses are settled
         hi = min(lo + per, len(reps))
         a, b = start[lo], start[hi]
-        cells = (owner[a:b, None] - lo).astype(np.int64) * n + blocks[through[a:b]]
+        cells = (owner[a:b, None] - lo).astype(np.int64) * n + structure.rows(through[a:b])
         count = np.bincount(cells.ravel(), minlength=(hi - lo) * n).reshape(hi - lo, n)
         count[np.arange(hi - lo), reps[lo:hi]] = 1   # P with itself
         bad = count != 1
@@ -416,9 +487,10 @@ def splash_involution_check(ctx: FieldContext) -> SplashInvolutionReport:
 
 def emit_plane(structure: IncidencePlane, path: str) -> None:
     """Write the incidence structure: header ``FIG <q^3> <npoints>``, then
-    one block per line as space-separated point indices."""
+    one block per line as space-separated point indices, read in chunks
+    of rows."""
     q3 = structure.plane.ctx.q ** 3
     with open(path, "w") as fh:
         fh.write(f"FIG {q3} {structure.size}\n")
-        for b in structure.blocks:
-            fh.write(" ".join(map(str, b)) + "\n")
+        for L in row_chunks(structure):
+            fh.writelines(" ".join(map(str, b)) + "\n" for b in structure.rows(L).tolist())

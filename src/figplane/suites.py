@@ -157,7 +157,10 @@ def collineation_permutes(sess: Session) -> CheckEntry:
         [CATEGORIES.index(cl.category) for cl in sess.classes]
     image = orbit[phi]
     moved = (image != image[orbit]) | (category[image] != category[orbit])
-    bad = [format_point(sess.plane.point(r)) for r in np.unique(orbit[moved])[:5]]
+    # the least five moved class reps; a mask, since np.unique imports numpy.ma
+    rep_moved = np.zeros(sess.plane.size, dtype=bool)
+    rep_moved[orbit[moved]] = True
+    bad = [format_point(sess.plane.point(r)) for r in np.flatnonzero(rep_moved)[:5]]
     return entry("census.collineation-permutes",
                  "the collineation permutes the orbit classes within their categories",
                  not bad, {"classes": len(sess.classes)}, bad)
@@ -536,8 +539,8 @@ def block_sizes(sess: Session) -> CheckEntry:
     struct, types = sess.fig_structure, sess.plane.tables.types
     fig = np.flatnonzero(np.array(struct.tags) == "fig")
     bad = []
-    for L in chunks(fig, struct.blocks.shape[1]):
-        rows = struct.blocks[L]
+    for L in chunks(fig, struct.shape[1]):
+        rows = struct.rows(L)
         kinds = types[np.clip(rows, 0, struct.size - 1)]
         ok = ((rows.shape[1] == sess.ctx.q3 + 1) & (rows[:, 0] >= 0)
               & (rows[:, -1] < struct.size) & (np.diff(rows, axis=1) > 0).all(axis=1)
@@ -555,35 +558,36 @@ def block_sizes(sess: Session) -> CheckEntry:
 @check("figueroa", "build")
 def assembly(sess: Session) -> CheckEntry:
     """Row-aligned, chunk by chunk: block L replaces line L, and phi maps
-    lines by the point formula, so invariance is sort(phi[blocks[L]]) ==
-    blocks[phi[L]]; a k-set is a line exactly when it is the incidence row
+    lines by the point formula, so invariance is sort(phi[rows(L)]) ==
+    rows(phi[L]); a k-set is a line exactly when it is the incidence row
     of the join of its first two points."""
     struct = sess.fig_structure
     plane = sess.plane
     q, s = sess.ctx.q, sess.ctx.sub_order
-    blocks, tags = struct.blocks, struct.tags
+    count, tags = struct.shape[0], struct.tags
     n_I, n_II, n_fig = (tags.count(t) for t in ("line_I", "line_II", "fig"))
-    F, inc, phi = plane.tables.field, plane.tables.incidence, plane.tables.phi
+    tables = plane.tables
+    F, phi = tables.field, tables.phi
     fig = np.array(tags) == "fig"
     agree = fig_differ = True
-    for L in chunks(np.arange(len(blocks)), blocks.shape[1]):
-        rows, kept = blocks[L], ~fig[L]
-        agree &= np.array_equal(rows[kept], inc[L[kept]])
+    for L in fg.row_chunks(struct):
+        rows, kept = struct.rows(L), ~fig[L]
+        agree &= np.array_equal(rows[kept], tables.incidence_rows(L[kept]))
         new = rows[~kept & (rows[:, 0] != rows[:, 1])]
         joins = F.index(*F.canonical(*F.cross(F.coords(new[:, 0]), F.coords(new[:, 1]))))
-        fig_differ &= not (inc[joins] == new).all(axis=1).any()
+        fig_differ &= not (tables.incidence_rows(joins) == new).all(axis=1).any()
     checks = {
-        "block_count": len(blocks) == plane.size,
+        "block_count": count == plane.size,
         "kept_line_counts": n_I == s and n_II == (q ** 3 - q) * s,
         "kept_lines_agree": agree,
         "blocks_differ_from_lines": fig_differ,
-        "collineation_invariant": fg.first_moved_row(blocks, phi, phi) is None,
+        "collineation_invariant": fg.first_moved_row(struct, phi, phi) is None,
     }
     bad = [k for k, v in checks.items() if not v]
     return entry("fig.build",
                  "the assembled plane keeps Type I and II lines, replaces each Type III line, and is collineation invariant",
                  not bad,
-                 {"blocks": len(blocks), "line_I": n_I, "line_II": n_II, "fig": n_fig},
+                 {"blocks": count, "line_I": n_I, "line_II": n_II, "fig": n_fig},
                  bad)
 
 
@@ -612,10 +616,8 @@ def axioms_reference(sess: Session) -> CheckEntry:
 @check("figueroa", "axioms")
 def axioms_mutation(sess: Session) -> CheckEntry:
     struct = sess.fig_structure
-    mutated = fg.IncidencePlane(sess.plane, struct.blocks.copy(), list(struct.tags))
     i = struct.tags.index("fig")
-    mutated.blocks[i] = sess.plane.tables.incidence[i]
-    rep = fg.check_axioms(mutated)
+    rep = fg.check_axioms(fg.RowSwap(struct, i, sess.plane.tables.incidence_rows([i])[0]))
     return entry("fig.axioms-mutation",
                  "replacing one block by the line it displaced breaks the axioms with a witness",
                  (not rep.ok) and bool(rep.witnesses),

@@ -3,9 +3,10 @@
 Every bulk table is compared entry by entry with the scalar function it
 replaces, exhaustively at q = 2, 3 and 4 and on hypothesis-drawn indices
 at q = 5 and 7.  ``disagreements`` is the comparison; a corrupted table
-shows that it reports a wrong entry.  The row tables (incidence, FIG
-blocks) have their own row comparisons, ``incidence_disagreements`` and
-``fig_disagreements``, shown able to fail in the same way.
+shows that it reports a wrong entry.  The block rows (the closed-form
+incidence rows, made on demand, and the FIG block array) have their own
+row comparisons, ``incidence_disagreements`` and ``fig_disagreements``,
+shown able to fail in the same way.
 """
 
 import numpy as np
@@ -191,7 +192,7 @@ def test_comparison_reports_a_corrupted_entry(plane3, name):
 # ------------------------------------------------------------ row tables
 
 def incidence_disagreements(plane, table, indices) -> list[int]:
-    """Rows of ``table`` that differ from the sorted points on the line, or
+    """Rows of ``table`` (any array with one row per index) that differ from the sorted points on the line, or
     the sorted lines through the point, with that index."""
     ctx, idx = plane.ctx, plane.point_index
     bad = []
@@ -228,17 +229,39 @@ def sampled_fig(request):
 
 
 def test_incidence_matches_oracle_exhaustive(small_plane):
-    inc = small_plane.tables.incidence
+    inc = small_plane.tables.incidence_rows(np.arange(small_plane.size))
     assert inc.shape == (small_plane.size, small_plane.ctx.q3 + 1)
     assert inc.dtype == np.int32
     assert incidence_disagreements(small_plane, inc, range(small_plane.size)) == []
+
+
+def incidence_sample_disagreements(plane, i) -> list[int]:
+    """Lines of a batch, the drawn index i and one line of each kind of
+    leading coordinate (the last index is [0:0:1]), whose rows differ from
+    the oracle; row i read alone must equal row i read in the batch."""
+    batch = np.array([i, 0, plane.size - plane.ctx.q3 - 1, plane.size - 1])
+    rows = plane.tables.incidence_rows(batch)
+    assert np.array_equal(rows[0], plane.tables.incidence_rows([i])[0])
+    return incidence_disagreements(plane, dict(zip(batch.tolist(), rows)), batch.tolist())
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_incidence_matches_oracle_sampled(plane5, data):
     i = data.draw(st.integers(0, plane5.size - 1), label="index")
-    assert incidence_disagreements(plane5, plane5.tables.incidence, [i]) == []
+    assert incidence_sample_disagreements(plane5, i) == []
+
+
+@pytest.fixture(scope="module")
+def plane7():
+    return ProjectivePlane(context_for_q(7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_incidence_matches_oracle_sampled_q7(plane7, data):
+    i = data.draw(st.integers(0, plane7.size - 1), label="index")
+    assert incidence_sample_disagreements(plane7, i) == []
 
 
 def test_fig_blocks_match_oracle_exhaustive(plane3):
@@ -257,7 +280,7 @@ def test_fig_blocks_match_oracle_sampled(sampled_fig, data):
 @pytest.mark.parametrize("name", ("incidence", "fig"))
 def test_row_comparison_reports_a_corrupted_row(plane3, name):
     if name == "incidence":
-        rows, compare = plane3.tables.incidence.copy(), incidence_disagreements
+        rows, compare = plane3.tables.incidence_rows(np.arange(plane3.size)), incidence_disagreements
     else:
         rows, compare = build_fig_plane(plane3).blocks.copy(), fig_disagreements
     i = next(j for j in range(plane3.size) if line_type(plane3.ctx, plane3.lines[j]) == TYPE_III)
@@ -370,3 +393,5 @@ def test_kernel_guards_raise_named_error(plane3):
     big = build_field_tower(37, 1)            # q^6 + q^3 + 1 > 2^31 points
     with pytest.raises(KernelError):
         PlaneTables(big)                      # refused before any table exists
+    with pytest.raises(KernelError, match="lookup tables"):
+        FieldArrays(big)                      # a q^3 + b would pass 2^31

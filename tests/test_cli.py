@@ -92,23 +92,36 @@ def test_figueroa_axioms_cmd(capsys):
     assert "fig.axioms" in ids and "fig.axioms-mutation" in ids
 
 
-def test_verify_all_skips_maps_and_figueroa_from_q8(capsys):
-    """The default skip starts at q = 8: the report notes it and holds only
-    the census checks (q = 7 runs every suite)."""
-    code, out = run_cli(["verify", "--q", "8", "--suite", "all",
+def test_verify_all_skips_maps_and_figueroa_from_q9(capsys):
+    """The default skip starts at q = 9: the report notes it and holds only
+    the census checks (q = 8 runs every suite)."""
+    code, out = run_cli(["verify", "--q", "9", "--suite", "all",
                          "--format", "json"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["header"]["note"] == "maps and figueroa suites skipped by default at q >= 8"
+    assert doc["header"]["note"] == "maps and figueroa suites skipped by default at q >= 9"
     assert doc["checks"] and all(c["id"].startswith("census.") for c in doc["checks"])
+
+
+def test_verify_all_runs_every_suite_at_q8(monkeypatch, capsys):
+    """At q = 8 the default runs the maps and figueroa suites too, with no
+    note; the suites are stubbed, so only the selection is exercised."""
+    import figplane.cli as cli
+    ran = []
+    for name in ("census_checks", "maps_checks", "figueroa_checks"):
+        monkeypatch.setattr(cli, name, lambda sess, name=name: ran.append(name) or [])
+    code, out = run_cli(["verify", "--q", "8", "--suite", "all", "--format", "json"], capsys)
+    assert code == 0
+    assert ran == ["census_checks", "maps_checks", "figueroa_checks"]
+    assert "note" not in json.loads(out)["header"]
 
 
 def test_text_report_prints_the_header_note(capsys):
     """The text report says what the default skipped, under its title line;
     a report without a note has no note line."""
-    code, out = run_cli(["verify", "--q", "8", "--suite", "all"], capsys)
+    code, out = run_cli(["verify", "--q", "9", "--suite", "all"], capsys)
     assert code == 0
-    assert out.splitlines()[1] == "note: maps and figueroa suites skipped by default at q >= 8"
+    assert out.splitlines()[1] == "note: maps and figueroa suites skipped by default at q >= 9"
     assert "note" not in Report({"q": 3}, [entry("x", "claim", True)]).to_text()
 
 

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from figplane.collineation import TYPE_II, TYPE_III, collineate_point, point_type
-from figplane.figueroa import (IncidencePlane, arching_census, build_fig_plane,
-                               characterize_fig_points, check_axioms,
-                               even_structure_check, emit_plane, fig_block,
-                               orbit_representatives, pg_incidence, pr_fig_block,
-                               expected_pr_fig_block, splash_involution_check)
+from figplane.figueroa import (IncidencePlane, LineRows, RowSwap, arching_census,
+                               build_fig_plane, characterize_fig_points,
+                               check_axioms, even_structure_check, emit_plane,
+                               fig_block, orbit_representatives, pg_incidence,
+                               pr_fig_block, expected_pr_fig_block,
+                               splash_involution_check)
 from figplane.linear_sets import sls_points, t_plane
 from figplane.maps import TypeRestrictionError
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
@@ -63,7 +64,7 @@ def test_build_counts(fig3, fig4):
 
 
 def test_build_agrees_with_pg_on_kept_lines(plane3, fig3):
-    pg_rows = [tuple(b) for b in pg_incidence(plane3).blocks.tolist()]
+    pg_rows = [tuple(b) for b in pg_incidence(plane3).rows(np.arange(plane3.size)).tolist()]
     fig_rows = [tuple(b) for b in fig3.blocks.tolist()]
     pg_set = set(pg_rows)
     for i, tag in enumerate(fig3.tags):
@@ -75,10 +76,20 @@ def test_build_agrees_with_pg_on_kept_lines(plane3, fig3):
 
 
 def test_block_arrays_are_read_only_int32(plane3, fig3):
-    for structure in (fig3, pg_incidence(plane3)):
-        assert structure.blocks.shape == (757, 28)
-        assert structure.blocks.dtype == np.int32
-        assert not structure.blocks.flags.writeable
+    """The FIG holds the one read-only block array; PG and a one-row swap
+    hold none, and every source reads int32 rows."""
+    assert fig3.blocks.shape == (757, 28)
+    assert not fig3.blocks.flags.writeable
+    pg = pg_incidence(plane3)
+    assert pg.blocks is None and pg.shape == (757, 28)
+    swapped = RowSwap(fig3, 5, pg.rows([5])[0])
+    assert swapped.blocks is None and swapped.shape == (757, 28)
+    L = np.array([0, 5, 756])
+    for structure in (fig3, pg, swapped):
+        rows = structure.rows(L)
+        assert rows.shape == (3, 28) and rows.dtype == np.int32
+    assert np.array_equal(swapped.rows(L), np.stack([fig3.blocks[0], pg.rows([5])[0],
+                                                     fig3.blocks[756]]))
 
 
 def test_fig_blocks_contain_triangles(plane3, fig3):
@@ -168,7 +179,7 @@ def _orbit_mutation(fig):
                              if fig.tags[L] == "fig") if len(o) == size)
     rows = [L for (L,) in orbit]
     mutated = IncidencePlane(fig.plane, fig.blocks.copy(), list(fig.tags))
-    mutated.blocks[rows] = tables.incidence[rows]
+    mutated.blocks[rows] = tables.incidence_rows(rows)
     return mutated
 
 
@@ -210,22 +221,27 @@ def _phi_swap_mutation(fig):
 
 
 def _brute_force_axioms(structure):
-    """Reference full count over every ordered point pair, from a dense
-    block-by-point incidence matrix: the three verdict halves, every pair
-    that lies in other than one block (with its count), and every row
-    holding both points of such a pair."""
+    """Reference full count over every ordered point pair: for each point
+    P, every point of every block through P, counted.  Returns the three
+    verdict halves, every pair that lies in other than one block (with its
+    count), and every row holding both points of such a pair.  Rows are
+    read once, through ``rows``, and must hold distinct points."""
     n = structure.size
     k = structure.plane.ctx.q ** 3 + 1
-    blocks = np.asarray(structure.blocks)
-    M = np.zeros((len(blocks), n))          # floats: BLAS, exact at these sizes
+    blocks = structure.rows(np.arange(structure.shape[0]))
+    through = [[] for _ in range(n)]
     for r, row in enumerate(blocks.tolist()):
-        M[r, row] = 1
-    count = (M.T @ M).round().astype(np.int64)
-    np.fill_diagonal(count, 1)
-    bad = {(P, Q): int(count[P, Q]) for P, Q in np.argwhere(count != 1).tolist()}
-    rows = {r for (P, Q) in bad for r in np.flatnonzero(M[:, P] * M[:, Q]).tolist()}
+        assert len(set(row)) == len(row)
+        for P in row:
+            through[P].append(r)
+    bad = {}
+    for P in range(n):
+        count = np.bincount(blocks[through[P]].ravel(), minlength=n)
+        count[P] = 1
+        bad.update(((P, Q), int(count[Q])) for Q in np.flatnonzero(count != 1).tolist())
+    rows = {r for (P, Q) in bad for r in set(through[P]) & set(through[Q])}
     sizes_ok = blocks.shape == (n, k)
-    degrees_ok = bool(np.all(M.sum(axis=0) == k))
+    degrees_ok = all(len(t) == k for t in through)
     return sizes_ok, degrees_ok, not bad, bad, rows
 
 
@@ -283,6 +299,21 @@ def test_axioms_range_guard(fig3, value):
                              "outside [0, 757)"]
 
 
+def _assert_matches_brute_force(structure):
+    """check_axioms agrees with the full count on the three halves, and
+    every witness names a pair or a row that the full count flags."""
+    rep = check_axioms(structure)
+    sizes_ok, degrees_ok, pairs_ok, bad, rows = _brute_force_axioms(structure)
+    assert (rep.block_size_ok, rep.point_degree_ok, rep.point_pairs_ok) == \
+        (sizes_ok, degrees_ok, pairs_ok)
+    assert rep.ok == (sizes_ok and degrees_ok and pairs_ok)
+    assert bool(rep.witnesses) == (not rep.ok)
+    assert all(_witness_kind(structure.plane, w, bad, rows) for w in rep.witnesses)
+    assert rep.mode == "orbit-reduced"
+    assert rep.checked_pairs == structure.size * (structure.size - 1)
+    return rep
+
+
 def test_axioms_match_brute_force(plane3, fig3):
     from figplane.field import build_field_tower
     from figplane.plane import ProjectivePlane
@@ -291,15 +322,87 @@ def test_axioms_match_brute_force(plane3, fig3):
     for structure in (pg8, fig3, _line_mutation(plane3, fig3), _swap_mutation(fig3),
                       _orbit_mutation(fig3), _equivariant_swap_mutation(fig3),
                       _phi_swap_mutation(fig3)):
-        rep = check_axioms(structure)
-        sizes_ok, degrees_ok, pairs_ok, bad, rows = _brute_force_axioms(structure)
-        assert (rep.block_size_ok, rep.point_degree_ok, rep.point_pairs_ok) == \
-            (sizes_ok, degrees_ok, pairs_ok)
-        assert rep.ok == (sizes_ok and degrees_ok and pairs_ok)
-        assert bool(rep.witnesses) == (not rep.ok)
-        assert all(_witness_kind(structure.plane, w, bad, rows) for w in rep.witnesses)
-        assert rep.mode == "orbit-reduced"
-        assert rep.checked_pairs == structure.size * (structure.size - 1)
+        _assert_matches_brute_force(structure)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_axioms_match_brute_force_on_each_row_source(q, fig3, fig4):
+    """The three kinds of row source: PG's closed-form rows, the FIG array,
+    and the FIG with one row swapped back for its line."""
+    fig = {3: fig3, 4: fig4}[q]
+    i = fig.tags.index("fig")
+    swapped = RowSwap(fig, i, fig.plane.tables.incidence_rows([i])[0])
+    verdicts = [_assert_matches_brute_force(s).ok
+                for s in (pg_incidence(fig.plane), fig, swapped)]
+    assert verdicts == [True, True, False]
+
+
+def _traded(structure, L1, L2):
+    """``structure`` with rows L1 and L2 trading their largest points that
+    the other row lacks, as two nested one-row swaps: block sizes and
+    point degrees hold."""
+    b1, b2 = (set(structure.rows([L])[0].tolist()) for L in (L1, L2))
+    y, z = max(b1 - b2), max(b2 - b1)
+    return RowSwap(RowSwap(structure, L1, sorted(b1 - {y} | {z})), L2, sorted(b2 - {z} | {y}))
+
+
+def test_row_pass_fails_each_half_with_a_witness(plane3):
+    """One pass over closed-form rows: an entry out of range, a wrong
+    degree and a row that phi does not carry to a row each fail their
+    half, with a witness."""
+    pg, n = pg_incidence(plane3), plane3.size
+    row = pg.rows([5])[0].copy()
+    row[3] = n
+    rep = check_axioms(RowSwap(pg, 5, row))
+    assert not (rep.ok or rep.block_size_ok or rep.point_degree_ok or rep.point_pairs_ok)
+    assert rep.witnesses == [f"block {format_line(plane3.point(5))} holds {n}, outside [0, {n})"]
+    # line 5 carries the points of line 6: twice in one block, never in the other
+    rep = _assert_matches_brute_force(RowSwap(pg, 5, pg.rows([6])[0]))
+    assert rep.block_size_ok and not rep.point_degree_ok and not rep.ok and rep.witnesses
+    rep = _assert_matches_brute_force(_traded(pg, 0, 1))
+    assert rep.block_size_ok and rep.point_degree_ok and not rep.point_pairs_ok
+    assert rep.witnesses[0].startswith("the phi image of block [1:0:0]")
+
+
+def test_invariance_witness_in_a_later_chunk(plane4):
+    """At q = 4 the pass reads five chunks of rows.  Two lines in the third
+    trade a point; each generator's witness is its first moved row, found
+    here over the whole row array at once."""
+    from figplane.figueroa import PAIR_CHUNK
+    pg, n, tables = pg_incidence(plane4), plane4.size, plane4.tables
+    step = PAIR_CHUNK // 65
+    gens = {"phi": (tables.phi, tables.phi), "tau": (tables.tau, tables.tau_line)}
+    B = pg.rows(np.arange(n))
+    for L1 in range(2 * step, n - 1):
+        traded = _traded(pg, L1, L1 + 1)
+        rows = traded.rows(np.arange(n))
+        first = {name: int(np.argmax((np.sort(g[rows], axis=1) != rows[g_line]).any(axis=1)))
+                 for name, (g, g_line) in gens.items()}
+        if min(first.values()) >= 2 * step:
+            break
+    assert not np.array_equal(rows, B)
+    rep = check_axioms(traded)
+    assert rep.block_size_ok and rep.point_degree_ok and not rep.point_pairs_ok
+    assert rep.witnesses[:2] == [
+        f"the {name} image of block {format_line(plane4.point(L))} is not block "
+        f"{format_line(plane4.point(gens[name][1][L]))}" for name, L in first.items()]
+
+
+def test_axioms_make_each_row_once_per_role(plane3):
+    """A closed-form source is read in one pass: each row once as itself
+    and once as the phi and the tau image of another, and then the k
+    blocks through each representative for the cover."""
+    class Counted(LineRows):
+        made = 0
+
+        def rows(self, L):
+            self.made += len(L)
+            return super().rows(L)
+
+    pg = Counted(plane3, [])
+    rep = check_axioms(pg)
+    assert rep.ok and rep.representatives == 21
+    assert pg.made == 3 * plane3.size + 21 * 28
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -368,7 +471,7 @@ def _build_failures(fig, blocks):
 def test_build_check_names_each_failing_subcheck(plane3, fig3):
     """Each vectorized ``fig.build`` sub-check fails alone, with its name as
     the witness, on a mutation that leaves the other sub-checks true."""
-    inc, phi = plane3.tables.incidence, plane3.tables.phi
+    inc, phi = plane3.tables.incidence_rows(np.arange(plane3.size)), plane3.tables.phi
     assert _build_failures(fig3, fig3.blocks) == []
     # a whole collineation orbit of blocks put back to the lines they
     # displaced: still invariant, but some blocks are lines now

@@ -267,3 +267,24 @@ def test_cross_plane_reports_a_wrong_projection(ctx3):
     assert e.witnesses == [
         f"vertex {format_point(min(t_plane(ctx3, kappa).points))} of plane {kappa} onto plane {theta}"
         for kappa in reps for theta in reps if theta != kappa]
+
+
+def test_figueroa_run_holds_one_block_array(monkeypatch, capsys):
+    """After a figueroa run, the FIG block array is the only (n, k) array:
+    the plane tables cache no incidence table and no other 2-D table."""
+    import figplane.cli as cli
+    sessions = []
+
+    class Recorded(Session):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            sessions.append(self)
+
+    monkeypatch.setattr(cli, "Session", Recorded)
+    assert main(["verify", "--q", "5", "--suite", "figueroa"]) == 0
+    capsys.readouterr()
+    (sess,) = sessions
+    tables = vars(sess.plane.tables)
+    assert "incidence" not in tables and "phi" in tables
+    assert all(v.ndim == 1 for v in tables.values() if isinstance(v, np.ndarray))
+    assert sess.fig_structure.blocks.shape == (sess.plane.size, 126)
