@@ -8,9 +8,10 @@ block array held; PG's rows and the broken structure's are read through
 """
 
 import time
-from collections import Counter
 
-from figplane import (ANCHOR, ProjectivePlane, RowSwap, build_field_tower,
+import numpy as np
+
+from figplane import (ANCHOR, TYPE_III, ProjectivePlane, RowSwap, build_field_tower,
                       build_fig_plane, check_axioms, fig_block, pg_incidence)
 
 ctx = build_field_tower(3, 1)
@@ -22,19 +23,21 @@ print(f"block of the anchor: {len(block.points)} points "
 
 t0 = time.perf_counter()
 fig = build_fig_plane(plane)
-print(f"FIG(27): {len(fig.blocks)} blocks, composition {dict(Counter(fig.tags))}, "
-      f"built in {time.perf_counter() - t0:.2f}s")
+# block L replaces line L exactly when line L is Type III
+kept_I, kept_II, replaced = np.bincount(plane.tables.types, minlength=4)[1:]
+print(f"FIG(27): {len(fig.blocks)} blocks: {kept_I} Type I and {kept_II} Type II lines "
+      f"kept, {replaced} Type III lines replaced, built in {time.perf_counter() - t0:.2f}s")
 
 t0 = time.perf_counter()
 rep = check_axioms(fig)
-print(f"axioms: {'pass' if rep.ok else 'FAIL'} "
-      f"(mode {rep.mode}, {time.perf_counter() - t0:.2f}s)")
+print(f"axioms: {'pass' if rep.ok else 'FAIL'} (mode {rep.mode}, pairs counted from "
+      f"{rep.representatives} points, {time.perf_counter() - t0:.2f}s)")
 
 ref = check_axioms(pg_incidence(plane))
 print(f"PG(2, 27) from closed-form rows: {'pass' if ref.ok else 'FAIL'}")
 
 # break it on purpose: put one replaced line back, without copying the FIG
-i = fig.tags.index("fig")
+i = int(np.argmax(plane.tables.types == TYPE_III))
 bad = check_axioms(RowSwap(fig, i, plane.tables.incidence_rows([i])[0]))
 print(f"with one block undone: {'pass' if bad.ok else 'FAIL, as expected'}")
 print(f"  first witness: {bad.witnesses[0]}")

@@ -28,7 +28,10 @@ coordinates builds the first five together:
 * ``tau``, ``tau_line``  the index of the torus image of every point and
   of every line, the generator of the stabilizer, which commutes with phi;
 * ``orbit``  the least index in the stabilizer orbit of every point, which
-  ``figplane.collineation.partition_orbits`` reads.
+  ``figplane.collineation.partition_orbits`` reads;
+* ``dickson``, ``dickson_line``  the index of the image of every point and
+  of every line under one Dickson matrix d, which commutes with phi but not
+  with tau; ``figueroa.check_axioms`` reads them, and no other check does.
 
 No table has a row per object.  ``PlaneTables.incidence_rows`` makes the
 rows of q^3 + 1 sorted point indices of any lines from their closed form
@@ -153,6 +156,10 @@ class FieldArrays:
         """a ** (1 + q + q^2), the relative norm onto GF(q)."""
         return self.mul(self.mul(a, self.frob(a, 1)), self.frob(a, 2))
 
+    def dot(self, u, v):
+        return self.add(self.add(self.mul(u[0], v[0]), self.mul(u[1], v[1])),
+                        self.mul(u[2], v[2]))
+
     def cross(self, u, v):
         mul, sub = self.mul, self.sub
         return (sub(mul(u[1], v[2]), mul(u[2], v[1])),
@@ -223,9 +230,7 @@ class PlaneTables:
         r0 = (x, y, z)
         r1, r2 = self._conjugate_rows(x, y, z)
         c01 = F.cross(r0, r1)
-        det = F.add(F.add(F.mul(r2[0], c01[0]), F.mul(r2[1], c01[1])),
-                    F.mul(r2[2], c01[2]))
-        return det, c01
+        return F.dot(r2, c01), c01
 
     def norm_det_mismatches(self) -> np.ndarray:
         """Indices of the points off the triangle sides at which the norm and
@@ -323,8 +328,41 @@ class PlaneTables:
         """Index of the tau image [a/g, b/g^q, c/g^q^2] of every line [a:b:c]:
         tau maps the points of line L onto the points of tau_line[L]."""
         h = self.field.inv(np.int32(2))
-        (table,) = self._build(lambda x, y, z: (self._torus_image(x, y, z, h),), np.int32)
-        return table
+        return self._build(lambda x, y, z: (self._torus_image(x, y, z, h),), np.int32)[0]
+
+    @cached_property
+    def _dickson_rows(self):
+        """Rows (1, a, b), (b^q, 1, a^q), (a^q^2, b^q^2, 1) of the Dickson
+        matrix d = D(1, a, b), the map x -> x + a x^q + b x^q^2 on the fixed
+        subplane, for the least (b, a) with a >= 2 that makes d nonsingular:
+        D(1, w, 0) with 1 + N(w) != 0 at q >= 3 (w = 3 at q = 3, else 2),
+        and D(1, a, 1) at q = 2, where N(w) = 1 for every w != 0."""
+        F, q3 = self.field, self.ctx.q3
+        rows = lambda a, b, one: ((one, a, b), (F.frob(b, 1), one, F.frob(a, 1)),
+                                  (F.frob(a, 2), F.frob(b, 2), one))
+        b, a = np.divmod(np.arange(q3 * q3, dtype=np.int32), q3)
+        r0, r1, r2 = rows(a, b, np.ones_like(a))
+        i = np.argmax((F.dot(r0, F.cross(r1, r2)) != 0) & (a >= 2))
+        return rows(a[i], b[i], np.int32(1))
+
+    def _linear_table(self, m) -> np.ndarray:
+        """Index of m (x, y, z) for every triple, m a 3 x 3 code matrix by rows."""
+        F = self.field
+        return self._build(lambda *v: (F.index(*F.canonical(*(F.dot(r, v) for r in m))),),
+                           np.int32)[0]
+
+    @cached_property
+    def dickson(self) -> np.ndarray:
+        """Index of the image d P of every point P; d commutes with phi, not tau."""
+        return self._linear_table(self._dickson_rows)
+
+    @cached_property
+    def dickson_line(self) -> np.ndarray:
+        """Index of the d image of every line: the cofactor matrix of d, with
+        rows r1 x r2, r2 x r0, r0 x r1, maps l to a multiple of l d^-1."""
+        F = self.field
+        r0, r1, r2 = self._dickson_rows
+        return self._linear_table((F.cross(r1, r2), F.cross(r2, r0), F.cross(r0, r1)))
 
     @cached_property
     def orbit(self) -> np.ndarray:

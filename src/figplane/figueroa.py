@@ -10,10 +10,12 @@ and Type II line of PG(2,q^3) and replaces each Type III line m by the
 block anchored at the involution image of m.  ``check_axioms`` verifies
 exactly, at every order, that the resulting incidence structure is a
 projective plane: block sizes, point degrees, and one block through
-every pair of distinct points.  The pairs are orbit-reduced: the
-structure is shown invariant under the collineation phi and the torus
-shift tau, row by row, and the pairs are then counted only from the
-least point of each <phi, tau>-orbit.
+every pair of distinct points.  The construction reads only
+phi-equivariant data, so FIG is invariant under the centralizer of phi,
+the Dickson matrices, a copy of PGL(3, q).  The checker shows the
+structure invariant, row by row, under two of them, the torus shift tau
+and one Dickson matrix d, which together are transitive on each point
+type; so it counts pairs from three points only.
 
 An ``IncidencePlane`` is a row source: every reader, the axiom checker,
 ``fig.build``, ``fig.block-sizes`` and ``emit_plane``, takes blocks
@@ -34,8 +36,8 @@ from .field import FieldContext
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                     ProjectivePlane, Triple, format_line, format_point,
                     lines_through_point, points_on_line)
-from .collineation import (TYPE_I, TYPE_II, TYPE_III, collineate_point,
-                           line_type, point_type)
+from .collineation import (TYPE_II, TYPE_III, collineate_point, line_type,
+                           point_type)
 from .linear_sets import sls_points, t_plane
 from .maps import (TypeRestrictionError, conjugate_join, conjugate_meet,
                    project_from_anchor, splash)
@@ -83,8 +85,7 @@ class IncidencePlane:
     their closed form on each read, and ``RowSwap`` replaces one row of
     another structure; neither holds an (n, k) array."""
     plane: ProjectivePlane
-    blocks: np.ndarray | None
-    tags: list[str]                  # per block: line_I | line_II | line_III | fig
+    blocks: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -103,9 +104,6 @@ class LineRows(IncidencePlane):
     """The lines of PG(2, q^3) as blocks: row L is the incidence row of
     line L, made by ``PlaneTables.incidence_rows`` when it is read."""
 
-    def __init__(self, plane: ProjectivePlane, tags: list[str]):
-        super().__init__(plane, None, tags)
-
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.size, self.plane.ctx.q3 + 1)
@@ -119,7 +117,7 @@ class RowSwap(IncidencePlane):
     other rows are read from ``base``, and nothing is copied."""
 
     def __init__(self, base: IncidencePlane, line: int, row):
-        super().__init__(base.plane, None, base.tags)
+        super().__init__(base.plane)
         self.base, self.line, self.row = base, line, np.asarray(row, dtype=np.int32)
 
     @property
@@ -132,15 +130,9 @@ class RowSwap(IncidencePlane):
         return np.where(hit[:, None], self.row, out) if hit.any() else out
 
 
-def _tags(plane: ProjectivePlane, type_iii: str) -> list[str]:
-    names = {TYPE_I: "line_I", TYPE_II: "line_II", TYPE_III: type_iii}
-    return [names[t] for t in plane.tables.types.tolist()]
-
-
 def pg_incidence(plane: ProjectivePlane) -> IncidencePlane:
-    """PG(2,q^3) itself, as a reference incidence structure: the blocks
-    are the closed-form incidence rows, made when they are read."""
-    return LineRows(plane, _tags(plane, "line_III"))
+    """PG(2, q^3) itself, as a reference structure of closed-form rows."""
+    return LineRows(plane)
 
 
 def build_fig_plane(plane: ProjectivePlane) -> IncidencePlane:
@@ -153,7 +145,7 @@ def build_fig_plane(plane: ProjectivePlane) -> IncidencePlane:
     if not plane.ctx.figueroa_ok:
         raise GeometryError(
             f"q = {plane.ctx.q}: the Figueroa construction needs a prime power q > 2")
-    return IncidencePlane(plane, plane.tables.fig_blocks(), _tags(plane, "fig"))
+    return IncidencePlane(plane, plane.tables.fig_blocks())
 
 
 @dataclass
@@ -168,10 +160,7 @@ class AxiomReport:
     witnesses: list[str] = field(default_factory=list)
 
 
-# Entries of the block rows per chunk of the row pass, and of the
-# (representative, point) count array per chunk of the pair cover: bounds
-# each int64 temporary to 512 KiB, which keeps it in cache.
-PAIR_CHUNK = 1 << 16
+PAIR_CHUNK = 1 << 16   # entries per chunk of rows: int64 temporaries of 512 KiB
 
 
 def row_chunks(structure: IncidencePlane):
@@ -182,37 +171,31 @@ def row_chunks(structure: IncidencePlane):
     return (np.arange(lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
-def orbit_representatives(plane: ProjectivePlane) -> np.ndarray:
-    """The least point index of every <phi, tau>-orbit, in increasing order.
+def orbit_minima(generators) -> np.ndarray:
+    """The least index of every orbit of the group that the permutation
+    tables ``generators`` generate, by min-label propagation: a label takes
+    the least label of its point and the images, then its label's label,
+    until none moves; a fixed label is constant on every orbit."""
+    label = np.arange(len(generators[0]), dtype=np.int32)
+    while True:
+        least = label
+        for g in generators:
+            least = np.minimum(least, label[g])
+        least = least[least]
+        if np.array_equal(least, label):
+            return np.flatnonzero(label == np.arange(len(label)))
+        label = least
 
-    phi and tau commute, so the orbit of P is the union of the tau-orbits
-    of P, phi(P) and phi^2(P), and its least index is the least of their
-    ``orbit`` entries."""
-    orbit, phi = plane.tables.orbit, plane.tables.phi
-    least = np.minimum(orbit, np.minimum(orbit[phi], orbit[phi[phi]]))
-    return np.flatnonzero(least == np.arange(plane.size))
 
-
-def _moved(structure: IncidencePlane, L: np.ndarray, rows: np.ndarray,
-           g: np.ndarray, g_line: np.ndarray) -> int | None:
-    """The first block of L, whose rows are ``rows``, with
-    sort(g[rows]) != the row of g_line[L]; None when there is none."""
+def moved_row(structure: IncidencePlane, L: np.ndarray, rows: np.ndarray,
+              g: np.ndarray, g_line: np.ndarray) -> int | None:
+    """The first block of L, whose rows are ``rows``, with sort(g[rows])
+    != the row of g_line[L], for a map acting on points by ``g`` and on
+    lines by ``g_line``; None when there is none."""
     image, target = np.sort(np.take(g, rows), axis=1), structure.rows(g_line[L])
     if np.array_equal(image, target):
         return None
     return int(L[np.argmax((image != target).any(axis=1))])
-
-
-def first_moved_row(structure: IncidencePlane, g: np.ndarray,
-                    g_line: np.ndarray) -> int | None:
-    """The first row L with sort(g[rows(L)]) != rows(g_line[L]), for a map
-    acting on points by ``g`` and on lines by ``g_line``, read in chunks of
-    rows; None when the structure is invariant row by row."""
-    for L in row_chunks(structure):
-        moved = _moved(structure, L, structure.rows(L), g, g_line)
-        if moved is not None:
-            return moved
-    return None
 
 
 def check_axioms(structure: IncidencePlane,
@@ -222,44 +205,35 @@ def check_axioms(structure: IncidencePlane,
     With k = q^3 + 1 and n = k^2 - k + 1 points, the structure passes
     when it has n blocks of k entries in [0, n), every point lies in k
     blocks, and every pair of distinct points lies in exactly one block.
-    Those facts make it a symmetric 2-(n, k, 1) design, in which any two
-    blocks meet in exactly one point (Hughes & Piper, *Projective Planes*,
-    1973), so block pairs need no check of their own.
+    That makes it a symmetric 2-(n, k, 1) design, whose blocks meet pairwise
+    in one point (Hughes & Piper, 1973), so block pairs need no check.
 
-    Pairs are counted from one point per orbit of G = <phi, tau>, the
-    collineation and the torus shift, which commute.  Rows are indexed by
-    the line they replace, as both builders make them, and the
-    construction is equivariant, so G-invariance is row-aligned:
-    sort(g[rows(L)]) == rows(g[L]), with g acting on the line L by its
-    line table.  In an invariant structure the pair (gP, gQ) lies in as
-    many blocks as (P, Q), so the pairs of the least point of each G-orbit
-    stand for all.
+    Pairs are counted from one point per orbit of G = <tau, d>, the torus
+    shift and the Dickson matrix of ``PlaneTables.dickson``, which lies in
+    the centralizer of phi and is transitive on each point type.  Rows are
+    indexed by the line they replace and the construction is equivariant,
+    so G-invariance is row-aligned: sort(g[rows(L)]) == rows(g[L]), with g
+    acting on L by its line table.  In an invariant structure (gP, gQ)
+    lies in as many blocks as (P, Q), so the pairs of the least point of
+    each G-orbit stand for all.  Those points come from the generator
+    tables (``orbit_minima``), not the type table, so the reduction
+    assumes nothing that it proves.
 
-    Blocks are read through ``structure.rows``, in one pass over chunks of
-    ``PAIR_CHUNK`` entries, so a closed-form source makes each row once in
-    the pass, besides the image rows that invariance compares with.  Per
-    chunk, in order:
+    One pass reads the rows in chunks of ``PAIR_CHUNK`` entries and checks
+    per chunk: (1) the range, before any gather, since numpy wraps
+    negative indices (a wrong shape or range fails every half at once);
+    (2) point degrees, one ``bincount``; (3) invariance under tau and d,
+    until the first failing row of each; and it (4) collects the blocks
+    through each representative.  The cover reads those blocks again:
+    every other point must lie in exactly one of them.
 
-    1. range, before any gather, since numpy wraps negative indices; a
-       structure of the wrong shape, or with an entry outside [0, n), is
-       examined no further and fails every half;
-    2. point degrees, one ``bincount``;
-    3. invariance under phi and tau, until the first failing row of each;
-    4. the gather of the (representative, block) incidences, from a
-       position table.
-
-    Then the cover: for each representative P, in chunks whose count
-    array has ``PAIR_CHUNK`` entries, the blocks through P are read again
-    and every other point must lie in exactly one of them.
-
-    ``point_pairs_ok`` holds when step 3 and the cover pass.  So a
-    structure that is not G-invariant row by row fails it with an
-    invariance witness, plane or not.  ``checked_pairs`` is n(n - 1), the
-    ordered pairs a pass covers (through invariance, not one by one);
-    ``representatives`` is the number of points whose pairs are counted.
+    ``point_pairs_ok`` holds when (3) and the cover pass, so a structure
+    that is not G-invariant fails it, plane or not.  ``checked_pairs`` is
+    the n(n - 1) ordered pairs the verdict covers through invariance, and
+    ``representatives`` the number of points whose pairs are counted.
     Witnesses name the shape or range fault, or the first failing row per
-    generator and then the first failing (representative, point) pairs,
-    at most ``max_witnesses`` in all.
+    generator and then failing (representative, point) pairs, at most
+    ``max_witnesses`` in all.
     """
     plane = structure.plane
     n, k = structure.size, plane.ctx.q3 + 1
@@ -270,13 +244,12 @@ def check_axioms(structure: IncidencePlane,
         return rejected(witnesses=[f"block array has shape {structure.shape}, not {(n, k)}"])
 
     tables = plane.tables
-    generators = {"phi": (tables.phi, tables.phi), "tau": (tables.tau, tables.tau_line)}
+    generators = {"tau": (tables.tau, tables.tau_line),
+                  "dickson": (tables.dickson, tables.dickson_line)}
     moved = dict.fromkeys(generators)   # generator -> first failing row
-    reps = orbit_representatives(plane)
-    pos = np.full(n, -1, dtype=np.int32)
-    pos[reps] = np.arange(len(reps), dtype=np.int32)
+    reps = orbit_minima([g for g, _ in generators.values()])
     degree = np.zeros(n, dtype=np.int64)
-    owner, through = [], []           # (representative position, row) pairs
+    through = [[] for _ in reps]        # per representative, the blocks through it
     for L in row_chunks(structure):
         rows = structure.rows(L)
         if rows.min() < 0 or rows.max() >= n:
@@ -286,11 +259,9 @@ def check_axioms(structure: IncidencePlane,
         degree += np.bincount(rows.ravel(), minlength=n)
         for name, (g, g_line) in generators.items():
             if moved[name] is None:
-                moved[name] = _moved(structure, L, rows, g, g_line)
-        hit = np.take(pos, rows)
-        r, c = np.nonzero(hit >= 0)
-        owner.append(hit[r, c])
-        through.append(L[r])
+                moved[name] = moved_row(structure, L, rows, g, g_line)
+        for blocks, P in zip(through, reps):
+            blocks.append(L[(rows == P).any(axis=1)])
     point_degree_ok = bool(np.all(degree == k))
     witnesses = [f"the {name} image of block {format_line(plane.point(L))} "
                  f"is not block {format_line(plane.point(generators[name][1][L]))}"
@@ -298,24 +269,17 @@ def check_axioms(structure: IncidencePlane,
     point_pairs_ok = not witnesses
 
     # the cover at the least point of each G-orbit
-    order = np.argsort(np.concatenate(owner), kind="stable")
-    owner, through = np.concatenate(owner)[order], np.concatenate(through)[order]
-    start = np.searchsorted(owner, np.arange(len(reps) + 1))
-    per = max(1, PAIR_CHUNK // n)
-    for lo in range(0, len(reps), per):
+    for P, blocks in zip(reps, through):
         if not point_pairs_ok and len(witnesses) >= max_witnesses:
             break   # the verdict and the witnesses are settled
-        hi = min(lo + per, len(reps))
-        a, b = start[lo], start[hi]
-        cells = (owner[a:b, None] - lo).astype(np.int64) * n + structure.rows(through[a:b])
-        count = np.bincount(cells.ravel(), minlength=(hi - lo) * n).reshape(hi - lo, n)
-        count[np.arange(hi - lo), reps[lo:hi]] = 1   # P with itself
-        bad = count != 1
-        if bad.any():
+        count = np.bincount(structure.rows(np.concatenate(blocks)).ravel(), minlength=n)
+        count[P] = 1   # P with itself
+        bad = np.flatnonzero(count != 1)
+        if bad.size:
             point_pairs_ok = False
-            for i, j in np.argwhere(bad)[:max_witnesses - len(witnesses)]:
-                witnesses.append(f"point pair {format_point(plane.point(reps[lo + i]))} , "
-                                 f"{format_point(plane.point(j))} lies in {count[i, j]} blocks")
+            witnesses.extend(f"point pair {format_point(plane.point(P))} , "
+                             f"{format_point(plane.point(Q))} lies in {count[Q]} blocks"
+                             for Q in bad[:max_witnesses - len(witnesses)])
 
     return report(ok=point_degree_ok and point_pairs_ok, block_size_ok=True,
                   point_degree_ok=point_degree_ok, point_pairs_ok=point_pairs_ok,

@@ -537,7 +537,7 @@ def block_sizes(sess: Session) -> CheckEntry:
     # the Type II points of the line it replaces, has q^2 + q + 1 points,
     # and a block has no Type I point
     struct, types = sess.fig_structure, sess.plane.tables.types
-    fig = np.flatnonzero(np.array(struct.tags) == "fig")
+    fig = np.flatnonzero(types == TYPE_III)
     bad = []
     for L in chunks(fig, struct.shape[1]):
         rows = struct.rows(L)
@@ -561,27 +561,24 @@ def assembly(sess: Session) -> CheckEntry:
     lines by the point formula, so invariance is sort(phi[rows(L)]) ==
     rows(phi[L]); a k-set is a line exactly when it is the incidence row
     of the join of its first two points."""
-    struct = sess.fig_structure
-    plane = sess.plane
-    q, s = sess.ctx.q, sess.ctx.sub_order
-    count, tags = struct.shape[0], struct.tags
-    n_I, n_II, n_fig = (tags.count(t) for t in ("line_I", "line_II", "fig"))
-    tables = plane.tables
-    F, phi = tables.field, tables.phi
-    fig = np.array(tags) == "fig"
-    agree = fig_differ = True
+    struct, plane, tables = sess.fig_structure, sess.plane, sess.plane.tables
+    q, s, count = sess.ctx.q, sess.ctx.sub_order, struct.shape[0]
+    F, phi, fig = tables.field, tables.phi, tables.types == TYPE_III
+    n_I, n_II, n_fig = np.bincount(tables.types, minlength=4)[1:].tolist()
+    agree = fig_differ = invariant = True
     for L in fg.row_chunks(struct):
         rows, kept = struct.rows(L), ~fig[L]
         agree &= np.array_equal(rows[kept], tables.incidence_rows(L[kept]))
         new = rows[~kept & (rows[:, 0] != rows[:, 1])]
         joins = F.index(*F.canonical(*F.cross(F.coords(new[:, 0]), F.coords(new[:, 1]))))
         fig_differ &= not (tables.incidence_rows(joins) == new).all(axis=1).any()
+        invariant = invariant and fg.moved_row(struct, L, rows, phi, phi) is None
     checks = {
         "block_count": count == plane.size,
         "kept_line_counts": n_I == s and n_II == (q ** 3 - q) * s,
         "kept_lines_agree": agree,
         "blocks_differ_from_lines": fig_differ,
-        "collineation_invariant": fg.first_moved_row(struct, phi, phi) is None,
+        "collineation_invariant": invariant,
     }
     bad = [k for k, v in checks.items() if not v]
     return entry("fig.build",
@@ -616,7 +613,7 @@ def axioms_reference(sess: Session) -> CheckEntry:
 @check("figueroa", "axioms")
 def axioms_mutation(sess: Session) -> CheckEntry:
     struct = sess.fig_structure
-    i = struct.tags.index("fig")
+    i = int(np.argmax(sess.plane.tables.types == TYPE_III))
     rep = fg.check_axioms(fg.RowSwap(struct, i, sess.plane.tables.incidence_rows([i])[0]))
     return entry("fig.axioms-mutation",
                  "replacing one block by the line it displaced breaks the axioms with a witness",

@@ -218,8 +218,8 @@ def test_11_figueroa_axioms(plane3, plane4):
     assert rep4.ok
     assert q4_elapsed < 180.0, f"axioms at q=4 took {q4_elapsed:.1f}s"
 
-    mutated = IncidencePlane(plane3, fig3.blocks.copy(), list(fig3.tags))
-    i = fig3.tags.index("fig")
+    mutated = IncidencePlane(plane3, fig3.blocks.copy())
+    i = list(plane3.tables.types).index(TYPE_III)
     mutated.blocks[i] = sorted(plane3.points_on(plane3.lines[i]))
     bad = check_axioms(mutated)
     assert not bad.ok and bad.witnesses

@@ -1,20 +1,25 @@
-import math
 import re
 
 import numpy as np
 import pytest
 
-from figplane.collineation import TYPE_II, TYPE_III, collineate_point, point_type
+from figplane.collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES,
+                                   collineate_point, det3, point_type)
 from figplane.figueroa import (IncidencePlane, LineRows, RowSwap, arching_census,
                                build_fig_plane, characterize_fig_points,
                                check_axioms, even_structure_check, emit_plane,
-                               fig_block, orbit_representatives, pg_incidence,
+                               fig_block, orbit_minima, pg_incidence,
                                pr_fig_block, expected_pr_fig_block,
                                splash_involution_check)
 from figplane.linear_sets import sls_points, t_plane
 from figplane.maps import TypeRestrictionError
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
-                            format_line, join, points_on_line)
+                            canonical, format_line, join, points_on_line)
+
+
+def _first_fig_row(fig):
+    """The first row of ``fig`` that replaces a line: the first Type III line."""
+    return int(np.argmax(fig.plane.tables.types == TYPE_III))
 
 
 def test_block_anatomy_q3(ctx3):
@@ -56,9 +61,7 @@ def test_block_sizes_all_anchors_q3(plane3, types3):
 def test_build_counts(fig3, fig4):
     assert len(fig3.blocks) == 757
     assert all(len(b) == 28 for b in fig3.blocks)
-    assert fig3.tags.count("line_I") == 13
-    assert fig3.tags.count("line_II") == 312
-    assert fig3.tags.count("fig") == 432
+    assert np.bincount(fig3.plane.tables.types).tolist() == [0, 13, 312, 432]
     assert len(fig4.blocks) == 4161
     assert all(len(b) == 65 for b in fig4.blocks)
 
@@ -67,8 +70,8 @@ def test_build_agrees_with_pg_on_kept_lines(plane3, fig3):
     pg_rows = [tuple(b) for b in pg_incidence(plane3).rows(np.arange(plane3.size)).tolist()]
     fig_rows = [tuple(b) for b in fig3.blocks.tolist()]
     pg_set = set(pg_rows)
-    for i, tag in enumerate(fig3.tags):
-        if tag == "fig":
+    for i, t in enumerate(plane3.tables.types):
+        if t == TYPE_III:
             assert fig_rows[i] != pg_rows[i]
             assert fig_rows[i] not in pg_set
         else:
@@ -95,7 +98,7 @@ def test_block_arrays_are_read_only_int32(plane3, fig3):
 def test_fig_blocks_contain_triangles(plane3, fig3):
     # a block is no line: exhibit three non-collinear members
     ctx = plane3.ctx
-    i = fig3.tags.index("fig")
+    i = _first_fig_row(fig3)
     pts = [plane3.points[j] for j in fig3.blocks[i][:3]]
     l = join(ctx, pts[0], pts[1])
     from figplane.plane import incident
@@ -127,8 +130,8 @@ def test_axioms_pass(plane3, fig3, fig4):
 def _line_mutation(plane, fig):
     """FIG with its first replaced line put back: sizes fail nowhere, but
     point degrees and pairs do."""
-    mutated = IncidencePlane(plane, fig.blocks.copy(), list(fig.tags))
-    i = fig.tags.index("fig")
+    mutated = IncidencePlane(plane, fig.blocks.copy())
+    i = _first_fig_row(fig)
     mutated.blocks[i] = sorted(plane.points_on(plane.lines[i]))
     return mutated
 
@@ -136,7 +139,7 @@ def _line_mutation(plane, fig):
 def _swapped(fig, swaps):
     """FIG with rows L1 and L2 trading y (of L1) and z (of L2), for each
     (L1, L2, y, z) in ``swaps``."""
-    mutated = IncidencePlane(fig.plane, fig.blocks.copy(), list(fig.tags))
+    mutated = IncidencePlane(fig.plane, fig.blocks.copy())
     for L1, L2, y, z in swaps:
         b1, b2 = set(fig.blocks[L1].tolist()), set(fig.blocks[L2].tolist())
         mutated.blocks[L1] = sorted(b1 - {y} | {z})
@@ -168,56 +171,45 @@ def _orbit(start, generators):
     return sorted(seen)
 
 
-def _orbit_mutation(fig):
-    """FIG with one whole <phi, tau>-orbit of 3(q^2+q+1) fig rows put back
-    to the lines they displaced: still invariant, so only the cover at the
-    representatives can see it."""
-    tables = fig.plane.tables
-    gens = [(tables.phi,), (tables.tau_line,)]
-    size = 3 * fig.plane.ctx.sub_order
-    orbit = next(o for o in (_orbit((L,), gens) for L in range(fig.size)
-                             if fig.tags[L] == "fig") if len(o) == size)
-    rows = [L for (L,) in orbit]
-    mutated = IncidencePlane(fig.plane, fig.blocks.copy(), list(fig.tags))
-    mutated.blocks[rows] = tables.incidence_rows(rows)
+def _rotated(fig, part):
+    """FIG with each fig row L keeping one part of its block and taking the
+    other from the row of phi(L): the Type II part for ``part`` "E", the
+    Type III part for "F".  phi commutes with tau and d, so the structure
+    stays invariant under both, with its block sizes and point degrees:
+    only the cover can see it."""
+    types, phi = fig.plane.tables.types, fig.plane.tables.phi
+    L = np.flatnonzero(types == TYPE_III)
+    taken = {"E": TYPE_II, "F": TYPE_III}[part]
+    own, image = fig.blocks[L], fig.blocks[phi[L]]
+    parts = (own[types[own] != taken], image[types[image] == taken])
+    mutated = IncidencePlane(fig.plane, fig.blocks.copy())
+    mutated.blocks[L] = np.sort(np.concatenate([p.reshape(len(L), -1) for p in parts],
+                                               axis=1), axis=1)
     return mutated
 
 
-def _equivariant_swap_mutation(fig):
-    """The swap of ``_swap_mutation`` made on two fig rows with free
-    <phi, tau>-orbits and carried along both orbits: rows g(b1) and g(b2)
-    trade g(y) and g(z) for every g.  Invariance and point degrees hold."""
-    tables = fig.plane.tables
-    size = 3 * fig.plane.ctx.sub_order
-    free = [o for o in sorted({tuple(_orbit((L,), [(tables.phi,), (tables.tau_line,)]))
-                               for L in range(fig.size) if fig.tags[L] == "fig"})
-            if len(o) == size]
-    (L1,), (L2,) = min(free[0]), min(free[1])
+def _carried_swap(fig, gens):
+    """The swap of ``_swap_mutation`` made on the least fig rows L1, L2 of
+    the first two largest orbits of the group generated by ``gens``, each a
+    (point table, line table) pair, and carried along it: rows g(L1) and
+    g(L2) trade g(y) and g(z) for every g.  The changed rows are distinct,
+    so the structure is invariant under ``gens`` and keeps its block sizes
+    and point degrees."""
+    rows = np.flatnonzero(fig.plane.tables.types == TYPE_III).tolist()
+    orbits = sorted({tuple(_orbit((L,), [(gl,) for _, gl in gens])) for L in rows},
+                    key=lambda o: (-len(o), o))
+    (L1,), (L2,) = orbits[0][0], orbits[1][0]
     b1, b2 = set(fig.blocks[L1].tolist()), set(fig.blocks[L2].tolist())
     y, z = max(b1 - b2), max(b2 - b1)
-    gens = [(tables.phi,) * 4, (tables.tau_line, tables.tau_line, tables.tau, tables.tau)]
-    orbit = _orbit((L1, L2, y, z), gens)
-    assert len({t[0] for t in orbit} | {t[1] for t in orbit}) == 2 * size   # free, disjoint
+    orbit = _orbit((L1, L2, y, z), [(gl, gl, g, g) for g, gl in gens])
+    assert len({t[0] for t in orbit} | {t[1] for t in orbit}) == 2 * len(orbit)
     return _swapped(fig, orbit)
 
 
-def _phi_swap_mutation(fig):
-    """The swap of ``_swap_mutation`` carried along a phi-orbit only.  The
-    two blocks pass through the representative 0, and they and y, z are
-    chosen so that no changed row holds another representative:
-    phi-invariance and the cover at the representatives hold, and only
-    tau-invariance sees it."""
-    B, phi = fig.blocks, fig.plane.tables.phi
-    rep = np.zeros(fig.size, dtype=bool)
-    rep[orbit_representatives(fig.plane)] = True
-    images = lambda t: [t, tuple(phi[list(t)].tolist()), tuple(phi[phi[list(t)]].tolist())]
-    L1, L2 = [L for L in np.flatnonzero((B == 0).any(axis=1)).tolist()
-              if all(np.count_nonzero(rep[B[gL]]) == rep[gx]
-                     for gL, gx in images((L, 0)))][:2]
-    b1, b2 = set(B[L1].tolist()), set(B[L2].tolist())
-    y, z = (max(v for v in part if not rep[list(images((v,)))].any())
-            for part in (b1 - b2, b2 - b1))
-    return _swapped(fig, images((L1, L2, y, z)))
+def _generators(plane):
+    """The axiom checker's generators: name -> (point table, line table)."""
+    t = plane.tables
+    return {"tau": (t.tau, t.tau_line), "dickson": (t.dickson, t.dickson_line)}
 
 
 def _brute_force_axioms(structure):
@@ -246,7 +238,7 @@ def _brute_force_axioms(structure):
 
 
 PAIR_WITNESS = re.compile(r"point pair (\S+) , (\S+) lies in (\d+) blocks")
-ROW_WITNESS = re.compile(r"the (phi|tau) image of block \[(\S+)\] is not block \[(\S+)\]")
+ROW_WITNESS = re.compile(r"the (tau|dickson) image of block \[(\S+)\] is not block \[(\S+)\]")
 
 
 def _witness_kind(plane, witness, bad, rows):
@@ -272,15 +264,15 @@ def test_axioms_swap_mutation_caught_by_pairs_only(fig3):
     rep = check_axioms(_swap_mutation(fig3))
     assert rep.block_size_ok and rep.point_degree_ok
     assert not rep.point_pairs_ok and not rep.ok
-    assert rep.witnesses[0].startswith("the phi image of block")
+    assert ROW_WITNESS.fullmatch(rep.witnesses[0])
 
 
 def test_axioms_reject_a_wrong_block_shape(fig3):
     """A block array with a row or a column too few fails the size check."""
-    short = IncidencePlane(fig3.plane, fig3.blocks[:-1], fig3.tags[:-1])
+    short = IncidencePlane(fig3.plane, fig3.blocks[:-1])
     rep = check_axioms(short)
     assert not rep.ok and not rep.block_size_ok and not rep.point_degree_ok
-    narrow = IncidencePlane(fig3.plane, fig3.blocks[:, :-1], fig3.tags)
+    narrow = IncidencePlane(fig3.plane, fig3.blocks[:, :-1])
     rep = check_axioms(narrow)
     assert not rep.ok and not rep.block_size_ok and not rep.point_degree_ok
     assert rep.witnesses == ["block array has shape (757, 27), not (757, 28)"]
@@ -292,7 +284,7 @@ def test_axioms_range_guard(fig3, value):
     would otherwise be read as the last point."""
     blocks = fig3.blocks.copy()
     blocks[5, 3] = value
-    rep = check_axioms(IncidencePlane(fig3.plane, blocks, list(fig3.tags)))
+    rep = check_axioms(IncidencePlane(fig3.plane, blocks))
     assert not rep.ok and not rep.block_size_ok
     assert not rep.point_degree_ok and not rep.point_pairs_ok
     assert rep.witnesses == [f"block {format_line(fig3.plane.point(5))} holds {value}, "
@@ -319,9 +311,11 @@ def test_axioms_match_brute_force(plane3, fig3):
     from figplane.plane import ProjectivePlane
     pg8 = pg_incidence(ProjectivePlane(build_field_tower(2, 1)))
     assert pg8.size == 73
+    gens = _generators(plane3)
     for structure in (pg8, fig3, _line_mutation(plane3, fig3), _swap_mutation(fig3),
-                      _orbit_mutation(fig3), _equivariant_swap_mutation(fig3),
-                      _phi_swap_mutation(fig3)):
+                      _rotated(fig3, "E"), _rotated(fig3, "F"),
+                      _carried_swap(fig3, [gens["tau"]]),
+                      _carried_swap(fig3, [gens["dickson"]])):
         _assert_matches_brute_force(structure)
 
 
@@ -330,7 +324,7 @@ def test_axioms_match_brute_force_on_each_row_source(q, fig3, fig4):
     """The three kinds of row source: PG's closed-form rows, the FIG array,
     and the FIG with one row swapped back for its line."""
     fig = {3: fig3, 4: fig4}[q]
-    i = fig.tags.index("fig")
+    i = _first_fig_row(fig)
     swapped = RowSwap(fig, i, fig.plane.tables.incidence_rows([i])[0])
     verdicts = [_assert_matches_brute_force(s).ok
                 for s in (pg_incidence(fig.plane), fig, swapped)]
@@ -348,8 +342,8 @@ def _traded(structure, L1, L2):
 
 def test_row_pass_fails_each_half_with_a_witness(plane3):
     """One pass over closed-form rows: an entry out of range, a wrong
-    degree and a row that phi does not carry to a row each fail their
-    half, with a witness."""
+    degree and a row that a generator does not carry to a row each fail
+    their half, with a witness."""
     pg, n = pg_incidence(plane3), plane3.size
     row = pg.rows([5])[0].copy()
     row[3] = n
@@ -361,7 +355,7 @@ def test_row_pass_fails_each_half_with_a_witness(plane3):
     assert rep.block_size_ok and not rep.point_degree_ok and not rep.ok and rep.witnesses
     rep = _assert_matches_brute_force(_traded(pg, 0, 1))
     assert rep.block_size_ok and rep.point_degree_ok and not rep.point_pairs_ok
-    assert rep.witnesses[0].startswith("the phi image of block [1:0:0]")
+    assert rep.witnesses[0].startswith("the tau image of block [1:0:0]")
 
 
 def test_invariance_witness_in_a_later_chunk(plane4):
@@ -371,7 +365,7 @@ def test_invariance_witness_in_a_later_chunk(plane4):
     from figplane.figueroa import PAIR_CHUNK
     pg, n, tables = pg_incidence(plane4), plane4.size, plane4.tables
     step = PAIR_CHUNK // 65
-    gens = {"phi": (tables.phi, tables.phi), "tau": (tables.tau, tables.tau_line)}
+    gens = _generators(plane4)
     B = pg.rows(np.arange(n))
     for L1 in range(2 * step, n - 1):
         traded = _traded(pg, L1, L1 + 1)
@@ -390,8 +384,8 @@ def test_invariance_witness_in_a_later_chunk(plane4):
 
 def test_axioms_make_each_row_once_per_role(plane3):
     """A closed-form source is read in one pass: each row once as itself
-    and once as the phi and the tau image of another, and then the k
-    blocks through each representative for the cover."""
+    and once as the tau and the d image of another, and then the k blocks
+    through each of the three representatives for the cover."""
     class Counted(LineRows):
         made = 0
 
@@ -399,22 +393,22 @@ def test_axioms_make_each_row_once_per_role(plane3):
             self.made += len(L)
             return super().rows(L)
 
-    pg = Counted(plane3, [])
+    pg = Counted(plane3)
     rep = check_axioms(pg)
-    assert rep.ok and rep.representatives == 21
-    assert pg.made == 3 * plane3.size + 21 * 28
+    assert rep.ok and rep.representatives == 3
+    assert pg.made == 3 * plane3.size + 3 * 28
 
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_axioms_orbit_mutation_fails_the_cover(q, fig3, fig4):
-    """Lines put back on a whole <phi, tau>-orbit of fig rows keep the
-    structure invariant, so the cover half, not the invariance half,
-    catches it; each pair witness holds its stated count."""
+    """Type III parts moved along whole phi-orbits of fig rows keep the
+    structure invariant under tau and d, so the cover half, not the
+    invariance half, catches it; each pair witness holds its stated count."""
     fig = {3: fig3, 4: fig4}[q]
-    mutated = _orbit_mutation(fig)
+    mutated = _rotated(fig, "F")
     rep = check_axioms(mutated)
-    assert rep.block_size_ok and not rep.point_pairs_ok and not rep.ok
-    assert rep.witnesses
+    assert rep.block_size_ok and rep.point_degree_ok and not rep.point_pairs_ok
+    assert rep.witnesses and not rep.ok
     for w in rep.witnesses:
         m = PAIR_WITNESS.fullmatch(w)
         assert m, w
@@ -424,36 +418,94 @@ def test_axioms_orbit_mutation_fails_the_cover(q, fig3, fig4):
 
 
 def test_axioms_equivariant_swap_fails_only_the_pairs(fig3):
-    rep = check_axioms(_equivariant_swap_mutation(fig3))
+    """Type II parts moved along whole phi-orbits: the same, for the other part."""
+    rep = check_axioms(_rotated(fig3, "E"))
     assert rep.block_size_ok and rep.point_degree_ok
     assert not rep.point_pairs_ok and not rep.ok
     assert rep.witnesses and all(PAIR_WITNESS.fullmatch(w) for w in rep.witnesses)
 
 
-def test_axioms_phi_swap_needs_the_tau_half(fig3):
-    """Without the tau half, a phi-invariant structure whose faults avoid
-    every representative would pass."""
-    rep = check_axioms(_phi_swap_mutation(fig3))
+@pytest.mark.parametrize("missing, kept", [("tau", "dickson"), ("dickson", "tau")],
+                         ids=["tau", "dickson"])
+def test_axioms_each_generator_half_is_needed(fig3, missing, kept):
+    """A swap carried along the orbits of one generator keeps the structure
+    invariant under it alone: the other generator's half names the first
+    row it moves, and the kept generator's half names none."""
+    gens = _generators(fig3.plane)
+    rep = check_axioms(_carried_swap(fig3, [gens[kept]]))
     assert rep.block_size_ok and rep.point_degree_ok and not rep.point_pairs_ok
-    assert len(rep.witnesses) == 1 and rep.witnesses[0].startswith("the tau image")
+    assert rep.witnesses[0].startswith(f"the {missing} image of block")
+    assert not any(w.startswith(f"the {kept} image") for w in rep.witnesses)
+
+
+def _dickson_oracle(ctx):
+    """Rows of D(1, a, b), the least (b, a) with a >= 2 and a nonzero
+    determinant, by scalar arithmetic."""
+    f = ctx.frob
+    for b in range(ctx.q3):
+        for a in range(2, ctx.q3):
+            m = ((1, a, b), (f(b, 1), 1, f(a, 1)), (f(a, 2), f(b, 2), 1))
+            if det3(ctx, m):
+                return m
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_dickson_tables_match_the_matrix_action(q):
+    """Every point P maps to the canonical form of the scalar product d P,
+    and the points of every line L onto the points of dickson_line[L].  At
+    q >= 3, d is D(1, w, 0) with w the least code >= 2 with 1 + N(w) != 0."""
+    from figplane.field import context_for_q
+    from figplane.plane import ProjectivePlane
+    ctx = context_for_q(q)
+    plane, m = ProjectivePlane(ctx), _dickson_oracle(ctx)
+    if q > 2:
+        w = next(w for w in range(2, ctx.q3) if ctx.add(1, ctx.norm(w)))
+        assert m[0] == (1, w, 0) and w == (3 if q == 3 else 2)
+    mul, add = ctx.mul, ctx.add
+    image = [plane.index(canonical(ctx, tuple(
+        add(add(mul(r[0], P[0]), mul(r[1], P[1])), mul(r[2], P[2])) for r in m)))
+        for P in map(plane.point, range(plane.size))]
+    tables = plane.tables
+    assert tables.dickson.tolist() == image
+    rows = tables.incidence_rows(np.arange(plane.size))
+    assert np.array_equal(np.sort(tables.dickson[rows], axis=1),
+                          tables.incidence_rows(tables.dickson_line))
+
+
+def _reach(start, generators):
+    """The points reached from ``start`` by the permutation tables, a
+    frontier at a time."""
+    seen = np.zeros(len(generators[0]), dtype=bool)
+    seen[start] = True
+    frontier = np.array([start])
+    while frontier.size:
+        step = np.concatenate([g[frontier] for g in generators])
+        frontier = np.unique(step[~seen[step]])
+        seen[frontier] = True
+    return seen
 
 
 @pytest.mark.parametrize("q", [3, 4, 5, 7])
 def test_representatives_follow_the_census(q):
-    """One representative for the three vertices, one per phi-orbit of
-    three stabilizer classes, and one per class phi fixes, of which there
-    are f = gcd(3, q - 1): 1 + (C - 3 - f)/3 + f for C classes."""
+    """d commutes with phi and keeps types, and <tau, d> has three point
+    orbits, reached from the three representatives, which are the three
+    point types with the census counts."""
     from figplane.field import context_for_q
-    from figplane.plane import ProjectivePlane
     from figplane.suites import Session, census_checks
     sess = Session(context_for_q(q))
-    (cats,) = [e for e in census_checks(sess) if e.id == "census.categories"]
-    C, f = cats.counts["total_orbits"], math.gcd(3, q - 1)
-    want = 1 + (C - 3 - f) // 3 + f
-    assert want == {3: 21, 4: 69, 5: 171, 7: 693}[q]
-    assert len(orbit_representatives(sess.plane)) == want
+    tables = sess.plane.tables
+    d, types = tables.dickson, tables.types
+    assert np.array_equal(d[tables.phi], tables.phi[d])
+    assert np.array_equal(types[d], types)
+    reps = orbit_minima([tables.tau, d])
+    assert len(reps) == 3
+    (tally,) = [e for e in census_checks(sess) if e.id == "census.point-types"]
+    for P in reps:
+        orbit = _reach(P, [tables.tau, d])
+        assert np.array_equal(orbit, types == types[P])
+        assert np.count_nonzero(orbit) == tally.counts[TYPE_NAMES[types[P]]]
     if q <= 5:
-        assert check_axioms(pg_incidence(sess.plane)).representatives == want
+        assert check_axioms(pg_incidence(sess.plane)).representatives == 3
 
 
 def _build_failures(fig, blocks):
@@ -462,7 +514,7 @@ def _build_failures(fig, blocks):
     from figplane.suites import Session, figueroa_checks
     sess = Session(fig.plane.ctx)
     sess.plane = fig.plane
-    sess.fig_structure = IncidencePlane(fig.plane, blocks, list(fig.tags))
+    sess.fig_structure = IncidencePlane(fig.plane, blocks)
     (build,) = [e for e in figueroa_checks(sess, "build") if e.id == "fig.build"]
     assert build.passed == (build.witnesses == [])
     return build.witnesses
@@ -475,13 +527,13 @@ def test_build_check_names_each_failing_subcheck(plane3, fig3):
     assert _build_failures(fig3, fig3.blocks) == []
     # a whole collineation orbit of blocks put back to the lines they
     # displaced: still invariant, but some blocks are lines now
-    i = fig3.tags.index("fig")
+    i = _first_fig_row(fig3)
     blocks = fig3.blocks.copy()
     for j in {i, phi[i], phi[phi[i]]}:
         blocks[j] = inc[j]
     assert _build_failures(fig3, blocks) == ["blocks_differ_from_lines"]
     # one Type I line replaced by another: both are fixed by the collineation
-    l1, l2 = [j for j, t in enumerate(fig3.tags) if t == "line_I"][:2]
+    l1, l2 = np.flatnonzero(plane3.tables.types == TYPE_I)[:2]
     assert phi[l1] == l1 and phi[l2] == l2
     blocks = fig3.blocks.copy()
     blocks[l1] = inc[l2]

@@ -162,15 +162,16 @@ def test_block_sizes_report_a_repeated_point(fig3):
     sess = Session(fig3.plane.ctx)
     sess.plane = fig3.plane
     assert block_sizes(sess).passed
-    i = fig3.tags.index("fig")
+    types = fig3.plane.tables.types
+    i = list(types).index(TYPE_III)
     blocks = fig3.blocks.copy()
     blocks[i, 1] = blocks[i, 0]
-    sess.fig_structure = IncidencePlane(fig3.plane, blocks, list(fig3.tags))
+    sess.fig_structure = IncidencePlane(fig3.plane, blocks)
     e = block_sizes(sess)
     assert not e.passed
     anchor = fig3.plane.points[fig3.plane.tables.mu[i]]
     assert e.witnesses == [format_point(anchor)]
-    assert e.counts == {"anchors": fig3.tags.count("fig"), "mode": "exhaustive"}
+    assert e.counts == {"anchors": 432, "mode": "exhaustive"}
 
 
 @pytest.mark.parametrize("out_type, in_type", [(TYPE_II, TYPE_III), (TYPE_III, TYPE_I)],
@@ -182,13 +183,13 @@ def test_block_sizes_count_the_point_types(fig3, out_type, in_type):
     types = plane.tables.types
     sess = Session(plane.ctx)
     sess.plane = plane
-    i = fig3.tags.index("fig")
+    i = list(types).index(TYPE_III)
     row = set(fig3.blocks[i].tolist())
     out = next(P for P in sorted(row) if types[P] == out_type)
     into = next(P for P in range(plane.size) if types[P] == in_type and P not in row)
     blocks = fig3.blocks.copy()
     blocks[i] = sorted(row - {out} | {into})
-    sess.fig_structure = IncidencePlane(plane, blocks, list(fig3.tags))
+    sess.fig_structure = IncidencePlane(plane, blocks)
     e = block_sizes(sess)
     assert not e.passed
     assert e.witnesses == [format_point(plane.points[plane.tables.mu[i]])]
@@ -288,3 +289,24 @@ def test_figueroa_run_holds_one_block_array(monkeypatch, capsys):
     assert "incidence" not in tables and "phi" in tables
     assert all(v.ndim == 1 for v in tables.values() if isinstance(v, np.ndarray))
     assert sess.fig_structure.blocks.shape == (sess.plane.size, 126)
+
+
+def test_census_and_maps_build_no_dickson_table(monkeypatch, capsys):
+    """Only the axiom checker reads the Dickson tables: a census and maps
+    run leaves them unbuilt."""
+    import figplane.cli as cli
+    sessions = []
+
+    class Recorded(Session):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            sessions.append(self)
+
+    monkeypatch.setattr(cli, "Session", Recorded)
+    for suite in ("census", "maps"):
+        assert main(["verify", "--q", "4", "--suite", suite]) == 0
+    capsys.readouterr()
+    for sess in sessions:
+        tables = vars(sess.plane.tables)
+        assert "tau" in tables
+        assert not {"dickson", "dickson_line", "_dickson_rows"} & set(tables)
