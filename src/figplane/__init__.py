@@ -11,12 +11,22 @@ assembles and verifies the Figueroa plane FIG(q^3).
 # and report headers carry it as figplane.report.TOOL_VERSION.
 __version__ = "0.1.0"
 
+import os
+import sys
+
+# figplane makes no BLAS call: every table is an integer gather, and
+# tests/test_blas.py fails on any use.  So, unless the caller chose otherwise
+# or numpy is already loaded, numpy's OpenBLAS starts with one thread and no
+# idle worker pool to spin up.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .field import FieldContext, FieldError, build_field_tower, context_for_q
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                     ProjectivePlane, canonical, format_line, format_point,
                     incident, join, meet, parse_triple)
 from .collineation import (TYPE_I, TYPE_II, TYPE_III, Census, OrbitClass,
-                           apply_stabilizer, census_of, collineate_line,
+                           OrbitClasses, apply_stabilizer, census_of, collineate_line,
                            collineate_point, line_type, norm_det_identity,
                            partition_orbits, point_type, stabilizer_orbit)
 from .linear_sets import (SlsId, SubplaneSet, fixed_subplane, pencil_lines,

@@ -237,12 +237,25 @@ def line_types_table(plane: ProjectivePlane) -> np.ndarray:
     return plane.tables.types
 
 
-def partition_orbits(plane: ProjectivePlane) -> list[OrbitClass]:
+class OrbitClasses(list):
+    """The orbit classes in representative order, and ``members``: one
+    read-only (m, q^2+q+1) int32 matrix whose row j is the ``members``
+    slice of ``rows[j]``, the j-th class that is not a vertex."""
+
+    def __init__(self, classes: list[OrbitClass], members: np.ndarray):
+        super().__init__(classes)
+        self.members = members
+        self.rows = [cl for cl in classes if cl.category != "vertex"]
+
+
+def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
     """Partition all points into stabilizer orbits, classified and counted.
 
     A class is the set of points sharing one entry of the orbit table, their
     least index, whose point is the representative; classes come in
-    representative order, so output is deterministic.
+    representative order, so output is deterministic.  The members of every
+    class are slices of one array that holds the singleton classes last, so
+    the others read as one member matrix.
     """
     ctx, tables = plane.ctx, plane.tables
     types, orbit = tables.types, tables.orbit
@@ -253,22 +266,29 @@ def partition_orbits(plane: ProjectivePlane) -> list[OrbitClass]:
             f"orbit of {plane.point(orbit[i])} mixes point types "
             f"{sorted({int(types[orbit[i]]), int(types[i])})}")
     reps = np.flatnonzero(orbit == np.arange(plane.size))
-    order = np.argsort(orbit, kind="stable").astype(np.int32)
+    sizes = np.bincount(orbit)[reps]
+    key = orbit.copy()                                    # singleton classes last
+    key[reps[sizes == 1]] += plane.size
+    order = np.argsort(key, kind="stable").astype(np.int32)
+    del key             # held through the class loop, it raises a maps run's peak RSS
     order.setflags(write=False)
-    ends = np.cumsum(np.bincount(orbit)[reps]).tolist()
+    slot = np.argsort(sizes == 1, kind="stable")          # classes as order holds them
+    starts = np.empty_like(sizes)
+    starts[slot] = np.cumsum(sizes[slot]) - sizes[slot]
     ptypes, ltypes = types[reps].tolist(), types[tables.sec[reps]].tolist()  # ltype: planes only
     classes: list[OrbitClass] = []
-    for r, lo, hi, ptype, ltype in zip(reps.tolist(), [0] + ends, ends, ptypes, ltypes):
-        P, members = plane.point(r), order[lo:hi]
-        if len(members) == 1:
+    for r, lo, size, ptype, ltype in zip(reps.tolist(), starts.tolist(), sizes.tolist(),
+                                         ptypes, ltypes):
+        P, members = plane.point(r), order[lo:lo + size]
+        if size == 1:
             if P not in (ANCHOR, ANCHOR_1, ANCHOR_2):
                 raise OrbitInconsistency(f"unexpected singleton orbit at {P}")
             side = (ANCHOR, ANCHOR_1, ANCHOR_2).index(P)
             classes.append(OrbitClass(P, members, "vertex", ptype, None, side, None))
             continue
-        if len(members) != ctx.sub_order:
+        if size != ctx.sub_order:
             raise OrbitInconsistency(
-                f"orbit of {P} has size {len(members)}, not {ctx.sub_order}")
+                f"orbit of {P} has size {size}, not {ctx.sub_order}")
         if 0 in P:   # on a triangle side: the vertices were handled above
             category = "sls_II" if ptype == TYPE_II else "sls_III"
             sid = sls_id_of_point(ctx, P)
@@ -283,7 +303,8 @@ def partition_orbits(plane: ProjectivePlane) -> list[OrbitClass]:
             raise OrbitInconsistency(
                 f"plane orbit of {P} has point type {ptype}, line type {ltype}")
         classes.append(OrbitClass(P, members, category, ptype, ltype, None, None))
-    return classes
+    full = int(np.count_nonzero(sizes > 1))
+    return OrbitClasses(classes, order[:full * ctx.sub_order].reshape(full, ctx.sub_order))
 
 
 def census_of(plane: ProjectivePlane,

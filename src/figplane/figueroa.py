@@ -28,7 +28,7 @@ overrides one row of another source, so a mutation copies nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -55,8 +55,10 @@ class FigBlock:
         return self.e_points | self.f_points
 
 
+@cache
 def fig_block(ctx: FieldContext, anchor: Triple) -> FigBlock:
-    """Construct the block of a Type III anchor point."""
+    """Construct the block of a Type III anchor point, once per field
+    context and anchor: the result is immutable."""
     if point_type(ctx, anchor) != TYPE_III:
         raise TypeRestrictionError(f"anchor {anchor} is not Type III")
     m = conjugate_join(ctx, anchor)

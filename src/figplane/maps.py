@@ -27,7 +27,7 @@ from .arrays import CLUB, OTHER
 from .field import FieldContext
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane, Triple,
                     GeometryError, canonical, join, meet)
-from .collineation import (TYPE_III, OrbitClass, OrbitInconsistency,
+from .collineation import (TYPE_III, OrbitClass, OrbitClasses, OrbitInconsistency,
                            collineate_line, collineate_point, line_type,
                            point_type)
 from .linear_sets import SlsId, SubplaneSet
@@ -169,26 +169,27 @@ def phi_fixed_planes(plane: ProjectivePlane,
 
 
 def mu_fixed_planes(plane: ProjectivePlane,
-                    classes: list[OrbitClass]) -> list[OrbitClass]:
+                    classes: OrbitClasses) -> list[OrbitClass]:
     """Orbit subplanes whose point set maps onto their own line set under
-    the involution, by exhaustive scan over the all-Type-III classes.
+    the involution, by exhaustive scan over the all-Type-III classes, as
+    one pass over their rows of the member matrix.
 
     The stabilizer commutes with the collineation, so the line set of an
     orbit subplane is the set of secant lines of its points.
     """
     tables = plane.tables
-    mu, sec = tables.mu, tables.sec
-    out = []
-    for cl in classes:
-        if cl.category != "plane_III_III":
-            continue
-        lines = np.sort(sec[cl.members])
-        if np.array_equal(np.sort(mu[cl.members]), lines):
-            if not np.array_equal(np.sort(mu[lines]), cl.members):
-                raise OrbitInconsistency(
-                    f"involution fixes lines but not points at {cl.rep}")
-            out.append(cl)
-    return out
+    rows = np.flatnonzero([cl.category == "plane_III_III" for cl in classes.rows])
+    members = classes.members[rows]                 # each row sorted
+    lines, images = tables.sec[members], tables.mu[members]
+    lines.sort(axis=1)
+    images.sort(axis=1)
+    fixed = (images == lines).all(axis=1)
+    rows, members, lines = rows[fixed], members[fixed], lines[fixed]
+    back = (np.sort(tables.mu[lines], axis=1) == members).all(axis=1)
+    if not back.all():
+        cl = classes.rows[rows[np.argmin(back)]]
+        raise OrbitInconsistency(f"involution fixes lines but not points at {cl.rep}")
+    return [classes.rows[j] for j in rows]
 
 
 def expected_phi_fixed_reps(ctx: FieldContext) -> list[Triple]:

@@ -21,7 +21,7 @@ from . import linear_sets as ls
 from . import maps as gm
 from .arrays import chunks
 from .collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES,
-                           census_of, collineate_point, line_types_table,
+                           OrbitClasses, census_of, collineate_point, line_types_table,
                            partition_orbits, point_type, point_types_table,
                            expected_type_counts, tally_types)
 from .field import FieldContext
@@ -39,7 +39,7 @@ class Session:
         return ProjectivePlane(self.ctx)
 
     @cached_property
-    def classes(self):
+    def classes(self) -> OrbitClasses:
         return partition_orbits(self.plane)
 
     @cached_property
@@ -280,10 +280,9 @@ def generic_plane(sess: Session) -> CheckEntry:
         pts = np.array([sess.plane.index(P) for P in ls.t_plane(sess.ctx, th).points])
         for members in (pts, phi[pts], phi[phi[pts]]):
             side.update(owner[members].tolist())
-    generic = [cl for cl in sess.classes
-               if cl.category == "plane_III_III" and cl.members[0] not in side]
-    members = np.array([cl.members for cl in generic],
-                       dtype=np.int32).reshape(len(generic), sess.ctx.sub_order)
+    pick = [j for j, cl in enumerate(sess.classes.rows)
+            if cl.category == "plane_III_III" and cl.members[0] not in side]
+    generic, members = [sess.classes.rows[j] for j in pick], sess.classes.members[pick]
     point_ok = _one_class(mu[sec[members]], owner)
     line_ok = _one_class(mu[members], line_owner)
     bad = []

@@ -143,6 +143,19 @@ def test_partition_matches_scalar_walk(plane3, classes3, plane4, classes4):
         assert len({id(cl.members.base) for cl in classes}) == 1
 
 
+def test_member_matrix_rows_are_the_class_members(plane3, classes3, plane4, classes4):
+    for plane, classes in ((plane3, classes3), (plane4, classes4)):
+        rows = classes.rows
+        assert rows == [cl for cl in classes if cl.category != "vertex"]
+        M = classes.members
+        assert M.shape == (len(classes) - 3, plane.ctx.sub_order)
+        assert M.dtype == np.int32 and not M.flags.writeable
+        # row j is the members slice of rows[j], in the one array they share
+        assert all(np.shares_memory(M[j], cl.members) and np.array_equal(M[j], cl.members)
+                   for j, cl in enumerate(rows))
+        assert M.base is classes[0].members.base
+
+
 def test_partition_rejects_a_mixed_orbit(ctx3, classes3):
     # one member of a plane class flipped to another type
     plane = ProjectivePlane(ctx3)

@@ -51,6 +51,16 @@ def test_block_rejects_bad_anchor(ctx3):
         fig_block(ctx3, (1, 1, 1))
 
 
+def test_block_is_built_once_per_context_and_anchor(ctx3, ctx4):
+    fig_block.cache_clear()
+    b3, b4 = fig_block(ctx3, ANCHOR), fig_block(ctx4, ANCHOR)
+    assert fig_block(ctx3, ANCHOR) is b3 and fig_block(ctx4, ANCHOR) is b4
+    assert b3 is not b4 and len(b4.points) == 65
+    assert (fig_block.cache_info().hits, fig_block.cache_info().misses) == (2, 2)
+    with pytest.raises(AttributeError):
+        b3.line = AXIS                      # shared, so frozen
+
+
 def test_block_sizes_all_anchors_q3(plane3, types3):
     ctx = plane3.ctx
     for P, t in zip(plane3.points, types3):

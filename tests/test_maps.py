@@ -1,9 +1,14 @@
 import math
+import re
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from figplane.collineation import (TYPE_II, TYPE_III, collineate_line,
-                                   collineate_point, line_type, point_type)
+from figplane.collineation import (TYPE_II, TYPE_III, OrbitInconsistency,
+                                   collineate_line, collineate_point, line_type,
+                                   partition_orbits, point_type)
+from figplane.field import context_for_q
 from figplane.linear_sets import (conjugate_subplane, fixed_subplane,
                                   pencil_lines, plane_from_rep, sls_points,
                                   t_plane)
@@ -14,7 +19,7 @@ from figplane.maps import (TypeRestrictionError,
                            phi_fixed_planes, pr_set, project_from_anchor,
                            project_from_vertex, sp_set, splash, vertex_census)
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
-                            canonical, join)
+                            ProjectivePlane, canonical, join)
 
 
 def test_involution_frame(ctx3):
@@ -245,6 +250,48 @@ def test_fixed_planes(plane3, classes3, plane4, classes4):
         assert {frozenset(cl.members) for cl in phif} == want
         for cl in phif:
             assert cl.category in ("plane_I_I", "plane_III_III")
+
+
+def _mu_fixed_by_class(plane, classes):
+    """The per-class scan that the one array pass of ``mu_fixed_planes``
+    replaced, kept as its oracle."""
+    mu, sec = plane.tables.mu, plane.tables.sec
+    out = []
+    for cl in classes:
+        if cl.category != "plane_III_III":
+            continue
+        lines = np.sort(sec[cl.members])
+        if np.array_equal(np.sort(mu[cl.members]), lines):
+            if not np.array_equal(np.sort(mu[lines]), cl.members):
+                raise OrbitInconsistency(
+                    f"involution fixes lines but not points at {cl.rep}")
+            out.append(cl)
+    return out
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_mu_fixed_planes_match_the_class_loop(q):
+    plane = ProjectivePlane(context_for_q(q))
+    classes = partition_orbits(plane)
+    got, want = mu_fixed_planes(plane, classes), _mu_fixed_by_class(plane, classes)
+    assert len(got) == len(want) == (2 if (q - 1) % 3 == 0 else 0)
+    assert all(a is b for a, b in zip(got, want))
+
+
+def test_mu_fixed_planes_guard_names_a_one_way_class(plane4, classes4):
+    # a stand-in mu sends the points of one non-fixed class onto its own
+    # secant lines, while those lines still map elsewhere
+    tables = plane4.tables
+    fixed = mu_fixed_planes(plane4, classes4)
+    cl = [c for c in classes4.rows
+          if c.category == "plane_III_III" and c not in fixed][-1]
+    mu = tables.mu.copy()
+    mu[cl.members] = tables.sec[cl.members]
+    stand_in = SimpleNamespace(tables=SimpleNamespace(mu=mu, sec=tables.sec))
+    message = f"involution fixes lines but not points at {cl.rep}"
+    for scan in (mu_fixed_planes, _mu_fixed_by_class):
+        with pytest.raises(OrbitInconsistency, match=re.escape(message)):
+            scan(stand_in, classes4)
 
 
 def test_involution_check_reports_a_corrupted_table(ctx3):
