@@ -24,18 +24,18 @@ if "numpy" not in sys.modules:
 from .field import FieldContext, FieldError, build_field_tower, context_for_q
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                     ProjectivePlane, canonical, format_line, format_point,
-                    incident, join, meet, parse_triple)
+                    incident, join, meet)
 from .collineation import (TYPE_I, TYPE_II, TYPE_III, Census, OrbitClass,
-                           OrbitClasses, apply_stabilizer, census_of, collineate_line,
-                           collineate_point, line_type, norm_det_identity,
-                           partition_orbits, point_type, stabilizer_orbit)
-from .linear_sets import (SlsId, SubplaneSet, fixed_subplane, pencil_lines,
+                           OrbitClasses, SlsId, apply_stabilizer, census_of,
+                           collineate_line, collineate_point, line_type,
+                           norm_det_identity, partition_orbits, point_type,
+                           stabilizer_orbit)
+from .linear_sets import (SubplaneSet, fixed_subplane, pencil_lines,
                           pencil_type, plane_from_rep, sls_points, t_plane)
 from .maps import (LinearSetImage, TypeRestrictionError, conjugate_join,
                    conjugate_meet, mu_fixed_planes, phi_fixed_planes, pr_set,
-                   project_from_anchor, project_from_vertex,
-                   projection_vertices, sp_set, splash, vertex_census)
+                   project_from_anchor, project_from_vertex, sp_set, splash,
+                   vertex_census)
 from .figueroa import (FigBlock, IncidencePlane, LineRows, RowSwap,
                        arching_census, build_fig_plane, characterize_fig_points,
-                       check_axioms, even_structure_check, fig_block,
-                       pg_incidence, pr_fig_block, splash_involution_check)
+                       check_axioms, fig_block, pg_incidence, pr_fig_block)

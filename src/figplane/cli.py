@@ -26,7 +26,7 @@ import sys
 from . import figueroa as fg
 from . import linear_sets as ls
 from .arrays import KernelError
-from .collineation import CATEGORIES
+from .collineation import CATEGORIES, CATEGORY_TYPES, TYPE_NAMES
 from .field import FieldError, context_for_q
 from .plane import GeometryError, format_point
 from .report import Report, TOOL_NAME, TOOL_VERSION
@@ -34,17 +34,6 @@ from .suites import (Session, census_checks, check_groups, figueroa_checks,
                      maps_checks)
 
 USAGE_ERROR = 2
-
-CATEGORY_TYPES = {
-    "vertex": ("III", ""),
-    "sls_II": ("II", ""),
-    "sls_III": ("III", ""),
-    "plane_I_I": ("I", "I"),
-    "plane_II_III": ("II", "III"),
-    "plane_III_II": ("III", "II"),
-    "plane_III_III": ("III", "III"),
-}
-
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--q", type=int, required=True,
@@ -116,6 +105,8 @@ def _require_writable(path: str | None):
     folder = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         problem = "it is a directory"
+    elif os.path.exists(path) and not os.access(path, os.W_OK):
+        problem = "it is not writable"
     elif not os.path.isdir(folder):
         problem = f"directory {folder} does not exist"
     elif not os.access(folder, os.W_OK):
@@ -184,10 +175,10 @@ def _census_csv(sess: Session) -> str:
     cen = sess.census
     size = sess.ctx.sub_order
     lines = ["category,count,orbit_size,point_type,line_type"]
-    for cat in CATEGORIES:
-        pt, lt = CATEGORY_TYPES[cat]
+    for cat, (pt, lt) in CATEGORY_TYPES.items():
         orbit_size = 1 if cat == "vertex" else size
-        lines.append(f"{cat},{cen.orbit_counts[cat]},{orbit_size},{pt},{lt}")
+        lines.append(f"{cat},{cen.orbit_counts[cat]},{orbit_size},"
+                     f"{TYPE_NAMES[pt]},{TYPE_NAMES.get(lt, '')}")
     return "\n".join(lines) + "\n"
 
 

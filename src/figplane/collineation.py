@@ -32,9 +32,19 @@ TYPE_I, TYPE_II, TYPE_III = 1, 2, 3
 
 TYPE_NAMES = {TYPE_I: "I", TYPE_II: "II", TYPE_III: "III"}
 
-# The seven orbit categories, in fixed report order.
-CATEGORIES = ("vertex", "sls_II", "sls_III", "plane_I_I",
-              "plane_II_III", "plane_III_II", "plane_III_III")
+# The seven orbit categories, in fixed report order, each with its point
+# type and, for the subplane categories, the type of its secant lines.
+CATEGORY_TYPES = {
+    "vertex": (TYPE_III, None),
+    "sls_II": (TYPE_II, None),
+    "sls_III": (TYPE_III, None),
+    "plane_I_I": (TYPE_I, TYPE_I),
+    "plane_II_III": (TYPE_II, TYPE_III),
+    "plane_III_II": (TYPE_III, TYPE_II),
+    "plane_III_III": (TYPE_III, TYPE_III),
+}
+CATEGORIES = tuple(CATEGORY_TYPES)
+PLANE_CATEGORY = {types: cat for cat, types in CATEGORY_TYPES.items() if types[1]}
 
 
 def collineate_point(ctx: FieldContext, P: Triple, times: int = 1) -> Triple:
@@ -295,10 +305,7 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
             classes.append(OrbitClass(P, members, category,
                                       ptype, None, sid.side, sid.norm_class))
             continue
-        category = {(TYPE_I, TYPE_I): "plane_I_I",
-                    (TYPE_II, TYPE_III): "plane_II_III",
-                    (TYPE_III, TYPE_II): "plane_III_II",
-                    (TYPE_III, TYPE_III): "plane_III_III"}.get((ptype, ltype))
+        category = PLANE_CATEGORY.get((ptype, ltype))
         if category is None:
             raise OrbitInconsistency(
                 f"plane orbit of {P} has point type {ptype}, line type {ltype}")

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from itertools import product
 
+MAX_ELEMENTS = 2 ** 21   # the largest GF(q^3) whose tables are built
+
 
 class FieldError(ValueError):
     """Invalid field parameters or an undefined field operation."""
@@ -159,8 +161,8 @@ class FieldContext:
     docstring for the encoding).
     """
 
-    def __init__(self, p: int, k: int, max_elements: int = 2 ** 21):
-        _validate_params(p, k, max_elements)
+    def __init__(self, p: int, k: int):
+        _validate_params(p, k)
         m = 3 * k
         self.p = p
         self.k = k
@@ -319,25 +321,25 @@ class FieldContext:
         return f"FieldContext(p={self.p}, k={self.k}, q={self.q}, q3={self.q3})"
 
 
-def _validate_params(p: int, k: int, max_elements: int) -> None:
+def _validate_params(p: int, k: int) -> None:
     if not is_prime(p):
         raise FieldError(f"p = {p} is not prime")
     if k < 1:
         raise FieldError(f"k = {k} must be a positive integer")
-    if p ** (3 * k) > max_elements:
+    if p ** (3 * k) > MAX_ELEMENTS:
         raise FieldError(f"GF({p}^{3 * k}) has {p ** (3 * k)} elements, "
-                         f"over the table bound {max_elements}")
+                         f"over the table bound {MAX_ELEMENTS}")
 
 
 _CACHE: dict[tuple[int, int], FieldContext] = {}
 
 
-def build_field_tower(p: int, k: int, max_elements: int = 2 ** 21) -> FieldContext:
+def build_field_tower(p: int, k: int) -> FieldContext:
     """Deterministic construction of the GF(p) < GF(p^k) < GF(p^3k) tower."""
-    _validate_params(p, k, max_elements)
+    _validate_params(p, k)
     key = (p, k)
     if key not in _CACHE:
-        _CACHE[key] = FieldContext(p, k, max_elements)
+        _CACHE[key] = FieldContext(p, k)
     return _CACHE[key]
 
 

@@ -40,7 +40,7 @@ from .collineation import (TYPE_II, TYPE_III, collineate_point, line_type,
                            point_type)
 from .linear_sets import sls_points, t_plane
 from .maps import (TypeRestrictionError, conjugate_join, conjugate_meet,
-                   project_from_anchor, splash)
+                   project_from_anchor)
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,7 @@ class AxiomReport:
 
 
 PAIR_CHUNK = 1 << 16   # entries per chunk of rows: int64 temporaries of 512 KiB
+MAX_WITNESSES = 5      # witnesses an axiom check reports at most
 
 
 def row_chunks(structure: IncidencePlane):
@@ -200,8 +201,7 @@ def moved_row(structure: IncidencePlane, L: np.ndarray, rows: np.ndarray,
     return int(L[np.argmax((image != target).any(axis=1))])
 
 
-def check_axioms(structure: IncidencePlane,
-                 max_witnesses: int = 5) -> AxiomReport:
+def check_axioms(structure: IncidencePlane) -> AxiomReport:
     """Verify exactly that an incidence structure is a projective plane.
 
     With k = q^3 + 1 and n = k^2 - k + 1 points, the structure passes
@@ -235,7 +235,7 @@ def check_axioms(structure: IncidencePlane,
     ``representatives`` the number of points whose pairs are counted.
     Witnesses name the shape or range fault, or the first failing row per
     generator and then failing (representative, point) pairs, at most
-    ``max_witnesses`` in all.
+    ``MAX_WITNESSES`` in all.
     """
     plane = structure.plane
     n, k = structure.size, plane.ctx.q3 + 1
@@ -267,12 +267,12 @@ def check_axioms(structure: IncidencePlane,
     point_degree_ok = bool(np.all(degree == k))
     witnesses = [f"the {name} image of block {format_line(plane.point(L))} "
                  f"is not block {format_line(plane.point(generators[name][1][L]))}"
-                 for name, L in moved.items() if L is not None][:max_witnesses]
+                 for name, L in moved.items() if L is not None][:MAX_WITNESSES]
     point_pairs_ok = not witnesses
 
     # the cover at the least point of each G-orbit
     for P, blocks in zip(reps, through):
-        if not point_pairs_ok and len(witnesses) >= max_witnesses:
+        if not point_pairs_ok and len(witnesses) >= MAX_WITNESSES:
             break   # the verdict and the witnesses are settled
         count = np.bincount(structure.rows(np.concatenate(blocks)).ravel(), minlength=n)
         count[P] = 1   # P with itself
@@ -281,7 +281,7 @@ def check_axioms(structure: IncidencePlane,
             point_pairs_ok = False
             witnesses.extend(f"point pair {format_point(plane.point(P))} , "
                              f"{format_point(plane.point(Q))} lies in {count[Q]} blocks"
-                             for Q in bad[:max_witnesses - len(witnesses)])
+                             for Q in bad[:MAX_WITNESSES - len(witnesses)])
 
     return report(ok=point_degree_ok and point_pairs_ok, block_size_ok=True,
                   point_degree_ok=point_degree_ok, point_pairs_ok=point_pairs_ok,
@@ -323,17 +323,9 @@ def expected_pr_fig_block(ctx: FieldContext, which: int = 0) -> frozenset[Triple
     return axis_pts - s1 - gone
 
 
-@dataclass
-class ArchingCensus:
-    """For each pencil (by norm class), how many of the q-1 subplanes it
-    arches over, i.e. meets once on every pencil line."""
-    per_class: dict[int, int]
-
-    def sorted_counts(self) -> tuple[int, ...]:
-        return tuple(sorted(self.per_class.values(), reverse=True))
-
-
-def arching_census(ctx: FieldContext) -> ArchingCensus:
+def arching_census(ctx: FieldContext) -> dict[int, int]:
+    """For each pencil, by norm class, how many of the q-1 side subplanes
+    it arches over, i.e. meets once on every pencil line."""
     from .plane import incident
     from .linear_sets import pencil_lines
     q = ctx.q
@@ -346,7 +338,7 @@ def arching_census(ctx: FieldContext) -> ArchingCensus:
             if all(sum(1 for P in pts if incident(ctx, P, l)) == 1 for l in pencil):
                 arched += 1
         per_class[j] = arched
-    return ArchingCensus(per_class)
+    return per_class
 
 
 @dataclass
@@ -382,73 +374,6 @@ def characterize_fig_points(plane: ProjectivePlane,
     expected = q ** 3 - q ** 2 - q - 1
     ok = not mismatches and ANCHOR in vertices and count == expected
     return CharacterizationReport(ok, count, expected, mismatches)
-
-
-@dataclass
-class EvenStructureReport:
-    ok: bool
-    per_vertex_ok: tuple[bool, bool, bool]
-    witnesses: list[str]
-
-
-def even_structure_check(ctx: FieldContext,
-                         block: FigBlock | None = None) -> EvenStructureReport:
-    """Even q only: through each triangle vertex, every line carries
-    exactly one point of the conjugate block's Type III part or exactly
-    one point of its Type II part, never both.
-
-    The sets tested at the conjugate vertices are the conjugates of the
-    anchor block's parts, matching the collineation equivariance of the
-    construction.
-    """
-    if ctx.q % 2:
-        raise GeometryError("even-order structure check requires q even")
-    if block is None:
-        block = fig_block(ctx, ANCHOR)
-    witnesses: list[str] = []
-    vertex_ok = []
-    for i, V in enumerate((ANCHOR, ANCHOR_1, ANCHOR_2)):
-        e_set = {collineate_point(ctx, P, i) for P in block.e_points}
-        f_set = {collineate_point(ctx, P, i) for P in block.f_points}
-        good = True
-        for l in lines_through_point(ctx, V):
-            pts = points_on_line(ctx, l)
-            nf = sum(1 for P in pts if P in f_set)
-            ne = sum(1 for P in pts if P in e_set)
-            if (nf, ne) not in ((1, 0), (0, 1)):
-                good = False
-                if len(witnesses) < 5:
-                    witnesses.append(
-                        f"vertex {format_point(V)}: line {format_line(l)} carries"
-                        f" {nf} Type III and {ne} Type II block points")
-        vertex_ok.append(good)
-    return EvenStructureReport(all(vertex_ok), tuple(vertex_ok), witnesses)
-
-
-@dataclass
-class SplashInvolutionReport:
-    ok: bool
-    injective: bool
-    image_matches: bool
-    image_all_type3_iff_even: bool
-    image_size: int
-
-
-def splash_involution_check(ctx: FieldContext) -> SplashInvolutionReport:
-    """Compose splash after the involution over the Type III part of the
-    anchor block: the result must biject onto the axis minus the norm-one
-    linear set, and hit exactly the Type III axis points iff q is even."""
-    block = fig_block(ctx, ANCHOR)
-    images = [splash(ctx, conjugate_join(ctx, P)) for P in sorted(block.f_points)]
-    injective = len(set(images)) == len(images)
-    expected = frozenset(points_on_line(ctx, AXIS)) - sls_points(ctx, ctx.one)
-    image = frozenset(images)
-    image_matches = image == expected
-    type3_axis = frozenset(P for P in points_on_line(ctx, AXIS)
-                           if point_type(ctx, P) == TYPE_III)
-    iff_even = (image == type3_axis) == (ctx.q % 2 == 0)
-    return SplashInvolutionReport(injective and image_matches and iff_even,
-                                  injective, image_matches, iff_even, len(image))
 
 
 def emit_plane(structure: IncidencePlane, path: str) -> None:

@@ -22,14 +22,12 @@ from functools import cache
 from .field import FieldContext, FieldError
 from .plane import ANCHOR, GeometryError, Triple, canonical, join
 from .collineation import collineate_line, collineate_point, line_type
-from .collineation import SlsId, sls_id_of_point  # noqa: F401  re-exported
 
 
 @dataclass(frozen=True)
 class SubplaneSet:
     points: frozenset[Triple]
     lines: frozenset[Triple]
-    tag: str
 
 
 def sls_points(ctx: FieldContext, theta: int, side: int = 0) -> frozenset[Triple]:
@@ -77,13 +75,12 @@ def t_plane(ctx: FieldContext, theta: int) -> SubplaneSet:
     lns = {canonical(ctx, (s, ctx.mul(f(s), tq1), ctx.mul(f(s, 2), f(theta))))
            for s in ctx.units()}
     _require_size(ctx, f"t_plane[{theta}]", pts, lns)
-    return SubplaneSet(frozenset(pts), frozenset(lns), f"t_plane[{theta}]")
+    return SubplaneSet(frozenset(pts), frozenset(lns))
 
 
 def fixed_subplane(ctx: FieldContext) -> SubplaneSet:
     """The subplane of order q fixed pointwise by the collineation."""
-    B = t_plane(ctx, ctx.one)
-    return SubplaneSet(B.points, B.lines, "fixed_subplane")
+    return t_plane(ctx, ctx.one)
 
 
 def plane_from_rep(ctx: FieldContext, P: Triple) -> SubplaneSet:
@@ -102,13 +99,12 @@ def plane_from_rep(ctx: FieldContext, P: Triple) -> SubplaneSet:
     lns = {canonical(ctx, (ctx.mul(yz, s), ctx.mul(xz, ctx.frob(s)), ctx.mul(xy, f2(s))))
            for s in ctx.units()}
     _require_size(ctx, f"orbit plane of {P}", pts, lns)
-    return SubplaneSet(frozenset(pts), frozenset(lns), "orbit_plane")
+    return SubplaneSet(frozenset(pts), frozenset(lns))
 
 
 def conjugate_subplane(ctx: FieldContext, B: SubplaneSet, times: int = 1) -> SubplaneSet:
     return SubplaneSet(frozenset(collineate_point(ctx, P, times) for P in B.points),
-                       frozenset(collineate_line(ctx, l, times) for l in B.lines),
-                       B.tag + f"^phi{times % 3}")
+                       frozenset(collineate_line(ctx, l, times) for l in B.lines))
 
 
 def is_subplane_closed(ctx: FieldContext, B: SubplaneSet) -> bool:

@@ -28,9 +28,9 @@ from .field import FieldContext
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane, Triple,
                     GeometryError, canonical, join, meet)
 from .collineation import (TYPE_III, OrbitClass, OrbitClasses, OrbitInconsistency,
-                           collineate_line, collineate_point, line_type,
+                           SlsId, collineate_line, collineate_point, line_type,
                            point_type)
-from .linear_sets import SlsId, SubplaneSet
+from .linear_sets import SubplaneSet
 
 
 class TypeRestrictionError(ValueError):
@@ -146,15 +146,6 @@ def vertex_census(plane: ProjectivePlane, B: SubplaneSet) -> VertexCensus:
                 for j in range(plane.ctx.q - 1)}
     return VertexCensus(by_class, int(np.count_nonzero(kinds == CLUB)),
                         int(np.count_nonzero(kinds == OTHER)))
-
-
-def projection_vertices(plane: ProjectivePlane, B: SubplaneSet, theta: int,
-                        census: VertexCensus | None = None) -> list[Triple]:
-    """All vertices projecting B onto the axis linear set of theta."""
-    ctx = plane.ctx
-    if census is None:
-        census = vertex_census(plane, B)
-    return list(census.by_class[ctx.norm_class(theta)])
 
 
 def phi_fixed_planes(plane: ProjectivePlane,

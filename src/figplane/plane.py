@@ -114,20 +114,6 @@ def format_line(l: Triple) -> str:
     return f"[{l[0]}:{l[1]}:{l[2]}]"
 
 
-def parse_triple(ctx: FieldContext, text: str) -> Triple:
-    text = text.strip()
-    if text.startswith("[") and text.endswith("]"):
-        text = text[1:-1]
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise GeometryError(f"expected a:b:c coordinates, got {text!r}")
-    vals = tuple(int(x) for x in parts)
-    for v in vals:
-        if not 0 <= v < ctx.q3:
-            raise GeometryError(f"coordinate {v} out of range for GF({ctx.q3})")
-    return canonical(ctx, vals)
-
-
 class ProjectivePlane:
     """PG(2, q^3) with dense indices for points and lines.
 
@@ -135,8 +121,8 @@ class ProjectivePlane:
     pattern, then numerically), so indices are reproducible and orbit
     partitions can live in flat arrays.  The index has a closed form
     (see :mod:`figplane.arrays`), which ``index`` and ``point`` evaluate
-    for one object; the ``points``, ``lines`` and ``point_index``
-    collections are built only on first use.
+    for one object, a point or a line; the ``points`` list is built only
+    on first use.
     """
 
     def __init__(self, ctx: FieldContext):
@@ -173,14 +159,6 @@ class ProjectivePlane:
         out.extend((0, 1, c) for c in range(q3))
         out.append((0, 0, 1))
         return out
-
-    @cached_property
-    def lines(self) -> list[Triple]:
-        return list(self.points)   # same canonical triples, dual role
-
-    @cached_property
-    def point_index(self) -> dict[Triple, int]:
-        return {P: i for i, P in enumerate(self.points)}
 
     @cached_property
     def tables(self):

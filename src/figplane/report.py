@@ -8,6 +8,8 @@ is therefore excluded unless explicitly requested.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass, field
 
@@ -61,11 +63,12 @@ class Report:
         return json.dumps(doc, indent=2) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["check,status,detail"]
+        out = io.StringIO()
+        rows = csv.writer(out, lineterminator="\n")
+        rows.writerow(["check", "status", "detail"])
         for e in self.entries:
-            detail = ";".join(f"{k}={v}" for k, v in e.counts.items())
-            lines.append(f"{e.id},{e.status},{detail}")
-        return "\n".join(lines) + "\n"
+            rows.writerow([e.id, e.status, ";".join(f"{k}={v}" for k, v in e.counts.items())])
+        return out.getvalue()
 
     def to_text(self, timings: bool = False) -> str:
         lines = [f"{TOOL_NAME} {TOOL_VERSION}  q={self.header.get('q')}"]

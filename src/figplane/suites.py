@@ -25,8 +25,8 @@ from .collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES,
                            partition_orbits, point_type, point_types_table,
                            expected_type_counts, tally_types)
 from .field import FieldContext
-from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, ProjectivePlane,
-                    format_line, format_point)
+from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane,
+                    format_line, format_point, lines_through_point, points_on_line)
 from .report import CheckEntry, entry
 
 
@@ -651,9 +651,9 @@ def projection_conjugates(sess: Session) -> CheckEntry:
 @check("figueroa", "arching")
 def arching(sess: Session) -> CheckEntry:
     ctx = sess.ctx
-    ac = fg.arching_census(ctx)
+    per_class = fg.arching_census(ctx)
     bad = []
-    for j, c in ac.per_class.items():
+    for j, c in per_class.items():
         nt = ctx.norm(ctx.norm_class_rep(j))
         want = 1 if ctx.q % 2 == 0 else (2 if ctx.is_nonzero_square(nt) else 0)
         if c != want:
@@ -661,7 +661,7 @@ def arching(sess: Session) -> CheckEntry:
     return entry("fig.arching",
                  "pencils arch over one subplane each (even q) or two per square norm class (odd q)",
                  not bad,
-                 {f"class_{j}": c for j, c in sorted(ac.per_class.items())},
+                 {f"class_{j}": c for j, c in sorted(per_class.items())},
                  bad)
 
 
@@ -677,23 +677,47 @@ def characterization(sess: Session) -> CheckEntry:
 
 @check("figueroa", "even-structure", applies=lambda ctx: ctx.q % 2 == 0)
 def even_structure(sess: Session) -> CheckEntry:
-    rep = fg.even_structure_check(sess.ctx)
+    """Even q only: through each triangle vertex, every line carries
+    exactly one point of the conjugate block's Type III part or exactly
+    one point of its Type II part, never both.  The sets tested at the
+    conjugate vertices are the conjugates of the anchor block's parts,
+    matching the collineation equivariance of the construction."""
+    ctx = sess.ctx
+    block = fg.fig_block(ctx, ANCHOR)
+    counts, bad = {}, []
+    for i, (key, V) in enumerate((("anchor_ok", ANCHOR), ("conjugate1_ok", ANCHOR_1),
+                                  ("conjugate2_ok", ANCHOR_2))):
+        e_set = {collineate_point(ctx, P, i) for P in block.e_points}
+        f_set = {collineate_point(ctx, P, i) for P in block.f_points}
+        found = len(bad)
+        for l in lines_through_point(ctx, V):
+            pts = points_on_line(ctx, l)
+            nf, ne = sum(P in f_set for P in pts), sum(P in e_set for P in pts)
+            if (nf, ne) not in ((1, 0), (0, 1)):
+                bad.append(f"vertex {format_point(V)}: line {format_line(l)} carries"
+                           f" {nf} Type III and {ne} Type II block points")
+        counts[key] = str(len(bad) == found)
     return entry("fig.even-structure",
                  "for even q, every line through a triangle vertex carries one conjugated block point of exactly one kind",
-                 rep.ok,
-                 {"anchor_ok": str(rep.per_vertex_ok[0]),
-                  "conjugate1_ok": str(rep.per_vertex_ok[1]),
-                  "conjugate2_ok": str(rep.per_vertex_ok[2])},
-                 rep.witnesses)
+                 not bad, counts, bad[:5])
 
 
 @check("figueroa", "sp-mu")
 def splash_involution(sess: Session) -> CheckEntry:
-    rep = fg.splash_involution_check(sess.ctx)
+    """Splash after the involution, over the Type III part of the anchor
+    block, must biject onto the axis minus the norm-one linear set, and
+    hit exactly the Type III axis points iff q is even."""
+    ctx = sess.ctx
+    images = [gm.splash(ctx, gm.conjugate_join(ctx, P))
+              for P in fg.fig_block(ctx, ANCHOR).f_points]
+    image, axis = frozenset(images), frozenset(points_on_line(ctx, AXIS))
+    injective = len(image) == len(images)
+    type3_axis = {P for P in axis if point_type(ctx, P) == TYPE_III}
+    iff_even = (image == type3_axis) == (ctx.q % 2 == 0)
     return entry("fig.splash-involution",
                  "splash after the involution bijects the Type III block part onto the axis minus the norm-one set",
-                 rep.ok,
-                 {"image_size": rep.image_size,
-                  "injective": str(rep.injective),
-                  "type3_iff_even": str(rep.image_all_type3_iff_even)},
+                 injective and iff_even and image == axis - ls.sls_points(ctx, ctx.one),
+                 {"image_size": len(image),
+                  "injective": str(injective),
+                  "type3_iff_even": str(iff_even)},
                  [])

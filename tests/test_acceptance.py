@@ -26,8 +26,8 @@ from figplane.maps import (conjugate_join, conjugate_meet,
                            project_from_vertex, sp_set, splash, vertex_census)
 from figplane.figueroa import (IncidencePlane, arching_census, build_fig_plane,
                                characterize_fig_points, check_axioms,
-                               even_structure_check, pr_fig_block,
-                               expected_pr_fig_block, splash_involution_check)
+                               pr_fig_block, expected_pr_fig_block)
+from figplane.suites import Session, even_structure, splash_involution
 
 
 def _ok(label):
@@ -103,7 +103,7 @@ def test_05_involution_action(ctx3, ctx4, ctx5, plane3, types3):
     for P, t in zip(plane3.points, types3):
         if t == TYPE_III:
             assert conjugate_meet(ctx, conjugate_join(ctx, P)) == P
-    for l in plane3.lines:
+    for l in plane3.points:   # the same triples, as lines
         from figplane.collineation import line_type
         if line_type(ctx, l) == TYPE_III:
             assert conjugate_join(ctx, conjugate_meet(ctx, l)) == l
@@ -191,11 +191,11 @@ def test_09_block_projections(ctx3, ctx4, ctx5):
 
 
 def test_10_arching_census(ctx3, ctx4, ctx5):
-    assert arching_census(ctx4).sorted_counts() == (1, 1, 1)
-    assert arching_census(ctx3).sorted_counts() == (2, 0)
-    assert arching_census(ctx5).sorted_counts() == (2, 2, 0, 0)
+    assert sorted(arching_census(ctx4).values(), reverse=True) == [1, 1, 1]
+    assert sorted(arching_census(ctx3).values(), reverse=True) == [2, 0]
+    assert sorted(arching_census(ctx5).values(), reverse=True) == [2, 2, 0, 0]
     for ctx in (ctx3, ctx5):
-        for j, c in arching_census(ctx).per_class.items():
+        for j, c in arching_census(ctx).items():
             sq = ctx.is_nonzero_square(ctx.norm(ctx.norm_class_rep(j)))
             assert c == (2 if sq else 0)
     _ok("10 arching census (q=3,4,5)")
@@ -220,7 +220,7 @@ def test_11_figueroa_axioms(plane3, plane4):
 
     mutated = IncidencePlane(plane3, fig3.blocks.copy())
     i = list(plane3.tables.types).index(TYPE_III)
-    mutated.blocks[i] = sorted(plane3.points_on(plane3.lines[i]))
+    mutated.blocks[i] = sorted(plane3.points_on(plane3.point(i)))
     bad = check_axioms(mutated)
     assert not bad.ok and bad.witnesses
     _ok("11 projective axioms of FIG(27) and FIG(64); mutation fails with witness")
@@ -236,17 +236,18 @@ def test_12_membership_characterization(plane3, plane4):
 
 def test_13_even_structure():
     for p, k in ((2, 2), (2, 3)):
-        ctx = build_field_tower(p, k)
-        rep = even_structure_check(ctx)
-        assert rep.ok and rep.per_vertex_ok == (True, True, True)
+        e = even_structure(Session(build_field_tower(p, k)))
+        assert e.passed and not e.witnesses
+        assert e.counts == {"anchor_ok": "True", "conjugate1_ok": "True",
+                            "conjugate2_ok": "True"}
     _ok("13 even-order structure on every line through the triangle (q=4,8)")
 
 
 def test_14_splash_involution_bijection(ctx3, ctx4):
     for ctx in (ctx3, ctx4):
-        rep = splash_involution_check(ctx)
-        assert rep.ok and rep.injective and rep.image_matches
-        assert rep.image_all_type3_iff_even
+        e = splash_involution(Session(ctx))
+        assert e.passed
+        assert e.counts["injective"] == e.counts["type3_iff_even"] == "True"
     _ok("14 splash-involution bijection onto the axis minus the norm-one set (q=3,4)")
 
 

@@ -35,28 +35,28 @@ TABLES = ("types", "mu", "sec", "phi", "orbit", "tau", "tau_line")
 def oracle(plane, name, i):
     """The scalar answers for entry i of a table, in the point role and,
     where the table also serves lines, in the line role."""
-    ctx, idx = plane.ctx, plane.point_index
+    ctx, idx = plane.ctx, plane.index
     P = l = plane.points[i]
     if name == "types":
         return {point_type(ctx, P), line_type(ctx, l)}
     if name == "mu":
         if point_type(ctx, P) != TYPE_III:
             return {-1}
-        return {idx[conjugate_join(ctx, P)], idx[conjugate_meet(ctx, l)]}
+        return {idx(conjugate_join(ctx, P)), idx(conjugate_meet(ctx, l))}
     if name == "sec":
         x, y, z = P
         if 0 in P:
             return {-1}
-        return {idx[canonical(ctx, (ctx.mul(y, z), ctx.mul(x, z), ctx.mul(x, y)))]}
+        return {idx(canonical(ctx, (ctx.mul(y, z), ctx.mul(x, z), ctx.mul(x, y))))}
     if name == "orbit":
-        return {min(idx[Q] for Q in stabilizer_orbit(ctx, P))}
+        return {min(idx(Q) for Q in stabilizer_orbit(ctx, P))}
     if name == "tau":
-        return {idx[torus_step(ctx, P)]}
+        return {idx(torus_step(ctx, P))}
     if name == "tau_line":
         # the line through the torus images of two points of l
         A, B = (torus_step(ctx, Q) for Q in points_on_line(ctx, l)[:2])
-        return {idx[join(ctx, A, B)]}
-    return {idx[collineate_point(ctx, P)], idx[collineate_line(ctx, l)]}
+        return {idx(join(ctx, A, B))}
+    return {idx(collineate_point(ctx, P)), idx(collineate_line(ctx, l))}
 
 
 def torus_step(ctx, P):
@@ -170,11 +170,11 @@ def test_secant_sets_are_orbit_plane_lines(small_plane):
     """Exhaustive over the orbit subplanes: the secants of the members are
     the line set of ``plane_from_rep``."""
     plane = small_plane
-    ctx, idx, sec = plane.ctx, plane.point_index, plane.tables.sec
+    ctx, idx, sec = plane.ctx, plane.index, plane.tables.sec
     checked = 0
     for cl in partition_orbits(plane):
         if cl.category.startswith("plane"):
-            want = {idx[l] for l in plane_from_rep(ctx, cl.rep).lines}
+            want = {idx(l) for l in plane_from_rep(ctx, cl.rep).lines}
             assert set(sec[list(cl.members)].tolist()) == want
             checked += 1
     assert checked > 0
@@ -194,12 +194,12 @@ def test_comparison_reports_a_corrupted_entry(plane3, name):
 def incidence_disagreements(plane, table, indices) -> list[int]:
     """Rows of ``table`` (any array with one row per index) that differ from the sorted points on the line, or
     the sorted lines through the point, with that index."""
-    ctx, idx = plane.ctx, plane.point_index
+    ctx, idx = plane.ctx, plane.index
     bad = []
     for i in indices:
         row = table[i].tolist()
-        on = sorted(plane.points_on(plane.lines[i]))
-        through = sorted(idx[l] for l in lines_through_point(ctx, plane.points[i]))
+        on = sorted(plane.points_on(plane.point(i)))
+        through = sorted(idx(l) for l in lines_through_point(ctx, plane.points[i]))
         if row != on or row != through:
             bad.append(i)
     return bad
@@ -209,12 +209,12 @@ def fig_disagreements(plane, blocks, indices) -> list[int]:
     """Rows of ``blocks`` that differ from the scalar FIG assembly: the
     block of the involution image of a Type III line, the points of any
     other line."""
-    ctx, idx = plane.ctx, plane.point_index
+    ctx, idx = plane.ctx, plane.index
     bad = []
     for i in indices:
-        l = plane.lines[i]
+        l = plane.point(i)
         if line_type(ctx, l) == TYPE_III:
-            want = sorted(idx[P] for P in fig_block(ctx, conjugate_meet(ctx, l)).points)
+            want = sorted(idx(P) for P in fig_block(ctx, conjugate_meet(ctx, l)).points)
         else:
             want = sorted(plane.points_on(l))
         if blocks[i].tolist() != want:
@@ -283,7 +283,7 @@ def test_row_comparison_reports_a_corrupted_row(plane3, name):
         rows, compare = plane3.tables.incidence_rows(np.arange(plane3.size)), incidence_disagreements
     else:
         rows, compare = build_fig_plane(plane3).blocks.copy(), fig_disagreements
-    i = next(j for j in range(plane3.size) if line_type(plane3.ctx, plane3.lines[j]) == TYPE_III)
+    i = next(j for j in range(plane3.size) if line_type(plane3.ctx, plane3.point(j)) == TYPE_III)
     rows[i, -1] = next(P for P in range(plane3.size) if P not in rows[i])
     assert compare(plane3, rows, range(plane3.size)) == [i]
 
@@ -308,7 +308,7 @@ def test_vertex_kinds_match_full_scan(sampled_plane):
     sides = [t_plane(ctx, ctx.norm_class_rep(j)) for j in range(ctx.q - 1)]
     for B in sides + [conjugate_subplane(ctx, sides[1]), plane_from_rep(ctx, (1, 2, 5))]:
         kinds = plane.tables.vertex_kinds(B.points)
-        assert np.array_equal(kinds, full_scan_kinds(plane, B)), B.tag
+        assert np.array_equal(kinds, full_scan_kinds(plane, B)), min(B.points)
 
 
 def test_vertex_kinds_refuse_a_set_tau_moves(plane3):

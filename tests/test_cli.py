@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -54,6 +57,8 @@ def test_census_csv_q3(capsys):
     assert table["plane_III_III"][0] == "9"
     counts = [int(r.split(",")[1]) for r in rows[1:]]
     assert sum(counts) == 61
+    assert table["vertex"][1:] == ["1", "III", ""]
+    assert table["plane_II_III"][1:] == ["13", "II", "III"]
 
 
 def test_census_csv_q4(capsys):
@@ -139,9 +144,9 @@ def test_figueroa_pr_when_3_divides_q_minus_1(capsys):
 
 @pytest.mark.parametrize("error", [GeometryError, KernelError, OrbitInconsistency])
 def test_stray_library_error_exits_two(monkeypatch, capsys, error):
-    def broken(ctx):
+    def broken(*args):
         raise error("broken on purpose")
-    monkeypatch.setattr("figplane.figueroa.splash_involution_check", broken)
+    monkeypatch.setattr("figplane.figueroa.fig_block", broken)
     code = main(["figueroa", "--q", "3", "--check", "sp-mu"])
     assert code == 2
     captured = capsys.readouterr()
@@ -198,6 +203,20 @@ def test_reports_byte_identical_subprocess():
     assert a == b and a
 
 
+@pytest.mark.parametrize("q", [3, 4])
+def test_csv_report_rows_have_three_fields(q, capsys):
+    """A detail holding a comma, such as a list of allowed counts, is
+    quoted, so every row parses to check, status and detail."""
+    code, out = run_cli(["verify", "--q", str(q), "--suite", "all", "--format", "csv"],
+                        capsys)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["check", "status", "detail"] and len(rows) > 30
+    assert all(len(r) == 3 for r in rows)
+    (spectrum,) = [r for r in rows if r[0] == "vertices.count-spectrum"]
+    assert spectrum[2].startswith("allowed=[") and ", " in spectrum[2]
+
+
 def test_text_format_lines(capsys):
     code, out = run_cli(["verify", "--q", "3", "--suite", "census"], capsys)
     assert code == 0
@@ -221,3 +240,24 @@ def test_unwritable_emit_plane_rejected_before_work(tmp_path, capsys, monkeypatc
     assert captured.out == ""
     assert captured.err.startswith("figplane: cannot write --emit-plane file")
     assert captured.err.count("\n") == 1
+
+
+def test_read_only_emit_plane_rejected_before_work(tmp_path, capsys, monkeypatch):
+    """An existing file that cannot be written is refused like a missing
+    folder; os.access is stubbed, since a superuser may write any file."""
+    target = tmp_path / "plane.txt"
+    target.write_text("")
+    real_access = os.access
+    monkeypatch.setattr("os.access", lambda path, mode: (
+        os.fspath(path) != str(target) and real_access(path, mode)))
+
+    def no_session(*args, **kwargs):
+        raise AssertionError("a check ran before the path was validated")
+    monkeypatch.setattr("figplane.cli.Session", no_session)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--q", "3", "--suite", "census", "--emit-plane", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"figplane: cannot write --emit-plane file {target}: "
+                            "it is not writable\n")

@@ -29,7 +29,7 @@ def test_collineation_order_and_incidence(plane3):
     rng = random.Random(1)
     for _ in range(300):
         P = plane3.points[rng.randrange(len(plane3))]
-        l = plane3.lines[rng.randrange(len(plane3))]
+        l = plane3.point(rng.randrange(len(plane3)))
         assert collineate_point(ctx, P, 3) == P
         assert collineate_line(ctx, l, 3) == l
         assert incident(ctx, P, l) == incident(
@@ -105,7 +105,7 @@ def test_partition_census_q4(plane4, classes4):
 def scalar_partition(plane):
     """The scalar orbit walk: scan the points in index order, and classify
     each new stabilizer orbit by the scalar point and secant-line types."""
-    ctx, idx = plane.ctx, plane.point_index
+    ctx, idx = plane.ctx, plane.index
     seen, out = set(), []
     for P in plane.points:
         if P in seen:
@@ -127,7 +127,7 @@ def scalar_partition(plane):
                         (TYPE_II, TYPE_III): "plane_II_III",
                         (TYPE_III, TYPE_II): "plane_III_II",
                         (TYPE_III, TYPE_III): "plane_III_III"}[(ptype, ltype)]
-        out.append((P, sorted(idx[Q] for Q in orbit), category, ptype, ltype,
+        out.append((P, sorted(idx(Q) for Q in orbit), category, ptype, ltype,
                     side, norm))
     return out
 
@@ -185,8 +185,8 @@ def test_orbit_members_share_types(plane3, classes3, types3):
 
 def test_collineation_permutes_classes(plane3, classes3):
     ctx = plane3.ctx
-    idx = plane3.point_index
-    perm = [idx[collineate_point(ctx, P)] for P in plane3.points]
+    idx = plane3.index
+    perm = [idx(collineate_point(ctx, P)) for P in plane3.points]
     categories = {frozenset(cl.members): cl.category for cl in classes3}
     for cl in classes3:
         image = frozenset(perm[i] for i in cl.members)

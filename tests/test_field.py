@@ -166,11 +166,13 @@ def test_modulus_has_no_subfield_root():
         assert len(g) - 1 == 0
 
 
-def test_errors():
+def test_errors(monkeypatch):
     with pytest.raises(FieldError):
         build_field_tower(6, 1)
-    with pytest.raises(FieldError):
-        build_field_tower(2, 1, max_elements=7)
+    monkeypatch.setattr("figplane.field.MAX_ELEMENTS", 7)
+    with pytest.raises(FieldError, match="over the table bound 7"):
+        build_field_tower(2, 1)
+    monkeypatch.undo()
     ctx = build_field_tower(3, 1)
     with pytest.raises(FieldError):
         ctx.inv(0)

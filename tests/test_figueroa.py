@@ -7,14 +7,15 @@ from figplane.collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES,
                                    collineate_point, det3, point_type)
 from figplane.figueroa import (IncidencePlane, LineRows, RowSwap, arching_census,
                                build_fig_plane, characterize_fig_points,
-                               check_axioms, even_structure_check, emit_plane,
-                               fig_block, orbit_minima, pg_incidence,
-                               pr_fig_block, expected_pr_fig_block,
-                               splash_involution_check)
+                               check_axioms, emit_plane, fig_block, orbit_minima,
+                               pg_incidence, pr_fig_block, expected_pr_fig_block)
 from figplane.linear_sets import sls_points, t_plane
 from figplane.maps import TypeRestrictionError
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
-                            canonical, format_line, join, points_on_line)
+                            canonical, format_line, format_point, join,
+                            points_on_line)
+from figplane.suites import (CHECKS, Session, even_structure, figueroa_checks,
+                             splash_involution)
 
 
 def _first_fig_row(fig):
@@ -117,7 +118,7 @@ def test_fig_blocks_contain_triangles(plane3, fig3):
 
 def test_build_collineation_invariant(plane3, fig3):
     ctx = plane3.ctx
-    perm = [plane3.point_index[collineate_point(ctx, P)] for P in plane3.points]
+    perm = [plane3.index(collineate_point(ctx, P)) for P in plane3.points]
     block_set = {frozenset(b) for b in fig3.blocks}
     assert all(frozenset(perm[i] for i in b) in block_set for b in fig3.blocks)
 
@@ -142,7 +143,7 @@ def _line_mutation(plane, fig):
     point degrees and pairs do."""
     mutated = IncidencePlane(plane, fig.blocks.copy())
     i = _first_fig_row(fig)
-    mutated.blocks[i] = sorted(plane.points_on(plane.lines[i]))
+    mutated.blocks[i] = sorted(plane.points_on(plane.point(i)))
     return mutated
 
 
@@ -585,12 +586,11 @@ def test_projection_of_conjugate_blocks(ctx3, ctx4):
 
 
 def test_arching_census(ctx3, ctx4, ctx5):
-    assert arching_census(ctx3).sorted_counts() == (2, 0)
-    assert arching_census(ctx4).sorted_counts() == (1, 1, 1)
-    assert arching_census(ctx5).sorted_counts() == (2, 2, 0, 0)
+    assert arching_census(ctx3) == {0: 2, 1: 0}
+    assert arching_census(ctx4) == {0: 1, 1: 1, 2: 1}
+    assert sorted(arching_census(ctx5).values(), reverse=True) == [2, 2, 0, 0]
     for ctx in (ctx3, ctx5):
-        ac = arching_census(ctx)
-        for j, c in ac.per_class.items():
+        for j, c in arching_census(ctx).items():
             nt = ctx.norm(ctx.norm_class_rep(j))
             assert c == (2 if ctx.is_nonzero_square(nt) else 0)
 
@@ -610,56 +610,59 @@ def test_characterization_witness_sets_q3(plane3):
     assert len(off_axis) + 1 == 14
 
 
+ALL_VERTICES_OK = {"anchor_ok": "True", "conjugate1_ok": "True", "conjugate2_ok": "True"}
+
+
 def test_even_structure(ctx4):
-    rep = even_structure_check(ctx4)
-    assert rep.ok and rep.per_vertex_ok == (True, True, True)
+    e = even_structure(Session(ctx4))
+    assert e.passed and e.counts == ALL_VERTICES_OK and not e.witnesses
 
 
 def test_even_structure_q8():
     from figplane.field import build_field_tower
-    ctx = build_field_tower(2, 3)
-    rep = even_structure_check(ctx)
-    assert rep.ok
+    e = even_structure(Session(build_field_tower(2, 3)))
+    assert e.passed and e.counts == ALL_VERTICES_OK
 
 
-def test_even_structure_rejects_odd(ctx3):
-    with pytest.raises(GeometryError):
-        even_structure_check(ctx3)
+def test_even_structure_rejects_odd(ctx3, ctx4):
+    """The check is registered for even q only, so no suite runs it at odd q."""
+    (row,) = [c for c in CHECKS if c.run is even_structure]
+    assert not row.applies(ctx3) and row.applies(ctx4)
+    assert figueroa_checks(Session(ctx3), "even-structure") == []
 
 
-def test_even_structure_mutation(ctx4):
+def test_even_structure_mutation(ctx4, monkeypatch):
     from figplane.figueroa import FigBlock
     block = fig_block(ctx4, ANCHOR)
     removed = sorted(block.f_points - {ANCHOR_1, ANCHOR_2})[0]
     mutated = FigBlock(block.anchor, block.line, block.e_points,
                        block.f_points - {removed})
-    rep = even_structure_check(ctx4, mutated)
-    assert not rep.ok
-    # the break at the anchor shows exactly on the line joining it to the
-    # removed point
+    monkeypatch.setattr("figplane.figueroa.fig_block",
+                        lambda ctx, anchor: mutated if anchor == ANCHOR else block)
+    e = even_structure(Session(ctx4))
+    assert not e.passed
+    # the removed point's conjugates are missing at every vertex: the break
+    # at the anchor shows exactly on the line joining it to the removed point
     bad_line = join(ctx4, ANCHOR, removed)
-    from figplane.plane import lines_through_point, points_on_line
-    violations = []
-    for l in lines_through_point(ctx4, ANCHOR):
-        pts = points_on_line(ctx4, l)
-        nf = sum(1 for P in pts if P in mutated.f_points)
-        ne = sum(1 for P in pts if P in mutated.e_points)
-        if (nf, ne) not in ((1, 0), (0, 1)):
-            violations.append(l)
-    assert violations == [bad_line]
+    assert e.counts == {key: "False" for key in ALL_VERTICES_OK}
+    assert e.witnesses[0] == (f"vertex {format_point(ANCHOR)}: line {format_line(bad_line)}"
+                              " carries 0 Type III and 0 Type II block points")
+    assert [w for w in e.witnesses if w.startswith(f"vertex {format_point(ANCHOR)}:")] \
+        == e.witnesses[:1]
 
 
 def test_splash_involution(ctx3, ctx4):
-    rep3 = splash_involution_check(ctx3)
-    assert rep3.ok and rep3.image_size == 15
+    e3 = splash_involution(Session(ctx3))
+    assert e3.passed and e3.counts["image_size"] == 15
     axis3 = frozenset(points_on_line(ctx3, AXIS))
-    assert rep3.image_size == len(axis3 - sls_points(ctx3, 1))
-    rep4 = splash_involution_check(ctx4)
-    assert rep4.ok and rep4.image_size == 44
+    assert e3.counts["image_size"] == len(axis3 - sls_points(ctx3, 1))
+    e4 = splash_involution(Session(ctx4))
+    assert e4.passed and e4.counts["image_size"] == 44
     # even q: the image is exactly the Type III axis points
     type3 = {P for P in points_on_line(ctx4, AXIS)
              if point_type(ctx4, P) == TYPE_III}
-    assert rep4.image_size == len(type3)
+    assert e4.counts["image_size"] == len(type3)
+    assert e4.counts["type3_iff_even"] == "True"
 
 
 def test_emit_plane(tmp_path, fig3):

@@ -1,10 +1,10 @@
 import pytest
 
-from figplane.collineation import TYPE_II, TYPE_III, point_type
+from figplane.collineation import TYPE_II, TYPE_III, point_type, sls_id_of_point
 from figplane.field import FieldError
 from figplane.linear_sets import (fixed_subplane, is_subplane_closed,
                                   pencil_lines, pencil_type, plane_from_rep,
-                                  sls_id_of_point, sls_points, t_plane)
+                                  sls_points, t_plane)
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, canonical,
                             incident, points_on_line)
 

@@ -13,7 +13,7 @@ from figplane.linear_sets import (conjugate_subplane, fixed_subplane,
                                   pencil_lines, plane_from_rep, sls_points,
                                   t_plane)
 from figplane.maps import (TypeRestrictionError,
-                           conjugate_join, conjugate_meet, projection_vertices,
+                           conjugate_join, conjugate_meet,
                            expected_phi_fixed_reps, involution_line_image,
                            involution_point_image, mu_fixed_planes,
                            phi_fixed_planes, pr_set, project_from_anchor,
@@ -34,13 +34,14 @@ def test_involution_frame(ctx3):
 
 def test_involution_exhaustive_q3(plane3, types3):
     ctx = plane3.ctx
-    line_types = [line_type(ctx, l) for l in plane3.lines]
+    lines = plane3.points   # the same triples, as lines
+    line_types = [line_type(ctx, l) for l in lines]
     for P, t in zip(plane3.points, types3):
         if t == TYPE_III:
             img = conjugate_join(ctx, P)
             assert line_type(ctx, img) == TYPE_III
             assert conjugate_meet(ctx, img) == P
-    for l, t in zip(plane3.lines, line_types):
+    for l, t in zip(lines, line_types):
         if t == TYPE_III:
             img = conjugate_meet(ctx, l)
             assert point_type(ctx, img) == TYPE_III
@@ -95,7 +96,7 @@ def test_involution_on_generic_plane(plane4, classes4):
     B = plane_from_rep(ctx, generic.rep)
     img = involution_line_image(ctx, B)
     member_sets = {frozenset(cl.members) for cl in classes4}
-    assert frozenset(plane4.point_index[P] for P in img) in member_sets
+    assert frozenset(plane4.index(P) for P in img) in member_sets
 
 
 def test_involution_rejects_type1_plane(ctx3):
@@ -223,9 +224,6 @@ def test_vertex_census_witness_sets_q3(plane3):
     onto_norm_one = set(vc.by_class[ctx.norm_class(1)])
     assert onto_norm_one == {ANCHOR} | set(t_plane(ctx, ctx.neg_one).points)
     assert vc.by_class[ctx.norm_class(ctx.neg_one)] == []
-    fixed = fixed_subplane(ctx)
-    assert set(projection_vertices(plane3, fixed, 1, vc)) == onto_norm_one
-    assert projection_vertices(plane3, fixed, ctx.neg_one) == []
 
 
 def test_vertex_census_q4_singleton(plane4):
@@ -244,8 +242,8 @@ def test_fixed_planes(plane3, classes3, plane4, classes4):
         assert len(muf) == (0 if g == 1 else 2)
         reps = expected_phi_fixed_reps(plane.ctx)
         assert len(reps) == g
-        idx = plane.point_index
-        want = {frozenset(idx[P] for P in plane_from_rep(plane.ctx, R).points)
+        idx = plane.index
+        want = {frozenset(idx(P) for P in plane_from_rep(plane.ctx, R).points)
                 for R in reps}
         assert {frozenset(cl.members) for cl in phif} == want
         for cl in phif:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                             ProjectivePlane, canonical, format_line,
                             format_point, incident, join, lines_through_point,
-                            meet, parse_triple, points_on_line)
+                            meet, points_on_line)
 from figplane.figueroa import check_axioms, pg_incidence
 
 
@@ -78,20 +78,20 @@ def test_closed_form_index_matches_enumeration(ctx3, ctx4):
 
 
 def test_no_suite_builds_the_point_lists(ctx3):
-    """Every suite reads the closed-form index, so the points, lines and
-    point_index collections stay unbuilt."""
+    """Every suite reads the closed-form index, so the points list stays
+    unbuilt."""
     from figplane.suites import Session, census_checks, figueroa_checks, maps_checks
     sess = Session(ctx3)
     entries = census_checks(sess) + maps_checks(sess) + figueroa_checks(sess)
     assert all(e.passed for e in entries)
-    assert not {"points", "lines", "point_index"} & set(vars(sess.plane))
+    assert "points" not in vars(sess.plane)
 
 
 def test_line_sizes_spot_check(plane3):
     ctx = plane3.ctx
     rng = random.Random(11)
     for _ in range(100):
-        l = plane3.lines[rng.randrange(len(plane3))]
+        l = plane3.point(rng.randrange(len(plane3)))
         pts = points_on_line(ctx, l)
         assert len(set(pts)) == 28
         assert all(incident(ctx, P, l) for P in pts)
@@ -117,13 +117,7 @@ def test_every_point_on_q3_plus_1_lines(plane3):
         assert len(lines_through_point(ctx, P)) == 28
 
 
-def test_format_and_parse(ctx3):
-    P = (0, 0, 1)
-    assert format_point(P) == "0:0:1"
+def test_format_point_and_line():
+    assert format_point((0, 0, 1)) == "0:0:1"
     assert format_line(AXIS) == "[0:0:1]"
-    assert parse_triple(ctx3, "0:0:1") == P
-    assert parse_triple(ctx3, "[5:10:0]") == canonical(ctx3, (5, 10, 0))
-    with pytest.raises(GeometryError):
-        parse_triple(ctx3, "1:2")
-    with pytest.raises(GeometryError):
-        parse_triple(ctx3, "1:2:99")
+    assert format_point((1, 5, 10)) == "1:5:10"

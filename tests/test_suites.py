@@ -5,8 +5,9 @@ The golden reports are the output of
 
     figplane verify --q Q --suite all --format json --seed 1
 
-at q = 3 and 4, kept under ``tests/data``; they pin every entry, its
-counts and the report order.
+at q = 3, 4 and 5, kept under ``tests/data``; they pin every entry, its
+counts and the report order.  q = 5 is the least order with q = 1 mod 4,
+where ``fig.projection-anchor`` takes its other odd-q size.
 """
 
 import json
@@ -39,7 +40,7 @@ def test_check_groups_in_report_order():
     assert len({c.run for c in CHECKS}) == len(CHECKS)
 
 
-@pytest.mark.parametrize("q", [3, 4])
+@pytest.mark.parametrize("q", [3, 4, 5])
 def test_verify_all_matches_golden_report(q, capsys):
     golden = (DATA / f"verify-all-q{q}.json").read_text()
     args = ["verify", "--q", str(q), "--suite", "all", "--format", "json"]
@@ -81,8 +82,8 @@ def test_norm_det_check_reports_a_wrong_det(ctx3):
 
 def _side_points(sess):
     """Indices of the points of the side subplanes and their conjugates."""
-    idx = sess.plane.point_index
-    return {idx[collineate_point(sess.ctx, P, s)]
+    idx = sess.plane.index
+    return {idx(collineate_point(sess.ctx, P, s))
             for th in sess.norm_reps() for P in t_plane(sess.ctx, th).points
             for s in range(3)}
 
@@ -105,7 +106,7 @@ def test_mu_checks_report_a_swapped_entry(ctx3):
     generic = _generic_classes(sess)
     mu = tables.mu.copy()
     i = next(k for k in sorted(side)
-             if tables.types[k] == TYPE_III and plane.lines[mu[k]][2] == 0)
+             if tables.types[k] == TYPE_III and plane.point(mu[k])[2] == 0)
     j = generic[0].members[1]
     mu[i], mu[j] = mu[j], mu[i]
     tables.mu = mu
@@ -138,7 +139,7 @@ def test_generic_plane_needs_one_orbit_line_set(ctx3, corruption):
     elif corruption == "mixed":
         mu[members[0]], mu[other.members[0]] = mu[other.members[0]], mu[members[0]]
     else:
-        mu[members] = [sess.plane.point_index[(1, b, 0)] for b in range(len(members))]
+        mu[members] = [sess.plane.index((1, b, 0)) for b in range(len(members))]
     tables.mu = mu
     e = generic_plane(sess)
     assert not e.passed
