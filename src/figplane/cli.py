@@ -9,13 +9,20 @@ figueroa  one group of block checks, named by --check
 sls       print the points of one side linear set
 tplane    print the points of one side subplane
 
-The --check groups come from the check table in figplane.suites.  Every
-check is exhaustive; --seed is only recorded in the report header.
+verify, census, maps and figueroa write reports, all through one
+runner.  What runs at an order q is read from the check table in
+figplane.suites: each check carries the gates on q it needs, and a
+requested suite or --check group none of whose checks runs at q is
+refused with the reason of the gate that fails.  Every check is
+exhaustive; --seed is only recorded in the report header.
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 usage or configuration
-error, or a geometry or kernel error during a run.  Output is
-byte-identical across runs with the same configuration; pass --timings
-to include (nondeterministic) per-check timings.
+Exit codes: 0 all checks pass, 1 a check failed, 2 a refused command
+(q not a prime power, a failing gate, an --emit-plane file that cannot
+be written, a --theta out of range; all refused before any check runs)
+or a geometry or kernel error during a run, reported as one
+"figplane: ..." line.  Output is byte-identical across runs with the
+same configuration; pass --timings to include (nondeterministic)
+per-check timings.
 """
 
 from __future__ import annotations
@@ -31,9 +38,11 @@ from .field import FieldError, context_for_q
 from .plane import GeometryError, format_point
 from .report import Report, TOOL_NAME, TOOL_VERSION
 from .suites import (Session, census_checks, check_groups, figueroa_checks,
-                     maps_checks)
+                     maps_checks, refusal)
 
 USAGE_ERROR = 2
+SUITES = ("census", "maps", "figueroa")
+
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--q", type=int, required=True,
@@ -52,8 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     _add_common(p)
-    p.add_argument("--suite", choices=("census", "maps", "figueroa", "all"),
-                   default="all")
+    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--emit-plane", metavar="FILE",
                    help="write the block structure as point index rows")
 
@@ -81,27 +89,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _context(args):
-    try:
-        ctx = context_for_q(args.q)
-    except FieldError as exc:
-        print(f"{TOOL_NAME}: {exc}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-    return ctx
+class UsageError(Exception):
+    """A refused command line: exit 2 with one line saying why."""
 
 
-def _require_figueroa(ctx):
-    if not ctx.figueroa_ok:
-        print(f"{TOOL_NAME}: the Figueroa construction needs q a prime power, q > 2 "
-              f"(got q = {ctx.q})", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-
-
-def _require_writable(path: str | None):
+def _require_writable(path: str):
     """Refuse an --emit-plane target that cannot be written, before any work."""
     import os
-    if path is None:
-        return
     folder = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         problem = "it is a directory"
@@ -113,12 +107,10 @@ def _require_writable(path: str | None):
         problem = f"directory {folder} is not writable"
     else:
         return
-    print(f"{TOOL_NAME}: cannot write --emit-plane file {path}: {problem}",
-          file=sys.stderr)
-    raise SystemExit(USAGE_ERROR)
+    raise UsageError(f"cannot write --emit-plane file {path}: {problem}")
 
 
-def _header(ctx, args, extra: dict | None = None) -> dict:
+def _header(ctx, args, extra: dict) -> dict:
     header = {
         "tool": TOOL_NAME,
         "version": TOOL_VERSION,
@@ -128,47 +120,13 @@ def _header(ctx, args, extra: dict | None = None) -> dict:
             "command": args.command,
             "format": args.format,
             "seed": args.seed,
+            **extra,
         },
     }
-    if extra:
-        header["config"].update(extra)
-    if ctx.warnings:
-        header["warnings"] = list(ctx.warnings)
+    if not fg.FIGUEROA.holds(ctx):
+        header["warnings"] = [
+            f"q = {ctx.q} < 3: Figueroa construction is unavailable at this order"]
     return header
-
-
-def _emit(report: Report, args) -> int:
-    sys.stdout.write(report.render(args.format, timings=args.timings))
-    return report.exit_code()
-
-
-def cmd_verify(args) -> int:
-    ctx = _context(args)
-    suite = args.suite
-    if suite == "figueroa" or args.emit_plane:
-        _require_figueroa(ctx)
-    _require_writable(args.emit_plane)
-    sess = Session(ctx)
-    entries = []
-    note = None
-    run_maps = suite in ("maps", "all")
-    run_fig = suite in ("figueroa", "all")
-    if suite == "all" and ctx.q >= 9:
-        run_maps = run_fig = False   # desk-scale default; request suites explicitly
-        note = "maps and figueroa suites skipped by default at q >= 9"
-    if suite in ("census", "all"):
-        entries.extend(census_checks(sess))
-    if run_maps:
-        entries.extend(maps_checks(sess))
-    if run_fig and ctx.figueroa_ok:
-        entries.extend(figueroa_checks(sess))
-    header = _header(ctx, args, {"suite": suite})
-    if note:
-        header["note"] = note
-    report = Report(header, entries)
-    if args.emit_plane:
-        fg.emit_plane(sess.fig_structure, args.emit_plane)
-    return _emit(report, args)
 
 
 def _census_csv(sess: Session) -> str:
@@ -182,84 +140,64 @@ def _census_csv(sess: Session) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_census(args) -> int:
-    ctx = _context(args)
+def run_report(args) -> int:
+    """verify, census, maps and figueroa: select the checks, refuse a
+    selection where none runs at q, run them in one Session and report."""
+    ctx = context_for_q(args.q)
+    suite = args.suite if args.command == "verify" else args.command
+    group = getattr(args, "check", None)
+    emit = getattr(args, "emit_plane", None)
+    suites = SUITES if suite == "all" else (suite,)
+    note = None
+    if suite == "all" and ctx.q >= 9:   # desk-scale default; request suites explicitly
+        suites, note = ("census",), "maps and figueroa suites skipped by default at q >= 9"
+    if suite != "all" and (reason := refusal(ctx, suite, group)):
+        raise UsageError(reason)
+    if emit:    # the file is the FIG that the figueroa suite builds
+        if reason := refusal(ctx, "figueroa"):
+            raise UsageError(reason)
+        _require_writable(emit)
     sess = Session(ctx)
-    entries = census_checks(sess)
-    report = Report(_header(ctx, args, {"suite": "census"}), entries)
-    if args.format == "csv":
+    entries = []
+    for name in suites:
+        # looked up when called, so a rebound suite function is the one run
+        checks = {"census": census_checks, "maps": maps_checks,
+                  "figueroa": figueroa_checks}[name]
+        entries.extend(checks(sess, group) if group else checks(sess))
+    header = _header(ctx, args, {"check": group} if group else {"suite": suite})
+    if note:
+        header["note"] = note
+    report = Report(header, entries)
+    if args.command == "census" and args.format == "csv":
         sys.stdout.write(_census_csv(sess))
         return report.exit_code()
-    if args.format == "json":
+    if args.command == "census" and args.format == "json":
         report.header["summary"] = {cat: sess.census.orbit_counts[cat]
                                     for cat in CATEGORIES}
-    return _emit(report, args)
+    if emit:
+        fg.emit_plane(sess.fig_structure, emit)
+    sys.stdout.write(report.render(args.format, timings=args.timings))
+    return report.exit_code()
 
 
-def cmd_maps(args) -> int:
-    ctx = _context(args)
-    sess = Session(ctx)
-    entries = maps_checks(sess, which=args.check)
-    report = Report(_header(ctx, args, {"check": args.check}), entries)
-    return _emit(report, args)
-
-
-def cmd_figueroa(args) -> int:
-    ctx = _context(args)
-    _require_figueroa(ctx)
-    if args.check == "even-structure" and ctx.q % 2:
-        print(f"{TOOL_NAME}: the even-order structure check needs q even "
-              f"(got q = {ctx.q})", file=sys.stderr)
-        return USAGE_ERROR
-    _require_writable(args.emit_plane)
-    sess = Session(ctx)
-    entries = figueroa_checks(sess, which=args.check)
-    report = Report(_header(ctx, args, {"check": args.check}), entries)
-    if args.emit_plane:
-        fg.emit_plane(sess.fig_structure, args.emit_plane)
-    return _emit(report, args)
-
-
-def _print_points(points) -> None:
+def print_points(args) -> int:
+    """sls and tplane: the points of one side linear set or subplane."""
+    ctx = context_for_q(args.q)
+    if not 0 <= args.theta <= ctx.q - 2:
+        raise UsageError(f"--theta must be a norm class index 0 .. {ctx.q - 2}")
+    theta = ctx.norm_class_rep(args.theta)
+    points = (ls.sls_points(ctx, theta, args.side) if args.command == "sls"
+              else ls.t_plane(ctx, theta).points)
     for P in sorted(points):
         print(format_point(P))
-
-
-def cmd_sls(args) -> int:
-    ctx = _context(args)
-    if not 0 <= args.theta <= ctx.q - 2:
-        print(f"{TOOL_NAME}: --theta must be a norm class index 0 .. {ctx.q - 2}",
-              file=sys.stderr)
-        return USAGE_ERROR
-    _print_points(ls.sls_points(ctx, ctx.norm_class_rep(args.theta), args.side))
     return 0
-
-
-def cmd_tplane(args) -> int:
-    ctx = _context(args)
-    if not 0 <= args.theta <= ctx.q - 2:
-        print(f"{TOOL_NAME}: --theta must be a norm class index 0 .. {ctx.q - 2}",
-              file=sys.stderr)
-        return USAGE_ERROR
-    _print_points(ls.t_plane(ctx, ctx.norm_class_rep(args.theta)).points)
-    return 0
-
-
-COMMANDS = {
-    "verify": cmd_verify,
-    "census": cmd_census,
-    "maps": cmd_maps,
-    "figueroa": cmd_figueroa,
-    "sls": cmd_sls,
-    "tplane": cmd_tplane,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
-    except (FieldError, GeometryError, KernelError) as exc:
+        return (print_points if args.command in ("sls", "tplane") else run_report)(args)
+    except (UsageError, FieldError, GeometryError, KernelError) as exc:
         print(f"{TOOL_NAME}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -17,12 +17,20 @@ order.  Two independent builds therefore produce identical tables.
 from __future__ import annotations
 
 from itertools import product
+from typing import Callable, NamedTuple
 
 MAX_ELEMENTS = 2 ** 21   # the largest GF(q^3) whose tables are built
 
 
 class FieldError(ValueError):
     """Invalid field parameters or an undefined field operation."""
+
+
+class Gate(NamedTuple):
+    """A condition on the order q that a computation needs, and the reason
+    to give where it does not hold."""
+    holds: Callable[[FieldContext], bool]
+    reason: str
 
 
 def is_prime(n: int) -> bool:
@@ -172,11 +180,6 @@ class FieldContext:
         self.n = self.q3 - 1              # order of the multiplicative group
         self.sub_order = self.q ** 2 + self.q + 1   # index of GF(q)* in GF(q^3)*
         self.modulus = _find_modulus(p, m)
-        self.warnings: list[str] = []
-        self.figueroa_ok = self.q >= 3
-        if not self.figueroa_ok:
-            self.warnings.append(
-                f"q = {self.q} < 3: Figueroa construction is unavailable at this order")
 
         self.generator_poly = self._find_generator()
         self._build_tables()

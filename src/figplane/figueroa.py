@@ -32,7 +32,7 @@ from functools import cache, partial
 
 import numpy as np
 
-from .field import FieldContext
+from .field import FieldContext, Gate
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                     ProjectivePlane, Triple, format_line, format_point,
                     lines_through_point, points_on_line)
@@ -137,6 +137,10 @@ def pg_incidence(plane: ProjectivePlane) -> IncidencePlane:
     return LineRows(plane)
 
 
+FIGUEROA = Gate(lambda ctx: ctx.q > 2,
+                "the Figueroa construction needs q a prime power, q > 2")
+
+
 def build_fig_plane(plane: ProjectivePlane) -> IncidencePlane:
     """Assemble FIG(q^3); blocks are indexed by the line they replace.
 
@@ -144,9 +148,8 @@ def build_fig_plane(plane: ProjectivePlane) -> IncidencePlane:
     row is the block of the line's involution image, assembled from the
     incidence rows and the type and involution tables into the structure's
     one (n, q^3 + 1) array (``PlaneTables.fig_blocks``)."""
-    if not plane.ctx.figueroa_ok:
-        raise GeometryError(
-            f"q = {plane.ctx.q}: the Figueroa construction needs a prime power q > 2")
+    if not FIGUEROA.holds(plane.ctx):
+        raise GeometryError(f"{FIGUEROA.reason} (got q = {plane.ctx.q})")
     return IncidencePlane(plane, plane.tables.fig_blocks())
 
 

@@ -2,17 +2,19 @@
 
 Each check is a function of a :class:`Session` returning a
 :class:`figplane.report.CheckEntry` with counts and witnesses in
-deterministic order, registered once in the ordered table ``CHECKS``.
-Every check is exhaustive.  A Session caches the shared artifacts (plane
-tables, orbit partition, FIG structure) so one run builds each once.
+deterministic order, registered once in the ordered table ``CHECKS``
+with its gates, the conditions on q it needs to run; ``refusal`` says
+why a selection has nothing to run at q.  Every check is exhaustive.
+A Session caches the shared artifacts (plane tables, orbit partition,
+FIG structure) so one run builds each once.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import namedtuple
 from functools import cached_property, partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES,
                            OrbitClasses, census_of, collineate_point, line_types_table,
                            partition_orbits, point_type, point_types_table,
                            expected_type_counts, tally_types)
-from .field import FieldContext
+from .field import FieldContext, Gate
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane,
                     format_line, format_point, lines_through_point, points_on_line)
 from .report import CheckEntry, entry
@@ -59,20 +61,42 @@ class Session:
         return [self.ctx.norm_class_rep(j) for j in range(self.ctx.q - 1)]
 
 
-Check = namedtuple("Check", "suite group run applies")
+class Check(NamedTuple):
+    suite: str
+    group: str
+    run: Callable[[Session], CheckEntry]
+    gates: tuple[Gate, ...]
+
+    def applies(self, ctx: FieldContext) -> bool:
+        """Whether the check runs at this order: every gate holds."""
+        return all(g.holds(ctx) for g in self.gates)
+
 
 CHECKS: list[Check] = []
 
+EVEN_Q = Gate(lambda ctx: ctx.q % 2 == 0, "the even-order structure check needs q even")
+SUITE_GATES = {"figueroa": (fg.FIGUEROA,)}    # every check of the suite needs them
 
-def check(suite: str, group: str | None = None, applies=lambda ctx: True):
+
+def check(suite: str, group: str | None = None, gates: tuple[Gate, ...] = ()):
     """Register the decorated check in ``CHECKS``, whose order is report
     order, under its suite (census, maps or figueroa), its ``--check``
-    group (by default the suite) and ``applies(ctx)``, true at the orders
-    where it runs."""
+    group (by default the suite) and the gates, those of its suite first,
+    that must hold at an order for it to run there."""
     def register(fn):
-        CHECKS.append(Check(suite, group or suite, fn, applies))
+        CHECKS.append(Check(suite, group or suite, fn, SUITE_GATES.get(suite, ()) + gates))
         return fn
     return register
+
+
+def refusal(ctx: FieldContext, suite: str, group: str | None = None) -> str | None:
+    """Why no check of the suite (or of one of its groups) runs at this
+    order, from the first gate that fails; None when one does run."""
+    picked = [c for c in CHECKS if c.suite == suite and group in (None, c.group)]
+    if any(c.applies(ctx) for c in picked):
+        return None
+    gate = next(g for c in picked for g in c.gates if not g.holds(ctx))
+    return f"{gate.reason} (got q = {ctx.q})"
 
 
 def check_groups(suite: str) -> list[str]:
@@ -199,16 +223,16 @@ def involution(sess: Session) -> CheckEntry:
 
 @check("maps", "mu")
 def rejects_fixed_objects(sess: Session) -> CheckEntry:
-    ok = True
-    for fn in (gm.conjugate_join, gm.conjugate_meet):
+    bad = []
+    for name in ("conjugate_join", "conjugate_meet"):
         try:
-            fn(sess.ctx, (1, 1, 1))     # a fixed, Type I point; a fixed-subplane line
-            ok = False
+            getattr(gm, name)(sess.ctx, (1, 1, 1))  # a fixed, Type I point; a fixed-subplane line
+            bad.append(f"{name} accepted the Type I object 1:1:1")
         except gm.TypeRestrictionError:
             pass
     return entry("mu.rejects-fixed-objects",
                  "applying the involution to a Type I object raises",
-                 ok, {}, [])
+                 not bad, {}, bad)
 
 
 @check("maps", "mu")
@@ -297,7 +321,7 @@ def generic_plane(sess: Session) -> CheckEntry:
                  not bad, {"tested": len(generic), "mode": "exhaustive"}, bad[:5])
 
 
-@check("maps", "mu", applies=lambda ctx: ctx.figueroa_ok)
+@check("maps", "mu", gates=(fg.FIGUEROA,))
 def block_incidence_twist(sess: Session) -> CheckEntry:
     # the incidence twist behind the third line class: a Type III point is
     # in the Type III part of the anchor block exactly when its involution
@@ -368,17 +392,19 @@ def pencil_census(sess: Session) -> CheckEntry:
     ctx = sess.ctx
     q = ctx.q
     tys = [ls.pencil_type(ctx, th) for th in sess.norm_reps()]
-    ok = tys.count(TYPE_II) == 1 and tys.count(TYPE_III) == q - 2
-    # which pencils meet the axis in the Type II linear set, per parity
+    type_ii = [j for j, t in enumerate(tys) if t == TYPE_II]
+    # the pencil of the norm class of -1 is the Type II one exactly for even q
     sm1_class = ctx.norm_class(ctx.neg_one)
-    ii_pencil_class = tys.index(TYPE_II)
-    if q % 2 == 0:
-        ok = ok and ii_pencil_class == sm1_class
-    else:
-        ok = ok and ii_pencil_class != sm1_class and tys[sm1_class] == TYPE_III
+    want = TYPE_II if q % 2 == 0 else TYPE_III
+    bad = []
+    if len(type_ii) != 1 or tys.count(TYPE_III) != q - 2:
+        bad.append(f"Type II pencil classes {type_ii}; expected one, the other {q - 2} Type III")
+    if tys[sm1_class] != want:
+        bad.append(f"pencil class {sm1_class}, the norm class of -1, is Type"
+                   f" {TYPE_NAMES[tys[sm1_class]]}, expected {TYPE_NAMES[want]}")
     return entry("projection.pencil-census",
                  "exactly one pencil is Type II, and pencil versus base types follow the parity rule",
-                 ok, {"type_II": tys.count(TYPE_II), "type_III": tys.count(TYPE_III)}, [])
+                 not bad, {"type_II": tys.count(TYPE_II), "type_III": tys.count(TYPE_III)}, bad)
 
 
 @check("maps", "pr-sp")
@@ -401,14 +427,16 @@ def _fixed_planes(sess: Session, id: str, claim: str, found, reps, expected: int
                   ok: bool = True) -> CheckEntry:
     """Entry for an exhaustive scan that found the classes ``found``, which
     must be the ``expected`` subplanes through the closed-form ``reps``."""
-    want = {frozenset(sess.plane.index(P) for P in ls.plane_from_rep(sess.ctx, R).points)
-            for R in reps}
+    want = [frozenset(sess.plane.index(P) for P in ls.plane_from_rep(sess.ctx, R).points)
+            for R in reps]
     got = {frozenset(cl.members) for cl in found}
-    ok = ok and len(found) == expected and got == want
+    ok = ok and len(found) == expected and got == set(want)
+    missing = [f"no class is the subplane through {format_point(R)}"
+               for R, members in zip(reps, want) if members not in got]
     return entry(id, claim, ok,
                  {"found": len(found), "expected": expected,
                   "representatives": " ".join(format_point(cl.rep) for cl in found)},
-                 [] if ok else [format_point(cl.rep) for cl in found])
+                 [] if ok else [format_point(cl.rep) for cl in found] + missing)
 
 
 @check("maps", "fixed")
@@ -675,7 +703,7 @@ def characterization(sess: Session) -> CheckEntry:
                  rep.mismatches)
 
 
-@check("figueroa", "even-structure", applies=lambda ctx: ctx.q % 2 == 0)
+@check("figueroa", "even-structure", gates=(EVEN_Q,))
 def even_structure(sess: Session) -> CheckEntry:
     """Even q only: through each triangle vertex, every line carries
     exactly one point of the conjugate block's Type III part or exactly
@@ -708,16 +736,25 @@ def splash_involution(sess: Session) -> CheckEntry:
     block, must biject onto the axis minus the norm-one linear set, and
     hit exactly the Type III axis points iff q is even."""
     ctx = sess.ctx
-    images = [gm.splash(ctx, gm.conjugate_join(ctx, P))
-              for P in fg.fig_block(ctx, ANCHOR).f_points]
-    image, axis = frozenset(images), frozenset(points_on_line(ctx, AXIS))
-    injective = len(image) == len(images)
+    first, collisions = {}, []       # image -> the first block point splashed onto it
+    for P in sorted(fg.fig_block(ctx, ANCHOR).f_points):
+        I = gm.splash(ctx, gm.conjugate_join(ctx, P))
+        if first.setdefault(I, P) != P:
+            collisions.append(f"{format_point(first[I])} and {format_point(P)}"
+                              f" both go to {format_point(I)}")
+    image, axis = frozenset(first), frozenset(points_on_line(ctx, AXIS))
+    want = axis - ls.sls_points(ctx, ctx.one)
     type3_axis = {P for P in axis if point_type(ctx, P) == TYPE_III}
     iff_even = (image == type3_axis) == (ctx.q % 2 == 0)
+    bad = (collisions + [f"missing {format_point(P)}" for P in sorted(want - image)]
+           + [f"extra {format_point(P)}" for P in sorted(image - want)])
+    if not iff_even:
+        bad.append(f"at q = {ctx.q} the image {'is' if image == type3_axis else 'is not'}"
+                   " the Type III axis points")
     return entry("fig.splash-involution",
                  "splash after the involution bijects the Type III block part onto the axis minus the norm-one set",
-                 injective and iff_even and image == axis - ls.sls_points(ctx, ctx.one),
+                 not bad,
                  {"image_size": len(image),
-                  "injective": str(injective),
+                  "injective": str(not collisions),
                   "type3_iff_even": str(iff_even)},
-                 [])
+                 bad[:5])

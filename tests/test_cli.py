@@ -10,8 +10,10 @@ import pytest
 from figplane.arrays import KernelError
 from figplane.cli import main
 from figplane.collineation import OrbitInconsistency
+from figplane.figueroa import FIGUEROA
 from figplane.plane import GeometryError
 from figplane.report import Report, entry
+from figplane.suites import EVEN_Q, check_groups
 
 
 def run_cli(args, capsys):
@@ -33,17 +35,13 @@ def test_verify_q3_all_passes(capsys):
 
 
 def test_verify_rejects_q2_figueroa(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--q", "2", "--suite", "figueroa"])
-    assert exc.value.code == 2
+    assert main(["verify", "--q", "2", "--suite", "figueroa"]) == 2
     err = capsys.readouterr().err
     assert "q > 2" in err
 
 
 def test_verify_rejects_non_prime_power(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--q", "6", "--suite", "census"])
-    assert exc.value.code == 2
+    assert main(["verify", "--q", "6", "--suite", "census"]) == 2
 
 
 def test_census_csv_q3(capsys):
@@ -119,6 +117,24 @@ def test_verify_all_runs_every_suite_at_q8(monkeypatch, capsys):
     assert code == 0
     assert ran == ["census_checks", "maps_checks", "figueroa_checks"]
     assert "note" not in json.loads(out)["header"]
+
+
+@pytest.mark.parametrize("command, called", [
+    (["census"], ("census_checks",)),
+    (["maps", "--check", "mu"], ("maps_checks", "mu")),
+    (["figueroa", "--check", "axioms"], ("figueroa_checks", "axioms"))])
+def test_report_commands_look_up_the_suite_functions_when_run(monkeypatch, capsys,
+                                                               command, called):
+    """Every report command calls the suite functions bound in the cli module
+    at run time, as tracing and the stubs here rebind them."""
+    import figplane.cli as cli
+    ran = []
+    for name in ("census_checks", "maps_checks", "figueroa_checks"):
+        monkeypatch.setattr(cli, name,
+                            lambda sess, *group, name=name: ran.append((name, *group)) or [])
+    code, out = run_cli(command + ["--q", "3", "--format", "json"], capsys)
+    assert code == 0 and json.loads(out)["checks"] == []
+    assert ran == [called]
 
 
 def test_text_report_prints_the_header_note(capsys):
@@ -233,9 +249,7 @@ def test_unwritable_emit_plane_rejected_before_work(tmp_path, capsys, monkeypatc
         raise AssertionError("a check ran before the path was validated")
     monkeypatch.setattr("figplane.cli.Session", no_session)
     target = tmp_path / "missing" / "plane.txt"
-    with pytest.raises(SystemExit) as exc:
-        main(command + ["--emit-plane", str(target)])
-    assert exc.value.code == 2
+    assert main(command + ["--emit-plane", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("figplane: cannot write --emit-plane file")
@@ -254,10 +268,44 @@ def test_read_only_emit_plane_rejected_before_work(tmp_path, capsys, monkeypatch
     def no_session(*args, **kwargs):
         raise AssertionError("a check ran before the path was validated")
     monkeypatch.setattr("figplane.cli.Session", no_session)
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--q", "3", "--suite", "census", "--emit-plane", str(target)])
-    assert exc.value.code == 2
+    assert main(["verify", "--q", "3", "--suite", "census", "--emit-plane", str(target)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (f"figplane: cannot write --emit-plane file {target}: "
                             "it is not writable\n")
+
+
+SELECTIONS = ([pytest.param(["verify", "--suite", s], s, None, id=f"verify:{s}")
+               for s in ("census", "maps", "figueroa", "all")]
+              + [pytest.param([suite, "--check", g], suite, g, id=f"{suite}:{g}")
+                 for suite in ("maps", "figueroa") for g in check_groups(suite)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("command, suite, group", SELECTIONS)
+def test_every_selection_runs_or_is_refused_with_its_gate(capsys, q, command, suite, group):
+    """Each suite and --check group either runs at least one entry and passes,
+    or exits 2 with no report and one line giving the gate's reason: the
+    Figueroa suite needs q > 2, the even-order structure check even q."""
+    code = main(command + ["--q", str(q), "--format", "json"])
+    captured = capsys.readouterr()
+    if suite == "figueroa" and q == 2:
+        reason = FIGUEROA.reason
+    elif group == "even-structure" and q % 2:
+        reason = EVEN_Q.reason
+    else:
+        assert code == 0 and json.loads(captured.out)["checks"]
+        return
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"figplane: {reason} (got q = {q})\n"
+
+
+def test_emit_plane_refused_at_q2_before_any_session(tmp_path, capsys, monkeypatch):
+    def no_session(*args, **kwargs):
+        raise AssertionError("a Session was built before the refusal")
+    monkeypatch.setattr("figplane.cli.Session", no_session)
+    target = tmp_path / "plane.txt"
+    assert main(["verify", "--q", "2", "--suite", "census", "--emit-plane", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not target.exists()
+    assert captured.err == f"figplane: {FIGUEROA.reason} (got q = 2)\n"

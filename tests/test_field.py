@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -180,11 +181,16 @@ def test_errors(monkeypatch):
         context_for_q(12)
 
 
-def test_small_q_warning():
-    ctx = build_field_tower(2, 1)
-    assert not ctx.figueroa_ok
-    assert ctx.warnings
-    assert build_field_tower(3, 1).figueroa_ok
+def test_small_q_warning(capsys):
+    """The Figueroa gate fails at q = 2 only, and the q = 2 report header
+    warns that the construction is unavailable there."""
+    from figplane.cli import main
+    from figplane.figueroa import FIGUEROA
+    assert not FIGUEROA.holds(build_field_tower(2, 1))
+    assert FIGUEROA.holds(build_field_tower(3, 1)) and FIGUEROA.holds(build_field_tower(2, 2))
+    assert main(["census", "--q", "2", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["header"]["warnings"] == [
+        "q = 2 < 3: Figueroa construction is unavailable at this order"]
 
 
 def test_field_description_serialization():

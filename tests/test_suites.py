@@ -25,9 +25,11 @@ from figplane.linear_sets import t_plane
 from figplane.maps import VertexCensus
 from figplane.plane import format_point
 from figplane.suites import (CHECKS, Session, block_incidence_twist,
-                             block_sizes, check_groups, collineation_permutes,
-                             cross_plane, generic_plane, maps_checks,
-                             norm_det_relation, plane_images, vertices_census)
+                             block_sizes, check_groups, collineation_fixed,
+                             collineation_permutes, cross_plane, generic_plane,
+                             involution_fixed, maps_checks, norm_det_relation,
+                             pencil_census, plane_images, rejects_fixed_objects,
+                             splash_involution, vertices_census)
 
 DATA = Path(__file__).parent / "data"
 
@@ -157,6 +159,60 @@ def test_twist_reads_block_membership_from_the_block(ctx3, monkeypatch):
     monkeypatch.setattr(fg, "fig_block", lambda ctx, anchor: short)
     e = block_incidence_twist(sess)
     assert not e.passed and e.witnesses == [format_point(P)]
+
+
+def test_rejects_fixed_objects_names_the_map_that_accepts(ctx3, monkeypatch):
+    sess = Session(ctx3)
+    assert rejects_fixed_objects(sess).passed
+    monkeypatch.setattr("figplane.maps.conjugate_meet", lambda ctx, l: (0, 0, 1))
+    e = rejects_fixed_objects(sess)
+    assert not e.passed
+    assert e.witnesses == ["conjugate_meet accepted the Type I object 1:1:1"]
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_pencil_census_without_a_type_ii_pencil_fails(q, monkeypatch):
+    """With every pencil Type III the entry fails and names the pencil
+    classes; at even q the pencil of -1 must be the Type II one as well."""
+    ctx = build_field_tower(*{3: (3, 1), 4: (2, 2)}[q])
+    monkeypatch.setattr("figplane.linear_sets.pencil_type", lambda ctx, theta: TYPE_III)
+    e = pencil_census(Session(ctx))
+    assert not e.passed and e.counts == {"type_II": 0, "type_III": q - 1}
+    want = [f"Type II pencil classes []; expected one, the other {q - 2} Type III"]
+    if q == 4:
+        want.append("pencil class 0, the norm class of -1, is Type III, expected II")
+    assert e.witnesses == want
+
+
+def test_splash_involution_names_a_collision_and_the_point_it_misses(ctx3, monkeypatch):
+    import figplane.figueroa as fg
+    import figplane.maps as gm
+    P, Q = sorted(fg.fig_block(ctx3, fg.ANCHOR).f_points)[:2]
+    real = gm.splash
+    image_p, line_q = real(ctx3, gm.conjugate_join(ctx3, P)), gm.conjugate_join(ctx3, Q)
+    assert splash_involution(Session(ctx3)).passed
+    monkeypatch.setattr(gm, "splash", lambda ctx, l: image_p if l == line_q else real(ctx, l))
+    e = splash_involution(Session(ctx3))
+    assert not e.passed and e.counts["injective"] == "False"
+    assert e.witnesses == [
+        f"{format_point(P)} and {format_point(Q)} both go to {format_point(image_p)}",
+        f"missing {format_point(real(ctx3, line_q))}"]
+
+
+@pytest.mark.parametrize("check, scan", [(collineation_fixed, "phi_fixed_planes"),
+                                         (involution_fixed, "mu_fixed_planes")])
+def test_fixed_scan_that_finds_nothing_names_the_expected_planes(ctx4, monkeypatch,
+                                                                  check, scan):
+    from figplane.maps import expected_phi_fixed_reps
+    sess = Session(ctx4)
+    assert check(sess).passed
+    monkeypatch.setattr(f"figplane.maps.{scan}", lambda plane, classes: [])
+    e = check(sess)
+    reps = [R for R in expected_phi_fixed_reps(ctx4)
+            if check is collineation_fixed or R != (1, 1, 1)]
+    assert not e.passed and e.counts["found"] == 0 and len(reps) == e.counts["expected"]
+    assert e.witnesses == [f"no class is the subplane through {format_point(R)}"
+                           for R in reps]
 
 
 def test_block_sizes_report_a_repeated_point(fig3):
