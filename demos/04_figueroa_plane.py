@@ -11,15 +11,18 @@ import time
 
 import numpy as np
 
-from figplane import (ANCHOR, TYPE_III, ProjectivePlane, RowSwap, build_field_tower,
-                      build_fig_plane, check_axioms, fig_block, pg_incidence)
+from figplane import (ANCHOR, TYPE_II, TYPE_III, ProjectivePlane, RowSwap,
+                      anchor_block, build_field_tower, build_fig_plane, check_axioms,
+                      pg_incidence)
 
 ctx = build_field_tower(3, 1)
 plane = ProjectivePlane(ctx)
 
-block = fig_block(ctx, ANCHOR)
-print(f"block of the anchor: {len(block.points)} points "
-      f"({len(block.e_points)} Type II on its line, {len(block.f_points)} Type III)")
+# the block is the FIG row that replaces the anchor's involution image line
+block = anchor_block(plane, ANCHOR)
+kinds = plane.tables.types[block]
+print(f"block of the anchor: {len(block)} points ({(kinds == TYPE_II).sum()} Type II "
+      f"on its line, {(kinds == TYPE_III).sum()} Type III)")
 
 t0 = time.perf_counter()
 fig = build_fig_plane(plane)

@@ -36,6 +36,6 @@ from .maps import (LinearSetImage, TypeRestrictionError, conjugate_join,
                    conjugate_meet, mu_fixed_planes, phi_fixed_planes, pr_set,
                    project_from_anchor, project_from_vertex, sp_set, splash,
                    vertex_census)
-from .figueroa import (FigBlock, IncidencePlane, LineRows, RowSwap,
+from .figueroa import (IncidencePlane, LineRows, RowSwap, anchor_block,
                        arching_census, build_fig_plane, characterize_fig_points,
-                       check_axioms, fig_block, pg_incidence, pr_fig_block)
+                       check_axioms, fig_incident, pg_incidence, pr_fig_block)

@@ -27,6 +27,7 @@ coordinates builds the first five together:
 * ``phi``    the index of the collineation image;
 * ``tau``, ``tau_line``  the index of the torus image of every point and
   of every line, the generator of the stabilizer, which commutes with phi;
+  ``tau_line`` is the inverse permutation of ``tau``, one scatter;
 * ``orbit``  the least index in the stabilizer orbit of every point, which
   ``figplane.collineation.partition_orbits`` reads;
 * ``dickson``, ``dickson_line``  the index of the image of every point and
@@ -37,8 +38,10 @@ No table has a row per object.  ``PlaneTables.incidence_rows`` makes the
 rows of q^3 + 1 sorted point indices of any lines from their closed form
 when they are asked for; since a point lies on line l exactly when l lies
 on the point read as a line, row i is equally the lines through point i.
-``PlaneTables.fig_blocks`` fills the one (n, q^3 + 1) array of a run, the
-blocks of FIG(q^3), from those rows and the type and involution tables.
+``PlaneTables.fig_rows`` assembles the blocks of FIG(q^3) that replace any
+lines from those rows and the type and involution tables; it is the only
+code that assembles a block, and ``PlaneTables.fig_blocks`` fills the one
+(n, q^3 + 1) array of a run from it.
 ``PlaneTables.project`` classifies the projection images of a batch of
 vertices, each from its own coordinates, ``PlaneTables.vertex_kinds``
 classifies every point as a vertex for an orbit subplane by projecting
@@ -284,12 +287,9 @@ class PlaneTables:
         x0, y0, z0 = x[off], y[off], z[off]
         sec[off] = F.index(*F.canonical(F.mul(y0, z0), F.mul(x0, z0), F.mul(x0, y0)))
         phi = F.index(*F.canonical(*self._conjugate_rows(x, y, z)[0]))
-        return types, mu, sec, phi, self._torus_image(x, y, z, np.int32(2))
-
-    def _torus_image(self, x, y, z, g):
-        """Index of (g x, g^q y, g^q^2 z) for each triple (x, y, z)."""
-        F = self.field
-        return F.index(*F.canonical(F.mul(x, g), F.mul(y, F.frob(g, 1)), F.mul(z, F.frob(g, 2))))
+        g = np.int32(2)
+        tau = F.index(*F.canonical(F.mul(x, g), F.mul(y, F.frob(g, 1)), F.mul(z, F.frob(g, 2))))
+        return types, mu, sec, phi, tau
 
     @cached_property
     def _point_tables(self) -> dict[str, np.ndarray]:
@@ -326,9 +326,12 @@ class PlaneTables:
     @cached_property
     def tau_line(self) -> np.ndarray:
         """Index of the tau image [a/g, b/g^q, c/g^q^2] of every line [a:b:c]:
-        tau maps the points of line L onto the points of tau_line[L]."""
-        h = self.field.inv(np.int32(2))
-        return self._build(lambda x, y, z: (self._torus_image(x, y, z, h),), np.int32)[0]
+        tau maps the points of line L onto the points of tau_line[L].  That
+        image is tau^-1 of the same triple, so the table is the inverse
+        permutation of ``tau``, one scatter with no field arithmetic."""
+        inv = np.empty_like(self.tau)
+        inv[self.tau] = np.arange(self.size, dtype=inv.dtype)
+        return _frozen(inv)
 
     @cached_property
     def _dickson_rows(self):
@@ -404,38 +407,44 @@ class PlaneTables:
             rows[flat, q3] = q3 * q3 + q3
         return rows
 
-    def fig_blocks(self) -> np.ndarray:
-        """Blocks of FIG(q^3), one sorted row per line of PG(2, q^3).
+    def fig_rows(self, L) -> np.ndarray:
+        """The rows of FIG(q^3) that replace the lines L, one sorted row of
+        q^3 + 1 point indices each; the only code that assembles a block.
 
         A Type I or II line keeps its incidence row.  A Type III line L is
         replaced by the block of its involution image A = mu[L]: the Type II
-        points of L together with mu[M] for the Type III lines M through A.
-        The one (n, q^3 + 1) output array is filled in chunks of
-        ``4 CHUNK // (q^3 + 1)`` lines from ``incidence_rows`` of the lines
-        and of their involution images.  A block of the wrong size raises
+        points of L (the E part) together with mu[M] for the Type III lines
+        M through A (the F part).  A block of the wrong size raises
         ``GeometryError``.
         """
         types, mu = self.types, self.mu
         k = self.ctx.q3 + 1
+        L = np.asarray(L)
+        rows = self.incidence_rows(L)
+        new = np.take(types, L) == 3                        # Type III lines
+        on, through = rows[new], self.incidence_rows(np.take(mu, L[new]))
+        # Type II points of L, then mu of the Type III lines through A;
+        # -1 marks the entries that are neither
+        members = np.concatenate(
+            (np.where(np.take(types, on) == 2, on, -1),
+             np.where(np.take(types, through) == 3, np.take(mu, through), -1)), axis=1)
+        keep = members >= 0
+        sizes = np.count_nonzero(keep, axis=1)
+        if np.any(sizes != k):
+            j = int(np.argmax(sizes != k))
+            line = tuple(int(v[0]) for v in self.field.coords(L[new][j:j + 1]))
+            raise GeometryError(f"block replacing line {format_line(line)} has "
+                                f"{sizes[j]} points, not {k}")
+        rows[new] = np.sort(members[keep].reshape(-1, k), axis=1)
+        return rows
+
+    def fig_blocks(self) -> np.ndarray:
+        """The one (n, q^3 + 1) array of the blocks of FIG(q^3), filled from
+        ``fig_rows`` in chunks of ``4 CHUNK // (q^3 + 1)`` lines."""
+        k = self.ctx.q3 + 1
         out = np.empty((self.size, k), dtype=np.int32)
         for L in chunks(np.arange(self.size), max(1, k // 4)):   # 4 CHUNK entries
-            rows = self.incidence_rows(L)
-            new = np.take(types, L) == 3                        # Type III lines
-            on, through = rows[new], self.incidence_rows(np.take(mu, L[new]))
-            # Type II points of L, then mu of the Type III lines through A;
-            # -1 marks the entries that are neither
-            members = np.concatenate(
-                (np.where(np.take(types, on) == 2, on, -1),
-                 np.where(np.take(types, through) == 3, np.take(mu, through), -1)), axis=1)
-            keep = members >= 0
-            sizes = np.count_nonzero(keep, axis=1)
-            if np.any(sizes != k):
-                j = int(np.argmax(sizes != k))
-                line = tuple(int(v[0]) for v in self.field.coords(L[new][j:j + 1]))
-                raise GeometryError(f"block replacing line {format_line(line)} has "
-                                    f"{sizes[j]} points, not {k}")
-            rows[new] = np.sort(members[keep].reshape(-1, k), axis=1)
-            out[L[0]:L[-1] + 1] = rows
+            out[L[0]:L[-1] + 1] = self.fig_rows(L)
         return _frozen(out)
 
     def _subplane(self, B) -> np.ndarray:

@@ -17,6 +17,10 @@ structure invariant, row by row, under two of them, the torus shift tau
 and one Dickson matrix d, which together are transitive on each point
 type; so it counts pairs from three points only.
 
+Every block is made by ``PlaneTables.fig_rows``, which fills the FIG
+(``build_fig_plane``) and gives the block of one anchor (``anchor_block``);
+the reference the rows are tested against is the closed form ``fig_incident``.
+
 An ``IncidencePlane`` is a row source: every reader, the axiom checker,
 ``fig.build``, ``fig.block-sizes`` and ``emit_plane``, takes blocks
 through ``rows(L)`` in chunks.  The FIG gathers its rows from the one
@@ -28,14 +32,14 @@ overrides one row of another source, so a mutation copies nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import partial
 
 import numpy as np
 
 from .field import FieldContext, Gate
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                     ProjectivePlane, Triple, format_line, format_point,
-                    lines_through_point, points_on_line)
+                    incident, points_on_line)
 from .collineation import (TYPE_II, TYPE_III, collineate_point, line_type,
                            point_type)
 from .linear_sets import sls_points, t_plane
@@ -43,36 +47,31 @@ from .maps import (TypeRestrictionError, conjugate_join, conjugate_meet,
                    project_from_anchor)
 
 
-@dataclass(frozen=True)
-class FigBlock:
-    anchor: Triple
-    line: Triple                     # involution image of the anchor
-    e_points: frozenset[Triple]      # Type II points on that line
-    f_points: frozenset[Triple]      # involution images of Type III lines through the anchor
-
-    @property
-    def points(self) -> frozenset[Triple]:
-        return self.e_points | self.f_points
-
-
-@cache
-def fig_block(ctx: FieldContext, anchor: Triple) -> FigBlock:
-    """Construct the block of a Type III anchor point, once per field
-    context and anchor: the result is immutable."""
-    if point_type(ctx, anchor) != TYPE_III:
+def anchor_block(plane: ProjectivePlane, anchor: Triple) -> np.ndarray:
+    """The block of a Type III anchor as sorted point indices: the FIG row
+    of the anchor's involution image line.  Its E part is its Type II
+    entries, its F part its Type III entries."""
+    tables, A = plane.tables, plane.index(anchor)
+    if tables.types[A] != TYPE_III:
         raise TypeRestrictionError(f"anchor {anchor} is not Type III")
-    m = conjugate_join(ctx, anchor)
-    e_pts = frozenset(P for P in points_on_line(ctx, m)
-                      if point_type(ctx, P) == TYPE_II)
-    f_pts = frozenset(conjugate_meet(ctx, l)
-                      for l in lines_through_point(ctx, anchor)
-                      if line_type(ctx, l) == TYPE_III)
-    block = FigBlock(anchor, m, e_pts, f_pts)
-    if len(e_pts) != ctx.sub_order or len(block.points) != ctx.q ** 3 + 1:
-        raise GeometryError(
-            f"block of {anchor} has {len(e_pts)} Type II and {len(block.points)} "
-            f"points in all, not {ctx.sub_order} and {ctx.q ** 3 + 1}")
-    return block
+    return tables.fig_rows([tables.mu[A]])[0]
+
+
+def fig_incident(ctx: FieldContext, P: Triple, L: Triple) -> bool:
+    """Whether point P lies on the block of FIG(q^3) that replaces line L,
+    in closed form, the single-object reference for the FIG rows.
+
+    A Type III line L is replaced by the block of A = mu(L): the Type II
+    points of L, and mu(M) for the Type III lines M through A.  So a Type
+    II point is on it exactly when it is on L, and a Type III point P
+    exactly when A lies on mu(P).  Every other line keeps its incidence.
+    """
+    if line_type(ctx, L) != TYPE_III:
+        return incident(ctx, P, L)
+    kind = point_type(ctx, P)
+    if kind == TYPE_III:
+        return incident(ctx, conjugate_meet(ctx, L), conjugate_join(ctx, P))
+    return kind == TYPE_II and incident(ctx, P, L)
 
 
 @dataclass
@@ -291,13 +290,14 @@ def check_axioms(structure: IncidencePlane) -> AxiomReport:
                   representatives=len(reps), witnesses=witnesses)
 
 
-def pr_fig_block(ctx: FieldContext, which: int = 0) -> frozenset[Triple]:
+def pr_fig_block(plane: ProjectivePlane, which: int = 0) -> frozenset[Triple]:
     """Projection from the anchor of the block at the anchor's conjugate
     ``which`` (0, 1 or 2); the anchor itself, a member of the conjugate
     blocks, is skipped since projection is undefined there."""
-    block = fig_block(ctx, collineate_point(ctx, ANCHOR, which))
+    ctx = plane.ctx
+    block = anchor_block(plane, collineate_point(ctx, ANCHOR, which))
     return frozenset(project_from_anchor(ctx, P)
-                     for P in block.points if P != ANCHOR)
+                     for P in map(plane.point, block) if P != ANCHOR)
 
 
 def expected_pr_fig_block(ctx: FieldContext, which: int = 0) -> frozenset[Triple]:
@@ -329,7 +329,6 @@ def expected_pr_fig_block(ctx: FieldContext, which: int = 0) -> frozenset[Triple
 def arching_census(ctx: FieldContext) -> dict[int, int]:
     """For each pencil, by norm class, how many of the q-1 side subplanes
     it arches over, i.e. meets once on every pencil line."""
-    from .plane import incident
     from .linear_sets import pencil_lines
     q = ctx.q
     planes = [t_plane(ctx, ctx.norm_class_rep(j)).points for j in range(q - 1)]
@@ -366,8 +365,8 @@ def characterize_fig_points(plane: ProjectivePlane,
     vertices = set()
     for vs in vc.by_class.values():
         vertices.update(vs)
-    block = fig_block(ctx, ANCHOR)
-    off_axis_members = {P for P in block.points if P[2] != 0}
+    off_axis_members = {P for P in map(plane.point, anchor_block(plane, ANCHOR))
+                        if P[2] != 0}
     mismatches = []
     for P in sorted(vertices - {ANCHOR} - off_axis_members)[:5]:
         mismatches.append(f"{format_point(P)} projects to a side set but is no block member")

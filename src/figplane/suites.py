@@ -23,12 +23,12 @@ from . import linear_sets as ls
 from . import maps as gm
 from .arrays import chunks
 from .collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES,
-                           OrbitClasses, census_of, collineate_point, line_types_table,
+                           OrbitClasses, census_of, line_types_table,
                            partition_orbits, point_type, point_types_table,
                            expected_type_counts, tally_types)
 from .field import FieldContext, Gate
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane,
-                    format_line, format_point, lines_through_point, points_on_line)
+                    format_line, format_point, points_on_line)
 from .report import CheckEntry, entry
 
 
@@ -321,6 +321,14 @@ def generic_plane(sess: Session) -> CheckEntry:
                  not bad, {"tested": len(generic), "mode": "exhaustive"}, bad[:5])
 
 
+def _block_parts(sess: Session) -> tuple[np.ndarray, np.ndarray]:
+    """Point indices of the E and F parts of the anchor block: its Type II
+    and its Type III entries."""
+    block = fg.anchor_block(sess.plane, ANCHOR)
+    kind = sess.plane.tables.types[block]
+    return block[kind == TYPE_II], block[kind == TYPE_III]
+
+
 @check("maps", "mu", gates=(fg.FIGUEROA,))
 def block_incidence_twist(sess: Session) -> CheckEntry:
     # the incidence twist behind the third line class: a Type III point is
@@ -329,7 +337,7 @@ def block_incidence_twist(sess: Session) -> CheckEntry:
     tables = sess.plane.tables
     mu = tables.mu
     member = np.zeros(len(mu), dtype=bool)
-    member[[sess.plane.index(P) for P in fg.fig_block(sess.ctx, ANCHOR).f_points]] = True
+    member[_block_parts(sess)[1]] = True
     # [a:b:0] is [1:b:0], index b q^3, or [0:1:0], index q^6: the indices
     # divisible by q^3 other than q^6 + q^3, the index of [0:0:1]
     through = (mu % sess.ctx.q3 == 0) & (mu != len(mu) - 1)
@@ -525,36 +533,45 @@ def cross_plane(sess: Session) -> CheckEntry:
 @check("maps", "vertices")
 def club_images(sess: Session) -> CheckEntry:
     vc = sess.fixed_census
+    sls = sum(vc.counts().values())
     return entry("vertices.club-images",
                  "club images (one point of weight two) occur among the scanned vertices",
-                 vc.club > 0, {"club_images": vc.club}, [])
+                 vc.club > 0, {"club_images": vc.club},
+                 [] if vc.club else [f"no club image among {sls + vc.other} scanned vertices:"
+                                     f" {sls} side linear sets, {vc.other} other"])
 
 
 # -------------------------------------------------------------- figueroa
 
+def _axis_mismatch(image, want, prefix: str = "") -> list[str]:
+    """Witnesses that the point set ``image`` is not ``want``: the points
+    it misses, then those it has in excess."""
+    return ([f"{prefix}missing {format_point(P)}" for P in sorted(want - image)]
+            + [f"{prefix}extra {format_point(P)}" for P in sorted(image - want)])
+
+
 @check("figueroa", "build")
 def block_anatomy(sess: Session) -> CheckEntry:
-    ctx = sess.ctx
-    block = fg.fig_block(ctx, ANCHOR)
-    axis_part = {P for P in block.points if P[2] == 0}
-    others = block.f_points - {ANCHOR_1, ANCHOR_2}
+    ctx, plane = sess.ctx, sess.plane
+    block = fg.anchor_block(plane, ANCHOR)
+    size = len(np.unique(block))
+    f_points = set(map(plane.point, _block_parts(sess)[1]))
     want_planes = set()
     for th in sess.norm_reps():
         if ctx.norm(th) != 1:
             want_planes.update(ls.t_plane(ctx, th).points)
-    conj = fg.fig_block(ctx, ANCHOR_1)
+    conj = fg.anchor_block(plane, ANCHOR_1)
     checks = {
-        "size": len(block.points) == ctx.q ** 3 + 1,
-        "axis_overlap": len(axis_part) == ctx.sub_order + 2,
-        "carriers": ANCHOR_1 in block.f_points and ANCHOR_2 in block.f_points,
-        "type3_part": others == want_planes,
-        "equivariant": conj.points == frozenset(
-            collineate_point(ctx, P) for P in block.points),
+        "size": size == ctx.q ** 3 + 1,
+        "axis_overlap": sum(P[2] == 0 for P in map(plane.point, block)) == ctx.sub_order + 2,
+        "carriers": {ANCHOR_1, ANCHOR_2} <= f_points,
+        "type3_part": f_points - {ANCHOR_1, ANCHOR_2} == want_planes,
+        "equivariant": np.array_equal(np.sort(plane.tables.phi[block]), conj),
     }
     bad = [k for k, v in checks.items() if not v]
     return entry("fig.block",
                  "the anchor block splits into the Type II axis part plus the reciprocal subplanes and carriers",
-                 not bad, {"size": len(block.points)}, bad)
+                 not bad, {"size": size}, bad)
 
 
 @check("figueroa", "build")
@@ -653,27 +670,29 @@ def axioms_mutation(sess: Session) -> CheckEntry:
 def projection_anchor(sess: Session) -> CheckEntry:
     ctx = sess.ctx
     q = ctx.q
-    img = fg.pr_fig_block(ctx, 0)
+    img = fg.pr_fig_block(sess.plane, 0)
     want = fg.expected_pr_fig_block(ctx, 0)
     if q % 2 == 0:
         size_want = q ** 3 + 1
     else:
         size_want = 2 + (q - 1 if q % 4 == 1 else q + 1) // 2 * ctx.sub_order
-    ok = img == want and len(img) == size_want
+    bad = _axis_mismatch(img, want)
+    if len(want) != size_want:
+        bad.append(f"image and closed form have {len(want)} points, not {size_want}")
     return entry("fig.projection-anchor",
                  "the anchor block projects onto the whole axis (even q) or the square-norm side (odd q)",
-                 ok, {"image_size": len(img), "expected_size": size_want},
-                 [] if ok else ["image does not match the closed form"])
+                 not bad, {"image_size": len(img), "expected_size": size_want}, bad[:5])
 
 
 @check("figueroa", "pr")
 def projection_conjugates(sess: Session) -> CheckEntry:
-    images = {which: fg.pr_fig_block(sess.ctx, which) for which in (1, 2)}
-    bad = [f"conjugate {which}" for which, img in images.items()
-           if img != fg.expected_pr_fig_block(sess.ctx, which)]
+    images = {which: fg.pr_fig_block(sess.plane, which) for which in (1, 2)}
+    bad = [w for which, img in images.items()
+           for w in _axis_mismatch(img, fg.expected_pr_fig_block(sess.ctx, which),
+                                   f"conjugate {which}: ")]
     return entry("fig.projection-conjugates",
                  "each conjugate block projects onto the axis minus the norm-one set and its own vertex",
-                 not bad, {"image_size": len(images[1])}, bad)
+                 not bad, {"image_size": len(images[1])}, bad[:5])
 
 
 @check("figueroa", "arching")
@@ -710,21 +729,20 @@ def even_structure(sess: Session) -> CheckEntry:
     one point of its Type II part, never both.  The sets tested at the
     conjugate vertices are the conjugates of the anchor block's parts,
     matching the collineation equivariance of the construction."""
-    ctx = sess.ctx
-    block = fg.fig_block(ctx, ANCHOR)
+    plane, tables = sess.plane, sess.plane.tables
+    parts = _block_parts(sess)
     counts, bad = {}, []
-    for i, (key, V) in enumerate((("anchor_ok", ANCHOR), ("conjugate1_ok", ANCHOR_1),
-                                  ("conjugate2_ok", ANCHOR_2))):
-        e_set = {collineate_point(ctx, P, i) for P in block.e_points}
-        f_set = {collineate_point(ctx, P, i) for P in block.f_points}
-        found = len(bad)
-        for l in lines_through_point(ctx, V):
-            pts = points_on_line(ctx, l)
-            nf, ne = sum(P in f_set for P in pts), sum(P in e_set for P in pts)
-            if (nf, ne) not in ((1, 0), (0, 1)):
-                bad.append(f"vertex {format_point(V)}: line {format_line(l)} carries"
-                           f" {nf} Type III and {ne} Type II block points")
-        counts[key] = str(len(bad) == found)
+    for key, V in (("anchor_ok", ANCHOR), ("conjugate1_ok", ANCHOR_1),
+                   ("conjugate2_ok", ANCHOR_2)):
+        lines = tables.incidence_rows([plane.index(V)])[0]    # the lines through V
+        rows = tables.incidence_rows(lines)
+        ne, nf = (np.isin(rows, part).sum(axis=1) for part in parts)
+        wrong = np.flatnonzero(ne + nf != 1)
+        bad.extend(f"vertex {format_point(V)}: line {format_line(plane.point(lines[j]))}"
+                   f" carries {nf[j]} Type III and {ne[j]} Type II block points"
+                   for j in wrong)
+        counts[key] = str(not wrong.size)
+        parts = tuple(tables.phi[part] for part in parts)     # on to the next vertex
     return entry("fig.even-structure",
                  "for even q, every line through a triangle vertex carries one conjugated block point of exactly one kind",
                  not bad, counts, bad[:5])
@@ -737,7 +755,7 @@ def splash_involution(sess: Session) -> CheckEntry:
     hit exactly the Type III axis points iff q is even."""
     ctx = sess.ctx
     first, collisions = {}, []       # image -> the first block point splashed onto it
-    for P in sorted(fg.fig_block(ctx, ANCHOR).f_points):
+    for P in sorted(map(sess.plane.point, _block_parts(sess)[1])):
         I = gm.splash(ctx, gm.conjugate_join(ctx, P))
         if first.setdefault(I, P) != P:
             collisions.append(f"{format_point(first[I])} and {format_point(P)}"
@@ -746,8 +764,7 @@ def splash_involution(sess: Session) -> CheckEntry:
     want = axis - ls.sls_points(ctx, ctx.one)
     type3_axis = {P for P in axis if point_type(ctx, P) == TYPE_III}
     iff_even = (image == type3_axis) == (ctx.q % 2 == 0)
-    bad = (collisions + [f"missing {format_point(P)}" for P in sorted(want - image)]
-           + [f"extra {format_point(P)}" for P in sorted(image - want)])
+    bad = collisions + _axis_mismatch(image, want)
     if not iff_even:
         bad.append(f"at q = {ctx.q} the image {'is' if image == type3_axis else 'is not'}"
                    " the Type III axis points")

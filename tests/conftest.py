@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from figplane.field import build_field_tower
@@ -59,3 +61,14 @@ def fig3(plane3):
 @pytest.fixture(scope="session")
 def fig4(plane4):
     return build_fig_plane(plane4)
+
+
+@pytest.fixture
+def fast_fig_incident(monkeypatch):
+    """``figueroa.fig_incident`` reads the type and involution image of its
+    point and its line on every call; a scan of every point against many
+    lines asks for each of them many times, so the scalar functions it calls
+    are cached for the test."""
+    import figplane.figueroa as fg
+    for name in ("point_type", "line_type", "conjugate_join", "conjugate_meet"):
+        monkeypatch.setattr(fg, name, functools.cache(getattr(fg, name)))

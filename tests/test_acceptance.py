@@ -175,18 +175,19 @@ def test_08_projection_vertex_census(plane3, plane4, plane5):
     _ok("08 projection-vertex census with distribution (q=3,4,5)")
 
 
-def test_09_block_projections(ctx3, ctx4, ctx5):
-    assert len(pr_fig_block(ctx4, 0)) == 65
-    assert pr_fig_block(ctx4, 0) == frozenset(points_on_line(ctx4, AXIS))
-    assert len(pr_fig_block(ctx3, 0)) == 28
-    assert pr_fig_block(ctx3, 0) == expected_pr_fig_block(ctx3, 0)
-    assert len(pr_fig_block(ctx5, 0)) == 64
-    assert pr_fig_block(ctx5, 0) == expected_pr_fig_block(ctx5, 0)
-    for ctx in (ctx3, ctx4):
-        axis = frozenset(points_on_line(ctx, AXIS))
-        s1 = sls_points(ctx, 1)
-        assert pr_fig_block(ctx, 1) == axis - s1 - {ANCHOR_1}
-        assert pr_fig_block(ctx, 2) == axis - s1 - {ANCHOR_2}
+def test_09_block_projections(plane3, plane4, plane5):
+    ctx3, ctx4, ctx5 = plane3.ctx, plane4.ctx, plane5.ctx
+    assert len(pr_fig_block(plane4, 0)) == 65
+    assert pr_fig_block(plane4, 0) == frozenset(points_on_line(ctx4, AXIS))
+    assert len(pr_fig_block(plane3, 0)) == 28
+    assert pr_fig_block(plane3, 0) == expected_pr_fig_block(ctx3, 0)
+    assert len(pr_fig_block(plane5, 0)) == 64
+    assert pr_fig_block(plane5, 0) == expected_pr_fig_block(ctx5, 0)
+    for plane in (plane3, plane4):
+        axis = frozenset(points_on_line(plane.ctx, AXIS))
+        s1 = sls_points(plane.ctx, 1)
+        assert pr_fig_block(plane, 1) == axis - s1 - {ANCHOR_1}
+        assert pr_fig_block(plane, 2) == axis - s1 - {ANCHOR_2}
     _ok("09 block projections from the anchor (q=3,4,5; conjugates q=3,4)")
 
 

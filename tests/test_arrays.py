@@ -6,7 +6,8 @@ at q = 5 and 7.  ``disagreements`` is the comparison; a corrupted table
 shows that it reports a wrong entry.  The block rows (the closed-form
 incidence rows, made on demand, and the FIG block array) have their own
 row comparisons, ``incidence_disagreements`` and ``fig_disagreements``,
-shown able to fail in the same way.
+shown able to fail in the same way; the FIG rows are compared with the
+closed-form incidence ``fig_incident``, not with a second assembly.
 """
 
 import numpy as np
@@ -22,12 +23,13 @@ from figplane.collineation import (TYPE_III, collineate_line, collineate_point,
                                    point_type, point_types_table,
                                    stabilizer_orbit)
 from figplane.field import build_field_tower, context_for_q
-from figplane.figueroa import build_fig_plane, fig_block
+from figplane.figueroa import build_fig_plane, fig_incident
 from figplane.linear_sets import (conjugate_subplane, fixed_subplane,
                                   plane_from_rep, t_plane)
 from figplane.maps import conjugate_join, conjugate_meet, project_from_vertex
-from figplane.plane import (GeometryError, ProjectivePlane, canonical, cross,
-                            join, lines_through_point, points_on_line)
+from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, GeometryError,
+                            ProjectivePlane, canonical, cross, join,
+                            lines_through_point, points_on_line)
 
 TABLES = ("types", "mu", "sec", "phi", "orbit", "tau", "tau_line")
 
@@ -206,18 +208,13 @@ def incidence_disagreements(plane, table, indices) -> list[int]:
 
 
 def fig_disagreements(plane, blocks, indices) -> list[int]:
-    """Rows of ``blocks`` that differ from the scalar FIG assembly: the
-    block of the involution image of a Type III line, the points of any
-    other line."""
-    ctx, idx = plane.ctx, plane.index
+    """Rows of ``blocks`` that differ from the points that the closed form
+    ``fig_incident`` puts on the line with that index, every point scanned."""
+    ctx, points = plane.ctx, plane.points
     bad = []
     for i in indices:
         l = plane.point(i)
-        if line_type(ctx, l) == TYPE_III:
-            want = sorted(idx(P) for P in fig_block(ctx, conjugate_meet(ctx, l)).points)
-        else:
-            want = sorted(plane.points_on(l))
-        if blocks[i].tolist() != want:
+        if blocks[i].tolist() != [j for j, P in enumerate(points) if fig_incident(ctx, P, l)]:
             bad.append(i)
     return bad
 
@@ -226,6 +223,18 @@ def fig_disagreements(plane, blocks, indices) -> list[int]:
 def sampled_fig(request):
     plane = ProjectivePlane(context_for_q(request.param))
     return plane, build_fig_plane(plane).blocks
+
+
+def fixed_lines(plane) -> list[int]:
+    """A fixed set of lines: the first and last of the index order, one of
+    each leading coordinate, the first line of each type, and the lines
+    mu[A] whose rows are the blocks of the triangle vertices A
+    (``anchor_block``)."""
+    tables, size, q3 = plane.tables, plane.size, plane.ctx.q3
+    lines = {0, 1, size // 2, size - q3 - 1, size - 2, size - 1}
+    lines.update(int(np.argmax(tables.types == t)) for t in (1, 2, 3))
+    lines.update(int(tables.mu[plane.index(A)]) for A in (ANCHOR, ANCHOR_1, ANCHOR_2))
+    return sorted(lines)
 
 
 def test_incidence_matches_oracle_exhaustive(small_plane):
@@ -264,21 +273,20 @@ def test_incidence_matches_oracle_sampled_q7(plane7, data):
     assert incidence_sample_disagreements(plane7, i) == []
 
 
-def test_fig_blocks_match_oracle_exhaustive(plane3):
+def test_fig_blocks_match_oracle_exhaustive(plane3, fast_fig_incident):
     blocks = build_fig_plane(plane3).blocks
     assert fig_disagreements(plane3, blocks, range(plane3.size)) == []
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_fig_blocks_match_oracle_sampled(sampled_fig, data):
+def test_fig_blocks_match_oracle_sampled(sampled_fig, fast_fig_incident):
     plane, blocks = sampled_fig
-    i = data.draw(st.integers(0, plane.size - 1), label="line")
-    assert fig_disagreements(plane, blocks, [i]) == []
+    lines = fixed_lines(plane)
+    assert set(plane.tables.types[lines].tolist()) == {1, 2, 3}
+    assert fig_disagreements(plane, blocks, lines) == []
 
 
 @pytest.mark.parametrize("name", ("incidence", "fig"))
-def test_row_comparison_reports_a_corrupted_row(plane3, name):
+def test_row_comparison_reports_a_corrupted_row(plane3, name, fast_fig_incident):
     if name == "incidence":
         rows, compare = plane3.tables.incidence_rows(np.arange(plane3.size)), incidence_disagreements
     else:

@@ -162,7 +162,7 @@ def test_figueroa_pr_when_3_divides_q_minus_1(capsys):
 def test_stray_library_error_exits_two(monkeypatch, capsys, error):
     def broken(*args):
         raise error("broken on purpose")
-    monkeypatch.setattr("figplane.figueroa.fig_block", broken)
+    monkeypatch.setattr("figplane.figueroa.anchor_block", broken)
     code = main(["figueroa", "--q", "3", "--check", "sp-mu"])
     assert code == 2
     captured = capsys.readouterr()

@@ -5,12 +5,12 @@ import pytest
 
 from figplane.collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES,
                                    collineate_point, det3, point_type)
-from figplane.figueroa import (IncidencePlane, LineRows, RowSwap, arching_census,
-                               build_fig_plane, characterize_fig_points,
-                               check_axioms, emit_plane, fig_block, orbit_minima,
+from figplane.figueroa import (IncidencePlane, LineRows, RowSwap, anchor_block,
+                               arching_census, build_fig_plane, characterize_fig_points,
+                               check_axioms, emit_plane, orbit_minima,
                                pg_incidence, pr_fig_block, expected_pr_fig_block)
 from figplane.linear_sets import sls_points, t_plane
-from figplane.maps import TypeRestrictionError
+from figplane.maps import TypeRestrictionError, conjugate_join
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                             canonical, format_line, format_point, join,
                             points_on_line)
@@ -23,50 +23,59 @@ def _first_fig_row(fig):
     return int(np.argmax(fig.plane.tables.types == TYPE_III))
 
 
-def test_block_anatomy_q3(ctx3):
-    block = fig_block(ctx3, ANCHOR)
-    assert len(block.points) == 28
-    assert len(block.e_points) == 13
-    assert block.line == AXIS
-    assert {ANCHOR_1, ANCHOR_2} <= block.f_points
-    # overlap with the replaced line
+def block_points(plane, anchor):
+    """The anchor block as a set of triples, with its E part (Type II) and
+    its F part (Type III)."""
+    points = {plane.point(i) for i in anchor_block(plane, anchor)}
+    e = {P for P in points if point_type(plane.ctx, P) == TYPE_II}
+    return points, e, points - e
+
+
+def test_block_anatomy_q3(plane3):
+    ctx3 = plane3.ctx
+    points, e_points, f_points = block_points(plane3, ANCHOR)
+    assert len(points) == 28
+    assert len(e_points) == 13
+    assert conjugate_join(ctx3, ANCHOR) == AXIS
+    assert {ANCHOR_1, ANCHOR_2} <= f_points
+    # overlap with the replaced line: the E part lies on it
     axis_pts = set(points_on_line(ctx3, AXIS))
-    assert len(block.points & axis_pts) == 13 + 2
+    assert e_points <= axis_pts and len(points & axis_pts) == 13 + 2
     # Type III part beyond the carriers is the union of the reciprocal planes
-    rest = block.f_points - {ANCHOR_1, ANCHOR_2}
+    rest = f_points - {ANCHOR_1, ANCHOR_2}
     tau = 2
     assert rest == t_plane(ctx3, tau).points
-    assert {point_type(ctx3, P) for P in block.e_points} == {TYPE_II}
-    assert {point_type(ctx3, P) for P in block.f_points} == {TYPE_III}
-    assert ANCHOR not in block.points
+    assert {point_type(ctx3, P) for P in f_points} == {TYPE_III}
+    assert ANCHOR not in points
 
 
-def test_block_equivariance(ctx3):
-    b0 = fig_block(ctx3, ANCHOR)
-    b1 = fig_block(ctx3, ANCHOR_1)
-    assert b1.points == frozenset(collineate_point(ctx3, P) for P in b0.points)
+def test_block_equivariance(plane3):
+    b0, _, _ = block_points(plane3, ANCHOR)
+    b1, _, _ = block_points(plane3, ANCHOR_1)
+    assert b1 == {collineate_point(plane3.ctx, P) for P in b0}
 
 
-def test_block_rejects_bad_anchor(ctx3):
+def test_block_rejects_bad_anchor(plane3):
     with pytest.raises(TypeRestrictionError):
-        fig_block(ctx3, (1, 1, 1))
-
-
-def test_block_is_built_once_per_context_and_anchor(ctx3, ctx4):
-    fig_block.cache_clear()
-    b3, b4 = fig_block(ctx3, ANCHOR), fig_block(ctx4, ANCHOR)
-    assert fig_block(ctx3, ANCHOR) is b3 and fig_block(ctx4, ANCHOR) is b4
-    assert b3 is not b4 and len(b4.points) == 65
-    assert (fig_block.cache_info().hits, fig_block.cache_info().misses) == (2, 2)
-    with pytest.raises(AttributeError):
-        b3.line = AXIS                      # shared, so frozen
+        anchor_block(plane3, (1, 1, 1))
 
 
 def test_block_sizes_all_anchors_q3(plane3, types3):
-    ctx = plane3.ctx
     for P, t in zip(plane3.points, types3):
         if t == TYPE_III:
-            assert len(fig_block(ctx, P).points) == 28
+            block = anchor_block(plane3, P)
+            assert len(block) == 28 and np.all(np.diff(block) > 0)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_anchor_block_is_the_fig_row_of_its_involution_image(q, request):
+    """The block of each triangle vertex A is row mu[A] of the FIG; those
+    rows, of the axis and its conjugates, are compared with the closed form
+    ``fig_incident`` in ``tests/test_arrays.py``."""
+    plane = request.getfixturevalue(f"plane{q}")
+    fig, mu = build_fig_plane(plane), plane.tables.mu
+    for A in (ANCHOR, ANCHOR_1, ANCHOR_2):
+        assert np.array_equal(anchor_block(plane, A), fig.blocks[mu[plane.index(A)]])
 
 
 def test_build_counts(fig3, fig4):
@@ -558,14 +567,15 @@ def test_build_check_names_each_failing_subcheck(plane3, fig3):
     assert _build_failures(fig3, blocks) == ["collineation_invariant"]
 
 
-def test_projection_of_anchor_block(ctx3, ctx4, ctx5):
-    img3 = pr_fig_block(ctx3, 0)
+def test_projection_of_anchor_block(plane3, plane4, plane5):
+    ctx3, ctx4, ctx5 = plane3.ctx, plane4.ctx, plane5.ctx
+    img3 = pr_fig_block(plane3, 0)
     assert len(img3) == 28
     assert img3 == expected_pr_fig_block(ctx3, 0)
-    img4 = pr_fig_block(ctx4, 0)
+    img4 = pr_fig_block(plane4, 0)
     assert len(img4) == 65
     assert img4 == frozenset(points_on_line(ctx4, AXIS))
-    img5 = pr_fig_block(ctx5, 0)
+    img5 = pr_fig_block(plane5, 0)
     assert len(img5) == 64
     assert img5 == expected_pr_fig_block(ctx5, 0)
     # odd q: the image is the two carriers, the norm minus-one set, and
@@ -577,12 +587,12 @@ def test_projection_of_anchor_block(ctx3, ctx4, ctx5):
     assert img5 == want5
 
 
-def test_projection_of_conjugate_blocks(ctx3, ctx4):
-    for ctx in (ctx3, ctx4):
-        axis = frozenset(points_on_line(ctx, AXIS))
-        s1 = sls_points(ctx, 1)
-        assert pr_fig_block(ctx, 1) == axis - s1 - {ANCHOR_1}
-        assert pr_fig_block(ctx, 2) == axis - s1 - {ANCHOR_2}
+def test_projection_of_conjugate_blocks(plane3, plane4):
+    for plane in (plane3, plane4):
+        axis = frozenset(points_on_line(plane.ctx, AXIS))
+        s1 = sls_points(plane.ctx, 1)
+        assert pr_fig_block(plane, 1) == axis - s1 - {ANCHOR_1}
+        assert pr_fig_block(plane, 2) == axis - s1 - {ANCHOR_2}
 
 
 def test_arching_census(ctx3, ctx4, ctx5):
@@ -604,8 +614,8 @@ def test_characterization(plane3, plane4):
 
 def test_characterization_witness_sets_q3(plane3):
     ctx = plane3.ctx
-    block = fig_block(ctx, ANCHOR)
-    off_axis = {P for P in block.points if P[2] != 0}
+    points, _, _ = block_points(plane3, ANCHOR)
+    off_axis = {P for P in points if P[2] != 0}
     assert off_axis == t_plane(ctx, ctx.neg_one).points
     assert len(off_axis) + 1 == 14
 
@@ -631,14 +641,14 @@ def test_even_structure_rejects_odd(ctx3, ctx4):
     assert figueroa_checks(Session(ctx3), "even-structure") == []
 
 
-def test_even_structure_mutation(ctx4, monkeypatch):
-    from figplane.figueroa import FigBlock
-    block = fig_block(ctx4, ANCHOR)
-    removed = sorted(block.f_points - {ANCHOR_1, ANCHOR_2})[0]
-    mutated = FigBlock(block.anchor, block.line, block.e_points,
-                       block.f_points - {removed})
-    monkeypatch.setattr("figplane.figueroa.fig_block",
-                        lambda ctx, anchor: mutated if anchor == ANCHOR else block)
+def test_even_structure_mutation(plane4, monkeypatch):
+    ctx4 = plane4.ctx
+    block = anchor_block(plane4, ANCHOR)
+    _, _, f_points = block_points(plane4, ANCHOR)
+    removed = sorted(f_points - {ANCHOR_1, ANCHOR_2})[0]
+    mutated = block[block != plane4.index(removed)]
+    monkeypatch.setattr("figplane.figueroa.anchor_block",
+                        lambda plane, anchor: mutated if anchor == ANCHOR else block)
     e = even_structure(Session(ctx4))
     assert not e.passed
     # the removed point's conjugates are missing at every vertex: the break
@@ -694,11 +704,10 @@ def attempt(name, fn, *args):
 flip = itertools.count()
 linear_sets.line_type = lambda ctx, l: 1 + next(flip) % 2
 attempt("pencil_type", linear_sets.pencil_type, ctx, 1)
-figueroa.points_on_line = lambda ctx, l: []
-attempt("fig_block", figueroa.fig_block, ctx, ANCHOR)
 plane = ProjectivePlane(ctx)
 types = plane.tables.types
 plane.tables.types = np.where(types == 2, 1, types)   # no Type II: short blocks
+attempt("anchor_block", figueroa.anchor_block, plane, ANCHOR)
 attempt("build_fig_plane", figueroa.build_fig_plane, plane)
 ctx.units = lambda: range(1, 10)
 attempt("sls_points", linear_sets.sls_points, ctx, 1)
@@ -719,5 +728,5 @@ def test_guards_fire_under_optimize():
                PYTHONPATH=os.path.dirname(os.path.dirname(figplane.__file__)))
     out = subprocess.run([sys.executable, "-O", "-c", GUARD_SCRIPT], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["1", "pencil_type", "fig_block", "build_fig_plane",
+    assert out.split() == ["1", "pencil_type", "anchor_block", "build_fig_plane",
                            "sls_points", "t_plane", "plane_from_rep"]

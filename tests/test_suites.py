@@ -24,11 +24,13 @@ from figplane.figueroa import IncidencePlane
 from figplane.linear_sets import t_plane
 from figplane.maps import VertexCensus
 from figplane.plane import format_point
-from figplane.suites import (CHECKS, Session, block_incidence_twist,
-                             block_sizes, check_groups, collineation_fixed,
-                             collineation_permutes, cross_plane, generic_plane,
+from figplane.suites import (CHECKS, Session, block_anatomy, block_incidence_twist,
+                             block_sizes, characterization, check_groups,
+                             club_images, collineation_fixed, collineation_permutes,
+                             cross_plane, even_structure, generic_plane,
                              involution_fixed, maps_checks, norm_det_relation,
-                             pencil_census, plane_images, rejects_fixed_objects,
+                             pencil_census, plane_images, projection_anchor,
+                             projection_conjugates, rejects_fixed_objects,
                              splash_involution, vertices_census)
 
 DATA = Path(__file__).parent / "data"
@@ -149,16 +151,16 @@ def test_generic_plane_needs_one_orbit_line_set(ctx3, corruption):
 
 
 def test_twist_reads_block_membership_from_the_block(ctx3, monkeypatch):
-    """Membership comes from the scalar anchor block, independently of the
-    involution table: a block that lost one Type III point fails."""
+    """Membership comes from the anchor block that ``fig_rows`` assembles,
+    anchor incidence from the index arithmetic on ``mu``: a block that lost
+    one Type III point fails at that point."""
     import figplane.figueroa as fg
     sess = Session(ctx3)
-    block = fg.fig_block(ctx3, fg.ANCHOR)
-    P = min(block.f_points)
-    short = fg.FigBlock(block.anchor, block.line, block.e_points, block.f_points - {P})
-    monkeypatch.setattr(fg, "fig_block", lambda ctx, anchor: short)
+    block = fg.anchor_block(sess.plane, fg.ANCHOR)
+    i = block[np.argmax(sess.plane.tables.types[block] == TYPE_III)]
+    monkeypatch.setattr(fg, "anchor_block", lambda plane, anchor: block[block != i])
     e = block_incidence_twist(sess)
-    assert not e.passed and e.witnesses == [format_point(P)]
+    assert not e.passed and e.witnesses == [format_point(sess.plane.point(i))]
 
 
 def test_rejects_fixed_objects_names_the_map_that_accepts(ctx3, monkeypatch):
@@ -187,7 +189,9 @@ def test_pencil_census_without_a_type_ii_pencil_fails(q, monkeypatch):
 def test_splash_involution_names_a_collision_and_the_point_it_misses(ctx3, monkeypatch):
     import figplane.figueroa as fg
     import figplane.maps as gm
-    P, Q = sorted(fg.fig_block(ctx3, fg.ANCHOR).f_points)[:2]
+    plane = Session(ctx3).plane
+    block = fg.anchor_block(plane, fg.ANCHOR)
+    P, Q = sorted(plane.point(i) for i in block[plane.tables.types[block] == TYPE_III])[:2]
     real = gm.splash
     image_p, line_q = real(ctx3, gm.conjugate_join(ctx3, P)), gm.conjugate_join(ctx3, Q)
     assert splash_involution(Session(ctx3)).passed
@@ -197,6 +201,61 @@ def test_splash_involution_names_a_collision_and_the_point_it_misses(ctx3, monke
     assert e.witnesses == [
         f"{format_point(P)} and {format_point(Q)} both go to {format_point(image_p)}",
         f"missing {format_point(real(ctx3, line_q))}"]
+
+
+def first_off_axis(plane, block):
+    """The first point of a block that is off the axis."""
+    return next(i for i in block if plane.point(i)[2] != 0)
+
+
+def short_of_one_point(anchor_block):
+    """``anchor_block`` that leaves ``first_off_axis`` out of every block."""
+    def short(plane, anchor):
+        block = anchor_block(plane, anchor)
+        return block[block != first_off_axis(plane, block)]
+    return short
+
+
+@pytest.mark.parametrize("check", [block_anatomy, block_incidence_twist, projection_anchor,
+                                   projection_conjugates, characterization,
+                                   even_structure, splash_involution])
+def test_every_block_entry_fails_on_a_block_short_of_one_point(ctx4, monkeypatch, check):
+    """The seven entries that read the anchor block each fail, with a
+    witness, when the block lacks one point."""
+    import figplane.figueroa as fg
+    sess = Session(ctx4)
+    assert check(sess).passed
+    monkeypatch.setattr(fg, "anchor_block", short_of_one_point(fg.anchor_block))
+    e = check(sess)
+    assert not e.passed and e.witnesses
+
+
+def test_block_projections_name_the_axis_points_they_miss(ctx3, monkeypatch):
+    """A block short of one point projects onto the axis minus that point's
+    image; the projection entries name the missing point, per conjugate."""
+    import figplane.figueroa as fg
+    from figplane.maps import project_from_anchor
+    sess = Session(ctx3)
+    plane = sess.plane
+    lost = [project_from_anchor(ctx3, plane.point(first_off_axis(plane, fg.anchor_block(plane, A))))
+            for A in (fg.ANCHOR, fg.ANCHOR_1)]
+    monkeypatch.setattr(fg, "anchor_block", short_of_one_point(fg.anchor_block))
+    e = projection_anchor(sess)
+    assert not e.passed and e.witnesses == [f"missing {format_point(lost[0])}"]
+    e = projection_conjugates(sess)
+    assert not e.passed and e.witnesses == [f"conjugate 1: missing {format_point(lost[1])}"]
+
+
+def test_club_images_without_a_club_name_the_scanned_counts(ctx3):
+    sess = Session(ctx3)
+    vc = sess.fixed_census
+    assert club_images(sess).passed and vc.club > 0
+    sess.fixed_census = VertexCensus(vc.by_class, 0, vc.other)
+    e = club_images(sess)
+    sls = sum(vc.counts().values())
+    assert not e.passed and e.witnesses == [
+        f"no club image among {sls + vc.other} scanned vertices:"
+        f" {sls} side linear sets, {vc.other} other"]
 
 
 @pytest.mark.parametrize("check, scan", [(collineation_fixed, "phi_fixed_planes"),
