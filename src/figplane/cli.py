@@ -17,8 +17,9 @@ refused with the reason of the gate that fails.  Every check is
 exhaustive; --seed is only recorded in the report header.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 a refused command
-(q not a prime power, a failing gate, an --emit-plane file that cannot
-be written, a --theta out of range; all refused before any check runs)
+(q not a prime power, a failing gate, bulk tables estimated larger than
+the host's physical memory, an --emit-plane file that cannot be written,
+a --theta out of range; all refused before any check runs)
 or a geometry or kernel error during a run, reported as one
 "figplane: ..." line.  Output is byte-identical across runs with the
 same configuration; pass --timings to include (nondeterministic)
@@ -28,13 +29,14 @@ per-check timings.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import figueroa as fg
 from . import linear_sets as ls
 from .arrays import KernelError
 from .collineation import CATEGORIES, CATEGORY_TYPES, TYPE_NAMES
-from .field import FieldError, context_for_q
+from .field import FieldError, context_for_q, table_bytes
 from .plane import GeometryError, format_point
 from .report import Report, TOOL_NAME, TOOL_VERSION
 from .suites import (Session, census_checks, check_groups, figueroa_checks,
@@ -95,7 +97,6 @@ class UsageError(Exception):
 
 def _require_writable(path: str):
     """Refuse an --emit-plane target that cannot be written, before any work."""
-    import os
     folder = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
         problem = "it is a directory"
@@ -108,6 +109,11 @@ def _require_writable(path: str):
     else:
         return
     raise UsageError(f"cannot write --emit-plane file {path}: {problem}")
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory of the host."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def _header(ctx, args, extra: dict) -> dict:
@@ -157,6 +163,10 @@ def run_report(args) -> int:
         if reason := refusal(ctx, "figueroa"):
             raise UsageError(reason)
         _require_writable(emit)
+    need, have = table_bytes(ctx.q), physical_memory()
+    if need > have:     # fail fast, not out of memory part-way
+        raise UsageError(f"q = {ctx.q} needs about {need / 1e9:.3g} GB for its tables, "
+                         f"more than the {have / 1e9:.3g} GB of physical memory")
     sess = Session(ctx)
     entries = []
     for name in suites:

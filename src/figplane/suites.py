@@ -659,11 +659,15 @@ def axioms_mutation(sess: Session) -> CheckEntry:
     struct = sess.fig_structure
     i = int(np.argmax(sess.plane.tables.types == TYPE_III))
     rep = fg.check_axioms(fg.RowSwap(struct, i, sess.plane.tables.incidence_rows([i])[0]))
+    caught = (not rep.ok) and bool(rep.witnesses)
+    verdict = "accepted it" if rep.ok else "rejected it with no witness"
     return entry("fig.axioms-mutation",
                  "replacing one block by the line it displaced breaks the axioms with a witness",
-                 (not rep.ok) and bool(rep.witnesses),
-                 {"mode": rep.mode, "representatives": rep.representatives,
-                  "witnesses": len(rep.witnesses)}, rep.witnesses[:2])
+                 caught, {"mode": rep.mode, "representatives": rep.representatives,
+                          "witnesses": len(rep.witnesses)},
+                 rep.witnesses[:2] if caught else [
+                     f"block {format_line(sess.plane.point(i))} swapped back to its line: "
+                     f"the axiom checker {verdict}"])
 
 
 @check("figueroa", "pr")

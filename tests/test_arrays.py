@@ -22,7 +22,7 @@ from figplane.collineation import (TYPE_III, collineate_line, collineate_point,
                                    partition_orbits, point_orbit_matrix,
                                    point_type, point_types_table,
                                    stabilizer_orbit)
-from figplane.field import build_field_tower, context_for_q
+from figplane.field import build_field_tower, context_for_q, table_bytes
 from figplane.figueroa import build_fig_plane, fig_incident
 from figplane.linear_sets import (conjugate_subplane, fixed_subplane,
                                   plane_from_rep, t_plane)
@@ -403,3 +403,14 @@ def test_kernel_guards_raise_named_error(plane3):
         PlaneTables(big)                      # refused before any table exists
     with pytest.raises(KernelError, match="lookup tables"):
         FieldArrays(big)                      # a q^3 + b would pass 2^31
+
+
+def test_table_bytes_counts_the_lookup_and_per_point_tables():
+    """``field.table_bytes`` is the size of the two field lookup tables and
+    of every per-point table that ``PlaneTables`` builds."""
+    ctx = context_for_q(3)
+    T = PlaneTables(ctx)
+    per_point = [T.types, T.mu, T.sec, T.phi, T.tau, T.tau_line, T.orbit,
+                 T.dickson, T.dickson_line]
+    assert all(len(t) == T.size for t in per_point)
+    assert sum(t.nbytes for t in per_point + [T.field._add, T.field._mul]) == table_bytes(3)

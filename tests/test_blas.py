@@ -1,5 +1,7 @@
 """figplane makes no BLAS call, so importing it starts numpy's OpenBLAS
 with one thread unless the caller chose a count or loaded numpy first.
+``import figplane`` sets that default and loads no numpy; numpy comes in
+with the first bulk table, and the default is in place by then.
 
 The thread count is read in a fresh interpreter, through the same ctypes
 lookup as ``perfbench/run.py``; a test that needs it is skipped when the
@@ -22,6 +24,9 @@ import ctypes, glob, json, os, sys
 if sys.argv[1] == "numpy-first":
     import numpy
 import figplane
+numpy_at_import = "numpy" in sys.modules
+if sys.argv[1] == "figplane-tables":
+    figplane.ProjectivePlane(figplane.context_for_q(2)).tables.types
 import numpy
 threads = None
 for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
@@ -33,13 +38,16 @@ for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir,
         if fn is not None and threads is None:
             fn.restype = ctypes.c_int
             threads = fn()
-print(json.dumps({"env": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads}))
+print(json.dumps({"env": os.environ.get("OPENBLAS_NUM_THREADS"), "threads": threads,
+                  "numpy_at_import": numpy_at_import}))
 """
 
 
 def probe(first: str, threads: str | None = None) -> dict:
     """Import figplane (after numpy when ``first`` is "numpy-first") in a
-    fresh interpreter: the OPENBLAS_NUM_THREADS it sees and the thread count."""
+    fresh interpreter, and build a type table when it is "figplane-tables":
+    the OPENBLAS_NUM_THREADS it sees, the thread count, and whether numpy
+    was loaded right after ``import figplane``."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     if threads is not None:
@@ -57,6 +65,13 @@ def thread_count(result: dict) -> int:
 
 def test_import_defaults_openblas_to_one_thread():
     result = probe("figplane-first")
+    assert result["env"] == "1"
+    assert thread_count(result) == 1
+
+
+def test_figplane_loading_numpy_itself_keeps_one_thread():
+    result = probe("figplane-tables")
+    assert result["numpy_at_import"] is False
     assert result["env"] == "1"
     assert thread_count(result) == 1
 

@@ -10,6 +10,7 @@ import pytest
 from figplane.arrays import KernelError
 from figplane.cli import main
 from figplane.collineation import OrbitInconsistency
+from figplane.field import table_bytes
 from figplane.figueroa import FIGUEROA
 from figplane.plane import GeometryError
 from figplane.report import Report, entry
@@ -309,3 +310,25 @@ def test_emit_plane_refused_at_q2_before_any_session(tmp_path, capsys, monkeypat
     captured = capsys.readouterr()
     assert captured.out == "" and not target.exists()
     assert captured.err == f"figplane: {FIGUEROA.reason} (got q = 2)\n"
+
+
+@pytest.mark.parametrize("command", [["census"], ["verify", "--suite", "all"],
+                                     ["maps", "--check", "mu"]])
+def test_tables_larger_than_memory_refused_before_any_session(capsys, monkeypatch, command):
+    """With physical memory one byte short of the estimate, every report
+    command exits 2 with the estimate, before any table is built."""
+    def no_session(*args, **kwargs):
+        raise AssertionError("a Session was built before the refusal")
+    monkeypatch.setattr("figplane.cli.Session", no_session)
+    monkeypatch.setattr("figplane.cli.physical_memory", lambda: table_bytes(3) - 1)
+    assert main(command + ["--q", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"figplane: q = 3 needs about {table_bytes(3) / 1e9:.3g} GB for "
+                            f"its tables, more than the {(table_bytes(3) - 1) / 1e9:.3g} GB "
+                            "of physical memory\n")
+
+
+def test_tables_that_fit_in_memory_run(capsys, monkeypatch):
+    monkeypatch.setattr("figplane.cli.physical_memory", lambda: table_bytes(3))
+    assert main(["census", "--q", "3"]) == 0

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from figplane.field import FieldContext, FieldError, build_field_tower, context_for_q
+from figplane.field import (FieldContext, FieldError, build_field_tower, context_for_q,
+                            table_bytes)
 
 from gf_oracle import code_to_poly, poly_add, poly_mul, poly_pow, poly_to_code
 
@@ -179,6 +180,13 @@ def test_errors(monkeypatch):
         ctx.inv(0)
     with pytest.raises(FieldError):
         context_for_q(12)
+
+
+def test_table_bytes_from_q_alone():
+    """4 q^6 bytes of field lookup tables and 33 bytes a point: at q = 27
+    that is about 14 GB, for the census alone."""
+    assert table_bytes(3) == 4 * 27 ** 2 + 33 * (27 ** 2 + 27 + 1) == 27_897
+    assert round(table_bytes(27) / 1e9, 1) == 14.3
 
 
 def test_small_q_warning(capsys):

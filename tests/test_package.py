@@ -1,0 +1,102 @@
+"""The package's lazy exports: what ``import figplane`` loads, and the names
+it offers.
+
+The import graph is read in fresh interpreters, since this test session
+has long since imported every figplane module.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import figplane
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SUBMODULES = ("arrays", "cli", "collineation", "field", "figueroa", "linear_sets",
+              "maps", "plane", "report", "suites")
+
+# The public names of figplane 0.1.0, by the submodule that defines each.
+EXPORTED = {
+    "field": ["FieldContext", "FieldError", "build_field_tower", "context_for_q"],
+    "plane": ["ANCHOR", "ANCHOR_1", "ANCHOR_2", "AXIS", "GeometryError", "ProjectivePlane",
+              "canonical", "format_line", "format_point", "incident", "join", "meet"],
+    "collineation": ["Census", "OrbitClass", "OrbitClasses", "SlsId", "TYPE_I", "TYPE_II",
+                     "TYPE_III", "apply_stabilizer", "census_of", "collineate_line",
+                     "collineate_point", "line_type", "norm_det_identity",
+                     "partition_orbits", "point_type", "stabilizer_orbit"],
+    "linear_sets": ["SubplaneSet", "fixed_subplane", "pencil_lines", "pencil_type",
+                    "plane_from_rep", "sls_points", "t_plane"],
+    "maps": ["LinearSetImage", "TypeRestrictionError", "conjugate_join", "conjugate_meet",
+             "mu_fixed_planes", "phi_fixed_planes", "pr_set", "project_from_anchor",
+             "project_from_vertex", "sp_set", "splash", "vertex_census"],
+    "figueroa": ["IncidencePlane", "LineRows", "RowSwap", "anchor_block", "arching_census",
+                 "build_fig_plane", "characterize_fig_points", "check_axioms",
+                 "fig_incident", "pg_incidence", "pr_fig_block"],
+}
+NAMES = sorted(name for names in EXPORTED.values() for name in names)
+
+
+def loaded_after(code: str) -> list[str]:
+    """The figplane submodules and numpy in sys.modules after ``code`` runs
+    in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    probe = (code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
+             "if m == 'numpy' or m.startswith('figplane.'))))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    return json.loads(out.stdout)
+
+
+def test_field_and_plane_load_nothing_else():
+    loaded = loaded_after("import figplane\n"
+                          "from figplane import context_for_q, ProjectivePlane\n"
+                          "ProjectivePlane(context_for_q(7))")
+    assert loaded == ["figplane.field", "figplane.plane"]
+
+
+def test_cli_loads_every_submodule():
+    """perfbench/tracer.py wraps layer functions after ``import figplane.cli``
+    and relies on it having imported every figplane module."""
+    assert loaded_after("import figplane.cli") == (
+        ["figplane." + m for m in SUBMODULES] + ["numpy"])
+
+
+def test_submodule_list_is_complete():
+    assert sorted(p.stem for p in (SRC / "figplane").glob("*.py")
+                  if p.stem != "__init__") == list(SUBMODULES)
+
+
+def test_exports_are_the_names_of_0_1_0():
+    assert len(NAMES) == 62
+    assert sorted(figplane.__all__) == NAMES
+
+
+def test_each_export_is_the_object_of_its_submodule():
+    assert [f"{module}.{name}" for module, names in EXPORTED.items() for name in names
+            if getattr(figplane, name)
+            is not getattr(importlib.import_module(f"figplane.{module}"), name)] == []
+
+
+def test_dir_lists_every_export_and_submodule():
+    listed = dir(figplane)
+    assert set(NAMES) <= set(listed)
+    assert set(SUBMODULES) <= set(listed)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        figplane.no_such_name
+    assert not hasattr(figplane, "no_such_name")
+
+
+def test_submodule_resolves_after_a_bare_import():
+    assert loaded_after("import figplane\nfigplane.figueroa.check_axioms") == [
+        "figplane.arrays", "figplane.collineation", "figplane.field", "figplane.figueroa",
+        "figplane.linear_sets", "figplane.maps", "figplane.plane", "numpy"]

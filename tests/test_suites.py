@@ -23,8 +23,8 @@ from figplane.field import build_field_tower
 from figplane.figueroa import IncidencePlane
 from figplane.linear_sets import t_plane
 from figplane.maps import VertexCensus
-from figplane.plane import format_point
-from figplane.suites import (CHECKS, Session, block_anatomy, block_incidence_twist,
+from figplane.plane import format_line, format_point
+from figplane.suites import (CHECKS, Session, axioms_mutation, block_anatomy, block_incidence_twist,
                              block_sizes, characterization, check_groups,
                              club_images, collineation_fixed, collineation_permutes,
                              cross_plane, even_structure, generic_plane,
@@ -170,6 +170,26 @@ def test_rejects_fixed_objects_names_the_map_that_accepts(ctx3, monkeypatch):
     e = rejects_fixed_objects(sess)
     assert not e.passed
     assert e.witnesses == ["conjugate_meet accepted the Type I object 1:1:1"]
+
+
+@pytest.mark.parametrize("verdict", ["accepted it", "rejected it with no witness"])
+def test_axioms_mutation_names_the_swapped_line_when_not_caught(ctx3, monkeypatch, verdict):
+    """A checker that reads the unmutated base of the ``RowSwap`` accepts
+    it; one that drops the witnesses rejects it with none.  Either way the
+    entry fails and names the line whose block was swapped back."""
+    import dataclasses
+    import figplane.figueroa as fg
+    sess = Session(ctx3)
+    assert axioms_mutation(sess).passed
+    real = fg.check_axioms
+    monkeypatch.setattr(fg, "check_axioms", (
+        (lambda s: real(s.base)) if verdict == "accepted it"
+        else (lambda s: dataclasses.replace(real(s), witnesses=[]))))
+    e = axioms_mutation(sess)
+    i = int(np.argmax(sess.plane.tables.types == TYPE_III))
+    assert not e.passed
+    assert e.witnesses == [f"block {format_line(sess.plane.point(i))} swapped back to "
+                           f"its line: the axiom checker {verdict}"]
 
 
 @pytest.mark.parametrize("q", [3, 4])
