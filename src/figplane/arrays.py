@@ -13,26 +13,48 @@ tuple or dict is consulted:
     (1, b, c) -> b q^3 + c        (0, 1, c) -> q^6 + c        (0, 0, 1) -> q^6 + q^3
 
 ``PlaneTables`` holds the one-entry-per-object tables that the bulk scans
-read, each built lazily, on first use, in chunks of ``CHUNK`` objects
-whose coordinates are derived from the index.  One pass over the
-coordinates builds the first five together:
+read, each built lazily, on first use.  The first six come from closed
+forms at the point (1, b, c), in one pass over the grid in blocks of
+``CHUNK // q^3`` values of b, each against every c at once.  N and Tr are
+the norm and the trace onto GF(q), and g is the primitive element (code
+2).  The point orbit matrix of (1, b, c) has the rows r0 = (1, b, c),
+r1 = (c^q, 1, b^q) and r2 = (b^q^2, c^q^2, 1), each the collineation
+image of the row before, and
+
+    det = r0 . (r1 x r2) = 1 + N(b) + N(c) - Tr(b c^q).
 
 * ``types``  the Type I/II/III rank of every point, which is also the
   type of the line with the same coordinates: the line orbit matrix of a
-  triple is the transpose of its point orbit matrix;
+  triple is the transpose of its point orbit matrix.  A point is Type III
+  exactly when det != 0, and Type I exactly when phi fixes it;
 * ``mu``     the involution: the index of the conjugate join of a Type III
-  point, equally the conjugate meet of a Type III line, and -1 elsewhere;
+  point, equally the conjugate meet of a Type III line, and -1 elsewhere:
+  r1 x r2 = (1 - (b c^q)^q, b^(q+q^2) - c^q, c^(q+q^2) - b^q^2);
 * ``sec``    the secant line [yz, xz, xy] of a point off the triangle
-  sides, -1 on them;
-* ``phi``    the index of the collineation image;
+  sides, (1, 1/b, 1/c), and -1 on them;
+* ``phi``    the index of the collineation image, r1 scaled: (1, c^-q,
+  b^q c^-q) for c != 0 and (0, 1, b^q) for c = 0;
 * ``tau``, ``tau_line``  the index of the torus image of every point and
-  of every line, the generator of the stabilizer, which commutes with phi;
-  ``tau_line`` is the inverse permutation of ``tau``, one scatter;
+  of every line, the generator of the stabilizer, which commutes with phi:
+  (g, g^q b, g^q^2 c), that is (1, g^(q-1) b, g^(q^2-1) c); ``tau_line``
+  is the inverse permutation of ``tau``, one scatter;
 * ``orbit``  the least index in the stabilizer orbit of every point, which
-  ``figplane.collineation.partition_orbits`` reads;
+  ``figplane.collineation.partition_orbits`` reads.  The stabilizer maps
+  (1, b, c) to (1, w b, w^(q+1) c) for the q^2 + q + 1 elements w of norm
+  one, whose logs are the multiples of q - 1.  So for b != 0 the least
+  image has the least code whose log is that of b mod q - 1, which
+  picks one w; (1, 0, c) and (0, 1, c) take c to the least code of its
+  class the same way;
 * ``dickson``, ``dickson_line``  the index of the image of every point and
   of every line under one Dickson matrix d, which commutes with phi but not
   with tau; ``figueroa.check_axioms`` reads them, and no other check does.
+  They are built in chunks of ``CHUNK`` objects whose coordinates are
+  derived from the index.
+
+The q^3 + 1 points with x = 0 take the same forms specialised: (0, 1, c)
+has det = 1 + N(c), is never Type I, and has phi = (1, 0, c^-q), conjugate
+join (-c^q^2, 1, c^(q+q^2)) and torus image (0, 1, g^(q^2-q) c); every
+map fixes (0, 0, 1) but phi, which takes it to (1, 0, 0).
 
 No table has a row per object.  ``PlaneTables.incidence_rows`` makes the
 rows of q^3 + 1 sorted point indices of any lines from their closed form
@@ -219,21 +241,14 @@ class PlaneTables:
                 table[i] = column
         return tuple(_frozen(t) for t in out)
 
-    def _conjugate_rows(self, x, y, z):
-        """Rows two and three of the point orbit matrix: the collineation
-        images of (x, y, z), before canonical scaling."""
-        frob = self.field.frob
-        return ((frob(z, 1), frob(x, 1), frob(y, 1)),
-                (frob(y, 2), frob(z, 2), frob(x, 2)))
-
     def _orbit_det(self, x, y, z):
         """det(M) and r0 x r1 for the point orbit matrix M of each (x, y, z),
-        whose rows are r0 = (x, y, z) and its two conjugate rows, unscaled."""
-        F = self.field
-        r0 = (x, y, z)
-        r1, r2 = self._conjugate_rows(x, y, z)
-        c01 = F.cross(r0, r1)
-        return F.dot(r2, c01), c01
+        whose rows are r0 = (x, y, z) and its two collineation images
+        r1 = (z^q, x^q, y^q) and r2 = (y^q^2, z^q^2, x^q^2), unscaled."""
+        frob = self.field.frob
+        r1, r2 = (frob(z, 1), frob(x, 1), frob(y, 1)), (frob(y, 2), frob(z, 2), frob(x, 2))
+        c01 = self.field.cross((x, y, z), r1)
+        return self.field.dot(r2, c01), c01
 
     def norm_det_mismatches(self) -> np.ndarray:
         """Indices of the points off the triangle sides at which the norm and
@@ -259,43 +274,60 @@ class PlaneTables:
             bad.append(i[keep[~ok]])
         return np.concatenate(bad)
 
-    def _point_chunk(self, x, y, z):
-        """Type, involution, secant, collineation and torus image of each
-        point (x, y, z), equally of each line [x:y:z], from one set of
-        coordinates.
-
-        The point orbit matrix has the rows r0 = (x, y, z), r1 = f(r0) and
-        r2 = f(r1), with f(v) = (v2^q, v0^q, v1^q): a Frobenius and then a
-        cyclic shift, each of which commutes with the cross product.  So
-        r1 x r2 = f(r0 x r1), and det = r0 . (r1 x r2) = r2 . (r0 x r1):
-        the type and the involution share one cross product and one
-        determinant.  r2 is the image of r1 as r1 is of r0, and f is
-        semilinear: r1 = t r0 gives r2 = t^q r1.  So the rank is 1 exactly
-        when r0 x r1 = 0, and 3 exactly when det != 0; the involution image
-        of a rank-3 triple is r1 x r2.
-        """
-        F = self.field
-        det, c01 = self._orbit_det(x, y, z)
-        c12 = (F.frob(c01[2]), F.frob(c01[0]), F.frob(c01[1]))
-        rank1 = (c01[0] == 0) & (c01[1] == 0) & (c01[2] == 0)
-        types = np.where(det != 0, 3, np.where(rank1, 1, 2))
-        mu = np.full(len(x), -1, dtype=np.int64)
-        sel = det != 0          # Type III
-        mu[sel] = F.index(*F.canonical(c12[0][sel], c12[1][sel], c12[2][sel]))
-        sec = np.full(len(x), -1, dtype=np.int64)
-        off = (x != 0) & (y != 0) & (z != 0)
-        x0, y0, z0 = x[off], y[off], z[off]
-        sec[off] = F.index(*F.canonical(F.mul(y0, z0), F.mul(x0, z0), F.mul(x0, y0)))
-        phi = F.index(*F.canonical(*self._conjugate_rows(x, y, z)[0]))
-        g = np.int32(2)
-        tau = F.index(*F.canonical(F.mul(x, g), F.mul(y, F.frob(g, 1)), F.mul(z, F.frob(g, 2))))
-        return types, mu, sec, phi, tau
-
     @cached_property
     def _point_tables(self) -> dict[str, np.ndarray]:
-        names = ("types", "mu", "sec", "phi", "tau")
-        tables = self._build(self._point_chunk, np.int8, *[np.int32] * 4)
-        return dict(zip(names, tables))
+        """types, mu, sec, phi, tau and orbit by the closed forms of the
+        module docstring: the points (1, b, c) in blocks of ``CHUNK // q^3``
+        values of b, each against every c at once, then the q^3 + 1 points
+        with x = 0."""
+        F, ctx = self.field, self.ctx
+        q, q3, n = ctx.q, ctx.q3, ctx.n
+        q6 = q3 * q3
+        out = {name: np.empty(self.size, dtype=np.int8 if name == "types" else np.int32)
+               for name in ("types", "mu", "sec", "phi", "tau", "orbit")}
+        one = np.int32(1)
+        c = np.arange(q3, dtype=np.int32)       # every code, c and u alike
+        cq, cq2, norm_c = F.frob(c, 1), F.frob(c, 2), F.norm(c)
+        inv_cq, neg_cq, cqq2 = F.inv(cq), F.neg(cq), F.mul(cq, cq2)
+        trace = F.add(F.add(c, cq), cq2)        # Tr(u)
+        one_minus_uq = F.sub(one, cq)           # 1 - u^q
+        g_b, g_c, g_tail = (np.int32(ctx.power(2, e)) for e in (q - 1, q * q - 1, q * q - q))
+        tau_c = F.mul(g_c, c)
+        least_c = np.where(c == 0, 0, (c - 1) % (q - 1) + 1)   # least code, log c mod q - 1
+        step = max(1, CHUNK // q3)
+        for lo in range(0, q3, step):
+            b = c[lo:lo + step, None]
+            bq, bq2 = F.frob(b, 1), F.frob(b, 2)
+            u = F.mul(b, cq)
+            singular = trace[u] == F.add(F.add(one, F.norm(b)), norm_c)     # det = 0
+            phi = np.where(c != 0, inv_cq * q3 + F.mul(bq, inv_cq), q6 + bq)
+            # r1 x r2, with x set to 1 where it is not needed so that every
+            # triple has a canonical form
+            x = np.where(singular, one, one_minus_uq[u])
+            y, z = F.add(F.mul(bq, bq2), neg_cq), F.sub(cqq2, bq2)
+            rows = slice(lo * q3, (lo + len(b)) * q3)
+            out["types"][rows] = np.where(singular, np.where(phi == b * q3 + c, 1, 2), 3).ravel()
+            out["mu"][rows] = np.where(singular, -1, F.index(*F.canonical(x, y, z))).ravel()
+            out["sec"][rows] = np.where((b != 0) & (c != 0), F.inv(b) * q3 + F.inv(c), -1).ravel()
+            out["phi"][rows] = phi.ravel()
+            out["tau"][rows] = (F.mul(g_b, b) * q3 + tau_c).ravel()
+            r = (b - 1) % (q - 1)                   # log b mod q - 1
+            out["orbit"][rows] = np.where(b == 0, least_c, (r + 1) * q3 + np.where(
+                c == 0, 0, (c - 1 + (q + 1) * (r - b + 1)) % n + 1)).ravel()
+        # the points (0, 1, c), then (0, 0, 1)
+        tail = slice(q6, q6 + q3)
+        singular = F.add(one, norm_c) == 0
+        out["types"][tail] = np.where(singular, 2, 3)
+        out["mu"][tail] = np.where(singular, -1,
+                                   np.where(c != 0, F.neg(F.inv(cq2)) * q3 + neg_cq, q6))
+        out["sec"][q6:] = -1
+        out["phi"][tail] = np.where(c != 0, inv_cq, q6 + q3)
+        out["tau"][tail] = q6 + F.mul(g_tail, c)
+        out["orbit"][tail] = q6 + least_c
+        for name, value in (("types", 3), ("mu", q6 + q3), ("phi", 0), ("tau", q6 + q3),
+                            ("orbit", q6 + q3)):
+            out[name][-1] = value
+        return {name: _frozen(t) for name, t in out.items()}
 
     @cached_property
     def types(self) -> np.ndarray:
@@ -369,15 +401,8 @@ class PlaneTables:
 
     @cached_property
     def orbit(self) -> np.ndarray:
-        """Least index in the stabilizer orbit of every point: r rounds of
-        pointer jumping along ``tau`` take the least of 2^r steps."""
-        step = self.tau
-        least = np.arange(self.size, dtype=np.int32)
-        for _ in range((self.ctx.sub_order - 1).bit_length()):
-            least = np.minimum(least, least[step])
-            step = step[step]
-        least.setflags(write=False)
-        return least
+        """Least index in the stabilizer orbit of every point."""
+        return self._point_tables["orbit"]
 
     def incidence_rows(self, L) -> np.ndarray:
         """The points on each line with an index in L, equally the lines

@@ -21,12 +21,14 @@ its point orbits partition PG(2,q^3) into seven kinds of classes, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .field import FieldContext, FieldError
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, GeometryError, ProjectivePlane,
                     Triple, canonical)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TYPE_I, TYPE_II, TYPE_III = 1, 2, 3
 
@@ -45,6 +47,7 @@ CATEGORY_TYPES = {
 }
 CATEGORIES = tuple(CATEGORY_TYPES)
 PLANE_CATEGORY = {types: cat for cat, types in CATEGORY_TYPES.items() if types[1]}
+VERTEX, SLS_II, SLS_III = (CATEGORIES.index(c) for c in ("vertex", "sls_II", "sls_III"))
 
 
 def collineate_point(ctx: FieldContext, P: Triple, times: int = 1) -> Triple:
@@ -248,14 +251,24 @@ def line_types_table(plane: ProjectivePlane) -> np.ndarray:
 
 
 class OrbitClasses(list):
-    """The orbit classes in representative order, and ``members``: one
-    read-only (m, q^2+q+1) int32 matrix whose row j is the ``members``
-    slice of ``rows[j]``, the j-th class that is not a vertex."""
+    """The orbit classes in representative order, with ``reps``, their
+    representatives' indices, ``categories``, their int8 positions in
+    ``CATEGORIES``, and ``members``: one read-only (m, q^2+q+1) int32
+    matrix whose row j is the ``members`` slice of ``rows[j]``, the j-th
+    class that is not a vertex."""
 
-    def __init__(self, classes: list[OrbitClass], members: np.ndarray):
+    def __init__(self, classes: list[OrbitClass], members, reps, categories):
         super().__init__(classes)
         self.members = members
+        self.reps = reps
+        self.categories = categories
         self.rows = [cl for cl in classes if cl.category != "vertex"]
+
+    def rows_of(self, category: str):
+        """Rows of ``members`` whose class has the category, in order."""
+        import numpy as np
+        row_categories = self.categories[self.categories != VERTEX]
+        return np.flatnonzero(row_categories == CATEGORIES.index(category))
 
 
 def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
@@ -265,8 +278,13 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
     least index, whose point is the representative; classes come in
     representative order, so output is deterministic.  The members of every
     class are slices of one array that holds the singleton classes last, so
-    the others read as one member matrix.
+    the others read as one member matrix.  The classes are sized, checked
+    and categorized in array passes over the representatives: ``sec`` is
+    -1 exactly on the triangle sides, and off them it gives the secant
+    line, whose type completes a plane category.  The loop only makes the
+    ``OrbitClass`` rows.
     """
+    import numpy as np
     ctx, tables = plane.ctx, plane.tables
     types, orbit = tables.types, tables.orbit
     mixed = np.flatnonzero(types[orbit] != types)
@@ -285,33 +303,49 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
     slot = np.argsort(sizes == 1, kind="stable")          # classes as order holds them
     starts = np.empty_like(sizes)
     starts[slot] = np.cumsum(sizes[slot]) - sizes[slot]
-    ptypes, ltypes = types[reps].tolist(), types[tables.sec[reps]].tolist()  # ltype: planes only
+    vertices = (ANCHOR, ANCHOR_1, ANCHOR_2)
+    at_vertex = np.zeros(plane.size, dtype=bool)
+    at_vertex[[plane.index(V) for V in vertices]] = True
+    lines = tables.sec[reps]
+    on_side = lines < 0
+    ptypes = types[reps]
+    ltypes = np.where(on_side, 0, types[lines])           # secant type, planes only
+    plane_code = np.full(16, -1, dtype=np.int8)           # 4 ptype + ltype -> category
+    for (ptype, ltype), cat in PLANE_CATEGORY.items():
+        plane_code[4 * ptype + ltype] = CATEGORIES.index(cat)
+    categories = np.where(sizes == 1, VERTEX,
+                          np.where(on_side, np.where(ptypes == TYPE_II, SLS_II, SLS_III),
+                                   plane_code[4 * ptypes + ltypes])).astype(np.int8)
+    bad = (((sizes == 1) & ~at_vertex[reps]) | ((sizes != 1) & (sizes != ctx.sub_order))
+           | (categories < 0))
+    if bad.any():
+        j = int(np.argmax(bad))
+        P = plane.point(reps[j])
+        if sizes[j] == 1:
+            raise OrbitInconsistency(f"unexpected singleton orbit at {P}")
+        if sizes[j] != ctx.sub_order:
+            raise OrbitInconsistency(
+                f"orbit of {P} has size {int(sizes[j])}, not {ctx.sub_order}")
+        raise OrbitInconsistency(f"plane orbit of {P} has point type {int(ptypes[j])}, "
+                                 f"line type {int(ltypes[j])}")
     classes: list[OrbitClass] = []
-    for r, lo, size, ptype, ltype in zip(reps.tolist(), starts.tolist(), sizes.tolist(),
-                                         ptypes, ltypes):
-        P, members = plane.point(r), order[lo:lo + size]
-        if size == 1:
-            if P not in (ANCHOR, ANCHOR_1, ANCHOR_2):
-                raise OrbitInconsistency(f"unexpected singleton orbit at {P}")
-            side = (ANCHOR, ANCHOR_1, ANCHOR_2).index(P)
-            classes.append(OrbitClass(P, members, "vertex", ptype, None, side, None))
-            continue
-        if size != ctx.sub_order:
-            raise OrbitInconsistency(
-                f"orbit of {P} has size {size}, not {ctx.sub_order}")
-        if 0 in P:   # on a triangle side: the vertices were handled above
-            category = "sls_II" if ptype == TYPE_II else "sls_III"
+    points = zip(*(v.tolist() for v in tables.field.coords(reps)))
+    for P, lo, size, cat, ptype, ltype in zip(points, starts.tolist(), sizes.tolist(),
+                                              categories.tolist(), ptypes.tolist(),
+                                              ltypes.tolist()):
+        members = order[lo:lo + size]
+        if cat == VERTEX:
+            classes.append(OrbitClass(P, members, "vertex", ptype, None,
+                                      vertices.index(P), None))
+        elif cat in (SLS_II, SLS_III):
             sid = sls_id_of_point(ctx, P)
-            classes.append(OrbitClass(P, members, category,
-                                      ptype, None, sid.side, sid.norm_class))
-            continue
-        category = PLANE_CATEGORY.get((ptype, ltype))
-        if category is None:
-            raise OrbitInconsistency(
-                f"plane orbit of {P} has point type {ptype}, line type {ltype}")
-        classes.append(OrbitClass(P, members, category, ptype, ltype, None, None))
+            classes.append(OrbitClass(P, members, CATEGORIES[cat], ptype, None,
+                                      sid.side, sid.norm_class))
+        else:
+            classes.append(OrbitClass(P, members, CATEGORIES[cat], ptype, ltype, None, None))
     full = int(np.count_nonzero(sizes > 1))
-    return OrbitClasses(classes, order[:full * ctx.sub_order].reshape(full, ctx.sub_order))
+    return OrbitClasses(classes, order[:full * ctx.sub_order].reshape(full, ctx.sub_order),
+                        reps, categories)
 
 
 def census_of(plane: ProjectivePlane,
@@ -328,6 +362,7 @@ def census_of(plane: ProjectivePlane,
 
 def tally_types(types) -> dict[int, int]:
     """Number of objects of each type in a type table."""
+    import numpy as np
     counts = np.bincount(np.asarray(types), minlength=TYPE_III + 1)
     return {t: int(counts[t]) for t in (TYPE_I, TYPE_II, TYPE_III)}
 

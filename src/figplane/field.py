@@ -307,6 +307,11 @@ class FieldContext:
     def units(self):
         return range(1, self.q3)
 
+    def coset_reps(self):
+        """The codes 1 .. q^2+q+1 of g^0 .. g^(q^2+q), one per coset of
+        GF(q)* in GF(q^3)*: g^(q^2+q+1) generates GF(q)*."""
+        return range(1, self.sub_order + 1)
+
     def base_units(self):
         """The q - 1 codes of GF(q)*."""
         return [e * self.sub_order + 1 for e in range(self.q - 1)]

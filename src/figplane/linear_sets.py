@@ -10,6 +10,12 @@ norm alone decides the object:
 * the subplanes of order q ("theta-planes") {(r theta^(q+1), r^q, r^q^2 theta)},
   ``t_plane``, with the q = norm-1 member being the pointwise fixed subplane.
 
+Each constructor runs its parameter over ``FieldContext.coset_reps``,
+the q^2+q+1 codes of g^0 .. g^(q^2+q), one per coset of GF(q)* in
+GF(q^3)*, not over every unit: lambda in GF(q)* has lambda^q = lambda,
+so it scales each of the triples above by lambda and they name one
+object.  ``_require_size`` raises if two representatives give one.
+
 Sides are numbered as in :mod:`figplane.plane`: 0 is the axis, 1 and 2
 its images under the collineation.
 """
@@ -35,7 +41,7 @@ def sls_points(ctx: FieldContext, theta: int, side: int = 0) -> frozenset[Triple
     if theta == 0:
         raise FieldError("theta must be nonzero")
     pts = {canonical(ctx, (ctx.mul(x, theta), ctx.frob(x), 0))
-           for x in ctx.units()}
+           for x in ctx.coset_reps()}
     if side:
         pts = {collineate_point(ctx, P, side) for P in pts}
     _require_size(ctx, f"linear set of {theta}", pts)
@@ -71,9 +77,9 @@ def t_plane(ctx: FieldContext, theta: int) -> SubplaneSet:
     f = ctx.frob
     tq1 = ctx.mul(theta, f(theta))           # theta^(q+1)
     pts = {canonical(ctx, (ctx.mul(r, tq1), f(r), ctx.mul(f(r, 2), theta)))
-           for r in ctx.units()}
+           for r in ctx.coset_reps()}
     lns = {canonical(ctx, (s, ctx.mul(f(s), tq1), ctx.mul(f(s, 2), f(theta))))
-           for s in ctx.units()}
+           for s in ctx.coset_reps()}
     _require_size(ctx, f"t_plane[{theta}]", pts, lns)
     return SubplaneSet(frozenset(pts), frozenset(lns))
 
@@ -94,10 +100,10 @@ def plane_from_rep(ctx: FieldContext, P: Triple) -> SubplaneSet:
         raise FieldError(f"{P} lies on a triangle side")
     f2 = lambda a: ctx.frob(a, 2)
     pts = {canonical(ctx, (ctx.mul(t, x), ctx.mul(ctx.frob(t), y), ctx.mul(f2(t), z)))
-           for t in ctx.units()}
+           for t in ctx.coset_reps()}
     yz, xz, xy = ctx.mul(y, z), ctx.mul(x, z), ctx.mul(x, y)
     lns = {canonical(ctx, (ctx.mul(yz, s), ctx.mul(xz, ctx.frob(s)), ctx.mul(xy, f2(s))))
-           for s in ctx.units()}
+           for s in ctx.coset_reps()}
     _require_size(ctx, f"orbit plane of {P}", pts, lns)
     return SubplaneSet(frozenset(pts), frozenset(lns))
 

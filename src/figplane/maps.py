@@ -15,6 +15,9 @@ line != axis to its meet with the axis.  Projecting an orbit subplane
 from any vertex off the axis yields a rank-3 linear set on the axis,
 which is a club (q^2+1 points) or scattered (q^2+q+1 points); scattered
 images that coincide with a side orbit are tagged with their SlsId.
+``anchor_projections`` and ``anchor_cross`` are the projection from the
+anchor, the join with it and the splash on arrays of point and line
+indices, one closed form each.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from .arrays import CLUB, OTHER
 from .field import FieldContext
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane, Triple,
                     GeometryError, canonical, join, meet)
-from .collineation import (TYPE_III, OrbitClass, OrbitClasses, OrbitInconsistency,
-                           SlsId, collineate_line, collineate_point, line_type,
-                           point_type)
+from .collineation import (CATEGORIES, TYPE_III, OrbitClass, OrbitClasses,
+                           OrbitInconsistency, SlsId, collineate_line,
+                           collineate_point, line_type, point_type)
 from .linear_sets import SubplaneSet
 
 
@@ -79,6 +82,29 @@ def pr_set(ctx: FieldContext, B: SubplaneSet) -> frozenset[Triple]:
 
 def sp_set(ctx: FieldContext, B: SubplaneSet) -> frozenset[Triple]:
     return frozenset(splash(ctx, l) for l in B.lines)
+
+
+def anchor_projections(tables, P) -> np.ndarray:
+    """The bulk ``project_from_anchor`` on point indices: (x, y, z) goes to
+    (x, y, 0), so (1, b, c), index b q^3 + c, goes to index b q^3, and
+    (0, 1, c) to (0, 1, 0), index q^6."""
+    P = np.asarray(P)
+    if np.any(P == tables.size - 1):
+        raise GeometryError("projection from the anchor is undefined at the anchor")
+    return P - P % tables.ctx.q3
+
+
+def anchor_cross(tables, i) -> np.ndarray:
+    """Index of (0, 0, 1) x t for the triple t of each index in i, which is
+    [-y : x : 0] for t = (x, y, z): the line joining the anchor to the
+    point t, equally the splash of the line t, its meet (y : -x : 0) with
+    the axis.  Undefined at the anchor, which is the axis read as a line."""
+    i = np.asarray(i)
+    if np.any(i == tables.size - 1):
+        raise GeometryError("the anchor has no join with itself, and the axis no splash")
+    F = tables.field
+    x, y, _ = F.coords(i)
+    return F.index(*F.canonical(F.neg(y), x, np.zeros_like(x)))
 
 
 @dataclass(frozen=True)
@@ -148,15 +174,14 @@ def vertex_census(plane: ProjectivePlane, B: SubplaneSet) -> VertexCensus:
                         int(np.count_nonzero(kinds == OTHER)))
 
 
-def phi_fixed_planes(plane: ProjectivePlane,
-                     classes: list[OrbitClass]) -> list[OrbitClass]:
+def phi_fixed_planes(plane: ProjectivePlane, classes: OrbitClasses) -> list[OrbitClass]:
     """Orbit subplanes fixed setwise by the collineation, by exhaustive scan:
     a class is fixed when no member i has its image in another class."""
     orbit = plane.tables.orbit
     moved = np.zeros(plane.size, dtype=bool)        # by class representative
     moved[orbit[orbit[plane.tables.phi] != orbit]] = True
-    return [cl for cl in classes
-            if cl.category.startswith("plane") and not moved[cl.members[0]]]
+    planes = classes.categories >= CATEGORIES.index("plane_I_I")    # the last four
+    return [classes[j] for j in np.flatnonzero(planes & ~moved[classes.reps])]
 
 
 def mu_fixed_planes(plane: ProjectivePlane,
@@ -169,7 +194,7 @@ def mu_fixed_planes(plane: ProjectivePlane,
     orbit subplane is the set of secant lines of its points.
     """
     tables = plane.tables
-    rows = np.flatnonzero([cl.category == "plane_III_III" for cl in classes.rows])
+    rows = classes.rows_of("plane_III_III")
     members = classes.members[rows]                 # each row sorted
     lines, images = tables.sec[members], tables.mu[members]
     lines.sort(axis=1)

@@ -27,7 +27,7 @@ from .collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES,
                            partition_orbits, point_type, point_types_table,
                            expected_type_counts, tally_types)
 from .field import FieldContext, Gate
-from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane,
+from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError, ProjectivePlane,
                     format_line, format_point, points_on_line)
 from .report import CheckEntry, entry
 
@@ -177,8 +177,7 @@ def collineation_permutes(sess: Session) -> CheckEntry:
     # phi[i] is the same for every member i, in the category of i's class
     orbit, phi = sess.plane.tables.orbit, sess.plane.tables.phi
     category = np.full(sess.plane.size, -1, dtype=np.int8)    # rep -> category
-    category[[cl.members[0] for cl in sess.classes]] = \
-        [CATEGORIES.index(cl.category) for cl in sess.classes]
+    category[sess.classes.reps] = sess.classes.categories
     image = orbit[phi]
     moved = (image != image[orbit]) | (category[image] != category[orbit])
     # the least five moved class reps; a mask, since np.unique imports numpy.ma
@@ -200,6 +199,39 @@ def norm_det_relation(sess: Session) -> CheckEntry:
 
 
 # ------------------------------------------------------------------ maps
+
+def _indices(sess: Session, objs) -> np.ndarray:
+    """Sorted dense indices of a set of points or lines."""
+    return np.array(sorted(map(sess.plane.index, objs)), dtype=np.int64)
+
+
+def _same(sess: Session, image: np.ndarray, objs) -> bool:
+    """Whether the index array ``image`` holds exactly the indices of the
+    points or lines ``objs``, as sets."""
+    return frozenset(image.tolist()) == frozenset(map(sess.plane.index, objs))
+
+
+def _projection(sess: Session, B: ls.SubplaneSet) -> np.ndarray:
+    """Indices of the anchor projections of the points of B."""
+    return gm.anchor_projections(sess.plane.tables, _indices(sess, B.points))
+
+
+def _splash(sess: Session, B: ls.SubplaneSet) -> np.ndarray:
+    """Indices of the splashes of the lines of B."""
+    return gm.anchor_cross(sess.plane.tables, _indices(sess, B.lines))
+
+
+def _pencil_type(sess: Session, theta: int) -> int:
+    """Common type of the lines joining the anchor to the axis linear set
+    of theta, read from the type table; like ``pencil_type`` it raises
+    when they mix types."""
+    tables = sess.plane.tables
+    lines = gm.anchor_cross(tables, _indices(sess, ls.sls_points(sess.ctx, theta)))
+    kinds = set(tables.types[lines].tolist())
+    if len(kinds) != 1:
+        raise GeometryError(f"pencil of {theta} mixes line types {sorted(kinds)}")
+    return kinds.pop()
+
 
 @check("maps", "mu")
 def involution(sess: Session) -> CheckEntry:
@@ -243,11 +275,8 @@ def plane_images(sess: Session) -> CheckEntry:
     carries P and both closed forms to each conjugate side.  A point
     without a secant or without an involution image (-1) fails the
     comparison."""
-    ctx, plane = sess.ctx, sess.plane
-    mu, sec, phi = plane.tables.mu, plane.tables.sec, plane.tables.phi
-
-    def indices(objs):
-        return np.array([plane.index(P) for P in objs], dtype=np.int32)
+    ctx, tables = sess.ctx, sess.plane.tables
+    mu, sec, phi = tables.mu, tables.sec, tables.phi
 
     def same_set(image, want):
         # want holds distinct indices >= 0, so equal sorted arrays are
@@ -258,9 +287,9 @@ def plane_images(sess: Session) -> CheckEntry:
     for th in sess.norm_reps():
         if ctx.norm(th) == 1:
             continue
-        P = indices(ls.t_plane(ctx, th).points)
-        want_pts = indices(ls.sls_points(ctx, ctx.neg(ctx.inv(th))))
-        want_lns = indices(ls.pencil_lines(ctx, ctx.inv(th)))
+        P = _indices(sess, ls.t_plane(ctx, th).points)
+        want_pts = _indices(sess, ls.sls_points(ctx, ctx.neg(ctx.inv(th))))
+        want_lns = gm.anchor_cross(tables, _indices(sess, ls.sls_points(ctx, ctx.inv(th))))
         for side in (0, 1, 2):
             name = f"conjugate {side} of plane {th}" if side else f"plane {th}"
             lines = sec[P]
@@ -298,27 +327,26 @@ def generic_plane(sess: Session) -> CheckEntry:
     line_owner = np.full(sess.plane.size, -1, dtype=np.int32)   # line -> class rep
     off = sec >= 0                                          # the plane classes
     line_owner[sec[off]] = owner[off]
-    # the side subplanes and their two conjugates
-    side = set()
-    for th in sess.norm_reps():
-        pts = np.array([sess.plane.index(P) for P in ls.t_plane(sess.ctx, th).points])
-        for members in (pts, phi[pts], phi[phi[pts]]):
-            side.update(owner[members].tolist())
-    pick = [j for j, cl in enumerate(sess.classes.rows)
-            if cl.category == "plane_III_III" and cl.members[0] not in side]
-    generic, members = [sess.classes.rows[j] for j in pick], sess.classes.members[pick]
+    # the classes of the side subplanes and their two conjugates, by rep
+    pts = np.concatenate([_indices(sess, ls.t_plane(sess.ctx, th).points)
+                          for th in sess.norm_reps()])
+    side = np.zeros(sess.plane.size, dtype=bool)
+    side[owner[np.concatenate((pts, phi[pts], phi[phi[pts]]))]] = True
+    pick = sess.classes.rows_of("plane_III_III")
+    pick = pick[~side[sess.classes.members[pick, 0]]]        # column 0 holds the rep
+    members = sess.classes.members[pick]
     point_ok = _one_class(mu[sec[members]], owner)
     line_ok = _one_class(mu[members], line_owner)
     bad = []
     for i in np.flatnonzero(~(point_ok & line_ok)):
-        rep = format_point(generic[i].rep)
+        rep = format_point(sess.classes.rows[pick[i]].rep)
         if not point_ok[i]:
             bad.append(f"line image of {rep} is no orbit class")
         if not line_ok[i]:
             bad.append(f"point image of {rep} is no orbit line set")
     return entry("mu.generic-plane",
                  "involution images of generic all-Type-III subplanes are again orbit elements",
-                 not bad, {"tested": len(generic), "mode": "exhaustive"}, bad[:5])
+                 not bad, {"tested": len(pick), "mode": "exhaustive"}, bad[:5])
 
 
 def _block_parts(sess: Session) -> tuple[np.ndarray, np.ndarray]:
@@ -355,9 +383,9 @@ def t_plane_images(sess: Session) -> CheckEntry:
     for th in sess.norm_reps():
         B = ls.t_plane(ctx, th)
         th2 = ctx.mul(th, th)
-        if gm.pr_set(ctx, B) != ls.sls_points(ctx, th2):
+        if not _same(sess, _projection(sess, B), ls.sls_points(ctx, th2)):
             bad.append(f"projection of plane {th}")
-        if gm.sp_set(ctx, B) != ls.sls_points(ctx, ctx.neg(th2)):
+        if not _same(sess, _splash(sess, B), ls.sls_points(ctx, ctx.neg(th2))):
             bad.append(f"splash of plane {th}")
     return entry("projection.t-planes",
                  "projection and splash of each side subplane are the squared-norm linear sets",
@@ -366,29 +394,33 @@ def t_plane_images(sess: Session) -> CheckEntry:
 
 @check("maps", "pr-sp")
 def parity_table(sess: Session) -> CheckEntry:
-    ctx = sess.ctx
+    """Types are read from the type table and involution images from mu,
+    whose -1 off Type III matches no set."""
+    ctx, tables = sess.ctx, sess.plane.tables
+    types, mu = tables.types, tables.mu
     s1 = ls.sls_points(ctx, ctx.one)
     sm1 = ls.sls_points(ctx, ctx.neg_one)
     fixed = ls.fixed_subplane(ctx)
     checks = {}
-    t_s1 = {point_type(ctx, P) for P in s1}
-    checks["pencil_of_one_is_type_II"] = ls.pencil_type(ctx, ctx.one) == TYPE_II
-    checks["pr_fixed_is_norm_one"] = gm.pr_set(ctx, fixed) == s1
+    t_s1 = set(types[_indices(sess, s1)].tolist())
+    checks["pencil_of_one_is_type_II"] = _pencil_type(sess, ctx.one) == TYPE_II
+    checks["pr_fixed_is_norm_one"] = _same(sess, _projection(sess, fixed), s1)
     if ctx.q % 2 == 0:
         checks["s1_type_II"] = t_s1 == {TYPE_II}
-        checks["sp_fixed_is_norm_one"] = gm.sp_set(ctx, fixed) == s1
+        checks["sp_fixed_is_norm_one"] = _same(sess, _splash(sess, fixed), s1)
     else:
         m1 = ls.t_plane(ctx, ctx.neg_one)
+        mu_points = mu[_indices(sess, m1.points)]           # lines
         checks["s1_type_III"] = t_s1 == {TYPE_III}
-        checks["s_minus1_type_II"] = {point_type(ctx, P) for P in sm1} == {TYPE_II}
+        checks["s_minus1_type_II"] = set(types[_indices(sess, sm1)].tolist()) == {TYPE_II}
         checks["pencil_of_minus_one_is_type_III"] = \
-            ls.pencil_type(ctx, ctx.neg_one) == TYPE_III
-        checks["mu_line_of_minus_plane"] = gm.involution_line_image(ctx, m1) == s1
-        checks["pr_minus_plane"] = gm.pr_set(ctx, m1) == s1
-        checks["sp_fixed"] = gm.sp_set(ctx, fixed) == sm1
-        checks["sp_minus_plane"] = gm.sp_set(ctx, m1) == sm1
-        checks["sp_of_mu_pt_minus_plane"] = frozenset(
-            gm.splash(ctx, l) for l in gm.involution_point_image(ctx, m1)) == sm1
+            _pencil_type(sess, ctx.neg_one) == TYPE_III
+        checks["mu_line_of_minus_plane"] = _same(sess, mu[_indices(sess, m1.lines)], s1)
+        checks["pr_minus_plane"] = _same(sess, _projection(sess, m1), s1)
+        checks["sp_fixed"] = _same(sess, _splash(sess, fixed), sm1)
+        checks["sp_minus_plane"] = _same(sess, _splash(sess, m1), sm1)
+        checks["sp_of_mu_pt_minus_plane"] = bool((mu_points >= 0).all()) and _same(
+            sess, gm.anchor_cross(tables, mu_points), sm1)
     bad = [k for k, v in checks.items() if not v]
     return entry("projection.parity-table",
                  "the norm-one and norm-minus-one linear sets, pencils and subplanes obey the parity table",
@@ -399,7 +431,7 @@ def parity_table(sess: Session) -> CheckEntry:
 def pencil_census(sess: Session) -> CheckEntry:
     ctx = sess.ctx
     q = ctx.q
-    tys = [ls.pencil_type(ctx, th) for th in sess.norm_reps()]
+    tys = [_pencil_type(sess, th) for th in sess.norm_reps()]
     type_ii = [j for j, t in enumerate(tys) if t == TYPE_II]
     # the pencil of the norm class of -1 is the Type II one exactly for even q
     sm1_class = ctx.norm_class(ctx.neg_one)
@@ -421,10 +453,10 @@ def projection_vs_splash(sess: Session) -> CheckEntry:
     bad = []
     for th in sess.norm_reps():
         B = ls.t_plane(ctx, th)
-        pr, sp = gm.pr_set(ctx, B), gm.sp_set(ctx, B)
-        if (pr == sp) != (ctx.q % 2 == 0):
+        pr, sp = _projection(sess, B), _splash(sess, B)
+        if (frozenset(pr.tolist()) == frozenset(sp.tolist())) != (ctx.q % 2 == 0):
             bad.append(f"plane {th}")
-        if gm.project_from_vertex(ctx, ANCHOR, B).points != pr:
+        if not _same(sess, pr, gm.project_from_vertex(ctx, ANCHOR, B).points):
             bad.append(f"anchor projection of plane {th}")
     return entry("projection.vs-splash",
                  "projection equals splash exactly for even q, and the anchor is an ordinary vertex",
@@ -507,24 +539,29 @@ def count_spectrum(sess: Session) -> CheckEntry:
 
 @check("maps", "vertices")
 def cross_plane(sess: Session) -> CheckEntry:
-    ctx = sess.ctx
-    bad = []
-    tables = sess.plane.tables
-    for jk in range(ctx.q - 1):
-        kappa = ctx.norm_class_rep(jk)
-        vertices = sorted(ls.t_plane(ctx, kappa).points)
-        for jt in range(ctx.q - 1):
-            if jt == jk:
-                continue
-            theta = ctx.norm_class_rep(jt)
-            Bt = ls.t_plane(ctx, theta)
+    """Each side subplane is projected once, from the points of every
+    other side subplane together; the witnesses name the first wrong
+    vertex of each ordered pair, in the order of the projecting plane."""
+    ctx, tables = sess.ctx, sess.plane.tables
+    reps = sess.norm_reps()
+    planes = [_indices(sess, ls.t_plane(ctx, th).points) for th in reps]
+    first_wrong = {}            # (kappa class, theta class) -> vertex index
+    for jt, theta in enumerate(reps):
+        others = [jk for jk in range(len(reps)) if jk != jt]
+        if not others:
+            continue
+        V = np.concatenate([planes[jk] for jk in others])
+        kinds = tables.project(np.stack(tables.field.coords(V), axis=1),
+                               ls.t_plane(ctx, theta).points)
+        for jk, got in zip(others, np.split(kinds, len(others))):
             # an image is the side linear set of a norm class exactly
             # when it is classified as scattered with that class
-            want = ctx.norm_class(ctx.neg(ctx.mul(kappa, theta)))
-            wrong = np.flatnonzero(tables.project(vertices, Bt.points) != want)
+            wrong = np.flatnonzero(got != ctx.norm_class(ctx.neg(ctx.mul(reps[jk], theta))))
             if wrong.size:
-                V = vertices[wrong[0]]
-                bad.append(f"vertex {format_point(V)} of plane {kappa} onto plane {theta}")
+                first_wrong[jk, jt] = planes[jk][wrong[0]]
+    bad = [f"vertex {format_point(sess.plane.point(first_wrong[jk, jt]))} of plane "
+           f"{reps[jk]} onto plane {reps[jt]}"
+           for jk in range(len(reps)) for jt in range(len(reps)) if (jk, jt) in first_wrong]
     return entry("vertices.cross-plane",
                  "from any point of one side subplane, another norm class projects onto the negated-product linear set",
                  not bad, {"pairs": (ctx.q - 1) * (ctx.q - 2)}, bad[:5])

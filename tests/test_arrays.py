@@ -2,7 +2,7 @@
 
 Every bulk table is compared entry by entry with the scalar function it
 replaces, exhaustively at q = 2, 3 and 4 and on hypothesis-drawn indices
-at q = 5 and 7.  ``disagreements`` is the comparison; a corrupted table
+at q = 5 and 7, and at q = 8 and 9 for the point tables.  ``disagreements`` is the comparison; a corrupted table
 shows that it reports a wrong entry.  The block rows (the closed-form
 incidence rows, made on demand, and the FIG block array) have their own
 row comparisons, ``incidence_disagreements`` and ``fig_disagreements``,
@@ -155,11 +155,23 @@ def test_table_matches_oracle_exhaustive(small_plane, name):
     assert disagreements(small_plane, name, table, range(small_plane.size)) == []
 
 
+@pytest.fixture(scope="module", params=[5, 7, 8, 9], ids=["q5", "q7", "q8", "q9"])
+def oracle_plane(request):
+    """Orders past the exhaustive ones: q = 8 (p = 2, k = 3) and q = 9
+    (p = 3, k = 2) bring the even and the odd extension fields into the
+    closed forms of the point tables."""
+    return ProjectivePlane(context_for_q(request.param))
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_tables_match_oracle_sampled(sampled_plane, data):
-    plane, _ = sampled_plane
-    i = data.draw(st.integers(0, plane.size - 1), label="index")
+def test_tables_match_oracle_sampled(oracle_plane, data):
+    plane = oracle_plane
+    # the q^3 + 1 points with x = 0 have closed forms of their own: draw
+    # them on purpose too
+    q6 = plane.ctx.q3 ** 2
+    i = data.draw(st.integers(0, plane.size - 1) | st.integers(q6, plane.size - 1),
+                  label="index")
     for name in TABLES:
         assert disagreements(plane, name, getattr(plane.tables, name), [i]) == []
 

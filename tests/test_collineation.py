@@ -5,7 +5,7 @@ import pytest
 
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, ProjectivePlane,
                             canonical, incident)
-from figplane.collineation import (TYPE_I, TYPE_II, TYPE_III,
+from figplane.collineation import (CATEGORIES, TYPE_I, TYPE_II, TYPE_III,
                                    OrbitInconsistency, apply_stabilizer,
                                    census_of, collineate_line,
                                    collineate_point, expected_type_counts,
@@ -154,6 +154,18 @@ def test_member_matrix_rows_are_the_class_members(plane3, classes3, plane4, clas
         assert all(np.shares_memory(M[j], cl.members) and np.array_equal(M[j], cl.members)
                    for j, cl in enumerate(rows))
         assert M.base is classes[0].members.base
+
+
+def test_class_arrays_are_the_class_rows(classes3, classes4):
+    """``reps`` and ``categories`` list each class's least member and
+    category, and ``rows_of`` picks the member-matrix rows of a category."""
+    for classes in (classes3, classes4):
+        assert classes.reps.tolist() == [int(cl.members[0]) for cl in classes]
+        assert classes.categories.tolist() == [CATEGORIES.index(cl.category)
+                                               for cl in classes]
+        for cat in CATEGORIES:
+            assert classes.rows_of(cat).tolist() == [
+                j for j, cl in enumerate(classes.rows) if cl.category == cat]
 
 
 def test_partition_rejects_a_mixed_orbit(ctx3, classes3):

@@ -118,6 +118,17 @@ def test_norm_fiber_size_gf27():
 
 
 @pytest.mark.parametrize("p,k", TOWERS)
+def test_coset_reps_are_a_transversal_of_the_base_units(p, k):
+    """The q^2+q+1 coset representatives times the q - 1 base units give
+    every unit exactly once."""
+    ctx = build_field_tower(p, k)
+    reps = list(ctx.coset_reps())
+    assert len(reps) == ctx.sub_order
+    assert sorted(ctx.mul(t, lam) for t in reps for lam in ctx.base_units()) == \
+        list(ctx.units())
+
+
+@pytest.mark.parametrize("p,k", TOWERS)
 def test_base_subfield(p, k):
     ctx = build_field_tower(p, k)
     assert ctx.in_base_subfield(1)

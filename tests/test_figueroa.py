@@ -709,7 +709,7 @@ types = plane.tables.types
 plane.tables.types = np.where(types == 2, 1, types)   # no Type II: short blocks
 attempt("anchor_block", figueroa.anchor_block, plane, ANCHOR)
 attempt("build_fig_plane", figueroa.build_fig_plane, plane)
-ctx.units = lambda: range(1, 10)
+ctx.coset_reps = lambda: range(1, 10)   # 9 of the 13 cosets: short sets
 attempt("sls_points", linear_sets.sls_points, ctx, 1)
 attempt("t_plane", linear_sets.t_plane, ctx, 1)
 attempt("plane_from_rep", linear_sets.plane_from_rep, ctx, (1, 2, 3))

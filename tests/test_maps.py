@@ -12,7 +12,7 @@ from figplane.field import context_for_q
 from figplane.linear_sets import (conjugate_subplane, fixed_subplane,
                                   pencil_lines, plane_from_rep, sls_points,
                                   t_plane)
-from figplane.maps import (TypeRestrictionError,
+from figplane.maps import (TypeRestrictionError, anchor_cross, anchor_projections,
                            conjugate_join, conjugate_meet,
                            expected_phi_fixed_reps, involution_line_image,
                            involution_point_image, mu_fixed_planes,
@@ -112,6 +112,23 @@ def test_projection_splash_point_level(ctx3):
         splash(ctx3, AXIS)
     for l in pencil_lines(ctx3, 1):
         assert splash(ctx3, l) in sls_points(ctx3, 1)
+
+
+def test_bulk_anchor_maps_match_the_scalar_maps(plane3, plane4):
+    """Exhaustive: the anchor projection of every point, its join with the
+    anchor and the splash of every line, each read as an index, and both
+    bulk maps refuse the anchor, which is the axis read as a line."""
+    for plane in (plane3, plane4):
+        ctx, idx, tables = plane.ctx, plane.index, plane.tables
+        rest = [T for T in plane.points if T != ANCHOR]
+        i = np.array([idx(T) for T in rest])
+        assert anchor_projections(tables, i).tolist() == [
+            idx(project_from_anchor(ctx, P)) for P in rest]
+        assert anchor_cross(tables, i).tolist() == [idx(join(ctx, ANCHOR, P)) for P in rest]
+        assert anchor_cross(tables, i).tolist() == [idx(splash(ctx, l)) for l in rest]
+        for bulk in (anchor_projections, anchor_cross):
+            with pytest.raises(GeometryError):
+                bulk(tables, [idx(ANCHOR)])
 
 
 def test_projection_splash_images(ctx3, ctx4, ctx5):

@@ -61,6 +61,16 @@ def test_field_and_plane_load_nothing_else():
     assert loaded == ["figplane.field", "figplane.plane"]
 
 
+def test_scalar_linear_sets_load_no_numpy():
+    """The scalar orbit constructors need no array code: collineation
+    imports numpy only inside its table functions."""
+    loaded = loaded_after("from figplane.field import context_for_q\n"
+                          "from figplane.linear_sets import sls_points\n"
+                          "sls_points(context_for_q(3), 1)")
+    assert loaded == ["figplane.collineation", "figplane.field", "figplane.linear_sets",
+                      "figplane.plane"]
+
+
 def test_cli_loads_every_submodule():
     """perfbench/tracer.py wraps layer functions after ``import figplane.cli``
     and relies on it having imported every figplane module."""

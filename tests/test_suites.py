@@ -27,11 +27,12 @@ from figplane.plane import format_line, format_point
 from figplane.suites import (CHECKS, Session, axioms_mutation, block_anatomy, block_incidence_twist,
                              block_sizes, characterization, check_groups,
                              club_images, collineation_fixed, collineation_permutes,
-                             cross_plane, even_structure, generic_plane,
+                             count_spectrum, cross_plane, even_structure, generic_plane,
                              involution_fixed, maps_checks, norm_det_relation,
-                             pencil_census, plane_images, projection_anchor,
-                             projection_conjugates, rejects_fixed_objects,
-                             splash_involution, vertices_census)
+                             parity_table, pencil_census, plane_images, projection_anchor,
+                             projection_conjugates, projection_vs_splash,
+                             rejects_fixed_objects, splash_involution, t_plane_images,
+                             vertices_census)
 
 DATA = Path(__file__).parent / "data"
 
@@ -195,10 +196,14 @@ def test_axioms_mutation_names_the_swapped_line_when_not_caught(ctx3, monkeypatc
 @pytest.mark.parametrize("q", [3, 4])
 def test_pencil_census_without_a_type_ii_pencil_fails(q, monkeypatch):
     """With every pencil Type III the entry fails and names the pencil
-    classes; at even q the pencil of -1 must be the Type II one as well."""
+    classes; at even q the pencil of -1 must be the Type II one as well.
+    The entry reads the pencil types from the type table, in which every
+    Type II line is made Type III."""
     ctx = build_field_tower(*{3: (3, 1), 4: (2, 2)}[q])
-    monkeypatch.setattr("figplane.linear_sets.pencil_type", lambda ctx, theta: TYPE_III)
-    e = pencil_census(Session(ctx))
+    sess = Session(ctx)
+    types = sess.plane.tables.types
+    sess.plane.tables.types = np.where(types == TYPE_II, TYPE_III, types)
+    e = pencil_census(sess)
     assert not e.passed and e.counts == {"type_II": 0, "type_III": q - 1}
     want = [f"Type II pencil classes []; expected one, the other {q - 2} Type III"]
     if q == 4:
@@ -378,6 +383,71 @@ def test_plane_images_report_a_wrong_table_entry(ctx3, corruption, image):
     assert e.counts == {"norm_classes": ctx3.q - 2}
 
 
+def test_t_planes_report_a_moved_subplane(ctx3, monkeypatch):
+    """The side subplane of norm class 1 replaced by its conjugate on
+    side 1 (the class 0 one is the fixed subplane, which the collineation
+    fixes): neither its anchor projection nor its splash is the
+    squared-norm linear set."""
+    import figplane.linear_sets as ls
+    sess = Session(ctx3)
+    assert t_plane_images(sess).passed
+    th = sess.norm_reps()[1]
+    real = ls.t_plane
+    monkeypatch.setattr(ls, "t_plane", lambda ctx, theta: ls.conjugate_subplane(
+        ctx, real(ctx, theta)) if theta == th else real(ctx, theta))
+    e = t_plane_images(sess)
+    assert not e.passed
+    assert e.witnesses == [f"projection of plane {th}", f"splash of plane {th}"]
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_parity_table_reports_a_type_table_without_type_ii(q):
+    """With every Type II point and line made Type III in the type table,
+    the norm-one pencil and the Type II linear set of the parity rule fail."""
+    sess = Session(build_field_tower(*{3: (3, 1), 4: (2, 2)}[q]))
+    assert parity_table(sess).passed
+    types = sess.plane.tables.types
+    sess.plane.tables.types = np.where(types == TYPE_II, TYPE_III, types)
+    e = parity_table(sess)
+    assert not e.passed
+    assert e.witnesses == (["pencil_of_one_is_type_II", "s1_type_II"] if q == 4 else
+                           ["pencil_of_one_is_type_II", "s_minus1_type_II"])
+    assert e.counts["pencil_of_one_is_type_II"] == "False"
+
+
+def test_vs_splash_reports_an_anchor_image_short_of_a_point(ctx3, monkeypatch):
+    """A vertex projection from the anchor that loses its least image point
+    differs from the anchor projection of every side subplane."""
+    import figplane.maps as gm
+    sess = Session(ctx3)
+    assert projection_vs_splash(sess).passed
+    real = gm.project_from_vertex
+
+    def short(ctx, V, B):
+        img = real(ctx, V, B)
+        return gm.LinearSetImage(V, img.points - {min(img.points)}, img.kind, img.sls)
+
+    monkeypatch.setattr(gm, "project_from_vertex", short)
+    e = projection_vs_splash(sess)
+    assert not e.passed
+    assert e.witnesses == [f"anchor projection of plane {th}" for th in sess.norm_reps()]
+
+
+def test_count_spectrum_reports_a_count_outside_it(ctx3):
+    """At q = 3 the spectrum is {0, 13, 14}, and the fixed subplane has its
+    14 vertices in one norm class; with two of them dropped it has 12."""
+    sess = Session(ctx3)
+    assert count_spectrum(sess).passed
+    vc = sess.fixed_census
+    j, count = next((j, c) for j, c in vc.counts().items() if c)
+    assert count == 14
+    sess.fixed_census = VertexCensus({**vc.by_class, j: vc.by_class[j][2:]},
+                                     vc.club, vc.other)
+    e = count_spectrum(sess)
+    assert not e.passed
+    assert e.witnesses == [f"class {j}: 12"]
+
+
 def test_vertex_census_reports_a_wrong_class_count(ctx3):
     sess = Session(ctx3)
     assert vertices_census(sess).passed
@@ -390,20 +460,25 @@ def test_vertex_census_reports_a_wrong_class_count(ctx3):
     assert e.witnesses == [f"norm class {j}: {count - 1} vertices, expected {count}"]
 
 
-def test_cross_plane_reports_a_wrong_projection(ctx3):
-    """A projection that misclassifies the first vertex of every call fails
-    every ordered pair of side subplanes, each with that vertex."""
-    sess = Session(ctx3)
-    assert cross_plane(sess).passed
-    tables = sess.plane.tables
-    project = tables.project
-    tables.project = lambda V, B: np.where(np.arange(len(V)) == 0, OTHER, project(V, B))
-    e = cross_plane(sess)
-    assert not e.passed
-    reps = sess.norm_reps()
-    assert e.witnesses == [
-        f"vertex {format_point(min(t_plane(ctx3, kappa).points))} of plane {kappa} onto plane {theta}"
-        for kappa in reps for theta in reps if theta != kappa]
+def test_cross_plane_reports_a_wrong_projection(ctx3, ctx4):
+    """A projection that misclassifies the least point of each side
+    subplane as a vertex fails every ordered pair of side subplanes, each
+    with that vertex, in the order of the projecting plane; at q = 4 each
+    projection call holds the vertices of two planes."""
+    for ctx in (ctx3, ctx4):
+        sess = Session(ctx)
+        assert cross_plane(sess).passed
+        tables = sess.plane.tables
+        project = tables.project
+        reps = sess.norm_reps()
+        least = {min(t_plane(ctx, kappa).points) for kappa in reps}
+        tables.project = lambda V, B: np.where(
+            [tuple(v) in least for v in np.asarray(V).tolist()], OTHER, project(V, B))
+        e = cross_plane(sess)
+        assert not e.passed
+        assert e.witnesses == [
+            f"vertex {format_point(min(t_plane(ctx, kappa).points))} of plane {kappa} onto plane {theta}"
+            for kappa in reps for theta in reps if theta != kappa][:5]
 
 
 def test_figueroa_run_holds_one_block_array(monkeypatch, capsys):
@@ -444,5 +519,5 @@ def test_census_and_maps_build_no_dickson_table(monkeypatch, capsys):
     capsys.readouterr()
     for sess in sessions:
         tables = vars(sess.plane.tables)
-        assert "tau" in tables
+        assert "tau" in tables["_point_tables"]        # built with the type table
         assert not {"dickson", "dickson_line", "_dickson_rows"} & set(tables)
