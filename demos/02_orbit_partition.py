@@ -4,10 +4,12 @@ The stabilizer of the frame triangle (fixing the invariant subplane and
 the axis setwise) has q^2+q+1 elements; its point orbits partition the
 plane into three fixed vertices, scattered linear sets on the triangle
 sides, and subplanes of order q, with four point/line type profiles.
+The partition is three arrays: the class representatives, their
+categories and the member matrix, one row per class that is not a vertex.
 """
 
 from figplane import ProjectivePlane, build_field_tower, census_of, partition_orbits
-from figplane.collineation import CATEGORIES, TYPE_NAMES
+from figplane.collineation import CATEGORIES, CATEGORY_TYPES, TYPE_NAMES, sls_id_of_point
 
 for p, k in ((3, 1), (2, 2)):
     ctx = build_field_tower(p, k)
@@ -19,8 +21,11 @@ for p, k in ((3, 1), (2, 2)):
     print(f"  {'category':<16}{'classes':>8}{'closed form':>14}")
     for cat in CATEGORIES:
         print(f"  {cat:<16}{cen.orbit_counts[cat]:>8}{cen.expected()[cat]:>14}")
-    sls = next(cl for cl in classes if cl.category == "sls_III")
+    members = classes.members[classes.rows_of("sls_III")[0]]
+    sls = sls_id_of_point(ctx, plane.point(members[0]))
+    ptype = CATEGORY_TYPES["sls_III"][0]
+    assert (plane.tables.types[members] == ptype).all()
     print(f"  a scattered linear set class: side {sls.side}, "
-          f"norm class {sls.norm_class}, {len(sls.members)} points, "
-          f"all Type {TYPE_NAMES[sls.point_type]}")
+          f"norm class {sls.norm_class}, {len(members)} points, "
+          f"all Type {TYPE_NAMES[ptype]}")
     print()

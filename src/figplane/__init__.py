@@ -36,7 +36,7 @@ _EXPORTS = {name: module for module, names in (
     ("field", "FieldContext FieldError build_field_tower context_for_q"),
     ("plane", "ANCHOR ANCHOR_1 ANCHOR_2 AXIS GeometryError ProjectivePlane canonical "
               "format_line format_point incident join meet"),
-    ("collineation", "TYPE_I TYPE_II TYPE_III Census OrbitClass OrbitClasses SlsId "
+    ("collineation", "TYPE_I TYPE_II TYPE_III Census OrbitClasses SlsId "
                      "apply_stabilizer census_of collineate_line collineate_point line_type "
                      "norm_det_identity partition_orbits point_type stabilizer_orbit"),
     ("linear_sets", "SubplaneSet fixed_subplane pencil_lines pencil_type plane_from_rep "

@@ -18,7 +18,8 @@ exhaustive; --seed is only recorded in the report header.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 a refused command
 (q not a prime power, a failing gate, bulk tables estimated larger than
-the host's physical memory, an --emit-plane file that cannot be written,
+the host's physical memory, counting the FIG block array when a selected
+check or --emit-plane builds it, an --emit-plane file that cannot be written,
 a --theta out of range; all refused before any check runs)
 or a geometry or kernel error during a run, reported as one
 "figplane: ..." line.  Output is byte-identical across runs with the
@@ -40,7 +41,7 @@ from .field import FieldError, context_for_q, table_bytes
 from .plane import GeometryError, format_point
 from .report import Report, TOOL_NAME, TOOL_VERSION
 from .suites import (Session, census_checks, check_groups, figueroa_checks,
-                     maps_checks, refusal)
+                     maps_checks, refusal, selected)
 
 USAGE_ERROR = 2
 SUITES = ("census", "maps", "figueroa")
@@ -163,7 +164,8 @@ def run_report(args) -> int:
         if reason := refusal(ctx, "figueroa"):
             raise UsageError(reason)
         _require_writable(emit)
-    need, have = table_bytes(ctx.q), physical_memory()
+    fig = bool(emit) or any(c.builds_fig for name in suites for c in selected(ctx, name, group))
+    need, have = table_bytes(ctx.q, fig), physical_memory()
     if need > have:     # fail fast, not out of memory part-way
         raise UsageError(f"q = {ctx.q} needs about {need / 1e9:.3g} GB for its tables, "
                          f"more than the {have / 1e9:.3g} GB of physical memory")

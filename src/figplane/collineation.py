@@ -12,10 +12,14 @@ conjugates.
 
 The triangle stabilizer is the group of q^2+q+1 projectivities
 (x,y,z) |-> (t x, t^q y, t^q^2 z) fixing the frame triangle vertexwise;
-its point orbits partition PG(2,q^3) into seven kinds of classes, and
-``partition_orbits`` plus ``census_of`` compute and count them all.
-``partition_orbits`` reads them from ``PlaneTables.orbit``, for which
-``stabilizer_orbit`` and ``apply_stabilizer`` are the scalar reference.
+its point orbits partition PG(2,q^3) into seven kinds of classes: the
+three vertices, the scattered linear sets on the triangle sides
+(``sls_II``, ``sls_III``) and four kinds of subplanes of order q.
+``partition_orbits`` reads them from ``PlaneTables.orbit`` into three
+arrays, the representatives, their categories and the member matrix,
+and ``census_of`` counts them with one bincount.  ``stabilizer_orbit``
+and ``apply_stabilizer`` are the scalar reference for the orbit table,
+and ``sls_id_of_point`` names the side and norm class of a linear set.
 """
 
 from __future__ import annotations
@@ -167,17 +171,6 @@ def norm_det_identity(ctx: FieldContext, P: Triple) -> bool:
                for w, c in ((X, x), (Y, y), (Z, z)))
 
 
-@dataclass(frozen=True, eq=False)
-class OrbitClass:
-    rep: Triple                    # member of minimal enumeration index
-    members: np.ndarray            # sorted point indices, a read-only int32 slice
-    category: str                  # one of CATEGORIES
-    point_type: int
-    line_type: int | None          # secant-line type, planes only
-    side: int | None               # 0/1/2: triangle side, vertices and slses
-    norm_class: int | None         # slses only
-
-
 @dataclass
 class Census:
     q: int
@@ -250,19 +243,20 @@ def line_types_table(plane: ProjectivePlane) -> np.ndarray:
     return plane.tables.types
 
 
-class OrbitClasses(list):
-    """The orbit classes in representative order, with ``reps``, their
-    representatives' indices, ``categories``, their int8 positions in
-    ``CATEGORIES``, and ``members``: one read-only (m, q^2+q+1) int32
-    matrix whose row j is the ``members`` slice of ``rows[j]``, the j-th
-    class that is not a vertex."""
+@dataclass(eq=False)
+class OrbitClasses:
+    """The orbit classes in representative order, as arrays: ``reps``,
+    their representatives' indices, ``categories``, their int8 positions
+    in ``CATEGORIES``, and ``members``: one read-only (m, q^2+q+1) int32
+    matrix whose row j holds, sorted, the points of the j-th class that
+    is not a vertex, so column 0 is its representative.  ``len`` is the
+    number of classes."""
+    reps: np.ndarray
+    categories: np.ndarray
+    members: np.ndarray
 
-    def __init__(self, classes: list[OrbitClass], members, reps, categories):
-        super().__init__(classes)
-        self.members = members
-        self.reps = reps
-        self.categories = categories
-        self.rows = [cl for cl in classes if cl.category != "vertex"]
+    def __len__(self) -> int:
+        return len(self.reps)
 
     def rows_of(self, category: str):
         """Rows of ``members`` whose class has the category, in order."""
@@ -276,13 +270,12 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
 
     A class is the set of points sharing one entry of the orbit table, their
     least index, whose point is the representative; classes come in
-    representative order, so output is deterministic.  The members of every
-    class are slices of one array that holds the singleton classes last, so
-    the others read as one member matrix.  The classes are sized, checked
-    and categorized in array passes over the representatives: ``sec`` is
-    -1 exactly on the triangle sides, and off them it gives the secant
-    line, whose type completes a plane category.  The loop only makes the
-    ``OrbitClass`` rows.
+    representative order, so output is deterministic.  The classes are
+    sized, checked and categorized in array passes over the
+    representatives: ``sec`` is -1 exactly on the triangle sides, and off
+    them it gives the secant line, whose type completes a plane category.
+    One stable sort of the orbit table, with the singleton classes pushed
+    last, lays the other classes' members out as the member matrix.
     """
     import numpy as np
     ctx, tables = plane.ctx, plane.tables
@@ -295,17 +288,8 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
             f"{sorted({int(types[orbit[i]]), int(types[i])})}")
     reps = np.flatnonzero(orbit == np.arange(plane.size))
     sizes = np.bincount(orbit)[reps]
-    key = orbit.copy()                                    # singleton classes last
-    key[reps[sizes == 1]] += plane.size
-    order = np.argsort(key, kind="stable").astype(np.int32)
-    del key             # held through the class loop, it raises a maps run's peak RSS
-    order.setflags(write=False)
-    slot = np.argsort(sizes == 1, kind="stable")          # classes as order holds them
-    starts = np.empty_like(sizes)
-    starts[slot] = np.cumsum(sizes[slot]) - sizes[slot]
-    vertices = (ANCHOR, ANCHOR_1, ANCHOR_2)
     at_vertex = np.zeros(plane.size, dtype=bool)
-    at_vertex[[plane.index(V) for V in vertices]] = True
+    at_vertex[[plane.index(V) for V in (ANCHOR, ANCHOR_1, ANCHOR_2)]] = True
     lines = tables.sec[reps]
     on_side = lines < 0
     ptypes = types[reps]
@@ -328,36 +312,25 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
                 f"orbit of {P} has size {int(sizes[j])}, not {ctx.sub_order}")
         raise OrbitInconsistency(f"plane orbit of {P} has point type {int(ptypes[j])}, "
                                  f"line type {int(ltypes[j])}")
-    classes: list[OrbitClass] = []
-    points = zip(*(v.tolist() for v in tables.field.coords(reps)))
-    for P, lo, size, cat, ptype, ltype in zip(points, starts.tolist(), sizes.tolist(),
-                                              categories.tolist(), ptypes.tolist(),
-                                              ltypes.tolist()):
-        members = order[lo:lo + size]
-        if cat == VERTEX:
-            classes.append(OrbitClass(P, members, "vertex", ptype, None,
-                                      vertices.index(P), None))
-        elif cat in (SLS_II, SLS_III):
-            sid = sls_id_of_point(ctx, P)
-            classes.append(OrbitClass(P, members, CATEGORIES[cat], ptype, None,
-                                      sid.side, sid.norm_class))
-        else:
-            classes.append(OrbitClass(P, members, CATEGORIES[cat], ptype, ltype, None, None))
+    key = orbit.copy()                                    # singleton classes last
+    key[reps[sizes == 1]] += plane.size
+    order = np.argsort(key, kind="stable").astype(np.int32)
+    del key                                               # it would raise peak RSS
     full = int(np.count_nonzero(sizes > 1))
-    return OrbitClasses(classes, order[:full * ctx.sub_order].reshape(full, ctx.sub_order),
-                        reps, categories)
+    members = order[:full * ctx.sub_order].reshape(full, ctx.sub_order)
+    members.setflags(write=False)
+    return OrbitClasses(reps, categories, members)
 
 
-def census_of(plane: ProjectivePlane,
-              classes: list[OrbitClass] | None = None) -> Census:
+def census_of(plane: ProjectivePlane, classes: OrbitClasses | None = None) -> Census:
+    """Count the classes of each category, and the points they hold."""
+    import numpy as np
     if classes is None:
         classes = partition_orbits(plane)
-    orbit_counts = {c: 0 for c in CATEGORIES}
-    point_counts = {c: 0 for c in CATEGORIES}
-    for cl in classes:
-        orbit_counts[cl.category] += 1
-        point_counts[cl.category] += len(cl.members)
-    return Census(plane.ctx.q, orbit_counts, point_counts)
+    counts = dict(zip(CATEGORIES, np.bincount(classes.categories,
+                                              minlength=len(CATEGORIES)).tolist()))
+    return Census(plane.ctx.q, counts, {cat: k * (1 if cat == "vertex" else plane.ctx.sub_order)
+                                        for cat, k in counts.items()})
 
 
 def tally_types(types) -> dict[int, int]:

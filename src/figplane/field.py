@@ -339,15 +339,17 @@ def _validate_params(p: int, k: int) -> None:
                          f"over the table bound {MAX_ELEMENTS}")
 
 
-def table_bytes(q: int) -> int:
+def table_bytes(q: int, fig: bool = False) -> int:
     """Estimated bytes of the bulk tables of one run at order q, from q
     alone: the two q^3 x q^3 uint16 lookup tables of ``FieldArrays``,
     4 q^6 bytes, and 33 bytes for each of the n = q^6 + q^3 + 1 points of
     the ``PlaneTables`` entries, one int8 type and eight int32 tables
-    (mu, sec, phi, tau, tau_line, orbit, dickson, dickson_line).  The FIG
-    block array is not counted."""
+    (mu, sec, phi, tau, tau_line, orbit, dickson, dickson_line).  With
+    ``fig``, for a run that builds the Figueroa plane, add its block
+    array: n rows of q^3 + 1 int32 points."""
     q3 = q ** 3
-    return 4 * q3 * q3 + 33 * (q3 * q3 + q3 + 1)
+    n = q3 * q3 + q3 + 1
+    return 4 * q3 * q3 + 33 * n + (4 * n * (q3 + 1) if fig else 0)
 
 
 _CACHE: dict[tuple[int, int], FieldContext] = {}

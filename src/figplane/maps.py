@@ -30,7 +30,7 @@ from .arrays import CLUB, OTHER
 from .field import FieldContext
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane, Triple,
                     GeometryError, canonical, join, meet)
-from .collineation import (CATEGORIES, TYPE_III, OrbitClass, OrbitClasses,
+from .collineation import (CATEGORIES, TYPE_III, VERTEX, OrbitClasses,
                            OrbitInconsistency, SlsId, collineate_line,
                            collineate_point, line_type, point_type)
 from .linear_sets import SubplaneSet
@@ -174,21 +174,22 @@ def vertex_census(plane: ProjectivePlane, B: SubplaneSet) -> VertexCensus:
                         int(np.count_nonzero(kinds == OTHER)))
 
 
-def phi_fixed_planes(plane: ProjectivePlane, classes: OrbitClasses) -> list[OrbitClass]:
-    """Orbit subplanes fixed setwise by the collineation, by exhaustive scan:
-    a class is fixed when no member i has its image in another class."""
+def phi_fixed_planes(plane: ProjectivePlane, classes: OrbitClasses) -> np.ndarray:
+    """Rows of the member matrix whose orbit subplanes the collineation
+    fixes setwise, by exhaustive scan: a class is fixed when no member i
+    has its image in another class."""
     orbit = plane.tables.orbit
     moved = np.zeros(plane.size, dtype=bool)        # by class representative
     moved[orbit[orbit[plane.tables.phi] != orbit]] = True
-    planes = classes.categories >= CATEGORIES.index("plane_I_I")    # the last four
-    return [classes[j] for j in np.flatnonzero(planes & ~moved[classes.reps])]
+    row_categories = classes.categories[classes.categories != VERTEX]
+    planes = row_categories >= CATEGORIES.index("plane_I_I")    # the last four
+    return np.flatnonzero(planes & ~moved[classes.members[:, 0]])
 
 
-def mu_fixed_planes(plane: ProjectivePlane,
-                    classes: OrbitClasses) -> list[OrbitClass]:
-    """Orbit subplanes whose point set maps onto their own line set under
-    the involution, by exhaustive scan over the all-Type-III classes, as
-    one pass over their rows of the member matrix.
+def mu_fixed_planes(plane: ProjectivePlane, classes: OrbitClasses) -> np.ndarray:
+    """Rows of the member matrix whose orbit subplanes map their point set
+    onto their own line set under the involution, by exhaustive scan over
+    the all-Type-III classes, as one pass over their rows.
 
     The stabilizer commutes with the collineation, so the line set of an
     orbit subplane is the set of secant lines of its points.
@@ -203,9 +204,9 @@ def mu_fixed_planes(plane: ProjectivePlane,
     rows, members, lines = rows[fixed], members[fixed], lines[fixed]
     back = (np.sort(tables.mu[lines], axis=1) == members).all(axis=1)
     if not back.all():
-        cl = classes.rows[rows[np.argmin(back)]]
-        raise OrbitInconsistency(f"involution fixes lines but not points at {cl.rep}")
-    return [classes.rows[j] for j in rows]
+        rep = plane.point(members[np.argmin(back), 0])
+        raise OrbitInconsistency(f"involution fixes lines but not points at {rep}")
+    return rows
 
 
 def expected_phi_fixed_reps(ctx: FieldContext) -> list[Triple]:

@@ -22,7 +22,7 @@ from . import figueroa as fg
 from . import linear_sets as ls
 from . import maps as gm
 from .arrays import chunks
-from .collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES,
+from .collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES, VERTEX,
                            OrbitClasses, census_of, line_types_table,
                            partition_orbits, point_type, point_types_table,
                            expected_type_counts, tally_types)
@@ -66,6 +66,7 @@ class Check(NamedTuple):
     group: str
     run: Callable[[Session], CheckEntry]
     gates: tuple[Gate, ...]
+    builds_fig: bool            # reads ``Session.fig_structure``
 
     def applies(self, ctx: FieldContext) -> bool:
         """Whether the check runs at this order: every gate holds."""
@@ -78,13 +79,16 @@ EVEN_Q = Gate(lambda ctx: ctx.q % 2 == 0, "the even-order structure check needs 
 SUITE_GATES = {"figueroa": (fg.FIGUEROA,)}    # every check of the suite needs them
 
 
-def check(suite: str, group: str | None = None, gates: tuple[Gate, ...] = ()):
+def check(suite: str, group: str | None = None, gates: tuple[Gate, ...] = (),
+          builds_fig: bool = False):
     """Register the decorated check in ``CHECKS``, whose order is report
     order, under its suite (census, maps or figueroa), its ``--check``
     group (by default the suite) and the gates, those of its suite first,
-    that must hold at an order for it to run there."""
+    that must hold at an order for it to run there.  ``builds_fig`` marks
+    a check that reads the FIG block array, the largest table of a run."""
     def register(fn):
-        CHECKS.append(Check(suite, group or suite, fn, SUITE_GATES.get(suite, ()) + gates))
+        CHECKS.append(Check(suite, group or suite, fn, SUITE_GATES.get(suite, ()) + gates,
+                            builds_fig))
         return fn
     return register
 
@@ -104,16 +108,21 @@ def check_groups(suite: str) -> list[str]:
     return list(dict.fromkeys(c.group for c in CHECKS if c.suite == suite))
 
 
+def selected(ctx: FieldContext, suite: str, group: str | None = None) -> list[Check]:
+    """The checks of the suite (or of one of its groups) that apply at
+    this order, in table order."""
+    return [c for c in CHECKS
+            if c.suite == suite and group in (None, c.group) and c.applies(ctx)]
+
+
 def run_checks(sess: Session, suite: str, group: str | None = None) -> list[CheckEntry]:
-    """Run, in table order, every check of the suite (or of one of its
-    groups) that applies at this order, timing each."""
+    """Run the selected checks, timing each."""
     out = []
-    for c in CHECKS:
-        if c.suite == suite and group in (None, c.group) and c.applies(sess.ctx):
-            t0 = time.perf_counter()
-            e = c.run(sess)
-            e.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-            out.append(e)
+    for c in selected(sess.ctx, suite, group):
+        t0 = time.perf_counter()
+        e = c.run(sess)
+        e.elapsed_ms = (time.perf_counter() - t0) * 1000.0
+        out.append(e)
     return out
 
 
@@ -147,13 +156,18 @@ def categories(sess: Session) -> CheckEntry:
 
 @check("census")
 def orbit_sizes(sess: Session) -> CheckEntry:
-    bad = [cl for cl in sess.classes
-           if len(cl.members) != (1 if cl.category == "vertex" else sess.ctx.sub_order)]
+    # the member rows and the three vertex classes cover every point once
+    classes, n = sess.classes, sess.plane.size
+    vertex_reps = classes.reps[classes.categories == VERTEX]
+    cover = np.bincount(np.concatenate((classes.members.ravel(), vertex_reps)), minlength=n)
+    bad = [f"{format_point(sess.plane.point(i))} lies in {int(cover[i])} classes"
+           for i in np.flatnonzero(cover != 1)[:5]]
+    if len(vertex_reps) != 3 or classes.members.shape[1] != sess.ctx.sub_order:
+        bad.insert(0, f"{len(vertex_reps)} vertex classes, and classes of "
+                      f"{classes.members.shape[1]} points")
     return entry("census.orbit-sizes",
                  "every class is one fixed vertex or has q^2+q+1 points, and the classes partition the plane",
-                 not bad and sum(len(c.members) for c in sess.classes) == sess.plane.size,
-                 {"classes": len(sess.classes), "points": sess.plane.size},
-                 [format_point(cl.rep) for cl in bad[:5]])
+                 not bad, {"classes": len(classes), "points": n}, bad[:5])
 
 
 def type_tally(sess: Session, kind: str) -> CheckEntry:
@@ -164,7 +178,8 @@ def type_tally(sess: Session, kind: str) -> CheckEntry:
                  f"{kind} counts per type match the closed forms",
                  tally == want,
                  {TYPE_NAMES[t]: tally[t] for t in sorted(tally)},
-                 [] if tally == want else [f"expected {want}"])
+                 [f"type {TYPE_NAMES[t]}: {tally[t]} {kind}s, expected {want[t]}"
+                  for t in sorted(tally) if tally[t] != want[t]])
 
 
 check("census")(partial(type_tally, kind="point"))
@@ -339,7 +354,7 @@ def generic_plane(sess: Session) -> CheckEntry:
     line_ok = _one_class(mu[members], line_owner)
     bad = []
     for i in np.flatnonzero(~(point_ok & line_ok)):
-        rep = format_point(sess.classes.rows[pick[i]].rep)
+        rep = format_point(sess.plane.point(members[i, 0]))
         if not point_ok[i]:
             bad.append(f"line image of {rep} is no orbit class")
         if not line_ok[i]:
@@ -463,30 +478,34 @@ def projection_vs_splash(sess: Session) -> CheckEntry:
                  not bad, {}, bad[:5])
 
 
-def _fixed_planes(sess: Session, id: str, claim: str, found, reps, expected: int,
-                  ok: bool = True) -> CheckEntry:
-    """Entry for an exhaustive scan that found the classes ``found``, which
-    must be the ``expected`` subplanes through the closed-form ``reps``."""
+def _fixed_planes(sess: Session, id: str, claim: str, found: np.ndarray, reps,
+                  expected: int, ok: bool = True) -> CheckEntry:
+    """Entry for an exhaustive scan that found the member-matrix rows
+    ``found``, which must be the ``expected`` subplanes through the
+    closed-form ``reps``."""
     want = [frozenset(sess.plane.index(P) for P in ls.plane_from_rep(sess.ctx, R).points)
             for R in reps]
-    got = {frozenset(cl.members) for cl in found}
+    members = sess.classes.members[found]
+    got = {frozenset(row) for row in members.tolist()}
     ok = ok and len(found) == expected and got == set(want)
     missing = [f"no class is the subplane through {format_point(R)}"
-               for R, members in zip(reps, want) if members not in got]
+               for R, points in zip(reps, want) if points not in got]
+    found_reps = [format_point(sess.plane.point(i)) for i in members[:, 0]]
     return entry(id, claim, ok,
                  {"found": len(found), "expected": expected,
-                  "representatives": " ".join(format_point(cl.rep) for cl in found)},
-                 [] if ok else [format_point(cl.rep) for cl in found] + missing)
+                  "representatives": " ".join(found_reps)},
+                 [] if ok else found_reps + missing)
 
 
 @check("maps", "fixed")
 def collineation_fixed(sess: Session) -> CheckEntry:
     found = gm.phi_fixed_planes(sess.plane, sess.classes)
+    allowed = np.concatenate([sess.classes.rows_of(c) for c in ("plane_I_I", "plane_III_III")])
     return _fixed_planes(
         sess, "fixed.collineation",
         "exhaustive scan finds exactly gcd(3, q-1) collineation-fixed subplanes, the closed-form ones",
         found, gm.expected_phi_fixed_reps(sess.ctx), math.gcd(3, sess.ctx.q - 1),
-        all(cl.category in ("plane_I_I", "plane_III_III") for cl in found))
+        bool(np.isin(found, allowed).all()))
 
 
 @check("maps", "fixed")
@@ -611,7 +630,7 @@ def block_anatomy(sess: Session) -> CheckEntry:
                  not bad, {"size": size}, bad)
 
 
-@check("figueroa", "build")
+@check("figueroa", "build", builds_fig=True)
 def block_sizes(sess: Session) -> CheckEntry:
     # rows are stored sorted, so a block of k distinct points in range is
     # a strictly increasing row of width k from 0 to n - 1; its E part,
@@ -636,7 +655,7 @@ def block_sizes(sess: Session) -> CheckEntry:
                  [format_point(sess.plane.point(a)) for a in anchors])
 
 
-@check("figueroa", "build")
+@check("figueroa", "build", builds_fig=True)
 def assembly(sess: Session) -> CheckEntry:
     """Row-aligned, chunk by chunk: block L replaces line L, and phi maps
     lines by the point formula, so invariance is sort(phi[rows(L)]) ==
@@ -669,7 +688,7 @@ def assembly(sess: Session) -> CheckEntry:
                  bad)
 
 
-@check("figueroa", "axioms")
+@check("figueroa", "axioms", builds_fig=True)
 def axioms(sess: Session) -> CheckEntry:
     rep = fg.check_axioms(sess.fig_structure)
     return entry("fig.axioms",
@@ -691,7 +710,7 @@ def axioms_reference(sess: Session) -> CheckEntry:
                  rep.witnesses)
 
 
-@check("figueroa", "axioms")
+@check("figueroa", "axioms", builds_fig=True)
 def axioms_mutation(sess: Session) -> CheckEntry:
     struct = sess.fig_structure
     i = int(np.argmax(sess.plane.tables.types == TYPE_III))

@@ -82,8 +82,11 @@ def test_04_fixed_planes():
         k = 2 if q == 4 else 1
         plane = ProjectivePlane(build_field_tower(p, k))
         classes = partition_orbits(plane)
-        assert len(phi_fixed_planes(plane, classes)) == nphi == math.gcd(3, q - 1)
-        assert len(mu_fixed_planes(plane, classes)) == nmu
+        phif, muf = phi_fixed_planes(plane, classes), mu_fixed_planes(plane, classes)
+        assert len(phif) == nphi == math.gcd(3, q - 1)
+        assert len(muf) == nmu
+        # member-matrix rows; the involution fixes two of the collineation's
+        assert set(muf.tolist()) <= set(phif.tolist()) < set(range(len(classes.members)))
     _ok("04 collineation- and involution-fixed planes (q=3,4,5,7)")
 
 

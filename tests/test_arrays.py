@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from figplane.arrays import (CLUB, OTHER, SKIPPED, FieldArrays, KernelError,
                              PlaneTables)
-from figplane.collineation import (TYPE_III, collineate_line, collineate_point,
+from figplane.collineation import (CATEGORIES, TYPE_III, collineate_line, collineate_point,
                                    det3, line_orbit_matrix, line_type,
                                    line_types_table, norm_det_identity,
                                    partition_orbits, point_orbit_matrix,
@@ -185,11 +185,11 @@ def test_secant_sets_are_orbit_plane_lines(small_plane):
     the line set of ``plane_from_rep``."""
     plane = small_plane
     ctx, idx, sec = plane.ctx, plane.index, plane.tables.sec
-    checked = 0
-    for cl in partition_orbits(plane):
-        if cl.category.startswith("plane"):
-            want = {idx(l) for l in plane_from_rep(ctx, cl.rep).lines}
-            assert set(sec[list(cl.members)].tolist()) == want
+    classes, checked = partition_orbits(plane), 0
+    for cat in (c for c in CATEGORIES if c.startswith("plane")):
+        for members in classes.members[classes.rows_of(cat)].tolist():
+            want = {idx(l) for l in plane_from_rep(ctx, plane.point(members[0])).lines}
+            assert set(sec[members].tolist()) == want
             checked += 1
     assert checked > 0
 

@@ -324,7 +324,9 @@ def test_tables_larger_than_memory_refused_before_any_session(capsys, monkeypatc
     assert main(command + ["--q", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"figplane: q = 3 needs about {table_bytes(3) / 1e9:.3g} GB for "
+    # verify --suite all runs the figueroa suite, whose build checks read the FIG
+    need = table_bytes(3, fig=command[0] == "verify")
+    assert captured.err == (f"figplane: q = 3 needs about {need / 1e9:.3g} GB for "
                             f"its tables, more than the {(table_bytes(3) - 1) / 1e9:.3g} GB "
                             "of physical memory\n")
 
@@ -332,3 +334,57 @@ def test_tables_larger_than_memory_refused_before_any_session(capsys, monkeypatc
 def test_tables_that_fit_in_memory_run(capsys, monkeypatch):
     monkeypatch.setattr("figplane.cli.physical_memory", lambda: table_bytes(3))
     assert main(["census", "--q", "3"]) == 0
+
+
+class SessionBuilt(Exception):
+    """Raised in place of building a Session: the command passed its guards."""
+
+
+def _no_session(*args, **kwargs):
+    raise SessionBuilt
+
+
+@pytest.mark.parametrize("command, fig", [
+    (["figueroa", "--check", "build"], True),
+    (["figueroa", "--check", "axioms"], True),
+    (["verify", "--suite", "figueroa"], True),
+    (["verify", "--suite", "census", "--emit-plane", "PLANE"], True),
+    (["figueroa", "--check", "pr"], False),
+    (["maps", "--check", "mu"], False),
+    (["census"], False),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_memory_guard_counts_the_fig_array(tmp_path, capsys, monkeypatch, command, fig):
+    """With physical memory between the estimates without and with the FIG
+    block array, a selection that builds the FIG, because a selected check
+    reads it or --emit-plane writes it, exits 2 with the larger estimate,
+    and any other selection gets past the guard."""
+    monkeypatch.setattr("figplane.cli.Session", _no_session)
+    have = (table_bytes(3) + table_bytes(3, fig=True)) // 2
+    monkeypatch.setattr("figplane.cli.physical_memory", lambda: have)
+    command = [str(tmp_path / "plane.txt") if a == "PLANE" else a for a in command]
+    if not fig:
+        with pytest.raises(SessionBuilt):
+            main(command + ["--q", "3"])
+        return
+    assert main(command + ["--q", "3"]) == 2
+    assert capsys.readouterr().err == (
+        f"figplane: q = 3 needs about {table_bytes(3, fig=True) / 1e9:.3g} GB for its "
+        f"tables, more than the {have / 1e9:.3g} GB of physical memory\n")
+
+
+def test_fig_checks_at_q11_are_refused_by_their_estimate(capsys, monkeypatch):
+    """At q = 11 the FIG array alone is 1,772,893 x 1,332 int32, about
+    9.4 GB; on a host of 8.4 GB the FIG checks exit 2 with the estimate,
+    and the census and maps suites, whose tables take 66 MB, get past the
+    guard.  No q = 11 table is built."""
+    monkeypatch.setattr("figplane.cli.Session", _no_session)
+    monkeypatch.setattr("figplane.cli.physical_memory", lambda: 8_400_000_000)
+    for command in (["figueroa", "--check", "build"], ["figueroa", "--check", "axioms"],
+                    ["verify", "--suite", "figueroa"]):
+        assert main(command + ["--q", "11"]) == 2
+        assert capsys.readouterr().err == (
+            "figplane: q = 11 needs about 9.51 GB for its tables, "
+            "more than the 8.4 GB of physical memory\n")
+    for command in (["census"], ["verify", "--suite", "maps"]):
+        with pytest.raises(SessionBuilt):
+            main(command + ["--q", "11"])

@@ -5,14 +5,13 @@ import pytest
 
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, ProjectivePlane,
                             canonical, incident)
-from figplane.collineation import (CATEGORIES, TYPE_I, TYPE_II, TYPE_III,
-                                   OrbitInconsistency, apply_stabilizer,
-                                   census_of, collineate_line,
+from figplane.collineation import (CATEGORIES, CATEGORY_TYPES, TYPE_I, TYPE_II,
+                                   TYPE_III, VERTEX, OrbitInconsistency,
+                                   apply_stabilizer, census_of, collineate_line,
                                    collineate_point, expected_type_counts,
                                    line_type, norm_det_identity,
                                    partition_orbits, point_type,
-                                   sls_id_of_point, stabilizer_orbit,
-                                   tally_types)
+                                   stabilizer_orbit, tally_types)
 from figplane.field import FieldError
 from figplane.linear_sets import fixed_subplane, sls_points
 
@@ -91,7 +90,7 @@ def test_partition_census_q3(plane3, classes3):
     assert cen.orbit_counts == {
         "vertex": 3, "sls_II": 3, "sls_III": 3, "plane_I_I": 1,
         "plane_II_III": 21, "plane_III_II": 21, "plane_III_III": 9}
-    assert cen.total_orbits == 61
+    assert cen.total_orbits == len(classes3) == 61
     assert cen.total_points == 757
 
 
@@ -100,6 +99,16 @@ def test_partition_census_q4(plane4, classes4):
     assert cen.orbit_counts == {
         "vertex": 3, "sls_II": 3, "sls_III": 6, "plane_I_I": 1,
         "plane_II_III": 57, "plane_III_II": 57, "plane_III_III": 74}
+    assert cen.total_orbits == len(classes4) == 201
+
+
+def class_list(plane, classes):
+    """The classes as (rep, members, category) triples in representative
+    order, read from the arrays: a vertex class is its representative, and
+    the others are the member-matrix rows in turn."""
+    rows = iter(classes.members.tolist())
+    return [(plane.point(r), [r] if c == VERTEX else next(rows), CATEGORIES[c])
+            for r, c in zip(classes.reps.tolist(), classes.categories.tolist())]
 
 
 def scalar_partition(plane):
@@ -112,13 +121,11 @@ def scalar_partition(plane):
             continue
         orbit = stabilizer_orbit(ctx, P)
         seen |= orbit
-        ptype, ltype, side, norm = point_type(ctx, P), None, None, None
+        ptype = point_type(ctx, P)
         if len(orbit) == 1:
-            category, side = "vertex", (ANCHOR, ANCHOR_1, ANCHOR_2).index(P)
+            category = "vertex"
         elif 0 in P:
             category = "sls_II" if ptype == TYPE_II else "sls_III"
-            sid = sls_id_of_point(ctx, P)
-            side, norm = sid.side, sid.norm_class
         else:
             x, y, z = P
             ltype = line_type(ctx, canonical(ctx, (ctx.mul(y, z), ctx.mul(z, x),
@@ -127,51 +134,48 @@ def scalar_partition(plane):
                         (TYPE_II, TYPE_III): "plane_II_III",
                         (TYPE_III, TYPE_II): "plane_III_II",
                         (TYPE_III, TYPE_III): "plane_III_III"}[(ptype, ltype)]
-        out.append((P, sorted(idx(Q) for Q in orbit), category, ptype, ltype,
-                    side, norm))
+        out.append((P, sorted(idx(Q) for Q in orbit), category))
     return out
 
 
 def test_partition_matches_scalar_walk(plane3, classes3, plane4, classes4):
     for plane, classes in ((plane3, classes3), (plane4, classes4)):
-        got = [(cl.rep, cl.members.tolist(), cl.category, cl.point_type,
-                cl.line_type, cl.side, cl.norm_class) for cl in classes]
-        assert got == scalar_partition(plane)
-        # the members are read-only int32 slices of one array
-        assert {cl.members.dtype for cl in classes} == {np.dtype(np.int32)}
-        assert not any(cl.members.flags.writeable for cl in classes)
-        assert len({id(cl.members.base) for cl in classes}) == 1
+        assert class_list(plane, classes) == scalar_partition(plane)
 
 
 def test_member_matrix_rows_are_the_class_members(plane3, classes3, plane4, classes4):
+    """One read-only int32 row of sorted members per class that is not a
+    vertex, its representative first; with the three vertices the rows
+    cover every point once."""
     for plane, classes in ((plane3, classes3), (plane4, classes4)):
-        rows = classes.rows
-        assert rows == [cl for cl in classes if cl.category != "vertex"]
         M = classes.members
         assert M.shape == (len(classes) - 3, plane.ctx.sub_order)
         assert M.dtype == np.int32 and not M.flags.writeable
-        # row j is the members slice of rows[j], in the one array they share
-        assert all(np.shares_memory(M[j], cl.members) and np.array_equal(M[j], cl.members)
-                   for j, cl in enumerate(rows))
-        assert M.base is classes[0].members.base
+        assert (np.diff(M, axis=1) > 0).all()
+        assert M[:, 0].tolist() == classes.reps[classes.categories != VERTEX].tolist()
+        vertices = classes.reps[classes.categories == VERTEX]
+        assert sorted(vertices.tolist()) == sorted(map(plane.index, (ANCHOR, ANCHOR_1, ANCHOR_2)))
+        cover = np.bincount(np.concatenate((M.ravel(), vertices)), minlength=plane.size)
+        assert (cover == 1).all()
 
 
 def test_class_arrays_are_the_class_rows(classes3, classes4):
     """``reps`` and ``categories`` list each class's least member and
-    category, and ``rows_of`` picks the member-matrix rows of a category."""
+    category in increasing order of the representatives, and ``rows_of``
+    picks the member-matrix rows of a category."""
     for classes in (classes3, classes4):
-        assert classes.reps.tolist() == [int(cl.members[0]) for cl in classes]
-        assert classes.categories.tolist() == [CATEGORIES.index(cl.category)
-                                               for cl in classes]
-        for cat in CATEGORIES:
+        assert len(classes) == len(classes.reps) == len(classes.categories)
+        assert (np.diff(classes.reps) > 0).all() and classes.categories.dtype == np.int8
+        row_categories = [c for c in classes.categories.tolist() if c != VERTEX]
+        for k, cat in enumerate(CATEGORIES):
             assert classes.rows_of(cat).tolist() == [
-                j for j, cl in enumerate(classes.rows) if cl.category == cat]
+                j for j, c in enumerate(row_categories) if c == k]
 
 
 def test_partition_rejects_a_mixed_orbit(ctx3, classes3):
     # one member of a plane class flipped to another type
     plane = ProjectivePlane(ctx3)
-    i = next(cl for cl in classes3 if cl.category == "plane_III_III").members[1]
+    i = classes3.members[classes3.rows_of("plane_III_III")[0], 1]
     types = plane.tables.types.copy()
     types[i] = TYPE_II
     plane.tables.types = types
@@ -182,7 +186,7 @@ def test_partition_rejects_a_mixed_orbit(ctx3, classes3):
 def test_partition_rejects_a_merged_orbit(ctx3, classes3):
     # two classes of one category merged into one of twice the size
     plane = ProjectivePlane(ctx3)
-    a, b = [cl.members[0] for cl in classes3 if cl.category == "plane_II_III"][:2]
+    a, b = classes3.members[classes3.rows_of("plane_II_III")[:2], 0]
     orbit = plane.tables.orbit.copy()
     orbit[orbit == b] = a
     plane.tables.orbit = orbit
@@ -191,18 +195,18 @@ def test_partition_rejects_a_merged_orbit(ctx3, classes3):
 
 
 def test_orbit_members_share_types(plane3, classes3, types3):
-    for cl in classes3:
-        assert {types3[i] for i in cl.members} == {cl.point_type}
+    for _, members, category in class_list(plane3, classes3):
+        assert {types3[i] for i in members} == {CATEGORY_TYPES[category][0]}
 
 
 def test_collineation_permutes_classes(plane3, classes3):
     ctx = plane3.ctx
     idx = plane3.index
     perm = [idx(collineate_point(ctx, P)) for P in plane3.points]
-    categories = {frozenset(cl.members): cl.category for cl in classes3}
-    for cl in classes3:
-        image = frozenset(perm[i] for i in cl.members)
-        assert categories[image] == cl.category
+    categories = {frozenset(members): cat for _, members, cat in class_list(plane3, classes3)}
+    for members, cat in categories.items():
+        image = frozenset(perm[i] for i in members)
+        assert categories[image] == cat
 
 
 def test_type_counts_closed_forms(plane3):

@@ -91,11 +91,12 @@ def test_involution_on_generic_plane(plane4, classes4):
         pts = t_plane(ctx, th).points
         for i in range(3):
             side_sets.add(frozenset(collineate_point(ctx, P, i) for P in pts))
-    generic = next(cl for cl in classes4 if cl.category == "plane_III_III"
-                   and frozenset(plane4.points[i] for i in cl.members) not in side_sets)
-    B = plane_from_rep(ctx, generic.rep)
+    M = classes4.members
+    generic = next(members for members in M[classes4.rows_of("plane_III_III")].tolist()
+                   if frozenset(plane4.points[i] for i in members) not in side_sets)
+    B = plane_from_rep(ctx, plane4.point(generic[0]))
     img = involution_line_image(ctx, B)
-    member_sets = {frozenset(cl.members) for cl in classes4}
+    member_sets = {frozenset(members) for members in M.tolist()}
     assert frozenset(plane4.index(P) for P in img) in member_sets
 
 
@@ -262,25 +263,24 @@ def test_fixed_planes(plane3, classes3, plane4, classes4):
         idx = plane.index
         want = {frozenset(idx(P) for P in plane_from_rep(plane.ctx, R).points)
                 for R in reps}
-        assert {frozenset(cl.members) for cl in phif} == want
-        for cl in phif:
-            assert cl.category in ("plane_I_I", "plane_III_III")
+        assert {frozenset(members) for members in classes.members[phif].tolist()} == want
+        assert set(phif.tolist()) <= set(classes.rows_of("plane_I_I").tolist()
+                                         + classes.rows_of("plane_III_III").tolist())
 
 
 def _mu_fixed_by_class(plane, classes):
     """The per-class scan that the one array pass of ``mu_fixed_planes``
-    replaced, kept as its oracle."""
+    replaced, kept as its oracle: the fixed member-matrix rows."""
     mu, sec = plane.tables.mu, plane.tables.sec
     out = []
-    for cl in classes:
-        if cl.category != "plane_III_III":
-            continue
-        lines = np.sort(sec[cl.members])
-        if np.array_equal(np.sort(mu[cl.members]), lines):
-            if not np.array_equal(np.sort(mu[lines]), cl.members):
+    for j in classes.rows_of("plane_III_III").tolist():
+        members = classes.members[j]
+        lines = np.sort(sec[members])
+        if np.array_equal(np.sort(mu[members]), lines):
+            if not np.array_equal(np.sort(mu[lines]), members):
                 raise OrbitInconsistency(
-                    f"involution fixes lines but not points at {cl.rep}")
-            out.append(cl)
+                    f"involution fixes lines but not points at {plane.point(members[0])}")
+            out.append(j)
     return out
 
 
@@ -289,21 +289,21 @@ def test_mu_fixed_planes_match_the_class_loop(q):
     plane = ProjectivePlane(context_for_q(q))
     classes = partition_orbits(plane)
     got, want = mu_fixed_planes(plane, classes), _mu_fixed_by_class(plane, classes)
-    assert len(got) == len(want) == (2 if (q - 1) % 3 == 0 else 0)
-    assert all(a is b for a, b in zip(got, want))
+    assert got.tolist() == want and len(want) == (2 if (q - 1) % 3 == 0 else 0)
 
 
 def test_mu_fixed_planes_guard_names_a_one_way_class(plane4, classes4):
     # a stand-in mu sends the points of one non-fixed class onto its own
     # secant lines, while those lines still map elsewhere
     tables = plane4.tables
-    fixed = mu_fixed_planes(plane4, classes4)
-    cl = [c for c in classes4.rows
-          if c.category == "plane_III_III" and c not in fixed][-1]
+    fixed = mu_fixed_planes(plane4, classes4).tolist()
+    j = [j for j in classes4.rows_of("plane_III_III").tolist() if j not in fixed][-1]
+    members = classes4.members[j]
     mu = tables.mu.copy()
-    mu[cl.members] = tables.sec[cl.members]
-    stand_in = SimpleNamespace(tables=SimpleNamespace(mu=mu, sec=tables.sec))
-    message = f"involution fixes lines but not points at {cl.rep}"
+    mu[members] = tables.sec[members]
+    stand_in = SimpleNamespace(tables=SimpleNamespace(mu=mu, sec=tables.sec),
+                               point=plane4.point)
+    message = f"involution fixes lines but not points at {plane4.point(members[0])}"
     for scan in (mu_fixed_planes, _mu_fixed_by_class):
         with pytest.raises(OrbitInconsistency, match=re.escape(message)):
             scan(stand_in, classes4)

@@ -11,6 +11,8 @@ where ``fig.projection-anchor`` takes its other odd-q size.
 """
 
 import json
+from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -18,21 +20,21 @@ import pytest
 
 from figplane.arrays import OTHER
 from figplane.cli import main
-from figplane.collineation import TYPE_I, TYPE_II, TYPE_III, collineate_point
+from figplane.collineation import CATEGORIES, TYPE_I, TYPE_II, TYPE_III, collineate_point
 from figplane.field import build_field_tower
 from figplane.figueroa import IncidencePlane
 from figplane.linear_sets import t_plane
 from figplane.maps import VertexCensus
 from figplane.plane import format_line, format_point
 from figplane.suites import (CHECKS, Session, axioms_mutation, block_anatomy, block_incidence_twist,
-                             block_sizes, characterization, check_groups,
+                             block_sizes, categories, characterization, check_groups,
                              club_images, collineation_fixed, collineation_permutes,
                              count_spectrum, cross_plane, even_structure, generic_plane,
-                             involution_fixed, maps_checks, norm_det_relation,
+                             involution_fixed, maps_checks, norm_det_relation, orbit_sizes,
                              parity_table, pencil_census, plane_images, projection_anchor,
                              projection_conjugates, projection_vs_splash,
                              rejects_fixed_objects, splash_involution, t_plane_images,
-                             vertices_census)
+                             type_tally, vertices_census)
 
 DATA = Path(__file__).parent / "data"
 
@@ -43,6 +45,25 @@ def test_check_groups_in_report_order():
                                         "characterization", "even-structure", "sp-mu"]
     assert check_groups("census") == ["census"]
     assert len({c.run for c in CHECKS}) == len(CHECKS)
+
+
+def test_builds_fig_marks_the_checks_that_read_the_fig(fig3, classes3):
+    """The memory guard counts the FIG array for a selection with a check
+    marked ``builds_fig``; the marked checks are those that read
+    ``Session.fig_structure``."""
+    class Watched(Session):
+        read = False
+
+        @property
+        def fig_structure(self):
+            self.read = True
+            return fig3
+
+    for c in CHECKS:
+        sess = Watched(fig3.plane.ctx)
+        sess.plane, sess.classes = fig3.plane, classes3
+        c.run(sess)
+        assert sess.read == c.builds_fig, c.run
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -85,6 +106,51 @@ def test_norm_det_check_reports_a_wrong_det(ctx3):
     assert e.counts == {"points": 26 ** 2, "mode": "exhaustive"}
 
 
+def _flip_a_type(sess, kind):
+    """The first Type III entry of the type table relabelled Type II."""
+    types = sess.plane.tables.types.copy()
+    types[np.argmax(types == TYPE_III)] = TYPE_II
+    sess.plane.tables.types = types
+    return [f"type II: 313 {kind}s, expected 312", f"type III: 431 {kind}s, expected 432"]
+
+
+def _relabel_a_class(sess):
+    """The first plane_II_III class relabelled plane_III_II."""
+    cats = sess.classes.categories.copy()
+    cats[np.argmax(cats == CATEGORIES.index("plane_II_III"))] = CATEGORIES.index("plane_III_II")
+    sess.classes = replace(sess.classes, categories=cats)
+    return ["category plane_II_III: 20 classes, expected 21",
+            "category plane_III_II: 22 classes, expected 21"]
+
+
+def _duplicate_a_row(sess):
+    """Member-matrix row 0 written over row 1: the points of row 0 lie in
+    two classes, and those of row 1 in none."""
+    members = sess.classes.members.copy()
+    cover = {i: 2 for i in members[0].tolist()} | {i: 0 for i in members[1].tolist()}
+    members[1] = members[0]
+    sess.classes = replace(sess.classes, members=members)
+    return [f"{format_point(sess.plane.point(i))} lies in {cover[i]} classes"
+            for i in sorted(cover)[:5]]
+
+
+@pytest.mark.parametrize("check, corrupt", [
+    (partial(type_tally, kind="point"), partial(_flip_a_type, kind="point")),
+    (partial(type_tally, kind="line"), partial(_flip_a_type, kind="line")),
+    (categories, _relabel_a_class),
+    (orbit_sizes, _duplicate_a_row),
+], ids=["point-types", "line-types", "categories", "orbit-sizes"])
+def test_census_entries_fail_on_a_corrupted_artifact(ctx3, check, corrupt):
+    """Each census entry passes on a fresh session at q = 3 and fails,
+    naming what is wrong, when the artifact it reads is corrupted: the
+    type table, the class categories or the member matrix."""
+    assert check(Session(ctx3)).passed
+    sess = Session(ctx3)
+    witnesses = corrupt(sess)
+    e = check(sess)
+    assert not e.passed and e.witnesses == witnesses
+
+
 def _side_points(sess):
     """Indices of the points of the side subplanes and their conjugates."""
     idx = sess.plane.index
@@ -93,10 +159,11 @@ def _side_points(sess):
             for s in range(3)}
 
 
-def _generic_classes(sess):
-    side = _side_points(sess)
-    return [cl for cl in sess.classes
-            if cl.category == "plane_III_III" and cl.members[0] not in side]
+def _generic_rows(sess):
+    """Member-matrix rows of the all-Type-III classes off the side subplanes
+    and their conjugates."""
+    side, M = _side_points(sess), sess.classes.members
+    return [j for j in sess.classes.rows_of("plane_III_III").tolist() if M[j, 0] not in side]
 
 
 def test_mu_checks_report_a_swapped_entry(ctx3):
@@ -108,11 +175,12 @@ def test_mu_checks_report_a_swapped_entry(ctx3):
     plane, tables = sess.plane, sess.plane.tables
     assert generic_plane(sess).passed and block_incidence_twist(sess).passed
     side = _side_points(sess)
-    generic = _generic_classes(sess)
+    generic = _generic_rows(sess)
+    first = sess.classes.members[generic[0]]
     mu = tables.mu.copy()
     i = next(k for k in sorted(side)
              if tables.types[k] == TYPE_III and plane.point(mu[k])[2] == 0)
-    j = generic[0].members[1]
+    j = first[1]
     mu[i], mu[j] = mu[j], mu[i]
     tables.mu = mu
 
@@ -121,7 +189,7 @@ def test_mu_checks_report_a_swapped_entry(ctx3):
     assert format_point(plane.points[i]) in twist.witnesses
     generic_entry = generic_plane(sess)
     assert not generic_entry.passed
-    assert (f"point image of {format_point(generic[0].rep)} is no orbit line set"
+    assert (f"point image of {format_point(plane.point(first[0]))} is no orbit line set"
             in generic_entry.witnesses)
     assert generic_entry.counts == {"tested": len(generic), "mode": "exhaustive"}
     (involution,) = [e for e in maps_checks(sess, "mu") if e.id == "mu.involution"]
@@ -136,19 +204,19 @@ def test_generic_plane_needs_one_orbit_line_set(ctx3, corruption):
     [1:b:0] through the anchor."""
     sess = Session(ctx3)
     tables = sess.plane.tables
-    cl, other = _generic_classes(sess)[:2]
-    members = list(cl.members)
+    members, other = sess.classes.members[_generic_rows(sess)[:2]].tolist()
     mu = tables.mu.copy()
     if corruption == "repeated":
         mu[members[1]] = mu[members[0]]
     elif corruption == "mixed":
-        mu[members[0]], mu[other.members[0]] = mu[other.members[0]], mu[members[0]]
+        mu[members[0]], mu[other[0]] = mu[other[0]], mu[members[0]]
     else:
         mu[members] = [sess.plane.index((1, b, 0)) for b in range(len(members))]
     tables.mu = mu
     e = generic_plane(sess)
     assert not e.passed
-    assert f"point image of {format_point(cl.rep)} is no orbit line set" in e.witnesses
+    rep = format_point(sess.plane.point(members[0]))
+    assert f"point image of {rep} is no orbit line set" in e.witnesses
 
 
 def test_twist_reads_block_membership_from_the_block(ctx3, monkeypatch):
@@ -343,19 +411,19 @@ def test_collineation_permutes_reports_a_wrong_image(ctx3, corruption):
     image class."""
     sess = Session(ctx3)
     assert collineation_permutes(sess).passed
-    a, b = [cl for cl in sess.classes if cl.category == "plane_II_III"][:2]
+    M = sess.classes.members
+    a, b = M[sess.classes.rows_of("plane_II_III")[:2]]
     phi = sess.plane.tables.phi.copy()
     if corruption == "split":
-        phi[[a.members[0], b.members[0]]] = phi[[b.members[0], a.members[0]]]
-        want = [a, b]
+        phi[[a[0], b[0]]] = phi[[b[0], a[0]]]
+        want = [a[0], b[0]]
     else:
-        c = next(cl for cl in sess.classes if cl.category == "plane_III_II")
-        phi[a.members] = c.members
-        want = [a]
+        phi[a] = M[sess.classes.rows_of("plane_III_II")[0]]
+        want = [a[0]]
     sess.plane.tables.phi = phi
     e = collineation_permutes(sess)
     assert not e.passed
-    assert e.witnesses == [format_point(cl.rep) for cl in want]
+    assert e.witnesses == [format_point(sess.plane.point(r)) for r in want]
 
 
 @pytest.mark.parametrize("corruption, image", [("repeated", "point"), ("missing", "point"),
