@@ -61,9 +61,10 @@ rows of q^3 + 1 sorted point indices of any lines from their closed form
 when they are asked for; since a point lies on line l exactly when l lies
 on the point read as a line, row i is equally the lines through point i.
 ``PlaneTables.fig_rows`` assembles the blocks of FIG(q^3) that replace any
-lines from those rows and the type and involution tables; it is the only
-code that assembles a block, and ``PlaneTables.fig_blocks`` fills the one
-(n, q^3 + 1) array of a run from it.
+lines from those rows and two n-entry lookup tables derived from the type
+and involution tables; it is the only code that assembles a block, and no
+table holds the blocks: every reader of FIG makes its rows when it reads
+them.
 ``PlaneTables.project`` classifies the projection images of a batch of
 vertices, each from its own coordinates, ``PlaneTables.vertex_kinds``
 classifies every point as a vertex for an orbit subplane by projecting
@@ -432,6 +433,21 @@ class PlaneTables:
             rows[flat, q3] = q3 * q3 + q3
         return rows
 
+    def _fig_parts(self, P, M) -> tuple[np.ndarray, np.ndarray]:
+        """E[P] and F[M] for index arrays P and M, the two parts of a block:
+        E[P] = P for a Type II point P and F[M] = mu[M] for a Type III line
+        M, and the sentinel n, past every index, elsewhere."""
+        n, types = np.int32(self.size), self.types
+        return (np.where(np.take(types, P) == 2, P, n),
+                np.where(np.take(types, M) == 3, np.take(self.mu, M), n))
+
+    @cached_property
+    def _fig_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+        """E and F of ``_fig_parts`` at every index: two n-entry int32 lookup
+        tables, so that a part is one gather."""
+        every = np.arange(self.size, dtype=np.int32)
+        return tuple(_frozen(t) for t in self._fig_parts(every, every))
+
     def fig_rows(self, L) -> np.ndarray:
         """The rows of FIG(q^3) that replace the lines L, one sorted row of
         q^3 + 1 point indices each; the only code that assembles a block.
@@ -439,38 +455,32 @@ class PlaneTables:
         A Type I or II line keeps its incidence row.  A Type III line L is
         replaced by the block of its involution image A = mu[L]: the Type II
         points of L (the E part) together with mu[M] for the Type III lines
-        M through A (the F part).  A block of the wrong size raises
-        ``GeometryError``.
+        M through A (the F part).  Both parts are gathered from the lookup
+        tables of ``_fig_lookup`` into one 2k-wide row per block, whose sort
+        puts the sentinels last; the block is its first k columns.  A read of
+        one row computes its parts directly and leaves the tables unbuilt.
+        A block of the wrong size, one whose column k - 1 is a sentinel or
+        whose column k is not, raises ``GeometryError``.
         """
-        types, mu = self.types, self.mu
-        k = self.ctx.q3 + 1
+        n, k = self.size, self.ctx.q3 + 1
         L = np.asarray(L)
         rows = self.incidence_rows(L)
-        new = np.take(types, L) == 3                        # Type III lines
-        on, through = rows[new], self.incidence_rows(np.take(mu, L[new]))
-        # Type II points of L, then mu of the Type III lines through A;
-        # -1 marks the entries that are neither
-        members = np.concatenate(
-            (np.where(np.take(types, on) == 2, on, -1),
-             np.where(np.take(types, through) == 3, np.take(mu, through), -1)), axis=1)
-        keep = members >= 0
-        sizes = np.count_nonzero(keep, axis=1)
-        if np.any(sizes != k):
-            j = int(np.argmax(sizes != k))
+        new = np.take(self.types, L) == 3                   # Type III lines
+        through = self.incidence_rows(np.take(self.mu, L[new]))
+        if len(L) > 1 or "_fig_lookup" in self.__dict__:
+            E, F = self._fig_lookup
+            members = np.concatenate((np.take(E, rows[new]), np.take(F, through)), axis=1)
+        else:
+            members = np.concatenate(self._fig_parts(rows[new], through), axis=1)
+        members.sort(axis=1)
+        wrong = (members[:, k - 1] == n) | (members[:, k] != n)
+        if wrong.any():
+            j = int(np.argmax(wrong))
             line = tuple(int(v[0]) for v in self.field.coords(L[new][j:j + 1]))
             raise GeometryError(f"block replacing line {format_line(line)} has "
-                                f"{sizes[j]} points, not {k}")
-        rows[new] = np.sort(members[keep].reshape(-1, k), axis=1)
+                                f"{np.count_nonzero(members[j] < n)} points, not {k}")
+        rows[new] = members[:, :k]
         return rows
-
-    def fig_blocks(self) -> np.ndarray:
-        """The one (n, q^3 + 1) array of the blocks of FIG(q^3), filled from
-        ``fig_rows`` in chunks of ``4 CHUNK // (q^3 + 1)`` lines."""
-        k = self.ctx.q3 + 1
-        out = np.empty((self.size, k), dtype=np.int32)
-        for L in chunks(np.arange(self.size), max(1, k // 4)):   # 4 CHUNK entries
-            out[L[0]:L[-1] + 1] = self.fig_rows(L)
-        return _frozen(out)
 
     def _subplane(self, B) -> np.ndarray:
         pts = np.asarray(sorted(B), dtype=np.int32).reshape(-1, 3)

@@ -13,13 +13,17 @@ verify, census, maps and figueroa write reports, all through one
 runner.  What runs at an order q is read from the check table in
 figplane.suites: each check carries the gates on q it needs, and a
 requested suite or --check group none of whose checks runs at q is
-refused with the reason of the gate that fails.  Every check is
-exhaustive; --seed is only recorded in the report header.
+refused with the reason of the gate that fails.  The default selection,
+verify --suite all, also leaves out the checks that pass over every FIG
+row once a pass reads 10^9 entries (from q = 11), and its report notes
+it; naming their suite or group runs them.  Every check is exhaustive;
+--seed is only recorded in the report header.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 a refused command
 (q not a prime power, a failing gate, bulk tables estimated larger than
-the host's physical memory, counting the FIG block array when a selected
-check or --emit-plane builds it, an --emit-plane file that cannot be written,
+the host's physical memory, counting the FIG row lookup tables when a
+selected check or --emit-plane streams the FIG rows, an --emit-plane
+file that cannot be written,
 a --theta out of range; all refused before any check runs)
 or a geometry or kernel error during a run, reported as one
 "figplane: ..." line.  Output is byte-identical across runs with the
@@ -40,7 +44,7 @@ from .collineation import CATEGORIES, CATEGORY_TYPES, TYPE_NAMES
 from .field import FieldError, context_for_q, table_bytes
 from .plane import GeometryError, format_point
 from .report import Report, TOOL_NAME, TOOL_VERSION
-from .suites import (Session, census_checks, check_groups, figueroa_checks,
+from .suites import (FIG_ROWS, Session, census_checks, check_groups, figueroa_checks,
                      maps_checks, refusal, selected)
 
 USAGE_ERROR = 2
@@ -155,30 +159,32 @@ def run_report(args) -> int:
     group = getattr(args, "check", None)
     emit = getattr(args, "emit_plane", None)
     suites = SUITES if suite == "all" else (suite,)
-    note = None
-    if suite == "all" and ctx.q >= 9:   # desk-scale default; request suites explicitly
-        suites, note = ("census",), "maps and figueroa suites skipped by default at q >= 9"
+    by_default = suite == "all"   # the default selection; what is named runs past its gates
     if suite != "all" and (reason := refusal(ctx, suite, group)):
         raise UsageError(reason)
-    if emit:    # the file is the FIG that the figueroa suite builds
+    if emit:    # the file is the FIG that the figueroa suite streams
         if reason := refusal(ctx, "figueroa"):
             raise UsageError(reason)
         _require_writable(emit)
-    fig = bool(emit) or any(c.builds_fig for name in suites for c in selected(ctx, name, group))
+    picked = [c for name in suites for c in selected(ctx, name, group, by_default)]
+    fig = bool(emit) or any(FIG_ROWS in c.gates for c in picked)
     need, have = table_bytes(ctx.q, fig), physical_memory()
     if need > have:     # fail fast, not out of memory part-way
         raise UsageError(f"q = {ctx.q} needs about {need / 1e9:.3g} GB for its tables, "
                          f"more than the {have / 1e9:.3g} GB of physical memory")
+    skipped = [c for name in suites for c in selected(ctx, name, group) if c not in picked]
     sess = Session(ctx)
     entries = []
     for name in suites:
         # looked up when called, so a rebound suite function is the one run
         checks = {"census": census_checks, "maps": maps_checks,
                   "figueroa": figueroa_checks}[name]
-        entries.extend(checks(sess, group) if group else checks(sess))
+        entries.extend(checks(sess, group) if group else checks(sess, by_default=by_default))
     header = _header(ctx, args, {"check": group} if group else {"suite": suite})
-    if note:
-        header["note"] = note
+    if skipped:     # what the default left out, and why
+        groups = " and ".join(dict.fromkeys(c.group for c in skipped))
+        header["note"] = (f"{groups} checks skipped by default: {FIG_ROWS.reason(ctx)}; "
+                          "name them with --suite or --check")
     report = Report(header, entries)
     if args.command == "census" and args.format == "csv":
         sys.stdout.write(_census_csv(sess))

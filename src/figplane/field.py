@@ -28,9 +28,12 @@ class FieldError(ValueError):
 
 class Gate(NamedTuple):
     """A condition on the order q that a computation needs, and the reason
-    to give where it does not hold."""
+    to give where it does not hold.  A ``default_only`` gate binds only a
+    default selection, so nothing is refused by it, and its reason is a
+    function of the context, which can quote an estimate."""
     holds: Callable[[FieldContext], bool]
-    reason: str
+    reason: str | Callable[[FieldContext], str]
+    default_only: bool = False
 
 
 def is_prime(n: int) -> bool:
@@ -345,11 +348,12 @@ def table_bytes(q: int, fig: bool = False) -> int:
     4 q^6 bytes, and 33 bytes for each of the n = q^6 + q^3 + 1 points of
     the ``PlaneTables`` entries, one int8 type and eight int32 tables
     (mu, sec, phi, tau, tau_line, orbit, dickson, dickson_line).  With
-    ``fig``, for a run that builds the Figueroa plane, add its block
-    array: n rows of q^3 + 1 int32 points."""
+    ``fig``, for a run that streams the rows of the Figueroa plane, add
+    the two int32 lookup tables its rows are gathered from, 8 bytes a
+    point; no run holds the rows themselves."""
     q3 = q ** 3
     n = q3 * q3 + q3 + 1
-    return 4 * q3 * q3 + 33 * n + (4 * n * (q3 + 1) if fig else 0)
+    return 4 * q3 * q3 + (41 if fig else 33) * n
 
 
 _CACHE: dict[tuple[int, int], FieldContext] = {}

@@ -17,16 +17,16 @@ structure invariant, row by row, under two of them, the torus shift tau
 and one Dickson matrix d, which together are transitive on each point
 type; so it counts pairs from three points only.
 
-Every block is made by ``PlaneTables.fig_rows``, which fills the FIG
-(``build_fig_plane``) and gives the block of one anchor (``anchor_block``);
+Every block is made by ``PlaneTables.fig_rows``, which gives the rows of
+the FIG (``build_fig_plane``) and the block of one anchor (``anchor_block``);
 the reference the rows are tested against is the closed form ``fig_incident``.
 
-An ``IncidencePlane`` is a row source: every reader, the axiom checker,
-``fig.build``, ``fig.block-sizes`` and ``emit_plane``, takes blocks
-through ``rows(L)`` in chunks.  The FIG gathers its rows from the one
-(n, q^3 + 1) array a run holds; ``pg_incidence`` makes PG's rows from
-their closed form when they are read (``LineRows``); and ``RowSwap``
-overrides one row of another source, so a mutation copies nothing.
+An ``IncidencePlane`` is a row source that holds no rows: every reader
+takes blocks through ``rows(L)`` in chunks, and FIG (``FigRows``) and PG
+(``LineRows``) make them when they are read.  ``RowSwap`` overrides one
+row of another source, so a mutation copies nothing.  A reader that
+compares rows with their images under a map reads chunks closed under the
+map's line cycles (``closed_chunks``), so each image is a row it has made.
 """
 
 from __future__ import annotations
@@ -76,17 +76,10 @@ def fig_incident(ctx: FieldContext, P: Triple, L: Triple) -> bool:
 
 @dataclass
 class IncidencePlane:
-    """Point/block incidence structure over dense point indices.
-
-    Blocks are read only through ``rows(L)``: for an index array L of
-    blocks, a (len(L), k) int32 array with the sorted point indices of
-    each.  This class holds its rows as ``blocks``, an (n, k) int32 array
-    (``build_fig_plane`` returns it read-only, so a mutation starts from
-    ``blocks.copy()``).  ``LineRows`` makes the rows of PG(2, q^3) from
-    their closed form on each read, and ``RowSwap`` replaces one row of
-    another structure; neither holds an (n, k) array."""
+    """Point/block incidence structure over dense point indices, read only
+    through ``rows(L)``: for an index array L of blocks, a (len(L), k)
+    int32 array with the sorted point indices of each."""
     plane: ProjectivePlane
-    blocks: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -95,22 +88,26 @@ class IncidencePlane:
     @property
     def shape(self) -> tuple[int, ...]:
         """(blocks, points per block)."""
-        return self.blocks.shape
+        return (self.size, self.plane.ctx.q3 + 1)
 
     def rows(self, L: np.ndarray) -> np.ndarray:
-        return self.blocks[L]
+        raise NotImplementedError
 
 
 class LineRows(IncidencePlane):
     """The lines of PG(2, q^3) as blocks: row L is the incidence row of
     line L, made by ``PlaneTables.incidence_rows`` when it is read."""
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return (self.size, self.plane.ctx.q3 + 1)
-
     def rows(self, L: np.ndarray) -> np.ndarray:
         return self.plane.tables.incidence_rows(L)
+
+
+class FigRows(IncidencePlane):
+    """The blocks of FIG(q^3), indexed by the line they replace: row L is
+    assembled by ``PlaneTables.fig_rows`` when it is read."""
+
+    def rows(self, L: np.ndarray) -> np.ndarray:
+        return self.plane.tables.fig_rows(L)
 
 
 class RowSwap(IncidencePlane):
@@ -140,16 +137,12 @@ FIGUEROA = Gate(lambda ctx: ctx.q > 2,
                 "the Figueroa construction needs q a prime power, q > 2")
 
 
-def build_fig_plane(plane: ProjectivePlane) -> IncidencePlane:
-    """Assemble FIG(q^3); blocks are indexed by the line they replace.
-
-    The Type I and II rows are the lines' incidence rows; each Type III
-    row is the block of the line's involution image, assembled from the
-    incidence rows and the type and involution tables into the structure's
-    one (n, q^3 + 1) array (``PlaneTables.fig_blocks``)."""
+def build_fig_plane(plane: ProjectivePlane) -> FigRows:
+    """FIG(q^3) as a row source: row L is the incidence row of a Type I or
+    II line L, and the block of the involution image of a Type III one."""
     if not FIGUEROA.holds(plane.ctx):
         raise GeometryError(f"{FIGUEROA.reason} (got q = {plane.ctx.q})")
-    return IncidencePlane(plane, plane.tables.fig_blocks())
+    return FigRows(plane)
 
 
 @dataclass
@@ -168,19 +161,12 @@ PAIR_CHUNK = 1 << 16   # entries per chunk of rows: int64 temporaries of 512 KiB
 MAX_WITNESSES = 5      # witnesses an axiom check reports at most
 
 
-def row_chunks(structure: IncidencePlane):
-    """Consecutive index arrays over the blocks of ``structure``, of
-    ``PAIR_CHUNK`` entries of rows each."""
-    count, k = structure.shape
-    step = max(1, PAIR_CHUNK // k)
-    return (np.arange(lo, min(lo + step, count)) for lo in range(0, count, step))
-
-
-def orbit_minima(generators) -> np.ndarray:
-    """The least index of every orbit of the group that the permutation
-    tables ``generators`` generate, by min-label propagation: a label takes
-    the least label of its point and the images, then its label's label,
-    until none moves; a fixed label is constant on every orbit."""
+def orbit_labels(generators) -> np.ndarray:
+    """The least index of the orbit of every index under the group that the
+    permutation tables ``generators`` generate, by min-label propagation: a
+    label takes the least label of its point and the images, then its
+    label's label, until none moves; a fixed label is constant on every
+    orbit."""
     label = np.arange(len(generators[0]), dtype=np.int32)
     while True:
         least = label
@@ -188,19 +174,56 @@ def orbit_minima(generators) -> np.ndarray:
             least = np.minimum(least, label[g])
         least = least[least]
         if np.array_equal(least, label):
-            return np.flatnonzero(label == np.arange(len(label)))
+            return label
         label = least
 
 
-def moved_row(structure: IncidencePlane, L: np.ndarray, rows: np.ndarray,
-              g: np.ndarray, g_line: np.ndarray) -> int | None:
-    """The first block of L, whose rows are ``rows``, with sort(g[rows])
-    != the row of g_line[L], for a map acting on points by ``g`` and on
-    lines by ``g_line``; None when there is none."""
-    image, target = np.sort(np.take(g, rows), axis=1), structure.rows(g_line[L])
-    if np.array_equal(image, target):
-        return None
-    return int(L[np.argmax((image != target).any(axis=1))])
+def orbit_minima(generators) -> np.ndarray:
+    label = orbit_labels(generators)
+    return np.flatnonzero(label == np.arange(len(label)))
+
+
+def chunk_rows(n: int, k: int) -> int:
+    """Rows of width k in a chunk of a pass over n blocks: n / 2 entries,
+    but at least ``PAIR_CHUNK / 2`` and at most ``PAIR_CHUNK``.  Small
+    orders, where a pass takes a handful of chunks, keep the temporaries of
+    a chunk small, and large ones the count of chunks."""
+    return max(1, min(PAIR_CHUNK, max(PAIR_CHUNK // 2, n // 2)) // k)
+
+
+def row_chunks(L: np.ndarray, n: int, k: int):
+    """Consecutive slices of the index array L of blocks, ``chunk_rows`` long."""
+    step = chunk_rows(n, k)
+    return (L[lo:lo + step] for lo in range(0, len(L), step))
+
+
+def closed_chunks(g_line: np.ndarray, k: int):
+    """Sorted index arrays over the lines, each a union of whole cycles of
+    the line permutation ``g_line``, in the order of their least cycle
+    minimum: ``chunk_rows`` rows of width k, or one cycle when longer."""
+    label = orbit_labels([g_line])
+    order = np.argsort(label, kind="stable")
+    starts = np.append(np.flatnonzero(np.diff(label[order])) + 1, len(order))
+    step, lo = chunk_rows(len(order), k), 0
+    while lo < len(order):
+        hi = starts[min(np.searchsorted(starts, lo + step), len(starts) - 1)]
+        yield np.sort(order[lo:hi])
+        lo = hi
+
+
+def within(L: np.ndarray, rows: np.ndarray, g_line: np.ndarray) -> np.ndarray:
+    """The rows of g_line[L] for a chunk L of ``closed_chunks(g_line)``,
+    whose rows are ``rows``: no row is made twice."""
+    return rows[np.searchsorted(L, g_line[L])]
+
+
+def moved_rows(L: np.ndarray, rows: np.ndarray, g: np.ndarray,
+               target: np.ndarray) -> np.ndarray:
+    """The blocks of the sorted index array L, whose rows are ``rows``, with
+    sort(g[rows]) != ``target``, the rows of their images, in order."""
+    image = np.take(g, rows)
+    image.sort(axis=1)
+    return L[:0] if np.array_equal(image, target) else L[(image != target).any(axis=1)]
 
 
 def check_axioms(structure: IncidencePlane) -> AxiomReport:
@@ -223,19 +246,21 @@ def check_axioms(structure: IncidencePlane) -> AxiomReport:
     tables (``orbit_minima``), not the type table, so the reduction
     assumes nothing that it proves.
 
-    One pass reads the rows in chunks of ``PAIR_CHUNK`` entries and checks
-    per chunk: (1) the range, before any gather, since numpy wraps
-    negative indices (a wrong shape or range fails every half at once);
-    (2) point degrees, one ``bincount``; (3) invariance under tau and d,
-    until the first failing row of each; and it (4) collects the blocks
-    through each representative.  The cover reads those blocks again:
-    every other point must lie in exactly one of them.
+    One pass reads the rows in chunks closed under tau's line cycles
+    (``closed_chunks``) and checks per chunk: (1) the range, before any
+    gather, since numpy wraps negative indices (a wrong shape or range
+    fails every half at once); (2) point degrees; (3) invariance under tau,
+    whose images are rows of the chunk, and under d, whose images are made,
+    in no chunk past a generator's least failing row; and it (4) collects
+    the blocks through each representative.  So each row is made twice.
+    The cover reads the blocks through the representatives again: every
+    other point must lie in exactly one of them.
 
     ``point_pairs_ok`` holds when (3) and the cover pass, so a structure
     that is not G-invariant fails it, plane or not.  ``checked_pairs`` is
     the n(n - 1) ordered pairs the verdict covers through invariance, and
     ``representatives`` the number of points whose pairs are counted.
-    Witnesses name the shape or range fault, or the first failing row per
+    Witnesses name the shape or range fault, or the least failing row per
     generator and then failing (representative, point) pairs, at most
     ``MAX_WITNESSES`` in all.
     """
@@ -250,20 +275,24 @@ def check_axioms(structure: IncidencePlane) -> AxiomReport:
     tables = plane.tables
     generators = {"tau": (tables.tau, tables.tau_line),
                   "dickson": (tables.dickson, tables.dickson_line)}
-    moved = dict.fromkeys(generators)   # generator -> first failing row
+    moved = dict.fromkeys(generators)   # generator -> least failing row
     reps = orbit_minima([g for g, _ in generators.values()])
     degree = np.zeros(n, dtype=np.int64)
     through = [[] for _ in reps]        # per representative, the blocks through it
-    for L in row_chunks(structure):
+    for L in closed_chunks(tables.tau_line, k):
         rows = structure.rows(L)
         if rows.min() < 0 or rows.max() >= n:
             i, j = np.argwhere((rows < 0) | (rows >= n))[0]
             return rejected(witnesses=[f"block {format_line(plane.point(L[i]))} holds "
                                        f"{rows[i, j]}, outside [0, {n})"])
-        degree += np.bincount(rows.ravel(), minlength=n)
+        np.add.at(degree, rows.ravel(), 1)     # linear in the chunk, not in n
         for name, (g, g_line) in generators.items():
-            if moved[name] is None:
-                moved[name] = moved_row(structure, L, rows, g, g_line)
+            if moved[name] is not None and moved[name] < L[0]:
+                continue    # no block of the chunk precedes the known one
+            bad = moved_rows(L, rows, g, within(L, rows, g_line) if name == "tau"
+                             else structure.rows(g_line[L]))
+            if bad.size and (moved[name] is None or bad[0] < moved[name]):
+                moved[name] = int(bad[0])
         for blocks, P in zip(through, reps):
             blocks.append(L[(rows == P).any(axis=1)])
     point_degree_ok = bool(np.all(degree == k))
@@ -385,5 +414,5 @@ def emit_plane(structure: IncidencePlane, path: str) -> None:
     q3 = structure.plane.ctx.q ** 3
     with open(path, "w") as fh:
         fh.write(f"FIG {q3} {structure.size}\n")
-        for L in row_chunks(structure):
+        for L in row_chunks(np.arange(structure.shape[0]), structure.size, q3 + 1):
             fh.writelines(" ".join(map(str, b)) + "\n" for b in structure.rows(L).tolist())

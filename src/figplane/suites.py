@@ -21,7 +21,6 @@ import numpy as np
 from . import figueroa as fg
 from . import linear_sets as ls
 from . import maps as gm
-from .arrays import chunks
 from .collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES, VERTEX,
                            OrbitClasses, census_of, line_types_table,
                            partition_orbits, point_type, point_types_table,
@@ -55,6 +54,7 @@ class Session:
 
     @cached_property
     def fig_structure(self) -> fg.IncidencePlane:
+        """FIG as a row source; its rows are made when they are read."""
         return fg.build_fig_plane(self.plane)
 
     def norm_reps(self):
@@ -66,11 +66,11 @@ class Check(NamedTuple):
     group: str
     run: Callable[[Session], CheckEntry]
     gates: tuple[Gate, ...]
-    builds_fig: bool            # reads ``Session.fig_structure``
 
-    def applies(self, ctx: FieldContext) -> bool:
-        """Whether the check runs at this order: every gate holds."""
-        return all(g.holds(ctx) for g in self.gates)
+    def applies(self, ctx: FieldContext, by_default: bool = False) -> bool:
+        """Whether the check runs at this order: every gate holds, leaving
+        out the ``default_only`` gates unless the selection is the default."""
+        return all(g.holds(ctx) for g in self.gates if by_default or not g.default_only)
 
 
 CHECKS: list[Check] = []
@@ -78,17 +78,28 @@ CHECKS: list[Check] = []
 EVEN_Q = Gate(lambda ctx: ctx.q % 2 == 0, "the even-order structure check needs q even")
 SUITE_GATES = {"figueroa": (fg.FIGUEROA,)}    # every check of the suite needs them
 
+ROW_WORK = 10 ** 9      # entries n (q^3 + 1) of a pass over the FIG rows, by default
 
-def check(suite: str, group: str | None = None, gates: tuple[Gate, ...] = (),
-          builds_fig: bool = False):
+
+def row_work(ctx: FieldContext) -> int:
+    return (ctx.q3 * ctx.q3 + ctx.q3 + 1) * (ctx.q3 + 1)
+
+
+FIG_ROWS = Gate(lambda ctx: row_work(ctx) < ROW_WORK,
+                lambda ctx: f"a pass over the FIG rows reads {row_work(ctx):.3g} entries at "
+                            f"q = {ctx.q}, over the default bound of {ROW_WORK:.0e}",
+                default_only=True)
+
+
+def check(suite: str, group: str | None = None, gates: tuple[Gate, ...] = ()):
     """Register the decorated check in ``CHECKS``, whose order is report
     order, under its suite (census, maps or figueroa), its ``--check``
     group (by default the suite) and the gates, those of its suite first,
-    that must hold at an order for it to run there.  ``builds_fig`` marks
-    a check that reads the FIG block array, the largest table of a run."""
+    that must hold at an order for it to run there.  The build and axioms
+    checks, which make every FIG or PG row once or twice, carry
+    ``FIG_ROWS``."""
     def register(fn):
-        CHECKS.append(Check(suite, group or suite, fn, SUITE_GATES.get(suite, ()) + gates,
-                            builds_fig))
+        CHECKS.append(Check(suite, group or suite, fn, SUITE_GATES.get(suite, ()) + gates))
         return fn
     return register
 
@@ -99,7 +110,8 @@ def refusal(ctx: FieldContext, suite: str, group: str | None = None) -> str | No
     picked = [c for c in CHECKS if c.suite == suite and group in (None, c.group)]
     if any(c.applies(ctx) for c in picked):
         return None
-    gate = next(g for c in picked for g in c.gates if not g.holds(ctx))
+    gate = next(g for c in picked for g in c.gates
+                if not g.default_only and not g.holds(ctx))
     return f"{gate.reason} (got q = {ctx.q})"
 
 
@@ -108,17 +120,20 @@ def check_groups(suite: str) -> list[str]:
     return list(dict.fromkeys(c.group for c in CHECKS if c.suite == suite))
 
 
-def selected(ctx: FieldContext, suite: str, group: str | None = None) -> list[Check]:
+def selected(ctx: FieldContext, suite: str, group: str | None = None,
+             by_default: bool = False) -> list[Check]:
     """The checks of the suite (or of one of its groups) that apply at
-    this order, in table order."""
+    this order, in table order; ``by_default`` for the default selection,
+    which the ``default_only`` gates bind too."""
     return [c for c in CHECKS
-            if c.suite == suite and group in (None, c.group) and c.applies(ctx)]
+            if c.suite == suite and group in (None, c.group) and c.applies(ctx, by_default)]
 
 
-def run_checks(sess: Session, suite: str, group: str | None = None) -> list[CheckEntry]:
+def run_checks(sess: Session, suite: str, group: str | None = None,
+               by_default: bool = False) -> list[CheckEntry]:
     """Run the selected checks, timing each."""
     out = []
-    for c in selected(sess.ctx, suite, group):
+    for c in selected(sess.ctx, suite, group, by_default):
         t0 = time.perf_counter()
         e = c.run(sess)
         e.elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -126,16 +141,18 @@ def run_checks(sess: Session, suite: str, group: str | None = None) -> list[Chec
     return out
 
 
-def census_checks(sess: Session) -> list[CheckEntry]:
-    return run_checks(sess, "census")
+def census_checks(sess: Session, by_default: bool = False) -> list[CheckEntry]:
+    return run_checks(sess, "census", by_default=by_default)
 
 
-def maps_checks(sess: Session, which: str | None = None) -> list[CheckEntry]:
-    return run_checks(sess, "maps", which)
+def maps_checks(sess: Session, which: str | None = None,
+                by_default: bool = False) -> list[CheckEntry]:
+    return run_checks(sess, "maps", which, by_default)
 
 
-def figueroa_checks(sess: Session, which: str | None = None) -> list[CheckEntry]:
-    return run_checks(sess, "figueroa", which)
+def figueroa_checks(sess: Session, which: str | None = None,
+                    by_default: bool = False) -> list[CheckEntry]:
+    return run_checks(sess, "figueroa", which, by_default)
 
 
 # ---------------------------------------------------------------- census
@@ -606,11 +623,12 @@ def _axis_mismatch(image, want, prefix: str = "") -> list[str]:
             + [f"{prefix}extra {format_point(P)}" for P in sorted(image - want)])
 
 
-@check("figueroa", "build")
+@check("figueroa", "build", gates=(FIG_ROWS,))
 def block_anatomy(sess: Session) -> CheckEntry:
     ctx, plane = sess.ctx, sess.plane
     block = fg.anchor_block(plane, ANCHOR)
-    size = len(np.unique(block))
+    # distinct entries of the sorted row; np.unique would import numpy.ma
+    size = 1 + int(np.count_nonzero(block[1:] != block[:-1]))
     f_points = set(map(plane.point, _block_parts(sess)[1]))
     want_planes = set()
     for th in sess.norm_reps():
@@ -630,7 +648,7 @@ def block_anatomy(sess: Session) -> CheckEntry:
                  not bad, {"size": size}, bad)
 
 
-@check("figueroa", "build", builds_fig=True)
+@check("figueroa", "build", gates=(FIG_ROWS,))
 def block_sizes(sess: Session) -> CheckEntry:
     # rows are stored sorted, so a block of k distinct points in range is
     # a strictly increasing row of width k from 0 to n - 1; its E part,
@@ -639,7 +657,7 @@ def block_sizes(sess: Session) -> CheckEntry:
     struct, types = sess.fig_structure, sess.plane.tables.types
     fig = np.flatnonzero(types == TYPE_III)
     bad = []
-    for L in chunks(fig, struct.shape[1]):
+    for L in fg.row_chunks(fig, struct.size, struct.shape[1]):
         rows = struct.rows(L)
         kinds = types[np.clip(rows, 0, struct.size - 1)]
         ok = ((rows.shape[1] == sess.ctx.q3 + 1) & (rows[:, 0] >= 0)
@@ -655,24 +673,29 @@ def block_sizes(sess: Session) -> CheckEntry:
                  [format_point(sess.plane.point(a)) for a in anchors])
 
 
-@check("figueroa", "build", builds_fig=True)
+@check("figueroa", "build", gates=(FIG_ROWS,))
 def assembly(sess: Session) -> CheckEntry:
     """Row-aligned, chunk by chunk: block L replaces line L, and phi maps
     lines by the point formula, so invariance is sort(phi[rows(L)]) ==
-    rows(phi[L]); a k-set is a line exactly when it is the incidence row
-    of the join of its first two points."""
+    rows(phi[L]).  The chunks are closed under phi (``closed_chunks``), so
+    the images are rows of the chunk, and each row is made once.  A k-set
+    is a line exactly when it is the incidence row of the join of its
+    first two points, so only the rows whose first three points are
+    collinear are compared with a line's row."""
     struct, plane, tables = sess.fig_structure, sess.plane, sess.plane.tables
-    q, s, count = sess.ctx.q, sess.ctx.sub_order, struct.shape[0]
+    q, s, (count, k) = sess.ctx.q, sess.ctx.sub_order, struct.shape
     F, phi, fig = tables.field, tables.phi, tables.types == TYPE_III
     n_I, n_II, n_fig = np.bincount(tables.types, minlength=4)[1:].tolist()
     agree = fig_differ = invariant = True
-    for L in fg.row_chunks(struct):
+    for L in fg.closed_chunks(phi, k):
         rows, kept = struct.rows(L), ~fig[L]
         agree &= np.array_equal(rows[kept], tables.incidence_rows(L[kept]))
         new = rows[~kept & (rows[:, 0] != rows[:, 1])]
-        joins = F.index(*F.canonical(*F.cross(F.coords(new[:, 0]), F.coords(new[:, 1]))))
-        fig_differ &= not (tables.incidence_rows(joins) == new).all(axis=1).any()
-        invariant = invariant and fg.moved_row(struct, L, rows, phi, phi) is None
+        join = F.cross(F.coords(new[:, 0]), F.coords(new[:, 1]))
+        line = F.dot(join, F.coords(new[:, 2])) == 0    # first three points collinear
+        joins = F.index(*F.canonical(*(c[line] for c in join)))
+        fig_differ &= not (tables.incidence_rows(joins) == new[line]).all(axis=1).any()
+        invariant = invariant and not fg.moved_rows(L, rows, phi, fg.within(L, rows, phi)).size
     checks = {
         "block_count": count == plane.size,
         "kept_line_counts": n_I == s and n_II == (q ** 3 - q) * s,
@@ -688,7 +711,7 @@ def assembly(sess: Session) -> CheckEntry:
                  bad)
 
 
-@check("figueroa", "axioms", builds_fig=True)
+@check("figueroa", "axioms", gates=(FIG_ROWS,))
 def axioms(sess: Session) -> CheckEntry:
     rep = fg.check_axioms(sess.fig_structure)
     return entry("fig.axioms",
@@ -701,7 +724,7 @@ def axioms(sess: Session) -> CheckEntry:
                  rep.witnesses)
 
 
-@check("figueroa", "axioms")
+@check("figueroa", "axioms", gates=(FIG_ROWS,))
 def axioms_reference(sess: Session) -> CheckEntry:
     rep = fg.check_axioms(fg.pg_incidence(sess.plane))
     return entry("fig.axioms-reference",
@@ -710,7 +733,7 @@ def axioms_reference(sess: Session) -> CheckEntry:
                  rep.witnesses)
 
 
-@check("figueroa", "axioms", builds_fig=True)
+@check("figueroa", "axioms", gates=(FIG_ROWS,))
 def axioms_mutation(sess: Session) -> CheckEntry:
     struct = sess.fig_structure
     i = int(np.argmax(sess.plane.tables.types == TYPE_III))

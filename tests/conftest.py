@@ -1,11 +1,37 @@
 import functools
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 
 from figplane.field import build_field_tower
 from figplane.plane import ProjectivePlane
 from figplane.collineation import partition_orbits, point_types_table
-from figplane.figueroa import build_fig_plane
+from figplane.figueroa import IncidencePlane, build_fig_plane
+
+
+@dataclass
+class HeldRows(IncidencePlane):
+    """A row source that holds its rows as one (count, k) int32 array,
+    ``blocks``, so that a test can corrupt rows, or give the array a wrong
+    shape, in place.  figplane itself holds no such array: its sources make
+    their rows when they are read."""
+    blocks: np.ndarray = None
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.blocks.shape
+
+    def rows(self, L):
+        return self.blocks[L]
+
+
+def held(structure) -> HeldRows:
+    """Every row of ``structure``, read once, as a read-only ``HeldRows``;
+    a mutation starts from ``blocks.copy()``."""
+    blocks = structure.rows(np.arange(structure.shape[0]))
+    blocks.setflags(write=False)
+    return HeldRows(structure.plane, blocks)
 
 
 @pytest.fixture(scope="session")
@@ -61,6 +87,17 @@ def fig3(plane3):
 @pytest.fixture(scope="session")
 def fig4(plane4):
     return build_fig_plane(plane4)
+
+
+@pytest.fixture(scope="session")
+def held3(fig3):
+    """The rows of FIG(27), held (``HeldRows``)."""
+    return held(fig3)
+
+
+@pytest.fixture(scope="session")
+def held4(fig4):
+    return held(fig4)
 
 
 @pytest.fixture

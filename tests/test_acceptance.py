@@ -24,10 +24,12 @@ from figplane.maps import (conjugate_join, conjugate_meet,
                            involution_line_image, involution_point_image,
                            mu_fixed_planes, phi_fixed_planes, pr_set,
                            project_from_vertex, sp_set, splash, vertex_census)
-from figplane.figueroa import (IncidencePlane, arching_census, build_fig_plane,
+from figplane.figueroa import (arching_census, build_fig_plane,
                                characterize_fig_points, check_axioms,
                                pr_fig_block, expected_pr_fig_block)
 from figplane.suites import Session, even_structure, splash_involution
+
+from conftest import HeldRows, held
 
 
 def _ok(label):
@@ -210,7 +212,8 @@ def test_11_figueroa_axioms(plane3, plane4):
     fig3 = build_fig_plane(plane3)
     rep3 = check_axioms(fig3)
     q3_elapsed = time.perf_counter() - t0
-    assert len(fig3.blocks) == 757 and all(len(b) == 28 for b in fig3.blocks)
+    blocks3 = held(fig3).blocks
+    assert len(blocks3) == 757 and all(len(b) == 28 for b in blocks3)
     assert rep3.ok and rep3.mode == "orbit-reduced"
     assert q3_elapsed < 10.0, f"axioms at q=3 took {q3_elapsed:.1f}s"
 
@@ -218,11 +221,12 @@ def test_11_figueroa_axioms(plane3, plane4):
     fig4 = build_fig_plane(plane4)
     rep4 = check_axioms(fig4)
     q4_elapsed = time.perf_counter() - t0
-    assert len(fig4.blocks) == 4161 and all(len(b) == 65 for b in fig4.blocks)
+    blocks4 = held(fig4).blocks
+    assert len(blocks4) == 4161 and all(len(b) == 65 for b in blocks4)
     assert rep4.ok
     assert q4_elapsed < 180.0, f"axioms at q=4 took {q4_elapsed:.1f}s"
 
-    mutated = IncidencePlane(plane3, fig3.blocks.copy())
+    mutated = HeldRows(plane3, blocks3.copy())
     i = list(plane3.tables.types).index(TYPE_III)
     mutated.blocks[i] = sorted(plane3.points_on(plane3.point(i)))
     bad = check_axioms(mutated)

@@ -4,7 +4,7 @@ Every bulk table is compared entry by entry with the scalar function it
 replaces, exhaustively at q = 2, 3 and 4 and on hypothesis-drawn indices
 at q = 5 and 7, and at q = 8 and 9 for the point tables.  ``disagreements`` is the comparison; a corrupted table
 shows that it reports a wrong entry.  The block rows (the closed-form
-incidence rows, made on demand, and the FIG block array) have their own
+incidence rows and the FIG rows, both made on demand) have their own
 row comparisons, ``incidence_disagreements`` and ``fig_disagreements``,
 shown able to fail in the same way; the FIG rows are compared with the
 closed-form incidence ``fig_incident``, not with a second assembly.
@@ -30,6 +30,8 @@ from figplane.maps import conjugate_join, conjugate_meet, project_from_vertex
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, GeometryError,
                             ProjectivePlane, canonical, cross, join,
                             lines_through_point, points_on_line)
+
+from conftest import held
 
 TABLES = ("types", "mu", "sec", "phi", "orbit", "tau", "tau_line")
 
@@ -234,7 +236,7 @@ def fig_disagreements(plane, blocks, indices) -> list[int]:
 @pytest.fixture(scope="module", params=[4, 5], ids=["q4", "q5"])
 def sampled_fig(request):
     plane = ProjectivePlane(context_for_q(request.param))
-    return plane, build_fig_plane(plane).blocks
+    return plane, held(build_fig_plane(plane)).blocks
 
 
 def fixed_lines(plane) -> list[int]:
@@ -286,7 +288,7 @@ def test_incidence_matches_oracle_sampled_q7(plane7, data):
 
 
 def test_fig_blocks_match_oracle_exhaustive(plane3, fast_fig_incident):
-    blocks = build_fig_plane(plane3).blocks
+    blocks = held(build_fig_plane(plane3)).blocks
     assert fig_disagreements(plane3, blocks, range(plane3.size)) == []
 
 
@@ -302,7 +304,7 @@ def test_row_comparison_reports_a_corrupted_row(plane3, name, fast_fig_incident)
     if name == "incidence":
         rows, compare = plane3.tables.incidence_rows(np.arange(plane3.size)), incidence_disagreements
     else:
-        rows, compare = build_fig_plane(plane3).blocks.copy(), fig_disagreements
+        rows, compare = held(build_fig_plane(plane3)).blocks.copy(), fig_disagreements
     i = next(j for j in range(plane3.size) if line_type(plane3.ctx, plane3.point(j)) == TYPE_III)
     rows[i, -1] = next(P for P in range(plane3.size) if P not in rows[i])
     assert compare(plane3, rows, range(plane3.size)) == [i]
@@ -419,10 +421,16 @@ def test_kernel_guards_raise_named_error(plane3):
 
 def test_table_bytes_counts_the_lookup_and_per_point_tables():
     """``field.table_bytes`` is the size of the two field lookup tables and
-    of every per-point table that ``PlaneTables`` builds."""
+    of every per-point table that ``PlaneTables`` builds, with the two FIG
+    row lookup tables for a run that streams the FIG."""
     ctx = context_for_q(3)
     T = PlaneTables(ctx)
     per_point = [T.types, T.mu, T.sec, T.phi, T.tau, T.tau_line, T.orbit,
                  T.dickson, T.dickson_line]
     assert all(len(t) == T.size for t in per_point)
     assert sum(t.nbytes for t in per_point + [T.field._add, T.field._mul]) == table_bytes(3)
+    # a run that streams the FIG rows adds their two lookup tables, E and F
+    lookup = list(T._fig_lookup)
+    assert all(len(t) == T.size and t.dtype == np.int32 for t in lookup)
+    assert sum(t.nbytes for t in per_point + lookup + [T.field._add, T.field._mul]) \
+        == table_bytes(3, fig=True)

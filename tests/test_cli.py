@@ -14,7 +14,7 @@ from figplane.field import table_bytes
 from figplane.figueroa import FIGUEROA
 from figplane.plane import GeometryError
 from figplane.report import Report, entry
-from figplane.suites import EVEN_Q, check_groups
+from figplane.suites import EVEN_Q, check_groups, selected
 
 
 def run_cli(args, capsys):
@@ -96,15 +96,57 @@ def test_figueroa_axioms_cmd(capsys):
     assert "fig.axioms" in ids and "fig.axioms-mutation" in ids
 
 
-def test_verify_all_skips_maps_and_figueroa_from_q9(capsys):
-    """The default skip starts at q = 9: the report notes it and holds only
-    the census checks (q = 8 runs every suite)."""
-    code, out = run_cli(["verify", "--q", "9", "--suite", "all",
-                         "--format", "json"], capsys)
+NOTE_Q11 = ("build and axioms checks skipped by default: a pass over the FIG rows "
+            "reads 2.36e+09 entries at q = 11, over the default bound of 1e+09; "
+            "name them with --suite or --check")
+
+
+class _Unbuilt:
+    """A Session that builds nothing: the suite functions are stubbed."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+
+def _stub_suites(monkeypatch, ran):
+    """Replace the three suite functions by stubs that record their calls."""
+    import figplane.cli as cli
+    for name in ("census_checks", "maps_checks", "figueroa_checks"):
+        monkeypatch.setattr(cli, name, lambda sess, *group, name=name, **kw:
+                            ran.append((name, *group, kw)) or [])
+
+
+def test_verify_all_skips_the_fig_passes_at_q11(monkeypatch, capsys):
+    """From q = 11 a pass over the FIG rows reads over 10^9 entries, so the
+    default leaves out the build and axioms groups and says so, with the
+    estimate; every other group of every suite still runs by default."""
+    from figplane.field import context_for_q
+    monkeypatch.setattr("figplane.cli.Session", _Unbuilt)
+    ran = []
+    _stub_suites(monkeypatch, ran)
+    code, out = run_cli(["verify", "--q", "11", "--suite", "all", "--format", "json"], capsys)
     assert code == 0
-    doc = json.loads(out)
-    assert doc["header"]["note"] == "maps and figueroa suites skipped by default at q >= 9"
-    assert doc["checks"] and all(c["id"].startswith("census.") for c in doc["checks"])
+    assert json.loads(out)["header"]["note"] == NOTE_Q11
+    assert ran == [(name, {"by_default": True})
+                   for name in ("census_checks", "maps_checks", "figueroa_checks")]
+    ctx = context_for_q(11)
+    groups = {c.group for c in selected(ctx, "figueroa", by_default=True)}
+    assert groups == {"pr", "arching", "characterization", "sp-mu"}
+    assert {c.group for c in selected(ctx, "figueroa")} == groups | {"build", "axioms"}
+    assert selected(ctx, "maps", by_default=True) == selected(ctx, "maps")
+
+
+def test_verify_all_runs_every_suite_at_q9(monkeypatch, capsys):
+    """At q = 9 a FIG pass reads 3.9e8 entries, under the bound: the default
+    selects every check of every suite, with no note."""
+    from figplane.field import context_for_q
+    ctx = context_for_q(9)
+    for suite in ("census", "maps", "figueroa"):
+        assert selected(ctx, suite, by_default=True) == selected(ctx, suite)
+    monkeypatch.setattr("figplane.cli.Session", _Unbuilt)
+    _stub_suites(monkeypatch, [])
+    code, out = run_cli(["verify", "--q", "9", "--suite", "all", "--format", "json"], capsys)
+    assert code == 0 and "note" not in json.loads(out)["header"]
 
 
 def test_verify_all_runs_every_suite_at_q8(monkeypatch, capsys):
@@ -113,7 +155,7 @@ def test_verify_all_runs_every_suite_at_q8(monkeypatch, capsys):
     import figplane.cli as cli
     ran = []
     for name in ("census_checks", "maps_checks", "figueroa_checks"):
-        monkeypatch.setattr(cli, name, lambda sess, name=name: ran.append(name) or [])
+        monkeypatch.setattr(cli, name, lambda sess, name=name, **kw: ran.append(name) or [])
     code, out = run_cli(["verify", "--q", "8", "--suite", "all", "--format", "json"], capsys)
     assert code == 0
     assert ran == ["census_checks", "maps_checks", "figueroa_checks"]
@@ -132,18 +174,20 @@ def test_report_commands_look_up_the_suite_functions_when_run(monkeypatch, capsy
     ran = []
     for name in ("census_checks", "maps_checks", "figueroa_checks"):
         monkeypatch.setattr(cli, name,
-                            lambda sess, *group, name=name: ran.append((name, *group)) or [])
+                            lambda sess, *group, name=name, **kw: ran.append((name, *group)) or [])
     code, out = run_cli(command + ["--q", "3", "--format", "json"], capsys)
     assert code == 0 and json.loads(out)["checks"] == []
     assert ran == [called]
 
 
-def test_text_report_prints_the_header_note(capsys):
+def test_text_report_prints_the_header_note(monkeypatch, capsys):
     """The text report says what the default skipped, under its title line;
     a report without a note has no note line."""
-    code, out = run_cli(["verify", "--q", "9", "--suite", "all"], capsys)
+    monkeypatch.setattr("figplane.cli.Session", _Unbuilt)
+    _stub_suites(monkeypatch, [])
+    code, out = run_cli(["verify", "--q", "11", "--suite", "all"], capsys)
     assert code == 0
-    assert out.splitlines()[1] == "note: maps and figueroa suites skipped by default at q >= 9"
+    assert out.splitlines()[1] == "note: " + NOTE_Q11
     assert "note" not in Report({"q": 3}, [entry("x", "claim", True)]).to_text()
 
 
@@ -324,7 +368,7 @@ def test_tables_larger_than_memory_refused_before_any_session(capsys, monkeypatc
     assert main(command + ["--q", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    # verify --suite all runs the figueroa suite, whose build checks read the FIG
+    # verify --suite all runs the figueroa suite, whose build checks stream the FIG
     need = table_bytes(3, fig=command[0] == "verify")
     assert captured.err == (f"figplane: q = 3 needs about {need / 1e9:.3g} GB for "
                             f"its tables, more than the {(table_bytes(3) - 1) / 1e9:.3g} GB "
@@ -354,10 +398,11 @@ def _no_session(*args, **kwargs):
     (["census"], False),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_memory_guard_counts_the_fig_array(tmp_path, capsys, monkeypatch, command, fig):
-    """With physical memory between the estimates without and with the FIG
-    block array, a selection that builds the FIG, because a selected check
-    reads it or --emit-plane writes it, exits 2 with the larger estimate,
-    and any other selection gets past the guard."""
+    """With physical memory between the estimates without and with the two
+    lookup tables the FIG rows are gathered from, a selection that streams
+    the FIG, because a selected check reads its rows or --emit-plane writes
+    them, exits 2 with the larger estimate, and any other selection gets
+    past the guard."""
     monkeypatch.setattr("figplane.cli.Session", _no_session)
     have = (table_bytes(3) + table_bytes(3, fig=True)) // 2
     monkeypatch.setattr("figplane.cli.physical_memory", lambda: have)
@@ -372,19 +417,16 @@ def test_memory_guard_counts_the_fig_array(tmp_path, capsys, monkeypatch, comman
         f"tables, more than the {have / 1e9:.3g} GB of physical memory\n")
 
 
-def test_fig_checks_at_q11_are_refused_by_their_estimate(capsys, monkeypatch):
-    """At q = 11 the FIG array alone is 1,772,893 x 1,332 int32, about
-    9.4 GB; on a host of 8.4 GB the FIG checks exit 2 with the estimate,
-    and the census and maps suites, whose tables take 66 MB, get past the
-    guard.  No q = 11 table is built."""
+def test_fig_checks_at_q11_pass_the_memory_guard(capsys, monkeypatch):
+    """At q = 11 no run holds the FIG: its rows are streamed, and the tables
+    of every selection, with the FIG row lookup tables, take about 80 MB.
+    So on a host of 8.4 GB the FIG checks named explicitly get past the
+    guard, as the census and maps suites do.  No q = 11 table is built."""
     monkeypatch.setattr("figplane.cli.Session", _no_session)
     monkeypatch.setattr("figplane.cli.physical_memory", lambda: 8_400_000_000)
+    assert round(table_bytes(11, fig=True) / 1e6) == 80
     for command in (["figueroa", "--check", "build"], ["figueroa", "--check", "axioms"],
-                    ["verify", "--suite", "figueroa"]):
-        assert main(command + ["--q", "11"]) == 2
-        assert capsys.readouterr().err == (
-            "figplane: q = 11 needs about 9.51 GB for its tables, "
-            "more than the 8.4 GB of physical memory\n")
-    for command in (["census"], ["verify", "--suite", "maps"]):
+                    ["verify", "--suite", "figueroa"], ["census"],
+                    ["verify", "--suite", "maps"]):
         with pytest.raises(SessionBuilt):
             main(command + ["--q", "11"])

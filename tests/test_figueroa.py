@@ -5,7 +5,7 @@ import pytest
 
 from figplane.collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES,
                                    collineate_point, det3, point_type)
-from figplane.figueroa import (IncidencePlane, LineRows, RowSwap, anchor_block,
+from figplane.figueroa import (FigRows, LineRows, RowSwap, anchor_block,
                                arching_census, build_fig_plane, characterize_fig_points,
                                check_axioms, emit_plane, orbit_minima,
                                pg_incidence, pr_fig_block, expected_pr_fig_block)
@@ -16,6 +16,8 @@ from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                             points_on_line)
 from figplane.suites import (CHECKS, Session, even_structure, figueroa_checks,
                              splash_involution)
+
+from conftest import HeldRows, held
 
 
 def _first_fig_row(fig):
@@ -73,22 +75,22 @@ def test_anchor_block_is_the_fig_row_of_its_involution_image(q, request):
     rows, of the axis and its conjugates, are compared with the closed form
     ``fig_incident`` in ``tests/test_arrays.py``."""
     plane = request.getfixturevalue(f"plane{q}")
-    fig, mu = build_fig_plane(plane), plane.tables.mu
+    fig, mu = held(build_fig_plane(plane)), plane.tables.mu
     for A in (ANCHOR, ANCHOR_1, ANCHOR_2):
         assert np.array_equal(anchor_block(plane, A), fig.blocks[mu[plane.index(A)]])
 
 
-def test_build_counts(fig3, fig4):
-    assert len(fig3.blocks) == 757
-    assert all(len(b) == 28 for b in fig3.blocks)
-    assert np.bincount(fig3.plane.tables.types).tolist() == [0, 13, 312, 432]
-    assert len(fig4.blocks) == 4161
-    assert all(len(b) == 65 for b in fig4.blocks)
+def test_build_counts(held3, held4):
+    assert len(held3.blocks) == 757
+    assert all(len(b) == 28 for b in held3.blocks)
+    assert np.bincount(held3.plane.tables.types).tolist() == [0, 13, 312, 432]
+    assert len(held4.blocks) == 4161
+    assert all(len(b) == 65 for b in held4.blocks)
 
 
-def test_build_agrees_with_pg_on_kept_lines(plane3, fig3):
+def test_build_agrees_with_pg_on_kept_lines(plane3, held3):
     pg_rows = [tuple(b) for b in pg_incidence(plane3).rows(np.arange(plane3.size)).tolist()]
-    fig_rows = [tuple(b) for b in fig3.blocks.tolist()]
+    fig_rows = [tuple(b) for b in held3.blocks.tolist()]
     pg_set = set(pg_rows)
     for i, t in enumerate(plane3.tables.types):
         if t == TYPE_III:
@@ -98,38 +100,41 @@ def test_build_agrees_with_pg_on_kept_lines(plane3, fig3):
             assert fig_rows[i] == pg_rows[i]
 
 
-def test_block_arrays_are_read_only_int32(plane3, fig3):
-    """The FIG holds the one read-only block array; PG and a one-row swap
-    hold none, and every source reads int32 rows."""
-    assert fig3.blocks.shape == (757, 28)
-    assert not fig3.blocks.flags.writeable
+def test_block_arrays_are_read_only_int32(plane3, fig3, held3):
+    """No source of figplane holds a block array: the FIG, PG and a one-row
+    swap make their rows when read, every source reads int32 rows, and
+    the test-side held copy is read-only."""
+    assert isinstance(fig3, FigRows) and fig3.shape == (757, 28)
+    assert held3.blocks.shape == (757, 28)
+    assert not held3.blocks.flags.writeable
     pg = pg_incidence(plane3)
-    assert pg.blocks is None and pg.shape == (757, 28)
+    assert not hasattr(pg, "blocks") and pg.shape == (757, 28)
     swapped = RowSwap(fig3, 5, pg.rows([5])[0])
-    assert swapped.blocks is None and swapped.shape == (757, 28)
+    assert not hasattr(swapped, "blocks") and swapped.shape == (757, 28)
+    assert not hasattr(fig3, "blocks")
     L = np.array([0, 5, 756])
-    for structure in (fig3, pg, swapped):
+    for structure in (fig3, pg, swapped, held3):
         rows = structure.rows(L)
         assert rows.shape == (3, 28) and rows.dtype == np.int32
-    assert np.array_equal(swapped.rows(L), np.stack([fig3.blocks[0], pg.rows([5])[0],
-                                                     fig3.blocks[756]]))
+    assert np.array_equal(swapped.rows(L), np.stack([held3.blocks[0], pg.rows([5])[0],
+                                                     held3.blocks[756]]))
 
 
 def test_fig_blocks_contain_triangles(plane3, fig3):
     # a block is no line: exhibit three non-collinear members
     ctx = plane3.ctx
     i = _first_fig_row(fig3)
-    pts = [plane3.points[j] for j in fig3.blocks[i][:3]]
+    pts = [plane3.points[j] for j in fig3.rows([i])[0][:3]]
     l = join(ctx, pts[0], pts[1])
     from figplane.plane import incident
     assert not incident(ctx, pts[2], l)
 
 
-def test_build_collineation_invariant(plane3, fig3):
+def test_build_collineation_invariant(plane3, held3):
     ctx = plane3.ctx
     perm = [plane3.index(collineate_point(ctx, P)) for P in plane3.points]
-    block_set = {frozenset(b) for b in fig3.blocks}
-    assert all(frozenset(perm[i] for i in b) in block_set for b in fig3.blocks)
+    block_set = {frozenset(b) for b in held3.blocks}
+    assert all(frozenset(perm[i] for i in b) in block_set for b in held3.blocks)
 
 
 def test_build_rejects_q2():
@@ -150,7 +155,7 @@ def test_axioms_pass(plane3, fig3, fig4):
 def _line_mutation(plane, fig):
     """FIG with its first replaced line put back: sizes fail nowhere, but
     point degrees and pairs do."""
-    mutated = IncidencePlane(plane, fig.blocks.copy())
+    mutated = HeldRows(plane, held(fig).blocks.copy())
     i = _first_fig_row(fig)
     mutated.blocks[i] = sorted(plane.points_on(plane.point(i)))
     return mutated
@@ -159,9 +164,10 @@ def _line_mutation(plane, fig):
 def _swapped(fig, swaps):
     """FIG with rows L1 and L2 trading y (of L1) and z (of L2), for each
     (L1, L2, y, z) in ``swaps``."""
-    mutated = IncidencePlane(fig.plane, fig.blocks.copy())
+    blocks = held(fig).blocks
+    mutated = HeldRows(fig.plane, blocks.copy())
     for L1, L2, y, z in swaps:
-        b1, b2 = set(fig.blocks[L1].tolist()), set(fig.blocks[L2].tolist())
+        b1, b2 = set(blocks[L1].tolist()), set(blocks[L2].tolist())
         mutated.blocks[L1] = sorted(b1 - {y} | {z})
         mutated.blocks[L2] = sorted(b2 - {z} | {y})
     return mutated
@@ -172,7 +178,7 @@ def _swap_mutation(fig):
 
     Block sizes and point degrees are unchanged, so only the pair count
     sees it: y now shares b2 with points it already had a block with."""
-    b1, b2 = set(fig.blocks[0].tolist()), set(fig.blocks[1].tolist())
+    b1, b2 = (set(row.tolist()) for row in fig.rows([0, 1]))
     (x,) = b1 & b2
     return _swapped(fig, [(0, 1, max(b1 - b2), max(b2 - b1))])
 
@@ -200,9 +206,9 @@ def _rotated(fig, part):
     types, phi = fig.plane.tables.types, fig.plane.tables.phi
     L = np.flatnonzero(types == TYPE_III)
     taken = {"E": TYPE_II, "F": TYPE_III}[part]
-    own, image = fig.blocks[L], fig.blocks[phi[L]]
+    own, image = fig.rows(L), fig.rows(phi[L])
     parts = (own[types[own] != taken], image[types[image] == taken])
-    mutated = IncidencePlane(fig.plane, fig.blocks.copy())
+    mutated = HeldRows(fig.plane, held(fig).blocks.copy())
     mutated.blocks[L] = np.sort(np.concatenate([p.reshape(len(L), -1) for p in parts],
                                                axis=1), axis=1)
     return mutated
@@ -219,7 +225,7 @@ def _carried_swap(fig, gens):
     orbits = sorted({tuple(_orbit((L,), [(gl,) for _, gl in gens])) for L in rows},
                     key=lambda o: (-len(o), o))
     (L1,), (L2,) = orbits[0][0], orbits[1][0]
-    b1, b2 = set(fig.blocks[L1].tolist()), set(fig.blocks[L2].tolist())
+    b1, b2 = (set(row.tolist()) for row in fig.rows([L1, L2]))
     y, z = max(b1 - b2), max(b2 - b1)
     orbit = _orbit((L1, L2, y, z), [(gl, gl, g, g) for g, gl in gens])
     assert len({t[0] for t in orbit} | {t[1] for t in orbit}) == 2 * len(orbit)
@@ -287,27 +293,27 @@ def test_axioms_swap_mutation_caught_by_pairs_only(fig3):
     assert ROW_WITNESS.fullmatch(rep.witnesses[0])
 
 
-def test_axioms_reject_a_wrong_block_shape(fig3):
+def test_axioms_reject_a_wrong_block_shape(held3):
     """A block array with a row or a column too few fails the size check."""
-    short = IncidencePlane(fig3.plane, fig3.blocks[:-1])
+    short = HeldRows(held3.plane, held3.blocks[:-1])
     rep = check_axioms(short)
     assert not rep.ok and not rep.block_size_ok and not rep.point_degree_ok
-    narrow = IncidencePlane(fig3.plane, fig3.blocks[:, :-1])
+    narrow = HeldRows(held3.plane, held3.blocks[:, :-1])
     rep = check_axioms(narrow)
     assert not rep.ok and not rep.block_size_ok and not rep.point_degree_ok
     assert rep.witnesses == ["block array has shape (757, 27), not (757, 28)"]
 
 
 @pytest.mark.parametrize("value", [-1, 757])
-def test_axioms_range_guard(fig3, value):
+def test_axioms_range_guard(held3, value):
     """An entry outside [0, n) fails before any gather, with a witness; -1
     would otherwise be read as the last point."""
-    blocks = fig3.blocks.copy()
+    blocks = held3.blocks.copy()
     blocks[5, 3] = value
-    rep = check_axioms(IncidencePlane(fig3.plane, blocks))
+    rep = check_axioms(HeldRows(held3.plane, blocks))
     assert not rep.ok and not rep.block_size_ok
     assert not rep.point_degree_ok and not rep.point_pairs_ok
-    assert rep.witnesses == [f"block {format_line(fig3.plane.point(5))} holds {value}, "
+    assert rep.witnesses == [f"block {format_line(held3.plane.point(5))} holds {value}, "
                              "outside [0, 757)"]
 
 
@@ -341,7 +347,7 @@ def test_axioms_match_brute_force(plane3, fig3):
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_axioms_match_brute_force_on_each_row_source(q, fig3, fig4):
-    """The three kinds of row source: PG's closed-form rows, the FIG array,
+    """The three kinds of row source: PG's closed-form rows, the FIG rows,
     and the FIG with one row swapped back for its line."""
     fig = {3: fig3, 4: fig4}[q]
     i = _first_fig_row(fig)
@@ -379,9 +385,10 @@ def test_row_pass_fails_each_half_with_a_witness(plane3):
 
 
 def test_invariance_witness_in_a_later_chunk(plane4):
-    """At q = 4 the pass reads five chunks of rows.  Two lines in the third
-    trade a point; each generator's witness is its first moved row, found
-    here over the whole row array at once."""
+    """At q = 4 the pass reads several chunks of rows.  Two lines past the
+    first chunks of index order trade a point; each generator's witness is
+    its least moved row, found here over the whole row array at once,
+    whichever chunk of tau's line cycles holds it."""
     from figplane.figueroa import PAIR_CHUNK
     pg, n, tables = pg_incidence(plane4), plane4.size, plane4.tables
     step = PAIR_CHUNK // 65
@@ -403,20 +410,22 @@ def test_invariance_witness_in_a_later_chunk(plane4):
 
 
 def test_axioms_make_each_row_once_per_role(plane3):
-    """A closed-form source is read in one pass: each row once as itself
-    and once as the tau and the d image of another, and then the k blocks
-    through each of the three representatives for the cover."""
-    class Counted(LineRows):
-        made = 0
+    """A source that makes its rows when read, PG's or the FIG's, is read
+    in one pass: each row once as itself, which is also the tau image of
+    another row of its chunk, and once as the d image of another; then the
+    k blocks through each of the three representatives for the cover."""
+    for source in (LineRows, FigRows):
+        class Counted(source):
+            made = 0
 
-        def rows(self, L):
-            self.made += len(L)
-            return super().rows(L)
+            def rows(self, L):
+                self.made += len(L)
+                return super().rows(L)
 
-    pg = Counted(plane3)
-    rep = check_axioms(pg)
-    assert rep.ok and rep.representatives == 3
-    assert pg.made == 3 * plane3.size + 3 * 28
+        structure = Counted(plane3)
+        rep = check_axioms(structure)
+        assert rep.ok and rep.representatives == 3
+        assert structure.made == 2 * plane3.size + 3 * 28, source
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -534,7 +543,7 @@ def _build_failures(fig, blocks):
     from figplane.suites import Session, figueroa_checks
     sess = Session(fig.plane.ctx)
     sess.plane = fig.plane
-    sess.fig_structure = IncidencePlane(fig.plane, blocks)
+    sess.fig_structure = HeldRows(fig.plane, blocks)
     (build,) = [e for e in figueroa_checks(sess, "build") if e.id == "fig.build"]
     assert build.passed == (build.witnesses == [])
     return build.witnesses
@@ -544,25 +553,26 @@ def test_build_check_names_each_failing_subcheck(plane3, fig3):
     """Each vectorized ``fig.build`` sub-check fails alone, with its name as
     the witness, on a mutation that leaves the other sub-checks true."""
     inc, phi = plane3.tables.incidence_rows(np.arange(plane3.size)), plane3.tables.phi
-    assert _build_failures(fig3, fig3.blocks) == []
+    fig_blocks = held(fig3).blocks
+    assert _build_failures(fig3, fig_blocks) == []
     # a whole collineation orbit of blocks put back to the lines they
     # displaced: still invariant, but some blocks are lines now
     i = _first_fig_row(fig3)
-    blocks = fig3.blocks.copy()
+    blocks = fig_blocks.copy()
     for j in {i, phi[i], phi[phi[i]]}:
         blocks[j] = inc[j]
     assert _build_failures(fig3, blocks) == ["blocks_differ_from_lines"]
     # one Type I line replaced by another: both are fixed by the collineation
     l1, l2 = np.flatnonzero(plane3.tables.types == TYPE_I)[:2]
     assert phi[l1] == l1 and phi[l2] == l2
-    blocks = fig3.blocks.copy()
+    blocks = fig_blocks.copy()
     blocks[l1] = inc[l2]
     assert _build_failures(fig3, blocks) == ["kept_lines_agree"]
     # one block with one point traded: a k-set that is no line and whose
     # collineation image is no block
-    block = set(fig3.blocks[i].tolist())
+    block = set(fig_blocks[i].tolist())
     outside = min(set(range(plane3.size)) - block)
-    blocks = fig3.blocks.copy()
+    blocks = fig_blocks.copy()
     blocks[i] = sorted(block - {max(block)} | {outside})
     assert _build_failures(fig3, blocks) == ["collineation_invariant"]
 
@@ -708,7 +718,7 @@ plane = ProjectivePlane(ctx)
 types = plane.tables.types
 plane.tables.types = np.where(types == 2, 1, types)   # no Type II: short blocks
 attempt("anchor_block", figueroa.anchor_block, plane, ANCHOR)
-attempt("build_fig_plane", figueroa.build_fig_plane, plane)
+attempt("build_fig_plane", lambda p: figueroa.build_fig_plane(p).rows(np.arange(p.size)), plane)
 ctx.coset_reps = lambda: range(1, 10)   # 9 of the 13 cosets: short sets
 attempt("sls_points", linear_sets.sls_points, ctx, 1)
 attempt("t_plane", linear_sets.t_plane, ctx, 1)
@@ -730,3 +740,37 @@ def test_guards_fire_under_optimize():
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["1", "pencil_type", "anchor_block", "build_fig_plane",
                            "sls_points", "t_plane", "plane_from_rep"]
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_one_row_read_leaves_the_lookup_tables_unbuilt(q):
+    """A read of one row, as ``anchor_block`` makes, computes its two parts
+    from the type and involution tables; a read of more builds the n-entry
+    lookup tables E and F.  Both give every row alike."""
+    from figplane.field import build_field_tower
+    from figplane.plane import ProjectivePlane
+    plane = ProjectivePlane(build_field_tower(*{3: (3, 1), 4: (2, 2)}[q]))
+    tables = plane.tables
+    single = [tables.fig_rows([L])[0] for L in range(plane.size)]
+    anchor_block(plane, ANCHOR)
+    assert "_fig_lookup" not in vars(tables)
+    assert np.array_equal(np.stack(single), tables.fig_rows(np.arange(plane.size)))
+    assert "_fig_lookup" in vars(tables)
+
+
+def test_streamed_axiom_check_holds_no_block_array(plane5):
+    """At q = 5 a held block array would take 15,751 x 126 int32, 7.9 MB;
+    the streamed check of FIG(125) peaks under 2 MB of traced allocations
+    beyond the per-point tables it reads, which are built first."""
+    import tracemalloc
+    tables = plane5.tables
+    for name in ("types", "mu", "tau", "tau_line", "dickson", "dickson_line", "_fig_lookup"):
+        getattr(tables, name)
+    assert plane5.size * 126 * 4 > 7_900_000
+    tracemalloc.start()
+    try:
+        rep = check_axioms(build_fig_plane(plane5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and peak < 2_000_000, peak

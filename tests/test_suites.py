@@ -22,11 +22,11 @@ from figplane.arrays import OTHER
 from figplane.cli import main
 from figplane.collineation import CATEGORIES, TYPE_I, TYPE_II, TYPE_III, collineate_point
 from figplane.field import build_field_tower
-from figplane.figueroa import IncidencePlane
 from figplane.linear_sets import t_plane
 from figplane.maps import VertexCensus
 from figplane.plane import format_line, format_point
-from figplane.suites import (CHECKS, Session, axioms_mutation, block_anatomy, block_incidence_twist,
+from figplane.suites import (CHECKS, Session, arching, assembly, axioms_mutation,
+                             axioms_reference, block_anatomy, block_incidence_twist,
                              block_sizes, categories, characterization, check_groups,
                              club_images, collineation_fixed, collineation_permutes,
                              count_spectrum, cross_plane, even_structure, generic_plane,
@@ -34,7 +34,9 @@ from figplane.suites import (CHECKS, Session, axioms_mutation, block_anatomy, bl
                              parity_table, pencil_census, plane_images, projection_anchor,
                              projection_conjugates, projection_vs_splash,
                              rejects_fixed_objects, splash_involution, t_plane_images,
-                             type_tally, vertices_census)
+                             type_tally, vertices_census, FIG_ROWS)
+
+from conftest import HeldRows, held
 
 DATA = Path(__file__).parent / "data"
 
@@ -47,10 +49,10 @@ def test_check_groups_in_report_order():
     assert len({c.run for c in CHECKS}) == len(CHECKS)
 
 
-def test_builds_fig_marks_the_checks_that_read_the_fig(fig3, classes3):
-    """The memory guard counts the FIG array for a selection with a check
-    marked ``builds_fig``; the marked checks are those that read
-    ``Session.fig_structure``."""
+def test_row_gate_marks_the_checks_that_read_the_fig(fig3, classes3):
+    """The default skips, and the memory guard counts the FIG lookup tables
+    for, the checks that carry ``FIG_ROWS``: exactly the build and axioms
+    groups, which hold every check that reads ``Session.fig_structure``."""
     class Watched(Session):
         read = False
 
@@ -63,7 +65,9 @@ def test_builds_fig_marks_the_checks_that_read_the_fig(fig3, classes3):
         sess = Watched(fig3.plane.ctx)
         sess.plane, sess.classes = fig3.plane, classes3
         c.run(sess)
-        assert sess.read == c.builds_fig, c.run
+        gated = FIG_ROWS in c.gates
+        assert gated == (c.suite == "figueroa" and c.group in ("build", "axioms")), c.run
+        assert gated or not sess.read, c.run
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -373,9 +377,9 @@ def test_block_sizes_report_a_repeated_point(fig3):
     assert block_sizes(sess).passed
     types = fig3.plane.tables.types
     i = list(types).index(TYPE_III)
-    blocks = fig3.blocks.copy()
+    blocks = held(fig3).blocks.copy()
     blocks[i, 1] = blocks[i, 0]
-    sess.fig_structure = IncidencePlane(fig3.plane, blocks)
+    sess.fig_structure = HeldRows(fig3.plane, blocks)
     e = block_sizes(sess)
     assert not e.passed
     anchor = fig3.plane.points[fig3.plane.tables.mu[i]]
@@ -393,12 +397,12 @@ def test_block_sizes_count_the_point_types(fig3, out_type, in_type):
     sess = Session(plane.ctx)
     sess.plane = plane
     i = list(types).index(TYPE_III)
-    row = set(fig3.blocks[i].tolist())
+    row = set(fig3.rows([i])[0].tolist())
     out = next(P for P in sorted(row) if types[P] == out_type)
     into = next(P for P in range(plane.size) if types[P] == in_type and P not in row)
-    blocks = fig3.blocks.copy()
+    blocks = held(fig3).blocks.copy()
     blocks[i] = sorted(row - {out} | {into})
-    sess.fig_structure = IncidencePlane(plane, blocks)
+    sess.fig_structure = HeldRows(plane, blocks)
     e = block_sizes(sess)
     assert not e.passed
     assert e.witnesses == [format_point(plane.points[plane.tables.mu[i]])]
@@ -549,9 +553,10 @@ def test_cross_plane_reports_a_wrong_projection(ctx3, ctx4):
             for kappa in reps for theta in reps if theta != kappa][:5]
 
 
-def test_figueroa_run_holds_one_block_array(monkeypatch, capsys):
-    """After a figueroa run, the FIG block array is the only (n, k) array:
-    the plane tables cache no incidence table and no other 2-D table."""
+def test_figueroa_run_holds_no_block_array(monkeypatch, capsys):
+    """After a figueroa run no (n, k) array is held: the plane tables cache
+    no incidence table and no other 2-D table, and the FIG is a row source
+    that makes its rows when read."""
     import figplane.cli as cli
     sessions = []
 
@@ -567,7 +572,9 @@ def test_figueroa_run_holds_one_block_array(monkeypatch, capsys):
     tables = vars(sess.plane.tables)
     assert "incidence" not in tables and "phi" in tables
     assert all(v.ndim == 1 for v in tables.values() if isinstance(v, np.ndarray))
-    assert sess.fig_structure.blocks.shape == (sess.plane.size, 126)
+    assert sess.fig_structure.shape == (sess.plane.size, 126)
+    assert not hasattr(sess.fig_structure, "blocks")
+    assert "_fig_lookup" in tables          # the E and F lookup tables, one entry a point
 
 
 def test_census_and_maps_build_no_dickson_table(monkeypatch, capsys):
@@ -589,3 +596,77 @@ def test_census_and_maps_build_no_dickson_table(monkeypatch, capsys):
         tables = vars(sess.plane.tables)
         assert "tau" in tables["_point_tables"]        # built with the type table
         assert not {"dickson", "dickson_line", "_dickson_rows"} & set(tables)
+
+
+def _corrupt_a_pg_row(sess, monkeypatch):
+    """PG's row 0 made with its last point traded for the least point off
+    line 0, in the closed-form rows that ``pg_incidence`` reads."""
+    tables = sess.plane.tables
+    real = tables.incidence_rows
+    row = real([0])[0]
+    off = next(P for P in range(sess.plane.size) if P not in row)
+    wrong = np.sort(np.append(row[:-1], off)).astype(np.int32)
+
+    def rows(L):
+        out = real(L)
+        out[np.asarray(L) == 0] = wrong
+        return out
+    monkeypatch.setattr(tables, "incidence_rows", rows)
+
+
+def _shift_the_pencils(sess, monkeypatch):
+    """Each norm class reads the pencil of the next one."""
+    import figplane.linear_sets as ls
+    real, ctx = ls.pencil_lines, sess.ctx
+    monkeypatch.setattr(ls, "pencil_lines", lambda ctx, theta: real(
+        ctx, ctx.norm_class_rep((ctx.norm_class(theta) + 1) % (ctx.q - 1))))
+
+
+def _unclassify_a_block_member(sess, monkeypatch):
+    """The vertex kinds the fixed census reads, with the first off-axis
+    point of the anchor block projecting onto no side linear set."""
+    import figplane.figueroa as fg
+    tables = sess.plane.tables
+    i = first_off_axis(sess.plane, fg.anchor_block(sess.plane, fg.ANCHOR))
+    real = tables.vertex_kinds
+
+    def kinds(B):
+        out = real(B).copy()
+        out[i] = OTHER
+        return out
+    monkeypatch.setattr(tables, "vertex_kinds", kinds)
+
+
+@pytest.mark.parametrize("check, corrupt", [
+    (axioms_reference, _corrupt_a_pg_row),
+    (arching, _shift_the_pencils),
+    (characterization, _unclassify_a_block_member),
+], ids=["axioms-reference", "arching", "characterization"])
+def test_figueroa_entries_fail_on_a_corrupted_table(ctx3, monkeypatch, check, corrupt):
+    """Each entry passes on a fresh session at q = 3 and fails with a
+    witness when a table or function it reads is corrupted: PG's rows for
+    the reference axiom check, the pencils for the arching census, the
+    vertex kinds for the characterization."""
+    assert check(Session(ctx3)).passed
+    sess = Session(ctx3)
+    corrupt(sess, monkeypatch)
+    e = check(sess)
+    assert not e.passed and e.witnesses
+
+
+def test_build_makes_each_fig_row_once(ctx4):
+    """``fig.build`` reads the FIG in chunks closed under phi, so the phi
+    image of each row is a row of its chunk: n rows are made, not 2n."""
+    from figplane.figueroa import FigRows
+
+    class Counted(FigRows):
+        made = 0
+
+        def rows(self, L):
+            self.made += len(L)
+            return super().rows(L)
+
+    sess = Session(ctx4)
+    sess.fig_structure = Counted(sess.plane)
+    assert assembly(sess).passed
+    assert sess.fig_structure.made == sess.plane.size
