@@ -28,7 +28,8 @@ a --theta out of range; all refused before any check runs)
 or a geometry or kernel error during a run, reported as one
 "figplane: ..." line.  Output is byte-identical across runs with the
 same configuration; pass --timings to include (nondeterministic)
-per-check timings.
+per-check timings.  A check's time includes the artifacts it reads first:
+fig.block-sizes shows the FIG row pass it shares with fig.build.
 """
 
 from __future__ import annotations

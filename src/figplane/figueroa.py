@@ -36,6 +36,7 @@ from functools import partial
 
 import numpy as np
 
+from .arrays import chunks
 from .field import FieldContext, Gate
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                     ProjectivePlane, Triple, format_line, format_point,
@@ -189,12 +190,6 @@ def chunk_rows(n: int, k: int) -> int:
     orders, where a pass takes a handful of chunks, keep the temporaries of
     a chunk small, and large ones the count of chunks."""
     return max(1, min(PAIR_CHUNK, max(PAIR_CHUNK // 2, n // 2)) // k)
-
-
-def row_chunks(L: np.ndarray, n: int, k: int):
-    """Consecutive slices of the index array L of blocks, ``chunk_rows`` long."""
-    step = chunk_rows(n, k)
-    return (L[lo:lo + step] for lo in range(0, len(L), step))
 
 
 def closed_chunks(g_line: np.ndarray, k: int):
@@ -414,5 +409,5 @@ def emit_plane(structure: IncidencePlane, path: str) -> None:
     q3 = structure.plane.ctx.q ** 3
     with open(path, "w") as fh:
         fh.write(f"FIG {q3} {structure.size}\n")
-        for L in row_chunks(np.arange(structure.shape[0]), structure.size, q3 + 1):
+        for L in chunks(np.arange(structure.shape[0]), q3 + 1):
             fh.writelines(" ".join(map(str, b)) + "\n" for b in structure.rows(L).tolist())

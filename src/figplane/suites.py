@@ -57,6 +57,41 @@ class Session:
         """FIG as a row source; its rows are made when they are read."""
         return fg.build_fig_plane(self.plane)
 
+    @cached_property
+    def build_pass(self) -> tuple[np.ndarray, dict[str, bool]]:
+        """One walk over the FIG rows for both build checks, in chunks closed
+        under phi (``closed_chunks``), which makes each row once.  It gives
+        the sorted Type III lines whose rows break the block-size facts (rows
+        are sorted, so a block is a strictly increasing row of width k in
+        [0, n), with q^2 + q + 1 Type II points, its E part, and no Type I
+        point) and the row sub-checks of ``fig.build``.  Block L replaces
+        line L and phi maps lines by the point formula, so invariance is
+        sort(phi[rows(L)]) == rows(phi[L]), an image row of the chunk.  A
+        k-set is a line exactly when it is the incidence row of the join of
+        its first two points, so only the rows whose first three points are
+        collinear are compared with a line's row."""
+        struct, tables, ctx = self.fig_structure, self.plane.tables, self.ctx
+        n, k, F, phi, types = struct.size, struct.shape[1], tables.field, tables.phi, tables.types
+        bad, agree, differ, invariant = [], True, True, True
+        for L in fg.closed_chunks(phi, k):
+            rows, new = struct.rows(L), types[L] == TYPE_III
+            blocks = rows[new]
+            kinds = types[np.clip(blocks, 0, n - 1)]
+            ok = ((k == ctx.q3 + 1) & (blocks[:, 0] >= 0) & (blocks[:, -1] < n)
+                  & (np.diff(blocks, axis=1) > 0).all(axis=1)
+                  & (np.count_nonzero(kinds == TYPE_II, axis=1) == ctx.sub_order)
+                  & (kinds != TYPE_I).all(axis=1))
+            bad.append(L[new][~ok])
+            agree &= np.array_equal(rows[~new], tables.incidence_rows(L[~new]))
+            blocks = blocks[blocks[:, 0] != blocks[:, 1]]
+            join = F.cross(F.coords(blocks[:, 0]), F.coords(blocks[:, 1]))
+            line = F.dot(join, F.coords(blocks[:, 2])) == 0    # first three points collinear
+            joins = F.index(*F.canonical(*(c[line] for c in join)))
+            differ &= not (tables.incidence_rows(joins) == blocks[line]).all(axis=1).any()
+            invariant = invariant and not fg.moved_rows(L, rows, phi, fg.within(L, rows, phi)).size
+        return np.sort(np.concatenate(bad)), dict(
+            kept_lines_agree=agree, blocks_differ_from_lines=differ, collineation_invariant=invariant)
+
     def norm_reps(self):
         return [self.ctx.norm_class_rep(j) for j in range(self.ctx.q - 1)]
 
@@ -96,8 +131,9 @@ def check(suite: str, group: str | None = None, gates: tuple[Gate, ...] = ()):
     order, under its suite (census, maps or figueroa), its ``--check``
     group (by default the suite) and the gates, those of its suite first,
     that must hold at an order for it to run there.  The build and axioms
-    checks, which make every FIG or PG row once or twice, carry
-    ``FIG_ROWS``."""
+    checks, which pass over every FIG or PG row, carry ``FIG_ROWS``; the
+    build checks share one pass, ``Session.build_pass``, which
+    ``run_checks`` times under the first to read it, ``fig.block-sizes``."""
     def register(fn):
         CHECKS.append(Check(suite, group or suite, fn, SUITE_GATES.get(suite, ()) + gates))
         return fn
@@ -650,58 +686,25 @@ def block_anatomy(sess: Session) -> CheckEntry:
 
 @check("figueroa", "build", gates=(FIG_ROWS,))
 def block_sizes(sess: Session) -> CheckEntry:
-    # rows are stored sorted, so a block of k distinct points in range is
-    # a strictly increasing row of width k from 0 to n - 1; its E part,
-    # the Type II points of the line it replaces, has q^2 + q + 1 points,
-    # and a block has no Type I point
-    struct, types = sess.fig_structure, sess.plane.tables.types
-    fig = np.flatnonzero(types == TYPE_III)
-    bad = []
-    for L in fg.row_chunks(fig, struct.size, struct.shape[1]):
-        rows = struct.rows(L)
-        kinds = types[np.clip(rows, 0, struct.size - 1)]
-        ok = ((rows.shape[1] == sess.ctx.q3 + 1) & (rows[:, 0] >= 0)
-              & (rows[:, -1] < struct.size) & (np.diff(rows, axis=1) > 0).all(axis=1)
-              & (np.count_nonzero(kinds == TYPE_II, axis=1) == sess.ctx.sub_order)
-              & (kinds != TYPE_I).all(axis=1))
-        bad.extend(L[~ok].tolist())
+    bad, tables = sess.build_pass[0], sess.plane.tables
     # a fig row replacing line L is the block anchored at mu[L]
-    anchors = sess.plane.tables.mu[bad[:5]]
+    anchors = tables.mu[bad[:5]]
     return entry("fig.block-sizes",
                  "every block has exactly q^3 + 1 points, q^2 + q + 1 of them Type II and none Type I",
-                 not bad, {"anchors": len(fig), "mode": "exhaustive"},
+                 not bad.size,
+                 {"anchors": int(np.count_nonzero(tables.types == TYPE_III)), "mode": "exhaustive"},
                  [format_point(sess.plane.point(a)) for a in anchors])
 
 
 @check("figueroa", "build", gates=(FIG_ROWS,))
 def assembly(sess: Session) -> CheckEntry:
-    """Row-aligned, chunk by chunk: block L replaces line L, and phi maps
-    lines by the point formula, so invariance is sort(phi[rows(L)]) ==
-    rows(phi[L]).  The chunks are closed under phi (``closed_chunks``), so
-    the images are rows of the chunk, and each row is made once.  A k-set
-    is a line exactly when it is the incidence row of the join of its
-    first two points, so only the rows whose first three points are
-    collinear are compared with a line's row."""
-    struct, plane, tables = sess.fig_structure, sess.plane, sess.plane.tables
-    q, s, (count, k) = sess.ctx.q, sess.ctx.sub_order, struct.shape
-    F, phi, fig = tables.field, tables.phi, tables.types == TYPE_III
+    count, tables = sess.fig_structure.shape[0], sess.plane.tables
+    q, s = sess.ctx.q, sess.ctx.sub_order
     n_I, n_II, n_fig = np.bincount(tables.types, minlength=4)[1:].tolist()
-    agree = fig_differ = invariant = True
-    for L in fg.closed_chunks(phi, k):
-        rows, kept = struct.rows(L), ~fig[L]
-        agree &= np.array_equal(rows[kept], tables.incidence_rows(L[kept]))
-        new = rows[~kept & (rows[:, 0] != rows[:, 1])]
-        join = F.cross(F.coords(new[:, 0]), F.coords(new[:, 1]))
-        line = F.dot(join, F.coords(new[:, 2])) == 0    # first three points collinear
-        joins = F.index(*F.canonical(*(c[line] for c in join)))
-        fig_differ &= not (tables.incidence_rows(joins) == new[line]).all(axis=1).any()
-        invariant = invariant and not fg.moved_rows(L, rows, phi, fg.within(L, rows, phi)).size
     checks = {
-        "block_count": count == plane.size,
+        "block_count": count == sess.plane.size,
         "kept_line_counts": n_I == s and n_II == (q ** 3 - q) * s,
-        "kept_lines_agree": agree,
-        "blocks_differ_from_lines": fig_differ,
-        "collineation_invariant": invariant,
+        **sess.build_pass[1],
     }
     bad = [k for k, v in checks.items() if not v]
     return entry("fig.build",

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -247,6 +248,9 @@ def test_emit_plane(tmp_path, capsys):
     lines = target.read_text().splitlines()
     assert lines[0] == "FIG 27 757"
     assert len(lines) == 758
+    # the whole file, pinned: every row in order, however the rows are chunked
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == \
+        "a45ec0009619f78863b31f0ddc20c7bd06a26013ac49158d2692f14de3055d0a"
 
 
 def test_exit_code_one_on_failure():

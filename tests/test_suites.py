@@ -379,7 +379,9 @@ def test_block_sizes_report_a_repeated_point(fig3):
     i = list(types).index(TYPE_III)
     blocks = held(fig3).blocks.copy()
     blocks[i, 1] = blocks[i, 0]
-    sess.fig_structure = HeldRows(fig3.plane, blocks)
+    # a fresh session: the build pass of the first one is cached
+    sess = Session(fig3.plane.ctx)
+    sess.plane, sess.fig_structure = fig3.plane, HeldRows(fig3.plane, blocks)
     e = block_sizes(sess)
     assert not e.passed
     anchor = fig3.plane.points[fig3.plane.tables.mu[i]]
@@ -655,8 +657,10 @@ def test_figueroa_entries_fail_on_a_corrupted_table(ctx3, monkeypatch, check, co
 
 
 def test_build_makes_each_fig_row_once(ctx4):
-    """``fig.build`` reads the FIG in chunks closed under phi, so the phi
-    image of each row is a row of its chunk: n rows are made, not 2n."""
+    """Both build entries read one pass over the FIG in chunks closed under
+    phi, so the phi image of each row is a row of its chunk: one session
+    running ``fig.block-sizes`` and ``fig.build`` makes n rows, not 2n, nor
+    n more for the Type III rows alone."""
     from figplane.figueroa import FigRows
 
     class Counted(FigRows):
@@ -668,5 +672,22 @@ def test_build_makes_each_fig_row_once(ctx4):
 
     sess = Session(ctx4)
     sess.fig_structure = Counted(sess.plane)
-    assert assembly(sess).passed
-    assert sess.fig_structure.made == sess.plane.size
+    assert block_sizes(sess).passed and assembly(sess).passed
+    assert sess.fig_structure.made == sess.plane.size == 4161
+
+
+def test_build_entries_fail_with_their_own_witnesses_from_one_pass(fig3):
+    """One repeated point in the first Type III row, read through one
+    shared pass: ``fig.block-sizes`` names the row's anchor, and
+    ``fig.build`` names the invariance its phi image breaks, and nothing
+    else."""
+    plane = fig3.plane
+    i = list(plane.tables.types).index(TYPE_III)
+    blocks = held(fig3).blocks.copy()
+    blocks[i, 1] = blocks[i, 0]
+    sess = Session(plane.ctx)
+    sess.plane, sess.fig_structure = plane, HeldRows(plane, blocks)
+    sizes, build = block_sizes(sess), assembly(sess)
+    assert not sizes.passed and not build.passed
+    assert sizes.witnesses == [format_point(plane.points[plane.tables.mu[i]])]
+    assert build.witnesses == ["collineation_invariant"]
