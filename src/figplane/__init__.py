@@ -44,9 +44,9 @@ _EXPORTS = {name: module for module, names in (
     ("maps", "LinearSetImage TypeRestrictionError conjugate_join conjugate_meet "
              "mu_fixed_planes phi_fixed_planes pr_set project_from_anchor "
              "project_from_vertex sp_set splash vertex_census"),
-    ("figueroa", "IncidencePlane LineRows RowSwap anchor_block arching_census "
-                 "build_fig_plane characterize_fig_points check_axioms fig_incident "
-                 "pg_incidence pr_fig_block"),
+    ("figueroa", "IncidencePlane anchor_block arching_census build_fig_plane "
+                 "characterize_fig_points check_axioms fig_incident pg_incidence "
+                 "pr_fig_block"),
 ) for name in names.split()}
 
 _SUBMODULES = frozenset(_EXPORTS.values()) | {"arrays", "cli", "report", "suites"}

@@ -448,14 +448,15 @@ class PlaneTables:
         every = np.arange(self.size, dtype=np.int32)
         return tuple(_frozen(t) for t in self._fig_parts(every, every))
 
-    def fig_rows(self, L) -> np.ndarray:
+    def fig_rows(self, L, kept=()) -> np.ndarray:
         """The rows of FIG(q^3) that replace the lines L, one sorted row of
         q^3 + 1 point indices each; the only code that assembles a block.
 
-        A Type I or II line keeps its incidence row.  A Type III line L is
-        replaced by the block of its involution image A = mu[L]: the Type II
-        points of L (the E part) together with mu[M] for the Type III lines
-        M through A (the F part).  Both parts are gathered from the lookup
+        A Type I or II line keeps its incidence row, and so does a Type III
+        line in ``kept``, which a mutated FIG puts back.  Any other Type III
+        line L is replaced by the block of its involution image A = mu[L]:
+        the Type II points of L (the E part) together with mu[M] for the
+        Type III lines M through A (the F part).  Both parts are gathered from the lookup
         tables of ``_fig_lookup`` into one 2k-wide row per block, whose sort
         puts the sentinels last; the block is its first k columns.  A read of
         one row computes its parts directly and leaves the tables unbuilt.
@@ -466,6 +467,8 @@ class PlaneTables:
         L = np.asarray(L)
         rows = self.incidence_rows(L)
         new = np.take(self.types, L) == 3                   # Type III lines
+        if kept:
+            new &= ~np.isin(L, kept)
         through = self.incidence_rows(np.take(self.mu, L[new]))
         if len(L) > 1 or "_fig_lookup" in self.__dict__:
             E, F = self._fig_lookup

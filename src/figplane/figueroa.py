@@ -22,11 +22,12 @@ the FIG (``build_fig_plane``) and the block of one anchor (``anchor_block``);
 the reference the rows are tested against is the closed form ``fig_incident``.
 
 An ``IncidencePlane`` is a row source that holds no rows: every reader
-takes blocks through ``rows(L)`` in chunks, and FIG (``FigRows``) and PG
-(``LineRows``) make them when they are read.  ``RowSwap`` overrides one
-row of another source, so a mutation copies nothing.  A reader that
-compares rows with their images under a map reads chunks closed under the
-map's line cycles (``closed_chunks``), so each image is a row it has made.
+takes blocks through ``rows(L)`` in chunks, and the rows are made when
+they are read.  PG (``pg_incidence``), FIG (``build_fig_plane``) and a
+mutated FIG are one source, which differ only in the Type III lines they
+keep: every one, none, or one.  A reader that compares rows with their
+images under a map reads chunks closed under the map's line cycles
+(``closed_chunks``), so each image is a row it has made.
 """
 
 from __future__ import annotations
@@ -79,8 +80,13 @@ def fig_incident(ctx: FieldContext, P: Triple, L: Triple) -> bool:
 class IncidencePlane:
     """Point/block incidence structure over dense point indices, read only
     through ``rows(L)``: for an index array L of blocks, a (len(L), k)
-    int32 array with the sorted point indices of each."""
+    int32 array with the sorted point indices of each.
+
+    Block L is line L of PG(2, q^3), or, when L is a Type III line that
+    ``kept`` does not name, the Figueroa block that replaces it
+    (``PlaneTables.fig_rows``).  ``kept`` None keeps every line: PG."""
     plane: ProjectivePlane
+    kept: tuple[int, ...] | None = field(default=None, kw_only=True)
 
     @property
     def size(self) -> int:
@@ -92,58 +98,26 @@ class IncidencePlane:
         return (self.size, self.plane.ctx.q3 + 1)
 
     def rows(self, L: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class LineRows(IncidencePlane):
-    """The lines of PG(2, q^3) as blocks: row L is the incidence row of
-    line L, made by ``PlaneTables.incidence_rows`` when it is read."""
-
-    def rows(self, L: np.ndarray) -> np.ndarray:
-        return self.plane.tables.incidence_rows(L)
-
-
-class FigRows(IncidencePlane):
-    """The blocks of FIG(q^3), indexed by the line they replace: row L is
-    assembled by ``PlaneTables.fig_rows`` when it is read."""
-
-    def rows(self, L: np.ndarray) -> np.ndarray:
-        return self.plane.tables.fig_rows(L)
-
-
-class RowSwap(IncidencePlane):
-    """``base`` with the row of block ``line`` replaced by ``row``; the
-    other rows are read from ``base``, and nothing is copied."""
-
-    def __init__(self, base: IncidencePlane, line: int, row):
-        super().__init__(base.plane)
-        self.base, self.line, self.row = base, line, np.asarray(row, dtype=np.int32)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.base.shape
-
-    def rows(self, L: np.ndarray) -> np.ndarray:
-        hit = np.asarray(L) == self.line
-        out = self.base.rows(L)
-        return np.where(hit[:, None], self.row, out) if hit.any() else out
+        tables = self.plane.tables
+        return tables.incidence_rows(L) if self.kept is None else tables.fig_rows(L, self.kept)
 
 
 def pg_incidence(plane: ProjectivePlane) -> IncidencePlane:
     """PG(2, q^3) itself, as a reference structure of closed-form rows."""
-    return LineRows(plane)
+    return IncidencePlane(plane)
 
 
 FIGUEROA = Gate(lambda ctx: ctx.q > 2,
                 "the Figueroa construction needs q a prime power, q > 2")
 
 
-def build_fig_plane(plane: ProjectivePlane) -> FigRows:
-    """FIG(q^3) as a row source: row L is the incidence row of a Type I or
-    II line L, and the block of the involution image of a Type III one."""
+def build_fig_plane(plane: ProjectivePlane) -> IncidencePlane:
+    """FIG(q^3) as a row source that keeps no Type III line: row L is the
+    incidence row of a Type I or II line L, and the block of the involution
+    image of a Type III one."""
     if not FIGUEROA.holds(plane.ctx):
         raise GeometryError(f"{FIGUEROA.reason} (got q = {plane.ctx.q})")
-    return FigRows(plane)
+    return IncidencePlane(plane, kept=())
 
 
 @dataclass

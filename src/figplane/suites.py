@@ -11,6 +11,7 @@ FIG structure) so one run builds each once.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from functools import cached_property, partial
@@ -69,26 +70,36 @@ class Session:
         sort(phi[rows(L)]) == rows(phi[L]), an image row of the chunk.  A
         k-set is a line exactly when it is the incidence row of the join of
         its first two points, so only the rows whose first three points are
-        collinear are compared with a line's row."""
+        collinear are compared with a line's row.
+
+        A structure of the wrong shape has no row to read: every Type III
+        line is bad and every sub-check fails.  A row holding an entry
+        outside [0, n) is no point set, so it is no block, no line and has
+        no phi image; that is found before any gather, since numpy wraps
+        negative indices."""
         struct, tables, ctx = self.fig_structure, self.plane.tables, self.ctx
-        n, k, F, phi, types = struct.size, struct.shape[1], tables.field, tables.phi, tables.types
+        n, k, F, phi, types = struct.size, ctx.q3 + 1, tables.field, tables.phi, tables.types
+        if struct.shape != (n, k):
+            return np.flatnonzero(types == TYPE_III), dict.fromkeys(
+                ("kept_lines_agree", "blocks_differ_from_lines", "collineation_invariant"), False)
         bad, agree, differ, invariant = [], True, True, True
         for L in fg.closed_chunks(phi, k):
             rows, new = struct.rows(L), types[L] == TYPE_III
+            inside = ((rows >= 0) & (rows < n)).all(axis=1)
             blocks = rows[new]
             kinds = types[np.clip(blocks, 0, n - 1)]
-            ok = ((k == ctx.q3 + 1) & (blocks[:, 0] >= 0) & (blocks[:, -1] < n)
-                  & (np.diff(blocks, axis=1) > 0).all(axis=1)
+            ok = (inside[new] & (np.diff(blocks, axis=1) > 0).all(axis=1)
                   & (np.count_nonzero(kinds == TYPE_II, axis=1) == ctx.sub_order)
                   & (kinds != TYPE_I).all(axis=1))
             bad.append(L[new][~ok])
             agree &= np.array_equal(rows[~new], tables.incidence_rows(L[~new]))
-            blocks = blocks[blocks[:, 0] != blocks[:, 1]]
+            blocks = blocks[(blocks[:, 0] != blocks[:, 1]) & inside[new]]
             join = F.cross(F.coords(blocks[:, 0]), F.coords(blocks[:, 1]))
             line = F.dot(join, F.coords(blocks[:, 2])) == 0    # first three points collinear
             joins = F.index(*F.canonical(*(c[line] for c in join)))
             differ &= not (tables.incidence_rows(joins) == blocks[line]).all(axis=1).any()
-            invariant = invariant and not fg.moved_rows(L, rows, phi, fg.within(L, rows, phi)).size
+            invariant = invariant and inside.all() and not fg.moved_rows(
+                L, rows, phi, fg.within(L, rows, phi)).size
         return np.sort(np.concatenate(bad)), dict(
             kept_lines_agree=agree, blocks_differ_from_lines=differ, collineation_invariant=invariant)
 
@@ -738,9 +749,8 @@ def axioms_reference(sess: Session) -> CheckEntry:
 
 @check("figueroa", "axioms", gates=(FIG_ROWS,))
 def axioms_mutation(sess: Session) -> CheckEntry:
-    struct = sess.fig_structure
     i = int(np.argmax(sess.plane.tables.types == TYPE_III))
-    rep = fg.check_axioms(fg.RowSwap(struct, i, sess.plane.tables.incidence_rows([i])[0]))
+    rep = fg.check_axioms(dataclasses.replace(sess.fig_structure, kept=(i,)))
     caught = (not rep.ok) and bool(rep.witnesses)
     verdict = "accepted it" if rep.ok else "rejected it with no witness"
     return entry("fig.axioms-mutation",

@@ -34,6 +34,15 @@ def held(structure) -> HeldRows:
     return HeldRows(structure.plane, blocks)
 
 
+def replaced(structure, rows) -> HeldRows:
+    """A ``HeldRows`` copy of every row of ``structure``, with row L
+    replaced by ``rows[L]`` for each L of the dict ``rows``."""
+    blocks = structure.rows(np.arange(structure.shape[0]))
+    for L, row in rows.items():
+        blocks[L] = row
+    return HeldRows(structure.plane, blocks)
+
+
 @pytest.fixture(scope="session")
 def ctx3():
     return build_field_tower(3, 1)

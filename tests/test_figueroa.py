@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 
 from figplane.collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES,
                                    collineate_point, det3, point_type)
-from figplane.figueroa import (FigRows, LineRows, RowSwap, anchor_block,
-                               arching_census, build_fig_plane, characterize_fig_points,
-                               check_axioms, emit_plane, orbit_minima,
-                               pg_incidence, pr_fig_block, expected_pr_fig_block)
+from figplane.figueroa import (IncidencePlane, anchor_block, arching_census,
+                               build_fig_plane, characterize_fig_points, check_axioms,
+                               emit_plane, orbit_minima, pg_incidence, pr_fig_block,
+                               expected_pr_fig_block)
 from figplane.linear_sets import sls_points, t_plane
 from figplane.maps import TypeRestrictionError, conjugate_join
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
@@ -17,7 +18,7 @@ from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
 from figplane.suites import (CHECKS, Session, even_structure, figueroa_checks,
                              splash_involution)
 
-from conftest import HeldRows, held
+from conftest import HeldRows, held, replaced
 
 
 def _first_fig_row(fig):
@@ -101,23 +102,47 @@ def test_build_agrees_with_pg_on_kept_lines(plane3, held3):
 
 
 def test_block_arrays_are_read_only_int32(plane3, fig3, held3):
-    """No source of figplane holds a block array: the FIG, PG and a one-row
-    swap make their rows when read, every source reads int32 rows, and
-    the test-side held copy is read-only."""
-    assert isinstance(fig3, FigRows) and fig3.shape == (757, 28)
+    """No source of figplane holds a block array: the FIG, PG and the FIG
+    keeping line 5 make their rows when read, every source reads int32
+    rows, and the test-side held copy is read-only."""
+    assert type(fig3) is IncidencePlane and fig3.kept == () and fig3.shape == (757, 28)
     assert held3.blocks.shape == (757, 28)
     assert not held3.blocks.flags.writeable
     pg = pg_incidence(plane3)
     assert not hasattr(pg, "blocks") and pg.shape == (757, 28)
-    swapped = RowSwap(fig3, 5, pg.rows([5])[0])
-    assert not hasattr(swapped, "blocks") and swapped.shape == (757, 28)
+    mutated = dataclasses.replace(fig3, kept=(5,))
+    assert not hasattr(mutated, "blocks") and mutated.shape == (757, 28)
     assert not hasattr(fig3, "blocks")
     L = np.array([0, 5, 756])
-    for structure in (fig3, pg, swapped, held3):
+    for structure in (fig3, pg, mutated, held3):
         rows = structure.rows(L)
         assert rows.shape == (3, 28) and rows.dtype == np.int32
-    assert np.array_equal(swapped.rows(L), np.stack([held3.blocks[0], pg.rows([5])[0],
+    assert np.array_equal(mutated.rows(L), np.stack([held3.blocks[0], pg.rows([5])[0],
                                                      held3.blocks[756]]))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_one_row_source_keeps_the_lines_it_names(q, request):
+    """PG, FIG and the mutated FIG are one row source: PG's rows are the
+    incidence rows, FIG's the assembled rows, and the FIG keeping its first
+    Type III line i has FIG's rows but for row i, which is PG's, read alone
+    or with the others.  Keeping a Type I or II line changes nothing."""
+    plane = request.getfixturevalue(f"plane{q}")
+    tables, every = plane.tables, np.arange(plane.size)
+    pg, fig = pg_incidence(plane), build_fig_plane(plane)
+    pg_rows, fig_rows = pg.rows(every), fig.rows(every)
+    assert np.array_equal(pg_rows, tables.incidence_rows(every))
+    assert np.array_equal(fig_rows, tables.fig_rows(every))
+    i = _first_fig_row(fig)
+    mutated = dataclasses.replace(fig, kept=(i,))
+    rows, others = mutated.rows(every), every != i
+    assert np.array_equal(rows[others], fig_rows[others])
+    assert np.array_equal(rows[i], pg_rows[i]) and not np.array_equal(rows[i], fig_rows[i])
+    assert np.array_equal(mutated.rows([i]), pg_rows[[i]])
+    kept = tuple(np.flatnonzero(tables.types != TYPE_III).tolist())
+    assert {int(tables.types[L]) for L in kept} == {TYPE_I, TYPE_II}
+    assert np.array_equal(dataclasses.replace(fig, kept=kept).rows(every), fig_rows)
+    assert np.array_equal(dataclasses.replace(mutated, kept=kept + (i,)).rows(every), rows)
 
 
 def test_fig_blocks_contain_triangles(plane3, fig3):
@@ -347,23 +372,23 @@ def test_axioms_match_brute_force(plane3, fig3):
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_axioms_match_brute_force_on_each_row_source(q, fig3, fig4):
-    """The three kinds of row source: PG's closed-form rows, the FIG rows,
-    and the FIG with one row swapped back for its line."""
+    """The three structures of the one row source: PG, which keeps every
+    line, the FIG, which keeps none, and the FIG keeping its first Type III
+    line."""
     fig = {3: fig3, 4: fig4}[q]
-    i = _first_fig_row(fig)
-    swapped = RowSwap(fig, i, fig.plane.tables.incidence_rows([i])[0])
+    mutated = dataclasses.replace(fig, kept=(_first_fig_row(fig),))
     verdicts = [_assert_matches_brute_force(s).ok
-                for s in (pg_incidence(fig.plane), fig, swapped)]
+                for s in (pg_incidence(fig.plane), fig, mutated)]
     assert verdicts == [True, True, False]
 
 
 def _traded(structure, L1, L2):
     """``structure`` with rows L1 and L2 trading their largest points that
-    the other row lacks, as two nested one-row swaps: block sizes and
-    point degrees hold."""
+    the other row lacks, in a held copy: block sizes and point degrees
+    hold."""
     b1, b2 = (set(structure.rows([L])[0].tolist()) for L in (L1, L2))
     y, z = max(b1 - b2), max(b2 - b1)
-    return RowSwap(RowSwap(structure, L1, sorted(b1 - {y} | {z})), L2, sorted(b2 - {z} | {y}))
+    return replaced(structure, {L1: sorted(b1 - {y} | {z}), L2: sorted(b2 - {z} | {y})})
 
 
 def test_row_pass_fails_each_half_with_a_witness(plane3):
@@ -373,11 +398,11 @@ def test_row_pass_fails_each_half_with_a_witness(plane3):
     pg, n = pg_incidence(plane3), plane3.size
     row = pg.rows([5])[0].copy()
     row[3] = n
-    rep = check_axioms(RowSwap(pg, 5, row))
+    rep = check_axioms(replaced(pg, {5: row}))
     assert not (rep.ok or rep.block_size_ok or rep.point_degree_ok or rep.point_pairs_ok)
     assert rep.witnesses == [f"block {format_line(plane3.point(5))} holds {n}, outside [0, {n})"]
     # line 5 carries the points of line 6: twice in one block, never in the other
-    rep = _assert_matches_brute_force(RowSwap(pg, 5, pg.rows([6])[0]))
+    rep = _assert_matches_brute_force(replaced(pg, {5: pg.rows([6])[0]}))
     assert rep.block_size_ok and not rep.point_degree_ok and not rep.ok and rep.witnesses
     rep = _assert_matches_brute_force(_traded(pg, 0, 1))
     assert rep.block_size_ok and rep.point_degree_ok and not rep.point_pairs_ok
@@ -414,18 +439,18 @@ def test_axioms_make_each_row_once_per_role(plane3):
     in one pass: each row once as itself, which is also the tau image of
     another row of its chunk, and once as the d image of another; then the
     k blocks through each of the three representatives for the cover."""
-    for source in (LineRows, FigRows):
-        class Counted(source):
-            made = 0
+    class Counted(IncidencePlane):
+        made = 0
 
-            def rows(self, L):
-                self.made += len(L)
-                return super().rows(L)
+        def rows(self, L):
+            self.made += len(L)
+            return super().rows(L)
 
-        structure = Counted(plane3)
+    for source in (pg_incidence(plane3), build_fig_plane(plane3)):
+        structure = Counted(plane3, kept=source.kept)
         rep = check_axioms(structure)
         assert rep.ok and rep.representatives == 3
-        assert structure.made == 2 * plane3.size + 3 * 28, source
+        assert structure.made == 2 * plane3.size + 3 * 28, source.kept
 
 
 @pytest.mark.parametrize("q", [3, 4])

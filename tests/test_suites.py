@@ -25,7 +25,7 @@ from figplane.field import build_field_tower
 from figplane.linear_sets import t_plane
 from figplane.maps import VertexCensus
 from figplane.plane import format_line, format_point
-from figplane.suites import (CHECKS, Session, arching, assembly, axioms_mutation,
+from figplane.suites import (CHECKS, Session, arching, assembly, axioms, axioms_mutation,
                              axioms_reference, block_anatomy, block_incidence_twist,
                              block_sizes, categories, characterization, check_groups,
                              club_images, collineation_fixed, collineation_permutes,
@@ -247,17 +247,16 @@ def test_rejects_fixed_objects_names_the_map_that_accepts(ctx3, monkeypatch):
 
 @pytest.mark.parametrize("verdict", ["accepted it", "rejected it with no witness"])
 def test_axioms_mutation_names_the_swapped_line_when_not_caught(ctx3, monkeypatch, verdict):
-    """A checker that reads the unmutated base of the ``RowSwap`` accepts
-    it; one that drops the witnesses rejects it with none.  Either way the
+    """A checker that reads the mutation as if it kept no line accepts it;
+    one that drops the witnesses rejects it with none.  Either way the
     entry fails and names the line whose block was swapped back."""
-    import dataclasses
     import figplane.figueroa as fg
     sess = Session(ctx3)
     assert axioms_mutation(sess).passed
     real = fg.check_axioms
     monkeypatch.setattr(fg, "check_axioms", (
-        (lambda s: real(s.base)) if verdict == "accepted it"
-        else (lambda s: dataclasses.replace(real(s), witnesses=[]))))
+        (lambda s: real(replace(s, kept=()))) if verdict == "accepted it"
+        else (lambda s: replace(real(s), witnesses=[]))))
     e = axioms_mutation(sess)
     i = int(np.argmax(sess.plane.tables.types == TYPE_III))
     assert not e.passed
@@ -661,9 +660,9 @@ def test_build_makes_each_fig_row_once(ctx4):
     phi, so the phi image of each row is a row of its chunk: one session
     running ``fig.block-sizes`` and ``fig.build`` makes n rows, not 2n, nor
     n more for the Type III rows alone."""
-    from figplane.figueroa import FigRows
+    from figplane.figueroa import IncidencePlane
 
-    class Counted(FigRows):
+    class Counted(IncidencePlane):
         made = 0
 
         def rows(self, L):
@@ -671,7 +670,7 @@ def test_build_makes_each_fig_row_once(ctx4):
             return super().rows(L)
 
     sess = Session(ctx4)
-    sess.fig_structure = Counted(sess.plane)
+    sess.fig_structure = Counted(sess.plane, kept=sess.fig_structure.kept)
     assert block_sizes(sess).passed and assembly(sess).passed
     assert sess.fig_structure.made == sess.plane.size == 4161
 
@@ -691,3 +690,38 @@ def test_build_entries_fail_with_their_own_witnesses_from_one_pass(fig3):
     assert not sizes.passed and not build.passed
     assert sizes.witnesses == [format_point(plane.points[plane.tables.mu[i]])]
     assert build.witnesses == ["collineation_invariant"]
+
+
+@pytest.mark.parametrize("fault, column", [
+    ("short", None), ("long", None),
+    (-1, 0), (-1, -1), ("n", 0), ("n", -1), (10 ** 6, 0), (10 ** 6, -1), (-10 ** 6, 0),
+], ids=lambda v: str(v))
+def test_build_entries_fail_on_a_malformed_structure(fig3, fault, column):
+    """Blocks one column short or long, or the first Type III row holding an
+    entry outside [0, n) at its first or last column: neither build entry
+    raises, ``fig.block-sizes`` names the bad row's anchor (every anchor
+    when no row has the width of a block), ``fig.build`` names its failing
+    sub-checks, and ``fig.axioms`` fails too, with a witness."""
+    plane = fig3.plane
+    n, tables = plane.size, plane.tables
+    i = list(tables.types).index(TYPE_III)
+    blocks = held(fig3).blocks.copy()
+    if fault == "short":
+        blocks = blocks[:, :-1]
+    elif fault == "long":
+        blocks = np.pad(blocks, ((0, 0), (0, 1)), mode="edge")
+    else:
+        blocks[i, column] = n if fault == "n" else fault
+    sess = Session(plane.ctx)
+    sess.plane, sess.fig_structure = plane, HeldRows(plane, blocks)
+    sizes, build, axiom_entry = block_sizes(sess), assembly(sess), axioms(sess)
+    anchors = [format_point(plane.point(a)) for a in tables.mu[tables.types == TYPE_III]]
+    assert not sizes.passed and not build.passed
+    if column is None:
+        assert sizes.witnesses == anchors[:5]
+        assert build.witnesses == ["kept_lines_agree", "blocks_differ_from_lines",
+                                   "collineation_invariant"]
+    else:
+        assert sizes.witnesses == anchors[:1]
+        assert build.witnesses == ["collineation_invariant"]
+    assert not axiom_entry.passed and axiom_entry.witnesses
