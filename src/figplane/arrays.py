@@ -4,8 +4,9 @@
 :class:`figplane.field.FieldContext`: every operation takes and returns
 arrays of integer codes (0 is zero, c >= 1 is g**(c-1)) and agrees with
 the scalar method element for element.  Addition and multiplication are
-one gather each from a q^3 x q^3 uint16 table built once per context,
-negation and inversion from a q^3-entry vector.  Triples travel as three
+one gather each from a q^3 x q^3 uint16 table built once per context, in
+blocks of ``CHUNK // q^3`` rows, negation and inversion from a q^3-entry
+vector.  Triples travel as three
 coordinate columns.  Points and lines share the dense index of
 :class:`figplane.plane.ProjectivePlane`, which has a closed form, so no
 tuple or dict is consulted:
@@ -13,13 +14,14 @@ tuple or dict is consulted:
     (1, b, c) -> b q^3 + c        (0, 1, c) -> q^6 + c        (0, 0, 1) -> q^6 + q^3
 
 ``PlaneTables`` holds the one-entry-per-object tables that the bulk scans
-read, each built lazily, on first use.  The first six come from closed
-forms at the point (1, b, c), in one pass over the grid in blocks of
-``CHUNK // q^3`` values of b, each against every c at once.  N and Tr are
-the norm and the trace onto GF(q), and g is the primitive element (code
-2).  The point orbit matrix of (1, b, c) has the rows r0 = (1, b, c),
-r1 = (c^q, 1, b^q) and r2 = (b^q^2, c^q^2, 1), each the collineation
-image of the row before, and
+read, each built lazily, on first use; every build and every scan over
+all n objects holds its results and the temporaries of one chunk
+(``chunks``).  The first five come from closed forms at the point
+(1, b, c), in one pass over the grid in blocks of ``CHUNK // q^3`` values
+of b, each against every c at once.  N and Tr are the norm and the trace
+onto GF(q), and g is the primitive element (code 2).  The point orbit
+matrix of (1, b, c) has the rows r0 = (1, b, c), r1 = (c^q, 1, b^q) and
+r2 = (b^q^2, c^q^2, 1), each the collineation image of the row before, and
 
     det = r0 . (r1 x r2) = 1 + N(b) + N(c) - Tr(b c^q).
 
@@ -34,10 +36,6 @@ image of the row before, and
   sides, (1, 1/b, 1/c), and -1 on them;
 * ``phi``    the index of the collineation image, r1 scaled: (1, c^-q,
   b^q c^-q) for c != 0 and (0, 1, b^q) for c = 0;
-* ``tau``, ``tau_line``  the index of the torus image of every point and
-  of every line, the generator of the stabilizer, which commutes with phi:
-  (g, g^q b, g^q^2 c), that is (1, g^(q-1) b, g^(q^2-1) c); ``tau_line``
-  is the inverse permutation of ``tau``, one scatter;
 * ``orbit``  the least index in the stabilizer orbit of every point, which
   ``figplane.collineation.partition_orbits`` reads.  The stabilizer maps
   (1, b, c) to (1, w b, w^(q+1) c) for the q^2 + q + 1 elements w of norm
@@ -45,16 +43,21 @@ image of the row before, and
   image has the least code whose log is that of b mod q - 1, which
   picks one w; (1, 0, c) and (0, 1, c) take c to the least code of its
   class the same way;
+* ``tau``, ``tau_line``  the index of the torus image of every point and
+  of every line, the generator of the stabilizer, which commutes with phi:
+  (g x, g^q y, g^q^2 z); ``tau_line`` is the inverse permutation of
+  ``tau``, one scatter;
 * ``dickson``, ``dickson_line``  the index of the image of every point and
   of every line under one Dickson matrix d, which commutes with phi but not
-  with tau; ``figueroa.check_axioms`` reads them, and no other check does.
-  They are built in chunks of ``CHUNK`` objects whose coordinates are
-  derived from the index.
+  with tau.  ``figueroa.check_axioms`` reads these four, and no other
+  check reads them whole.  All but ``tau_line`` are built in chunks of
+  ``CHUNK`` objects from closed forms at coordinates derived from the
+  index.
 
 The q^3 + 1 points with x = 0 take the same forms specialised: (0, 1, c)
-has det = 1 + N(c), is never Type I, and has phi = (1, 0, c^-q), conjugate
-join (-c^q^2, 1, c^(q+q^2)) and torus image (0, 1, g^(q^2-q) c); every
-map fixes (0, 0, 1) but phi, which takes it to (1, 0, 0).
+has det = 1 + N(c), is never Type I, and has phi = (1, 0, c^-q) and
+conjugate join (-c^q^2, 1, c^(q+q^2)); every map fixes (0, 0, 1) but phi,
+which takes it to (1, 0, 0).
 
 No table has a row per object.  ``PlaneTables.incidence_rows`` makes the
 rows of q^3 + 1 sorted point indices of any lines from their closed form
@@ -106,10 +109,21 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def chunks(rows: np.ndarray, width: int = 1):
-    """Consecutive slices of the index array ``rows``, ``CHUNK // width`` long."""
+def chunks(stop: int, width: int = 1, start: int = 0):
+    """Consecutive slices of [start, stop), ``CHUNK // width`` long."""
     step = max(1, CHUNK // width)
-    return (rows[lo:lo + step] for lo in range(0, len(rows), step))
+    return (slice(lo, min(lo + step, stop)) for lo in range(start, stop, step))
+
+
+def span(s: slice) -> np.ndarray:
+    """The int32 indices of the chunk s, which reads a table as a view."""
+    return np.arange(s.start, s.stop, dtype=np.int32)
+
+
+def fixed_points(table: np.ndarray) -> np.ndarray:
+    """The indices i with table[i] == i, in increasing order."""
+    return np.concatenate([np.flatnonzero(table[s] == span(s)) + s.start
+                           for s in chunks(len(table))])
 
 
 class KernelError(RuntimeError):
@@ -140,14 +154,17 @@ class FieldArrays:
         self._frob = (None, np.asarray(ctx._frob1, dtype=np.int32),
                       np.asarray(ctx._frob2, dtype=np.int32))
         # 0 is zero and c >= 1 is g**(c-1): logs add, and x + y is
-        # x (1 + y/x), where successor[c] is the code of g**(c-1) + 1
-        a = np.arange(q3, dtype=np.int32)[:, None]
-        b = np.arange(q3, dtype=np.int32)[None, :]
-        s = np.asarray(ctx.successor, dtype=np.int32)[(b - a) % n + 1]
-        add = np.where(a == 0, b, np.where(b == 0, a, np.where(s == 0, 0, (a + s - 2) % n + 1)))
-        mul = np.where((a == 0) | (b == 0), 0, (a + b - 2) % n + 1)
-        self._add, self._mul = (_frozen(t.astype(np.uint16).ravel()) for t in (add, mul))
-        c = np.arange(q3, dtype=np.int32)
+        # x (1 + y/x), where successor[c] is the code of g**(c-1) + 1;
+        # rows a in blocks of CHUNK entries, written straight into the tables
+        successor = np.asarray(ctx.successor, dtype=np.int32)
+        add, mul = (np.empty((q3, q3), dtype=np.uint16) for _ in range(2))
+        c = b = np.arange(q3, dtype=np.int32)
+        for rows in chunks(q3, q3):
+            a = c[rows, None]
+            s = successor[(b - a) % n + 1]
+            add[rows] = np.where(a == 0, b, np.where(b == 0, a, np.where(s == 0, 0, (a + s - 2) % n + 1)))
+            mul[rows] = np.where((a == 0) | (b == 0), 0, (a + b - 2) % n + 1)
+        self._add, self._mul = _frozen(add.ravel()), _frozen(mul.ravel())
         neg = c if self.p == 2 else np.where(c == 0, 0, (c - 1 + n // 2) % n + 1)
         self._neg = _frozen(neg.astype(np.int32))
         self._inv = _frozen(np.where(c == 0, 0, (n - (c - 1)) % n + 1).astype(np.int32))
@@ -237,9 +254,9 @@ class PlaneTables:
         the coordinates of a chunk of ``CHUNK`` objects to one column per
         table."""
         out = tuple(np.empty(self.size, dtype=d) for d in dtypes)
-        for i in chunks(np.arange(self.size)):
-            for table, column in zip(out, fn(*self.field.coords(i))):
-                table[i] = column
+        for s in chunks(self.size):
+            for table, column in zip(out, fn(*self.field.coords(span(s)))):
+                table[s] = column
         return tuple(_frozen(t) for t in out)
 
     def _orbit_det(self, x, y, z):
@@ -262,7 +279,8 @@ class PlaneTables:
         """
         F, q3 = self.field, self.ctx.q3
         bad = []
-        for i in chunks(np.arange(q3, q3 * q3)):    # y != 0: index y q^3 + z
+        for s in chunks(q3 * q3, start=q3):     # y != 0: index y q^3 + z
+            i = span(s)
             x, y, z = F.coords(i)
             keep = np.flatnonzero(z != 0)
             x, y, z = x[keep], y[keep], z[keep]
@@ -277,27 +295,24 @@ class PlaneTables:
 
     @cached_property
     def _point_tables(self) -> dict[str, np.ndarray]:
-        """types, mu, sec, phi, tau and orbit by the closed forms of the
-        module docstring: the points (1, b, c) in blocks of ``CHUNK // q^3``
+        """types, mu, sec, phi and orbit by the closed forms of the module
+        docstring: the points (1, b, c) in blocks of ``CHUNK // q^3``
         values of b, each against every c at once, then the q^3 + 1 points
         with x = 0."""
         F, ctx = self.field, self.ctx
         q, q3, n = ctx.q, ctx.q3, ctx.n
         q6 = q3 * q3
         out = {name: np.empty(self.size, dtype=np.int8 if name == "types" else np.int32)
-               for name in ("types", "mu", "sec", "phi", "tau", "orbit")}
+               for name in ("types", "mu", "sec", "phi", "orbit")}
         one = np.int32(1)
         c = np.arange(q3, dtype=np.int32)       # every code, c and u alike
         cq, cq2, norm_c = F.frob(c, 1), F.frob(c, 2), F.norm(c)
         inv_cq, neg_cq, cqq2 = F.inv(cq), F.neg(cq), F.mul(cq, cq2)
         trace = F.add(F.add(c, cq), cq2)        # Tr(u)
         one_minus_uq = F.sub(one, cq)           # 1 - u^q
-        g_b, g_c, g_tail = (np.int32(ctx.power(2, e)) for e in (q - 1, q * q - 1, q * q - q))
-        tau_c = F.mul(g_c, c)
         least_c = np.where(c == 0, 0, (c - 1) % (q - 1) + 1)   # least code, log c mod q - 1
-        step = max(1, CHUNK // q3)
-        for lo in range(0, q3, step):
-            b = c[lo:lo + step, None]
+        for block in chunks(q3, q3):
+            b = c[block, None]
             bq, bq2 = F.frob(b, 1), F.frob(b, 2)
             u = F.mul(b, cq)
             singular = trace[u] == F.add(F.add(one, F.norm(b)), norm_c)     # det = 0
@@ -306,12 +321,11 @@ class PlaneTables:
             # triple has a canonical form
             x = np.where(singular, one, one_minus_uq[u])
             y, z = F.add(F.mul(bq, bq2), neg_cq), F.sub(cqq2, bq2)
-            rows = slice(lo * q3, (lo + len(b)) * q3)
+            rows = slice(block.start * q3, block.stop * q3)
             out["types"][rows] = np.where(singular, np.where(phi == b * q3 + c, 1, 2), 3).ravel()
             out["mu"][rows] = np.where(singular, -1, F.index(*F.canonical(x, y, z))).ravel()
             out["sec"][rows] = np.where((b != 0) & (c != 0), F.inv(b) * q3 + F.inv(c), -1).ravel()
             out["phi"][rows] = phi.ravel()
-            out["tau"][rows] = (F.mul(g_b, b) * q3 + tau_c).ravel()
             r = (b - 1) % (q - 1)                   # log b mod q - 1
             out["orbit"][rows] = np.where(b == 0, least_c, (r + 1) * q3 + np.where(
                 c == 0, 0, (c - 1 + (q + 1) * (r - b + 1)) % n + 1)).ravel()
@@ -323,10 +337,8 @@ class PlaneTables:
                                    np.where(c != 0, F.neg(F.inv(cq2)) * q3 + neg_cq, q6))
         out["sec"][q6:] = -1
         out["phi"][tail] = np.where(c != 0, inv_cq, q6 + q3)
-        out["tau"][tail] = q6 + F.mul(g_tail, c)
         out["orbit"][tail] = q6 + least_c
-        for name, value in (("types", 3), ("mu", q6 + q3), ("phi", 0), ("tau", q6 + q3),
-                            ("orbit", q6 + q3)):
+        for name, value in (("types", 3), ("mu", q6 + q3), ("phi", 0), ("orbit", q6 + q3)):
             out[name][-1] = value
         return {name: _frozen(t) for name, t in out.items()}
 
@@ -350,11 +362,18 @@ class PlaneTables:
         """Index of the collineation image of every point (and line)."""
         return self._point_tables["phi"]
 
+    def _torus(self, x, y, z) -> np.ndarray:
+        """Index of the torus image (g x, g^q y, g^q^2 z) of each triple, g
+        primitive (code 2)."""
+        F, ctx = self.field, self.ctx
+        g = (np.int32(ctx.power(2, ctx.q ** i)) for i in range(3))
+        return F.index(*F.canonical(*map(F.mul, g, (x, y, z))))
+
     @cached_property
     def tau(self) -> np.ndarray:
-        """Index of the torus image (g x, g^q y, g^q^2 z) of every point, g
-        primitive (code 2); tau generates the stabilizer and commutes with phi."""
-        return self._point_tables["tau"]
+        """Index of the torus image of every point, from ``_torus``; tau
+        generates the stabilizer and commutes with phi."""
+        return self._build(lambda *v: (self._torus(*v),), np.int32)[0]
 
     @cached_property
     def tau_line(self) -> np.ndarray:
@@ -515,8 +534,8 @@ class PlaneTables:
 
     def _project(self, x, y, z, pts) -> np.ndarray:
         out = np.empty(len(x), dtype=np.int32)
-        for i in chunks(np.arange(len(x)), len(pts)):
-            out[i] = self._project_chunk(x[i], y[i], z[i], pts)
+        for s in chunks(len(x), len(pts)):
+            out[s] = self._project_chunk(x[s], y[s], z[s], pts)
         return out
 
     def project(self, vertices, B) -> np.ndarray:
@@ -545,15 +564,16 @@ class PlaneTables:
         reads the kind of its orbit's least member.
         """
         pts = self._subplane(B)
-        idx = self.field.index(*pts.T)
         inside = np.zeros(self.size, dtype=bool)
-        inside[idx] = True
-        if not inside[self.tau[idx]].all():
+        inside[self.field.index(*pts.T)] = True
+        if not inside[self._torus(*pts.T)].all():
             raise KernelError("vertex kinds of a point set that the torus shift tau moves")
         orbit = self.orbit
-        reps = np.flatnonzero(orbit == np.arange(self.size))
+        reps = fixed_points(orbit)
         x, y, z = self.field.coords(reps)
         keep = (z != 0) & ~inside[reps]
         at = np.full(self.size, SKIPPED, dtype=np.int32)
         at[reps[keep]] = self._project(x[keep], y[keep], z[keep], pts)
-        return at[orbit]
+        for s in chunks(self.size):     # in place: a representative's entry keeps its value
+            at[s] = at[orbit[s]]
+        return at

@@ -15,11 +15,13 @@ The triangle stabilizer is the group of q^2+q+1 projectivities
 its point orbits partition PG(2,q^3) into seven kinds of classes: the
 three vertices, the scattered linear sets on the triangle sides
 (``sls_II``, ``sls_III``) and four kinds of subplanes of order q.
-``partition_orbits`` reads them from ``PlaneTables.orbit`` into three
-arrays, the representatives, their categories and the member matrix,
-and ``census_of`` counts them with one bincount.  ``stabilizer_orbit``
-and ``apply_stabilizer`` are the scalar reference for the orbit table,
-and ``sls_id_of_point`` names the side and norm class of a linear set.
+``partition_orbits`` reads the representatives from ``PlaneTables.orbit``
+and makes three arrays, the representatives, their categories and the
+member matrix, whose rows come from the stabilizer's closed form and are
+checked against the table; ``census_of`` counts them with one bincount.
+``stabilizer_orbit`` and ``apply_stabilizer`` are the scalar reference
+for the orbit table, and ``sls_id_of_point`` names the side and norm
+class of a linear set.
 """
 
 from __future__ import annotations
@@ -271,25 +273,45 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
     A class is the set of points sharing one entry of the orbit table, their
     least index, whose point is the representative; classes come in
     representative order, so output is deterministic.  The classes are
-    sized, checked and categorized in array passes over the
-    representatives: ``sec`` is -1 exactly on the triangle sides, and off
-    them it gives the secant line, whose type completes a plane category.
-    One stable sort of the orbit table, with the singleton classes pushed
-    last, lays the other classes' members out as the member matrix.
+    categorized in array passes over the representatives: ``sec`` is -1
+    exactly on the triangle sides, and off them it gives the secant line,
+    whose type completes a plane category.  The vertices are the singleton
+    classes, so the sizes are right exactly when the other classes, of
+    q^2+q+1 points, cover the rest; sizes are counted only to name a class
+    that breaks this.  The stabilizer takes (1, y, z) to (1, w y, w^(q+1) z)
+    and (0, 1, z) to (0, 1, w^q z) for the w of norm one, whose logs are
+    k(q - 1), k < q^2+q+1; so a class whose least member leads with the
+    code u <= q - 1 (y, or z where y = 0; q and q + 1 are prime to
+    q^2+q+1) leads with u + k(q - 1), and its row is made sorted.  A representative
+    leading with a larger code, or a row entry labelled otherwise, raises
+    ``OrbitInconsistency``.
     """
     import numpy as np
+    from .arrays import chunks, fixed_points
     ctx, tables = plane.ctx, plane.tables
     types, orbit = tables.types, tables.orbit
-    mixed = np.flatnonzero(types[orbit] != types)
-    if mixed.size:
-        i = mixed[0]
-        raise OrbitInconsistency(
-            f"orbit of {plane.point(orbit[i])} mixes point types "
-            f"{sorted({int(types[orbit[i]]), int(types[i])})}")
-    reps = np.flatnonzero(orbit == np.arange(plane.size))
-    sizes = np.bincount(orbit)[reps]
-    at_vertex = np.zeros(plane.size, dtype=bool)
-    at_vertex[[plane.index(V) for V in (ANCHOR, ANCHOR_1, ANCHOR_2)]] = True
+    q, q3, n, s = ctx.q, ctx.q3, ctx.n, ctx.sub_order
+    for c in chunks(plane.size):
+        mixed = np.flatnonzero(types[orbit[c]] != types[c])
+        if mixed.size:
+            i = c.start + mixed[0]
+            raise OrbitInconsistency(
+                f"orbit of {plane.point(orbit[i])} mixes point types "
+                f"{sorted({int(types[orbit[i]]), int(types[i])})}")
+    reps = fixed_points(orbit)
+    vertices = np.array([plane.index(V) for V in (ANCHOR, ANCHOR_1, ANCHOR_2)])
+    at_vertex = (reps[:, None] == vertices).any(axis=1)
+    full = reps[~at_vertex]
+    if len(reps) + (s - 1) * len(full) != plane.size:
+        sizes, want = np.bincount(orbit)[reps], np.where(at_vertex, 1, s)
+        j = int(np.argmax(sizes != want))
+        P = plane.point(reps[j])
+        if sizes[j] == want[j]:     # every class has its size: some label is no representative
+            raise OrbitInconsistency(f"the orbit classes hold {int(sizes.sum())} "
+                                     f"of the {plane.size} points")
+        if sizes[j] == 1:
+            raise OrbitInconsistency(f"unexpected singleton orbit at {P}")
+        raise OrbitInconsistency(f"orbit of {P} has size {int(sizes[j])}, not {int(want[j])}")
     lines = tables.sec[reps]
     on_side = lines < 0
     ptypes = types[reps]
@@ -297,27 +319,28 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
     plane_code = np.full(16, -1, dtype=np.int8)           # 4 ptype + ltype -> category
     for (ptype, ltype), cat in PLANE_CATEGORY.items():
         plane_code[4 * ptype + ltype] = CATEGORIES.index(cat)
-    categories = np.where(sizes == 1, VERTEX,
+    categories = np.where(at_vertex, VERTEX,
                           np.where(on_side, np.where(ptypes == TYPE_II, SLS_II, SLS_III),
                                    plane_code[4 * ptypes + ltypes])).astype(np.int8)
-    bad = (((sizes == 1) & ~at_vertex[reps]) | ((sizes != 1) & (sizes != ctx.sub_order))
-           | (categories < 0))
-    if bad.any():
-        j = int(np.argmax(bad))
-        P = plane.point(reps[j])
-        if sizes[j] == 1:
-            raise OrbitInconsistency(f"unexpected singleton orbit at {P}")
-        if sizes[j] != ctx.sub_order:
-            raise OrbitInconsistency(
-                f"orbit of {P} has size {int(sizes[j])}, not {ctx.sub_order}")
-        raise OrbitInconsistency(f"plane orbit of {P} has point type {int(ptypes[j])}, "
-                                 f"line type {int(ltypes[j])}")
-    key = orbit.copy()                                    # singleton classes last
-    key[reps[sizes == 1]] += plane.size
-    order = np.argsort(key, kind="stable").astype(np.int32)
-    del key                                               # it would raise peak RSS
-    full = int(np.count_nonzero(sizes > 1))
-    members = order[:full * ctx.sub_order].reshape(full, ctx.sub_order)
+    if (categories < 0).any():
+        j = int(np.argmax(categories < 0))
+        raise OrbitInconsistency(f"plane orbit of {plane.point(reps[j])} has point type "
+                                 f"{int(ptypes[j])}, line type {int(ltypes[j])}")
+    y, z = full // q3, full % q3
+    head = (full < q3 * q3) & (y != 0)                    # (1, y, z) with y != 0
+    lead = np.where(head, y, z)
+    logs = np.arange(s, dtype=np.int32) * (q - 1)         # log w, in increasing order
+    u = np.arange(q3, dtype=np.int32)[:, None]
+    times = np.where(u == 0, 0, (u - 1 + (q + 1) * logs) % n + 1)     # w^(q+1) u, row u
+    members = np.empty((len(full), s), dtype=np.int32)
+    for j in chunks(len(full), s):
+        R = full[j, None]
+        rows = np.where(head[j, None], (y[j, None] + logs) * q3 + times[z[j]], R + logs)
+        bad = (lead[j] >= q) | (np.take(orbit, rows, mode="clip") != R).any(axis=1)
+        if bad.any():
+            raise OrbitInconsistency("the orbit table disagrees with the stabilizer orbit "
+                                     f"of {plane.point(R[np.argmax(bad), 0])}")
+        members[j] = rows
     members.setflags(write=False)
     return OrbitClasses(reps, categories, members)
 
@@ -336,8 +359,8 @@ def census_of(plane: ProjectivePlane, classes: OrbitClasses | None = None) -> Ce
 def tally_types(types) -> dict[int, int]:
     """Number of objects of each type in a type table."""
     import numpy as np
-    counts = np.bincount(np.asarray(types), minlength=TYPE_III + 1)
-    return {t: int(counts[t]) for t in (TYPE_I, TYPE_II, TYPE_III)}
+    types = np.asarray(types)
+    return {t: int(np.count_nonzero(types == t)) for t in (TYPE_I, TYPE_II, TYPE_III)}
 
 
 def expected_type_counts(q: int) -> dict[int, int]:

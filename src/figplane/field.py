@@ -343,14 +343,17 @@ def _validate_params(p: int, k: int) -> None:
 
 
 def table_bytes(q: int, fig: bool = False) -> int:
-    """Estimated bytes of the bulk tables of one run at order q, from q
+    """Estimated bytes of the bulk tables one run at order q holds, from q
     alone: the two q^3 x q^3 uint16 lookup tables of ``FieldArrays``,
     4 q^6 bytes, and 33 bytes for each of the n = q^6 + q^3 + 1 points of
     the ``PlaneTables`` entries, one int8 type and eight int32 tables
     (mu, sec, phi, tau, tau_line, orbit, dickson, dickson_line).  With
     ``fig``, for a run that streams the rows of the Figueroa plane, add
     the two int32 lookup tables its rows are gathered from, 8 bytes a
-    point; no run holds the rows themselves."""
+    point; no run holds the rows themselves.  The estimate counts held
+    tables only: every table build and n-entry scan keeps its temporaries
+    to one chunk (``arrays.CHUNK``), and a census or maps run builds no
+    torus or Dickson table."""
     q3 = q ** 3
     n = q3 * q3 + q3 + 1
     return 4 * q3 * q3 + (41 if fig else 33) * n

@@ -37,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .arrays import chunks
+from .arrays import chunks, fixed_points, span
 from .field import FieldContext, Gate
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                     ProjectivePlane, Triple, format_line, format_point,
@@ -154,8 +154,7 @@ def orbit_labels(generators) -> np.ndarray:
 
 
 def orbit_minima(generators) -> np.ndarray:
-    label = orbit_labels(generators)
-    return np.flatnonzero(label == np.arange(len(label)))
+    return fixed_points(orbit_labels(generators))
 
 
 def chunk_rows(n: int, k: int) -> int:
@@ -383,5 +382,5 @@ def emit_plane(structure: IncidencePlane, path: str) -> None:
     q3 = structure.plane.ctx.q ** 3
     with open(path, "w") as fh:
         fh.write(f"FIG {q3} {structure.size}\n")
-        for L in chunks(np.arange(structure.shape[0]), q3 + 1):
-            fh.writelines(" ".join(map(str, b)) + "\n" for b in structure.rows(L).tolist())
+        for L in chunks(structure.shape[0], q3 + 1):
+            fh.writelines(" ".join(map(str, b)) + "\n" for b in structure.rows(span(L)).tolist())

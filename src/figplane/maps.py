@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import CLUB, OTHER
+from .arrays import CLUB, OTHER, chunks
 from .field import FieldContext
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane, Triple,
                     GeometryError, canonical, join, meet)
@@ -178,9 +178,11 @@ def phi_fixed_planes(plane: ProjectivePlane, classes: OrbitClasses) -> np.ndarra
     """Rows of the member matrix whose orbit subplanes the collineation
     fixes setwise, by exhaustive scan: a class is fixed when no member i
     has its image in another class."""
-    orbit = plane.tables.orbit
+    orbit, phi = plane.tables.orbit, plane.tables.phi
     moved = np.zeros(plane.size, dtype=bool)        # by class representative
-    moved[orbit[orbit[plane.tables.phi] != orbit]] = True
+    for s in chunks(plane.size):
+        rep = orbit[s]
+        moved[rep[orbit[phi[s]] != rep]] = True
     row_categories = classes.categories[classes.categories != VERTEX]
     planes = row_categories >= CATEGORIES.index("plane_I_I")    # the last four
     return np.flatnonzero(planes & ~moved[classes.members[:, 0]])
@@ -189,24 +191,27 @@ def phi_fixed_planes(plane: ProjectivePlane, classes: OrbitClasses) -> np.ndarra
 def mu_fixed_planes(plane: ProjectivePlane, classes: OrbitClasses) -> np.ndarray:
     """Rows of the member matrix whose orbit subplanes map their point set
     onto their own line set under the involution, by exhaustive scan over
-    the all-Type-III classes, as one pass over their rows.
+    the all-Type-III classes, as one pass over their rows in chunks.
 
     The stabilizer commutes with the collineation, so the line set of an
     orbit subplane is the set of secant lines of its points.
     """
     tables = plane.tables
     rows = classes.rows_of("plane_III_III")
-    members = classes.members[rows]                 # each row sorted
-    lines, images = tables.sec[members], tables.mu[members]
-    lines.sort(axis=1)
-    images.sort(axis=1)
-    fixed = (images == lines).all(axis=1)
-    rows, members, lines = rows[fixed], members[fixed], lines[fixed]
-    back = (np.sort(tables.mu[lines], axis=1) == members).all(axis=1)
-    if not back.all():
-        rep = plane.point(members[np.argmin(back), 0])
-        raise OrbitInconsistency(f"involution fixes lines but not points at {rep}")
-    return rows
+    found = [rows[:0]]
+    for j in chunks(len(rows), classes.members.shape[1]):
+        members = classes.members[rows[j]]          # each row sorted
+        lines, images = tables.sec[members], tables.mu[members]
+        lines.sort(axis=1)
+        images.sort(axis=1)
+        fixed = (images == lines).all(axis=1)
+        members, lines = members[fixed], lines[fixed]
+        back = (np.sort(tables.mu[lines], axis=1) == members).all(axis=1)
+        if not back.all():
+            rep = plane.point(members[np.argmin(back), 0])
+            raise OrbitInconsistency(f"involution fixes lines but not points at {rep}")
+        found.append(rows[j][fixed])
+    return np.concatenate(found)
 
 
 def expected_phi_fixed_reps(ctx: FieldContext) -> list[Triple]:

@@ -22,6 +22,7 @@ import numpy as np
 from . import figueroa as fg
 from . import linear_sets as ls
 from . import maps as gm
+from .arrays import chunks, span
 from .collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES, VERTEX,
                            OrbitClasses, census_of, line_types_table,
                            partition_orbits, point_type, point_types_table,
@@ -220,12 +221,19 @@ def categories(sess: Session) -> CheckEntry:
 
 @check("census")
 def orbit_sizes(sess: Session) -> CheckEntry:
-    # the member rows and the three vertex classes cover every point once
+    # the member rows and the three vertex classes cover every point once:
+    # they hold n entries and reach every point; else count the points' classes
     classes, n = sess.classes, sess.plane.size
     vertex_reps = classes.reps[classes.categories == VERTEX]
-    cover = np.bincount(np.concatenate((classes.members.ravel(), vertex_reps)), minlength=n)
-    bad = [f"{format_point(sess.plane.point(i))} lies in {int(cover[i])} classes"
-           for i in np.flatnonzero(cover != 1)[:5]]
+    seen = np.zeros(n, dtype=bool)
+    seen[vertex_reps] = True
+    for j in chunks(len(classes.members), classes.members.shape[1]):
+        seen[classes.members[j]] = True
+    bad = []
+    if classes.members.size + len(vertex_reps) != n or not seen.all():
+        cover = np.bincount(np.concatenate((classes.members.ravel(), vertex_reps)), minlength=n)
+        bad = [f"{format_point(sess.plane.point(i))} lies in {int(cover[i])} classes"
+               for i in np.flatnonzero(cover != 1)[:5]]
     if len(vertex_reps) != 3 or classes.members.shape[1] != sess.ctx.sub_order:
         bad.insert(0, f"{len(vertex_reps)} vertex classes, and classes of "
                       f"{classes.members.shape[1]} points")
@@ -257,11 +265,12 @@ def collineation_permutes(sess: Session) -> CheckEntry:
     orbit, phi = sess.plane.tables.orbit, sess.plane.tables.phi
     category = np.full(sess.plane.size, -1, dtype=np.int8)    # rep -> category
     category[sess.classes.reps] = sess.classes.categories
-    image = orbit[phi]
-    moved = (image != image[orbit]) | (category[image] != category[orbit])
     # the least five moved class reps; a mask, since np.unique imports numpy.ma
     rep_moved = np.zeros(sess.plane.size, dtype=bool)
-    rep_moved[orbit[moved]] = True
+    for s in chunks(sess.plane.size):
+        rep, image = orbit[s], orbit[phi[s]]
+        moved = (image != orbit[phi[rep]]) | (category[image] != category[rep])
+        rep_moved[rep[moved]] = True
     bad = [format_point(sess.plane.point(r)) for r in np.flatnonzero(rep_moved)[:5]]
     return entry("census.collineation-permutes",
                  "the collineation permutes the orbit classes within their categories",
@@ -317,14 +326,15 @@ def involution(sess: Session) -> CheckEntry:
     # one table serves points and lines: the same coordinates give the
     # same index, and mu is both the conjugate join and the conjugate meet
     types, mu = sess.plane.tables.types, sess.plane.tables.mu
-    type3 = types == TYPE_III
-    image = np.where(type3, mu, 0)
-    bad = type3 & ((mu < 0) | (types[image] != TYPE_III)
-                   | (mu[image] != np.arange(len(mu), dtype=np.int32)))
-    bad_idx = np.flatnonzero(bad)[:5].tolist()
+    bad, count = [], 0
+    for s in chunks(len(mu)):
+        i, m, type3 = span(s), mu[s], types[s] == TYPE_III
+        image = np.where(type3, m, 0)
+        bad.append(i[type3 & ((m < 0) | (types[image] != TYPE_III) | (mu[image] != i))])
+        count += int(np.count_nonzero(type3))
+    bad_idx = np.concatenate(bad)[:5].tolist()
     witnesses = ([format_point(sess.plane.point(i)) for i in bad_idx]
                  + [format_line(sess.plane.point(i)) for i in bad_idx])
-    count = int(np.count_nonzero(type3))
     return entry("mu.involution",
                  "the conjugate join/meet maps are mutually inverse on Type III objects",
                  not witnesses,
@@ -397,15 +407,14 @@ def generic_plane(sess: Session) -> CheckEntry:
     The line set of an orbit subplane is the set of its points' secants,
     and ``sec`` is a bijection off the triangle sides, so the involution
     images of the subplane of class C are mu[sec[C]] (points) and mu[C]
-    (lines).  Classes have one or q^2+q+1 members, so q^2+q+1 distinct
+    (lines).  It is its own inverse there, (1, b, c) <-> [1 : 1/b : 1/c],
+    so line l is a secant of the class of sec[l], and of none when sec[l]
+    is -1.  Classes have one or q^2+q+1 members, so q^2+q+1 distinct
     images with one owner are exactly one class, or one class's line set.
     """
     tables = sess.plane.tables
     mu, sec, phi = tables.mu, tables.sec, tables.phi
     owner = tables.orbit                                    # point -> class rep
-    line_owner = np.full(sess.plane.size, -1, dtype=np.int32)   # line -> class rep
-    off = sec >= 0                                          # the plane classes
-    line_owner[sec[off]] = owner[off]
     # the classes of the side subplanes and their two conjugates, by rep
     pts = np.concatenate([_indices(sess, ls.t_plane(sess.ctx, th).points)
                           for th in sess.norm_reps()])
@@ -413,16 +422,17 @@ def generic_plane(sess: Session) -> CheckEntry:
     side[owner[np.concatenate((pts, phi[pts], phi[phi[pts]]))]] = True
     pick = sess.classes.rows_of("plane_III_III")
     pick = pick[~side[sess.classes.members[pick, 0]]]        # column 0 holds the rep
-    members = sess.classes.members[pick]
-    point_ok = _one_class(mu[sec[members]], owner)
-    line_ok = _one_class(mu[members], line_owner)
     bad = []
-    for i in np.flatnonzero(~(point_ok & line_ok)):
-        rep = format_point(sess.plane.point(members[i, 0]))
-        if not point_ok[i]:
-            bad.append(f"line image of {rep} is no orbit class")
-        if not line_ok[i]:
-            bad.append(f"point image of {rep} is no orbit line set")
+    for j in chunks(len(pick), sess.ctx.sub_order):
+        members = sess.classes.members[pick[j]]
+        point_ok = _one_class(mu[sec[members]], owner)
+        line_ok = _one_class(sec[mu[members]], owner)
+        for i in np.flatnonzero(~(point_ok & line_ok)):
+            rep = format_point(sess.plane.point(members[i, 0]))
+            if not point_ok[i]:
+                bad.append(f"line image of {rep} is no orbit class")
+            if not line_ok[i]:
+                bad.append(f"point image of {rep} is no orbit line set")
     return entry("mu.generic-plane",
                  "involution images of generic all-Type-III subplanes are again orbit elements",
                  not bad, {"tested": len(pick), "mode": "exhaustive"}, bad[:5])

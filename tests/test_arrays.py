@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from figplane.arrays import (CLUB, OTHER, SKIPPED, FieldArrays, KernelError,
+from figplane.arrays import (CHUNK, CLUB, OTHER, SKIPPED, FieldArrays, KernelError,
                              PlaneTables)
 from figplane.collineation import (CATEGORIES, TYPE_III, collineate_line, collineate_point,
                                    det3, line_orbit_matrix, line_type,
@@ -129,6 +129,28 @@ def test_field_arrays_match_scalar_ops(small_plane):
     assert F.inv(units).tolist() == [ctx.inv(x) for x in units.tolist()]
     for i in (0, 1, 2):
         assert F.frob(units, i).tolist() == [ctx.frob(x, i) for x in units.tolist()]
+
+
+def test_field_tables_peak_near_their_size():
+    """At q = 7 each table has q^6 = 117,649 > ``CHUNK`` entries, and the
+    build writes it in blocks of rows: its traced peak stays within twice
+    the bytes it keeps, and rows on both sides of a block boundary match
+    the scalar arithmetic."""
+    import tracemalloc
+    ctx = context_for_q(7)
+    assert ctx.q3 ** 2 > CHUNK
+    tracemalloc.start()
+    try:
+        F = FieldArrays(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * (F._add.nbytes + F._mul.nbytes)
+    step, b = CHUNK // ctx.q3, np.arange(ctx.q3)
+    for x in (0, 1, step - 1, step, ctx.q3 - 1):
+        a = np.full(ctx.q3, x)
+        assert F.add(a, b).tolist() == [ctx.add(x, y) for y in b.tolist()]
+        assert F.mul(a, b).tolist() == [ctx.mul(x, y) for y in b.tolist()]
 
 
 def test_field_arrays_triples_and_index(small_plane):

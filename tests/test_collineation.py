@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -191,6 +192,19 @@ def test_partition_rejects_a_merged_orbit(ctx3, classes3):
     orbit[orbit == b] = a
     plane.tables.orbit = orbit
     with pytest.raises(OrbitInconsistency, match="has size 26, not 13"):
+        partition_orbits(plane)
+
+
+def test_partition_rejects_swapped_orbit_labels(ctx3, classes3):
+    """Two points of different plane_III_III classes trade orbit labels:
+    sizes, types and categories stay as they were, and the closed-form
+    member row of the first class shows the point it no longer owns."""
+    plane = ProjectivePlane(ctx3)
+    (a, i), (b, j) = classes3.members[classes3.rows_of("plane_III_III")[:2], :2]
+    orbit = plane.tables.orbit.copy()
+    orbit[i], orbit[j] = b, a
+    plane.tables.orbit = orbit
+    with pytest.raises(OrbitInconsistency, match=re.escape(str(plane.point(a)))):
         partition_orbits(plane)
 
 

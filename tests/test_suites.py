@@ -579,8 +579,8 @@ def test_figueroa_run_holds_no_block_array(monkeypatch, capsys):
 
 
 def test_census_and_maps_build_no_dickson_table(monkeypatch, capsys):
-    """Only the axiom checker reads the Dickson tables: a census and maps
-    run leaves them unbuilt."""
+    """Only the axiom checker reads the Dickson and torus tables: a census
+    and maps run leaves them unbuilt."""
     import figplane.cli as cli
     sessions = []
 
@@ -595,8 +595,7 @@ def test_census_and_maps_build_no_dickson_table(monkeypatch, capsys):
     capsys.readouterr()
     for sess in sessions:
         tables = vars(sess.plane.tables)
-        assert "tau" in tables["_point_tables"]        # built with the type table
-        assert not {"dickson", "dickson_line", "_dickson_rows"} & set(tables)
+        assert not {"tau", "tau_line", "dickson", "dickson_line", "_dickson_rows"} & set(tables)
 
 
 def _corrupt_a_pg_row(sess, monkeypatch):
