@@ -389,16 +389,17 @@ class PlaneTables:
     def _dickson_rows(self):
         """Rows (1, a, b), (b^q, 1, a^q), (a^q^2, b^q^2, 1) of the Dickson
         matrix d = D(1, a, b), the map x -> x + a x^q + b x^q^2 on the fixed
-        subplane, for the least (b, a) with a >= 2 that makes d nonsingular:
-        D(1, w, 0) with 1 + N(w) != 0 at q >= 3 (w = 3 at q = 3, else 2),
-        and D(1, a, 1) at q = 2, where N(w) = 1 for every w != 0."""
-        F, q3 = self.field, self.ctx.q3
-        rows = lambda a, b, one: ((one, a, b), (F.frob(b, 1), one, F.frob(a, 1)),
-                                  (F.frob(a, 2), F.frob(b, 2), one))
-        b, a = np.divmod(np.arange(q3 * q3, dtype=np.int32), q3)
-        r0, r1, r2 = rows(a, b, np.ones_like(a))
-        i = np.argmax((F.dot(r0, F.cross(r1, r2)) != 0) & (a >= 2))
-        return rows(a[i], b[i], np.int32(1))
+        subplane, for the first (b, a) with a >= 2 that makes d nonsingular,
+        tried one at a time and taken at the first hit: D(1, w, 0) with 1 +
+        N(w) != 0 at q >= 3 (w = 3 at q = 3, else 2), and D(1, 4, 1) at q = 2,
+        where N(w) = 1 for every w != 0."""
+        F, one = self.field, np.int32(1)
+        for b in map(np.int32, range(self.ctx.q3)):
+            for a in map(np.int32, range(2, self.ctx.q3)):
+                r0, r1, r2 = rows = ((one, a, b), (F.frob(b, 1), one, F.frob(a, 1)),
+                                     (F.frob(a, 2), F.frob(b, 2), one))
+                if F.dot(r0, F.cross(r1, r2)) != 0:
+                    return rows
 
     def _linear_table(self, m) -> np.ndarray:
         """Index of m (x, y, z) for every triple, m a 3 x 3 code matrix by rows."""

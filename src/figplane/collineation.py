@@ -283,21 +283,14 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
     k(q - 1), k < q^2+q+1; so a class whose least member leads with the
     code u <= q - 1 (y, or z where y = 0; q and q + 1 are prime to
     q^2+q+1) leads with u + k(q - 1), and its row is made sorted.  A representative
-    leading with a larger code, or a row entry labelled otherwise, raises
-    ``OrbitInconsistency``.
+    leading with a larger code, or a row entry labelled otherwise or of
+    another point type, raises ``OrbitInconsistency``.
     """
     import numpy as np
     from .arrays import chunks, fixed_points
     ctx, tables = plane.ctx, plane.tables
     types, orbit = tables.types, tables.orbit
     q, q3, n, s = ctx.q, ctx.q3, ctx.n, ctx.sub_order
-    for c in chunks(plane.size):
-        mixed = np.flatnonzero(types[orbit[c]] != types[c])
-        if mixed.size:
-            i = c.start + mixed[0]
-            raise OrbitInconsistency(
-                f"orbit of {plane.point(orbit[i])} mixes point types "
-                f"{sorted({int(types[orbit[i]]), int(types[i])})}")
     reps = fixed_points(orbit)
     vertices = np.array([plane.index(V) for V in (ANCHOR, ANCHOR_1, ANCHOR_2)])
     at_vertex = (reps[:, None] == vertices).any(axis=1)
@@ -312,20 +305,6 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
         if sizes[j] == 1:
             raise OrbitInconsistency(f"unexpected singleton orbit at {P}")
         raise OrbitInconsistency(f"orbit of {P} has size {int(sizes[j])}, not {int(want[j])}")
-    lines = tables.sec[reps]
-    on_side = lines < 0
-    ptypes = types[reps]
-    ltypes = np.where(on_side, 0, types[lines])           # secant type, planes only
-    plane_code = np.full(16, -1, dtype=np.int8)           # 4 ptype + ltype -> category
-    for (ptype, ltype), cat in PLANE_CATEGORY.items():
-        plane_code[4 * ptype + ltype] = CATEGORIES.index(cat)
-    categories = np.where(at_vertex, VERTEX,
-                          np.where(on_side, np.where(ptypes == TYPE_II, SLS_II, SLS_III),
-                                   plane_code[4 * ptypes + ltypes])).astype(np.int8)
-    if (categories < 0).any():
-        j = int(np.argmax(categories < 0))
-        raise OrbitInconsistency(f"plane orbit of {plane.point(reps[j])} has point type "
-                                 f"{int(ptypes[j])}, line type {int(ltypes[j])}")
     y, z = full // q3, full % q3
     head = (full < q3 * q3) & (y != 0)                    # (1, y, z) with y != 0
     lead = np.where(head, y, z)
@@ -340,7 +319,26 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
         if bad.any():
             raise OrbitInconsistency("the orbit table disagrees with the stabilizer orbit "
                                      f"of {plane.point(R[np.argmax(bad), 0])}")
+        mixed = types[rows] != types[R]
+        if mixed.any():
+            r, c = np.argwhere(mixed)[0]
+            raise OrbitInconsistency(f"orbit of {plane.point(R[r, 0])} mixes point types "
+                                     f"{sorted(types[rows[r, [0, c]]].tolist())}")
         members[j] = rows
+    lines = tables.sec[reps]
+    on_side = lines < 0
+    ptypes = types[reps]
+    ltypes = np.where(on_side, 0, types[lines])           # secant type, planes only
+    plane_code = np.full(16, -1, dtype=np.int8)           # 4 ptype + ltype -> category
+    for (ptype, ltype), cat in PLANE_CATEGORY.items():
+        plane_code[4 * ptype + ltype] = CATEGORIES.index(cat)
+    categories = np.where(at_vertex, VERTEX,
+                          np.where(on_side, np.where(ptypes == TYPE_II, SLS_II, SLS_III),
+                                   plane_code[4 * ptypes + ltypes])).astype(np.int8)
+    if (categories < 0).any():
+        j = int(np.argmax(categories < 0))
+        raise OrbitInconsistency(f"plane orbit of {plane.point(reps[j])} has point type "
+                                 f"{int(ptypes[j])}, line type {int(ltypes[j])}")
     members.setflags(write=False)
     return OrbitClasses(reps, categories, members)
 

@@ -26,8 +26,8 @@ takes blocks through ``rows(L)`` in chunks, and the rows are made when
 they are read.  PG (``pg_incidence``), FIG (``build_fig_plane``) and a
 mutated FIG are one source, which differ only in the Type III lines they
 keep: every one, none, or one.  A reader that compares rows with their
-images under a map reads chunks closed under the map's line cycles
-(``closed_chunks``), so each image is a row it has made.
+images under a map walks the rows in chunks closed under the map's line
+cycles (``walk``), so each image is a row the walk has made.
 """
 
 from __future__ import annotations
@@ -165,26 +165,6 @@ def chunk_rows(n: int, k: int) -> int:
     return max(1, min(PAIR_CHUNK, max(PAIR_CHUNK // 2, n // 2)) // k)
 
 
-def closed_chunks(g_line: np.ndarray, k: int):
-    """Sorted index arrays over the lines, each a union of whole cycles of
-    the line permutation ``g_line``, in the order of their least cycle
-    minimum: ``chunk_rows`` rows of width k, or one cycle when longer."""
-    label = orbit_labels([g_line])
-    order = np.argsort(label, kind="stable")
-    starts = np.append(np.flatnonzero(np.diff(label[order])) + 1, len(order))
-    step, lo = chunk_rows(len(order), k), 0
-    while lo < len(order):
-        hi = starts[min(np.searchsorted(starts, lo + step), len(starts) - 1)]
-        yield np.sort(order[lo:hi])
-        lo = hi
-
-
-def within(L: np.ndarray, rows: np.ndarray, g_line: np.ndarray) -> np.ndarray:
-    """The rows of g_line[L] for a chunk L of ``closed_chunks(g_line)``,
-    whose rows are ``rows``: no row is made twice."""
-    return rows[np.searchsorted(L, g_line[L])]
-
-
 def moved_rows(L: np.ndarray, rows: np.ndarray, g: np.ndarray,
                target: np.ndarray) -> np.ndarray:
     """The blocks of the sorted index array L, whose rows are ``rows``, with
@@ -192,6 +172,30 @@ def moved_rows(L: np.ndarray, rows: np.ndarray, g: np.ndarray,
     image = np.take(g, rows)
     image.sort(axis=1)
     return L[:0] if np.array_equal(image, target) else L[(image != target).any(axis=1)]
+
+
+def walk(structure: IncidencePlane, g: np.ndarray, g_line: np.ndarray):
+    """Read each row of an (n, k) ``structure`` once, in sorted chunks L of
+    blocks, each a union of whole cycles of the line permutation ``g_line``,
+    in the order of their least cycle minimum: ``chunk_rows`` rows, or one
+    cycle when longer.  Yields (L, rows, inside, moved): the rows of L,
+    whether each row lies in [0, n), found before any gather, since numpy
+    wraps negative indices, and, when every row does, the blocks of L that
+    g moves (``moved_rows``) against the rows of g_line[L], which are rows
+    of the chunk; else none."""
+    n, k = structure.size, structure.plane.ctx.q3 + 1
+    label = orbit_labels([g_line])
+    order = np.argsort(label, kind="stable")
+    starts = np.append(np.flatnonzero(np.diff(label[order])) + 1, n)
+    step, lo = chunk_rows(n, k), 0
+    while lo < n:
+        hi = starts[min(np.searchsorted(starts, lo + step), len(starts) - 1)]
+        L = np.sort(order[lo:hi])
+        rows = structure.rows(L)
+        inside = (rows.min(axis=1) >= 0) & (rows.max(axis=1) < n)
+        yield L, rows, inside, (moved_rows(L, rows, g, rows[np.searchsorted(L, g_line[L])])
+                                if inside.all() else L[:0])
+        lo = hi
 
 
 def check_axioms(structure: IncidencePlane) -> AxiomReport:
@@ -214,13 +218,12 @@ def check_axioms(structure: IncidencePlane) -> AxiomReport:
     tables (``orbit_minima``), not the type table, so the reduction
     assumes nothing that it proves.
 
-    One pass reads the rows in chunks closed under tau's line cycles
-    (``closed_chunks``) and checks per chunk: (1) the range, before any
-    gather, since numpy wraps negative indices (a wrong shape or range
-    fails every half at once); (2) point degrees; (3) invariance under tau,
-    whose images are rows of the chunk, and under d, whose images are made,
-    in no chunk past a generator's least failing row; and it (4) collects
-    the blocks through each representative.  So each row is made twice.
+    One pass walks the rows under tau (``walk``) and checks per chunk: (1)
+    the range, from the walk's mask (a wrong shape or range fails every
+    half at once); (2) point degrees; (3) invariance under tau, from the
+    walk, and under d, whose image rows are made here, in no chunk past d's
+    least failing row; and it (4) collects the blocks through each
+    representative.  So each row is made twice.
     The cover reads the blocks through the representatives again: every
     other point must lie in exactly one of them.
 
@@ -247,18 +250,18 @@ def check_axioms(structure: IncidencePlane) -> AxiomReport:
     reps = orbit_minima([g for g, _ in generators.values()])
     degree = np.zeros(n, dtype=np.int64)
     through = [[] for _ in reps]        # per representative, the blocks through it
-    for L in closed_chunks(tables.tau_line, k):
-        rows = structure.rows(L)
-        if rows.min() < 0 or rows.max() >= n:
-            i, j = np.argwhere((rows < 0) | (rows >= n))[0]
+    for L, rows, inside, by_tau in walk(structure, tables.tau, tables.tau_line):
+        if not inside.all():
+            i = np.argmin(inside)
+            j = np.argmax((rows[i] < 0) | (rows[i] >= n))
             return rejected(witnesses=[f"block {format_line(plane.point(L[i]))} holds "
                                        f"{rows[i, j]}, outside [0, {n})"])
         np.add.at(degree, rows.ravel(), 1)     # linear in the chunk, not in n
-        for name, (g, g_line) in generators.items():
-            if moved[name] is not None and moved[name] < L[0]:
-                continue    # no block of the chunk precedes the known one
-            bad = moved_rows(L, rows, g, within(L, rows, g_line) if name == "tau"
-                             else structure.rows(g_line[L]))
+        found = {"tau": by_tau}
+        if moved["dickson"] is None or L[0] < moved["dickson"]:   # else no block precedes it
+            found["dickson"] = moved_rows(L, rows, tables.dickson,
+                                          structure.rows(tables.dickson_line[L]))
+        for name, bad in found.items():
             if bad.size and (moved[name] is None or bad[0] < moved[name]):
                 moved[name] = int(bad[0])
         for blocks, P in zip(through, reps):

@@ -61,14 +61,14 @@ class Session:
 
     @cached_property
     def build_pass(self) -> tuple[np.ndarray, dict[str, bool]]:
-        """One walk over the FIG rows for both build checks, in chunks closed
-        under phi (``closed_chunks``), which makes each row once.  It gives
+        """One walk over the FIG rows for both build checks, under phi
+        (``figueroa.walk``), which makes each row once.  It gives
         the sorted Type III lines whose rows break the block-size facts (rows
         are sorted, so a block is a strictly increasing row of width k in
         [0, n), with q^2 + q + 1 Type II points, its E part, and no Type I
         point) and the row sub-checks of ``fig.build``.  Block L replaces
         line L and phi maps lines by the point formula, so invariance is
-        sort(phi[rows(L)]) == rows(phi[L]), an image row of the chunk.  A
+        sort(phi[rows(L)]) == rows(phi[L]), which the walk compares.  A
         k-set is a line exactly when it is the incidence row of the join of
         its first two points, so only the rows whose first three points are
         collinear are compared with a line's row.
@@ -76,17 +76,15 @@ class Session:
         A structure of the wrong shape has no row to read: every Type III
         line is bad and every sub-check fails.  A row holding an entry
         outside [0, n) is no point set, so it is no block, no line and has
-        no phi image; that is found before any gather, since numpy wraps
-        negative indices."""
+        no phi image; the walk's mask finds it before any gather."""
         struct, tables, ctx = self.fig_structure, self.plane.tables, self.ctx
-        n, k, F, phi, types = struct.size, ctx.q3 + 1, tables.field, tables.phi, tables.types
+        n, k, F, types = struct.size, ctx.q3 + 1, tables.field, tables.types
         if struct.shape != (n, k):
             return np.flatnonzero(types == TYPE_III), dict.fromkeys(
                 ("kept_lines_agree", "blocks_differ_from_lines", "collineation_invariant"), False)
         bad, agree, differ, invariant = [], True, True, True
-        for L in fg.closed_chunks(phi, k):
-            rows, new = struct.rows(L), types[L] == TYPE_III
-            inside = ((rows >= 0) & (rows < n)).all(axis=1)
+        for L, rows, inside, moved in fg.walk(struct, tables.phi, tables.phi):
+            new = types[L] == TYPE_III
             blocks = rows[new]
             kinds = types[np.clip(blocks, 0, n - 1)]
             ok = (inside[new] & (np.diff(blocks, axis=1) > 0).all(axis=1)
@@ -99,8 +97,7 @@ class Session:
             line = F.dot(join, F.coords(blocks[:, 2])) == 0    # first three points collinear
             joins = F.index(*F.canonical(*(c[line] for c in join)))
             differ &= not (tables.incidence_rows(joins) == blocks[line]).all(axis=1).any()
-            invariant = invariant and inside.all() and not fg.moved_rows(
-                L, rows, phi, fg.within(L, rows, phi)).size
+            invariant &= inside.all() and not moved.size
         return np.sort(np.concatenate(bad)), dict(
             kept_lines_agree=agree, blocks_differ_from_lines=differ, collineation_invariant=invariant)
 
@@ -144,8 +141,8 @@ def check(suite: str, group: str | None = None, gates: tuple[Gate, ...] = ()):
     group (by default the suite) and the gates, those of its suite first,
     that must hold at an order for it to run there.  The build and axioms
     checks, which pass over every FIG or PG row, carry ``FIG_ROWS``; the
-    build checks share one pass, ``Session.build_pass``, which
-    ``run_checks`` times under the first to read it, ``fig.block-sizes``."""
+    build checks share one ``walk`` of the rows under phi, ``build_pass``,
+    which ``run_checks`` times under the first to read it, ``fig.block-sizes``."""
     def register(fn):
         CHECKS.append(Check(suite, group or suite, fn, SUITE_GATES.get(suite, ()) + gates))
         return fn

@@ -1,5 +1,7 @@
 import functools
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,16 @@ from figplane.field import build_field_tower
 from figplane.plane import ProjectivePlane
 from figplane.collineation import partition_orbits, point_types_table
 from figplane.figueroa import IncidencePlane, build_fig_plane
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_env() -> dict[str, str]:
+    """The environment with ``src`` first on PYTHONPATH, for a child
+    interpreter that imports figplane from this checkout."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
 
 
 @dataclass

@@ -29,7 +29,7 @@ from figplane.figueroa import (arching_census, build_fig_plane,
                                pr_fig_block, expected_pr_fig_block)
 from figplane.suites import Session, even_structure, splash_involution
 
-from conftest import HeldRows, held
+from conftest import HeldRows, child_env, held
 
 
 def _ok(label):
@@ -262,7 +262,7 @@ def test_14_splash_involution_bijection(ctx3, ctx4):
 def test_15_report_determinism():
     cmd = [sys.executable, "-m", "figplane.cli", "verify", "--q", "3",
            "--suite", "all", "--format", "json", "--seed", "7"]
-    a = subprocess.run(cmd, capture_output=True, check=True)
-    b = subprocess.run(cmd, capture_output=True, check=True)
+    a = subprocess.run(cmd, env=child_env(), capture_output=True, check=True)
+    b = subprocess.run(cmd, env=child_env(), capture_output=True, check=True)
     assert a.returncode == 0 and a.stdout == b.stdout and a.stdout
     _ok("15 byte-identical reports across independent runs")

@@ -13,11 +13,10 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import SRC, child_env
 
 PROBE = """
 import ctypes, glob, json, os, sys
@@ -48,8 +47,8 @@ def probe(first: str, threads: str | None = None) -> dict:
     fresh interpreter, and build a type table when it is "figplane-tables":
     the OPENBLAS_NUM_THREADS it sees, the thread count, and whether numpy
     was loaded right after ``import figplane``."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    env = child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
     if threads is not None:
         env["OPENBLAS_NUM_THREADS"] = threads
     out = subprocess.run([sys.executable, "-c", PROBE, first], env=env, check=True,

@@ -17,6 +17,8 @@ from figplane.plane import GeometryError
 from figplane.report import Report, entry
 from figplane.suites import EVEN_Q, check_groups, selected
 
+from conftest import child_env
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -263,8 +265,8 @@ def test_exit_code_one_on_failure():
 def test_reports_byte_identical_subprocess():
     cmd = [sys.executable, "-m", "figplane.cli", "verify", "--q", "3",
            "--suite", "census", "--format", "json", "--seed", "11"]
-    a = subprocess.run(cmd, capture_output=True, check=True).stdout
-    b = subprocess.run(cmd, capture_output=True, check=True).stdout
+    a = subprocess.run(cmd, env=child_env(), capture_output=True, check=True).stdout
+    b = subprocess.run(cmd, env=child_env(), capture_output=True, check=True).stdout
     assert a == b and a
 
 

@@ -174,14 +174,20 @@ def test_class_arrays_are_the_class_rows(classes3, classes4):
 
 
 def test_partition_rejects_a_mixed_orbit(ctx3, classes3):
-    # one member of a plane class flipped to another type
-    plane = ProjectivePlane(ctx3)
-    i = classes3.members[classes3.rows_of("plane_III_III")[0], 1]
-    types = plane.tables.types.copy()
-    types[i] = TYPE_II
-    plane.tables.types = types
-    with pytest.raises(OrbitInconsistency, match="mixes point types"):
-        partition_orbits(plane)
+    """The representative (column 0) or a member of a class flipped to each
+    other type names the orbit as mixing types, not its category as
+    impossible: the member rows are checked before the categories."""
+    for category in ("sls_III", "plane_II_III", "plane_III_II", "plane_III_III"):
+        own, row = CATEGORY_TYPES[category][0], classes3.members[classes3.rows_of(category)[0]]
+        for column in (0, 1):
+            for kind in sorted({TYPE_I, TYPE_II, TYPE_III} - {own}):
+                plane = ProjectivePlane(ctx3)
+                types = plane.tables.types.copy()
+                types[row[column]] = kind
+                plane.tables.types = types
+                want = f"orbit of {plane.point(row[0])} mixes point types {sorted([own, kind])}"
+                with pytest.raises(OrbitInconsistency, match=re.escape(want)):
+                    partition_orbits(plane)
 
 
 def test_partition_rejects_a_merged_orbit(ctx3, classes3):

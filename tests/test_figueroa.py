@@ -9,7 +9,7 @@ from figplane.collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES,
 from figplane.figueroa import (IncidencePlane, anchor_block, arching_census,
                                build_fig_plane, characterize_fig_points, check_axioms,
                                emit_plane, orbit_minima, pg_incidence, pr_fig_block,
-                               expected_pr_fig_block)
+                               expected_pr_fig_block, walk)
 from figplane.linear_sets import sls_points, t_plane
 from figplane.maps import TypeRestrictionError, conjugate_join
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
@@ -524,6 +524,76 @@ def test_dickson_tables_match_the_matrix_action(q):
     rows = tables.incidence_rows(np.arange(plane.size))
     assert np.array_equal(np.sort(tables.dickson[rows], axis=1),
                           tables.incidence_rows(tables.dickson_line))
+
+
+@pytest.mark.parametrize("q, a, b", [(2, 4, 1), (3, 3, 0), (4, 2, 0), (5, 2, 0),
+                                     (7, 2, 0), (8, 2, 0), (11, 2, 0)])
+def test_dickson_matrix_is_the_first_nonsingular_one(q, a, b):
+    """d is D(1, a, b) for the first nonsingular (b, a) with a >= 2, as the
+    scalar oracle finds it."""
+    from figplane.arrays import PlaneTables
+    from figplane.field import context_for_q
+    ctx = context_for_q(q)
+    rows = [[int(x) for x in r] for r in PlaneTables(ctx)._dickson_rows]
+    assert rows[0] == [1, a, b]
+    assert rows == [list(r) for r in _dickson_oracle(ctx)]
+
+
+def test_dickson_search_allocates_nothing_wide():
+    """The search tries one (b, a) at a time in scalars: at q = 7 it
+    allocates no array over the q^6 candidates, which would take megabytes."""
+    import tracemalloc
+    from figplane.arrays import PlaneTables
+    from figplane.field import context_for_q
+    tables = PlaneTables(context_for_q(7))
+    tracemalloc.start()
+    try:
+        tables._dickson_rows
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+
+
+def _walked(plane):
+    """The two maps the row passes walk: phi, which maps lines by its point
+    table, and tau."""
+    tables = plane.tables
+    return {"phi": (tables.phi, tables.phi), "tau": (tables.tau, tables.tau_line)}
+
+
+@pytest.mark.parametrize("name", ["phi", "tau"])
+def test_walk_reads_each_row_once_in_closed_chunks(plane3, fig3, name):
+    """The chunks are sorted, closed under the line map, and partition the
+    lines; their rows are the source's, and PG and the FIG, both invariant,
+    have no moved block."""
+    g, g_line = _walked(plane3)[name]
+    for structure in (pg_incidence(plane3), fig3):
+        seen = []
+        for L, rows, inside, moved in walk(structure, g, g_line):
+            assert (np.diff(L) > 0).all() and np.isin(g_line[L], L).all()
+            assert np.array_equal(rows, structure.rows(L))
+            assert inside.all() and not moved.size
+            seen.append(L)
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(plane3.size))
+
+
+@pytest.mark.parametrize("value", [-1, 757])
+def test_walk_masks_an_entry_out_of_range_before_any_image(held3, value, monkeypatch):
+    """A row holding an entry outside [0, n) is masked, and its chunk reads
+    no image: -1 would be read as the last point, and n would raise."""
+    import figplane.figueroa as fg
+    blocks = held3.blocks.copy()
+    blocks[5, 3] = value
+    compared, moved_rows = [], fg.moved_rows
+    monkeypatch.setattr(fg, "moved_rows", lambda L, *a: compared.append(L) or moved_rows(L, *a))
+    for g, g_line in _walked(held3.plane).values():
+        for L, rows, inside, moved in walk(HeldRows(held3.plane, blocks), g, g_line):
+            if 5 in L:
+                assert inside.tolist() == (L != 5).tolist() and not moved.size
+    assert not any(5 in L for L in compared)
+    list(walk(held3, *_walked(held3.plane)["tau"]))
+    assert compared     # the rows in range are compared through the patched name
 
 
 def _reach(start, generators):

@@ -7,17 +7,15 @@ has long since imported every figplane module.
 
 import importlib
 import json
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import figplane
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import SRC, child_env
 
 SUBMODULES = ("arrays", "cli", "collineation", "field", "figueroa", "linear_sets",
               "maps", "plane", "report", "suites")
@@ -49,8 +47,7 @@ NAMES = sorted(name for names in EXPORTED.values() for name in names)
 def loaded_after(code: str) -> list[str]:
     """The figplane submodules and numpy in sys.modules after ``code`` runs
     in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    env = child_env()
     probe = (code + "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules "
              "if m == 'numpy' or m.startswith('figplane.'))))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
@@ -125,8 +122,7 @@ def test_submodule_resolves_after_a_bare_import():
 def test_verify_all_imports_no_masked_arrays():
     """``np.unique`` imports numpy.ma on its first call, about 14 ms of CPU
     and 0.8 MiB of peak RSS a process; a whole verify run needs neither."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    env = child_env()
     probe = ("import contextlib, io, sys\nfrom figplane.cli import main\n"
              "with contextlib.redirect_stdout(io.StringIO()):\n"
              "    code = main(['verify', '--q', '3', '--suite', 'all'])\n"
