@@ -22,14 +22,14 @@ it; naming their suite or group runs them.  Every check is exhaustive;
 Exit codes: 0 all checks pass, 1 a check failed, 2 a refused command
 (q not a prime power, a failing gate, bulk tables estimated larger than
 the host's physical memory, counting the FIG row lookup tables when a
-selected check or --emit-plane streams the FIG rows, an --emit-plane
-file that cannot be written,
+selected check reads the FIG structure or its build pass or when
+--emit-plane is set, an --emit-plane file that cannot be written,
 a --theta out of range; all refused before any check runs)
 or a geometry or kernel error during a run, reported as one
 "figplane: ..." line.  Output is byte-identical across runs with the
-same configuration; pass --timings to include (nondeterministic)
-per-check timings.  A check's time includes the artifacts it reads first:
-fig.block-sizes shows the FIG row pass it shares with fig.build.
+same configuration; pass --timings to include (nondeterministic) timings
+of each check and, apart, of each shared stage built for them, once and
+before them, such as the FIG row pass of the build checks.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, default=0,
                    help="recorded in the report header; no check samples")
     p.add_argument("--timings", action="store_true",
-                   help="include per-check timings (breaks byte determinism)")
+                   help="include per-check and per-stage timings (breaks byte determinism)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,7 +168,7 @@ def run_report(args) -> int:
             raise UsageError(reason)
         _require_writable(emit)
     picked = [c for name in suites for c in selected(ctx, name, group, by_default)]
-    fig = bool(emit) or any(FIG_ROWS in c.gates for c in picked)
+    fig = bool(emit) or any({"fig_structure", "build_pass"} & set(c.reads) for c in picked)
     need, have = table_bytes(ctx.q, fig), physical_memory()
     if need > have:     # fail fast, not out of memory part-way
         raise UsageError(f"q = {ctx.q} needs about {need / 1e9:.3g} GB for its tables, "
@@ -186,7 +186,7 @@ def run_report(args) -> int:
         groups = " and ".join(dict.fromkeys(c.group for c in skipped))
         header["note"] = (f"{groups} checks skipped by default: {FIG_ROWS.reason(ctx)}; "
                           "name them with --suite or --check")
-    report = Report(header, entries)
+    report = Report(header, entries, sess.elapsed_ms)
     if args.command == "census" and args.format == "csv":
         sys.stdout.write(_census_csv(sess))
         return report.exit_code()

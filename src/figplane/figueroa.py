@@ -25,9 +25,9 @@ An ``IncidencePlane`` is a row source that holds no rows: every reader
 takes blocks through ``rows(L)`` in chunks, and the rows are made when
 they are read.  PG (``pg_incidence``), FIG (``build_fig_plane``) and a
 mutated FIG are one source, which differ only in the Type III lines they
-keep: every one, none, or one.  A reader that compares rows with their
-images under a map walks the rows in chunks closed under the map's line
-cycles (``walk``), so each image is a row the walk has made.
+keep: every one, none, or one.  ``check_build`` and ``check_axioms``
+walk the rows (``walk``) in chunks closed under the line cycles of phi
+and tau, so the image of each row is a row the walk has made.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .field import FieldContext, Gate
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                     ProjectivePlane, Triple, format_line, format_point,
                     incident, points_on_line)
-from .collineation import (TYPE_II, TYPE_III, collineate_point, line_type,
+from .collineation import (TYPE_I, TYPE_II, TYPE_III, collineate_point, line_type,
                            point_type)
 from .linear_sets import sls_points, t_plane
 from .maps import (TypeRestrictionError, conjugate_join, conjugate_meet,
@@ -196,6 +196,47 @@ def walk(structure: IncidencePlane, g: np.ndarray, g_line: np.ndarray):
         yield L, rows, inside, (moved_rows(L, rows, g, rows[np.searchsorted(L, g_line[L])])
                                 if inside.all() else L[:0])
         lo = hi
+
+
+def check_build(structure: IncidencePlane) -> tuple[np.ndarray, dict[str, bool]]:
+    """The facts of both build checks from one ``walk`` of a FIG
+    ``structure`` under phi, which makes each row once: the sorted Type III
+    lines whose rows break the block-size facts (a block is a strictly
+    increasing row of width k in [0, n), with q^2 + q + 1 Type II points,
+    its E part, and no Type I point) and the row sub-checks of ``fig.build``.
+    Block L replaces line L and phi maps lines by the point formula, so
+    invariance is sort(phi[rows(L)]) == rows(phi[L]), which the walk
+    compares.  A k-set is a line exactly when it is the incidence row of the
+    join of its first two points, so only the rows whose first three points
+    are collinear are compared with a line's row.
+
+    A structure of the wrong shape has no row to read: every Type III
+    line is bad and every sub-check fails.  A row holding an entry
+    outside [0, n) is no point set, so it is no block, no line and has
+    no phi image; the walk's mask finds it before any gather."""
+    tables, ctx = structure.plane.tables, structure.plane.ctx
+    n, k, F, types = structure.size, ctx.q3 + 1, tables.field, tables.types
+    if structure.shape != (n, k):
+        return np.flatnonzero(types == TYPE_III), dict.fromkeys(
+            ("kept_lines_agree", "blocks_differ_from_lines", "collineation_invariant"), False)
+    bad, agree, differ, invariant = [], True, True, True
+    for L, rows, inside, moved in walk(structure, tables.phi, tables.phi):
+        new = types[L] == TYPE_III
+        blocks = rows[new]
+        kinds = types[np.clip(blocks, 0, n - 1)]
+        ok = (inside[new] & (np.diff(blocks, axis=1) > 0).all(axis=1)
+              & (np.count_nonzero(kinds == TYPE_II, axis=1) == ctx.sub_order)
+              & (kinds != TYPE_I).all(axis=1))
+        bad.append(L[new][~ok])
+        agree &= np.array_equal(rows[~new], tables.incidence_rows(L[~new]))
+        blocks = blocks[(blocks[:, 0] != blocks[:, 1]) & inside[new]]
+        join = F.cross(F.coords(blocks[:, 0]), F.coords(blocks[:, 1]))
+        line = F.dot(join, F.coords(blocks[:, 2])) == 0    # first three points collinear
+        joins = F.index(*F.canonical(*(c[line] for c in join)))
+        differ &= not (tables.incidence_rows(joins) == blocks[line]).all(axis=1).any()
+        invariant &= inside.all() and not moved.size
+    return np.sort(np.concatenate(bad)), dict(
+        kept_lines_agree=agree, blocks_differ_from_lines=differ, collineation_invariant=invariant)
 
 
 def check_axioms(structure: IncidencePlane) -> AxiomReport:

@@ -33,15 +33,15 @@ class CheckEntry:
 
 
 def entry(id: str, claim: str, ok: bool, counts: dict | None = None,
-          witnesses: list | None = None, elapsed_ms: float | None = None) -> CheckEntry:
-    return CheckEntry(id, claim, "pass" if ok else "fail",
-                      counts or {}, witnesses or [], elapsed_ms)
+          witnesses: list | None = None) -> CheckEntry:
+    return CheckEntry(id, claim, "pass" if ok else "fail", counts or {}, witnesses or [])
 
 
 @dataclass
 class Report:
     header: dict
     entries: list[CheckEntry]
+    elapsed_ms: dict[str, float] = field(default_factory=dict)   # stage -> ms of its build
 
     @property
     def passed(self) -> bool:
@@ -60,6 +60,9 @@ class Report:
             checks.append(d)
         doc = {"header": self.header, "checks": checks,
                "status": "pass" if self.passed else "fail"}
+        if timings:
+            doc["stages"] = [{"id": name, "elapsed_ms": round(ms, 3)}
+                             for name, ms in self.elapsed_ms.items()]
         return json.dumps(doc, indent=2) + "\n"
 
     def to_csv(self) -> str:
@@ -74,6 +77,8 @@ class Report:
         lines = [f"{TOOL_NAME} {TOOL_VERSION}  q={self.header.get('q')}"]
         if self.header.get("note"):
             lines.append(f"note: {self.header['note']}")
+        if timings:
+            lines.extend(f"STAGE {name}  [{ms:.0f} ms]" for name, ms in self.elapsed_ms.items())
         for e in self.entries:
             mark = "PASS" if e.passed else "FAIL"
             t = f"  [{e.elapsed_ms:.0f} ms]" if timings and e.elapsed_ms is not None else ""

@@ -3,10 +3,10 @@
 Each check is a function of a :class:`Session` returning a
 :class:`figplane.report.CheckEntry` with counts and witnesses in
 deterministic order, registered once in the ordered table ``CHECKS``
-with its gates, the conditions on q it needs to run; ``refusal`` says
-why a selection has nothing to run at q.  Every check is exhaustive.
-A Session caches the shared artifacts (plane tables, orbit partition,
-FIG structure) so one run builds each once.
+with its gates, the conditions on q it needs to run, and the ``STAGES``
+of the Session it reads; ``refusal`` says why a selection has nothing to
+run at q.  Every check is exhaustive.  ``run_checks`` builds each stage
+a selection reads once, before its checks.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import numpy as np
 from . import figueroa as fg
 from . import linear_sets as ls
 from . import maps as gm
-from .arrays import chunks, span
-from .collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES, VERTEX,
+from .arrays import PlaneTables, chunks, span
+from .collineation import (TYPE_II, TYPE_III, TYPE_NAMES, CATEGORIES, VERTEX,
                            OrbitClasses, census_of, line_types_table,
                            partition_orbits, point_type, point_types_table,
                            expected_type_counts, tally_types)
@@ -34,12 +34,18 @@ from .report import CheckEntry, entry
 
 
 class Session:
+    """The plane and the ``STAGES`` the checks read, each built once."""
+
     def __init__(self, ctx: FieldContext):
         self.ctx = ctx
+        self.plane = ProjectivePlane(ctx)
+        self.elapsed_ms: dict[str, float] = {}    # stage -> ms of its build
 
     @cached_property
-    def plane(self) -> ProjectivePlane:
-        return ProjectivePlane(self.ctx)
+    def tables(self) -> PlaneTables:
+        """The plane's tables, with its five point tables built."""
+        self.plane.tables.types     # one pass builds types, mu, sec, phi and orbit
+        return self.plane.tables
 
     @cached_property
     def classes(self) -> OrbitClasses:
@@ -61,45 +67,7 @@ class Session:
 
     @cached_property
     def build_pass(self) -> tuple[np.ndarray, dict[str, bool]]:
-        """One walk over the FIG rows for both build checks, under phi
-        (``figueroa.walk``), which makes each row once.  It gives
-        the sorted Type III lines whose rows break the block-size facts (rows
-        are sorted, so a block is a strictly increasing row of width k in
-        [0, n), with q^2 + q + 1 Type II points, its E part, and no Type I
-        point) and the row sub-checks of ``fig.build``.  Block L replaces
-        line L and phi maps lines by the point formula, so invariance is
-        sort(phi[rows(L)]) == rows(phi[L]), which the walk compares.  A
-        k-set is a line exactly when it is the incidence row of the join of
-        its first two points, so only the rows whose first three points are
-        collinear are compared with a line's row.
-
-        A structure of the wrong shape has no row to read: every Type III
-        line is bad and every sub-check fails.  A row holding an entry
-        outside [0, n) is no point set, so it is no block, no line and has
-        no phi image; the walk's mask finds it before any gather."""
-        struct, tables, ctx = self.fig_structure, self.plane.tables, self.ctx
-        n, k, F, types = struct.size, ctx.q3 + 1, tables.field, tables.types
-        if struct.shape != (n, k):
-            return np.flatnonzero(types == TYPE_III), dict.fromkeys(
-                ("kept_lines_agree", "blocks_differ_from_lines", "collineation_invariant"), False)
-        bad, agree, differ, invariant = [], True, True, True
-        for L, rows, inside, moved in fg.walk(struct, tables.phi, tables.phi):
-            new = types[L] == TYPE_III
-            blocks = rows[new]
-            kinds = types[np.clip(blocks, 0, n - 1)]
-            ok = (inside[new] & (np.diff(blocks, axis=1) > 0).all(axis=1)
-                  & (np.count_nonzero(kinds == TYPE_II, axis=1) == ctx.sub_order)
-                  & (kinds != TYPE_I).all(axis=1))
-            bad.append(L[new][~ok])
-            agree &= np.array_equal(rows[~new], tables.incidence_rows(L[~new]))
-            blocks = blocks[(blocks[:, 0] != blocks[:, 1]) & inside[new]]
-            join = F.cross(F.coords(blocks[:, 0]), F.coords(blocks[:, 1]))
-            line = F.dot(join, F.coords(blocks[:, 2])) == 0    # first three points collinear
-            joins = F.index(*F.canonical(*(c[line] for c in join)))
-            differ &= not (tables.incidence_rows(joins) == blocks[line]).all(axis=1).any()
-            invariant &= inside.all() and not moved.size
-        return np.sort(np.concatenate(bad)), dict(
-            kept_lines_agree=agree, blocks_differ_from_lines=differ, collineation_invariant=invariant)
+        return fg.check_build(self.fig_structure)
 
     def norm_reps(self):
         return [self.ctx.norm_class_rep(j) for j in range(self.ctx.q - 1)]
@@ -110,6 +78,7 @@ class Check(NamedTuple):
     group: str
     run: Callable[[Session], CheckEntry]
     gates: tuple[Gate, ...]
+    reads: tuple[str, ...]
 
     def applies(self, ctx: FieldContext, by_default: bool = False) -> bool:
         """Whether the check runs at this order: every gate holds, leaving
@@ -118,6 +87,9 @@ class Check(NamedTuple):
 
 
 CHECKS: list[Check] = []
+
+# the Session stages a check may read, in the order ``run_checks`` builds them
+STAGES = ("tables", "classes", "census", "fixed_census", "fig_structure", "build_pass")
 
 EVEN_Q = Gate(lambda ctx: ctx.q % 2 == 0, "the even-order structure check needs q even")
 SUITE_GATES = {"figueroa": (fg.FIGUEROA,)}    # every check of the suite needs them
@@ -135,16 +107,18 @@ FIG_ROWS = Gate(lambda ctx: row_work(ctx) < ROW_WORK,
                 default_only=True)
 
 
-def check(suite: str, group: str | None = None, gates: tuple[Gate, ...] = ()):
+def check(suite: str, group: str | None = None, gates: tuple[Gate, ...] = (),
+          reads: tuple[str, ...] = ()):
     """Register the decorated check in ``CHECKS``, whose order is report
     order, under its suite (census, maps or figueroa), its ``--check``
-    group (by default the suite) and the gates, those of its suite first,
-    that must hold at an order for it to run there.  The build and axioms
+    group (by default the suite), the gates, those of its suite first,
+    that must hold at an order for it to run there, and the ``STAGES`` it
+    reads, ``tables`` also for the plane's tables.  The build and axioms
     checks, which pass over every FIG or PG row, carry ``FIG_ROWS``; the
-    build checks share one ``walk`` of the rows under phi, ``build_pass``,
-    which ``run_checks`` times under the first to read it, ``fig.block-sizes``."""
+    build checks share one walk of the rows under phi, the stage
+    ``build_pass``, which ``run_checks`` builds and times on its own."""
     def register(fn):
-        CHECKS.append(Check(suite, group or suite, fn, SUITE_GATES.get(suite, ()) + gates))
+        CHECKS.append(Check(suite, group or suite, fn, SUITE_GATES.get(suite, ()) + gates, reads))
         return fn
     return register
 
@@ -176,9 +150,17 @@ def selected(ctx: FieldContext, suite: str, group: str | None = None,
 
 def run_checks(sess: Session, suite: str, group: str | None = None,
                by_default: bool = False) -> list[CheckEntry]:
-    """Run the selected checks, timing each."""
+    """Build, in ``STAGES`` order, each stage the selected checks read that
+    the Session does not hold yet, then run the checks, timing each stage
+    and each check on its own."""
+    picked = selected(sess.ctx, suite, group, by_default)
+    for name in STAGES:
+        if name not in vars(sess) and any(name in c.reads for c in picked):
+            t0 = time.perf_counter()
+            getattr(sess, name)
+            sess.elapsed_ms[name] = (time.perf_counter() - t0) * 1000.0
     out = []
-    for c in selected(sess.ctx, suite, group, by_default):
+    for c in picked:
         t0 = time.perf_counter()
         e = c.run(sess)
         e.elapsed_ms = (time.perf_counter() - t0) * 1000.0
@@ -202,7 +184,7 @@ def figueroa_checks(sess: Session, which: str | None = None,
 
 # ---------------------------------------------------------------- census
 
-@check("census")
+@check("census", reads=("census",))
 def categories(sess: Session) -> CheckEntry:
     cen = sess.census
     ok = cen.matches_expected() and cen.total_points == sess.plane.size
@@ -216,7 +198,7 @@ def categories(sess: Session) -> CheckEntry:
                  ok, counts, witnesses)
 
 
-@check("census")
+@check("census", reads=("classes",))
 def orbit_sizes(sess: Session) -> CheckEntry:
     # the member rows and the three vertex classes cover every point once:
     # they hold n entries and reach every point; else count the points' classes
@@ -251,11 +233,11 @@ def type_tally(sess: Session, kind: str) -> CheckEntry:
                   for t in sorted(tally) if tally[t] != want[t]])
 
 
-check("census")(partial(type_tally, kind="point"))
-check("census")(partial(type_tally, kind="line"))
+check("census", reads=("tables",))(partial(type_tally, kind="point"))
+check("census", reads=("tables",))(partial(type_tally, kind="line"))
 
 
-@check("census")
+@check("census", reads=("tables", "classes"))
 def collineation_permutes(sess: Session) -> CheckEntry:
     # a class maps onto a class of its category exactly when the class of
     # phi[i] is the same for every member i, in the category of i's class
@@ -274,7 +256,7 @@ def collineation_permutes(sess: Session) -> CheckEntry:
                  not bad, {"classes": len(sess.classes)}, bad)
 
 
-@check("census")
+@check("census", reads=("tables",))
 def norm_det_relation(sess: Session) -> CheckEntry:
     bad = sess.plane.tables.norm_det_mismatches()[:5]
     return entry("census.norm-det-identity",
@@ -318,7 +300,7 @@ def _pencil_type(sess: Session, theta: int) -> int:
     return kinds.pop()
 
 
-@check("maps", "mu")
+@check("maps", "mu", reads=("tables",))
 def involution(sess: Session) -> CheckEntry:
     # one table serves points and lines: the same coordinates give the
     # same index, and mu is both the conjugate join and the conjugate meet
@@ -353,7 +335,7 @@ def rejects_fixed_objects(sess: Session) -> CheckEntry:
                  not bad, {}, bad)
 
 
-@check("maps", "mu")
+@check("maps", "mu", reads=("tables",))
 def plane_images(sess: Session) -> CheckEntry:
     """Table-driven: the lines of an orbit subplane with point indices P
     are the secants sec[P], so its involution images are mu[sec[P]]
@@ -396,7 +378,7 @@ def _one_class(rows: np.ndarray, owner: np.ndarray) -> np.ndarray:
             & (np.diff(np.sort(rows, axis=1), axis=1) > 0).all(axis=1))
 
 
-@check("maps", "mu")
+@check("maps", "mu", reads=("tables", "classes"))
 def generic_plane(sess: Session) -> CheckEntry:
     """Every generic all-Type-III orbit subplane, one that is neither a side
     subplane nor a conjugate of one, maps onto orbit elements.
@@ -443,26 +425,27 @@ def _block_parts(sess: Session) -> tuple[np.ndarray, np.ndarray]:
     return block[kind == TYPE_II], block[kind == TYPE_III]
 
 
-@check("maps", "mu", gates=(fg.FIGUEROA,))
+@check("maps", "mu", gates=(fg.FIGUEROA,), reads=("tables",))
 def block_incidence_twist(sess: Session) -> CheckEntry:
     # the incidence twist behind the third line class: a Type III point is
     # in the Type III part of the anchor block exactly when its involution
     # image passes through the anchor 0:0:1, that is, is a line [a:b:0]
     tables = sess.plane.tables
-    mu = tables.mu
+    mu, types, bad = tables.mu, tables.types, []
     member = np.zeros(len(mu), dtype=bool)
     member[_block_parts(sess)[1]] = True
-    # [a:b:0] is [1:b:0], index b q^3, or [0:1:0], index q^6: the indices
-    # divisible by q^3 other than q^6 + q^3, the index of [0:0:1]
-    through = (mu % sess.ctx.q3 == 0) & (mu != len(mu) - 1)
-    type3 = tables.types == TYPE_III
-    bad = np.flatnonzero(type3 & (member != through))[:5]
+    for s in chunks(len(mu)):
+        # [a:b:0] is [1:b:0], index b q^3, or [0:1:0], index q^6: the indices
+        # divisible by q^3 other than q^6 + q^3, the index of [0:0:1]
+        through = (mu[s] % sess.ctx.q3 == 0) & (mu[s] != len(mu) - 1)
+        bad.append(span(s)[(types[s] == TYPE_III) & (member[s] != through)])
+    bad = np.concatenate(bad)[:5]
     return entry("mu.block-incidence-twist",
                  "Type III block membership at the anchor equals anchor incidence of the involution image",
                  not bad.size, {}, [format_point(sess.plane.point(i)) for i in bad])
 
 
-@check("maps", "pr-sp")
+@check("maps", "pr-sp", reads=("tables",))
 def t_plane_images(sess: Session) -> CheckEntry:
     ctx = sess.ctx
     bad = []
@@ -478,7 +461,7 @@ def t_plane_images(sess: Session) -> CheckEntry:
                  not bad, {"norm_classes": ctx.q - 1}, bad[:5])
 
 
-@check("maps", "pr-sp")
+@check("maps", "pr-sp", reads=("tables",))
 def parity_table(sess: Session) -> CheckEntry:
     """Types are read from the type table and involution images from mu,
     whose -1 off Type III matches no set."""
@@ -513,7 +496,7 @@ def parity_table(sess: Session) -> CheckEntry:
                  not bad, {k: str(v) for k, v in checks.items()}, bad)
 
 
-@check("maps", "pr-sp")
+@check("maps", "pr-sp", reads=("tables",))
 def pencil_census(sess: Session) -> CheckEntry:
     ctx = sess.ctx
     q = ctx.q
@@ -533,7 +516,7 @@ def pencil_census(sess: Session) -> CheckEntry:
                  not bad, {"type_II": tys.count(TYPE_II), "type_III": tys.count(TYPE_III)}, bad)
 
 
-@check("maps", "pr-sp")
+@check("maps", "pr-sp", reads=("tables",))
 def projection_vs_splash(sess: Session) -> CheckEntry:
     ctx = sess.ctx
     bad = []
@@ -568,7 +551,7 @@ def _fixed_planes(sess: Session, id: str, claim: str, found: np.ndarray, reps,
                  [] if ok else found_reps + missing)
 
 
-@check("maps", "fixed")
+@check("maps", "fixed", reads=("tables", "classes"))
 def collineation_fixed(sess: Session) -> CheckEntry:
     found = gm.phi_fixed_planes(sess.plane, sess.classes)
     allowed = np.concatenate([sess.classes.rows_of(c) for c in ("plane_I_I", "plane_III_III")])
@@ -579,7 +562,7 @@ def collineation_fixed(sess: Session) -> CheckEntry:
         bool(np.isin(found, allowed).all()))
 
 
-@check("maps", "fixed")
+@check("maps", "fixed", reads=("tables", "classes"))
 def involution_fixed(sess: Session) -> CheckEntry:
     reps = [R for R in gm.expected_phi_fixed_reps(sess.ctx) if R != (1, 1, 1)]
     return _fixed_planes(
@@ -589,7 +572,7 @@ def involution_fixed(sess: Session) -> CheckEntry:
         0 if math.gcd(3, sess.ctx.q - 1) == 1 else 2)
 
 
-@check("maps", "vertices")
+@check("maps", "vertices", reads=("fixed_census",))
 def vertices_census(sess: Session) -> CheckEntry:
     ctx = sess.ctx
     q = ctx.q
@@ -616,7 +599,7 @@ def vertices_census(sess: Session) -> CheckEntry:
                  bad[:5])
 
 
-@check("maps", "vertices")
+@check("maps", "vertices", reads=("fixed_census",))
 def count_spectrum(sess: Session) -> CheckEntry:
     s = sess.ctx.sub_order
     allowed = {1, s} if sess.ctx.q % 2 == 0 else {0, s, s + 1}
@@ -627,7 +610,7 @@ def count_spectrum(sess: Session) -> CheckEntry:
                  not bad, {"allowed": sorted(allowed)}, bad)
 
 
-@check("maps", "vertices")
+@check("maps", "vertices", reads=("tables",))
 def cross_plane(sess: Session) -> CheckEntry:
     """Each side subplane is projected once, from the points of every
     other side subplane together; the witnesses name the first wrong
@@ -657,7 +640,7 @@ def cross_plane(sess: Session) -> CheckEntry:
                  not bad, {"pairs": (ctx.q - 1) * (ctx.q - 2)}, bad[:5])
 
 
-@check("maps", "vertices")
+@check("maps", "vertices", reads=("fixed_census",))
 def club_images(sess: Session) -> CheckEntry:
     vc = sess.fixed_census
     sls = sum(vc.counts().values())
@@ -677,7 +660,7 @@ def _axis_mismatch(image, want, prefix: str = "") -> list[str]:
             + [f"{prefix}extra {format_point(P)}" for P in sorted(image - want)])
 
 
-@check("figueroa", "build", gates=(FIG_ROWS,))
+@check("figueroa", "build", gates=(FIG_ROWS,), reads=("tables",))
 def block_anatomy(sess: Session) -> CheckEntry:
     ctx, plane = sess.ctx, sess.plane
     block = fg.anchor_block(plane, ANCHOR)
@@ -702,7 +685,7 @@ def block_anatomy(sess: Session) -> CheckEntry:
                  not bad, {"size": size}, bad)
 
 
-@check("figueroa", "build", gates=(FIG_ROWS,))
+@check("figueroa", "build", gates=(FIG_ROWS,), reads=("tables", "build_pass"))
 def block_sizes(sess: Session) -> CheckEntry:
     bad, tables = sess.build_pass[0], sess.plane.tables
     # a fig row replacing line L is the block anchored at mu[L]
@@ -714,7 +697,7 @@ def block_sizes(sess: Session) -> CheckEntry:
                  [format_point(sess.plane.point(a)) for a in anchors])
 
 
-@check("figueroa", "build", gates=(FIG_ROWS,))
+@check("figueroa", "build", gates=(FIG_ROWS,), reads=("tables", "fig_structure", "build_pass"))
 def assembly(sess: Session) -> CheckEntry:
     count, tables = sess.fig_structure.shape[0], sess.plane.tables
     q, s = sess.ctx.q, sess.ctx.sub_order
@@ -732,7 +715,7 @@ def assembly(sess: Session) -> CheckEntry:
                  bad)
 
 
-@check("figueroa", "axioms", gates=(FIG_ROWS,))
+@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure"))
 def axioms(sess: Session) -> CheckEntry:
     rep = fg.check_axioms(sess.fig_structure)
     return entry("fig.axioms",
@@ -745,7 +728,7 @@ def axioms(sess: Session) -> CheckEntry:
                  rep.witnesses)
 
 
-@check("figueroa", "axioms", gates=(FIG_ROWS,))
+@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables",))
 def axioms_reference(sess: Session) -> CheckEntry:
     rep = fg.check_axioms(fg.pg_incidence(sess.plane))
     return entry("fig.axioms-reference",
@@ -754,7 +737,7 @@ def axioms_reference(sess: Session) -> CheckEntry:
                  rep.witnesses)
 
 
-@check("figueroa", "axioms", gates=(FIG_ROWS,))
+@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure"))
 def axioms_mutation(sess: Session) -> CheckEntry:
     i = int(np.argmax(sess.plane.tables.types == TYPE_III))
     rep = fg.check_axioms(dataclasses.replace(sess.fig_structure, kept=(i,)))
@@ -769,7 +752,7 @@ def axioms_mutation(sess: Session) -> CheckEntry:
                      f"the axiom checker {verdict}"])
 
 
-@check("figueroa", "pr")
+@check("figueroa", "pr", reads=("tables",))
 def projection_anchor(sess: Session) -> CheckEntry:
     ctx = sess.ctx
     q = ctx.q
@@ -787,7 +770,7 @@ def projection_anchor(sess: Session) -> CheckEntry:
                  not bad, {"image_size": len(img), "expected_size": size_want}, bad[:5])
 
 
-@check("figueroa", "pr")
+@check("figueroa", "pr", reads=("tables",))
 def projection_conjugates(sess: Session) -> CheckEntry:
     images = {which: fg.pr_fig_block(sess.plane, which) for which in (1, 2)}
     bad = [w for which, img in images.items()
@@ -815,7 +798,7 @@ def arching(sess: Session) -> CheckEntry:
                  bad)
 
 
-@check("figueroa", "characterization")
+@check("figueroa", "characterization", reads=("tables", "fixed_census"))
 def characterization(sess: Session) -> CheckEntry:
     rep = fg.characterize_fig_points(sess.plane, sess.fixed_census)
     return entry("fig.characterization",
@@ -825,7 +808,7 @@ def characterization(sess: Session) -> CheckEntry:
                  rep.mismatches)
 
 
-@check("figueroa", "even-structure", gates=(EVEN_Q,))
+@check("figueroa", "even-structure", gates=(EVEN_Q,), reads=("tables",))
 def even_structure(sess: Session) -> CheckEntry:
     """Even q only: through each triangle vertex, every line carries
     exactly one point of the conjugate block's Type III part or exactly
@@ -851,7 +834,7 @@ def even_structure(sess: Session) -> CheckEntry:
                  not bad, counts, bad[:5])
 
 
-@check("figueroa", "sp-mu")
+@check("figueroa", "sp-mu", reads=("tables",))
 def splash_involution(sess: Session) -> CheckEntry:
     """Splash after the involution, over the Type III part of the anchor
     block, must biject onto the axis minus the norm-one linear set, and

@@ -109,6 +109,7 @@ class _Unbuilt:
 
     def __init__(self, ctx):
         self.ctx = ctx
+        self.elapsed_ms = {}
 
 
 def _stub_suites(monkeypatch, ran):
@@ -282,6 +283,43 @@ def test_csv_report_rows_have_three_fields(q, capsys):
     assert all(len(r) == 3 for r in rows)
     (spectrum,) = [r for r in rows if r[0] == "vertices.count-spectrum"]
     assert spectrum[2].startswith("allowed=[") and ", " in spectrum[2]
+
+
+def test_timings_list_the_stages_of_the_build_group_once(capsys):
+    """The build group reads the point tables, the FIG structure and its
+    build pass: --timings lists each once, under their own key and in stage
+    order, and a time for every check."""
+    code, out = run_cli(["figueroa", "--q", "4", "--check", "build", "--format", "json",
+                         "--timings"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert [s["id"] for s in doc["stages"]] == ["tables", "fig_structure", "build_pass"]
+    assert [c["id"] for c in doc["checks"]] == ["fig.block", "fig.block-sizes", "fig.build"]
+    assert all(t["elapsed_ms"] >= 0 for t in doc["stages"] + doc["checks"])
+
+
+def test_verify_all_builds_each_stage_once(monkeypatch, capsys):
+    """verify --suite all runs its three suites on one Session, which builds
+    every stage once; the text report gives each its own line, after the
+    header, and every check line its time."""
+    from figplane.suites import STAGES, Session
+    built = []
+    for name in STAGES:
+        stage = vars(Session)[name]
+        monkeypatch.setattr(stage, "func", lambda sess, real=stage.func, name=name:
+                            built.append(name) or real(sess))
+    code, out = run_cli(["verify", "--q", "4", "--suite", "all", "--timings"], capsys)
+    assert code == 0 and built == list(STAGES)
+    lines = out.splitlines()
+    assert [l.split()[1] for l in lines[1:1 + len(STAGES)]] == list(STAGES)
+    assert all(l.startswith("STAGE ") and l.endswith(" ms]") for l in lines[1:1 + len(STAGES)])
+    assert not any(l.startswith("STAGE ") for l in lines[1 + len(STAGES):])
+    assert all(l.endswith(" ms]") for l in lines if l.startswith(("PASS", "FAIL")))
+
+
+def test_csv_report_is_the_same_with_timings(capsys):
+    args = ["verify", "--q", "4", "--suite", "all", "--format", "csv"]
+    assert run_cli(args, capsys) == run_cli(args + ["--timings"], capsys)
 
 
 def test_text_format_lines(capsys):

@@ -7,7 +7,9 @@ The golden reports are the output of
 
 at q = 3, 4 and 5, kept under ``tests/data``; they pin every entry, its
 counts and the report order.  q = 5 is the least order with q = 1 mod 4,
-where ``fig.projection-anchor`` takes its other odd-q size.
+where ``fig.projection-anchor`` takes its other odd-q size.  The maps and
+census suites have goldens at q = 7 too, the least order whose n-entry
+scans take more than one chunk of ``arrays.CHUNK``.
 """
 
 import json
@@ -18,13 +20,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from figplane.arrays import OTHER
+from figplane.arrays import CHUNK, OTHER
 from figplane.cli import main
 from figplane.collineation import CATEGORIES, TYPE_I, TYPE_II, TYPE_III, collineate_point
 from figplane.field import build_field_tower
 from figplane.linear_sets import t_plane
 from figplane.maps import VertexCensus
-from figplane.plane import format_line, format_point
+from figplane.plane import ProjectivePlane, format_line, format_point
 from figplane.suites import (CHECKS, Session, arching, assembly, axioms, axioms_mutation,
                              axioms_reference, block_anatomy, block_incidence_twist,
                              block_sizes, categories, characterization, check_groups,
@@ -34,7 +36,7 @@ from figplane.suites import (CHECKS, Session, arching, assembly, axioms, axioms_
                              parity_table, pencil_census, plane_images, projection_anchor,
                              projection_conjugates, projection_vs_splash,
                              rejects_fixed_objects, splash_involution, t_plane_images,
-                             type_tally, vertices_census, FIG_ROWS)
+                             type_tally, vertices_census, FIG_ROWS, STAGES)
 
 from conftest import HeldRows, held
 
@@ -49,25 +51,57 @@ def test_check_groups_in_report_order():
     assert len({c.run for c in CHECKS}) == len(CHECKS)
 
 
-def test_row_gate_marks_the_checks_that_read_the_fig(fig3, classes3):
-    """The default skips, and the memory guard counts the FIG lookup tables
-    for, the checks that carry ``FIG_ROWS``: exactly the build and axioms
-    groups, which hold every check that reads ``Session.fig_structure``."""
-    class Watched(Session):
-        read = False
+class _BlindPlane(ProjectivePlane):
+    """A plane whose tables may not be read."""
 
-        @property
-        def fig_structure(self):
-            self.read = True
-            return fig3
+    @property
+    def tables(self):
+        raise AssertionError("read the plane's tables without declaring the stage tables")
 
+
+class _Declared(Session):
+    """A Session holding, built, the stages of ``full`` that ``reads``
+    names, which raises on any other stage.  Its plane, which the FIG
+    structure reads its rows through too, raises on ``tables`` unless
+    ``reads`` names it."""
+
+    def __init__(self, full: Session, reads: tuple[str, ...]):
+        super().__init__(full.ctx)
+        self.reads = reads
+        if "tables" in reads:
+            self.plane.tables = full.plane.tables
+        else:
+            self.plane = _BlindPlane(full.ctx)
+        for name in reads:
+            held_stage = getattr(full, name)
+            if name == "fig_structure":
+                held_stage = replace(held_stage, plane=self.plane)
+            setattr(self, name, held_stage)
+
+    def __getattribute__(self, name):
+        if name in STAGES and name not in super().__getattribute__("reads"):
+            raise AssertionError(f"read the stage {name} without declaring it")
+        return super().__getattribute__(name)
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_checks_read_only_the_stages_they_declare(q):
+    """Every check passes against a Session whose declared stages are
+    prebuilt and which raises on any other, so ``run_checks`` builds what
+    each selection reads before its checks.  ``FIG_ROWS``, which the default
+    skip reads, marks exactly the build and axioms groups, which hold every
+    check that reads the FIG structure or its build pass, whose lookup
+    tables the memory guard counts."""
+    full = Session(build_field_tower(*{3: (3, 1), 4: (2, 2)}[q]))
+    for name in STAGES:
+        getattr(full, name)
     for c in CHECKS:
-        sess = Watched(fig3.plane.ctx)
-        sess.plane, sess.classes = fig3.plane, classes3
-        c.run(sess)
+        assert set(c.reads) <= set(STAGES), c.run
+        if c.applies(full.ctx):
+            assert c.run(_Declared(full, c.reads)).passed, c.run
         gated = FIG_ROWS in c.gates
         assert gated == (c.suite == "figueroa" and c.group in ("build", "axioms")), c.run
-        assert gated or not sess.read, c.run
+        assert gated or not {"fig_structure", "build_pass"} & set(c.reads), c.run
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -83,6 +117,16 @@ def test_verify_all_matches_golden_report(q, capsys):
     doc["header"]["config"]["seed"] = 1
     assert json.dumps(doc, indent=2) + "\n" == golden
     assert "sampled" not in golden
+
+
+@pytest.mark.parametrize("suite", ["maps", "census"])
+def test_q7_suite_matches_golden_report(suite, capsys):
+    """At q = 7 the plane has n = 117,993 points, so every n-entry scan of
+    the census and maps paths crosses chunk boundaries."""
+    assert 7 ** 6 + 7 ** 3 + 1 > CHUNK
+    golden = (DATA / f"verify-{suite}-q7.json").read_text()
+    assert main(["verify", "--q", "7", "--suite", suite, "--format", "json", "--seed", "1"]) == 0
+    assert capsys.readouterr().out == golden
 
 
 def test_twist_runs_at_every_figueroa_order(ctx5):
