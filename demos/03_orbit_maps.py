@@ -41,8 +41,8 @@ for p, k in ((3, 1), (2, 2)):
     c = build_field_tower(p, k)
     pl = ProjectivePlane(c)
     cls = partition_orbits(pl)
-    phif = phi_fixed_planes(pl, cls)    # rows of the member matrix,
-    muf = mu_fixed_planes(pl, cls)      # whose column 0 holds the representative
+    phif = phi_fixed_planes(pl, cls)    # positions of classes,
+    muf = mu_fixed_planes(pl, cls)      # whose representatives are cls.reps
     print(f"q = {c.q}: {len(phif)} collineation-fixed subplanes "
-          f"({' '.join(format_point(pl.point(i)) for i in cls.members[phif, 0])}), "
+          f"({' '.join(format_point(pl.point(i)) for i in cls.reps[phif])}), "
           f"{len(muf)} involution-fixed")

@@ -14,10 +14,10 @@ tuple or dict is consulted:
     (1, b, c) -> b q^3 + c        (0, 1, c) -> q^6 + c        (0, 0, 1) -> q^6 + q^3
 
 ``PlaneTables`` holds the one-entry-per-object tables that the bulk scans
-read, each built lazily, on first use; every build and every scan over
-all n objects holds its results and the temporaries of one chunk
-(``chunks``).  The first five come from closed forms at the point
-(1, b, c), in one pass over the grid in blocks of ``CHUNK // q^3`` values
+read across all n objects, each built lazily, on first use; every build
+and every scan over all n objects holds its results and the temporaries
+of one chunk (``chunks``).  The first four come from closed forms at the
+point (1, b, c), in one pass over the grid in blocks of ``CHUNK // q^3`` values
 of b, each against every c at once.  N and Tr are the norm and the trace
 onto GF(q), and g is the primitive element (code 2).  The point orbit
 matrix of (1, b, c) has the rows r0 = (1, b, c), r1 = (c^q, 1, b^q) and
@@ -32,8 +32,6 @@ r2 = (b^q^2, c^q^2, 1), each the collineation image of the row before, and
 * ``mu``     the involution: the index of the conjugate join of a Type III
   point, equally the conjugate meet of a Type III line, and -1 elsewhere:
   r1 x r2 = (1 - (b c^q)^q, b^(q+q^2) - c^q, c^(q+q^2) - b^q^2);
-* ``sec``    the secant line [yz, xz, xy] of a point off the triangle
-  sides, (1, 1/b, 1/c), and -1 on them;
 * ``phi``    the index of the collineation image, r1 scaled: (1, c^-q,
   b^q c^-q) for c != 0 and (0, 1, b^q) for c = 0;
 * ``orbit``  the least index in the stabilizer orbit of every point, which
@@ -59,6 +57,19 @@ has det = 1 + N(c), is never Type I, and has phi = (1, 0, c^-q) and
 conjugate join (-c^q^2, 1, c^(q+q^2)); every map fixes (0, 0, 1) but phi,
 which takes it to (1, 0, 0).
 
+What only subsets read and has a closed form is no table: it is made
+from the index array it is asked for.
+
+* ``sec``    the secant line [yz, xz, xy] of a point off the triangle
+  sides, (1, 1/b, 1/c) for the index b q^3 + c, and -1 for every other
+  entry, the sides and -1 among them, as a lookup at -1 read it;
+* ``orbit_rows``  the q^2 + q + 1 members of the stabilizer orbit of
+  each representative but the triangle vertices, sorted.  With w_k the
+  norm-one element of log k(q - 1), k < q^2 + q + 1, the orbit of
+  (1, b, c), b != 0, is (1, b w_k, w_k^(q+1) c) and that of (1, 0, c) or
+  (0, 1, c) is c w_k in place of c; for a representative, whose leading
+  code b (or c) is at most q - 1, the code b w_k is b + k(q - 1).
+
 No table has a row per object.  ``PlaneTables.incidence_rows`` makes the
 rows of q^3 + 1 sorted point indices of any lines from their closed form
 when they are asked for; since a point lies on line l exactly when l lies
@@ -70,10 +81,10 @@ table holds the blocks: every reader of FIG makes its rows when it reads
 them.
 ``PlaneTables.project`` classifies the projection images of a batch of
 vertices, each from its own coordinates, ``PlaneTables.vertex_kinds``
-classifies every point as a vertex for an orbit subplane by projecting
-one vertex per stabilizer orbit and reading the rest through ``orbit``,
-and ``PlaneTables.norm_det_mismatches`` tests the norm/determinant
-relation at every point off the triangle sides.  The scalar functions
+classifies the points as vertices for an orbit subplane by projecting
+one vertex per stabilizer orbit, which stands for its orbit, and
+``PlaneTables.norm_det_mismatches`` tests the norm/determinant relation
+at every point off the triangle sides.  The scalar functions
 (``point_type``, ``conjugate_join``, ``points_on_line``,
 ``project_from_vertex``, ...) remain the single-object API and the test
 oracle for everything here.
@@ -95,7 +106,6 @@ CHUNK = 1 << 14
 # Projection kinds besides a norm class j >= 0 (a scattered image).
 CLUB = -1
 OTHER = -2
-SKIPPED = -3    # not a vertex: on the axis or in the projected subplane
 
 # Image keys of the two axis points where a/b is undefined.
 _MARK_B0 = -1   # b = 0: the point (1, 0, 0)
@@ -295,7 +305,7 @@ class PlaneTables:
 
     @cached_property
     def _point_tables(self) -> dict[str, np.ndarray]:
-        """types, mu, sec, phi and orbit by the closed forms of the module
+        """types, mu, phi and orbit by the closed forms of the module
         docstring: the points (1, b, c) in blocks of ``CHUNK // q^3``
         values of b, each against every c at once, then the q^3 + 1 points
         with x = 0."""
@@ -303,7 +313,7 @@ class PlaneTables:
         q, q3, n = ctx.q, ctx.q3, ctx.n
         q6 = q3 * q3
         out = {name: np.empty(self.size, dtype=np.int8 if name == "types" else np.int32)
-               for name in ("types", "mu", "sec", "phi", "orbit")}
+               for name in ("types", "mu", "phi", "orbit")}
         one = np.int32(1)
         c = np.arange(q3, dtype=np.int32)       # every code, c and u alike
         cq, cq2, norm_c = F.frob(c, 1), F.frob(c, 2), F.norm(c)
@@ -324,7 +334,6 @@ class PlaneTables:
             rows = slice(block.start * q3, block.stop * q3)
             out["types"][rows] = np.where(singular, np.where(phi == b * q3 + c, 1, 2), 3).ravel()
             out["mu"][rows] = np.where(singular, -1, F.index(*F.canonical(x, y, z))).ravel()
-            out["sec"][rows] = np.where((b != 0) & (c != 0), F.inv(b) * q3 + F.inv(c), -1).ravel()
             out["phi"][rows] = phi.ravel()
             r = (b - 1) % (q - 1)                   # log b mod q - 1
             out["orbit"][rows] = np.where(b == 0, least_c, (r + 1) * q3 + np.where(
@@ -335,7 +344,6 @@ class PlaneTables:
         out["types"][tail] = np.where(singular, 2, 3)
         out["mu"][tail] = np.where(singular, -1,
                                    np.where(c != 0, F.neg(F.inv(cq2)) * q3 + neg_cq, q6))
-        out["sec"][q6:] = -1
         out["phi"][tail] = np.where(c != 0, inv_cq, q6 + q3)
         out["orbit"][tail] = q6 + least_c
         for name, value in (("types", 3), ("mu", q6 + q3), ("phi", 0), ("orbit", q6 + q3)):
@@ -352,10 +360,18 @@ class PlaneTables:
         """Involution image index of every Type III object, -1 elsewhere."""
         return self._point_tables["mu"]
 
-    @cached_property
-    def sec(self) -> np.ndarray:
-        """Secant line index of every point off the triangle sides, -1 on them."""
-        return self._point_tables["sec"]
+    def sec(self, i) -> np.ndarray:
+        """The int32 secant line index of each point off the triangle sides,
+        by index array i: (1, b, c), index b q^3 + c with bc != 0, has the
+        secant [1 : 1/b : 1/c]; every other entry, a point on a side or any
+        negative entry, gives -1."""
+        q3, inv = self.ctx.q3, self.field._inv
+        b = np.floor_divide(i, q3)
+        c = i - b * q3
+        out = np.take(inv * q3, b, mode="clip")
+        out += np.take(inv, c)
+        out[(b <= 0) | (b >= q3) | (c == 0)] = -1
+        return out
 
     @cached_property
     def phi(self) -> np.ndarray:
@@ -424,6 +440,30 @@ class PlaneTables:
     def orbit(self) -> np.ndarray:
         """Least index in the stabilizer orbit of every point."""
         return self._point_tables["orbit"]
+
+    def orbit_rows(self, R) -> np.ndarray:
+        """The stabilizer orbit of each representative in R, one sorted row
+        of q^2 + q + 1 int32 point indices each, made from the closed form
+        of the module docstring on every call.  R holds least members of
+        orbits, none of them a triangle vertex; a (1, b, c) row walks b
+        through its q^2 + q + 1 blocks of q^3 indices, and any other row
+        is R + k(q - 1), so the rows come out sorted."""
+        ctx = self.ctx
+        q, q3, n = ctx.q, ctx.q3, ctx.n
+        logs = np.arange(ctx.sub_order, dtype=np.int32) * (q - 1)    # log w_k
+        R = np.asarray(R, dtype=np.int32)[:, None]
+        y, z = np.divmod(R, q3)
+        # w_k^(q+1) z, the code of log z + (q + 1) log w_k mod n, for z != 0:
+        # one gather from the codes 1 .. n twice over, not a remainder
+        codes = np.arange(1, n + 1, dtype=np.int32)
+        rows = np.take(np.concatenate((codes, codes)), z - 1 + (q + 1) * logs % n)
+        rows += y * q3
+        rows += logs * q3
+        other = ((y == 0) | (y >= q3) | (z == 0))[:, 0]     # not (1, y, z) with yz != 0
+        if other.any():
+            y, R = y[other], R[other]
+            rows[other] = np.where((y != 0) & (y < q3), (y + logs) * q3, R + logs)
+        return rows
 
     def incidence_rows(self, L) -> np.ndarray:
         """The points on each line with an index in L, equally the lines
@@ -551,9 +591,10 @@ class PlaneTables:
             raise GeometryError("a vertex lies on the axis")
         return self._project(*V.T, pts)
 
-    def vertex_kinds(self, B) -> np.ndarray:
-        """Projection kind of every point as a vertex for B, by index;
-        SKIPPED for points on the axis and points of B.
+    def vertex_kinds(self, B) -> tuple[np.ndarray, np.ndarray]:
+        """The orbit representatives that are vertices for B, off the axis
+        and outside B, in increasing order, and the projection kind of each,
+        which is that of every point of its orbit.
 
         B must be a union of stabilizer orbits, as every orbit subplane and
         its conjugates are: ``KernelError`` unless tau maps B onto itself.
@@ -561,20 +602,16 @@ class PlaneTables:
         and on the axis it multiplies a/b of (a : b : 0) by g^(1-q), whose
         norm is one, fixing (1 : 0 : 0) and (0 : 1 : 0); so B projects from
         V and from tau V onto images of one norm class and one size.  One
-        vertex per orbit, the least index, is projected, and every point
-        reads the kind of its orbit's least member.
+        vertex per orbit, the least index, is projected.  Membership in B is
+        read by binary search in its sorted indices, so no n-entry mask is
+        made.
         """
         pts = self._subplane(B)
-        inside = np.zeros(self.size, dtype=bool)
-        inside[self.field.index(*pts.T)] = True
-        if not inside[self._torus(*pts.T)].all():
+        inside = np.sort(self.field.index(*pts.T))
+        if not np.array_equal(np.sort(self._torus(*pts.T)), inside):
             raise KernelError("vertex kinds of a point set that the torus shift tau moves")
-        orbit = self.orbit
-        reps = fixed_points(orbit)
+        reps = fixed_points(self.orbit)
         x, y, z = self.field.coords(reps)
-        keep = (z != 0) & ~inside[reps]
-        at = np.full(self.size, SKIPPED, dtype=np.int32)
-        at[reps[keep]] = self._project(x[keep], y[keep], z[keep], pts)
-        for s in chunks(self.size):     # in place: a representative's entry keeps its value
-            at[s] = at[orbit[s]]
-        return at
+        found = np.minimum(np.searchsorted(inside, reps), len(inside) - 1)
+        keep = (z != 0) & (inside[found] != reps)
+        return reps[keep], self._project(x[keep], y[keep], z[keep], pts)

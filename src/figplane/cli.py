@@ -21,10 +21,11 @@ it; naming their suite or group runs them.  Every check is exhaustive;
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 a refused command
 (q not a prime power, a failing gate, bulk tables estimated larger than
-the host's physical memory, counting the FIG row lookup tables when a
-selected check reads the FIG structure or its build pass or when
---emit-plane is set, an --emit-plane file that cannot be written,
-a --theta out of range; all refused before any check runs)
+the host's physical memory, counting the torus, Dickson and FIG row
+lookup tables when a selected check reads the FIG structure or its build
+pass or when --emit-plane is set, an --emit-plane file that cannot be
+written, a --theta out of range; all refused before any check runs, and
+all but the last from q alone, before the field tower is built)
 or a geometry or kernel error during a run, reported as one
 "figplane: ..." line.  Output is byte-identical across runs with the
 same configuration; pass --timings to include (nondeterministic) timings
@@ -42,7 +43,7 @@ from . import figueroa as fg
 from . import linear_sets as ls
 from .arrays import KernelError
 from .collineation import CATEGORIES, CATEGORY_TYPES, TYPE_NAMES
-from .field import FieldError, context_for_q, table_bytes
+from .field import FieldError, context_for_q, order_of, table_bytes
 from .plane import GeometryError, format_point
 from .report import Report, TOOL_NAME, TOOL_VERSION
 from .suites import (FIG_ROWS, Session, census_checks, check_groups, figueroa_checks,
@@ -155,25 +156,26 @@ def _census_csv(sess: Session) -> str:
 def run_report(args) -> int:
     """verify, census, maps and figueroa: select the checks, refuse a
     selection where none runs at q, run them in one Session and report."""
-    ctx = context_for_q(args.q)
+    order = order_of(args.q)    # the guards read q alone: no field is built before them
     suite = args.suite if args.command == "verify" else args.command
     group = getattr(args, "check", None)
     emit = getattr(args, "emit_plane", None)
     suites = SUITES if suite == "all" else (suite,)
     by_default = suite == "all"   # the default selection; what is named runs past its gates
-    if suite != "all" and (reason := refusal(ctx, suite, group)):
+    if suite != "all" and (reason := refusal(order, suite, group)):
         raise UsageError(reason)
     if emit:    # the file is the FIG that the figueroa suite streams
-        if reason := refusal(ctx, "figueroa"):
+        if reason := refusal(order, "figueroa"):
             raise UsageError(reason)
         _require_writable(emit)
-    picked = [c for name in suites for c in selected(ctx, name, group, by_default)]
+    picked = [c for name in suites for c in selected(order, name, group, by_default)]
     fig = bool(emit) or any({"fig_structure", "build_pass"} & set(c.reads) for c in picked)
-    need, have = table_bytes(ctx.q, fig), physical_memory()
+    need, have = table_bytes(order.q, fig), physical_memory()
     if need > have:     # fail fast, not out of memory part-way
-        raise UsageError(f"q = {ctx.q} needs about {need / 1e9:.3g} GB for its tables, "
+        raise UsageError(f"q = {order.q} needs about {need / 1e9:.3g} GB for its tables, "
                          f"more than the {have / 1e9:.3g} GB of physical memory")
-    skipped = [c for name in suites for c in selected(ctx, name, group) if c not in picked]
+    skipped = [c for name in suites for c in selected(order, name, group) if c not in picked]
+    ctx = context_for_q(args.q)
     sess = Session(ctx)
     entries = []
     for name in suites:

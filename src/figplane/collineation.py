@@ -16,9 +16,11 @@ its point orbits partition PG(2,q^3) into seven kinds of classes: the
 three vertices, the scattered linear sets on the triangle sides
 (``sls_II``, ``sls_III``) and four kinds of subplanes of order q.
 ``partition_orbits`` reads the representatives from ``PlaneTables.orbit``
-and makes three arrays, the representatives, their categories and the
-member matrix, whose rows come from the stabilizer's closed form and are
-checked against the table; ``census_of`` counts them with one bincount.
+and makes two arrays, the representatives and their categories; it checks
+every member row, made from the stabilizer's closed form, against the
+table, and keeps none: ``OrbitClasses.members`` makes the rows of any
+classes again when they are read.  ``census_of`` counts the classes with
+one bincount.
 ``stabilizer_orbit`` and ``apply_stabilizer`` are the scalar reference
 for the orbit table, and ``sls_id_of_point`` names the side and norm
 class of a linear set.
@@ -26,7 +28,7 @@ class of a linear set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .field import FieldContext, FieldError
@@ -35,6 +37,8 @@ from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, GeometryError, ProjectivePlane,
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .arrays import PlaneTables
 
 TYPE_I, TYPE_II, TYPE_III = 1, 2, 3
 
@@ -247,24 +251,33 @@ def line_types_table(plane: ProjectivePlane) -> np.ndarray:
 
 @dataclass(eq=False)
 class OrbitClasses:
-    """The orbit classes in representative order, as arrays: ``reps``,
-    their representatives' indices, ``categories``, their int8 positions
-    in ``CATEGORIES``, and ``members``: one read-only (m, q^2+q+1) int32
-    matrix whose row j holds, sorted, the points of the j-th class that
-    is not a vertex, so column 0 is its representative.  ``len`` is the
-    number of classes."""
+    """The orbit classes in representative order, as two arrays: ``reps``,
+    their representatives' indices, and ``categories``, their int8
+    positions in ``CATEGORIES``; ``len`` is the number of classes.  A class
+    is named by its position.  No member is held: ``members`` makes the
+    sorted member rows of any classes from the stabilizer's closed form
+    (``PlaneTables.orbit_rows``) when they are asked for."""
     reps: np.ndarray
     categories: np.ndarray
-    members: np.ndarray
+    tables: PlaneTables = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.reps)
 
-    def rows_of(self, category: str):
-        """Rows of ``members`` whose class has the category, in order."""
+    def of(self, category: str):
+        """Positions of the classes of the category, in order."""
         import numpy as np
-        row_categories = self.categories[self.categories != VERTEX]
-        return np.flatnonzero(row_categories == CATEGORIES.index(category))
+        return np.flatnonzero(self.categories == CATEGORIES.index(category))
+
+    def members(self, j) -> np.ndarray:
+        """One int32 row of q^2+q+1 sorted point indices per class position
+        in j, its representative first; a vertex class, of one point, has
+        no such row and raises ``ValueError``."""
+        import numpy as np
+        j = np.asarray(j, dtype=np.intp)
+        if (self.categories[j] == VERTEX).any():
+            raise ValueError("a vertex class has one member and no member row")
+        return self.tables.orbit_rows(self.reps[j])
 
 
 def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
@@ -282,15 +295,17 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
     and (0, 1, z) to (0, 1, w^q z) for the w of norm one, whose logs are
     k(q - 1), k < q^2+q+1; so a class whose least member leads with the
     code u <= q - 1 (y, or z where y = 0; q and q + 1 are prime to
-    q^2+q+1) leads with u + k(q - 1), and its row is made sorted.  A representative
-    leading with a larger code, or a row entry labelled otherwise or of
-    another point type, raises ``OrbitInconsistency``.
+    q^2+q+1) leads with u + k(q - 1).  Its member row, made sorted from
+    that closed form (``PlaneTables.orbit_rows``), is checked against the
+    table once and not kept.  A representative leading with a larger code,
+    or a row entry labelled otherwise or of another point type, raises
+    ``OrbitInconsistency``.
     """
     import numpy as np
     from .arrays import chunks, fixed_points
     ctx, tables = plane.ctx, plane.tables
     types, orbit = tables.types, tables.orbit
-    q, q3, n, s = ctx.q, ctx.q3, ctx.n, ctx.sub_order
+    q, q3, s = ctx.q, ctx.q3, ctx.sub_order
     reps = fixed_points(orbit)
     vertices = np.array([plane.index(V) for V in (ANCHOR, ANCHOR_1, ANCHOR_2)])
     at_vertex = (reps[:, None] == vertices).any(axis=1)
@@ -306,15 +321,10 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
             raise OrbitInconsistency(f"unexpected singleton orbit at {P}")
         raise OrbitInconsistency(f"orbit of {P} has size {int(sizes[j])}, not {int(want[j])}")
     y, z = full // q3, full % q3
-    head = (full < q3 * q3) & (y != 0)                    # (1, y, z) with y != 0
-    lead = np.where(head, y, z)
-    logs = np.arange(s, dtype=np.int32) * (q - 1)         # log w, in increasing order
-    u = np.arange(q3, dtype=np.int32)[:, None]
-    times = np.where(u == 0, 0, (u - 1 + (q + 1) * logs) % n + 1)     # w^(q+1) u, row u
-    members = np.empty((len(full), s), dtype=np.int32)
+    lead = np.where((full < q3 * q3) & (y != 0), y, z)
     for j in chunks(len(full), s):
         R = full[j, None]
-        rows = np.where(head[j, None], (y[j, None] + logs) * q3 + times[z[j]], R + logs)
+        rows = tables.orbit_rows(full[j])
         bad = (lead[j] >= q) | (np.take(orbit, rows, mode="clip") != R).any(axis=1)
         if bad.any():
             raise OrbitInconsistency("the orbit table disagrees with the stabilizer orbit "
@@ -324,8 +334,7 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
             r, c = np.argwhere(mixed)[0]
             raise OrbitInconsistency(f"orbit of {plane.point(R[r, 0])} mixes point types "
                                      f"{sorted(types[rows[r, [0, c]]].tolist())}")
-        members[j] = rows
-    lines = tables.sec[reps]
+    lines = tables.sec(reps)
     on_side = lines < 0
     ptypes = types[reps]
     ltypes = np.where(on_side, 0, types[lines])           # secant type, planes only
@@ -339,8 +348,7 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
         j = int(np.argmax(categories < 0))
         raise OrbitInconsistency(f"plane orbit of {plane.point(reps[j])} has point type "
                                  f"{int(ptypes[j])}, line type {int(ltypes[j])}")
-    members.setflags(write=False)
-    return OrbitClasses(reps, categories, members)
+    return OrbitClasses(reps, categories, tables)
 
 
 def census_of(plane: ProjectivePlane, classes: OrbitClasses | None = None) -> Census:

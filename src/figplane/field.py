@@ -30,9 +30,11 @@ class Gate(NamedTuple):
     """A condition on the order q that a computation needs, and the reason
     to give where it does not hold.  A ``default_only`` gate binds only a
     default selection, so nothing is refused by it, and its reason is a
-    function of the context, which can quote an estimate."""
-    holds: Callable[[FieldContext], bool]
-    reason: str | Callable[[FieldContext], str]
+    function of the order, which can quote an estimate.  Both read only
+    ``q`` and ``q3``, so an ``Order`` serves as well as a ``FieldContext``,
+    before any field is built."""
+    holds: Callable[[Order | FieldContext], bool]
+    reason: str | Callable[[Order | FieldContext], str]
     default_only: bool = False
 
 
@@ -345,18 +347,53 @@ def _validate_params(p: int, k: int) -> None:
 def table_bytes(q: int, fig: bool = False) -> int:
     """Estimated bytes of the bulk tables one run at order q holds, from q
     alone: the two q^3 x q^3 uint16 lookup tables of ``FieldArrays``,
-    4 q^6 bytes, and 33 bytes for each of the n = q^6 + q^3 + 1 points of
-    the ``PlaneTables`` entries, one int8 type and eight int32 tables
-    (mu, sec, phi, tau, tau_line, orbit, dickson, dickson_line).  With
-    ``fig``, for a run that streams the rows of the Figueroa plane, add
-    the two int32 lookup tables its rows are gathered from, 8 bytes a
-    point; no run holds the rows themselves.  The estimate counts held
-    tables only: every table build and n-entry scan keeps its temporaries
-    to one chunk (``arrays.CHUNK``), and a census or maps run builds no
-    torus or Dickson table."""
+    4 q^6 bytes, and 13 bytes for each of the n = q^6 + q^3 + 1 points of
+    the ``PlaneTables`` entries every census and maps run holds, one int8
+    type and three int32 tables (mu, phi and orbit).  With ``fig``, for a
+    run that streams the rows of the Figueroa plane, add 24 bytes a point:
+    the torus and Dickson tables of points and lines the axiom checker
+    reads (tau, tau_line, dickson, dickson_line) and the two int32 lookup
+    tables the rows are gathered from; no run holds the rows themselves.
+    The estimate counts held tables only: every table build and n-entry
+    scan keeps its temporaries to one chunk (``arrays.CHUNK``), and what
+    only subsets read, the secants and the orbit members, is made from
+    closed forms when it is read."""
     q3 = q ** 3
     n = q3 * q3 + q3 + 1
-    return 4 * q3 * q3 + (41 if fig else 33) * n
+    return 4 * q3 * q3 + (37 if fig else 13) * n
+
+
+class Order(NamedTuple):
+    """A prime power q = p^k, factored and checked against the table bound
+    without building its field tower.  Gates and the memory guard read its
+    ``q`` and ``q3`` as they read those of a ``FieldContext``."""
+    p: int
+    k: int
+
+    @property
+    def q(self) -> int:
+        return self.p ** self.k
+
+    @property
+    def q3(self) -> int:
+        return self.q ** 3
+
+
+def order_of(q: int) -> Order:
+    """Factor a prime power q = p^k; ``FieldError`` if q is none, or if
+    its GF(q^3) is past the table bound."""
+    if q < 2:
+        raise FieldError(f"q = {q} is not a prime power")
+    p = min(prime_factors(q))
+    k = 0
+    v = q
+    while v > 1:
+        if v % p:
+            raise FieldError(f"q = {q} is not a prime power")
+        v //= p
+        k += 1
+    _validate_params(p, k)
+    return Order(p, k)
 
 
 _CACHE: dict[tuple[int, int], FieldContext] = {}
@@ -373,14 +410,4 @@ def build_field_tower(p: int, k: int) -> FieldContext:
 
 def context_for_q(q: int) -> FieldContext:
     """Factor a prime power q = p^k and build its tower."""
-    if q < 2:
-        raise FieldError(f"q = {q} is not a prime power")
-    p = min(prime_factors(q))
-    k = 0
-    v = q
-    while v > 1:
-        if v % p:
-            raise FieldError(f"q = {q} is not a prime power")
-        v //= p
-        k += 1
-    return build_field_tower(p, k)
+    return build_field_tower(*order_of(q))

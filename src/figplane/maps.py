@@ -30,7 +30,7 @@ from .arrays import CLUB, OTHER, chunks
 from .field import FieldContext
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane, Triple,
                     GeometryError, canonical, join, meet)
-from .collineation import (CATEGORIES, TYPE_III, VERTEX, OrbitClasses,
+from .collineation import (CATEGORIES, TYPE_III, OrbitClasses,
                            OrbitInconsistency, SlsId, collineate_line,
                            collineate_point, line_type, point_type)
 from .linear_sets import SubplaneSet
@@ -166,42 +166,54 @@ class VertexCensus:
 def vertex_census(plane: ProjectivePlane, B: SubplaneSet) -> VertexCensus:
     """Classify the projection of B from every point off the axis and
     outside B.  B is a union of stabilizer orbits, as every orbit subplane
-    is, so one vertex per orbit is projected (``PlaneTables.vertex_kinds``)."""
-    kinds = plane.tables.vertex_kinds(B.points)
-    by_class = {j: [plane.point(i) for i in np.flatnonzero(kinds == j)]
-                for j in range(plane.ctx.q - 1)}
-    return VertexCensus(by_class, int(np.count_nonzero(kinds == CLUB)),
-                        int(np.count_nonzero(kinds == OTHER)))
+    is, so one vertex per orbit is projected (``PlaneTables.vertex_kinds``):
+    its kind counts for the q^2 + q + 1 points of its orbit, or for the
+    anchor alone, the one triangle vertex off the axis, and the vertices of
+    a norm class are the members of its orbits."""
+    tables = plane.tables
+    reps, kinds = tables.vertex_kinds(B.points)
+    anchor = reps == plane.size - 1
+    sizes = np.where(anchor, 1, plane.ctx.sub_order)
+    by_class = {}
+    for j in range(plane.ctx.q - 1):
+        pick = kinds == j
+        points = np.concatenate((reps[pick & anchor],
+                                 tables.orbit_rows(reps[pick & ~anchor]).ravel()))
+        by_class[j] = [plane.point(i) for i in np.sort(points)]
+    return VertexCensus(by_class, int(sizes[kinds == CLUB].sum()),
+                        int(sizes[kinds == OTHER].sum()))
 
 
 def phi_fixed_planes(plane: ProjectivePlane, classes: OrbitClasses) -> np.ndarray:
-    """Rows of the member matrix whose orbit subplanes the collineation
-    fixes setwise, by exhaustive scan: a class is fixed when no member i
-    has its image in another class."""
+    """Classes whose orbit subplanes the collineation fixes setwise, by
+    exhaustive scan, as positions in ``classes``: a class is fixed when no
+    member i has its image in another class."""
     orbit, phi = plane.tables.orbit, plane.tables.phi
-    moved = np.zeros(plane.size, dtype=bool)        # by class representative
+    # by representative: every representative but those of (0, 1, c) and
+    # the anchor lies below q^4, so few pages of the zeroed mask are touched
+    moved = np.zeros(plane.size, dtype=bool)
     for s in chunks(plane.size):
         rep = orbit[s]
         moved[rep[orbit[phi[s]] != rep]] = True
-    row_categories = classes.categories[classes.categories != VERTEX]
-    planes = row_categories >= CATEGORIES.index("plane_I_I")    # the last four
-    return np.flatnonzero(planes & ~moved[classes.members[:, 0]])
+    planes = classes.categories >= CATEGORIES.index("plane_I_I")    # the last four
+    return np.flatnonzero(planes & ~moved[classes.reps])
 
 
 def mu_fixed_planes(plane: ProjectivePlane, classes: OrbitClasses) -> np.ndarray:
-    """Rows of the member matrix whose orbit subplanes map their point set
-    onto their own line set under the involution, by exhaustive scan over
-    the all-Type-III classes, as one pass over their rows in chunks.
+    """Classes whose orbit subplanes map their point set onto their own
+    line set under the involution, as positions in ``classes``, by
+    exhaustive scan over the all-Type-III classes, as one pass over their
+    member rows in chunks.
 
     The stabilizer commutes with the collineation, so the line set of an
     orbit subplane is the set of secant lines of its points.
     """
     tables = plane.tables
-    rows = classes.rows_of("plane_III_III")
-    found = [rows[:0]]
-    for j in chunks(len(rows), classes.members.shape[1]):
-        members = classes.members[rows[j]]          # each row sorted
-        lines, images = tables.sec[members], tables.mu[members]
+    pick = classes.of("plane_III_III")
+    found = [pick[:0]]
+    for j in chunks(len(pick), plane.ctx.sub_order):
+        members = classes.members(pick[j])          # each row sorted
+        lines, images = tables.sec(members), tables.mu[members]
         lines.sort(axis=1)
         images.sort(axis=1)
         fixed = (images == lines).all(axis=1)
@@ -210,7 +222,7 @@ def mu_fixed_planes(plane: ProjectivePlane, classes: OrbitClasses) -> np.ndarray
         if not back.all():
             rep = plane.point(members[np.argmin(back), 0])
             raise OrbitInconsistency(f"involution fixes lines but not points at {rep}")
-        found.append(rows[j][fixed])
+        found.append(pick[j][fixed])
     return np.concatenate(found)
 
 

@@ -43,8 +43,8 @@ class Session:
 
     @cached_property
     def tables(self) -> PlaneTables:
-        """The plane's tables, with its five point tables built."""
-        self.plane.tables.types     # one pass builds types, mu, sec, phi and orbit
+        """The plane's tables, with its four point tables built."""
+        self.plane.tables.types     # one pass builds types, mu, phi and orbit
         return self.plane.tables
 
     @cached_property
@@ -202,20 +202,22 @@ def categories(sess: Session) -> CheckEntry:
 def orbit_sizes(sess: Session) -> CheckEntry:
     # the member rows and the three vertex classes cover every point once:
     # they hold n entries and reach every point; else count the points' classes
-    classes, n = sess.classes, sess.plane.size
-    vertex_reps = classes.reps[classes.categories == VERTEX]
+    classes, n, s = sess.classes, sess.plane.size, sess.ctx.sub_order
+    at_vertex = classes.categories == VERTEX
+    vertex_reps, full = classes.reps[at_vertex], np.flatnonzero(~at_vertex)
     seen = np.zeros(n, dtype=bool)
     seen[vertex_reps] = True
-    for j in chunks(len(classes.members), classes.members.shape[1]):
-        seen[classes.members[j]] = True
+    for j in chunks(len(full), s):
+        seen[classes.members(full[j])] = True
     bad = []
-    if classes.members.size + len(vertex_reps) != n or not seen.all():
-        cover = np.bincount(np.concatenate((classes.members.ravel(), vertex_reps)), minlength=n)
+    if len(full) * s + len(vertex_reps) != n or not seen.all():
+        cover = np.bincount(np.concatenate([classes.members(full[j]).ravel()
+                                            for j in chunks(len(full), s)] + [vertex_reps]),
+                            minlength=n)
         bad = [f"{format_point(sess.plane.point(i))} lies in {int(cover[i])} classes"
                for i in np.flatnonzero(cover != 1)[:5]]
-    if len(vertex_reps) != 3 or classes.members.shape[1] != sess.ctx.sub_order:
-        bad.insert(0, f"{len(vertex_reps)} vertex classes, and classes of "
-                      f"{classes.members.shape[1]} points")
+    if len(vertex_reps) != 3:
+        bad.insert(0, f"{len(vertex_reps)} vertex classes, and classes of {s} points")
     return entry("census.orbit-sizes",
                  "every class is one fixed vertex or has q^2+q+1 points, and the classes partition the plane",
                  not bad, {"classes": len(classes), "points": n}, bad[:5])
@@ -338,7 +340,7 @@ def rejects_fixed_objects(sess: Session) -> CheckEntry:
 @check("maps", "mu", reads=("tables",))
 def plane_images(sess: Session) -> CheckEntry:
     """Table-driven: the lines of an orbit subplane with point indices P
-    are the secants sec[P], so its involution images are mu[sec[P]]
+    are the secants sec(P), so its involution images are mu[sec(P)]
     (points) and mu[P] (lines).  phi, which serves points and lines alike,
     carries P and both closed forms to each conjugate side.  A point
     without a secant or without an involution image (-1) fails the
@@ -360,7 +362,7 @@ def plane_images(sess: Session) -> CheckEntry:
         want_lns = gm.anchor_cross(tables, _indices(sess, ls.sls_points(ctx, ctx.inv(th))))
         for side in (0, 1, 2):
             name = f"conjugate {side} of plane {th}" if side else f"plane {th}"
-            lines = sec[P]
+            lines = sec(P)
             if not same_set(np.where(lines >= 0, mu[lines], -1), want_pts):
                 bad.append(f"line image of {name}")
             if not same_set(mu[P], want_lns):
@@ -385,27 +387,29 @@ def generic_plane(sess: Session) -> CheckEntry:
 
     The line set of an orbit subplane is the set of its points' secants,
     and ``sec`` is a bijection off the triangle sides, so the involution
-    images of the subplane of class C are mu[sec[C]] (points) and mu[C]
+    images of the subplane of class C are mu[sec(C)] (points) and mu[C]
     (lines).  It is its own inverse there, (1, b, c) <-> [1 : 1/b : 1/c],
-    so line l is a secant of the class of sec[l], and of none when sec[l]
+    so line l is a secant of the class of sec(l), and of none when sec(l)
     is -1.  Classes have one or q^2+q+1 members, so q^2+q+1 distinct
     images with one owner are exactly one class, or one class's line set.
     """
     tables = sess.plane.tables
+    classes = sess.classes
     mu, sec, phi = tables.mu, tables.sec, tables.phi
     owner = tables.orbit                                    # point -> class rep
-    # the classes of the side subplanes and their two conjugates, by rep
+    # the classes of the side subplanes and their two conjugates
     pts = np.concatenate([_indices(sess, ls.t_plane(sess.ctx, th).points)
                           for th in sess.norm_reps()])
-    side = np.zeros(sess.plane.size, dtype=bool)
-    side[owner[np.concatenate((pts, phi[pts], phi[phi[pts]]))]] = True
-    pick = sess.classes.rows_of("plane_III_III")
-    pick = pick[~side[sess.classes.members[pick, 0]]]        # column 0 holds the rep
+    side = np.zeros(len(classes), dtype=bool)
+    owners = owner[np.concatenate((pts, phi[pts], phi[phi[pts]]))]
+    side[np.searchsorted(classes.reps, owners)] = True
+    pick = classes.of("plane_III_III")
+    pick = pick[~side[pick]]
     bad = []
     for j in chunks(len(pick), sess.ctx.sub_order):
-        members = sess.classes.members[pick[j]]
-        point_ok = _one_class(mu[sec[members]], owner)
-        line_ok = _one_class(sec[mu[members]], owner)
+        members = classes.members(pick[j])
+        point_ok = _one_class(mu[sec(members)], owner)
+        line_ok = _one_class(sec(mu[members]), owner)
         for i in np.flatnonzero(~(point_ok & line_ok)):
             rep = format_point(sess.plane.point(members[i, 0]))
             if not point_ok[i]:
@@ -432,13 +436,15 @@ def block_incidence_twist(sess: Session) -> CheckEntry:
     # image passes through the anchor 0:0:1, that is, is a line [a:b:0]
     tables = sess.plane.tables
     mu, types, bad = tables.mu, tables.types, []
-    member = np.zeros(len(mu), dtype=bool)
-    member[_block_parts(sess)[1]] = True
+    part = np.sort(_block_parts(sess)[1])
     for s in chunks(len(mu)):
         # [a:b:0] is [1:b:0], index b q^3, or [0:1:0], index q^6: the indices
         # divisible by q^3 other than q^6 + q^3, the index of [0:0:1]
         through = (mu[s] % sess.ctx.q3 == 0) & (mu[s] != len(mu) - 1)
-        bad.append(span(s)[(types[s] == TYPE_III) & (member[s] != through)])
+        member = np.zeros(s.stop - s.start, dtype=bool)     # the chunk's block points
+        lo, hi = np.searchsorted(part, (s.start, s.stop))
+        member[part[lo:hi] - s.start] = True
+        bad.append(span(s)[(types[s] == TYPE_III) & (member != through)])
     bad = np.concatenate(bad)[:5]
     return entry("mu.block-incidence-twist",
                  "Type III block membership at the anchor equals anchor incidence of the involution image",
@@ -534,12 +540,11 @@ def projection_vs_splash(sess: Session) -> CheckEntry:
 
 def _fixed_planes(sess: Session, id: str, claim: str, found: np.ndarray, reps,
                   expected: int, ok: bool = True) -> CheckEntry:
-    """Entry for an exhaustive scan that found the member-matrix rows
-    ``found``, which must be the ``expected`` subplanes through the
-    closed-form ``reps``."""
+    """Entry for an exhaustive scan that found the classes ``found``, which
+    must be the ``expected`` subplanes through the closed-form ``reps``."""
     want = [frozenset(sess.plane.index(P) for P in ls.plane_from_rep(sess.ctx, R).points)
             for R in reps]
-    members = sess.classes.members[found]
+    members = sess.classes.members(found)
     got = {frozenset(row) for row in members.tolist()}
     ok = ok and len(found) == expected and got == set(want)
     missing = [f"no class is the subplane through {format_point(R)}"
@@ -554,7 +559,7 @@ def _fixed_planes(sess: Session, id: str, claim: str, found: np.ndarray, reps,
 @check("maps", "fixed", reads=("tables", "classes"))
 def collineation_fixed(sess: Session) -> CheckEntry:
     found = gm.phi_fixed_planes(sess.plane, sess.classes)
-    allowed = np.concatenate([sess.classes.rows_of(c) for c in ("plane_I_I", "plane_III_III")])
+    allowed = np.concatenate([sess.classes.of(c) for c in ("plane_I_I", "plane_III_III")])
     return _fixed_planes(
         sess, "fixed.collineation",
         "exhaustive scan finds exactly gcd(3, q-1) collineation-fixed subplanes, the closed-form ones",

@@ -87,8 +87,8 @@ def test_04_fixed_planes():
         phif, muf = phi_fixed_planes(plane, classes), mu_fixed_planes(plane, classes)
         assert len(phif) == nphi == math.gcd(3, q - 1)
         assert len(muf) == nmu
-        # member-matrix rows; the involution fixes two of the collineation's
-        assert set(muf.tolist()) <= set(phif.tolist()) < set(range(len(classes.members)))
+        # class positions; the involution fixes two of the collineation's
+        assert set(muf.tolist()) <= set(phif.tolist()) < set(range(len(classes)))
     _ok("04 collineation- and involution-fixed planes (q=3,4,5,7)")
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from figplane.arrays import (CHUNK, CLUB, OTHER, SKIPPED, FieldArrays, KernelError,
+from figplane.arrays import (CHUNK, CLUB, OTHER, FieldArrays, KernelError,
                              PlaneTables)
 from figplane.collineation import (CATEGORIES, TYPE_III, collineate_line, collineate_point,
                                    det3, line_orbit_matrix, line_type,
@@ -26,7 +26,8 @@ from figplane.field import build_field_tower, context_for_q, table_bytes
 from figplane.figueroa import build_fig_plane, fig_incident
 from figplane.linear_sets import (conjugate_subplane, fixed_subplane,
                                   plane_from_rep, t_plane)
-from figplane.maps import conjugate_join, conjugate_meet, project_from_vertex
+from figplane.maps import (VertexCensus, conjugate_join, conjugate_meet, project_from_vertex,
+                           vertex_census)
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, GeometryError,
                             ProjectivePlane, canonical, cross, join,
                             lines_through_point, points_on_line)
@@ -34,6 +35,10 @@ from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, GeometryError,
 from conftest import held
 
 TABLES = ("types", "mu", "sec", "phi", "orbit", "tau", "tau_line")
+
+# the kind of a point that is no vertex for a projected set: on the axis
+# or in the set; ``vertex_kinds`` lists no such point
+SKIPPED = -3
 
 
 def oracle(plane, name, i):
@@ -73,6 +78,13 @@ def disagreements(plane, name, table, indices) -> list[int]:
     return [i for i in indices if oracle(plane, name, i) != {int(table[i])}]
 
 
+def table_of(plane, name, indices=None) -> np.ndarray:
+    """The entries of table ``name`` at ``indices``, every index by default;
+    ``sec``, which no table holds, is made from its closed form there."""
+    i = np.arange(plane.size) if indices is None else np.asarray(indices)
+    return plane.tables.sec(i) if name == "sec" else getattr(plane.tables, name)[i]
+
+
 def scalar_kind(ctx, V, B) -> int:
     img = project_from_vertex(ctx, V, B)
     if img.kind == "sls":
@@ -90,6 +102,15 @@ def full_scan_kinds(plane, B) -> np.ndarray:
     out = np.full(plane.size, SKIPPED, dtype=np.int32)
     out[keep] = plane.tables.project(np.stack((x, y, z), axis=1)[keep], B.points)
     return out
+
+
+def kinds_by_point(plane, B) -> np.ndarray:
+    """The kind of every point as a vertex for B, read from ``vertex_kinds``:
+    the kind of its orbit's representative, SKIPPED on the axis and in B."""
+    reps, kinds = plane.tables.vertex_kinds(B.points)
+    at = np.full(plane.size, SKIPPED, dtype=np.int32)
+    at[reps] = kinds
+    return at[plane.tables.orbit]
 
 
 def subplanes(ctx):
@@ -110,7 +131,7 @@ def small_plane(request):
 @pytest.fixture(scope="module", params=[5, 7], ids=["q5", "q7"])
 def sampled_plane(request):
     plane = ProjectivePlane(context_for_q(request.param))
-    kinds = [(B, plane.tables.vertex_kinds(B.points)) for B in subplanes(plane.ctx)]
+    kinds = [(B, kinds_by_point(plane, B)) for B in subplanes(plane.ctx)]
     return plane, kinds
 
 
@@ -174,7 +195,7 @@ def test_field_arrays_triples_and_index(small_plane):
 
 @pytest.mark.parametrize("name", TABLES)
 def test_table_matches_oracle_exhaustive(small_plane, name):
-    table = getattr(small_plane.tables, name)
+    table = table_of(small_plane, name)
     assert len(table) == small_plane.size
     assert disagreements(small_plane, name, table, range(small_plane.size)) == []
 
@@ -197,7 +218,31 @@ def test_tables_match_oracle_sampled(oracle_plane, data):
     i = data.draw(st.integers(0, plane.size - 1) | st.integers(q6, plane.size - 1),
                   label="index")
     for name in TABLES:
-        assert disagreements(plane, name, getattr(plane.tables, name), [i]) == []
+        assert oracle(plane, name, i) == {int(table_of(plane, name, [i])[0])}, name
+
+
+def test_sec_is_an_int32_closed_form(small_plane):
+    """``sec`` keeps the shape of its index array, is int32, and gives -1
+    at -1, as a lookup in a table whose last entry, (0, 0, 1), is -1 did;
+    ``mu.generic-plane`` reads it at the -1 entries of mu."""
+    plane = small_plane
+    every = np.arange(-1, plane.size, dtype=np.int32)
+    got = plane.tables.sec(np.stack((every, every[::-1])))
+    assert got.dtype == np.int32 and got.shape == (2, plane.size + 1)
+    assert got[0, 0] == got[1, -1] == -1
+    assert np.array_equal(got[0, 1:], table_of(plane, "sec"))
+    assert disagreements(plane, "sec", got[0, 1:], range(plane.size)) == []
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_sec_matches_oracle_sampled(oracle_plane, data):
+    """Batches of indices, -1 among them, at q = 5, 7, 8 and 9."""
+    plane = oracle_plane
+    i = data.draw(st.lists(st.integers(-1, plane.size - 1), min_size=1, max_size=8),
+                  label="indices")
+    got = plane.tables.sec(np.array(i, dtype=np.int32)).tolist()
+    assert got == [-1 if k < 0 else oracle(plane, "sec", k).pop() for k in i]
 
 
 def test_one_type_table_for_points_and_lines(small_plane):
@@ -211,16 +256,16 @@ def test_secant_sets_are_orbit_plane_lines(small_plane):
     ctx, idx, sec = plane.ctx, plane.index, plane.tables.sec
     classes, checked = partition_orbits(plane), 0
     for cat in (c for c in CATEGORIES if c.startswith("plane")):
-        for members in classes.members[classes.rows_of(cat)].tolist():
+        for members in classes.members(classes.of(cat)).tolist():
             want = {idx(l) for l in plane_from_rep(ctx, plane.point(members[0])).lines}
-            assert set(sec[members].tolist()) == want
+            assert set(sec(members).tolist()) == want
             checked += 1
     assert checked > 0
 
 
 @pytest.mark.parametrize("name", TABLES)
 def test_comparison_reports_a_corrupted_entry(plane3, name):
-    table = getattr(plane3.tables, name).copy()
+    table = table_of(plane3, name).copy()
     i = next(j for j in range(plane3.size) if table[j] >= 0 and 0 not in plane3.points[j]
              and point_type(plane3.ctx, plane3.points[j]) == TYPE_III)
     table[i] = table[i] % 3 + 1 if name == "types" else (table[i] + 1) % plane3.size
@@ -338,7 +383,7 @@ def test_vertex_kinds_match_oracle_exhaustive(small_plane):
     plane = small_plane
     ctx = plane.ctx
     for B in subplanes(ctx):
-        kinds = plane.tables.vertex_kinds(B.points).tolist()
+        kinds = kinds_by_point(plane, B).tolist()
         want = [SKIPPED if V[2] == 0 or V in B.points else scalar_kind(ctx, V, B)
                 for V in plane.points]
         assert kinds == want
@@ -351,8 +396,7 @@ def test_vertex_kinds_match_full_scan(sampled_plane):
     ctx = plane.ctx
     sides = [t_plane(ctx, ctx.norm_class_rep(j)) for j in range(ctx.q - 1)]
     for B in sides + [conjugate_subplane(ctx, sides[1]), plane_from_rep(ctx, (1, 2, 5))]:
-        kinds = plane.tables.vertex_kinds(B.points)
-        assert np.array_equal(kinds, full_scan_kinds(plane, B)), min(B.points)
+        assert np.array_equal(kinds_by_point(plane, B), full_scan_kinds(plane, B)), min(B.points)
 
 
 def test_vertex_kinds_refuse_a_set_tau_moves(plane3):
@@ -362,6 +406,58 @@ def test_vertex_kinds_refuse_a_set_tau_moves(plane3):
     outside = next(P for P in plane3.points if P[2] != 0 and P not in B)
     with pytest.raises(KernelError, match="tau"):
         plane3.tables.vertex_kinds(B - {min(B)} | {outside})
+
+
+def test_vertex_kinds_are_one_per_orbit(small_plane):
+    """``vertex_kinds`` lists orbit representatives, in increasing order,
+    each off the axis and outside B, and every such representative."""
+    plane = small_plane
+    orbit = plane.tables.orbit
+    for B in subplanes(plane.ctx):
+        reps, kinds = plane.tables.vertex_kinds(B.points)
+        assert (np.diff(reps) > 0).all() and (orbit[reps] == reps).all()
+        assert len(kinds) == len(reps)
+        want = [i for i in range(plane.size) if orbit[i] == i
+                and plane.points[i][2] != 0 and plane.points[i] not in B.points]
+        assert reps.tolist() == want
+
+
+def census_from_scan(plane, B) -> VertexCensus:
+    """The vertex census of B from ``full_scan_kinds``, every vertex
+    projected on its own."""
+    kinds = full_scan_kinds(plane, B)
+    return VertexCensus({j: [plane.points[i] for i in np.flatnonzero(kinds == j)]
+                         for j in range(plane.ctx.q - 1)},
+                        int(np.count_nonzero(kinds == CLUB)), int(np.count_nonzero(kinds == OTHER)))
+
+
+def census_disagreements(plane) -> list:
+    """The projected sets whose census from one vertex per orbit is not
+    the census of the per-point scan: the fixed subplane, a generic orbit
+    subplane and, for q > 2, a side subplane and its conjugate."""
+    ctx = plane.ctx
+    sets = subplanes(ctx)
+    if ctx.q > 2:
+        sets.append(conjugate_subplane(ctx, sets[-1]))
+    return [min(B.points) for B in sets if vertex_census(plane, B) != census_from_scan(plane, B)]
+
+
+def test_vertex_census_matches_full_scan(small_plane):
+    assert census_disagreements(small_plane) == []
+
+
+def test_vertex_census_matches_full_scan_sampled(sampled_plane):
+    assert census_disagreements(sampled_plane[0]) == []
+
+
+def test_vertex_census_comparison_reports_a_moved_vertex(plane3):
+    """A census with one vertex moved from its norm class to the club
+    images differs from the per-point scan."""
+    B = fixed_subplane(plane3.ctx)
+    vc = vertex_census(plane3, B)
+    j = next(j for j, vs in vc.by_class.items() if vs)
+    moved = VertexCensus({**vc.by_class, j: vc.by_class[j][1:]}, vc.club + 1, vc.other)
+    assert vc == census_from_scan(plane3, B) != moved
 
 
 @settings(max_examples=150, deadline=None)
@@ -408,7 +504,7 @@ def test_norm_det_matches_oracle_exhaustive(q):
 
 def test_projection_comparison_reports_a_corrupted_entry(plane3):
     B = fixed_subplane(plane3.ctx)
-    kinds = plane3.tables.vertex_kinds(B.points).copy()
+    kinds = kinds_by_point(plane3, B)
     i = next(j for j, V in enumerate(plane3.points) if V[2] != 0 and V not in B.points)
     kinds[i] = OTHER if kinds[i] != OTHER else CLUB
     bad = [j for j, V in enumerate(plane3.points)
@@ -443,16 +539,17 @@ def test_kernel_guards_raise_named_error(plane3):
 
 def test_table_bytes_counts_the_lookup_and_per_point_tables():
     """``field.table_bytes`` is the size of the two field lookup tables and
-    of every per-point table that ``PlaneTables`` builds, with the two FIG
-    row lookup tables for a run that streams the FIG."""
+    of the four point tables every census and maps run holds, with the
+    torus and Dickson tables and the two FIG row lookup tables for a run
+    that streams the FIG."""
     ctx = context_for_q(3)
     T = PlaneTables(ctx)
-    per_point = [T.types, T.mu, T.sec, T.phi, T.tau, T.tau_line, T.orbit,
-                 T.dickson, T.dickson_line]
+    field = [T.field._add, T.field._mul]
+    per_point = [T.types, T.mu, T.phi, T.orbit]
     assert all(len(t) == T.size for t in per_point)
-    assert sum(t.nbytes for t in per_point + [T.field._add, T.field._mul]) == table_bytes(3)
-    # a run that streams the FIG rows adds their two lookup tables, E and F
-    lookup = list(T._fig_lookup)
-    assert all(len(t) == T.size and t.dtype == np.int32 for t in lookup)
-    assert sum(t.nbytes for t in per_point + lookup + [T.field._add, T.field._mul]) \
-        == table_bytes(3, fig=True)
+    assert sum(t.nbytes for t in per_point + field) == table_bytes(3)
+    # a run that streams the FIG rows adds the tables of the axiom checker
+    # and the two lookup tables of the rows, E and F
+    fig = [T.tau, T.tau_line, T.dickson, T.dickson_line, *T._fig_lookup]
+    assert all(len(t) == T.size and t.dtype == np.int32 for t in fig)
+    assert sum(t.nbytes for t in per_point + fig + field) == table_bytes(3, fig=True)

@@ -463,14 +463,36 @@ def test_memory_guard_counts_the_fig_array(tmp_path, capsys, monkeypatch, comman
 
 def test_fig_checks_at_q11_pass_the_memory_guard(capsys, monkeypatch):
     """At q = 11 no run holds the FIG: its rows are streamed, and the tables
-    of every selection, with the FIG row lookup tables, take about 80 MB.
+    of every selection, with the torus, Dickson and FIG row lookup
+    tables, take about 73 MB.
     So on a host of 8.4 GB the FIG checks named explicitly get past the
     guard, as the census and maps suites do.  No q = 11 table is built."""
     monkeypatch.setattr("figplane.cli.Session", _no_session)
     monkeypatch.setattr("figplane.cli.physical_memory", lambda: 8_400_000_000)
-    assert round(table_bytes(11, fig=True) / 1e6) == 80
+    assert round(table_bytes(11, fig=True) / 1e6) == 73
     for command in (["figueroa", "--check", "build"], ["figueroa", "--check", "axioms"],
                     ["verify", "--suite", "figueroa"], ["census"],
                     ["verify", "--suite", "maps"]):
         with pytest.raises(SessionBuilt):
             main(command + ["--q", "11"])
+
+
+def test_oversized_order_refused_before_the_field_is_built(capsys, monkeypatch):
+    """The guards read q alone: with ``context_for_q`` made to raise, q = 64,
+    whose census tables take about 1.2 TB, is refused with exit 2 and the
+    estimate, a q that is no prime power still gets that error first, and a
+    failing gate still names itself."""
+    def no_field(q):
+        raise AssertionError(f"the field tower of q = {q} was built")
+    monkeypatch.setattr("figplane.cli.context_for_q", no_field)
+    monkeypatch.setattr("figplane.cli.physical_memory", lambda: 8_400_000_000)
+    for argv, err in (
+            (["verify", "--q", "64", "--suite", "census"],
+             f"q = 64 needs about {table_bytes(64) / 1e9:.3g} GB for its tables, "
+             "more than the 8.4 GB of physical memory"),
+            (["verify", "--q", "12", "--suite", "census"], "q = 12 is not a prime power"),
+            (["figueroa", "--q", "2", "--check", "build"], f"{FIGUEROA.reason} (got q = 2)")):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"figplane: {err}\n"
+    assert f"{table_bytes(64) / 1e9:.3g}" == "1.17e+03"

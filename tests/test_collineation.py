@@ -13,7 +13,7 @@ from figplane.collineation import (CATEGORIES, CATEGORY_TYPES, TYPE_I, TYPE_II,
                                    line_type, norm_det_identity,
                                    partition_orbits, point_type,
                                    stabilizer_orbit, tally_types)
-from figplane.field import FieldError
+from figplane.field import FieldError, context_for_q
 from figplane.linear_sets import fixed_subplane, sls_points
 
 
@@ -105,9 +105,10 @@ def test_partition_census_q4(plane4, classes4):
 
 def class_list(plane, classes):
     """The classes as (rep, members, category) triples in representative
-    order, read from the arrays: a vertex class is its representative, and
-    the others are the member-matrix rows in turn."""
-    rows = iter(classes.members.tolist())
+    order: a vertex class is its representative, and the others are their
+    member rows."""
+    full = np.flatnonzero(classes.categories != VERTEX)
+    rows = iter(classes.members(full).tolist())
     return [(plane.point(r), [r] if c == VERTEX else next(rows), CATEGORIES[c])
             for r, c in zip(classes.reps.tolist(), classes.categories.tolist())]
 
@@ -145,32 +146,49 @@ def test_partition_matches_scalar_walk(plane3, classes3, plane4, classes4):
 
 
 def test_member_matrix_rows_are_the_class_members(plane3, classes3, plane4, classes4):
-    """One read-only int32 row of sorted members per class that is not a
-    vertex, its representative first; with the three vertices the rows
-    cover every point once."""
+    """``members`` makes one int32 row of sorted members per class that is
+    not a vertex, its representative first, and refuses a vertex class;
+    with the three vertices the rows cover every point once.  The classes
+    hold no member array."""
     for plane, classes in ((plane3, classes3), (plane4, classes4)):
-        M = classes.members
-        assert M.shape == (len(classes) - 3, plane.ctx.sub_order)
-        assert M.dtype == np.int32 and not M.flags.writeable
+        full = np.flatnonzero(classes.categories != VERTEX)
+        M = classes.members(full)
+        assert M.shape == (len(classes) - 3, plane.ctx.sub_order) and M.dtype == np.int32
         assert (np.diff(M, axis=1) > 0).all()
-        assert M[:, 0].tolist() == classes.reps[classes.categories != VERTEX].tolist()
+        assert M[:, 0].tolist() == classes.reps[full].tolist()
         vertices = classes.reps[classes.categories == VERTEX]
         assert sorted(vertices.tolist()) == sorted(map(plane.index, (ANCHOR, ANCHOR_1, ANCHOR_2)))
         cover = np.bincount(np.concatenate((M.ravel(), vertices)), minlength=plane.size)
         assert (cover == 1).all()
+        with pytest.raises(ValueError, match="vertex class"):
+            classes.members(np.flatnonzero(classes.categories == VERTEX)[:1])
+        assert [k for k, v in vars(classes).items() if isinstance(v, np.ndarray)] == \
+            ["reps", "categories"]
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_member_rows_are_the_stabilizer_orbits(q):
+    """Exhaustive: the member row of every class but the vertices is the
+    sorted scalar ``stabilizer_orbit`` of its representative."""
+    plane = ProjectivePlane(context_for_q(q))
+    classes = partition_orbits(plane)
+    full = np.flatnonzero(classes.categories != VERTEX)
+    got = classes.members(full).tolist()
+    want = [sorted(map(plane.index, stabilizer_orbit(plane.ctx, plane.point(r))))
+            for r in classes.reps[full].tolist()]
+    assert got == want
 
 
 def test_class_arrays_are_the_class_rows(classes3, classes4):
     """``reps`` and ``categories`` list each class's least member and
-    category in increasing order of the representatives, and ``rows_of``
-    picks the member-matrix rows of a category."""
+    category in increasing order of the representatives, and ``of`` picks
+    the positions of the classes of a category."""
     for classes in (classes3, classes4):
         assert len(classes) == len(classes.reps) == len(classes.categories)
         assert (np.diff(classes.reps) > 0).all() and classes.categories.dtype == np.int8
-        row_categories = [c for c in classes.categories.tolist() if c != VERTEX]
         for k, cat in enumerate(CATEGORIES):
-            assert classes.rows_of(cat).tolist() == [
-                j for j, c in enumerate(row_categories) if c == k]
+            assert classes.of(cat).tolist() == [
+                j for j, c in enumerate(classes.categories.tolist()) if c == k]
 
 
 def test_partition_rejects_a_mixed_orbit(ctx3, classes3):
@@ -178,7 +196,7 @@ def test_partition_rejects_a_mixed_orbit(ctx3, classes3):
     other type names the orbit as mixing types, not its category as
     impossible: the member rows are checked before the categories."""
     for category in ("sls_III", "plane_II_III", "plane_III_II", "plane_III_III"):
-        own, row = CATEGORY_TYPES[category][0], classes3.members[classes3.rows_of(category)[0]]
+        own, row = CATEGORY_TYPES[category][0], classes3.members(classes3.of(category)[:1])[0]
         for column in (0, 1):
             for kind in sorted({TYPE_I, TYPE_II, TYPE_III} - {own}):
                 plane = ProjectivePlane(ctx3)
@@ -193,7 +211,7 @@ def test_partition_rejects_a_mixed_orbit(ctx3, classes3):
 def test_partition_rejects_a_merged_orbit(ctx3, classes3):
     # two classes of one category merged into one of twice the size
     plane = ProjectivePlane(ctx3)
-    a, b = classes3.members[classes3.rows_of("plane_II_III")[:2], 0]
+    a, b = classes3.members(classes3.of("plane_II_III")[:2])[:, 0]
     orbit = plane.tables.orbit.copy()
     orbit[orbit == b] = a
     plane.tables.orbit = orbit
@@ -206,7 +224,7 @@ def test_partition_rejects_swapped_orbit_labels(ctx3, classes3):
     sizes, types and categories stay as they were, and the closed-form
     member row of the first class shows the point it no longer owns."""
     plane = ProjectivePlane(ctx3)
-    (a, i), (b, j) = classes3.members[classes3.rows_of("plane_III_III")[:2], :2]
+    (a, i), (b, j) = classes3.members(classes3.of("plane_III_III")[:2])[:, :2]
     orbit = plane.tables.orbit.copy()
     orbit[i], orbit[j] = b, a
     plane.tables.orbit = orbit

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from figplane.collineation import (TYPE_II, TYPE_III, OrbitInconsistency,
+from figplane.collineation import (TYPE_II, TYPE_III, VERTEX, OrbitInconsistency,
                                    collineate_line, collineate_point, line_type,
                                    partition_orbits, point_type)
 from figplane.field import context_for_q
@@ -91,11 +91,11 @@ def test_involution_on_generic_plane(plane4, classes4):
         pts = t_plane(ctx, th).points
         for i in range(3):
             side_sets.add(frozenset(collineate_point(ctx, P, i) for P in pts))
-    M = classes4.members
-    generic = next(members for members in M[classes4.rows_of("plane_III_III")].tolist()
+    generic = next(members for members in classes4.members(classes4.of("plane_III_III")).tolist()
                    if frozenset(plane4.points[i] for i in members) not in side_sets)
     B = plane_from_rep(ctx, plane4.point(generic[0]))
     img = involution_line_image(ctx, B)
+    M = classes4.members(np.flatnonzero(classes4.categories != VERTEX))
     member_sets = {frozenset(members) for members in M.tolist()}
     assert frozenset(plane4.index(P) for P in img) in member_sets
 
@@ -263,19 +263,19 @@ def test_fixed_planes(plane3, classes3, plane4, classes4):
         idx = plane.index
         want = {frozenset(idx(P) for P in plane_from_rep(plane.ctx, R).points)
                 for R in reps}
-        assert {frozenset(members) for members in classes.members[phif].tolist()} == want
-        assert set(phif.tolist()) <= set(classes.rows_of("plane_I_I").tolist()
-                                         + classes.rows_of("plane_III_III").tolist())
+        assert {frozenset(members) for members in classes.members(phif).tolist()} == want
+        assert set(phif.tolist()) <= set(classes.of("plane_I_I").tolist()
+                                         + classes.of("plane_III_III").tolist())
 
 
 def _mu_fixed_by_class(plane, classes):
     """The per-class scan that the one array pass of ``mu_fixed_planes``
-    replaced, kept as its oracle: the fixed member-matrix rows."""
+    replaced, kept as its oracle: the positions of the fixed classes."""
     mu, sec = plane.tables.mu, plane.tables.sec
     out = []
-    for j in classes.rows_of("plane_III_III").tolist():
-        members = classes.members[j]
-        lines = np.sort(sec[members])
+    for j in classes.of("plane_III_III").tolist():
+        members = classes.members([j])[0]
+        lines = np.sort(sec(members))
         if np.array_equal(np.sort(mu[members]), lines):
             if not np.array_equal(np.sort(mu[lines]), members):
                 raise OrbitInconsistency(
@@ -297,12 +297,12 @@ def test_mu_fixed_planes_guard_names_a_one_way_class(plane4, classes4):
     # secant lines, while those lines still map elsewhere
     tables = plane4.tables
     fixed = mu_fixed_planes(plane4, classes4).tolist()
-    j = [j for j in classes4.rows_of("plane_III_III").tolist() if j not in fixed][-1]
-    members = classes4.members[j]
+    j = [j for j in classes4.of("plane_III_III").tolist() if j not in fixed][-1]
+    members = classes4.members([j])[0]
     mu = tables.mu.copy()
-    mu[members] = tables.sec[members]
+    mu[members] = tables.sec(members)
     stand_in = SimpleNamespace(tables=SimpleNamespace(mu=mu, sec=tables.sec),
-                               point=plane4.point)
+                               point=plane4.point, ctx=plane4.ctx)
     message = f"involution fixes lines but not points at {plane4.point(members[0])}"
     for scan in (mu_fixed_planes, _mu_fixed_by_class):
         with pytest.raises(OrbitInconsistency, match=re.escape(message)):

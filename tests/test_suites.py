@@ -22,7 +22,8 @@ import pytest
 
 from figplane.arrays import CHUNK, OTHER
 from figplane.cli import main
-from figplane.collineation import CATEGORIES, TYPE_I, TYPE_II, TYPE_III, collineate_point
+from figplane.collineation import (CATEGORIES, TYPE_I, TYPE_II, TYPE_III, VERTEX,
+                                   collineate_point)
 from figplane.field import build_field_tower
 from figplane.linear_sets import t_plane
 from figplane.maps import VertexCensus
@@ -172,12 +173,21 @@ def _relabel_a_class(sess):
 
 
 def _duplicate_a_row(sess):
-    """Member-matrix row 0 written over row 1: the points of row 0 lie in
-    two classes, and those of row 1 in none."""
-    members = sess.classes.members.copy()
-    cover = {i: 2 for i in members[0].tolist()} | {i: 0 for i in members[1].tolist()}
-    members[1] = members[0]
-    sess.classes = replace(sess.classes, members=members)
+    """The member row of the first class that is not a vertex made in place
+    of the second's: the points of the first lie in two classes, and those
+    of the second in none."""
+    classes = replace(sess.classes)
+    first, second = np.flatnonzero(classes.categories != VERTEX)[:2]
+    a, b = classes.members([first, second])
+    cover = {i: 2 for i in a.tolist()} | {i: 0 for i in b.tolist()}
+    real = classes.members
+
+    def members(j):
+        rows = real(j)
+        rows[np.asarray(j) == second] = a
+        return rows
+    classes.members = members
+    sess.classes = classes
     return [f"{format_point(sess.plane.point(i))} lies in {cover[i]} classes"
             for i in sorted(cover)[:5]]
 
@@ -191,7 +201,7 @@ def _duplicate_a_row(sess):
 def test_census_entries_fail_on_a_corrupted_artifact(ctx3, check, corrupt):
     """Each census entry passes on a fresh session at q = 3 and fails,
     naming what is wrong, when the artifact it reads is corrupted: the
-    type table, the class categories or the member matrix."""
+    type table, the class categories or the member rows."""
     assert check(Session(ctx3)).passed
     sess = Session(ctx3)
     witnesses = corrupt(sess)
@@ -208,10 +218,10 @@ def _side_points(sess):
 
 
 def _generic_rows(sess):
-    """Member-matrix rows of the all-Type-III classes off the side subplanes
-    and their conjugates."""
-    side, M = _side_points(sess), sess.classes.members
-    return [j for j in sess.classes.rows_of("plane_III_III").tolist() if M[j, 0] not in side]
+    """Positions of the all-Type-III classes off the side subplanes and
+    their conjugates."""
+    side, reps = _side_points(sess), sess.classes.reps
+    return [j for j in sess.classes.of("plane_III_III").tolist() if reps[j] not in side]
 
 
 def test_mu_checks_report_a_swapped_entry(ctx3):
@@ -224,7 +234,7 @@ def test_mu_checks_report_a_swapped_entry(ctx3):
     assert generic_plane(sess).passed and block_incidence_twist(sess).passed
     side = _side_points(sess)
     generic = _generic_rows(sess)
-    first = sess.classes.members[generic[0]]
+    first = sess.classes.members(generic[:1])[0]
     mu = tables.mu.copy()
     i = next(k for k in sorted(side)
              if tables.types[k] == TYPE_III and plane.point(mu[k])[2] == 0)
@@ -252,7 +262,7 @@ def test_generic_plane_needs_one_orbit_line_set(ctx3, corruption):
     [1:b:0] through the anchor."""
     sess = Session(ctx3)
     tables = sess.plane.tables
-    members, other = sess.classes.members[_generic_rows(sess)[:2]].tolist()
+    members, other = sess.classes.members(_generic_rows(sess)[:2]).tolist()
     mu = tables.mu.copy()
     if corruption == "repeated":
         mu[members[1]] = mu[members[0]]
@@ -460,14 +470,14 @@ def test_collineation_permutes_reports_a_wrong_image(ctx3, corruption):
     image class."""
     sess = Session(ctx3)
     assert collineation_permutes(sess).passed
-    M = sess.classes.members
-    a, b = M[sess.classes.rows_of("plane_II_III")[:2]]
+    members, of = sess.classes.members, sess.classes.of
+    a, b = members(of("plane_II_III")[:2])
     phi = sess.plane.tables.phi.copy()
     if corruption == "split":
         phi[[a[0], b[0]]] = phi[[b[0], a[0]]]
         want = [a[0], b[0]]
     else:
-        phi[a] = M[sess.classes.rows_of("plane_III_II")[0]]
+        phi[a] = members(of("plane_III_II")[:1])[0]
         want = [a[0]]
     sess.plane.tables.phi = phi
     e = collineation_permutes(sess)
@@ -487,9 +497,8 @@ def test_plane_images_report_a_wrong_table_entry(ctx3, corruption, image):
     th = next(t for t in sess.norm_reps() if ctx3.norm(t) != 1)
     P, Q = sorted(sess.plane.index(R) for R in t_plane(ctx3, th).points)[:2]
     if corruption == "no-secant":
-        sec = tables.sec.copy()
-        sec[P] = -1
-        tables.sec = sec
+        sec = tables.sec
+        tables.sec = lambda i: np.where(np.asarray(i) == P, -1, sec(i))
     else:
         mu = tables.mu.copy()
         mu[P] = mu[Q] if corruption == "repeated" else -1
@@ -642,6 +651,57 @@ def test_census_and_maps_build_no_dickson_table(monkeypatch, capsys):
         assert not {"tau", "tau_line", "dickson", "dickson_line", "_dickson_rows"} & set(tables)
 
 
+def _held_arrays(root) -> dict[int, np.ndarray]:
+    """Every numpy array reachable from the attributes of ``root`` through
+    the attributes of figplane objects and through dicts, lists and
+    tuples, by id."""
+    found, seen, todo = {}, set(), list(vars(root).values())
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found[id(obj)] = obj
+        elif isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple)):
+            todo.extend(obj)
+        elif type(obj).__module__.startswith("figplane") and hasattr(obj, "__dict__"):
+            todo.extend(vars(obj).values())
+    return found
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_census_and_maps_hold_only_the_four_point_tables(monkeypatch, capsys, q):
+    """After a census run and a maps run, the Session, its plane's tables,
+    the orbit classes and the vertex census hold no n-entry array but the
+    type, involution, collineation and orbit tables: the secants and the
+    member rows are made when read, and the vertex census keeps no
+    per-point kinds."""
+    import figplane.cli as cli
+    sessions = []
+
+    class Recorded(Session):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            sessions.append(self)
+
+    monkeypatch.setattr(cli, "Session", Recorded)
+    for suite in ("census", "maps"):
+        assert main(["verify", "--q", str(q), "--suite", suite]) == 0
+    capsys.readouterr()
+    for sess in sessions:
+        assert {"tables", "classes"} <= set(vars(sess))
+        tables, n = sess.plane.tables, sess.plane.size
+        # n - 3 entries are the member rows of every class but the vertices;
+        # the field's q^6-entry lookup tables hold fewer
+        held = [a for a in _held_arrays(sess).values() if a.size >= n - 3]
+        assert sorted(map(id, held)) == sorted(map(id, (tables.types, tables.mu,
+                                                        tables.phi, tables.orbit)))
+    assert "fixed_census" in vars(sessions[1]) and "census" in vars(sessions[0])
+
+
 def _corrupt_a_pg_row(sess, monkeypatch):
     """PG's row 0 made with its last point traded for the least point off
     line 0, in the closed-form rows that ``pg_incidence`` reads."""
@@ -667,17 +727,16 @@ def _shift_the_pencils(sess, monkeypatch):
 
 
 def _unclassify_a_block_member(sess, monkeypatch):
-    """The vertex kinds the fixed census reads, with the first off-axis
-    point of the anchor block projecting onto no side linear set."""
+    """The vertex kinds the fixed census reads, with the orbit of the first
+    off-axis point of the anchor block projecting onto no side linear set."""
     import figplane.figueroa as fg
     tables = sess.plane.tables
     i = first_off_axis(sess.plane, fg.anchor_block(sess.plane, fg.ANCHOR))
     real = tables.vertex_kinds
 
     def kinds(B):
-        out = real(B).copy()
-        out[i] = OTHER
-        return out
+        reps, out = real(B)
+        return reps, np.where(reps == tables.orbit[i], OTHER, out)
     monkeypatch.setattr(tables, "vertex_kinds", kinds)
 
 
