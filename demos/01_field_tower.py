@@ -18,13 +18,14 @@ print(f"g * g = code {ctx.mul(tau, tau)} (g squared)")
 print(f"g ** {ctx.n} = code {ctx.power(tau, ctx.n)} (back to one)")
 print()
 
+units = range(1, ctx.q3)   # the codes of GF(27)*
 print("the norm maps onto GF(q); each nonzero value has q^2+q+1 preimages:")
 for v in ctx.base_units():
-    fiber = [x for x in ctx.units() if ctx.norm(x) == v]
+    fiber = [x for x in units if ctx.norm(x) == v]
     print(f"  norm value {v:2d}: fiber size {len(fiber)}")
 print()
 
-squares = [x for x in ctx.units() if ctx.is_nonzero_square(x)]
+squares = [x for x in units if ctx.is_nonzero_square(x)]
 print(f"nonzero squares in GF(27): {len(squares)} of {ctx.n}")
-base = [x for x in ctx.elements() if ctx.in_base_subfield(x)]
-print(f"middle subfield GF(3) inside GF(27): codes {base}")
+base = [x for x in ctx.elements() if ctx.frob(x) == x]    # x^q = x
+print(f"middle subfield GF(3) inside GF(27), fixed by x -> x^q: codes {base}")

@@ -4,27 +4,30 @@ Shows the three ways a side subplane turns into a scattered linear set on
 the axis, the projection-vertex census, and the fixed-plane searches.
 """
 
-from figplane import (ProjectivePlane, build_field_tower, format_point,
-                      partition_orbits, pr_set, sp_set, vertex_census)
+from figplane import (ProjectivePlane, build_field_tower, conjugate_meet,
+                      format_point, partition_orbits, project_from_anchor, splash,
+                      vertex_census)
 from figplane.linear_sets import fixed_subplane, sls_points, t_plane
-from figplane.maps import (involution_line_image, mu_fixed_planes,
-                           phi_fixed_planes)
+from figplane.maps import mu_fixed_planes, phi_fixed_planes
 
 ctx = build_field_tower(3, 1)
 q = ctx.q
 
 theta = 2  # a norm class with norm != 1
 B = t_plane(ctx, theta)
+projection = frozenset(project_from_anchor(ctx, P) for P in B.points)
+splashes = frozenset(splash(ctx, l) for l in B.lines)
+involution = frozenset(conjugate_meet(ctx, l) for l in B.lines)
 print(f"side subplane for theta = {theta} (norm class {ctx.norm_class(theta)}):")
 print(f"  projection image  = linear set of norm class "
       f"{ctx.norm_class(ctx.mul(theta, theta))}")
-assert pr_set(ctx, B) == sls_points(ctx, ctx.mul(theta, theta))
+assert projection == sls_points(ctx, ctx.mul(theta, theta))
 print(f"  splash image      = linear set of norm class "
       f"{ctx.norm_class(ctx.neg(ctx.mul(theta, theta)))}")
-assert sp_set(ctx, B) == sls_points(ctx, ctx.neg(ctx.mul(theta, theta)))
+assert splashes == sls_points(ctx, ctx.neg(ctx.mul(theta, theta)))
 print(f"  involution image  = linear set of norm class "
       f"{ctx.norm_class(ctx.neg(ctx.inv(theta)))}")
-assert involution_line_image(ctx, B) == sls_points(ctx, ctx.neg(ctx.inv(theta)))
+assert involution == sls_points(ctx, ctx.neg(ctx.inv(theta)))
 print()
 
 plane = ProjectivePlane(ctx)

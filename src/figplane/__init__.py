@@ -42,8 +42,8 @@ _EXPORTS = {name: module for module, names in (
     ("linear_sets", "SubplaneSet fixed_subplane pencil_lines pencil_type plane_from_rep "
                     "sls_points t_plane"),
     ("maps", "LinearSetImage TypeRestrictionError conjugate_join conjugate_meet "
-             "mu_fixed_planes phi_fixed_planes pr_set project_from_anchor "
-             "project_from_vertex sp_set splash vertex_census"),
+             "mu_fixed_planes phi_fixed_planes project_from_anchor project_from_vertex "
+             "splash vertex_census"),
     ("figueroa", "IncidencePlane anchor_block arching_census build_fig_plane "
                  "characterize_fig_points check_axioms fig_incident pg_incidence "
                  "pr_fig_block"),

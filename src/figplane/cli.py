@@ -25,7 +25,7 @@ the host's physical memory, counting the torus, Dickson and FIG row
 lookup tables when a selected check reads the FIG structure or its build
 pass or when --emit-plane is set, an --emit-plane file that cannot be
 written, a --theta out of range; all refused before any check runs, and
-all but the last from q alone, before the field tower is built)
+all from q alone, before the field tower is built)
 or a geometry or kernel error during a run, reported as one
 "figplane: ..." line.  Output is byte-identical across runs with the
 same configuration; pass --timings to include (nondeterministic) timings
@@ -203,9 +203,10 @@ def run_report(args) -> int:
 
 def print_points(args) -> int:
     """sls and tplane: the points of one side linear set or subplane."""
+    q = order_of(args.q).q      # refused from q alone, before the field tower is built
+    if not 0 <= args.theta <= q - 2:
+        raise UsageError(f"--theta must be a norm class index 0 .. {q - 2}")
     ctx = context_for_q(args.q)
-    if not 0 <= args.theta <= ctx.q - 2:
-        raise UsageError(f"--theta must be a norm class index 0 .. {ctx.q - 2}")
     theta = ctx.norm_class_rep(args.theta)
     points = (ls.sls_points(ctx, theta, args.side) if args.command == "sls"
               else ls.t_plane(ctx, theta).points)

@@ -21,9 +21,10 @@ every member row, made from the stabilizer's closed form, against the
 table, and keeps none: ``OrbitClasses.members`` makes the rows of any
 classes again when they are read.  ``census_of`` counts the classes with
 one bincount.
-``stabilizer_orbit`` and ``apply_stabilizer`` are the scalar reference
-for the orbit table, and ``sls_id_of_point`` names the side and norm
-class of a linear set.
+``stabilizer_orbit``, the orbit of one point under ``apply_stabilizer``,
+is the closed form from which :mod:`figplane.linear_sets` builds the
+linear sets and subplanes, and the scalar reference for the orbit table;
+``sls_id_of_point`` names the side and norm class of a linear set.
 """
 
 from __future__ import annotations
@@ -137,22 +138,14 @@ def apply_stabilizer(ctx: FieldContext, t: int, P: Triple) -> Triple:
 
 
 def stabilizer_orbit(ctx: FieldContext, P: Triple) -> frozenset[Triple]:
-    """Orbit of P under the stabilizer.
+    """Orbit of P under the stabilizer, the closed form from which
+    :mod:`figplane.linear_sets` makes every orbit object.
 
     Parameters t and lambda*t (lambda in GF(q)*) induce the same
     projectivity, so t runs over the q^2+q+1 coset representatives
-    g^i, i = 0 .. q^2+q.
+    ``ctx.coset_reps()``.
     """
-    n = ctx.n
-    x, y, z = P
-    out = set()
-    q, q2 = ctx.q, ctx.q * ctx.q
-    for i in range(ctx.sub_order):
-        nx = (x - 1 + i) % n + 1 if x else 0
-        ny = (y - 1 + i * q) % n + 1 if y else 0
-        nz = (z - 1 + i * q2) % n + 1 if z else 0
-        out.add(canonical(ctx, (nx, ny, nz)))
-    return frozenset(out)
+    return frozenset(apply_stabilizer(ctx, t, P) for t in ctx.coset_reps())
 
 
 def norm_det_identity(ctx: FieldContext, P: Triple) -> bool:

@@ -286,9 +286,6 @@ class FieldContext:
             return 0
         return ((a - 1) * self.sub_order) % self.n + 1
 
-    def in_base_subfield(self, a: int) -> bool:
-        return a == 0 or (a - 1) % self.sub_order == 0
-
     def is_nonzero_square(self, a: int) -> bool:
         if a == 0:
             return False
@@ -308,9 +305,6 @@ class FieldContext:
 
     def elements(self):
         return range(self.q3)
-
-    def units(self):
-        return range(1, self.q3)
 
     def coset_reps(self):
         """The codes 1 .. q^2+q+1 of g^0 .. g^(q^2+q), one per coset of

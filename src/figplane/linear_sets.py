@@ -10,11 +10,10 @@ norm alone decides the object:
 * the subplanes of order q ("theta-planes") {(r theta^(q+1), r^q, r^q^2 theta)},
   ``t_plane``, with the q = norm-1 member being the pointwise fixed subplane.
 
-Each constructor runs its parameter over ``FieldContext.coset_reps``,
-the q^2+q+1 codes of g^0 .. g^(q^2+q), one per coset of GF(q)* in
-GF(q^3)*, not over every unit: lambda in GF(q)* has lambda^q = lambda,
-so it scales each of the triples above by lambda and they name one
-object.  ``_require_size`` raises if two representatives give one.
+Linear sets and subplanes are stabilizer orbits of one point each
+(``collineation.stabilizer_orbit``): (theta : 1 : 0) pushed to a side, or a
+point off the sides with the orbit of its secant [yz : xz : xy] as lines.
+``_require_size`` raises unless each orbit has q^2+q+1 members.
 
 Sides are numbered as in :mod:`figplane.plane`: 0 is the axis, 1 and 2
 its images under the collineation.
@@ -26,8 +25,8 @@ from dataclasses import dataclass
 from functools import cache
 
 from .field import FieldContext, FieldError
-from .plane import ANCHOR, GeometryError, Triple, canonical, join
-from .collineation import collineate_line, collineate_point, line_type
+from .plane import ANCHOR, GeometryError, Triple, join
+from .collineation import collineate_point, line_type, stabilizer_orbit
 
 
 @dataclass(frozen=True)
@@ -37,15 +36,13 @@ class SubplaneSet:
 
 
 def sls_points(ctx: FieldContext, theta: int, side: int = 0) -> frozenset[Triple]:
-    """The scattered linear set {(x theta, x^q, 0)}, pushed to ``side``."""
+    """The scattered linear set {(x theta, x^q, 0)}, the orbit of
+    (theta : 1 : 0), pushed to ``side``."""
     if theta == 0:
         raise FieldError("theta must be nonzero")
-    pts = {canonical(ctx, (ctx.mul(x, theta), ctx.frob(x), 0))
-           for x in ctx.coset_reps()}
-    if side:
-        pts = {collineate_point(ctx, P, side) for P in pts}
+    pts = stabilizer_orbit(ctx, collineate_point(ctx, (theta, 1, 0), side))
     _require_size(ctx, f"linear set of {theta}", pts)
-    return frozenset(pts)
+    return pts
 
 
 def _require_size(ctx: FieldContext, what: str, *sets) -> None:
@@ -70,18 +67,12 @@ def pencil_type(ctx: FieldContext, theta: int) -> int:
 
 @cache
 def t_plane(ctx: FieldContext, theta: int) -> SubplaneSet:
-    """The orbit subplane of theta, with its q^2+q+1 secant lines, built
-    once per field context and theta: the result is immutable."""
+    """The orbit subplane of theta, that of (theta^(q+1) : 1 : theta), with
+    its q^2+q+1 secant lines, built once per field context and theta: the
+    result is immutable."""
     if theta == 0:
         raise FieldError("theta must be nonzero")
-    f = ctx.frob
-    tq1 = ctx.mul(theta, f(theta))           # theta^(q+1)
-    pts = {canonical(ctx, (ctx.mul(r, tq1), f(r), ctx.mul(f(r, 2), theta)))
-           for r in ctx.coset_reps()}
-    lns = {canonical(ctx, (s, ctx.mul(f(s), tq1), ctx.mul(f(s, 2), f(theta))))
-           for s in ctx.coset_reps()}
-    _require_size(ctx, f"t_plane[{theta}]", pts, lns)
-    return SubplaneSet(frozenset(pts), frozenset(lns))
+    return plane_from_rep(ctx, (ctx.mul(theta, ctx.frob(theta)), 1, theta))
 
 
 def fixed_subplane(ctx: FieldContext) -> SubplaneSet:
@@ -92,37 +83,14 @@ def fixed_subplane(ctx: FieldContext) -> SubplaneSet:
 def plane_from_rep(ctx: FieldContext, P: Triple) -> SubplaneSet:
     """Stabilizer orbit of a point off the triangle sides, plus its secants.
 
-    Points are (t x, t^q y, t^q^2 z) and lines [yz s, xz s^q, xy s^q^2];
-    the line set does not depend on the chosen representative.
+    Points are (t x, t^q y, t^q^2 z) and lines [yz s, xz s^q, xy s^q^2],
+    the orbit of the secant line [yz : xz : xy]; the line set does not
+    depend on the chosen representative.
     """
     x, y, z = P
     if x == 0 or y == 0 or z == 0:
         raise FieldError(f"{P} lies on a triangle side")
-    f2 = lambda a: ctx.frob(a, 2)
-    pts = {canonical(ctx, (ctx.mul(t, x), ctx.mul(ctx.frob(t), y), ctx.mul(f2(t), z)))
-           for t in ctx.coset_reps()}
-    yz, xz, xy = ctx.mul(y, z), ctx.mul(x, z), ctx.mul(x, y)
-    lns = {canonical(ctx, (ctx.mul(yz, s), ctx.mul(xz, ctx.frob(s)), ctx.mul(xy, f2(s))))
-           for s in ctx.coset_reps()}
+    pts = stabilizer_orbit(ctx, P)
+    lns = stabilizer_orbit(ctx, (ctx.mul(y, z), ctx.mul(x, z), ctx.mul(x, y)))
     _require_size(ctx, f"orbit plane of {P}", pts, lns)
-    return SubplaneSet(frozenset(pts), frozenset(lns))
-
-
-def conjugate_subplane(ctx: FieldContext, B: SubplaneSet, times: int = 1) -> SubplaneSet:
-    return SubplaneSet(frozenset(collineate_point(ctx, P, times) for P in B.points),
-                       frozenset(collineate_line(ctx, l, times) for l in B.lines))
-
-
-def is_subplane_closed(ctx: FieldContext, B: SubplaneSet) -> bool:
-    """Closure as a subplane of order q: member point pairs join inside the
-    member lines, and each member line carries exactly q + 1 member points."""
-    from .plane import incident
-    pts = list(B.points)
-    for i, P in enumerate(pts):
-        for Q in pts[i + 1:]:
-            if join(ctx, P, Q) not in B.lines:
-                return False
-    for l in B.lines:
-        if sum(1 for P in B.points if incident(ctx, P, l)) != ctx.q + 1:
-            return False
-    return True
+    return SubplaneSet(pts, lns)

@@ -54,16 +54,6 @@ def conjugate_meet(ctx: FieldContext, l: Triple) -> Triple:
     return meet(ctx, collineate_line(ctx, l), collineate_line(ctx, l, 2))
 
 
-def involution_point_image(ctx: FieldContext, B: SubplaneSet) -> frozenset[Triple]:
-    """Apply the involution to every point of an all-Type-III subplane."""
-    return frozenset(conjugate_join(ctx, P) for P in B.points)
-
-
-def involution_line_image(ctx: FieldContext, B: SubplaneSet) -> frozenset[Triple]:
-    """Apply the involution to every secant line of an all-Type-III-line subplane."""
-    return frozenset(conjugate_meet(ctx, l) for l in B.lines)
-
-
 def project_from_anchor(ctx: FieldContext, P: Triple) -> Triple:
     if P == ANCHOR:
         raise GeometryError("projection from the anchor is undefined at the anchor")
@@ -74,14 +64,6 @@ def splash(ctx: FieldContext, l: Triple) -> Triple:
     if l == AXIS:
         raise GeometryError("splash of the axis is undefined")
     return meet(ctx, l, AXIS)
-
-
-def pr_set(ctx: FieldContext, B: SubplaneSet) -> frozenset[Triple]:
-    return frozenset(project_from_anchor(ctx, P) for P in B.points)
-
-
-def sp_set(ctx: FieldContext, B: SubplaneSet) -> frozenset[Triple]:
-    return frozenset(splash(ctx, l) for l in B.lines)
 
 
 def anchor_projections(tables, P) -> np.ndarray:

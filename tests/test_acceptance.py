@@ -20,16 +20,16 @@ from figplane.collineation import (TYPE_I, TYPE_II, TYPE_III, census_of,
                                    tally_types)
 from figplane.linear_sets import (fixed_subplane, pencil_lines, sls_points,
                                   t_plane)
-from figplane.maps import (conjugate_join, conjugate_meet,
-                           involution_line_image, involution_point_image,
-                           mu_fixed_planes, phi_fixed_planes, pr_set,
-                           project_from_vertex, sp_set, splash, vertex_census)
+from figplane.maps import (conjugate_join, conjugate_meet, mu_fixed_planes,
+                           phi_fixed_planes, project_from_vertex, splash,
+                           vertex_census)
 from figplane.figueroa import (arching_census, build_fig_plane,
                                characterize_fig_points, check_axioms,
                                pr_fig_block, expected_pr_fig_block)
 from figplane.suites import Session, even_structure, splash_involution
 
 from conftest import HeldRows, child_env, held
+from set_oracle import involution_line_image, involution_point_image, pr_set, sp_set
 
 
 def _ok(label):

@@ -24,8 +24,7 @@ from figplane.collineation import (CATEGORIES, TYPE_III, collineate_line, collin
                                    stabilizer_orbit)
 from figplane.field import build_field_tower, context_for_q, table_bytes
 from figplane.figueroa import build_fig_plane, fig_incident
-from figplane.linear_sets import (conjugate_subplane, fixed_subplane,
-                                  plane_from_rep, t_plane)
+from figplane.linear_sets import fixed_subplane, plane_from_rep, t_plane
 from figplane.maps import (VertexCensus, conjugate_join, conjugate_meet, project_from_vertex,
                            vertex_census)
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, GeometryError,
@@ -33,6 +32,7 @@ from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, GeometryError,
                             lines_through_point, points_on_line)
 
 from conftest import held
+from set_oracle import conjugate_subplane
 
 TABLES = ("types", "mu", "sec", "phi", "orbit", "tau", "tau_line")
 

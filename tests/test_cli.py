@@ -243,6 +243,21 @@ def test_tplane_output(capsys):
     assert all(not r.endswith(":0") for r in rows)
 
 
+@pytest.mark.parametrize("command", ["sls", "tplane"])
+def test_bad_theta_is_refused_from_q_alone(monkeypatch, capsys, command):
+    """--theta is checked against q before the field tower is built, which
+    takes seconds at q = 64; a q that is no prime power is refused first."""
+    def no_tower(q):
+        raise AssertionError("the field tower was built before --theta was checked")
+    monkeypatch.setattr("figplane.cli.context_for_q", no_tower)
+    assert main([command, "--q", "64", "--theta", "99"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "figplane: --theta must be a norm class index 0 .. 62\n"
+    assert main([command, "--q", "6", "--theta", "99"]) == 2
+    assert capsys.readouterr().err == "figplane: q = 6 is not a prime power\n"
+
+
 def test_emit_plane(tmp_path, capsys):
     target = tmp_path / "plane.txt"
     code, _ = run_cli(["figueroa", "--q", "3", "--check", "build",

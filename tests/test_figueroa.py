@@ -19,6 +19,7 @@ from figplane.suites import (CHECKS, Session, even_structure, figueroa_checks,
                              splash_involution)
 
 from conftest import HeldRows, held, replaced
+from set_oracle import units
 
 
 def _first_fig_row(fig):
@@ -686,7 +687,7 @@ def test_projection_of_anchor_block(plane3, plane4, plane5):
     # odd q: the image is the two carriers, the norm minus-one set, and
     # the sets of every theta whose norm is a square
     want5 = {ANCHOR_1, ANCHOR_2} | set(sls_points(ctx5, ctx5.neg_one))
-    for theta in ctx5.units():
+    for theta in units(ctx5):
         if ctx5.is_nonzero_square(ctx5.norm(theta)):
             want5 |= set(sls_points(ctx5, theta))
     assert img5 == want5

@@ -1,12 +1,14 @@
 import pytest
 
-from figplane.collineation import TYPE_II, TYPE_III, point_type, sls_id_of_point
-from figplane.field import FieldError
-from figplane.linear_sets import (fixed_subplane, is_subplane_closed,
-                                  pencil_lines, pencil_type, plane_from_rep,
-                                  sls_points, t_plane)
+from figplane.collineation import (CATEGORIES, TYPE_II, TYPE_III, collineate_point,
+                                   point_type, sls_id_of_point)
+from figplane.field import FieldError, context_for_q
+from figplane.linear_sets import (SubplaneSet, fixed_subplane, pencil_lines, pencil_type,
+                                  plane_from_rep, sls_points, t_plane)
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, canonical,
                             incident, points_on_line)
+
+from set_oracle import is_subplane_closed, units
 
 
 def norm_reps(ctx):
@@ -22,8 +24,8 @@ def test_sls_basics(ctx3):
 
 
 def test_sls_norm_keyed(ctx3):
-    for th in ctx3.units():
-        for kappa in ctx3.units():
+    for th in units(ctx3):
+        for kappa in units(ctx3):
             same = ctx3.norm(th) == ctx3.norm(kappa)
             assert (sls_points(ctx3, th) == sls_points(ctx3, kappa)) == same
 
@@ -86,7 +88,7 @@ def test_t_plane_is_built_once(ctx3):
 
 def test_t_planes_distinct(ctx3, ctx4):
     for ctx in (ctx3, ctx4):
-        planes = {t_plane(ctx, th).points for th in ctx.units()}
+        planes = {t_plane(ctx, th).points for th in units(ctx)}
         assert len(planes) == ctx.q - 1
 
 
@@ -103,7 +105,7 @@ def test_plane_from_rep_unit_point(ctx3):
     fixed = fixed_subplane(ctx3)
     assert B.points == fixed.points and B.lines == fixed.lines
     f = ctx3.frob
-    want_lines = {canonical(ctx3, (s, f(s), f(s, 2))) for s in ctx3.units()}
+    want_lines = {canonical(ctx3, (s, f(s), f(s, 2))) for s in units(ctx3)}
     assert B.lines == frozenset(want_lines)
 
 
@@ -133,3 +135,57 @@ def test_line_set_independent_of_representative(ctx3):
     B = t_plane(ctx3, 2)
     for R in sorted(B.points)[:4]:
         assert plane_from_rep(ctx3, R).lines == B.lines
+
+
+# The paper's formulas, written out over every unit of GF(q^3), not over the
+# coset representatives the constructors use: so the comparisons also check
+# that the q - 1 scalars of GF(q)* name one object.
+
+def paper_sls(ctx, theta, side):
+    """{(x theta, x^q, 0)}, pushed to ``side``."""
+    return frozenset(collineate_point(ctx, canonical(ctx, (ctx.mul(x, theta), ctx.frob(x), 0)),
+                                      side) for x in units(ctx))
+
+
+def paper_t_plane(ctx, theta):
+    """{(r theta^(q+1), r^q, r^q^2 theta)}, with lines
+    {(s, s^q theta^(q+1), s^q^2 theta^q)}."""
+    mul, f = ctx.mul, ctx.frob
+    tq1 = mul(theta, f(theta))
+    return SubplaneSet(
+        frozenset(canonical(ctx, (mul(r, tq1), f(r), mul(f(r, 2), theta))) for r in units(ctx)),
+        frozenset(canonical(ctx, (s, mul(f(s), tq1), mul(f(s, 2), f(theta))))
+                  for s in units(ctx)))
+
+
+def paper_plane(ctx, P):
+    """{(t x, t^q y, t^q^2 z)}, with lines {[yz s : xz s^q : xy s^q^2]}."""
+    mul, f = ctx.mul, ctx.frob
+    x, y, z = P
+    yz, xz, xy = mul(y, z), mul(x, z), mul(x, y)
+    return SubplaneSet(
+        frozenset(canonical(ctx, (mul(t, x), mul(f(t), y), mul(f(t, 2), z))) for t in units(ctx)),
+        frozenset(canonical(ctx, (mul(yz, s), mul(xz, f(s)), mul(xy, f(s, 2))))
+                  for s in units(ctx)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_constructors_are_the_paper_formulas(q):
+    """Every norm class and side at q = 2, 3, 4 and 5."""
+    ctx = context_for_q(q)
+    for theta in norm_reps(ctx):
+        for side in range(3):
+            assert sls_points(ctx, theta, side) == paper_sls(ctx, theta, side)
+        assert t_plane(ctx, theta) == paper_t_plane(ctx, theta)
+        R = (ctx.mul(theta, ctx.frob(theta)), 1, theta)
+        assert plane_from_rep(ctx, R) == paper_plane(ctx, R)
+
+
+def test_orbit_planes_are_the_paper_formula(plane3, classes3):
+    """Every plane-class representative at q = 3."""
+    ctx = plane3.ctx
+    planes = classes3.categories >= CATEGORIES.index("plane_I_I")
+    reps = [plane3.point(r) for r in classes3.reps[planes].tolist()]
+    assert len(reps) == 1 + 21 + 21 + 9
+    for R in reps:
+        assert plane_from_rep(ctx, R) == paper_plane(ctx, R)

@@ -9,17 +9,18 @@ from figplane.collineation import (TYPE_II, TYPE_III, VERTEX, OrbitInconsistency
                                    collineate_line, collineate_point, line_type,
                                    partition_orbits, point_type)
 from figplane.field import context_for_q
-from figplane.linear_sets import (conjugate_subplane, fixed_subplane,
-                                  pencil_lines, plane_from_rep, sls_points,
-                                  t_plane)
+from figplane.linear_sets import (fixed_subplane, pencil_lines, plane_from_rep,
+                                  sls_points, t_plane)
 from figplane.maps import (TypeRestrictionError, anchor_cross, anchor_projections,
                            conjugate_join, conjugate_meet,
-                           expected_phi_fixed_reps, involution_line_image,
-                           involution_point_image, mu_fixed_planes,
-                           phi_fixed_planes, pr_set, project_from_anchor,
-                           project_from_vertex, sp_set, splash, vertex_census)
+                           expected_phi_fixed_reps, mu_fixed_planes,
+                           phi_fixed_planes, project_from_anchor,
+                           project_from_vertex, splash, vertex_census)
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                             ProjectivePlane, canonical, join)
+
+from set_oracle import (conjugate_subplane, involution_line_image,
+                        involution_point_image, pr_set, sp_set, units)
 
 
 def test_involution_frame(ctx3):
@@ -53,7 +54,7 @@ def test_involution_type_errors(ctx3):
         conjugate_join(ctx3, (1, 1, 1))
     with pytest.raises(TypeRestrictionError):
         conjugate_meet(ctx3, (1, 1, 1))
-    s = next(s for s in ctx3.units() if ctx3.norm(s) == ctx3.neg_one)
+    s = next(s for s in units(ctx3) if ctx3.norm(s) == ctx3.neg_one)
     with pytest.raises(TypeRestrictionError):
         conjugate_join(ctx3, canonical(ctx3, (s, 1, 0)))
 
@@ -87,7 +88,7 @@ def test_involution_on_conjugate_planes(ctx3):
 def test_involution_on_generic_plane(plane4, classes4):
     ctx = plane4.ctx
     side_sets = set()
-    for th in ctx.units():
+    for th in units(ctx):
         pts = t_plane(ctx, th).points
         for i in range(3):
             side_sets.add(frozenset(collineate_point(ctx, P, i) for P in pts))

@@ -40,6 +40,7 @@ from figplane.suites import (CHECKS, Session, arching, assembly, axioms, axioms_
                              type_tally, vertices_census, FIG_ROWS, STAGES)
 
 from conftest import HeldRows, held
+from set_oracle import conjugate_subplane
 
 DATA = Path(__file__).parent / "data"
 
@@ -519,7 +520,7 @@ def test_t_planes_report_a_moved_subplane(ctx3, monkeypatch):
     assert t_plane_images(sess).passed
     th = sess.norm_reps()[1]
     real = ls.t_plane
-    monkeypatch.setattr(ls, "t_plane", lambda ctx, theta: ls.conjugate_subplane(
+    monkeypatch.setattr(ls, "t_plane", lambda ctx, theta: conjugate_subplane(
         ctx, real(ctx, theta)) if theta == th else real(ctx, theta))
     e = t_plane_images(sess)
     assert not e.passed
