@@ -49,7 +49,8 @@ _EXPORTS = {name: module for module, names in (
                  "pr_fig_block"),
 ) for name in names.split()}
 
-_SUBMODULES = frozenset(_EXPORTS.values()) | {"arrays", "cli", "report", "suites"}
+_SUBMODULES = frozenset(_EXPORTS.values()) | {"arrays", "cli", "report", "suites", "suite_census",
+                                               "suite_figueroa", "suite_maps"}
 
 __all__ = sorted(_EXPORTS)
 

@@ -46,11 +46,10 @@ from .collineation import CATEGORIES, CATEGORY_TYPES, TYPE_NAMES
 from .field import FieldError, context_for_q, order_of, table_bytes
 from .plane import GeometryError, format_point
 from .report import Report, TOOL_NAME, TOOL_VERSION
-from .suites import (FIG_ROWS, Session, census_checks, check_groups, figueroa_checks,
-                     maps_checks, refusal, selected)
+from .suites import (FIG_ROWS, SUITES, Session, census_checks, check_groups,
+                     figueroa_checks, maps_checks, refusal, selected)
 
 USAGE_ERROR = 2
-SUITES = ("census", "maps", "figueroa")
 
 
 def _add_common(p: argparse.ArgumentParser):
@@ -63,7 +62,23 @@ def _add_common(p: argparse.ArgumentParser):
                    help="include per-check and per-stage timings (breaks byte determinism)")
 
 
+class _Groups:
+    """The ``--check`` groups of a suite, read from its check table only
+    when argparse tests a value against them or lists them, so building
+    the parser imports no check module.  ``add_argument`` lists its
+    ``choices`` to format the usage, so the groups are set on the action
+    it returns."""
+
+    def __init__(self, suite: str):
+        self.suite = suite
+
+    def __iter__(self):
+        return iter(check_groups(self.suite))
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of the figplane command, described by this module's
+    docstring; it imports no check module (``_Groups``)."""
     ap = argparse.ArgumentParser(prog=TOOL_NAME, description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -79,11 +94,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("maps", help="checks for the involution, projection and splash")
     _add_common(p)
-    p.add_argument("--check", choices=check_groups("maps"), required=True)
+    p.add_argument("--check", required=True).choices = _Groups("maps")
 
     p = sub.add_parser("figueroa", help="block construction and structure checks")
     _add_common(p)
-    p.add_argument("--check", choices=check_groups("figueroa"), required=True)
+    p.add_argument("--check", required=True).choices = _Groups("figueroa")
     p.add_argument("--emit-plane", metavar="FILE")
 
     p = sub.add_parser("sls", help="print one side linear set")

@@ -356,10 +356,16 @@ def census_of(plane: ProjectivePlane, classes: OrbitClasses | None = None) -> Ce
 
 
 def tally_types(types) -> dict[int, int]:
-    """Number of objects of each type in a type table."""
+    """Number of objects of each type in a type table, counted a chunk at a
+    time, so no temporary holds an entry per object."""
     import numpy as np
+    from .arrays import chunks
     types = np.asarray(types)
-    return {t: int(np.count_nonzero(types == t)) for t in (TYPE_I, TYPE_II, TYPE_III)}
+    tally = dict.fromkeys((TYPE_I, TYPE_II, TYPE_III), 0)
+    for s in chunks(len(types)):
+        for t in tally:
+            tally[t] += int(np.count_nonzero(types[s] == t))
+    return tally
 
 
 def expected_type_counts(q: int) -> dict[int, int]:

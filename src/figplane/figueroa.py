@@ -59,6 +59,14 @@ def anchor_block(plane: ProjectivePlane, anchor: Triple) -> np.ndarray:
     return tables.fig_rows([tables.mu[A]])[0]
 
 
+def anchor_parts(plane: ProjectivePlane) -> tuple[np.ndarray, np.ndarray]:
+    """Point indices of the E and F parts of the block of ``ANCHOR``: its
+    Type II and its Type III entries."""
+    block = anchor_block(plane, ANCHOR)
+    kind = plane.tables.types[block]
+    return block[kind == TYPE_II], block[kind == TYPE_III]
+
+
 def fig_incident(ctx: FieldContext, P: Triple, L: Triple) -> bool:
     """Whether point P lies on the block of FIG(q^3) that replaces line L,
     in closed form, the single-object reference for the FIG rows.

@@ -1,7 +1,7 @@
 """Whole-set oracles that only tests need: each applies one of figplane's
 single-object maps, or a field predicate, to every member of a set.
 
-figplane's checks read these images as index arrays (``figplane.suites``);
+figplane's checks read these images as index arrays (``figplane.suite_maps``);
 the tests compare those, and the orbit constructors, against the scalar
 maps applied member by member here.
 """

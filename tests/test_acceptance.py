@@ -26,7 +26,8 @@ from figplane.maps import (conjugate_join, conjugate_meet, mu_fixed_planes,
 from figplane.figueroa import (arching_census, build_fig_plane,
                                characterize_fig_points, check_axioms,
                                pr_fig_block, expected_pr_fig_block)
-from figplane.suites import Session, even_structure, splash_involution
+from figplane.suite_figueroa import even_structure, splash_involution
+from figplane.suites import Session
 
 from conftest import HeldRows, child_env, held
 from set_oracle import involution_line_image, involution_point_image, pr_set, sp_set

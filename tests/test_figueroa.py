@@ -15,8 +15,8 @@ from figplane.maps import TypeRestrictionError, conjugate_join
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                             canonical, format_line, format_point, join,
                             points_on_line)
-from figplane.suites import (CHECKS, Session, even_structure, figueroa_checks,
-                             splash_involution)
+from figplane.suite_figueroa import even_structure, splash_involution
+from figplane.suites import CHECKS, Session, figueroa_checks
 
 from conftest import HeldRows, held, replaced
 from set_oracle import units

@@ -18,7 +18,10 @@ import figplane
 from conftest import SRC, child_env
 
 SUBMODULES = ("arrays", "cli", "collineation", "field", "figueroa", "linear_sets",
-              "maps", "plane", "report", "suites")
+              "maps", "plane", "report", "suite_census", "suite_figueroa", "suite_maps",
+              "suites")
+# the modules of the checks of one suite each, imported when a run names the suite
+CHECK_MODULES = ("suite_census", "suite_figueroa", "suite_maps")
 
 # The public names of figplane 0.1.0, by the submodule that defines each,
 # less ``OrbitClass``: the orbit partition is now its arrays alone; and less
@@ -76,9 +79,64 @@ def test_scalar_linear_sets_load_no_numpy():
 
 def test_cli_loads_every_submodule():
     """perfbench/tracer.py wraps layer functions after ``import figplane.cli``
-    and relies on it having imported every figplane module."""
+    and relies on it having imported every figplane module it traces: all
+    but the check modules, which a run imports for the suites it names."""
     assert loaded_after("import figplane.cli") == (
-        ["figplane." + m for m in SUBMODULES] + ["numpy"])
+        ["figplane." + m for m in SUBMODULES if m not in CHECK_MODULES] + ["numpy"])
+
+
+def _run(argv: str) -> str:
+    """Code that runs the figplane command line in-process, its report discarded."""
+    return ("import contextlib, io\nfrom figplane.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({argv.split()!r}) == 0")
+
+
+@pytest.mark.parametrize("argv, suite", [("verify --q 3 --suite maps", "maps"),
+                                         ("verify --q 3 --suite census", "census"),
+                                         ("maps --q 3 --check fixed", "maps"),
+                                         ("figueroa --q 3 --check pr", "figueroa")])
+def test_a_run_compiles_only_the_checks_of_its_suite(argv, suite):
+    """The check modules of the suites a run does not name are never
+    imported, so never compiled; the parser's ``--check`` choices import
+    none either."""
+    loaded = [m for m in loaded_after(_run(argv)) if m.startswith("figplane.suite_")]
+    assert loaded == [f"figplane.suite_{suite}"]
+
+
+def test_verify_all_compiles_every_suite():
+    loaded = loaded_after(_run("verify --q 3 --suite all"))
+    assert [m for m in loaded if m.startswith("figplane.suite_")] == [
+        "figplane." + m for m in CHECK_MODULES]
+
+
+def test_check_table_is_whole_in_report_order():
+    """``CHECKS`` holds every check, in report order: the census, maps and
+    figueroa checks, each in the order of its module, whatever order the
+    check modules were imported in; here the figueroa checks come first."""
+    probe = ("import json\nimport figplane.suite_figueroa\nfrom figplane.suites import CHECKS\n"
+             "print(json.dumps([[c.suite, c.group, getattr(c.run, '__name__', None)\n"
+             "                   or c.run.keywords['kind'] + '_types'] for c in CHECKS]))")
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(), check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert [tuple(c) for c in json.loads(out.stdout)] == [
+        ("census", "census", name) for name in (
+            "categories", "orbit_sizes", "point_types", "line_types", "collineation_permutes",
+            "norm_det_relation")] + [
+        ("maps", "mu", "involution"), ("maps", "mu", "rejects_fixed_objects"),
+        ("maps", "mu", "plane_images"), ("maps", "mu", "generic_plane"),
+        ("maps", "mu", "block_incidence_twist"), ("maps", "pr-sp", "t_plane_images"),
+        ("maps", "pr-sp", "parity_table"), ("maps", "pr-sp", "pencil_census"),
+        ("maps", "pr-sp", "projection_vs_splash"), ("maps", "fixed", "collineation_fixed"),
+        ("maps", "fixed", "involution_fixed"), ("maps", "vertices", "vertices_census"),
+        ("maps", "vertices", "count_spectrum"), ("maps", "vertices", "cross_plane"),
+        ("maps", "vertices", "club_images")] + [
+        ("figueroa", "build", "block_anatomy"), ("figueroa", "build", "block_sizes"),
+        ("figueroa", "build", "assembly"), ("figueroa", "axioms", "axioms"),
+        ("figueroa", "axioms", "axioms_reference"), ("figueroa", "axioms", "axioms_mutation"),
+        ("figueroa", "pr", "projection_anchor"), ("figueroa", "pr", "projection_conjugates"),
+        ("figueroa", "arching", "arching"), ("figueroa", "characterization", "characterization"),
+        ("figueroa", "even-structure", "even_structure"), ("figueroa", "sp-mu", "splash_involution")]
 
 
 def test_submodule_list_is_complete():

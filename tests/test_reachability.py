@@ -26,6 +26,7 @@ COMMANDS = [
     ["verify", "--q", "3", "--format", "csv"],
     ["census", "--q", "3", "--format", "csv"],
     ["census", "--q", "3", "--format", "json"],
+    ["maps", "--q", "3", "--check", "fixed"],
     ["sls", "--q", "3", "--theta", "1", "--side", "1"],
     ["tplane", "--q", "3", "--theta", "1"],
 ]

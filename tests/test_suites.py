@@ -1,5 +1,6 @@
-"""The check table of ``figplane.suites``: its groups, its golden reports,
-and the table-driven entries shown able to fail with a witness.
+"""The check table of ``figplane.suites`` and the checks of its suite
+modules: its groups, its golden reports, and the table-driven entries
+shown able to fail with a witness.
 
 The golden reports are the output of
 
@@ -28,16 +29,18 @@ from figplane.field import build_field_tower
 from figplane.linear_sets import t_plane
 from figplane.maps import VertexCensus
 from figplane.plane import ProjectivePlane, format_line, format_point
-from figplane.suites import (CHECKS, Session, arching, assembly, axioms, axioms_mutation,
-                             axioms_reference, block_anatomy, block_incidence_twist,
-                             block_sizes, categories, characterization, check_groups,
-                             club_images, collineation_fixed, collineation_permutes,
-                             count_spectrum, cross_plane, even_structure, generic_plane,
-                             involution_fixed, maps_checks, norm_det_relation, orbit_sizes,
-                             parity_table, pencil_census, plane_images, projection_anchor,
-                             projection_conjugates, projection_vs_splash,
-                             rejects_fixed_objects, splash_involution, t_plane_images,
-                             type_tally, vertices_census, FIG_ROWS, STAGES)
+from figplane.suite_census import (categories, collineation_permutes, norm_det_relation,
+                                   orbit_sizes, type_tally)
+from figplane.suite_figueroa import (arching, assembly, axioms, axioms_mutation,
+                                     axioms_reference, block_anatomy, block_sizes,
+                                     characterization, even_structure, projection_anchor,
+                                     projection_conjugates, splash_involution)
+from figplane.suite_maps import (block_incidence_twist, club_images, collineation_fixed,
+                                 count_spectrum, cross_plane, generic_plane, involution_fixed,
+                                 parity_table, pencil_census, plane_images,
+                                 projection_vs_splash, rejects_fixed_objects, t_plane_images,
+                                 vertices_census)
+from figplane.suites import CHECKS, FIG_ROWS, STAGES, Session, check_groups, maps_checks
 
 from conftest import HeldRows, held
 from set_oracle import conjugate_subplane
@@ -173,12 +176,12 @@ def _relabel_a_class(sess):
             "category plane_III_II: 22 classes, expected 21"]
 
 
-def _duplicate_a_row(sess):
+def _duplicate_a_row(sess, pick=slice(0, 2)):
     """The member row of the first class that is not a vertex made in place
-    of the second's: the points of the first lie in two classes, and those
-    of the second in none."""
+    of the second's (or of the two that ``pick`` takes, in order): the
+    points of the first lie in two classes, and those of the second in none."""
     classes = replace(sess.classes)
-    first, second = np.flatnonzero(classes.categories != VERTEX)[:2]
+    first, second = np.flatnonzero(classes.categories != VERTEX)[pick]
     a, b = classes.members([first, second])
     cover = {i: 2 for i in a.tolist()} | {i: 0 for i in b.tolist()}
     real = classes.members
@@ -207,6 +210,19 @@ def test_census_entries_fail_on_a_corrupted_artifact(ctx3, check, corrupt):
     sess = Session(ctx3)
     witnesses = corrupt(sess)
     e = check(sess)
+    assert not e.passed and e.witnesses == witnesses
+
+
+def test_orbit_sizes_marks_points_window_by_window(ctx3, monkeypatch):
+    """With windows of 64 points and one member row a chunk, the classes
+    still pass, and the points that the last row leaves out when it is made
+    as the one before it, all past the first window, are found."""
+    monkeypatch.setattr("figplane.suite_census.WINDOW", 64)
+    monkeypatch.setattr("figplane.arrays.CHUNK", ctx3.sub_order)
+    assert orbit_sizes(Session(ctx3)).passed
+    sess = Session(ctx3)
+    witnesses = _duplicate_a_row(sess, slice(-2, None))
+    e = orbit_sizes(sess)
     assert not e.passed and e.witnesses == witnesses
 
 

@@ -33,3 +33,11 @@ def test_traced_function_resolves(module, name):
 def test_traced_method_resolves(module, cls, name):
     owner = getattr(importlib.import_module(f"figplane.{module}"), cls)
     assert callable(vars(owner)[name])
+
+
+def test_cli_import_loads_every_traced_module():
+    """``instrument`` imports ``figplane.cli`` and then reads each traced
+    module from ``sys.modules``: that import alone must load them all."""
+    from test_package import loaded_after
+    traced = {module for module, _ in _tracer().FUNCTIONS} | {"plane", "report"}
+    assert {f"figplane.{m}" for m in traced} <= set(loaded_after("import figplane.cli"))
