@@ -48,9 +48,9 @@ r2 = (b^q^2, c^q^2, 1), each the collineation image of the row before, and
 * ``dickson``, ``dickson_line``  the index of the image of every point and
   of every line under one Dickson matrix d, which commutes with phi but not
   with tau.  ``figueroa.check_axioms`` reads these four, and no other
-  check reads them whole.  All but ``tau_line`` are built in chunks of
-  ``CHUNK`` objects from closed forms at coordinates derived from the
-  index.
+  check reads them whole.  tau, the diagonal matrix (g, g^q, g^q^2), and
+  both Dickson tables are the images of a 3 x 3 matrix, built in chunks
+  of ``CHUNK`` objects at coordinates derived from the index.
 
 The q^3 + 1 points with x = 0 take the same forms specialised: (0, 1, c)
 has det = 1 + N(c), is never Type I, and has phi = (1, 0, c^-q) and
@@ -259,16 +259,6 @@ class PlaneTables:
         self.size = size
         self.field = FieldArrays(ctx)
 
-    def _build(self, fn, *dtypes) -> tuple[np.ndarray, ...]:
-        """One read-only table per dtype, one entry per object: ``fn`` maps
-        the coordinates of a chunk of ``CHUNK`` objects to one column per
-        table."""
-        out = tuple(np.empty(self.size, dtype=d) for d in dtypes)
-        for s in chunks(self.size):
-            for table, column in zip(out, fn(*self.field.coords(span(s)))):
-                table[s] = column
-        return tuple(_frozen(t) for t in out)
-
     def _orbit_det(self, x, y, z):
         """det(M) and r0 x r1 for the point orbit matrix M of each (x, y, z),
         whose rows are r0 = (x, y, z) and its two collineation images
@@ -378,18 +368,17 @@ class PlaneTables:
         """Index of the collineation image of every point (and line)."""
         return self._point_tables["phi"]
 
-    def _torus(self, x, y, z) -> np.ndarray:
-        """Index of the torus image (g x, g^q y, g^q^2 z) of each triple, g
-        primitive (code 2)."""
-        F, ctx = self.field, self.ctx
-        g = (np.int32(ctx.power(2, ctx.q ** i)) for i in range(3))
-        return F.index(*F.canonical(*map(F.mul, g, (x, y, z))))
+    @property
+    def _torus_rows(self):
+        """The torus map by rows: the diagonal matrix (g, g^q, g^q^2), g = code 2."""
+        g = [np.int32(self.ctx.power(2, self.ctx.q ** i)) for i in range(3)]
+        return [[g[i] if j == i else np.int32(0) for j in range(3)] for i in range(3)]
 
     @cached_property
     def tau(self) -> np.ndarray:
-        """Index of the torus image of every point, from ``_torus``; tau
-        generates the stabilizer and commutes with phi."""
-        return self._build(lambda *v: (self._torus(*v),), np.int32)[0]
+        """Index of the torus image (g x, g^q y, g^q^2 z) of every point;
+        tau generates the stabilizer and commutes with phi."""
+        return self._linear_table(self._torus_rows)
 
     @cached_property
     def tau_line(self) -> np.ndarray:
@@ -417,11 +406,17 @@ class PlaneTables:
                 if F.dot(r0, F.cross(r1, r2)) != 0:
                     return rows
 
-    def _linear_table(self, m) -> np.ndarray:
-        """Index of m (x, y, z) for every triple, m a 3 x 3 code matrix by rows."""
+    def _image(self, m, x, y, z) -> np.ndarray:
+        """Index of m (x, y, z) for each triple, m a 3 x 3 code matrix by rows."""
         F = self.field
-        return self._build(lambda *v: (F.index(*F.canonical(*(F.dot(r, v) for r in m))),),
-                           np.int32)[0]
+        return F.index(*F.canonical(*(F.dot(r, (x, y, z)) for r in m)))
+
+    def _linear_table(self, m) -> np.ndarray:
+        """Read-only ``_image`` of m at every object, a chunk of ``CHUNK`` at a time."""
+        out = np.empty(self.size, dtype=np.int32)
+        for s in chunks(self.size):
+            out[s] = self._image(m, *self.field.coords(span(s)))
+        return _frozen(out)
 
     @cached_property
     def dickson(self) -> np.ndarray:
@@ -608,7 +603,7 @@ class PlaneTables:
         """
         pts = self._subplane(B)
         inside = np.sort(self.field.index(*pts.T))
-        if not np.array_equal(np.sort(self._torus(*pts.T)), inside):
+        if not np.array_equal(np.sort(self._image(self._torus_rows, *pts.T)), inside):
             raise KernelError("vertex kinds of a point set that the torus shift tau moves")
         reps = fixed_points(self.orbit)
         x, y, z = self.field.coords(reps)

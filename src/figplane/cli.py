@@ -52,14 +52,16 @@ from .suites import (FIG_ROWS, SUITES, Session, census_checks, check_groups,
 USAGE_ERROR = 2
 
 
-def _add_common(p: argparse.ArgumentParser):
+def _add_common(p: argparse.ArgumentParser, report: bool = True):
+    """--q, and the options of a command that writes a report."""
     p.add_argument("--q", type=int, required=True,
                    help="order of the middle field; a prime power")
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-    p.add_argument("--seed", type=int, default=0,
-                   help="recorded in the report header; no check samples")
-    p.add_argument("--timings", action="store_true",
-                   help="include per-check and per-stage timings (breaks byte determinism)")
+    if report:
+        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+        p.add_argument("--seed", type=int, default=0,
+                       help="recorded in the report header; no check samples")
+        p.add_argument("--timings", action="store_true",
+                       help="include per-check and per-stage timings (breaks byte determinism)")
 
 
 class _Groups:
@@ -102,13 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-plane", metavar="FILE")
 
     p = sub.add_parser("sls", help="print one side linear set")
-    _add_common(p)
+    _add_common(p, report=False)
     p.add_argument("--theta", type=int, required=True,
                    help="norm class index, 0 .. q-2")
     p.add_argument("--side", type=int, choices=(0, 1, 2), default=0)
 
     p = sub.add_parser("tplane", help="print one side subplane")
-    _add_common(p)
+    _add_common(p, report=False)
     p.add_argument("--theta", type=int, required=True)
     return ap
 

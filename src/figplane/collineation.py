@@ -249,7 +249,8 @@ class OrbitClasses:
     positions in ``CATEGORIES``; ``len`` is the number of classes.  A class
     is named by its position.  No member is held: ``members`` makes the
     sorted member rows of any classes from the stabilizer's closed form
-    (``PlaneTables.orbit_rows``) when they are asked for."""
+    (``PlaneTables.orbit_rows``) when they are asked for.  ``split_by``
+    flags the classes that a point permutation splits."""
     reps: np.ndarray
     categories: np.ndarray
     tables: PlaneTables = field(repr=False)
@@ -271,6 +272,20 @@ class OrbitClasses:
         if (self.categories[j] == VERTEX).any():
             raise ValueError("a vertex class has one member and no member row")
         return self.tables.orbit_rows(self.reps[j])
+
+    def split_by(self, g) -> np.ndarray:
+        """One bool per class: whether the point permutation g, an index
+        table, sends its members into more than one class.  One scan of the
+        points, a chunk at a time, compares the orbit label of g[i] with
+        that of g[r], r the label of i."""
+        import numpy as np
+        from .arrays import chunks
+        orbit = self.tables.orbit
+        split = np.zeros(len(self), dtype=bool)
+        for s in chunks(len(orbit)):
+            rep = orbit[s]
+            split[np.searchsorted(self.reps, rep[orbit[g[s]] != orbit[g[rep]]])] = True
+        return split
 
 
 def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:

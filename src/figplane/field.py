@@ -375,17 +375,15 @@ class Order(NamedTuple):
 
 def order_of(q: int) -> Order:
     """Factor a prime power q = p^k; ``FieldError`` if q is none, or if
-    its GF(q^3) is past the table bound."""
+    its GF(q^3) is past the table bound, tested first, from q^3 alone."""
     if q < 2:
         raise FieldError(f"q = {q} is not a prime power")
-    p = min(prime_factors(q))
-    k = 0
-    v = q
-    while v > 1:
-        if v % p:
-            raise FieldError(f"q = {q} is not a prime power")
-        v //= p
-        k += 1
+    if q ** 3 > MAX_ELEMENTS:
+        raise FieldError(f"GF({q}^3) has {q ** 3} elements, over the table bound {MAX_ELEMENTS}")
+    p, *others = prime_factors(q)
+    if others:
+        raise FieldError(f"q = {q} is not a prime power")
+    k = next(k for k in range(1, q) if p ** k == q)
     _validate_params(p, k)
     return Order(p, k)
 

@@ -168,17 +168,12 @@ def vertex_census(plane: ProjectivePlane, B: SubplaneSet) -> VertexCensus:
 
 def phi_fixed_planes(plane: ProjectivePlane, classes: OrbitClasses) -> np.ndarray:
     """Classes whose orbit subplanes the collineation fixes setwise, by
-    exhaustive scan, as positions in ``classes``: a class is fixed when no
-    member i has its image in another class."""
-    orbit, phi = plane.tables.orbit, plane.tables.phi
-    # by representative: every representative but those of (0, 1, c) and
-    # the anchor lies below q^4, so few pages of the zeroed mask are touched
-    moved = np.zeros(plane.size, dtype=bool)
-    for s in chunks(plane.size):
-        rep = orbit[s]
-        moved[rep[orbit[phi[s]] != rep]] = True
+    exhaustive scan, as positions in ``classes``: those that phi does not
+    split (``OrbitClasses.split_by``) and whose representative it keeps in
+    the class.  No array holds an entry per point."""
+    orbit, phi, reps = plane.tables.orbit, plane.tables.phi, classes.reps
     planes = classes.categories >= CATEGORIES.index("plane_I_I")    # the last four
-    return np.flatnonzero(planes & ~moved[classes.reps])
+    return np.flatnonzero(planes & ~classes.split_by(phi) & (orbit[phi[reps]] == reps))
 
 
 def mu_fixed_planes(plane: ProjectivePlane, classes: OrbitClasses) -> np.ndarray:

@@ -7,7 +7,6 @@ Importing this module registers its checks in the check table of
 
 from __future__ import annotations
 
-import itertools
 from functools import partial
 
 import numpy as np
@@ -34,26 +33,25 @@ def categories(sess: Session) -> CheckEntry:
                  ok, counts, witnesses)
 
 
-WINDOW = 1 << 21     # points per pass of census.orbit-sizes: a bool mask of 2 MiB
-
-
-@check("census", reads=("classes",))
+@check("census", reads=("tables", "classes"))
 def orbit_sizes(sess: Session) -> CheckEntry:
-    # the member rows and the three vertex classes cover every point once:
-    # they hold n entries and reach every point, marked WINDOW points at a
-    # time, one pass over the rows a window; else count the points' classes
+    # the orbit labels certify the cover: with distinct reps, the vertices
+    # labelled themselves and every member row s distinct points labelled
+    # with its rep, the rows and vertices are disjoint, and they cover the
+    # plane once when they hold n points; else count the points' classes
     classes, n, s = sess.classes, sess.plane.size, sess.ctx.sub_order
+    orbit, reps = sess.plane.tables.orbit, classes.reps
     at_vertex = classes.categories == VERTEX
-    vertex_reps, full = classes.reps[at_vertex], np.flatnonzero(~at_vertex)
-    once = len(full) * s + len(vertex_reps) == n
-    for lo in range(0, n, WINDOW):
+    vertex_reps, full = reps[at_vertex], np.flatnonzero(~at_vertex)
+    once = (len(vertex_reps) + s * len(full) == n and (reps[1:] > reps[:-1]).all()
+            and (orbit[vertex_reps] == vertex_reps).all())
+    for j in chunks(len(full), s):
         if not once:
             break
-        seen = np.zeros(min(WINDOW, n - lo), dtype=bool)
-        for rows in itertools.chain([vertex_reps], (classes.members(full[j])
-                                                   for j in chunks(len(full), s))):
-            seen[rows[(rows >= lo) & (rows < lo + len(seen))] - lo] = True
-        once = seen.all()
+        rows = classes.members(full[j])
+        once = (rows.shape[1] == s and (rows[:, 1:] > rows[:, :-1]).all()
+                and (rows >= 0).all() and (rows < n).all()
+                and (orbit[rows] == reps[full[j], None]).all())
     bad = []
     if not once:
         cover = np.bincount(np.concatenate([classes.members(full[j]).ravel()
@@ -86,22 +84,16 @@ check("census", reads=("tables",))(partial(type_tally, kind="line"))
 
 @check("census", reads=("tables", "classes"))
 def collineation_permutes(sess: Session) -> CheckEntry:
-    # a class maps onto a class of its category exactly when the class of
-    # phi[i] is the same for every member i, and the class of phi[r], r its
-    # representative, has its category; that class is found by a search of
-    # the sorted reps, and an index that is no representative has category -1
+    # a class maps onto a class of its category exactly when phi does not
+    # split it and the class of phi[r], r its rep, found by a search of the
+    # sorted reps, has its category; a label that is no rep has category -1
     orbit, phi = sess.plane.tables.orbit, sess.plane.tables.phi
     reps, cats = sess.classes.reps, sess.classes.categories
     image = orbit[phi[reps]]
     at = np.minimum(np.searchsorted(reps, image), len(reps) - 1)
-    least = reps[np.where(reps[at] == image, cats[at], -1) != cats][:5]
-    for s in chunks(sess.plane.size):       # the least five moved class reps
-        rep = orbit[s]
-        moved = rep[orbit[phi[s]] != orbit[phi[rep]]]
-        if moved.size:
-            least = np.sort(np.concatenate((least, moved)))
-            least = least[np.diff(least, prepend=-1) != 0][:5]
-    bad = [format_point(sess.plane.point(r)) for r in least]
+    moved = np.where(reps[at] == image, cats[at], -1) != cats
+    bad = [format_point(sess.plane.point(r))      # the least five moved reps
+           for r in reps[moved | sess.classes.split_by(phi)][:5]]
     return entry("census.collineation-permutes",
                  "the collineation permutes the orbit classes within their categories",
                  not bad, {"classes": len(sess.classes)}, bad)

@@ -16,7 +16,7 @@ import numpy as np
 from . import figueroa as fg
 from . import linear_sets as ls
 from . import maps as gm
-from .collineation import TYPE_III, point_type
+from .collineation import TYPE_III, point_type, tally_types
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, format_line, format_point,
                     points_on_line)
 from .report import CheckEntry, entry
@@ -71,7 +71,7 @@ def block_sizes(sess: Session) -> CheckEntry:
 def assembly(sess: Session) -> CheckEntry:
     count, tables = sess.fig_structure.shape[0], sess.plane.tables
     q, s = sess.ctx.q, sess.ctx.sub_order
-    n_I, n_II, n_fig = np.bincount(tables.types, minlength=4)[1:].tolist()
+    n_I, n_II, n_fig = tally_types(tables.types).values()
     checks = {
         "block_count": count == sess.plane.size,
         "kept_line_counts": n_I == s and n_II == (q ** 3 - q) * s,

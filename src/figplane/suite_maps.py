@@ -286,7 +286,8 @@ def projection_vs_splash(sess: Session) -> CheckEntry:
 def _fixed_planes(sess: Session, id: str, claim: str, found: np.ndarray, reps,
                   expected: int, ok: bool = True) -> CheckEntry:
     """Entry for an exhaustive scan that found the classes ``found``, which
-    must be the ``expected`` subplanes through the closed-form ``reps``."""
+    must be the ``expected`` subplanes through the closed-form ``reps``;
+    it names at most five representatives and five witnesses."""
     want = [frozenset(sess.plane.index(P) for P in ls.plane_from_rep(sess.ctx, R).points)
             for R in reps]
     members = sess.classes.members(found)
@@ -294,11 +295,11 @@ def _fixed_planes(sess: Session, id: str, claim: str, found: np.ndarray, reps,
     ok = ok and len(found) == expected and got == set(want)
     missing = [f"no class is the subplane through {format_point(R)}"
                for R, points in zip(reps, want) if points not in got]
-    found_reps = [format_point(sess.plane.point(i)) for i in members[:, 0]]
+    found_reps = [format_point(sess.plane.point(i)) for i in members[:5, 0]]
     return entry(id, claim, ok,
                  {"found": len(found), "expected": expected,
                   "representatives": " ".join(found_reps)},
-                 [] if ok else found_reps + missing)
+                 [] if ok else (found_reps + missing)[:5])
 
 
 @check("maps", "fixed", reads=("tables", "classes"))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,8 @@ from figplane.report import Report, entry
 from figplane.suites import EVEN_Q, check_groups, selected
 
 from conftest import child_env
+
+DATA = Path(__file__).parent / "data"
 
 
 def run_cli(args, capsys):
@@ -243,6 +246,29 @@ def test_tplane_output(capsys):
     assert all(not r.endswith(":0") for r in rows)
 
 
+@pytest.mark.parametrize("option", [["--format", "json"], ["--seed", "1"], ["--timings"]])
+@pytest.mark.parametrize("command", ["sls", "tplane"])
+def test_point_commands_take_no_report_options(capsys, command, option):
+    """sls and tplane print points and write no report: --format, --seed
+    and --timings are usage errors there."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--q", "3", "--theta", "0"] + option)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["census"], ["sls", "--theta", "0"]])
+def test_huge_q_is_refused_before_factoring(argv):
+    """2^61 - 1 is prime: trial division up to its square root would run
+    for hours, so its GF(q^3), past the table bound, is refused first."""
+    q = str(2 ** 61 - 1)
+    cmd = [sys.executable, "-m", "figplane.cli", argv[0], "--q", q] + argv[1:]
+    run = subprocess.run(cmd, env=child_env(), capture_output=True, text=True, timeout=30)
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr == (f"figplane: GF({q}^3) has {int(q) ** 3} elements, "
+                          "over the table bound 2097152\n")
+
+
 @pytest.mark.parametrize("command", ["sls", "tplane"])
 def test_bad_theta_is_refused_from_q_alone(monkeypatch, capsys, command):
     """--theta is checked against q before the field tower is built, which
@@ -268,7 +294,7 @@ def test_emit_plane(tmp_path, capsys):
     assert len(lines) == 758
     # the whole file, pinned: every row in order, however the rows are chunked
     assert hashlib.sha256(target.read_bytes()).hexdigest() == \
-        "a45ec0009619f78863b31f0ddc20c7bd06a26013ac49158d2692f14de3055d0a"
+        (DATA / "emit-plane-q3.sha256").read_text().strip()
 
 
 def test_exit_code_one_on_failure():

@@ -249,6 +249,18 @@ def test_collineation_permutes_classes(plane3, classes3):
         assert categories[image] == cat
 
 
+def test_split_by_matches_the_image_classes(plane3, classes3):
+    """``split_by(g)`` flags exactly the classes whose members g sends into
+    more than one class: none for phi, which permutes the classes, and for
+    a random permutation the classes whose image labels are not all one."""
+    orbit = plane3.tables.orbit
+    assert not classes3.split_by(plane3.tables.phi).any()
+    g = np.random.default_rng(3).permutation(plane3.size)
+    want = [len({orbit[g[i]] for i in members}) > 1
+            for _, members, _ in class_list(plane3, classes3)]
+    assert classes3.split_by(g).tolist() == want and any(want) and not all(want)
+
+
 def test_type_counts_closed_forms(plane3):
     want = expected_type_counts(3)
     assert tally_types(plane3.tables.types) == want

@@ -214,6 +214,18 @@ def test_order_of_factors_without_building_a_field(monkeypatch):
             order_of(q)
 
 
+def test_order_of_refuses_a_huge_q_before_factoring(monkeypatch):
+    """A q whose GF(q^3) is past the table bound is refused from q^3 alone:
+    at a large prime q the trial division would not end for hours."""
+    def no_factoring(n):
+        raise AssertionError("q was factored")
+    monkeypatch.setattr("figplane.field.prime_factors", no_factoring)
+    for q in (129, 256, 2 ** 61 - 1):
+        with pytest.raises(FieldError, match=rf"^GF\({q}\^3\) has {q ** 3} elements, "
+                                             "over the table bound 2097152$"):
+            order_of(q)
+
+
 def test_small_q_warning(capsys):
     """The Figueroa gate fails at q = 2 only, and the q = 2 report header
     warns that the construction is unavailable there."""

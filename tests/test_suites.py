@@ -10,7 +10,9 @@ at q = 3, 4 and 5, kept under ``tests/data``; they pin every entry, its
 counts and the report order.  q = 5 is the least order with q = 1 mod 4,
 where ``fig.projection-anchor`` takes its other odd-q size.  The maps and
 census suites have goldens at q = 7 too, the least order whose n-entry
-scans take more than one chunk of ``arrays.CHUNK``.
+scans take more than one chunk of ``arrays.CHUNK``.  The q = 3 report in
+text and csv, and the census csv table at q = 3 and 4, have goldens of
+their own, and so has the emitted q = 3 plane, as its sha256 digest.
 """
 
 import json
@@ -134,6 +136,18 @@ def test_q7_suite_matches_golden_report(suite, capsys):
     assert capsys.readouterr().out == golden
 
 
+@pytest.mark.parametrize("argv, name", [
+    ("verify --q 3 --suite all --format text", "verify-all-q3.txt"),
+    ("verify --q 3 --suite all --format csv", "verify-all-q3.csv"),
+    ("census --q 3 --format csv", "census-q3.csv"),
+    ("census --q 4 --format csv", "census-q4.csv"),
+])
+def test_output_matches_golden_file(argv, name, capsys):
+    """The text and csv reports and the census table, byte for byte."""
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == (DATA / name).read_text()
+
+
 def test_twist_runs_at_every_figueroa_order(ctx5):
     (twist,) = [c for c in CHECKS if c.run is block_incidence_twist]
     assert twist.applies(ctx5) and not twist.applies(build_field_tower(2, 1))
@@ -201,11 +215,13 @@ def _duplicate_a_row(sess, pick=slice(0, 2)):
     (partial(type_tally, kind="line"), partial(_flip_a_type, kind="line")),
     (categories, _relabel_a_class),
     (orbit_sizes, _duplicate_a_row),
-], ids=["point-types", "line-types", "categories", "orbit-sizes"])
+    (orbit_sizes, partial(_duplicate_a_row, pick=slice(-2, None))),
+], ids=["point-types", "line-types", "categories", "orbit-sizes", "orbit-sizes-last-rows"])
 def test_census_entries_fail_on_a_corrupted_artifact(ctx3, check, corrupt):
     """Each census entry passes on a fresh session at q = 3 and fails,
     naming what is wrong, when the artifact it reads is corrupted: the
-    type table, the class categories or the member rows."""
+    type table, the class categories or the member rows, of the first two
+    classes that are not vertices or of the last two."""
     assert check(Session(ctx3)).passed
     sess = Session(ctx3)
     witnesses = corrupt(sess)
@@ -213,17 +229,38 @@ def test_census_entries_fail_on_a_corrupted_artifact(ctx3, check, corrupt):
     assert not e.passed and e.witnesses == witnesses
 
 
-def test_orbit_sizes_marks_points_window_by_window(ctx3, monkeypatch):
-    """With windows of 64 points and one member row a chunk, the classes
-    still pass, and the points that the last row leaves out when it is made
-    as the one before it, all past the first window, are found."""
-    monkeypatch.setattr("figplane.suite_census.WINDOW", 64)
+def _count_rows(sess, trade=()):
+    """Rebind the session's ``members`` to count the rows it is asked for,
+    and to make the rows of the two classes in ``trade`` each in the
+    other's place."""
+    made, real = [], sess.classes.members
+    swap = dict(zip(trade, trade[::-1]))
+
+    def members(j):
+        j = np.atleast_1d(j)
+        made.append(len(j))
+        return real([swap.get(c, c) for c in j.tolist()])
+    sess.classes = replace(sess.classes)
+    sess.classes.members = members
+    return made
+
+
+def test_orbit_sizes_certifies_the_cover_from_the_labels(ctx3, monkeypatch):
+    """On the true partition the orbit labels certify the cover: every
+    member row is made once, a chunk of one row at a time, and no point is
+    counted.  Two classes trading rows fail the certificate, yet still
+    cover the plane once, so the count that follows passes them."""
     monkeypatch.setattr("figplane.arrays.CHUNK", ctx3.sub_order)
-    assert orbit_sizes(Session(ctx3)).passed
     sess = Session(ctx3)
-    witnesses = _duplicate_a_row(sess, slice(-2, None))
+    full = np.flatnonzero(sess.classes.categories != VERTEX).tolist()
+    made = _count_rows(sess)
+    monkeypatch.setattr(np, "bincount", None)
+    assert orbit_sizes(sess).passed and made == [1] * len(full)
+    monkeypatch.undo()
+    sess = Session(ctx3)
+    made = _count_rows(sess, trade=tuple(full[:2]))
     e = orbit_sizes(sess)
-    assert not e.passed and e.witnesses == witnesses
+    assert e.passed and e.witnesses == [] and sum(made) > len(full)
 
 
 def _side_points(sess):
@@ -439,6 +476,18 @@ def test_fixed_scan_that_finds_nothing_names_the_expected_planes(ctx4, monkeypat
     assert not e.passed and e.counts["found"] == 0 and len(reps) == e.counts["expected"]
     assert e.witnesses == [f"no class is the subplane through {format_point(R)}"
                            for R in reps]
+
+
+def test_fixed_scan_that_finds_every_plane_names_five(ctx3, monkeypatch):
+    """A scan that returns every plane class fails, and its entry names the
+    least five representatives, in its counts and as its witnesses."""
+    sess = Session(ctx3)
+    planes = np.flatnonzero(sess.classes.categories >= CATEGORIES.index("plane_I_I"))
+    monkeypatch.setattr("figplane.maps.phi_fixed_planes", lambda plane, classes: planes)
+    e = collineation_fixed(sess)
+    least = [format_point(sess.plane.point(r)) for r in sess.classes.reps[planes[:5]]]
+    assert not e.passed and e.counts["found"] == len(planes) == 52
+    assert e.counts["representatives"] == " ".join(least) and e.witnesses == least
 
 
 def test_block_sizes_report_a_repeated_point(fig3):
