@@ -503,9 +503,11 @@ class PlaneTables:
         every = np.arange(self.size, dtype=np.int32)
         return tuple(_frozen(t) for t in self._fig_parts(every, every))
 
-    def fig_rows(self, L, kept=()) -> np.ndarray:
+    def fig_rows(self, L, kept=(), lines: bool = False):
         """The rows of FIG(q^3) that replace the lines L, one sorted row of
         q^3 + 1 point indices each; the only code that assembles a block.
+        With ``lines``, also the incidence rows of L, which it makes on its
+        way: the pair (FIG rows, PG rows).
 
         A Type I or II line keeps its incidence row, and so does a Type III
         line in ``kept``, which a mutated FIG puts back.  Any other Type III
@@ -537,8 +539,9 @@ class PlaneTables:
             line = tuple(int(v[0]) for v in self.field.coords(L[new][j:j + 1]))
             raise GeometryError(f"block replacing line {format_line(line)} has "
                                 f"{np.count_nonzero(members[j] < n)} points, not {k}")
-        rows[new] = members[:, :k]
-        return rows
+        out = rows.copy() if lines else rows
+        out[new] = members[:, :k]
+        return (out, rows) if lines else out
 
     def _subplane(self, B) -> np.ndarray:
         pts = np.asarray(sorted(B), dtype=np.int32).reshape(-1, 3)

@@ -22,7 +22,7 @@ it; naming their suite or group runs them.  Every check is exhaustive;
 Exit codes: 0 all checks pass, 1 a check failed, 2 a refused command
 (q not a prime power, a failing gate, bulk tables estimated larger than
 the host's physical memory, counting the torus, Dickson and FIG row
-lookup tables when a selected check reads the FIG structure or its build
+lookup tables when a selected check reads the FIG structure or its row
 pass or when --emit-plane is set, an --emit-plane file that cannot be
 written, a --theta out of range; all refused before any check runs, and
 all from q alone, before the field tower is built)
@@ -30,7 +30,7 @@ or a geometry or kernel error during a run, reported as one
 "figplane: ..." line.  Output is byte-identical across runs with the
 same configuration; pass --timings to include (nondeterministic) timings
 of each check and, apart, of each shared stage built for them, once and
-before them, such as the FIG row pass of the build checks.
+before them, such as the one FIG row pass of the build and axioms checks.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ def run_report(args) -> int:
             raise UsageError(reason)
         _require_writable(emit)
     picked = [c for name in suites for c in selected(order, name, group, by_default)]
-    fig = bool(emit) or any({"fig_structure", "build_pass"} & set(c.reads) for c in picked)
+    fig = bool(emit) or any({"fig_structure", "row_pass"} & set(c.reads) for c in picked)
     need, have = table_bytes(order.q, fig), physical_memory()
     if need > have:     # fail fast, not out of memory part-way
         raise UsageError(f"q = {order.q} needs about {need / 1e9:.3g} GB for its tables, "

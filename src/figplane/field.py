@@ -379,7 +379,8 @@ def order_of(q: int) -> Order:
     if q < 2:
         raise FieldError(f"q = {q} is not a prime power")
     if q ** 3 > MAX_ELEMENTS:
-        raise FieldError(f"GF({q}^3) has {q ** 3} elements, over the table bound {MAX_ELEMENTS}")
+        # q is not factored yet, so the message names no field: q may be no prime power
+        raise FieldError(f"q = {q}: q^3 = {q ** 3} elements, over the table bound {MAX_ELEMENTS}")
     p, *others = prime_factors(q)
     if others:
         raise FieldError(f"q = {q} is not a prime power")

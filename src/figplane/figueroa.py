@@ -25,25 +25,23 @@ An ``IncidencePlane`` is a row source that holds no rows: every reader
 takes blocks through ``rows(L)`` in chunks, and the rows are made when
 they are read.  PG (``pg_incidence``), FIG (``build_fig_plane``) and a
 mutated FIG are one source, which differ only in the Type III lines they
-keep: every one, none, or one.  ``check_build`` and ``check_axioms``
-walk the rows (``walk``) in chunks closed under the line cycles of phi
-and tau, so the image of each row is a row the walk has made.
+keep: every one, none, or one.  The build and axiom checks read the rows
+in one walk (``figplane.row_pass``), which makes a FIG row once for all
+of them: as itself, with the line it replaces, and once more as a
+Dickson image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .arrays import chunks, fixed_points, span
+from .arrays import chunks, span
 from .field import FieldContext, Gate
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
-                    ProjectivePlane, Triple, format_line, format_point,
-                    incident, points_on_line)
-from .collineation import (TYPE_I, TYPE_II, TYPE_III, collineate_point, line_type,
-                           point_type)
+                    ProjectivePlane, Triple, format_point, incident, points_on_line)
+from .collineation import TYPE_II, TYPE_III, collineate_point, line_type, point_type
 from .linear_sets import sls_points, t_plane
 from .maps import (TypeRestrictionError, conjugate_join, conjugate_meet,
                    project_from_anchor)
@@ -109,6 +107,18 @@ class IncidencePlane:
         tables = self.plane.tables
         return tables.incidence_rows(L) if self.kept is None else tables.fig_rows(L, self.kept)
 
+    def rows_and_lines(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``rows(L)`` and the incidence rows of the lines L.  FIG's rows
+        come with their lines from one ``fig_rows`` call; a source whose
+        ``rows`` is its own is read through it, and the lines made apart."""
+        tables = self.plane.tables
+        if type(self).rows is not IncidencePlane.rows:
+            return self.rows(L), tables.incidence_rows(L)
+        if self.kept is None:
+            lines = tables.incidence_rows(L)
+            return lines, lines
+        return tables.fig_rows(L, self.kept, lines=True)
+
 
 def pg_incidence(plane: ProjectivePlane) -> IncidencePlane:
     """PG(2, q^3) itself, as a reference structure of closed-form rows."""
@@ -140,111 +150,9 @@ class AxiomReport:
     witnesses: list[str] = field(default_factory=list)
 
 
-PAIR_CHUNK = 1 << 16   # entries per chunk of rows: int64 temporaries of 512 KiB
-MAX_WITNESSES = 5      # witnesses an axiom check reports at most
-
-
-def orbit_labels(generators) -> np.ndarray:
-    """The least index of the orbit of every index under the group that the
-    permutation tables ``generators`` generate, by min-label propagation: a
-    label takes the least label of its point and the images, then its
-    label's label, until none moves; a fixed label is constant on every
-    orbit."""
-    label = np.arange(len(generators[0]), dtype=np.int32)
-    while True:
-        least = label
-        for g in generators:
-            least = np.minimum(least, label[g])
-        least = least[least]
-        if np.array_equal(least, label):
-            return label
-        label = least
-
-
-def orbit_minima(generators) -> np.ndarray:
-    return fixed_points(orbit_labels(generators))
-
-
-def chunk_rows(n: int, k: int) -> int:
-    """Rows of width k in a chunk of a pass over n blocks: n / 2 entries,
-    but at least ``PAIR_CHUNK / 2`` and at most ``PAIR_CHUNK``.  Small
-    orders, where a pass takes a handful of chunks, keep the temporaries of
-    a chunk small, and large ones the count of chunks."""
-    return max(1, min(PAIR_CHUNK, max(PAIR_CHUNK // 2, n // 2)) // k)
-
-
-def moved_rows(L: np.ndarray, rows: np.ndarray, g: np.ndarray,
-               target: np.ndarray) -> np.ndarray:
-    """The blocks of the sorted index array L, whose rows are ``rows``, with
-    sort(g[rows]) != ``target``, the rows of their images, in order."""
-    image = np.take(g, rows)
-    image.sort(axis=1)
-    return L[:0] if np.array_equal(image, target) else L[(image != target).any(axis=1)]
-
-
-def walk(structure: IncidencePlane, g: np.ndarray, g_line: np.ndarray):
-    """Read each row of an (n, k) ``structure`` once, in sorted chunks L of
-    blocks, each a union of whole cycles of the line permutation ``g_line``,
-    in the order of their least cycle minimum: ``chunk_rows`` rows, or one
-    cycle when longer.  Yields (L, rows, inside, moved): the rows of L,
-    whether each row lies in [0, n), found before any gather, since numpy
-    wraps negative indices, and, when every row does, the blocks of L that
-    g moves (``moved_rows``) against the rows of g_line[L], which are rows
-    of the chunk; else none."""
-    n, k = structure.size, structure.plane.ctx.q3 + 1
-    label = orbit_labels([g_line])
-    order = np.argsort(label, kind="stable")
-    starts = np.append(np.flatnonzero(np.diff(label[order])) + 1, n)
-    step, lo = chunk_rows(n, k), 0
-    while lo < n:
-        hi = starts[min(np.searchsorted(starts, lo + step), len(starts) - 1)]
-        L = np.sort(order[lo:hi])
-        rows = structure.rows(L)
-        inside = (rows.min(axis=1) >= 0) & (rows.max(axis=1) < n)
-        yield L, rows, inside, (moved_rows(L, rows, g, rows[np.searchsorted(L, g_line[L])])
-                                if inside.all() else L[:0])
-        lo = hi
-
-
-def check_build(structure: IncidencePlane) -> tuple[np.ndarray, dict[str, bool]]:
-    """The facts of both build checks from one ``walk`` of a FIG
-    ``structure`` under phi, which makes each row once: the sorted Type III
-    lines whose rows break the block-size facts (a block is a strictly
-    increasing row of width k in [0, n), with q^2 + q + 1 Type II points,
-    its E part, and no Type I point) and the row sub-checks of ``fig.build``.
-    Block L replaces line L and phi maps lines by the point formula, so
-    invariance is sort(phi[rows(L)]) == rows(phi[L]), which the walk
-    compares.  A k-set is a line exactly when it is the incidence row of the
-    join of its first two points, so only the rows whose first three points
-    are collinear are compared with a line's row.
-
-    A structure of the wrong shape has no row to read: every Type III
-    line is bad and every sub-check fails.  A row holding an entry
-    outside [0, n) is no point set, so it is no block, no line and has
-    no phi image; the walk's mask finds it before any gather."""
-    tables, ctx = structure.plane.tables, structure.plane.ctx
-    n, k, F, types = structure.size, ctx.q3 + 1, tables.field, tables.types
-    if structure.shape != (n, k):
-        return np.flatnonzero(types == TYPE_III), dict.fromkeys(
-            ("kept_lines_agree", "blocks_differ_from_lines", "collineation_invariant"), False)
-    bad, agree, differ, invariant = [], True, True, True
-    for L, rows, inside, moved in walk(structure, tables.phi, tables.phi):
-        new = types[L] == TYPE_III
-        blocks = rows[new]
-        kinds = types[np.clip(blocks, 0, n - 1)]
-        ok = (inside[new] & (np.diff(blocks, axis=1) > 0).all(axis=1)
-              & (np.count_nonzero(kinds == TYPE_II, axis=1) == ctx.sub_order)
-              & (kinds != TYPE_I).all(axis=1))
-        bad.append(L[new][~ok])
-        agree &= np.array_equal(rows[~new], tables.incidence_rows(L[~new]))
-        blocks = blocks[(blocks[:, 0] != blocks[:, 1]) & inside[new]]
-        join = F.cross(F.coords(blocks[:, 0]), F.coords(blocks[:, 1]))
-        line = F.dot(join, F.coords(blocks[:, 2])) == 0    # first three points collinear
-        joins = F.index(*F.canonical(*(c[line] for c in join)))
-        differ &= not (tables.incidence_rows(joins) == blocks[line]).all(axis=1).any()
-        invariant &= inside.all() and not moved.size
-    return np.sort(np.concatenate(bad)), dict(
-        kept_lines_agree=agree, blocks_differ_from_lines=differ, collineation_invariant=invariant)
+def mutated_line(tables) -> int:
+    """The line whose block the mutation puts back: the first Type III line."""
+    return int(np.argmax(tables.types == TYPE_III))
 
 
 def check_axioms(structure: IncidencePlane) -> AxiomReport:
@@ -267,76 +175,26 @@ def check_axioms(structure: IncidencePlane) -> AxiomReport:
     tables (``orbit_minima``), not the type table, so the reduction
     assumes nothing that it proves.
 
-    One pass walks the rows under tau (``walk``) and checks per chunk: (1)
-    the range, from the walk's mask (a wrong shape or range fails every
-    half at once); (2) point degrees; (3) invariance under tau, from the
-    walk, and under d, whose image rows are made here, in no chunk past d's
-    least failing row; and it (4) collects the blocks through each
-    representative.  So each row is made twice.
-    The cover reads the blocks through the representatives again: every
-    other point must lie in exactly one of them.
+    This is the one-structure call of ``row_pass.read_rows``, whose walk
+    checks per
+    chunk: (1) the range (a wrong shape or range fails every half at
+    once); (2) point degrees; (3) invariance under tau, whose images are
+    rows of the chunk, and under d, whose image rows are made once more,
+    in no chunk past d's least failing row; and it (4) keeps the rows of
+    the blocks through each representative.  The cover counts them: every
+    other point must lie in exactly one.
 
     ``point_pairs_ok`` holds when (3) and the cover pass, so a structure
     that is not G-invariant fails it, plane or not.  ``checked_pairs`` is
     the n(n - 1) ordered pairs the verdict covers through invariance, and
     ``representatives`` the number of points whose pairs are counted.
-    Witnesses name the shape or range fault, or the least failing row per
-    generator and then failing (representative, point) pairs, at most
-    ``MAX_WITNESSES`` in all.
+    Witnesses name the shape fault, or the least row out of range, or the
+    least failing row per generator and then failing (representative,
+    point) pairs, at most ``MAX_WITNESSES`` in all; none depends on the
+    order of the chunks.
     """
-    plane = structure.plane
-    n, k = structure.size, plane.ctx.q3 + 1
-    report = partial(AxiomReport, mode="orbit-reduced", checked_pairs=n * (n - 1))
-    rejected = partial(report, ok=False, block_size_ok=False, point_degree_ok=False,
-                       point_pairs_ok=False, representatives=0)
-    if structure.shape != (n, k):
-        return rejected(witnesses=[f"block array has shape {structure.shape}, not {(n, k)}"])
-
-    tables = plane.tables
-    generators = {"tau": (tables.tau, tables.tau_line),
-                  "dickson": (tables.dickson, tables.dickson_line)}
-    moved = dict.fromkeys(generators)   # generator -> least failing row
-    reps = orbit_minima([g for g, _ in generators.values()])
-    degree = np.zeros(n, dtype=np.int64)
-    through = [[] for _ in reps]        # per representative, the blocks through it
-    for L, rows, inside, by_tau in walk(structure, tables.tau, tables.tau_line):
-        if not inside.all():
-            i = np.argmin(inside)
-            j = np.argmax((rows[i] < 0) | (rows[i] >= n))
-            return rejected(witnesses=[f"block {format_line(plane.point(L[i]))} holds "
-                                       f"{rows[i, j]}, outside [0, {n})"])
-        np.add.at(degree, rows.ravel(), 1)     # linear in the chunk, not in n
-        found = {"tau": by_tau}
-        if moved["dickson"] is None or L[0] < moved["dickson"]:   # else no block precedes it
-            found["dickson"] = moved_rows(L, rows, tables.dickson,
-                                          structure.rows(tables.dickson_line[L]))
-        for name, bad in found.items():
-            if bad.size and (moved[name] is None or bad[0] < moved[name]):
-                moved[name] = int(bad[0])
-        for blocks, P in zip(through, reps):
-            blocks.append(L[(rows == P).any(axis=1)])
-    point_degree_ok = bool(np.all(degree == k))
-    witnesses = [f"the {name} image of block {format_line(plane.point(L))} "
-                 f"is not block {format_line(plane.point(generators[name][1][L]))}"
-                 for name, L in moved.items() if L is not None][:MAX_WITNESSES]
-    point_pairs_ok = not witnesses
-
-    # the cover at the least point of each G-orbit
-    for P, blocks in zip(reps, through):
-        if not point_pairs_ok and len(witnesses) >= MAX_WITNESSES:
-            break   # the verdict and the witnesses are settled
-        count = np.bincount(structure.rows(np.concatenate(blocks)).ravel(), minlength=n)
-        count[P] = 1   # P with itself
-        bad = np.flatnonzero(count != 1)
-        if bad.size:
-            point_pairs_ok = False
-            witnesses.extend(f"point pair {format_point(plane.point(P))} , "
-                             f"{format_point(plane.point(Q))} lies in {count[Q]} blocks"
-                             for Q in bad[:MAX_WITNESSES - len(witnesses)])
-
-    return report(ok=point_degree_ok and point_pairs_ok, block_size_ok=True,
-                  point_degree_ok=point_degree_ok, point_pairs_ok=point_pairs_ok,
-                  representatives=len(reps), witnesses=witnesses)
+    from .row_pass import read_rows     # compiled only by a run that reads rows
+    return read_rows(structure, ("axioms",))["axioms"]
 
 
 def pr_fig_block(plane: ProjectivePlane, which: int = 0) -> frozenset[Triple]:

@@ -9,8 +9,6 @@ Importing this module registers its checks in the check table of
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from . import figueroa as fg
@@ -55,9 +53,10 @@ def block_anatomy(sess: Session) -> CheckEntry:
                  not bad, {"size": size}, bad)
 
 
-@check("figueroa", "build", gates=(FIG_ROWS,), reads=("tables", "build_pass"))
+@check("figueroa", "build", gates=(FIG_ROWS,), reads=("tables", "fig_structure", "row_pass"),
+       readers=("build",))
 def block_sizes(sess: Session) -> CheckEntry:
-    bad, tables = sess.build_pass[0], sess.plane.tables
+    bad, tables = sess.row_pass["build"][0], sess.plane.tables
     # a fig row replacing line L is the block anchored at mu[L]
     anchors = tables.mu[bad[:5]]
     return entry("fig.block-sizes",
@@ -67,7 +66,8 @@ def block_sizes(sess: Session) -> CheckEntry:
                  [format_point(sess.plane.point(a)) for a in anchors])
 
 
-@check("figueroa", "build", gates=(FIG_ROWS,), reads=("tables", "fig_structure", "build_pass"))
+@check("figueroa", "build", gates=(FIG_ROWS,), reads=("tables", "fig_structure", "row_pass"),
+       readers=("build",))
 def assembly(sess: Session) -> CheckEntry:
     count, tables = sess.fig_structure.shape[0], sess.plane.tables
     q, s = sess.ctx.q, sess.ctx.sub_order
@@ -75,7 +75,7 @@ def assembly(sess: Session) -> CheckEntry:
     checks = {
         "block_count": count == sess.plane.size,
         "kept_line_counts": n_I == s and n_II == (q ** 3 - q) * s,
-        **sess.build_pass[1],
+        **sess.row_pass["build"][1],
     }
     bad = [k for k, v in checks.items() if not v]
     return entry("fig.build",
@@ -85,9 +85,10 @@ def assembly(sess: Session) -> CheckEntry:
                  bad)
 
 
-@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure"))
+@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure", "row_pass"),
+       readers=("axioms",))
 def axioms(sess: Session) -> CheckEntry:
-    rep = fg.check_axioms(sess.fig_structure)
+    rep = sess.row_pass["axioms"]
     return entry("fig.axioms",
                  "every point pair lies in one block and every block pair meets in one point",
                  rep.ok,
@@ -98,19 +99,21 @@ def axioms(sess: Session) -> CheckEntry:
                  rep.witnesses)
 
 
-@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables",))
+@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure", "row_pass"),
+       readers=("reference",))
 def axioms_reference(sess: Session) -> CheckEntry:
-    rep = fg.check_axioms(fg.pg_incidence(sess.plane))
+    rep = sess.row_pass["reference"]     # the lines the FIG rows replace: PG
     return entry("fig.axioms-reference",
                  "the unmodified plane passes the same axiom checker",
                  rep.ok, {"mode": rep.mode, "representatives": rep.representatives},
                  rep.witnesses)
 
 
-@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure"))
+@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure", "row_pass"),
+       readers=("mutation",))
 def axioms_mutation(sess: Session) -> CheckEntry:
-    i = int(np.argmax(sess.plane.tables.types == TYPE_III))
-    rep = fg.check_axioms(dataclasses.replace(sess.fig_structure, kept=(i,)))
+    i = fg.mutated_line(sess.plane.tables)
+    rep = sess.row_pass["mutation"]
     caught = (not rep.ok) and bool(rep.witnesses)
     verdict = "accepted it" if rep.ok else "rejected it with no witness"
     return entry("fig.axioms-mutation",

@@ -287,15 +287,23 @@ def _fixed_planes(sess: Session, id: str, claim: str, found: np.ndarray, reps,
                   expected: int, ok: bool = True) -> CheckEntry:
     """Entry for an exhaustive scan that found the classes ``found``, which
     must be the ``expected`` subplanes through the closed-form ``reps``;
-    it names at most five representatives and five witnesses."""
-    want = [frozenset(sess.plane.index(P) for P in ls.plane_from_rep(sess.ctx, R).points)
-            for R in reps]
-    members = sess.classes.members(found)
-    got = {frozenset(row) for row in members.tolist()}
-    ok = ok and len(found) == expected and got == set(want)
-    missing = [f"no class is the subplane through {format_point(R)}"
-               for R, points in zip(reps, want) if points not in got]
-    found_reps = [format_point(sess.plane.point(i)) for i in members[:5, 0]]
+    it names at most five representatives and five witnesses.  Member rows
+    are compared only when the scan found ``expected`` classes; otherwise a
+    plane is missing when the class of its representative was not found."""
+    plane, classes = sess.plane, sess.classes
+    found = np.asarray(found, dtype=np.intp)
+    found_reps = [format_point(plane.point(i)) for i in classes.reps[found[:5]]]
+    if len(found) == expected:
+        want = [frozenset(plane.index(P) for P in ls.plane_from_rep(sess.ctx, R).points)
+                for R in reps]
+        got = {frozenset(row) for row in classes.members(found).tolist()}
+        ok = ok and got == set(want)
+        missing = [R for R, points in zip(reps, want) if points not in got]
+    else:
+        ok = False
+        of_reps = plane.tables.orbit[[plane.index(R) for R in reps]]
+        missing = [R for R, seen in zip(reps, np.isin(of_reps, classes.reps[found])) if not seen]
+    missing = [f"no class is the subplane through {format_point(R)}" for R in missing]
     return entry(id, claim, ok,
                  {"found": len(found), "expected": expected,
                   "representatives": " ".join(found_reps)},

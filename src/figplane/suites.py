@@ -13,7 +13,8 @@ report order (the suites in ``SUITES`` order, each in the order its
 module registers them), imports every suite.  ``refusal`` says why a
 selection has nothing to run at q.  Every check is exhaustive.
 ``run_checks`` builds each stage a selection reads once, before its
-checks.
+checks; the row pass, which the build and axioms groups read, walks the
+FIG rows once for every one of its readers that the selection names.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ import importlib
 import time
 from functools import cached_property
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from . import figueroa as fg
 from . import linear_sets as ls
@@ -42,6 +41,7 @@ class Session:
         self.ctx = ctx
         self.plane = ProjectivePlane(ctx)
         self.elapsed_ms: dict[str, float] = {}    # stage -> ms of its build
+        self.readers: set[str] = set()      # the row-pass readers ``run_checks`` selected
 
     @cached_property
     def tables(self) -> PlaneTables:
@@ -68,8 +68,12 @@ class Session:
         return fg.build_fig_plane(self.plane)
 
     @cached_property
-    def build_pass(self) -> tuple[np.ndarray, dict[str, bool]]:
-        return fg.check_build(self.fig_structure)
+    def row_pass(self) -> dict:
+        """The facts of the row readers (``row_pass.READERS``) about the FIG
+        structure: one walk of its rows for the readers selected, and one
+        for each other reader when it is first asked for."""
+        from .row_pass import RowPass       # compiled only by a run that reads rows
+        return RowPass(self.fig_structure, self.readers)
 
     def norm_reps(self):
         return [self.ctx.norm_class_rep(j) for j in range(self.ctx.q - 1)]
@@ -81,6 +85,7 @@ class Check(NamedTuple):
     run: Callable[[Session], CheckEntry]
     gates: tuple[Gate, ...]
     reads: tuple[str, ...]
+    readers: tuple[str, ...] = ()   # the readers of the row pass whose facts it reports
 
     def applies(self, ctx: FieldContext, by_default: bool = False) -> bool:
         """Whether the check runs at this order: every gate holds, leaving
@@ -94,7 +99,7 @@ SUITES = ("census", "maps", "figueroa")     # in report order
 _TABLE: dict[str, list[Check]] = {suite: [] for suite in SUITES}
 
 # the Session stages a check may read, in the order ``run_checks`` builds them
-STAGES = ("tables", "classes", "census", "fixed_census", "fig_structure", "build_pass")
+STAGES = ("tables", "classes", "census", "fixed_census", "fig_structure", "row_pass")
 
 EVEN_Q = Gate(lambda ctx: ctx.q % 2 == 0, "the even-order structure check needs q even")
 SUITE_GATES = {"figueroa": (fg.FIGUEROA,)}    # every check of the suite needs them
@@ -113,19 +118,20 @@ FIG_ROWS = Gate(lambda ctx: row_work(ctx) < ROW_WORK,
 
 
 def check(suite: str, group: str | None = None, gates: tuple[Gate, ...] = (),
-          reads: tuple[str, ...] = ()):
+          reads: tuple[str, ...] = (), readers: tuple[str, ...] = ()):
     """Register the decorated check in its suite's table, whose order is
     report order, under its suite (census, maps or figueroa), its
     ``--check`` group (by default the suite), the gates, those of its
     suite first, that must hold at an order for it to run there, and the
     ``STAGES`` it reads, ``tables`` also for the plane's tables.  The
     build and axioms checks, which pass over every FIG or PG row, carry
-    ``FIG_ROWS``; the build checks share one walk of the rows under phi,
-    the stage ``build_pass``, which ``run_checks`` builds and times on
+    ``FIG_ROWS`` and name in ``readers`` those of the stage
+    ``row_pass`` whose facts they report; ``run_checks`` builds that
+    stage with one walk for all the readers it selects, and times it on
     its own."""
     def register(fn):
         _TABLE[suite].append(Check(suite, group or suite, fn,
-                                   SUITE_GATES.get(suite, ()) + gates, reads))
+                                   SUITE_GATES.get(suite, ()) + gates, reads, readers))
         return fn
     return register
 
@@ -173,9 +179,10 @@ def selected(ctx: FieldContext, suite: str, group: str | None = None,
 def run_checks(sess: Session, suite: str, group: str | None = None,
                by_default: bool = False) -> list[CheckEntry]:
     """Build, in ``STAGES`` order, each stage the selected checks read that
-    the Session does not hold yet, then run the checks, timing each stage
-    and each check on its own."""
+    the Session does not hold yet, the row pass for the readers they name,
+    then run the checks, timing each stage and each check on its own."""
     picked = selected(sess.ctx, suite, group, by_default)
+    sess.readers = {r for c in picked for r in c.readers}
     for name in STAGES:
         if name not in vars(sess) and any(name in c.reads for c in picked):
             t0 = time.perf_counter()

@@ -265,7 +265,7 @@ def test_huge_q_is_refused_before_factoring(argv):
     cmd = [sys.executable, "-m", "figplane.cli", argv[0], "--q", q] + argv[1:]
     run = subprocess.run(cmd, env=child_env(), capture_output=True, text=True, timeout=30)
     assert run.returncode == 2 and run.stdout == ""
-    assert run.stderr == (f"figplane: GF({q}^3) has {int(q) ** 3} elements, "
+    assert run.stderr == (f"figplane: q = {q}: q^3 = {int(q) ** 3} elements, "
                           "over the table bound 2097152\n")
 
 
@@ -328,13 +328,13 @@ def test_csv_report_rows_have_three_fields(q, capsys):
 
 def test_timings_list_the_stages_of_the_build_group_once(capsys):
     """The build group reads the point tables, the FIG structure and its
-    build pass: --timings lists each once, under their own key and in stage
+    row pass: --timings lists each once, under their own key and in stage
     order, and a time for every check."""
     code, out = run_cli(["figueroa", "--q", "4", "--check", "build", "--format", "json",
                          "--timings"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert [s["id"] for s in doc["stages"]] == ["tables", "fig_structure", "build_pass"]
+    assert [s["id"] for s in doc["stages"]] == ["tables", "fig_structure", "row_pass"]
     assert [c["id"] for c in doc["checks"]] == ["fig.block", "fig.block-sizes", "fig.build"]
     assert all(t["elapsed_ms"] >= 0 for t in doc["stages"] + doc["checks"])
 

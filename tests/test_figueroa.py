@@ -8,13 +8,14 @@ from figplane.collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES,
                                    collineate_point, det3, point_type)
 from figplane.figueroa import (IncidencePlane, anchor_block, arching_census,
                                build_fig_plane, characterize_fig_points, check_axioms,
-                               emit_plane, orbit_minima, pg_incidence, pr_fig_block,
-                               expected_pr_fig_block, walk)
+                               emit_plane, pg_incidence, pr_fig_block,
+                               expected_pr_fig_block)
 from figplane.linear_sets import sls_points, t_plane
 from figplane.maps import TypeRestrictionError, conjugate_join
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                             canonical, format_line, format_point, join,
                             points_on_line)
+from figplane.row_pass import moved_rows, orbit_minima, walk
 from figplane.suite_figueroa import even_structure, splash_involution
 from figplane.suites import CHECKS, Session, figueroa_checks
 
@@ -415,7 +416,7 @@ def test_invariance_witness_in_a_later_chunk(plane4):
     first chunks of index order trade a point; each generator's witness is
     its least moved row, found here over the whole row array at once,
     whichever chunk of tau's line cycles holds it."""
-    from figplane.figueroa import PAIR_CHUNK
+    from figplane.row_pass import PAIR_CHUNK
     pg, n, tables = pg_incidence(plane4), plane4.size, plane4.tables
     step = PAIR_CHUNK // 65
     gens = _generators(plane4)
@@ -438,8 +439,9 @@ def test_invariance_witness_in_a_later_chunk(plane4):
 def test_axioms_make_each_row_once_per_role(plane3):
     """A source that makes its rows when read, PG's or the FIG's, is read
     in one pass: each row once as itself, which is also the tau image of
-    another row of its chunk, and once as the d image of another; then the
-    k blocks through each of the three representatives for the cover."""
+    another row of its chunk, and once as the d image of another; the cover
+    counts the rows of the blocks through the representatives that the pass
+    kept, and reads none again."""
     class Counted(IncidencePlane):
         made = 0
 
@@ -451,7 +453,7 @@ def test_axioms_make_each_row_once_per_role(plane3):
         structure = Counted(plane3, kept=source.kept)
         rep = check_axioms(structure)
         assert rep.ok and rep.representatives == 3
-        assert structure.made == 2 * plane3.size + 3 * 28, source.kept
+        assert structure.made == 2 * plane3.size, source.kept
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -557,44 +559,61 @@ def test_dickson_search_allocates_nothing_wide():
 
 
 def _walked(plane):
-    """The two maps the row passes walk: phi, which maps lines by its point
+    """The two maps the row pass walks: phi, which maps lines by its point
     table, and tau."""
     tables = plane.tables
     return {"phi": (tables.phi, tables.phi), "tau": (tables.tau, tables.tau_line)}
 
 
 @pytest.mark.parametrize("name", ["phi", "tau"])
-def test_walk_reads_each_row_once_in_closed_chunks(plane3, fig3, name):
-    """The chunks are sorted, closed under the line map, and partition the
-    lines; their rows are the source's, and PG and the FIG, both invariant,
-    have no moved block."""
-    g, g_line = _walked(plane3)[name]
-    for structure in (pg_incidence(plane3), fig3):
+def test_walk_reads_each_row_once_in_closed_chunks(fig3, fig4, name):
+    """The chunks of the walk under phi and tau are sorted, closed under
+    each line map, and partition the lines; and PG and the FIG, both
+    invariant, have no block that the map moves off a row of its chunk."""
+    for fig in (fig3, fig4):
+        plane = fig.plane
+        g, g_line = _walked(plane)[name]
         seen = []
-        for L, rows, inside, moved in walk(structure, g, g_line):
+        for L in walk(fig, [m for _, m in _walked(plane).values()]):
             assert (np.diff(L) > 0).all() and np.isin(g_line[L], L).all()
-            assert np.array_equal(rows, structure.rows(L))
-            assert inside.all() and not moved.size
+            for structure in (pg_incidence(plane), fig):
+                rows = structure.rows(L)
+                assert not moved_rows(L, rows, g, rows[np.searchsorted(L, g_line[L])]).size
             seen.append(L)
-        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(plane3.size))
+        assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(plane.size))
 
 
 @pytest.mark.parametrize("value", [-1, 757])
 def test_walk_masks_an_entry_out_of_range_before_any_image(held3, value, monkeypatch):
-    """A row holding an entry outside [0, n) is masked, and its chunk reads
-    no image: -1 would be read as the last point, and n would raise."""
-    import figplane.figueroa as fg
+    """A row holding an entry outside [0, n) is masked in its chunk, which
+    compares no image: -1 would be read as the last point, and n would
+    raise.  The build reader compares the other chunks under phi, and the
+    axiom reader, which rejects the structure from the mask, no chunk."""
+    import figplane.row_pass as rp
     blocks = held3.blocks.copy()
     blocks[5, 3] = value
-    compared, moved_rows = [], fg.moved_rows
-    monkeypatch.setattr(fg, "moved_rows", lambda L, *a: compared.append(L) or moved_rows(L, *a))
-    for g, g_line in _walked(held3.plane).values():
-        for L, rows, inside, moved in walk(HeldRows(held3.plane, blocks), g, g_line):
-            if 5 in L:
-                assert inside.tolist() == (L != 5).tolist() and not moved.size
+    compared, real = [], rp.moved_rows
+    monkeypatch.setattr(rp, "moved_rows", lambda L, *a: compared.append(L) or real(L, *a))
+    structure = HeldRows(held3.plane, blocks)
+    assert not check_axioms(structure).ok and not compared
+    assert not rp.check_build(structure)[1]["collineation_invariant"]
     assert not any(5 in L for L in compared)
-    list(walk(held3, *_walked(held3.plane)["tau"]))
+    rp.check_build(held3)
     assert compared     # the rows in range are compared through the patched name
+
+
+def test_least_row_out_of_range_is_named_whatever_the_chunk_order(plane4):
+    """At q = 4 the walk reads several chunks, in the order of their least
+    orbit member, not of their rows.  With entries out of range in two
+    rows, the later of which a chunk read first holds, the witness names
+    the least row."""
+    fig, n = build_fig_plane(plane4), plane4.size
+    chunks = list(walk(fig, [m for _, m in _walked(plane4).values()]))
+    assert len(chunks) > 2
+    a, b = int(chunks[1][0]), int(chunks[0][-1])
+    assert a < b
+    rep = check_axioms(replaced(fig, {b: np.full(65, n), a: np.full(65, -1)}))
+    assert rep.witnesses == [f"block {format_line(plane4.point(a))} holds -1, outside [0, {n})"]
 
 
 def _reach(start, generators):

@@ -18,10 +18,12 @@ import figplane
 from conftest import SRC, child_env
 
 SUBMODULES = ("arrays", "cli", "collineation", "field", "figueroa", "linear_sets",
-              "maps", "plane", "report", "suite_census", "suite_figueroa", "suite_maps",
-              "suites")
+              "maps", "plane", "report", "row_pass", "suite_census", "suite_figueroa",
+              "suite_maps", "suites")
 # the modules of the checks of one suite each, imported when a run names the suite
 CHECK_MODULES = ("suite_census", "suite_figueroa", "suite_maps")
+# the row pass, imported when a run reads the FIG rows
+ROW_PASS = "row_pass"
 
 # The public names of figplane 0.1.0, by the submodule that defines each,
 # less ``OrbitClass``: the orbit partition is now its arrays alone; and less
@@ -80,9 +82,11 @@ def test_scalar_linear_sets_load_no_numpy():
 def test_cli_loads_every_submodule():
     """perfbench/tracer.py wraps layer functions after ``import figplane.cli``
     and relies on it having imported every figplane module it traces: all
-    but the check modules, which a run imports for the suites it names."""
+    but the check modules, which a run imports for the suites it names, and
+    the row pass, which it imports when it reads the FIG rows."""
     assert loaded_after("import figplane.cli") == (
-        ["figplane." + m for m in SUBMODULES if m not in CHECK_MODULES] + ["numpy"])
+        ["figplane." + m for m in SUBMODULES if m not in CHECK_MODULES + (ROW_PASS,)]
+        + ["numpy"])
 
 
 def _run(argv: str) -> str:
@@ -99,8 +103,10 @@ def _run(argv: str) -> str:
 def test_a_run_compiles_only_the_checks_of_its_suite(argv, suite):
     """The check modules of the suites a run does not name are never
     imported, so never compiled; the parser's ``--check`` choices import
-    none either."""
-    loaded = [m for m in loaded_after(_run(argv)) if m.startswith("figplane.suite_")]
+    none either, and neither does a run that reads no FIG row import the
+    row pass."""
+    loaded = [m for m in loaded_after(_run(argv))
+              if m.startswith("figplane.suite_") or m == f"figplane.{ROW_PASS}"]
     assert loaded == [f"figplane.suite_{suite}"]
 
 
@@ -108,6 +114,7 @@ def test_verify_all_compiles_every_suite():
     loaded = loaded_after(_run("verify --q 3 --suite all"))
     assert [m for m in loaded if m.startswith("figplane.suite_")] == [
         "figplane." + m for m in CHECK_MODULES]
+    assert f"figplane.{ROW_PASS}" in loaded
 
 
 def test_check_table_is_whole_in_report_order():

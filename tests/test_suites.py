@@ -7,7 +7,8 @@ The golden reports are the output of
     figplane verify --q Q --suite all --format json --seed 1
 
 at q = 3, 4 and 5, kept under ``tests/data``; they pin every entry, its
-counts and the report order.  q = 5 is the least order with q = 1 mod 4,
+counts and the report order.  At q = 7 and 8 the same report is pinned
+by its sha256 digest, in a test marked slow.  q = 5 is the least order with q = 1 mod 4,
 where ``fig.projection-anchor`` takes its other odd-q size.  The maps and
 census suites have goldens at q = 7 too, the least order whose n-entry
 scans take more than one chunk of ``arrays.CHUNK``.  The q = 3 report in
@@ -42,7 +43,9 @@ from figplane.suite_maps import (block_incidence_twist, club_images, collineatio
                                  parity_table, pencil_census, plane_images,
                                  projection_vs_splash, rejects_fixed_objects, t_plane_images,
                                  vertices_census)
-from figplane.suites import CHECKS, FIG_ROWS, STAGES, Session, check_groups, maps_checks
+from figplane.figueroa import IncidencePlane
+from figplane.suites import (CHECKS, FIG_ROWS, STAGES, Session, check_groups, figueroa_checks,
+                             maps_checks)
 
 from conftest import HeldRows, held
 from set_oracle import conjugate_subplane
@@ -108,7 +111,19 @@ def test_checks_read_only_the_stages_they_declare(q):
             assert c.run(_Declared(full, c.reads)).passed, c.run
         gated = FIG_ROWS in c.gates
         assert gated == (c.suite == "figueroa" and c.group in ("build", "axioms")), c.run
-        assert gated or not {"fig_structure", "build_pass"} & set(c.reads), c.run
+        assert gated or not {"fig_structure", "row_pass"} & set(c.reads), c.run
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("q", [7, 8])
+def test_verify_all_matches_golden_digest(q, capsys):
+    """At q = 7 and 8 the json report of every suite hashes to the sha256
+    digest kept under ``tests/data``; these runs take seconds each, so the
+    test is marked slow: ``pytest -m slow`` runs it."""
+    import hashlib
+    assert main(["verify", "--q", str(q), "--suite", "all", "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
+        (DATA / f"verify-all-q{q}.json.sha256").read_text().strip()
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -355,16 +370,14 @@ def test_rejects_fixed_objects_names_the_map_that_accepts(ctx3, monkeypatch):
 
 @pytest.mark.parametrize("verdict", ["accepted it", "rejected it with no witness"])
 def test_axioms_mutation_names_the_swapped_line_when_not_caught(ctx3, monkeypatch, verdict):
-    """A checker that reads the mutation as if it kept no line accepts it;
+    """A row pass that reads the mutation as if it kept no line accepts it;
     one that drops the witnesses rejects it with none.  Either way the
     entry fails and names the line whose block was swapped back."""
-    import figplane.figueroa as fg
     sess = Session(ctx3)
     assert axioms_mutation(sess).passed
-    real = fg.check_axioms
-    monkeypatch.setattr(fg, "check_axioms", (
-        (lambda s: real(replace(s, kept=()))) if verdict == "accepted it"
-        else (lambda s: replace(real(s), witnesses=[]))))
+    facts = sess.row_pass
+    facts["mutation"] = (facts["axioms"] if verdict == "accepted it"
+                         else replace(facts["mutation"], witnesses=[]))
     e = axioms_mutation(sess)
     i = int(np.argmax(sess.plane.tables.types == TYPE_III))
     assert not e.passed
@@ -480,10 +493,13 @@ def test_fixed_scan_that_finds_nothing_names_the_expected_planes(ctx4, monkeypat
 
 def test_fixed_scan_that_finds_every_plane_names_five(ctx3, monkeypatch):
     """A scan that returns every plane class fails, and its entry names the
-    least five representatives, in its counts and as its witnesses."""
+    least five representatives, in its counts and as its witnesses; with
+    more classes than it expects it makes no member row."""
     sess = Session(ctx3)
     planes = np.flatnonzero(sess.classes.categories >= CATEGORIES.index("plane_I_I"))
     monkeypatch.setattr("figplane.maps.phi_fixed_planes", lambda plane, classes: planes)
+    monkeypatch.setattr(type(sess.classes), "members", lambda self, j: pytest.fail(
+        f"made the member rows of {len(j)} classes"))
     e = collineation_fixed(sess)
     least = [format_point(sess.plane.point(r)) for r in sess.classes.reps[planes[:5]]]
     assert not e.passed and e.counts["found"] == len(planes) == 52
@@ -841,6 +857,63 @@ def test_build_makes_each_fig_row_once(ctx4):
     sess.fig_structure = Counted(sess.plane, kept=sess.fig_structure.kept)
     assert block_sizes(sess).passed and assembly(sess).passed
     assert sess.fig_structure.made == sess.plane.size == 4161
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_one_walk_reports_as_the_one_structure_calls(q, monkeypatch):
+    """The figueroa suite's default selection builds the row pass with one
+    walk for its four readers, whose facts are those of ``check_build`` and
+    of three ``check_axioms`` calls: on the FIG, on PG and on the FIG with
+    the first Type III line kept."""
+    import dataclasses
+    import figplane.figueroa as fg
+    import figplane.row_pass as rp
+    sess = Session(build_field_tower(*{3: (3, 1), 4: (2, 2)}[q]))
+    walks, real = [], rp.walk
+    monkeypatch.setattr(rp, "walk", lambda *a: walks.append(a) or real(*a))
+    entries = {e.id: e for e in figueroa_checks(sess, by_default=True)}
+    assert len(walks) == 1 and all(e.passed for e in entries.values())
+    facts, fig = sess.row_pass, sess.fig_structure
+    assert set(facts) == set(rp.READERS)
+    monkeypatch.setattr(rp, "walk", real)
+    kept = dataclasses.replace(fig, kept=(fg.mutated_line(sess.plane.tables),))
+    assert facts["axioms"] == fg.check_axioms(fig)
+    assert facts["reference"] == fg.check_axioms(fg.pg_incidence(sess.plane))
+    assert facts["mutation"] == fg.check_axioms(kept) and not facts["mutation"].ok
+    (bad, build), (want_bad, want_build) = facts["build"], rp.check_build(fig)
+    assert np.array_equal(bad, want_bad) and build == want_build
+
+
+class _Counted(IncidencePlane):
+    """A FIG row source that counts the rows it makes."""
+    made = 0
+
+    def rows(self, L):
+        self.made += len(L)
+        return super().rows(L)
+
+
+@pytest.mark.parametrize("argv, passes", [(["verify"], 2), (["figueroa", "--check", "build"], 1),
+                                          (["figueroa", "--check", "axioms"], 2)])
+def test_a_run_makes_each_fig_row_once_per_pass(argv, passes, monkeypatch, capsys):
+    """One walk serves every reader a run selects: the default run and the
+    axioms group make each FIG row twice, as itself and as a Dickson image,
+    where they made it six times, and the build group once.  Made through
+    ``fig_rows``, which hands on the lines, the walk makes the same rows."""
+    import figplane.figueroa as fg
+    from figplane.arrays import PlaneTables
+    sources = []
+    monkeypatch.setattr(fg, "build_fig_plane",
+                        lambda plane: sources.append(_Counted(plane, kept=())) or sources[-1])
+    assert main(argv[:1] + ["--q", "4"] + argv[1:]) == 0
+    assert [s.made for s in sources] == [passes * 4161]
+    monkeypatch.undo()
+    calls, real = [], PlaneTables.fig_rows
+    monkeypatch.setattr(PlaneTables, "fig_rows",
+                        lambda self, L, *a, **kw: calls.append(len(L)) or real(self, L, *a, **kw))
+    assert main(argv[:1] + ["--q", "4"] + argv[1:]) == 0
+    # the other calls are the anchor blocks of the block checks, one row each
+    assert sum(m for m in calls if m > 1) == passes * 4161
 
 
 def test_build_entries_fail_with_their_own_witnesses_from_one_pass(fig3):
