@@ -41,16 +41,15 @@ r2 = (b^q^2, c^q^2, 1), each the collineation image of the row before, and
   image has the least code whose log is that of b mod q - 1, which
   picks one w; (1, 0, c) and (0, 1, c) take c to the least code of its
   class the same way;
-* ``tau``, ``tau_line``  the index of the torus image of every point and
-  of every line, the generator of the stabilizer, which commutes with phi:
-  (g x, g^q y, g^q^2 z); ``tau_line`` is the inverse permutation of
-  ``tau``, one scatter;
-* ``dickson``, ``dickson_line``  the index of the image of every point and
-  of every line under one Dickson matrix d, which commutes with phi but not
-  with tau.  ``figueroa.check_axioms`` reads these four, and no other
-  check reads them whole.  tau, the diagonal matrix (g, g^q, g^q^2), and
-  both Dickson tables are the images of a 3 x 3 matrix, built in chunks
-  of ``CHUNK`` objects at coordinates derived from the index.
+* ``tau``      the torus map (g x, g^q y, g^q^2 z), the generator of the
+  stabilizer, which commutes with phi;
+* ``dickson``  one Dickson matrix d, which commutes with phi but not with
+  tau.  Each is a ``Collineation``, the images of every point and of
+  every line, made by ``_projectivity`` from its 3 x 3 code matrix: the
+  points by the matrix, the lines by its cofactor matrix, both in chunks
+  of ``CHUNK`` objects at coordinates derived from the index.  The row
+  pass reads them: the walk of every FIG pass follows tau's line table,
+  and the axiom readers check invariance under both.
 
 The q^3 + 1 points with x = 0 take the same forms specialised: (0, 1, c)
 has det = 1 + N(c), is never Type I, and has phi = (1, 0, c^-q) and
@@ -93,6 +92,7 @@ oracle for everything here.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -134,6 +134,14 @@ def fixed_points(table: np.ndarray) -> np.ndarray:
     """The indices i with table[i] == i, in increasing order."""
     return np.concatenate([np.flatnonzero(table[s] == span(s)) + s.start
                            for s in chunks(len(table))])
+
+
+class Collineation(NamedTuple):
+    """A collineation by two read-only permutation tables over the dense
+    indices: the image of every point, and the image of every line, the
+    line through the images of its points."""
+    points: np.ndarray
+    lines: np.ndarray
 
 
 class KernelError(RuntimeError):
@@ -375,20 +383,10 @@ class PlaneTables:
         return [[g[i] if j == i else np.int32(0) for j in range(3)] for i in range(3)]
 
     @cached_property
-    def tau(self) -> np.ndarray:
-        """Index of the torus image (g x, g^q y, g^q^2 z) of every point;
-        tau generates the stabilizer and commutes with phi."""
-        return self._linear_table(self._torus_rows)
-
-    @cached_property
-    def tau_line(self) -> np.ndarray:
-        """Index of the tau image [a/g, b/g^q, c/g^q^2] of every line [a:b:c]:
-        tau maps the points of line L onto the points of tau_line[L].  That
-        image is tau^-1 of the same triple, so the table is the inverse
-        permutation of ``tau``, one scatter with no field arithmetic."""
-        inv = np.empty_like(self.tau)
-        inv[self.tau] = np.arange(self.size, dtype=inv.dtype)
-        return _frozen(inv)
+    def tau(self) -> Collineation:
+        """The torus map (g x, g^q y, g^q^2 z); tau generates the stabilizer
+        and commutes with phi."""
+        return self._projectivity(self._torus_rows)
 
     @cached_property
     def _dickson_rows(self):
@@ -418,18 +416,19 @@ class PlaneTables:
             out[s] = self._image(m, *self.field.coords(span(s)))
         return _frozen(out)
 
-    @cached_property
-    def dickson(self) -> np.ndarray:
-        """Index of the image d P of every point P; d commutes with phi, not tau."""
-        return self._linear_table(self._dickson_rows)
+    def _projectivity(self, m) -> Collineation:
+        """The collineation of the code matrix m, by rows r0, r1, r2: a point
+        P goes to m P, and a line l to its cofactor matrix, with rows r1 x r2,
+        r2 x r0, r0 x r1, times l, a multiple of l m^-1."""
+        F = self.field
+        r0, r1, r2 = m
+        return Collineation(self._linear_table(m), self._linear_table(
+            (F.cross(r1, r2), F.cross(r2, r0), F.cross(r0, r1))))
 
     @cached_property
-    def dickson_line(self) -> np.ndarray:
-        """Index of the d image of every line: the cofactor matrix of d, with
-        rows r1 x r2, r2 x r0, r0 x r1, maps l to a multiple of l d^-1."""
-        F = self.field
-        r0, r1, r2 = self._dickson_rows
-        return self._linear_table((F.cross(r1, r2), F.cross(r2, r0), F.cross(r0, r1)))
+    def dickson(self) -> Collineation:
+        """The Dickson matrix d of ``_dickson_rows``; d commutes with phi, not tau."""
+        return self._projectivity(self._dickson_rows)
 
     @cached_property
     def orbit(self) -> np.ndarray:

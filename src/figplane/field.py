@@ -345,9 +345,10 @@ def table_bytes(q: int, fig: bool = False) -> int:
     the ``PlaneTables`` entries every census and maps run holds, one int8
     type and three int32 tables (mu, phi and orbit).  With ``fig``, for a
     run that streams the rows of the Figueroa plane, add 24 bytes a point:
-    the torus and Dickson tables of points and lines the axiom checker
-    reads (tau, tau_line, dickson, dickson_line) and the two int32 lookup
-    tables the rows are gathered from; no run holds the rows themselves.
+    the point and line tables of the torus and Dickson collineations that
+    the row pass reads (``PlaneTables.tau`` and ``PlaneTables.dickson``)
+    and the two int32 lookup tables the rows are gathered from; no run
+    holds the rows themselves.
     The estimate counts held tables only: every table build and n-entry
     scan keeps its temporaries to one chunk (``arrays.CHUNK``), and what
     only subsets read, the secants and the orbit members, is made from

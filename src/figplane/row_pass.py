@@ -1,5 +1,5 @@
 """The one walk over the rows of an incidence structure, and the readers
-it serves: the build checks of a FIG (``check_build``) and the axiom check
+it serves: the build checks of a FIG (``_BuildFacts``) and the axiom check
 (``figueroa.check_axioms``) of the structure, of the lines its blocks
 replace, PG, and of the structure with one block put back to its line.
 
@@ -8,9 +8,10 @@ phi and tau, so the phi and tau images of the rows a chunk makes are rows
 of the same chunk, and makes each chunk's rows once for every reader it
 serves: one ``IncidencePlane.rows_and_lines`` call gives a FIG's rows and
 the lines they replace.  The Dickson images are made once more per chunk,
-while an axiom reader compares them.  The Session stage ``row_pass`` is a
-``RowPass``, one walk for the readers a selection names.  Only a run that
-reads rows imports this module.
+while an axiom reader compares them.  Every map is an
+``arrays.Collineation``, read by its point and its line table.  The
+Session stage ``row_pass`` is the dict of one walk for the readers a
+selection names.  Only a run that reads rows imports this module.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import fixed_points
+from .arrays import Collineation, fixed_points
 from .collineation import TYPE_I, TYPE_II, TYPE_III
 from .figueroa import AxiomReport, IncidencePlane, mutated_line, pg_incidence
 from .plane import ProjectivePlane, format_line, format_point
@@ -46,7 +47,9 @@ def orbit_labels(generators) -> np.ndarray:
 
 
 def orbit_minima(generators) -> np.ndarray:
-    return fixed_points(orbit_labels(generators))
+    """The least point of each orbit of the group the collineations
+    ``generators`` generate, in increasing order."""
+    return fixed_points(orbit_labels([g.points for g in generators]))
 
 
 def chunk_rows(n: int, k: int) -> int:
@@ -69,15 +72,15 @@ def moved_rows(L: np.ndarray, rows: np.ndarray, g: np.ndarray,
 READERS = ("build", "axioms", "reference", "mutation")
 
 
-def walk(structure: IncidencePlane, line_maps):
+def walk(structure: IncidencePlane, maps):
     """The chunks of one pass over the n blocks of ``structure``: sorted
     index arrays L that partition the blocks, each a union of whole orbits
-    of the group that the line permutations ``line_maps`` generate, in the
-    order of their least member; as many orbits as fit in ``chunk_rows``
-    rows, or one when it is longer.  Each map sends the blocks of a chunk
-    to blocks of the chunk."""
+    of the group that the line tables of the collineations ``maps``
+    generate, in the order of their least member; as many orbits as fit in
+    ``chunk_rows`` rows, or one when it is longer.  Each map sends the
+    blocks of a chunk to blocks of the chunk."""
     n, k = structure.size, structure.plane.ctx.q3 + 1
-    label = orbit_labels(line_maps)
+    label = orbit_labels([g.lines for g in maps])
     order = np.argsort(label, kind="stable")
     ends = np.append(np.flatnonzero(np.diff(label[order])) + 1, n)
     step, lo = chunk_rows(n, k), 0
@@ -134,25 +137,36 @@ class _Rows:
     def through(self) -> list[np.ndarray]:
         return [self.rows[(self.rows == P).any(axis=1)] for P in self.reps]
 
-    def moved(self, name: str, image: np.ndarray | None = None) -> np.ndarray:
-        """The blocks that map ``name`` moves (``moved_rows``), against the
-        rows of their images: rows of the chunk for phi and tau, ``image``
-        for d."""
-        key = name, id(image)
+    def moved(self, g: Collineation, image: np.ndarray | None = None) -> np.ndarray:
+        """The blocks that the collineation g moves (``moved_rows``), against
+        the rows of their images: ``image``, or the rows of the chunk at the
+        g.lines images of its blocks, when g maps the chunk onto itself."""
+        key = id(g.points), id(image)
         if key not in self._moved:
-            tables, L, rows = self.plane.tables, self.L, self.rows
-            g, g_line = {"phi": (tables.phi, tables.phi), "tau": (tables.tau, tables.tau_line),
-                         "dickson": (tables.dickson, None)}[name]
-            self._moved[key] = moved_rows(L, rows, g, rows[np.searchsorted(L, g_line[L])]
+            L, rows = self.L, self.rows
+            self._moved[key] = moved_rows(L, rows, g.points, rows[np.searchsorted(L, g.lines[L])]
                                           if image is None else image)
         return self._moved[key]
 
 
 class _BuildFacts:
-    """The facts of ``check_build``, read a chunk at a time."""
+    """The facts of both build checks of a FIG, read a chunk at a time: the
+    sorted Type III lines whose rows break the block-size facts (a block is
+    a strictly increasing row of width k in [0, n), with q^2 + q + 1 Type II
+    points, its E part, and no Type I point) and the row sub-checks of
+    ``fig.build``.  Block L replaces line L and phi maps lines by the point
+    formula, so invariance is sort(phi[rows(L)]) == rows(phi[L]), a row of
+    the chunk.  A k-set is a line exactly when it is the incidence row of
+    the join of its first two points, so only the rows whose first three
+    points are collinear are compared with a line's row.
 
-    def __init__(self, plane: ProjectivePlane):
-        self.plane, self.bad, self.agree, self.differ, self.invariant = plane, [], True, True, True
+    A row holding an entry outside [0, n) is no point set, so it is no
+    block, no line and has no phi image; its chunk is not compared under
+    phi."""
+
+    def __init__(self, plane: ProjectivePlane, phi: Collineation):
+        self.plane, self.phi = plane, phi
+        self.bad, self.agree, self.differ, self.invariant = [], True, True, True
 
     def read(self, chunk: _Rows, lines: np.ndarray | None) -> None:
         tables, ctx, L, rows, inside = (self.plane.tables, self.plane.ctx, chunk.L, chunk.rows,
@@ -172,7 +186,7 @@ class _BuildFacts:
         line = F.dot(join, F.coords(blocks[:, 2])) == 0    # first three points collinear
         joins = F.index(*F.canonical(*(c[line] for c in join)))
         self.differ &= not (tables.incidence_rows(joins) == blocks[line]).all(axis=1).any()
-        self.invariant &= inside.all() and not chunk.moved("phi").size
+        self.invariant &= inside.all() and not chunk.moved(self.phi).size
 
     def result(self) -> tuple[np.ndarray, dict[str, bool]]:
         return np.sort(np.concatenate(self.bad)), dict(
@@ -183,13 +197,16 @@ class _BuildFacts:
 class _AxiomFacts:
     """The facts of ``check_axioms`` about the rows that reader ``name``
     checks, read a chunk at a time: the least row holding an entry outside
-    [0, n), and, while there is none, the least row that each generator
-    moves and the rows through each representative.  Its point counts are
-    those of ``degrees`` summed over the groups that hold it."""
+    [0, n), and, while there is none, the least row that each of the
+    ``generators``, by name, moves and the rows through each
+    representative.  Its point counts are those of ``degrees`` summed over
+    the groups that hold it."""
 
-    def __init__(self, plane: ProjectivePlane, reps, name: str, degrees: dict):
-        self.plane, self.reps, self.name, self.degrees = plane, reps, name, degrees
-        self.moved = dict.fromkeys(("tau", "dickson"))     # generator -> least failing row
+    def __init__(self, plane: ProjectivePlane, generators: dict[str, Collineation], reps,
+                 name: str, degrees: dict):
+        self.plane, self.generators, self.reps, self.name, self.degrees = (
+            plane, generators, reps, name, degrees)
+        self.moved = dict.fromkeys(generators)              # generator -> least failing row
         self.outside = None                                  # (row, entry) of the least such row
         self.through = [[] for _ in reps]
 
@@ -210,9 +227,9 @@ class _AxiomFacts:
         if self.outside is not None:
             return
         chunk.count()
-        found = {"tau": chunk.moved("tau")} if self.wants("tau", L) else {}
+        found = {"tau": chunk.moved(self.generators["tau"])} if self.wants("tau", L) else {}
         if image is not None:
-            found["dickson"] = chunk.moved("dickson", image)
+            found["dickson"] = chunk.moved(self.generators["dickson"], image)
         for name, bad in found.items():
             if bad.size and (self.moved[name] is None or bad[0] < self.moved[name]):
                 self.moved[name] = int(bad[0])
@@ -231,12 +248,10 @@ class _AxiomFacts:
             return AxiomReport(ok=False, mode="orbit-reduced", block_size_ok=False,
                                point_degree_ok=False, point_pairs_ok=False,
                                checked_pairs=n * (n - 1), representatives=0, witnesses=[fault])
-        tables = plane.tables
-        line_maps = {"tau": tables.tau_line, "dickson": tables.dickson_line}
         degree = sum(c for group, c in self.degrees.items() if self.name in group)
         point_degree_ok = bool(np.all(degree == k))
         witnesses = [f"the {name} image of block {format_line(plane.point(L))} "
-                     f"is not block {format_line(plane.point(line_maps[name][L]))}"
+                     f"is not block {format_line(plane.point(self.generators[name].lines[L]))}"
                      for name, L in self.moved.items() if L is not None][:MAX_WITNESSES]
         point_pairs_ok = not witnesses
 
@@ -262,7 +277,7 @@ class _AxiomFacts:
 def read_rows(structure: IncidencePlane, readers) -> dict:
     """The facts of each of the ``READERS`` that ``readers`` names, from one
     ``walk`` of the rows of ``structure`` under phi and tau: ``build``, the
-    pair of ``check_build``, and the ``check_axioms`` report of the
+    pair of ``_BuildFacts``, and the ``check_axioms`` report of the
     structure (``axioms``), of the lines its blocks replace (``reference``)
     and of the structure with the block of ``mutated_line`` put back to its
     line (``mutation``).  Each chunk's rows are read once for all readers
@@ -278,7 +293,7 @@ def read_rows(structure: IncidencePlane, readers) -> dict:
     readers_of_axioms = readers - {"build"}
     if structure.shape != (n, k):
         fault = f"block array has shape {structure.shape}, not {(n, k)}"
-        facts = {r: _AxiomFacts(plane, (), r, {}).report(fault)
+        facts = {r: _AxiomFacts(plane, {}, (), r, {}).report(fault)
                  for r in readers_of_axioms - {"reference"}}
         if "build" in readers:
             facts["build"] = (np.flatnonzero(tables.types == TYPE_III), dict.fromkeys(
@@ -286,12 +301,14 @@ def read_rows(structure: IncidencePlane, readers) -> dict:
         if "reference" in readers:
             facts["reference"] = read_rows(pg_incidence(plane), ("axioms",))["axioms"]
         return facts
-    reps = orbit_minima([tables.tau, tables.dickson]) if readers_of_axioms else ()
+    generators = {"tau": tables.tau, "dickson": tables.dickson} if readers_of_axioms else {}
+    reps = orbit_minima(generators.values()) if generators else ()
     degrees = {}    # the readers given one array -> the point counts of the rows they shared
-    axioms = {r: _AxiomFacts(plane, reps, r, degrees) for r in readers_of_axioms}
-    build = _BuildFacts(plane) if "build" in readers else None
+    axioms = {r: _AxiomFacts(plane, generators, reps, r, degrees) for r in readers_of_axioms}
+    phi = Collineation(tables.phi, tables.phi)      # phi maps lines by its point formula
+    build = _BuildFacts(plane, phi) if "build" in readers else None
     swapped = mutated_line(tables)
-    for L in walk(structure, (tables.phi, tables.tau_line)):
+    for L in walk(structure, (phi, tables.tau)):
         rows, lines = views(structure, L, readers, swapped)
         groups = {}
         for r in sorted(rows):
@@ -303,43 +320,10 @@ def read_rows(structure: IncidencePlane, readers) -> dict:
         if build:
             build.read(chunk["build"], lines)
         compared = [r for r, f in axioms.items() if f.wants("dickson", L)]
-        images = views(structure, tables.dickson_line[L], compared, swapped)[0] if compared else {}
+        images = views(structure, tables.dickson.lines[L], compared, swapped)[0] if compared else {}
         for r, f in axioms.items():
             f.read(chunk[r], images.get(r))
     facts = {r: f.report() for r, f in axioms.items()}
     if build:
         facts["build"] = build.result()
     return facts
-
-
-def check_build(structure: IncidencePlane) -> tuple[np.ndarray, dict[str, bool]]:
-    """The facts of both build checks from one walk of a FIG ``structure``
-    (``read_rows``): the sorted Type III lines whose rows break the
-    block-size facts (a block is a strictly increasing row of width k in
-    [0, n), with q^2 + q + 1 Type II points, its E part, and no Type I
-    point) and the row sub-checks of ``fig.build``.  Block L replaces line
-    L and phi maps lines by the point formula, so invariance is
-    sort(phi[rows(L)]) == rows(phi[L]), a row of the chunk.  A k-set is a
-    line exactly when it is the incidence row of the join of its first two
-    points, so only the rows whose first three points are collinear are
-    compared with a line's row.
-
-    A structure of the wrong shape has no row to read: every Type III
-    line is bad and every sub-check fails.  A row holding an entry
-    outside [0, n) is no point set, so it is no block, no line and has
-    no phi image; its chunk is not compared under phi."""
-    return read_rows(structure, ("build",))["build"]
-
-
-class RowPass(dict):
-    """The facts of the ``READERS`` about the rows of a structure, by
-    reader: one ``read_rows`` walk for the readers it is made with, and one
-    more for each other reader when it is first asked for."""
-
-    def __init__(self, structure: IncidencePlane, readers=()):
-        super().__init__(read_rows(structure, readers) if readers else {})
-        self.structure = structure
-
-    def __missing__(self, reader: str):
-        self.update(read_rows(self.structure, (reader,)))
-        return self[reader]

@@ -70,10 +70,10 @@ class Session:
     @cached_property
     def row_pass(self) -> dict:
         """The facts of the row readers (``row_pass.READERS``) about the FIG
-        structure: one walk of its rows for the readers selected, and one
-        for each other reader when it is first asked for."""
-        from .row_pass import RowPass       # compiled only by a run that reads rows
-        return RowPass(self.fig_structure, self.readers)
+        structure, by reader: one walk of its rows for the readers that
+        ``run_checks`` selected, or for every reader when none was."""
+        from .row_pass import READERS, read_rows    # compiled only by a run that reads rows
+        return read_rows(self.fig_structure, self.readers or READERS)
 
     def norm_reps(self):
         return [self.ctx.norm_class_rep(j) for j in range(self.ctx.q - 1)]

@@ -80,9 +80,15 @@ def disagreements(plane, name, table, indices) -> list[int]:
 
 def table_of(plane, name, indices=None) -> np.ndarray:
     """The entries of table ``name`` at ``indices``, every index by default;
-    ``sec``, which no table holds, is made from its closed form there."""
+    ``sec``, which no table holds, is made from its closed form there, and
+    ``tau`` and ``tau_line`` are the point and line tables of tau."""
     i = np.arange(plane.size) if indices is None else np.asarray(indices)
-    return plane.tables.sec(i) if name == "sec" else getattr(plane.tables, name)[i]
+    if name == "sec":
+        return plane.tables.sec(i)
+    if name in ("tau", "tau_line"):
+        tau = plane.tables.tau
+        return (tau.lines if name == "tau_line" else tau.points)[i]
+    return getattr(plane.tables, name)[i]
 
 
 def scalar_kind(ctx, V, B) -> int:
@@ -548,8 +554,9 @@ def test_table_bytes_counts_the_lookup_and_per_point_tables():
     per_point = [T.types, T.mu, T.phi, T.orbit]
     assert all(len(t) == T.size for t in per_point)
     assert sum(t.nbytes for t in per_point + field) == table_bytes(3)
-    # a run that streams the FIG rows adds the tables of the axiom checker
-    # and the two lookup tables of the rows, E and F
-    fig = [T.tau, T.tau_line, T.dickson, T.dickson_line, *T._fig_lookup]
+    # a run that streams the FIG rows adds the point and line tables of the
+    # torus and Dickson collineations and the two lookup tables of the rows,
+    # E and F
+    fig = [*T.tau, *T.dickson, *T._fig_lookup]
     assert all(len(t) == T.size and t.dtype == np.int32 for t in fig)
     assert sum(t.nbytes for t in per_point + fig + field) == table_bytes(3, fig=True)

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from figplane.arrays import Collineation, PlaneTables
 from figplane.collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES,
                                    collineate_point, det3, point_type)
 from figplane.figueroa import (IncidencePlane, anchor_block, arching_census,
@@ -260,9 +261,10 @@ def _carried_swap(fig, gens):
 
 
 def _generators(plane):
-    """The axiom checker's generators: name -> (point table, line table)."""
+    """The axiom checker's generators: name -> its collineation, which
+    unpacks as (point table, line table)."""
     t = plane.tables
-    return {"tau": (t.tau, t.tau_line), "dickson": (t.dickson, t.dickson_line)}
+    return {"tau": t.tau, "dickson": t.dickson}
 
 
 def _brute_force_axioms(structure):
@@ -433,7 +435,7 @@ def test_invariance_witness_in_a_later_chunk(plane4):
     assert rep.block_size_ok and rep.point_degree_ok and not rep.point_pairs_ok
     assert rep.witnesses[:2] == [
         f"the {name} image of block {format_line(plane4.point(L))} is not block "
-        f"{format_line(plane4.point(gens[name][1][L]))}" for name, L in first.items()]
+        f"{format_line(plane4.point(gens[name].lines[L]))}" for name, L in first.items()]
 
 
 def test_axioms_make_each_row_once_per_role(plane3):
@@ -508,9 +510,9 @@ def _dickson_oracle(ctx):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_dickson_tables_match_the_matrix_action(q):
-    """Every point P maps to the canonical form of the scalar product d P,
-    and the points of every line L onto the points of dickson_line[L].  At
-    q >= 3, d is D(1, w, 0) with w the least code >= 2 with 1 + N(w) != 0."""
+    """Every point P maps to the canonical form of the scalar product d P.
+    At q >= 3, d is D(1, w, 0) with w the least code >= 2 with
+    1 + N(w) != 0."""
     from figplane.field import context_for_q
     from figplane.plane import ProjectivePlane
     ctx = context_for_q(q)
@@ -522,11 +524,20 @@ def test_dickson_tables_match_the_matrix_action(q):
     image = [plane.index(canonical(ctx, tuple(
         add(add(mul(r[0], P[0]), mul(r[1], P[1])), mul(r[2], P[2])) for r in m)))
         for P in map(plane.point, range(plane.size))]
-    tables = plane.tables
-    assert tables.dickson.tolist() == image
-    rows = tables.incidence_rows(np.arange(plane.size))
-    assert np.array_equal(np.sort(tables.dickson[rows], axis=1),
-                          tables.incidence_rows(tables.dickson_line))
+    assert plane.tables.dickson.points.tolist() == image
+
+
+@pytest.mark.parametrize("name", ["phi", "tau", "dickson"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_line_tables_match_the_point_tables(q, name):
+    """Each collineation maps the points of every line L onto the points of
+    line g.lines[L]: phi, which maps lines by its point formula, and tau
+    and d, whose line tables are made from the cofactor matrix."""
+    from figplane.field import context_for_q
+    tables = PlaneTables(context_for_q(q))
+    g = {**_walked(tables), "dickson": tables.dickson}[name]
+    rows = tables.incidence_rows(np.arange(tables.size))
+    assert np.array_equal(np.sort(g.points[rows], axis=1), tables.incidence_rows(g.lines))
 
 
 @pytest.mark.parametrize("q, a, b", [(2, 4, 1), (3, 3, 0), (4, 2, 0), (5, 2, 0),
@@ -558,11 +569,10 @@ def test_dickson_search_allocates_nothing_wide():
     assert peak < 64 * 1024, peak
 
 
-def _walked(plane):
-    """The two maps the row pass walks: phi, which maps lines by its point
-    table, and tau."""
-    tables = plane.tables
-    return {"phi": (tables.phi, tables.phi), "tau": (tables.tau, tables.tau_line)}
+def _walked(tables):
+    """The two collineations the row pass walks: phi, which maps lines by
+    its point table, and tau."""
+    return {"phi": Collineation(tables.phi, tables.phi), "tau": tables.tau}
 
 
 @pytest.mark.parametrize("name", ["phi", "tau"])
@@ -572,9 +582,9 @@ def test_walk_reads_each_row_once_in_closed_chunks(fig3, fig4, name):
     invariant, have no block that the map moves off a row of its chunk."""
     for fig in (fig3, fig4):
         plane = fig.plane
-        g, g_line = _walked(plane)[name]
+        g, g_line = _walked(plane.tables)[name]
         seen = []
-        for L in walk(fig, [m for _, m in _walked(plane).values()]):
+        for L in walk(fig, list(_walked(plane.tables).values())):
             assert (np.diff(L) > 0).all() and np.isin(g_line[L], L).all()
             for structure in (pg_incidence(plane), fig):
                 rows = structure.rows(L)
@@ -596,9 +606,9 @@ def test_walk_masks_an_entry_out_of_range_before_any_image(held3, value, monkeyp
     monkeypatch.setattr(rp, "moved_rows", lambda L, *a: compared.append(L) or real(L, *a))
     structure = HeldRows(held3.plane, blocks)
     assert not check_axioms(structure).ok and not compared
-    assert not rp.check_build(structure)[1]["collineation_invariant"]
+    assert not rp.read_rows(structure, ("build",))["build"][1]["collineation_invariant"]
     assert not any(5 in L for L in compared)
-    rp.check_build(held3)
+    rp.read_rows(held3, ("build",))
     assert compared     # the rows in range are compared through the patched name
 
 
@@ -608,7 +618,7 @@ def test_least_row_out_of_range_is_named_whatever_the_chunk_order(plane4):
     rows, the later of which a chunk read first holds, the witness names
     the least row."""
     fig, n = build_fig_plane(plane4), plane4.size
-    chunks = list(walk(fig, [m for _, m in _walked(plane4).values()]))
+    chunks = list(walk(fig, list(_walked(plane4.tables).values())))
     assert len(chunks) > 2
     a, b = int(chunks[1][0]), int(chunks[0][-1])
     assert a < b
@@ -638,14 +648,14 @@ def test_representatives_follow_the_census(q):
     from figplane.suites import Session, census_checks
     sess = Session(context_for_q(q))
     tables = sess.plane.tables
-    d, types = tables.dickson, tables.types
+    tau, d, types = tables.tau.points, tables.dickson.points, tables.types
     assert np.array_equal(d[tables.phi], tables.phi[d])
     assert np.array_equal(types[d], types)
-    reps = orbit_minima([tables.tau, d])
+    reps = orbit_minima([tables.tau, tables.dickson])
     assert len(reps) == 3
     (tally,) = [e for e in census_checks(sess) if e.id == "census.point-types"]
     for P in reps:
-        orbit = _reach(P, [tables.tau, d])
+        orbit = _reach(P, [tau, d])
         assert np.array_equal(orbit, types == types[P])
         assert np.count_nonzero(orbit) == tally.counts[TYPE_NAMES[types[P]]]
     if q <= 5:
@@ -879,7 +889,7 @@ def test_streamed_axiom_check_holds_no_block_array(plane5):
     beyond the per-point tables it reads, which are built first."""
     import tracemalloc
     tables = plane5.tables
-    for name in ("types", "mu", "tau", "tau_line", "dickson", "dickson_line", "_fig_lookup"):
+    for name in ("types", "mu", "tau", "dickson", "_fig_lookup"):
         getattr(tables, name)
     assert plane5.size * 126 * 4 > 7_900_000
     tracemalloc.start()

@@ -34,8 +34,6 @@ COMMANDS = [
 ORACLE = "scalar reference that tests compare the tables and bulk checks against"
 TRACED = "wrapped by perfbench/tracer.py, which reads its calls"
 PROTOCOL = "protocol or convenience method for interactive use"
-ONE_READER = ("one-reader call of the shared row walk, which tests compare the "
-              "selections of the row pass against")
 
 # module.qualname -> why it stays though no command reaches it
 UNREACHED = {
@@ -47,8 +45,6 @@ UNREACHED = {
     "figueroa.check_axioms": TRACED,
     "figueroa.pg_incidence": TRACED,
     "linear_sets.pencil_type": ORACLE,
-    "row_pass.check_build": ONE_READER,
-    "row_pass.RowPass.__missing__": PROTOCOL,
     "plane.ProjectivePlane.points_on": TRACED,
     "plane.lines_through_point": TRACED,
     "__init__.__dir__": PROTOCOL,

@@ -17,6 +17,7 @@ their own, and so has the emitted q = 3 plane, as its sha256 digest.
 """
 
 import json
+import re
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -45,7 +46,7 @@ from figplane.suite_maps import (block_incidence_twist, club_images, collineatio
                                  vertices_census)
 from figplane.figueroa import IncidencePlane
 from figplane.suites import (CHECKS, FIG_ROWS, STAGES, Session, check_groups, figueroa_checks,
-                             maps_checks)
+                             maps_checks, run_checks)
 
 from conftest import HeldRows, held
 from set_oracle import conjugate_subplane
@@ -139,6 +140,18 @@ def test_verify_all_matches_golden_report(q, capsys):
     doc["header"]["config"]["seed"] = 1
     assert json.dumps(doc, indent=2) + "\n" == golden
     assert "sampled" not in golden
+
+
+def test_readme_names_only_check_ids_of_the_report():
+    """Every check id that the README names in backticks, a dotted word
+    whose prefix is that of an entry id (``fig.build``), is the id of an
+    entry of the q = 4 golden report, which holds every check."""
+    ids = {e["id"] for e in json.loads((DATA / "verify-all-q4.json").read_text())["checks"]}
+    assert len(ids) == len(CHECKS)
+    prefixes = {i.split(".")[0] for i in ids}
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    named = {w for w in re.findall(r"`([a-z]+\.[\w-]+)`", readme) if w.split(".")[0] in prefixes}
+    assert named and named <= ids, sorted(named - ids)
 
 
 @pytest.mark.parametrize("suite", ["maps", "census"])
@@ -714,8 +727,9 @@ def test_figueroa_run_holds_no_block_array(monkeypatch, capsys):
 
 
 def test_census_and_maps_build_no_dickson_table(monkeypatch, capsys):
-    """Only the axiom checker reads the Dickson and torus tables: a census
-    and maps run leaves them unbuilt."""
+    """Only the row pass reads the Dickson and torus collineations, the walk
+    of every FIG pass tau's line table and the axiom readers both: a census
+    and maps run, which reads no FIG row, leaves them unbuilt."""
     import figplane.cli as cli
     sessions = []
 
@@ -730,7 +744,7 @@ def test_census_and_maps_build_no_dickson_table(monkeypatch, capsys):
     capsys.readouterr()
     for sess in sessions:
         tables = vars(sess.plane.tables)
-        assert not {"tau", "tau_line", "dickson", "dickson_line", "_dickson_rows"} & set(tables)
+        assert not {"tau", "dickson", "_dickson_rows"} & set(tables)
 
 
 def _held_arrays(root) -> dict[int, np.ndarray]:
@@ -842,8 +856,8 @@ def test_figueroa_entries_fail_on_a_corrupted_table(ctx3, monkeypatch, check, co
 def test_build_makes_each_fig_row_once(ctx4):
     """Both build entries read one pass over the FIG in chunks closed under
     phi, so the phi image of each row is a row of its chunk: one session
-    running ``fig.block-sizes`` and ``fig.build`` makes n rows, not 2n, nor
-    n more for the Type III rows alone."""
+    running the build group, ``fig.block-sizes`` and ``fig.build`` among
+    it, makes n rows, not 2n, nor n more for the Type III rows alone."""
     from figplane.figueroa import IncidencePlane
 
     class Counted(IncidencePlane):
@@ -855,16 +869,17 @@ def test_build_makes_each_fig_row_once(ctx4):
 
     sess = Session(ctx4)
     sess.fig_structure = Counted(sess.plane, kept=sess.fig_structure.kept)
-    assert block_sizes(sess).passed and assembly(sess).passed
+    entries = {e.id: e for e in run_checks(sess, "figueroa", "build")}
+    assert entries["fig.block-sizes"].passed and entries["fig.build"].passed
     assert sess.fig_structure.made == sess.plane.size == 4161
 
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_one_walk_reports_as_the_one_structure_calls(q, monkeypatch):
     """The figueroa suite's default selection builds the row pass with one
-    walk for its four readers, whose facts are those of ``check_build`` and
-    of three ``check_axioms`` calls: on the FIG, on PG and on the FIG with
-    the first Type III line kept."""
+    walk for its four readers, whose facts are those of a walk for the
+    build reader alone and of three ``check_axioms`` calls: on the FIG, on
+    PG and on the FIG with the first Type III line kept."""
     import dataclasses
     import figplane.figueroa as fg
     import figplane.row_pass as rp
@@ -880,7 +895,7 @@ def test_one_walk_reports_as_the_one_structure_calls(q, monkeypatch):
     assert facts["axioms"] == fg.check_axioms(fig)
     assert facts["reference"] == fg.check_axioms(fg.pg_incidence(sess.plane))
     assert facts["mutation"] == fg.check_axioms(kept) and not facts["mutation"].ok
-    (bad, build), (want_bad, want_build) = facts["build"], rp.check_build(fig)
+    (bad, build), (want_bad, want_build) = facts["build"], rp.read_rows(fig, ("build",))["build"]
     assert np.array_equal(bad, want_bad) and build == want_build
 
 
