@@ -75,9 +75,9 @@ when they are asked for; since a point lies on line l exactly when l lies
 on the point read as a line, row i is equally the lines through point i.
 ``PlaneTables.fig_rows`` assembles the blocks of FIG(q^3) that replace any
 lines from those rows and two n-entry lookup tables derived from the type
-and involution tables; it is the only code that assembles a block, and no
-table holds the blocks: every reader of FIG makes its rows when it reads
-them.
+and involution tables, and gives them with the rows they came from; it is
+the only code that assembles a block, and no table holds the blocks: every
+reader of FIG makes its rows when it reads them.
 ``PlaneTables.project`` classifies the projection images of a batch of
 vertices, each from its own coordinates, ``PlaneTables.vertex_kinds``
 classifies the points as vertices for an orbit subplane by projecting
@@ -502,11 +502,11 @@ class PlaneTables:
         every = np.arange(self.size, dtype=np.int32)
         return tuple(_frozen(t) for t in self._fig_parts(every, every))
 
-    def fig_rows(self, L, kept=(), lines: bool = False):
+    def fig_rows(self, L, kept=()) -> tuple[np.ndarray, np.ndarray]:
         """The rows of FIG(q^3) that replace the lines L, one sorted row of
-        q^3 + 1 point indices each; the only code that assembles a block.
-        With ``lines``, also the incidence rows of L, which it makes on its
-        way: the pair (FIG rows, PG rows).
+        q^3 + 1 point indices each, and the incidence rows of L, which it
+        makes on its way: the pair (FIG rows, PG rows).  It is the only
+        code that assembles a block.
 
         A Type I or II line keeps its incidence row, and so does a Type III
         line in ``kept``, which a mutated FIG puts back.  Any other Type III
@@ -538,9 +538,10 @@ class PlaneTables:
             line = tuple(int(v[0]) for v in self.field.coords(L[new][j:j + 1]))
             raise GeometryError(f"block replacing line {format_line(line)} has "
                                 f"{np.count_nonzero(members[j] < n)} points, not {k}")
-        out = rows.copy() if lines else rows
+        out = np.empty_like(rows)     # the kept rows, then the blocks: no full copy
+        np.copyto(out, rows, where=~new[:, None])
         out[new] = members[:, :k]
-        return (out, rows) if lines else out
+        return out, rows
 
     def _subplane(self, B) -> np.ndarray:
         pts = np.asarray(sorted(B), dtype=np.int32).reshape(-1, 3)

@@ -186,7 +186,7 @@ def run_report(args) -> int:
             raise UsageError(reason)
         _require_writable(emit)
     picked = [c for name in suites for c in selected(order, name, group, by_default)]
-    fig = bool(emit) or any({"fig_structure", "row_pass"} & set(c.reads) for c in picked)
+    fig = bool(emit) or any("fig_structure" in c.reads for c in picked)
     need, have = table_bytes(order.q, fig), physical_memory()
     if need > have:     # fail fast, not out of memory part-way
         raise UsageError(f"q = {order.q} needs about {need / 1e9:.3g} GB for its tables, "

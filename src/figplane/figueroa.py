@@ -54,7 +54,7 @@ def anchor_block(plane: ProjectivePlane, anchor: Triple) -> np.ndarray:
     tables, A = plane.tables, plane.index(anchor)
     if tables.types[A] != TYPE_III:
         raise TypeRestrictionError(f"anchor {anchor} is not Type III")
-    return tables.fig_rows([tables.mu[A]])[0]
+    return tables.fig_rows([tables.mu[A]])[0][0]
 
 
 def anchor_parts(plane: ProjectivePlane) -> tuple[np.ndarray, np.ndarray]:
@@ -105,7 +105,7 @@ class IncidencePlane:
 
     def rows(self, L: np.ndarray) -> np.ndarray:
         tables = self.plane.tables
-        return tables.incidence_rows(L) if self.kept is None else tables.fig_rows(L, self.kept)
+        return tables.incidence_rows(L) if self.kept is None else tables.fig_rows(L, self.kept)[0]
 
     def rows_and_lines(self, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``rows(L)`` and the incidence rows of the lines L.  FIG's rows
@@ -117,7 +117,7 @@ class IncidencePlane:
         if self.kept is None:
             lines = tables.incidence_rows(L)
             return lines, lines
-        return tables.fig_rows(L, self.kept, lines=True)
+        return tables.fig_rows(L, self.kept)
 
 
 def pg_incidence(plane: ProjectivePlane) -> IncidencePlane:
@@ -176,13 +176,12 @@ def check_axioms(structure: IncidencePlane) -> AxiomReport:
     assumes nothing that it proves.
 
     This is the one-structure call of ``row_pass.read_rows``, whose walk
-    checks per
-    chunk: (1) the range (a wrong shape or range fails every half at
-    once); (2) point degrees; (3) invariance under tau, whose images are
-    rows of the chunk, and under d, whose image rows are made once more,
-    in no chunk past d's least failing row; and it (4) keeps the rows of
-    the blocks through each representative.  The cover counts them: every
-    other point must lie in exactly one.
+    checks per chunk: (1) the range (a wrong shape or range fails every
+    half at once); (2) point degrees; (3) invariance under tau, whose
+    images are rows of the chunk, and under d, whose image rows are made
+    once more for every chunk; and it (4) keeps the rows of the blocks
+    through each representative.  The cover counts them: every other
+    point must lie in exactly one.
 
     ``point_pairs_ok`` holds when (3) and the cover pass, so a structure
     that is not G-invariant fails it, plane or not.  ``checked_pairs`` is

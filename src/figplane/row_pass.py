@@ -3,15 +3,14 @@ it serves: the build checks of a FIG (``_BuildFacts``) and the axiom check
 (``figueroa.check_axioms``) of the structure, of the lines its blocks
 replace, PG, and of the structure with one block put back to its line.
 
-``read_rows`` walks the rows in chunks closed under the line cycles of
-phi and tau, so the phi and tau images of the rows a chunk makes are rows
-of the same chunk, and makes each chunk's rows once for every reader it
+``read_rows`` walks the rows in chunks of whole orbits of phi and tau on
+the lines, so the phi and tau images of the rows a chunk makes are rows
+of the same chunk, and reads each chunk one way, whatever readers it
 serves: one ``IncidencePlane.rows_and_lines`` call gives a FIG's rows and
-the lines they replace.  The Dickson images are made once more per chunk,
-while an axiom reader compares them.  Every map is an
-``arrays.Collineation``, read by its point and its line table.  The
-Session stage ``row_pass`` is the dict of one walk for the readers a
-selection names.  Only a run that reads rows imports this module.
+the lines they replace.  When an axiom reader is named, one more call
+per chunk gives the rows of the Dickson images of its blocks.  Every map
+is an ``arrays.Collineation``, read by its point and its line table.
+Only a run that reads rows imports this module.
 """
 
 from __future__ import annotations
@@ -20,12 +19,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import Collineation, fixed_points
+from .arrays import CHUNK, Collineation, fixed_points
 from .collineation import TYPE_I, TYPE_II, TYPE_III
 from .figueroa import AxiomReport, IncidencePlane, mutated_line, pg_incidence
 from .plane import ProjectivePlane, format_line, format_point
 
-PAIR_CHUNK = 1 << 15   # entries per chunk of one row array, of which a pass holds four
 MAX_WITNESSES = 5      # witnesses an axiom check reports at most
 
 
@@ -52,14 +50,6 @@ def orbit_minima(generators) -> np.ndarray:
     return fixed_points(orbit_labels([g.points for g in generators]))
 
 
-def chunk_rows(n: int, k: int) -> int:
-    """Rows of width k in a chunk of a pass over n blocks: n / 2 entries,
-    but at least ``PAIR_CHUNK / 2`` and at most ``PAIR_CHUNK``.  Small
-    orders, where a pass takes a handful of chunks, keep the temporaries of
-    a chunk small, and large ones the count of chunks."""
-    return max(1, min(PAIR_CHUNK, max(PAIR_CHUNK // 2, n // 2)) // k)
-
-
 def moved_rows(L: np.ndarray, rows: np.ndarray, g: np.ndarray,
                target: np.ndarray) -> np.ndarray:
     """The blocks of the sorted index array L, whose rows are ``rows``, with
@@ -77,13 +67,13 @@ def walk(structure: IncidencePlane, maps):
     index arrays L that partition the blocks, each a union of whole orbits
     of the group that the line tables of the collineations ``maps``
     generate, in the order of their least member; as many orbits as fit in
-    ``chunk_rows`` rows, or one when it is longer.  Each map sends the
-    blocks of a chunk to blocks of the chunk."""
+    ``CHUNK`` entries, or one when it is longer.  Each map sends the blocks
+    of a chunk to blocks of the chunk."""
     n, k = structure.size, structure.plane.ctx.q3 + 1
     label = orbit_labels([g.lines for g in maps])
     order = np.argsort(label, kind="stable")
     ends = np.append(np.flatnonzero(np.diff(label[order])) + 1, n)
-    step, lo = chunk_rows(n, k), 0
+    step, lo = max(1, CHUNK // k), 0
     while lo < n:
         hi = max(ends[np.searchsorted(ends, lo, side="right")],
                  ends[np.searchsorted(ends, lo + step, side="right") - 1])
@@ -91,23 +81,13 @@ def walk(structure: IncidencePlane, maps):
         lo = hi
 
 
-def views(structure: IncidencePlane, L: np.ndarray, readers, swapped: int):
-    """The rows of the blocks L that each of ``readers`` checks, from one
-    read of ``structure``: its rows (build, axioms), the incidence rows of
-    the lines L (reference), and its rows with block ``swapped`` put back
-    to its line (mutation); and the incidence rows, or None if unread."""
-    own, lined = set(readers) - {"reference"}, set(readers) & {"reference", "mutation"}
-    if own and lined:
-        rows, lines = structure.rows_and_lines(L)
-    elif own:
-        rows, lines = structure.rows(L), None
-    else:
-        rows, lines = None, structure.plane.tables.incidence_rows(L)
-    out = {"build": rows, "axioms": rows, "reference": lines}
-    if "mutation" in readers:
-        swap = L == swapped
-        out["mutation"] = np.where(swap[:, None], lines, rows) if swap.any() else rows
-    return {r: out[r] for r in readers}, lines
+def _by_reader(rows: np.ndarray, lines: np.ndarray, swap: np.ndarray) -> dict:
+    """The rows each of the ``READERS`` checks, from one read of a
+    structure, its ``rows`` and the ``lines`` they replace: the rows
+    (build, axioms), the lines (reference), and the rows with the blocks
+    that the mask ``swap`` marks put back to their lines (mutation)."""
+    mutation = np.where(swap[:, None], lines, rows) if swap.any() else rows
+    return dict(zip(READERS, (rows, rows, lines, mutation)))
 
 
 class _Rows:
@@ -168,7 +148,7 @@ class _BuildFacts:
         self.plane, self.phi = plane, phi
         self.bad, self.agree, self.differ, self.invariant = [], True, True, True
 
-    def read(self, chunk: _Rows, lines: np.ndarray | None) -> None:
+    def read(self, chunk: _Rows, lines: np.ndarray) -> None:
         tables, ctx, L, rows, inside = (self.plane.tables, self.plane.ctx, chunk.L, chunk.rows,
                                         chunk.inside)
         n, F, types = self.plane.size, tables.field, tables.types
@@ -179,8 +159,7 @@ class _BuildFacts:
               & (np.count_nonzero(kinds == TYPE_II, axis=1) == ctx.sub_order)
               & (kinds != TYPE_I).all(axis=1))
         self.bad.append(L[new][~ok])
-        self.agree &= np.array_equal(rows[~new], tables.incidence_rows(L[~new])
-                                     if lines is None else lines[~new])
+        self.agree &= np.array_equal(rows[~new], lines[~new])
         blocks = blocks[(blocks[:, 0] != blocks[:, 1]) & inside[new]]
         join = F.cross(F.coords(blocks[:, 0]), F.coords(blocks[:, 1]))
         line = F.dot(join, F.coords(blocks[:, 2])) == 0    # first three points collinear
@@ -198,9 +177,9 @@ class _AxiomFacts:
     """The facts of ``check_axioms`` about the rows that reader ``name``
     checks, read a chunk at a time: the least row holding an entry outside
     [0, n), and, while there is none, the least row that each of the
-    ``generators``, by name, moves and the rows through each
-    representative.  Its point counts are those of ``degrees`` summed over
-    the groups that hold it."""
+    ``generators``, by name, moves, over every chunk, and the rows through
+    each representative.  Its point counts are those of ``degrees`` summed
+    over the groups that hold it."""
 
     def __init__(self, plane: ProjectivePlane, generators: dict[str, Collineation], reps,
                  name: str, degrees: dict):
@@ -210,15 +189,9 @@ class _AxiomFacts:
         self.outside = None                                  # (row, entry) of the least such row
         self.through = [[] for _ in reps]
 
-    def wants(self, name: str, L: np.ndarray) -> bool:
-        """Whether the chunk L may hold a row that generator ``name`` moves
-        below the least one found, while no row is out of range."""
-        least = self.moved[name]
-        return self.outside is None and (least is None or L[0] < least)
-
-    def read(self, chunk: _Rows, image: np.ndarray | None) -> None:
+    def read(self, chunk: _Rows, image: np.ndarray) -> None:
         """Read a chunk, and ``image``, the rows of the Dickson images of
-        its blocks when ``wants`` them, else None."""
+        its blocks."""
         L, rows, inside, n = chunk.L, chunk.rows, chunk.inside, self.plane.size
         if not inside.all():
             i = int(np.argmin(inside))
@@ -227,9 +200,8 @@ class _AxiomFacts:
         if self.outside is not None:
             return
         chunk.count()
-        found = {"tau": chunk.moved(self.generators["tau"])} if self.wants("tau", L) else {}
-        if image is not None:
-            found["dickson"] = chunk.moved(self.generators["dickson"], image)
+        found = {"tau": chunk.moved(self.generators["tau"]),
+                 "dickson": chunk.moved(self.generators["dickson"], image)}
         for name, bad in found.items():
             if bad.size and (self.moved[name] is None or bad[0] < self.moved[name]):
                 self.moved[name] = int(bad[0])
@@ -280,10 +252,10 @@ def read_rows(structure: IncidencePlane, readers) -> dict:
     pair of ``_BuildFacts``, and the ``check_axioms`` report of the
     structure (``axioms``), of the lines its blocks replace (``reference``)
     and of the structure with the block of ``mutated_line`` put back to its
-    line (``mutation``).  Each chunk's rows are read once for all readers
-    (``views``), and once more as the Dickson images of its blocks while an
-    axiom reader compares those; the readers given one array share its
-    facts (``_Rows``).
+    line (``mutation``).  Each chunk is read one way for all readers, by
+    one ``rows_and_lines`` call, and, when an axiom reader is named, the
+    Dickson images of its blocks by one more; the readers given one array
+    share its facts (``_Rows``).
 
     A structure of the wrong shape has no row to read: every Type III line
     is bad, every build sub-check and every axiom report but the
@@ -309,20 +281,22 @@ def read_rows(structure: IncidencePlane, readers) -> dict:
     build = _BuildFacts(plane, phi) if "build" in readers else None
     swapped = mutated_line(tables)
     for L in walk(structure, (phi, tables.tau)):
-        rows, lines = views(structure, L, readers, swapped)
+        rows, lines = structure.rows_and_lines(L)
+        own = _by_reader(rows, lines, L == swapped)
         groups = {}
-        for r in sorted(rows):
-            groups.setdefault(id(rows[r]), []).append(r)
+        for r in sorted(readers):
+            groups.setdefault(id(own[r]), []).append(r)
         chunk = {}
         for group in groups.values():
-            chunk.update(dict.fromkeys(group, _Rows(plane, L, rows[group[0]], tuple(group),
+            chunk.update(dict.fromkeys(group, _Rows(plane, L, own[group[0]], tuple(group),
                                                     degrees, reps)))
         if build:
             build.read(chunk["build"], lines)
-        compared = [r for r, f in axioms.items() if f.wants("dickson", L)]
-        images = views(structure, tables.dickson.lines[L], compared, swapped)[0] if compared else {}
-        for r, f in axioms.items():
-            f.read(chunk[r], images.get(r))
+        if axioms:
+            image = tables.dickson.lines[L]
+            images = _by_reader(*structure.rows_and_lines(image), image == swapped)
+            for r, f in axioms.items():
+                f.read(chunk[r], images[r])
     facts = {r: f.report() for r, f in axioms.items()}
     if build:
         facts["build"] = build.result()

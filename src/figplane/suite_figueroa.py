@@ -53,10 +53,10 @@ def block_anatomy(sess: Session) -> CheckEntry:
                  not bad, {"size": size}, bad)
 
 
-@check("figueroa", "build", gates=(FIG_ROWS,), reads=("tables", "fig_structure", "row_pass"),
+@check("figueroa", "build", gates=(FIG_ROWS,), reads=("tables", "fig_structure"),
        readers=("build",))
 def block_sizes(sess: Session) -> CheckEntry:
-    bad, tables = sess.row_pass["build"][0], sess.plane.tables
+    bad, tables = sess.row_facts("build")["build"][0], sess.plane.tables
     # a fig row replacing line L is the block anchored at mu[L]
     anchors = tables.mu[bad[:5]]
     return entry("fig.block-sizes",
@@ -66,7 +66,7 @@ def block_sizes(sess: Session) -> CheckEntry:
                  [format_point(sess.plane.point(a)) for a in anchors])
 
 
-@check("figueroa", "build", gates=(FIG_ROWS,), reads=("tables", "fig_structure", "row_pass"),
+@check("figueroa", "build", gates=(FIG_ROWS,), reads=("tables", "fig_structure"),
        readers=("build",))
 def assembly(sess: Session) -> CheckEntry:
     count, tables = sess.fig_structure.shape[0], sess.plane.tables
@@ -75,7 +75,7 @@ def assembly(sess: Session) -> CheckEntry:
     checks = {
         "block_count": count == sess.plane.size,
         "kept_line_counts": n_I == s and n_II == (q ** 3 - q) * s,
-        **sess.row_pass["build"][1],
+        **sess.row_facts("build")["build"][1],
     }
     bad = [k for k, v in checks.items() if not v]
     return entry("fig.build",
@@ -85,10 +85,10 @@ def assembly(sess: Session) -> CheckEntry:
                  bad)
 
 
-@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure", "row_pass"),
+@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure"),
        readers=("axioms",))
 def axioms(sess: Session) -> CheckEntry:
-    rep = sess.row_pass["axioms"]
+    rep = sess.row_facts("axioms")["axioms"]
     return entry("fig.axioms",
                  "every point pair lies in one block and every block pair meets in one point",
                  rep.ok,
@@ -99,21 +99,21 @@ def axioms(sess: Session) -> CheckEntry:
                  rep.witnesses)
 
 
-@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure", "row_pass"),
+@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure"),
        readers=("reference",))
 def axioms_reference(sess: Session) -> CheckEntry:
-    rep = sess.row_pass["reference"]     # the lines the FIG rows replace: PG
+    rep = sess.row_facts("reference")["reference"]     # the lines the FIG rows replace: PG
     return entry("fig.axioms-reference",
                  "the unmodified plane passes the same axiom checker",
                  rep.ok, {"mode": rep.mode, "representatives": rep.representatives},
                  rep.witnesses)
 
 
-@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure", "row_pass"),
+@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure"),
        readers=("mutation",))
 def axioms_mutation(sess: Session) -> CheckEntry:
     i = fg.mutated_line(sess.plane.tables)
-    rep = sess.row_pass["mutation"]
+    rep = sess.row_facts("mutation")["mutation"]
     caught = (not rep.ok) and bool(rep.witnesses)
     verdict = "accepted it" if rep.ok else "rejected it with no witness"
     return entry("fig.axioms-mutation",

@@ -14,14 +14,15 @@ module registers them), imports every suite.  ``refusal`` says why a
 selection has nothing to run at q.  Every check is exhaustive.
 ``run_checks`` builds each stage a selection reads once, before its
 checks; the row pass, which the build and axioms groups read, walks the
-FIG rows once for every one of its readers that the selection names.
+FIG rows once for the readers that the selection names and the Session
+lacks.
 """
 
 from __future__ import annotations
 
 import importlib
 import time
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, NamedTuple
 
 from . import figueroa as fg
@@ -41,7 +42,7 @@ class Session:
         self.ctx = ctx
         self.plane = ProjectivePlane(ctx)
         self.elapsed_ms: dict[str, float] = {}    # stage -> ms of its build
-        self.readers: set[str] = set()      # the row-pass readers ``run_checks`` selected
+        self.row_pass: dict = {}    # row reader (``row_pass.READERS``) -> its facts, so far
 
     @cached_property
     def tables(self) -> PlaneTables:
@@ -67,13 +68,15 @@ class Session:
         """FIG as a row source; its rows are made when they are read."""
         return fg.build_fig_plane(self.plane)
 
-    @cached_property
-    def row_pass(self) -> dict:
-        """The facts of the row readers (``row_pass.READERS``) about the FIG
-        structure, by reader: one walk of its rows for the readers that
-        ``run_checks`` selected, or for every reader when none was."""
-        from .row_pass import READERS, read_rows    # compiled only by a run that reads rows
-        return read_rows(self.fig_structure, self.readers or READERS)
+    def row_facts(self, *readers: str) -> dict:
+        """``row_pass``, the facts of the row readers about the FIG
+        structure, holding those of each of ``readers``: one walk of its
+        rows for those it lacks, or none."""
+        lacking = set(readers) - self.row_pass.keys()
+        if lacking:
+            from .row_pass import read_rows     # compiled only by a run that reads rows
+            self.row_pass.update(read_rows(self.fig_structure, lacking))
+        return self.row_pass
 
     def norm_reps(self):
         return [self.ctx.norm_class_rep(j) for j in range(self.ctx.q - 1)]
@@ -99,7 +102,7 @@ SUITES = ("census", "maps", "figueroa")     # in report order
 _TABLE: dict[str, list[Check]] = {suite: [] for suite in SUITES}
 
 # the Session stages a check may read, in the order ``run_checks`` builds them
-STAGES = ("tables", "classes", "census", "fixed_census", "fig_structure", "row_pass")
+STAGES = ("tables", "classes", "census", "fixed_census", "fig_structure")
 
 EVEN_Q = Gate(lambda ctx: ctx.q % 2 == 0, "the even-order structure check needs q even")
 SUITE_GATES = {"figueroa": (fg.FIGUEROA,)}    # every check of the suite needs them
@@ -125,10 +128,10 @@ def check(suite: str, group: str | None = None, gates: tuple[Gate, ...] = (),
     suite first, that must hold at an order for it to run there, and the
     ``STAGES`` it reads, ``tables`` also for the plane's tables.  The
     build and axioms checks, which pass over every FIG or PG row, carry
-    ``FIG_ROWS`` and name in ``readers`` those of the stage
-    ``row_pass`` whose facts they report; ``run_checks`` builds that
-    stage with one walk for all the readers it selects, and times it on
-    its own."""
+    ``FIG_ROWS``, read ``fig_structure`` and name in ``readers`` the row
+    readers whose facts they report (``Session.row_facts``);
+    ``run_checks`` walks the rows once for all the readers it selects that
+    the Session lacks, and times the walk on its own, as ``row_pass``."""
     def register(fn):
         _TABLE[suite].append(Check(suite, group or suite, fn,
                                    SUITE_GATES.get(suite, ()) + gates, reads, readers))
@@ -179,15 +182,20 @@ def selected(ctx: FieldContext, suite: str, group: str | None = None,
 def run_checks(sess: Session, suite: str, group: str | None = None,
                by_default: bool = False) -> list[CheckEntry]:
     """Build, in ``STAGES`` order, each stage the selected checks read that
-    the Session does not hold yet, the row pass for the readers they name,
-    then run the checks, timing each stage and each check on its own."""
+    the Session does not hold yet, then the facts of the row readers they
+    name that it lacks (``Session.row_facts``), then run the checks,
+    timing each stage, the row pass and each check on its own."""
     picked = selected(sess.ctx, suite, group, by_default)
-    sess.readers = {r for c in picked for r in c.readers}
-    for name in STAGES:
-        if name not in vars(sess) and any(name in c.reads for c in picked):
-            t0 = time.perf_counter()
-            getattr(sess, name)
-            sess.elapsed_ms[name] = (time.perf_counter() - t0) * 1000.0
+    readers = {r for c in picked for r in c.readers}
+    builds = [(name, partial(getattr, sess, name)) for name in STAGES
+              if name not in vars(sess) and any(name in c.reads for c in picked)]
+    if readers:
+        builds.append(("row_pass", partial(sess.row_facts, *readers)))
+    for name, build in builds:
+        t0 = time.perf_counter()
+        build()
+        sess.elapsed_ms[name] = (sess.elapsed_ms.get(name, 0.0)
+                                 + (time.perf_counter() - t0) * 1000.0)
     out = []
     for c in picked:
         t0 = time.perf_counter()

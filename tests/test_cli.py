@@ -341,21 +341,39 @@ def test_timings_list_the_stages_of_the_build_group_once(capsys):
 
 def test_verify_all_builds_each_stage_once(monkeypatch, capsys):
     """verify --suite all runs its three suites on one Session, which builds
-    every stage once; the text report gives each its own line, after the
-    header, and every check line its time."""
+    every stage once, and walks the FIG rows once, as ``row_pass``; the
+    text report gives each its own line, after the header, and every check
+    line its time."""
+    import figplane.row_pass as rp
     from figplane.suites import STAGES, Session
     built = []
     for name in STAGES:
         stage = vars(Session)[name]
         monkeypatch.setattr(stage, "func", lambda sess, real=stage.func, name=name:
                             built.append(name) or real(sess))
+    monkeypatch.setattr(rp, "read_rows", lambda *a, real=rp.read_rows:
+                        built.append("row_pass") or real(*a))
+    timed = list(STAGES) + ["row_pass"]
     code, out = run_cli(["verify", "--q", "4", "--suite", "all", "--timings"], capsys)
-    assert code == 0 and built == list(STAGES)
+    assert code == 0 and built == timed
     lines = out.splitlines()
-    assert [l.split()[1] for l in lines[1:1 + len(STAGES)]] == list(STAGES)
-    assert all(l.startswith("STAGE ") and l.endswith(" ms]") for l in lines[1:1 + len(STAGES)])
-    assert not any(l.startswith("STAGE ") for l in lines[1 + len(STAGES):])
+    assert [l.split()[1] for l in lines[1:1 + len(timed)]] == timed
+    assert all(l.startswith("STAGE ") and l.endswith(" ms]") for l in lines[1:1 + len(timed)])
+    assert not any(l.startswith("STAGE ") for l in lines[1 + len(timed):])
     assert all(l.endswith(" ms]") for l in lines if l.startswith(("PASS", "FAIL")))
+
+
+@pytest.mark.parametrize("command", ["", "verify", "census", "maps", "figueroa", "sls",
+                                     "tplane"])
+def test_help_matches_golden_text(command, capsys, monkeypatch):
+    """The --help of figplane and of each subcommand, byte for byte, as
+    argparse wraps it on an 80-column terminal."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as done:
+        main(command.split() + ["--help"])
+    assert done.value.code == 0
+    name = "-".join(["figplane"] + command.split())
+    assert capsys.readouterr().out == (DATA / f"help-{name}.txt").read_text()
 
 
 def test_csv_report_is_the_same_with_timings(capsys):

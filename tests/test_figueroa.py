@@ -129,13 +129,14 @@ def test_one_row_source_keeps_the_lines_it_names(q, request):
     """PG, FIG and the mutated FIG are one row source: PG's rows are the
     incidence rows, FIG's the assembled rows, and the FIG keeping its first
     Type III line i has FIG's rows but for row i, which is PG's, read alone
-    or with the others.  Keeping a Type I or II line changes nothing."""
+    or with the others.  ``fig_rows`` hands on the incidence rows it makes
+    the FIG rows from.  Keeping a Type I or II line changes nothing."""
     plane = request.getfixturevalue(f"plane{q}")
     tables, every = plane.tables, np.arange(plane.size)
     pg, fig = pg_incidence(plane), build_fig_plane(plane)
     pg_rows, fig_rows = pg.rows(every), fig.rows(every)
     assert np.array_equal(pg_rows, tables.incidence_rows(every))
-    assert np.array_equal(fig_rows, tables.fig_rows(every))
+    assert all(map(np.array_equal, (fig_rows, pg_rows), tables.fig_rows(every)))
     i = _first_fig_row(fig)
     mutated = dataclasses.replace(fig, kept=(i,))
     rows, others = mutated.rows(every), every != i
@@ -418,9 +419,9 @@ def test_invariance_witness_in_a_later_chunk(plane4):
     first chunks of index order trade a point; each generator's witness is
     its least moved row, found here over the whole row array at once,
     whichever chunk of tau's line cycles holds it."""
-    from figplane.row_pass import PAIR_CHUNK
+    from figplane.arrays import CHUNK
     pg, n, tables = pg_incidence(plane4), plane4.size, plane4.tables
-    step = PAIR_CHUNK // 65
+    step = CHUNK // 65
     gens = _generators(plane4)
     B = pg.rows(np.arange(n))
     for L1 in range(2 * step, n - 1):
@@ -578,18 +579,26 @@ def _walked(tables):
 @pytest.mark.parametrize("name", ["phi", "tau"])
 def test_walk_reads_each_row_once_in_closed_chunks(fig3, fig4, name):
     """The chunks of the walk under phi and tau are sorted, closed under
-    each line map, and partition the lines; and PG and the FIG, both
-    invariant, have no block that the map moves off a row of its chunk."""
-    for fig in (fig3, fig4):
-        plane = fig.plane
+    each line map, and partition the lines; each holds at most ``CHUNK``
+    entries or is one orbit, so q = 3 and 4 read 2 and 17 chunks; and PG
+    and the FIG, both invariant, have no block that the map moves off a
+    row of its chunk."""
+    from figplane.arrays import CHUNK
+    from figplane.row_pass import orbit_labels
+    for fig, count in ((fig3, 2), (fig4, 17)):
+        plane, k = fig.plane, fig.shape[1]
         g, g_line = _walked(plane.tables)[name]
+        maps = list(_walked(plane.tables).values())
+        orbit = orbit_labels([m.lines for m in maps])
         seen = []
-        for L in walk(fig, list(_walked(plane.tables).values())):
+        for L in walk(fig, maps):
             assert (np.diff(L) > 0).all() and np.isin(g_line[L], L).all()
+            assert len(L) * k <= CHUNK or (orbit[L] == orbit[L[0]]).all()
             for structure in (pg_incidence(plane), fig):
                 rows = structure.rows(L)
                 assert not moved_rows(L, rows, g, rows[np.searchsorted(L, g_line[L])]).size
             seen.append(L)
+        assert len(seen) == count
         assert np.array_equal(np.sort(np.concatenate(seen)), np.arange(plane.size))
 
 
@@ -876,10 +885,10 @@ def test_one_row_read_leaves_the_lookup_tables_unbuilt(q):
     from figplane.plane import ProjectivePlane
     plane = ProjectivePlane(build_field_tower(*{3: (3, 1), 4: (2, 2)}[q]))
     tables = plane.tables
-    single = [tables.fig_rows([L])[0] for L in range(plane.size)]
+    single = [tables.fig_rows([L])[0][0] for L in range(plane.size)]
     anchor_block(plane, ANCHOR)
     assert "_fig_lookup" not in vars(tables)
-    assert np.array_equal(np.stack(single), tables.fig_rows(np.arange(plane.size)))
+    assert np.array_equal(np.stack(single), tables.fig_rows(np.arange(plane.size))[0])
     assert "_fig_lookup" in vars(tables)
 
 

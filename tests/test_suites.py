@@ -112,7 +112,7 @@ def test_checks_read_only_the_stages_they_declare(q):
             assert c.run(_Declared(full, c.reads)).passed, c.run
         gated = FIG_ROWS in c.gates
         assert gated == (c.suite == "figueroa" and c.group in ("build", "axioms")), c.run
-        assert gated or not {"fig_structure", "row_pass"} & set(c.reads), c.run
+        assert gated or "fig_structure" not in c.reads, c.run
 
 
 @pytest.mark.slow
@@ -169,9 +169,13 @@ def test_q7_suite_matches_golden_report(suite, capsys):
     ("verify --q 3 --suite all --format csv", "verify-all-q3.csv"),
     ("census --q 3 --format csv", "census-q3.csv"),
     ("census --q 4 --format csv", "census-q4.csv"),
+    ("figueroa --q 4 --check build --format json --seed 1", "figueroa-build-q4.json"),
+    ("figueroa --q 4 --check axioms --format json --seed 1", "figueroa-axioms-q4.json"),
 ])
 def test_output_matches_golden_file(argv, name, capsys):
-    """The text and csv reports and the census table, byte for byte."""
+    """The text and csv reports, the census table, and the reports of the
+    build and axioms groups, whose row passes walk for some readers only,
+    byte for byte."""
     assert main(argv.split()) == 0
     assert capsys.readouterr().out == (DATA / name).read_text()
 
@@ -388,7 +392,7 @@ def test_axioms_mutation_names_the_swapped_line_when_not_caught(ctx3, monkeypatc
     entry fails and names the line whose block was swapped back."""
     sess = Session(ctx3)
     assert axioms_mutation(sess).passed
-    facts = sess.row_pass
+    facts = sess.row_facts("axioms")
     facts["mutation"] = (facts["axioms"] if verdict == "accepted it"
                          else replace(facts["mutation"], witnesses=[]))
     e = axioms_mutation(sess)
@@ -897,6 +901,22 @@ def test_one_walk_reports_as_the_one_structure_calls(q, monkeypatch):
     assert facts["mutation"] == fg.check_axioms(kept) and not facts["mutation"].ok
     (bad, build), (want_bad, want_build) = facts["build"], rp.read_rows(fig, ("build",))["build"]
     assert np.array_equal(bad, want_bad) and build == want_build
+
+
+def test_a_second_selection_walks_for_the_readers_it_lacks(ctx4, monkeypatch):
+    """One Session runs the build group, then the axioms group: the second
+    walks the rows once, for the three axiom readers alone, and the build
+    group run again walks none."""
+    import figplane.row_pass as rp
+    sess, walks, read, real = Session(ctx4), [], [], rp.read_rows
+    monkeypatch.setattr(rp, "walk", lambda *a, real=rp.walk: walks.append(a) or real(*a))
+    monkeypatch.setattr(rp, "read_rows", lambda s, readers: read.append(set(readers))
+                        or real(s, readers))
+    for group, want in (("build", 1), ("axioms", 2), ("build", 2)):
+        entries = figueroa_checks(sess, group)
+        assert entries and all(e.passed for e in entries) and len(walks) == want, group
+    assert read == [{"build"}, {"axioms", "reference", "mutation"}]
+    assert set(sess.row_pass) == set(rp.READERS)
 
 
 class _Counted(IncidencePlane):
