@@ -7,9 +7,11 @@ The golden reports are the output of
     figplane verify --q Q --suite all --format json --seed 1
 
 at q = 3, 4 and 5, kept under ``tests/data``; they pin every entry, its
-counts and the report order.  At q = 7 and 8 the same report is pinned
-by its sha256 digest, in a test marked slow.  q = 5 is the least order with q = 1 mod 4,
-where ``fig.projection-anchor`` takes its other odd-q size.  The maps and
+counts and the report order.  At q = 7, 8, 11 and 13 the same report is
+pinned by its sha256 digest, in a test marked slow, and at q = 11 the text
+report too, which prints the note of the default skip.  q = 5 is the least
+order with q = 1 mod 4, where ``fig.projection-anchor`` takes its other
+odd-q size.  The maps and
 census suites have goldens at q = 7 too, the least order whose n-entry
 scans take more than one chunk of ``arrays.CHUNK``.  The q = 3 report in
 text and csv, and the census csv table at q = 3 and 4, have goldens of
@@ -116,15 +118,19 @@ def test_checks_read_only_the_stages_they_declare(q):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("q", [7, 8])
-def test_verify_all_matches_golden_digest(q, capsys):
-    """At q = 7 and 8 the json report of every suite hashes to the sha256
-    digest kept under ``tests/data``; these runs take seconds each, so the
-    test is marked slow: ``pytest -m slow`` runs it."""
+@pytest.mark.parametrize("q, fmt", [(7, "json"), (8, "json"), (11, "json"), (11, "text"),
+                                    (13, "json")])
+def test_verify_all_matches_golden_digest(q, fmt, capsys):
+    """At q = 7, 8, 11 and 13 the report of every suite hashes to the
+    sha256 digest kept under ``tests/data``; from q = 11 the default
+    leaves out the FIG row checks, and the text report prints the note
+    that says so.  These runs take seconds each, so the test is marked
+    slow: ``pytest -m slow`` runs it."""
     import hashlib
-    assert main(["verify", "--q", str(q), "--suite", "all", "--format", "json"]) == 0
+    assert main(["verify", "--q", str(q), "--suite", "all", "--format", fmt]) == 0
+    suffix = {"json": "json", "text": "txt"}[fmt]
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
-        (DATA / f"verify-all-q{q}.json.sha256").read_text().strip()
+        (DATA / f"verify-all-q{q}.{suffix}.sha256").read_text().strip()
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
