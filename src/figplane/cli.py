@@ -46,8 +46,8 @@ from .collineation import CATEGORIES, CATEGORY_TYPES, TYPE_NAMES
 from .field import FieldError, context_for_q, order_of, table_bytes
 from .plane import GeometryError, format_point
 from .report import Report, TOOL_NAME, TOOL_VERSION
-from .suites import (FIG_ROWS, SUITES, Session, census_checks, check_groups,
-                     figueroa_checks, maps_checks, refusal, selected)
+from .suites import (SUITES, Session, census_checks, check_groups, figueroa_checks,
+                     maps_checks, over_row_bound, refusal, selected)
 
 USAGE_ERROR = 2
 
@@ -178,7 +178,7 @@ def run_report(args) -> int:
     group = getattr(args, "check", None)
     emit = getattr(args, "emit_plane", None)
     suites = SUITES if suite == "all" else (suite,)
-    by_default = suite == "all"   # the default selection; what is named runs past its gates
+    by_default = suite == "all"   # the default selection; what is named runs past its bound
     if suite != "all" and (reason := refusal(order, suite, group)):
         raise UsageError(reason)
     if emit:    # the file is the FIG that the figueroa suite streams
@@ -186,7 +186,7 @@ def run_report(args) -> int:
             raise UsageError(reason)
         _require_writable(emit)
     picked = [c for name in suites for c in selected(order, name, group, by_default)]
-    fig = bool(emit) or any("fig_structure" in c.reads for c in picked)
+    fig = bool(emit) or any(c.readers for c in picked)
     need, have = table_bytes(order.q, fig), physical_memory()
     if need > have:     # fail fast, not out of memory part-way
         raise UsageError(f"q = {order.q} needs about {need / 1e9:.3g} GB for its tables, "
@@ -203,7 +203,7 @@ def run_report(args) -> int:
     header = _header(ctx, args, {"check": group} if group else {"suite": suite})
     if skipped:     # what the default left out, and why
         groups = " and ".join(dict.fromkeys(c.group for c in skipped))
-        header["note"] = (f"{groups} checks skipped by default: {FIG_ROWS.reason(ctx)}; "
+        header["note"] = (f"{groups} checks skipped by default: {over_row_bound(order)}; "
                           "name them with --suite or --check")
     report = Report(header, entries, sess.elapsed_ms)
     if args.command == "census" and args.format == "csv":

@@ -28,14 +28,11 @@ class FieldError(ValueError):
 
 class Gate(NamedTuple):
     """A condition on the order q that a computation needs, and the reason
-    to give where it does not hold.  A ``default_only`` gate binds only a
-    default selection, so nothing is refused by it, and its reason is a
-    function of the order, which can quote an estimate.  Both read only
-    ``q`` and ``q3``, so an ``Order`` serves as well as a ``FieldContext``,
-    before any field is built."""
+    to give where it does not hold.  The condition reads only ``q`` and
+    ``q3``, so an ``Order`` serves as well as a ``FieldContext``, before
+    any field is built."""
     holds: Callable[[Order | FieldContext], bool]
-    reason: str | Callable[[Order | FieldContext], str]
-    default_only: bool = False
+    reason: str
 
 
 def is_prime(n: int) -> bool:
@@ -344,11 +341,12 @@ def table_bytes(q: int, fig: bool = False) -> int:
     4 q^6 bytes, and 13 bytes for each of the n = q^6 + q^3 + 1 points of
     the ``PlaneTables`` entries every census and maps run holds, one int8
     type and three int32 tables (mu, phi and orbit).  With ``fig``, for a
-    run that streams the rows of the Figueroa plane, add 24 bytes a point:
-    the point and line tables of the torus and Dickson collineations that
-    the row pass reads (``PlaneTables.tau`` and ``PlaneTables.dickson``)
-    and the two int32 lookup tables the rows are gathered from; no run
-    holds the rows themselves.
+    run that streams the rows of the Figueroa plane, because a selected
+    check names a row reader or the plane is emitted, add 24 bytes a
+    point: the tables that the row pass builds, the point and line tables
+    of the torus and Dickson collineations (``PlaneTables.tau`` and
+    ``PlaneTables.dickson``) and the two int32 lookup tables the rows are
+    gathered from; no run holds the rows themselves.
     The estimate counts held tables only: every table build and n-entry
     scan keeps its temporaries to one chunk (``arrays.CHUNK``), and what
     only subsets read, the secants and the orbit members, is made from

@@ -18,7 +18,7 @@ from .collineation import TYPE_III, point_type, tally_types
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, format_line, format_point,
                     points_on_line)
 from .report import CheckEntry, entry
-from .suites import EVEN_Q, FIG_ROWS, Session, check
+from .suites import EVEN_Q, Session, check
 
 
 def _axis_mismatch(image, want, prefix: str = "") -> list[str]:
@@ -28,7 +28,7 @@ def _axis_mismatch(image, want, prefix: str = "") -> list[str]:
             + [f"{prefix}extra {format_point(P)}" for P in sorted(image - want)])
 
 
-@check("figueroa", "build", gates=(FIG_ROWS,), reads=("tables",))
+@check("figueroa", "build", reads=("tables",))
 def block_anatomy(sess: Session) -> CheckEntry:
     ctx, plane = sess.ctx, sess.plane
     block = fg.anchor_block(plane, ANCHOR)
@@ -53,8 +53,7 @@ def block_anatomy(sess: Session) -> CheckEntry:
                  not bad, {"size": size}, bad)
 
 
-@check("figueroa", "build", gates=(FIG_ROWS,), reads=("tables", "fig_structure"),
-       readers=("build",))
+@check("figueroa", "build", reads=("tables",), readers=("build",))
 def block_sizes(sess: Session) -> CheckEntry:
     bad, tables = sess.row_facts("build")["build"][0], sess.plane.tables
     # a fig row replacing line L is the block anchored at mu[L]
@@ -66,8 +65,7 @@ def block_sizes(sess: Session) -> CheckEntry:
                  [format_point(sess.plane.point(a)) for a in anchors])
 
 
-@check("figueroa", "build", gates=(FIG_ROWS,), reads=("tables", "fig_structure"),
-       readers=("build",))
+@check("figueroa", "build", reads=("tables",), readers=("build",))
 def assembly(sess: Session) -> CheckEntry:
     count, tables = sess.fig_structure.shape[0], sess.plane.tables
     q, s = sess.ctx.q, sess.ctx.sub_order
@@ -85,8 +83,7 @@ def assembly(sess: Session) -> CheckEntry:
                  bad)
 
 
-@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure"),
-       readers=("axioms",))
+@check("figueroa", "axioms", reads=("tables",), readers=("axioms",))
 def axioms(sess: Session) -> CheckEntry:
     rep = sess.row_facts("axioms")["axioms"]
     return entry("fig.axioms",
@@ -99,8 +96,7 @@ def axioms(sess: Session) -> CheckEntry:
                  rep.witnesses)
 
 
-@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure"),
-       readers=("reference",))
+@check("figueroa", "axioms", reads=("tables",), readers=("reference",))
 def axioms_reference(sess: Session) -> CheckEntry:
     rep = sess.row_facts("reference")["reference"]     # the lines the FIG rows replace: PG
     return entry("fig.axioms-reference",
@@ -109,8 +105,7 @@ def axioms_reference(sess: Session) -> CheckEntry:
                  rep.witnesses)
 
 
-@check("figueroa", "axioms", gates=(FIG_ROWS,), reads=("tables", "fig_structure"),
-       readers=("mutation",))
+@check("figueroa", "axioms", reads=("tables",), readers=("mutation",))
 def axioms_mutation(sess: Session) -> CheckEntry:
     i = fg.mutated_line(sess.plane.tables)
     rep = sess.row_facts("mutation")["mutation"]

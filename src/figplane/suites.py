@@ -3,19 +3,20 @@
 Each check is a function of a :class:`Session` returning a
 :class:`figplane.report.CheckEntry` with counts and witnesses in
 deterministic order, registered with ``check`` under its suite, with its
-gates, the conditions on q it needs to run, and the ``STAGES`` of the
-Session it reads.  The checks of suite S live in the module
-``figplane.suite_S`` (``suite_census``, ``suite_maps``,
-``suite_figueroa``), which is imported the first time ``selected``,
-``refusal`` or ``check_groups`` names the suite: a run compiles the
-checks it can select and no others.  ``CHECKS``, the whole table in
-report order (the suites in ``SUITES`` order, each in the order its
-module registers them), imports every suite.  ``refusal`` says why a
-selection has nothing to run at q.  Every check is exhaustive.
-``run_checks`` builds each stage a selection reads once, before its
-checks; the row pass, which the build and axioms groups read, walks the
-FIG rows once for the readers that the selection names and the Session
-lacks.
+gates, the conditions on q it needs to run, the ``STAGES`` of the
+Session it reads, and the readers of the FIG row pass whose facts it
+reports, its only mark as a check that walks the FIG rows.  The checks
+of suite S live in the module ``figplane.suite_S`` (``suite_census``,
+``suite_maps``, ``suite_figueroa``), which is imported the first time
+``selected``, ``refusal`` or ``check_groups`` names the suite: a run
+compiles the checks it can select and no others.  ``CHECKS``, the whole
+table in report order (the suites in ``SUITES`` order, each in the order
+its module registers them), imports every suite.  ``refusal`` says why a
+selection has nothing to run at q; the default selection also leaves
+out, past ``ROW_WORK``, every group holding a row reader.  Every check is
+exhaustive.  ``run_checks`` builds each stage a selection reads once,
+before its checks, then walks the FIG rows once for the row readers that
+the selection names and the Session lacks.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ class Session:
 
     @cached_property
     def fig_structure(self) -> fg.IncidencePlane:
-        """FIG as a row source; its rows are made when they are read."""
+        """FIG as a row source; its rows are made when they are read.  No
+        check declares it as a stage: the row pass (``row_facts``) builds
+        it, and ``fig.build`` and ``--emit-plane`` read it."""
         return fg.build_fig_plane(self.plane)
 
     def row_facts(self, *readers: str) -> dict:
@@ -90,10 +93,9 @@ class Check(NamedTuple):
     reads: tuple[str, ...]
     readers: tuple[str, ...] = ()   # the readers of the row pass whose facts it reports
 
-    def applies(self, ctx: FieldContext, by_default: bool = False) -> bool:
-        """Whether the check runs at this order: every gate holds, leaving
-        out the ``default_only`` gates unless the selection is the default."""
-        return all(g.holds(ctx) for g in self.gates if by_default or not g.default_only)
+    def applies(self, ctx: FieldContext) -> bool:
+        """Whether the check runs at this order: every gate holds."""
+        return all(g.holds(ctx) for g in self.gates)
 
 
 SUITES = ("census", "maps", "figueroa")     # in report order
@@ -102,7 +104,7 @@ SUITES = ("census", "maps", "figueroa")     # in report order
 _TABLE: dict[str, list[Check]] = {suite: [] for suite in SUITES}
 
 # the Session stages a check may read, in the order ``run_checks`` builds them
-STAGES = ("tables", "classes", "census", "fixed_census", "fig_structure")
+STAGES = ("tables", "classes", "census", "fixed_census")
 
 EVEN_Q = Gate(lambda ctx: ctx.q % 2 == 0, "the even-order structure check needs q even")
 SUITE_GATES = {"figueroa": (fg.FIGUEROA,)}    # every check of the suite needs them
@@ -114,10 +116,11 @@ def row_work(ctx: FieldContext) -> int:
     return (ctx.q3 * ctx.q3 + ctx.q3 + 1) * (ctx.q3 + 1)
 
 
-FIG_ROWS = Gate(lambda ctx: row_work(ctx) < ROW_WORK,
-                lambda ctx: f"a pass over the FIG rows reads {row_work(ctx):.3g} entries at "
-                            f"q = {ctx.q}, over the default bound of {ROW_WORK:.0e}",
-                default_only=True)
+def over_row_bound(ctx: FieldContext) -> str | None:
+    """Why the default leaves out the FIG row checks at this order; None under the bound."""
+    work = row_work(ctx)
+    return (f"a pass over the FIG rows reads {work:.3g} entries at q = {ctx.q}, "
+            f"over the default bound of {ROW_WORK:.0e}") if work >= ROW_WORK else None
 
 
 def check(suite: str, group: str | None = None, gates: tuple[Gate, ...] = (),
@@ -126,10 +129,10 @@ def check(suite: str, group: str | None = None, gates: tuple[Gate, ...] = (),
     report order, under its suite (census, maps or figueroa), its
     ``--check`` group (by default the suite), the gates, those of its
     suite first, that must hold at an order for it to run there, and the
-    ``STAGES`` it reads, ``tables`` also for the plane's tables.  The
-    build and axioms checks, which pass over every FIG or PG row, carry
-    ``FIG_ROWS``, read ``fig_structure`` and name in ``readers`` the row
-    readers whose facts they report (``Session.row_facts``);
+    ``STAGES`` it reads, ``tables`` also for the plane's tables.  A check
+    that passes over every FIG or PG row names in ``readers`` the row
+    readers whose facts it reports (``Session.row_facts``), and that is
+    all that marks it: ``selected`` and the memory guard read it.
     ``run_checks`` walks the rows once for all the readers it selects that
     the Session lacks, and times the walk on its own, as ``row_pass``."""
     def register(fn):
@@ -160,8 +163,7 @@ def refusal(ctx: FieldContext, suite: str, group: str | None = None) -> str | No
     picked = [c for c in suite_checks(suite) if group in (None, c.group)]
     if any(c.applies(ctx) for c in picked):
         return None
-    gate = next(g for c in picked for g in c.gates
-                if not g.default_only and not g.holds(ctx))
+    gate = next(g for c in picked for g in c.gates if not g.holds(ctx))
     return f"{gate.reason} (got q = {ctx.q})"
 
 
@@ -174,9 +176,12 @@ def selected(ctx: FieldContext, suite: str, group: str | None = None,
              by_default: bool = False) -> list[Check]:
     """The checks of the suite (or of one of its groups) that apply at
     this order, in table order; ``by_default`` for the default selection,
-    which the ``default_only`` gates bind too."""
-    return [c for c in suite_checks(suite)
-            if group in (None, c.group) and c.applies(ctx, by_default)]
+    which, over the row bound (``over_row_bound``), also leaves out every
+    group holding a check that names a row reader."""
+    table = suite_checks(suite)
+    bound = {c.group for c in table if c.readers} if by_default and over_row_bound(ctx) else ()
+    return [c for c in table
+            if group in (None, c.group) and c.group not in bound and c.applies(ctx)]
 
 
 def run_checks(sess: Session, suite: str, group: str | None = None,

@@ -12,7 +12,7 @@ import pytest
 from figplane.arrays import KernelError
 from figplane.cli import main
 from figplane.collineation import OrbitInconsistency
-from figplane.field import table_bytes
+from figplane.field import order_of, table_bytes
 from figplane.figueroa import FIGUEROA
 from figplane.plane import GeometryError
 from figplane.report import Report, entry
@@ -154,6 +154,42 @@ def test_verify_all_runs_every_suite_at_q9(monkeypatch, capsys):
     _stub_suites(monkeypatch, [])
     code, out = run_cli(["verify", "--q", "9", "--suite", "all", "--format", "json"], capsys)
     assert code == 0 and "note" not in json.loads(out)["header"]
+
+
+class _RowFacts(_Unbuilt):
+    """A Session that builds nothing and records the row readers asked of it."""
+
+    def row_facts(self, *readers):
+        self.readers = readers
+        return {}
+
+
+def test_a_check_naming_a_row_reader_falls_under_the_default_bound(monkeypatch, capsys):
+    """Naming a row reader is all it takes to fall under the default bound.
+    A probe in the figueroa table, in a group of its own that names the
+    ``axioms`` reader and carries no gate of its own: at q = 11 the default
+    leaves out its group and names it in the note, naming the group runs
+    it after the row pass of its reader, and at q = 9, under the bound,
+    the default keeps it."""
+    from figplane import suites
+    ran = []     # the row readers the Session held when the probe ran
+
+    def probe(sess):
+        ran.append(getattr(sess, "readers", None))
+        return entry("fig.probe", "the probe ran", True, {}, [])
+    monkeypatch.setitem(suites._TABLE, "figueroa", list(suites.suite_checks("figueroa")))
+    suites.check("figueroa", "probe", readers=("axioms",))(probe)
+    assert "probe" not in {c.group for c in selected(order_of(11), "figueroa", by_default=True)}
+    assert "probe" in {c.group for c in selected(order_of(9), "figueroa", by_default=True)}
+    monkeypatch.setattr("figplane.cli.Session", _RowFacts)
+    code, out = run_cli(["figueroa", "--q", "11", "--check", "probe", "--format", "json"],
+                        capsys)
+    assert code == 0 and [c["id"] for c in json.loads(out)["checks"]] == ["fig.probe"]
+    assert ran == [("axioms",)]
+    _stub_suites(monkeypatch, [])
+    code, out = run_cli(["verify", "--q", "11", "--suite", "all", "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["header"]["note"] == NOTE_Q11.replace("axioms", "axioms and probe", 1)
 
 
 def test_verify_all_runs_every_suite_at_q8(monkeypatch, capsys):
@@ -327,14 +363,14 @@ def test_csv_report_rows_have_three_fields(q, capsys):
 
 
 def test_timings_list_the_stages_of_the_build_group_once(capsys):
-    """The build group reads the point tables, the FIG structure and its
-    row pass: --timings lists each once, under their own key and in stage
-    order, and a time for every check."""
+    """The build group reads the point tables and the row pass, which
+    builds the FIG structure: --timings lists each once, under their own
+    key and in stage order, and a time for every check."""
     code, out = run_cli(["figueroa", "--q", "4", "--check", "build", "--format", "json",
                          "--timings"], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert [s["id"] for s in doc["stages"]] == ["tables", "fig_structure", "row_pass"]
+    assert [s["id"] for s in doc["stages"]] == ["tables", "row_pass"]
     assert [c["id"] for c in doc["checks"]] == ["fig.block", "fig.block-sizes", "fig.build"]
     assert all(t["elapsed_ms"] >= 0 for t in doc["stages"] + doc["checks"])
 
@@ -534,6 +570,22 @@ def test_fig_checks_at_q11_pass_the_memory_guard(capsys, monkeypatch):
                     ["verify", "--suite", "maps"]):
         with pytest.raises(SessionBuilt):
             main(command + ["--q", "11"])
+
+
+def test_default_at_q11_gets_past_the_guard_without_the_fig_tables(capsys, monkeypatch):
+    """With physical memory between the q = 11 estimates without and with
+    the FIG row tables, verify --q 11 gets past the guard, since the
+    default selects no check that names a row reader, and naming the
+    figueroa suite is refused with the larger estimate."""
+    monkeypatch.setattr("figplane.cli.Session", _no_session)
+    have = (table_bytes(11) + table_bytes(11, fig=True)) // 2
+    monkeypatch.setattr("figplane.cli.physical_memory", lambda: have)
+    with pytest.raises(SessionBuilt):
+        main(["verify", "--q", "11"])
+    assert main(["verify", "--q", "11", "--suite", "figueroa"]) == 2
+    assert capsys.readouterr().err == (
+        f"figplane: q = 11 needs about {table_bytes(11, fig=True) / 1e9:.3g} GB for its "
+        f"tables, more than the {have / 1e9:.3g} GB of physical memory\n")
 
 
 def test_oversized_order_refused_before_the_field_is_built(capsys, monkeypatch):

@@ -7,11 +7,11 @@ The golden reports are the output of
     figplane verify --q Q --suite all --format json --seed 1
 
 at q = 3, 4 and 5, kept under ``tests/data``; they pin every entry, its
-counts and the report order.  At q = 7, 8, 11 and 13 the same report is
-pinned by its sha256 digest, in a test marked slow, and at q = 11 the text
-report too, which prints the note of the default skip.  q = 5 is the least
-order with q = 1 mod 4, where ``fig.projection-anchor`` takes its other
-odd-q size.  The maps and
+counts and the report order.  At q = 7, 8, 11 and 13 the same report, at
+the default seed, is pinned by its sha256 digest, in a test marked slow,
+and at q = 11 the text report too, which prints the note of the default
+skip.  q = 5 is the least order with q = 1 mod 4, where
+``fig.projection-anchor`` takes its other odd-q size.  The maps and
 census suites have goldens at q = 7 too, the least order whose n-entry
 scans take more than one chunk of ``arrays.CHUNK``.  The q = 3 report in
 text and csv, and the census csv table at q = 3 and 4, have goldens of
@@ -47,7 +47,7 @@ from figplane.suite_maps import (block_incidence_twist, club_images, collineatio
                                  projection_vs_splash, rejects_fixed_objects, t_plane_images,
                                  vertices_census)
 from figplane.figueroa import IncidencePlane
-from figplane.suites import (CHECKS, FIG_ROWS, STAGES, Session, check_groups, figueroa_checks,
+from figplane.suites import (CHECKS, STAGES, Session, check_groups, figueroa_checks,
                              maps_checks, run_checks)
 
 from conftest import HeldRows, held
@@ -86,10 +86,7 @@ class _Declared(Session):
         else:
             self.plane = _BlindPlane(full.ctx)
         for name in reads:
-            held_stage = getattr(full, name)
-            if name == "fig_structure":
-                held_stage = replace(held_stage, plane=self.plane)
-            setattr(self, name, held_stage)
+            setattr(self, name, getattr(full, name))
 
     def __getattribute__(self, name):
         if name in STAGES and name not in super().__getattribute__("reads"):
@@ -101,10 +98,9 @@ class _Declared(Session):
 def test_checks_read_only_the_stages_they_declare(q):
     """Every check passes against a Session whose declared stages are
     prebuilt and which raises on any other, so ``run_checks`` builds what
-    each selection reads before its checks.  ``FIG_ROWS``, which the default
-    skip reads, marks exactly the build and axioms groups, which hold every
-    check that reads the FIG structure or its build pass, whose lookup
-    tables the memory guard counts."""
+    each selection reads before its checks.  The checks that name row
+    readers, which the default bound and the memory guard read, are all in
+    the build and axioms groups."""
     full = Session(build_field_tower(*{3: (3, 1), 4: (2, 2)}[q]))
     for name in STAGES:
         getattr(full, name)
@@ -112,9 +108,8 @@ def test_checks_read_only_the_stages_they_declare(q):
         assert set(c.reads) <= set(STAGES), c.run
         if c.applies(full.ctx):
             assert c.run(_Declared(full, c.reads)).passed, c.run
-        gated = FIG_ROWS in c.gates
-        assert gated == (c.suite == "figueroa" and c.group in ("build", "axioms")), c.run
-        assert gated or "fig_structure" not in c.reads, c.run
+        assert not c.readers or (c.suite, c.group) in {("figueroa", "build"),
+                                                       ("figueroa", "axioms")}, c.run
 
 
 @pytest.mark.slow
