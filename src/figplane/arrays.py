@@ -47,9 +47,12 @@ r2 = (b^q^2, c^q^2, 1), each the collineation image of the row before, and
   tau.  Each is a ``Collineation``, the images of every point and of
   every line, made by ``_projectivity`` from its 3 x 3 code matrix: the
   points by the matrix, the lines by its cofactor matrix, both in chunks
-  of ``CHUNK`` objects at coordinates derived from the index.  The row
-  pass reads them: the walk of every FIG pass follows tau's line table,
-  and the axiom readers check invariance under both.
+  of ``CHUNK`` objects at coordinates derived from the index.  The FIG
+  checks read them: ``Collineation.premises`` states, as table facts,
+  when a collineation maps FIG blocks to blocks, ``orbit_minima`` finds
+  the least member of each <tau, d> orbit, the walk of every FIG row
+  pass follows tau's line table, and the axiom readers check invariance
+  under both.
 
 The q^3 + 1 points with x = 0 take the same forms specialised: (0, 1, c)
 has det = 1 + N(c), is never Type I, and has phi = (1, 0, c^-q) and
@@ -74,10 +77,11 @@ rows of q^3 + 1 sorted point indices of any lines from their closed form
 when they are asked for; since a point lies on line l exactly when l lies
 on the point read as a line, row i is equally the lines through point i.
 ``PlaneTables.fig_rows`` assembles the blocks of FIG(q^3) that replace any
-lines from those rows and two n-entry lookup tables derived from the type
-and involution tables, and gives them with the rows they came from; it is
-the only code that assembles a block, and no table holds the blocks: every
-reader of FIG makes its rows when it reads them.
+lines from those rows and the type and involution tables, through two
+n-entry lookup tables once a pass over every row has built them, and
+gives them with the rows they came from; it is the only code that
+assembles a block, and no table holds the blocks: every reader of FIG
+makes its rows when it reads them.
 ``PlaneTables.project`` classifies the projection images of a batch of
 vertices, each from its own coordinates, ``PlaneTables.vertex_kinds``
 classifies the points as vertices for an orbit subplane by projecting
@@ -97,7 +101,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import FieldContext
-from .plane import GeometryError, format_line
+from .plane import GeometryError, format_line, format_point
 
 # Objects per chunk of a table build, and (vertex, subplane point) pairs
 # per chunk of a projection; bounds the size of every temporary array.
@@ -136,12 +140,132 @@ def fixed_points(table: np.ndarray) -> np.ndarray:
                            for s in chunks(len(table))])
 
 
+def first_fault(test, stop: int) -> int | None:
+    """The least index i < stop that ``test`` marks, given each chunk
+    slice s of [0, stop) in turn and returning a mask over it; None when
+    it marks none."""
+    for s in chunks(stop):
+        bad = test(s)
+        if bad.any():
+            return s.start + int(np.argmax(bad))
+    return None
+
+
+class Bits:
+    """A set of indices in [0, n), one bit each: n / 8 bytes, where a mask
+    would take n, for the scans that must remember every index they met."""
+
+    def __init__(self, n: int):
+        self.bytes = np.zeros((n + 7) >> 3, dtype=np.uint8)
+
+    def has(self, i: np.ndarray) -> np.ndarray:
+        """Whether each index of the array i is a member."""
+        return (self.bytes[i >> 3] >> (i & 7) & 1).astype(bool)
+
+    def add(self, i: np.ndarray) -> None:
+        np.bitwise_or.at(self.bytes, i >> 3, np.left_shift(1, i & 7).astype(np.uint8))
+
+    def mask(self, s: slice) -> np.ndarray:
+        """Membership of every index of the chunk s, whose start is a
+        multiple of 8, as a mask over it."""
+        bits = np.unpackbits(self.bytes[s.start >> 3:(s.stop + 7) >> 3], bitorder="little")
+        return bits[:s.stop - s.start].view(bool)
+
+
+def orbit_minima(generators) -> np.ndarray:
+    """The least index of each orbit of the group that the permutation
+    tables ``generators`` generate, in increasing order.  From the least
+    index not reached yet, its orbit is closed under the tables by a work
+    list: sweeps over the chunks of ``CHUNK`` indices take the pending
+    indices of each chunk and mark their images not reached yet as reached
+    and pending, until none is pending.  Two sets of ``Bits`` are held, the
+    indices reached and those pending, and neither a label per index nor
+    the pending indices."""
+    n = len(generators[0])
+    reached, pending = Bits(n), Bits(n)
+    minima = []
+    while (start := first_fault(lambda s: ~reached.mask(s), n)) is not None:
+        minima.append(start)
+        reached.add(np.array([start]))
+        pending.add(np.array([start]))
+        while pending.bytes.any():
+            for s in chunks(n):
+                met = np.flatnonzero(pending.mask(s)) + s.start
+                pending.bytes[s.start >> 3:(s.stop + 7) >> 3] = 0
+                for g in generators:
+                    image = g[met]
+                    image = image[~reached.has(image)]
+                    reached.add(image)
+                    pending.add(image)
+    return np.asarray(minima, dtype=np.int32)
+
+
 class Collineation(NamedTuple):
     """A collineation by two read-only permutation tables over the dense
     indices: the image of every point, and the image of every line, the
     line through the images of its points."""
     points: np.ndarray
     lines: np.ndarray
+
+    def premises(self, tables: PlaneTables, kept=()) -> list[str]:
+        """The table facts under which the collineation maps each block of
+        the closed-form FIG that keeps the Type III lines ``kept`` to the
+        block of the image line: both tables are permutations of [0, n);
+        both preserve the types; on Type III objects they commute with the
+        involution mu, mu[points[P]] == lines[mu[P]] and mu[lines[L]] ==
+        points[mu[L]]; and the line table maps ``kept`` onto itself.  One
+        witness for each fact that fails, at its least failing object, in
+        that order; none when all hold.  Each table is read a chunk of
+        ``CHUNK`` objects at a time, beside one set of ``Bits``."""
+        n, types, mu = tables.size, tables.types, tables.mu
+        parts = {"point": ("line", self.points, self.lines),
+                 "line": ("point", self.lines, self.points)}
+        if self.lines is self.points:   # lines map by the point formula: one check for both
+            del parts["line"]
+        out, inside, reached = [], True, Bits(n)
+        for part, (other, g, h) in parts.items():
+            i = first_fault(lambda s: (g[s] < 0) | (g[s] >= n), n)
+            if i is not None:
+                out.append(f"the {part} table sends {tables.label(i, part)} to {g[i]}, "
+                           f"outside [0, {n})")
+                inside = False
+                continue
+            reached.bytes.fill(0)
+
+            def repeated(s):
+                image = g[s]
+                again = reached.has(image)
+                ordered = np.sort(image)
+                if np.any(ordered[1:] == ordered[:-1]):     # mark those after an equal one
+                    order = np.argsort(image, kind="stable")
+                    again[order[1:]] |= image[order[1:]] == image[order[:-1]]
+                reached.add(image)
+                return again
+            i = first_fault(repeated, n)
+            if i is not None:
+                j = int(np.argmax(g[:i] == g[i]))
+                out.append(f"the {part} table sends {tables.label(j, part)} and "
+                           f"{tables.label(i, part)} to one {part}, {tables.label(g[i], part)}")
+            i = first_fault(lambda s: types[g[s]] != types[s], n)
+            if i is not None:
+                out.append(f"{part} {tables.label(i, part)} of Type {'I' * int(types[i])} goes to "
+                           f"{tables.label(g[i], part)} of Type {'I' * int(types[g[i]])}")
+        for part, (other, g, h) in parts.items() if inside else ():
+            def moved(s):
+                m = mu[s]
+                fine = (m >= 0) & (m < n)
+                return (types[s] == 3) & (~fine | (mu[g[s]] != h[np.where(fine, m, 0)]))
+            i = first_fault(moved, n)
+            if i is not None:
+                out.append(f"mu does not commute with it at the Type III {part} "
+                           f"{tables.label(i, part)}: mu of its image is "
+                           f"{tables.label(mu[g[i]], other)}, the image of its mu "
+                           f"{tables.label(h[mu[i]], other) if 0 <= mu[i] < n else mu[i]}")
+        left = sorted(L for L in kept if int(self.lines[L]) not in kept)
+        if left:
+            out.append(f"the kept line {tables.label(left[0], 'line')} goes to "
+                       f"{tables.label(self.lines[left[0]], 'line')}, which is not kept")
+        return out
 
 
 class KernelError(RuntimeError):
@@ -266,6 +390,15 @@ class PlaneTables:
         self.ctx = ctx
         self.size = size
         self.field = FieldArrays(ctx)
+
+    def label(self, i, part: str = "point") -> str:
+        """The point (or, with ``part`` "line", the line) of index i as
+        ``format_point`` (``format_line``) writes it; an index outside
+        [0, n) as itself."""
+        if not 0 <= i < self.size:
+            return str(i)
+        triple = tuple(int(c[0]) for c in self.field.coords([i]))
+        return format_line(triple) if part == "line" else format_point(triple)
 
     def _orbit_det(self, x, y, z):
         """det(M) and r0 x r1 for the point orbit matrix M of each (x, y, z),
@@ -496,9 +629,10 @@ class PlaneTables:
                 np.where(np.take(types, M) == 3, np.take(self.mu, M), n))
 
     @cached_property
-    def _fig_lookup(self) -> tuple[np.ndarray, np.ndarray]:
+    def fig_lookup(self) -> tuple[np.ndarray, np.ndarray]:
         """E and F of ``_fig_parts`` at every index: two n-entry int32 lookup
-        tables, so that a part is one gather."""
+        tables, so that a part is one gather.  A pass over every FIG row
+        builds them; ``fig_rows`` gathers from them once they are built."""
         every = np.arange(self.size, dtype=np.int32)
         return tuple(_frozen(t) for t in self._fig_parts(every, every))
 
@@ -512,12 +646,13 @@ class PlaneTables:
         line in ``kept``, which a mutated FIG puts back.  Any other Type III
         line L is replaced by the block of its involution image A = mu[L]:
         the Type II points of L (the E part) together with mu[M] for the
-        Type III lines M through A (the F part).  Both parts are gathered from the lookup
-        tables of ``_fig_lookup`` into one 2k-wide row per block, whose sort
-        puts the sentinels last; the block is its first k columns.  A read of
-        one row computes its parts directly and leaves the tables unbuilt.
-        A block of the wrong size, one whose column k - 1 is a sentinel or
-        whose column k is not, raises ``GeometryError``.
+        Type III lines M through A (the F part).  Both parts go into one
+        2k-wide row per block, whose sort puts the sentinels last; the block
+        is its first k columns.  The parts are gathered from the lookup
+        tables ``fig_lookup`` once a pass over every row has built them, and
+        computed from the type and involution tables before that.  A block
+        of the wrong size, one whose column k - 1 is a sentinel or whose
+        column k is not, raises ``GeometryError``.
         """
         n, k = self.size, self.ctx.q3 + 1
         L = np.asarray(L)
@@ -526,8 +661,8 @@ class PlaneTables:
         if kept:
             new &= ~np.isin(L, kept)
         through = self.incidence_rows(np.take(self.mu, L[new]))
-        if len(L) > 1 or "_fig_lookup" in self.__dict__:
-            E, F = self._fig_lookup
+        if "fig_lookup" in self.__dict__:
+            E, F = self.fig_lookup
             members = np.concatenate((np.take(E, rows[new]), np.take(F, through)), axis=1)
         else:
             members = np.concatenate(self._fig_parts(rows[new], through), axis=1)
@@ -535,8 +670,7 @@ class PlaneTables:
         wrong = (members[:, k - 1] == n) | (members[:, k] != n)
         if wrong.any():
             j = int(np.argmax(wrong))
-            line = tuple(int(v[0]) for v in self.field.coords(L[new][j:j + 1]))
-            raise GeometryError(f"block replacing line {format_line(line)} has "
+            raise GeometryError(f"block replacing line {self.label(L[new][j], 'line')} has "
                                 f"{np.count_nonzero(members[j] < n)} points, not {k}")
         out = np.empty_like(rows)     # the kept rows, then the blocks: no full copy
         np.copyto(out, rows, where=~new[:, None])

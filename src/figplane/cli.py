@@ -14,23 +14,26 @@ runner.  What runs at an order q is read from the check table in
 figplane.suites: each check carries the gates on q it needs, and a
 requested suite or --check group none of whose checks runs at q is
 refused with the reason of the gate that fails.  The default selection,
-verify --suite all, also leaves out the checks that pass over every FIG
-row once a pass reads 10^9 entries (from q = 11), and its report notes
-it; naming their suite or group runs them.  Every check is exhaustive;
---seed is only recorded in the report header.
+verify --suite all, shows FIG(q^3) a plane from table premises and the
+rows at one point of each orbit of a group that preserves it (mode
+equivariant), and leaves out the checks that pass over every FIG row,
+their exhaustive controls: naming --suite figueroa or --check axioms
+runs them.  No check samples; --seed is only recorded in the report
+header.
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 a refused command
 (q not a prime power, a failing gate, bulk tables estimated larger than
-the host's physical memory, counting the torus, Dickson and FIG row
-lookup tables when a selected check reads the FIG structure or its row
-pass or when --emit-plane is set, an --emit-plane file that cannot be
-written, a --theta out of range; all refused before any check runs, and
-all from q alone, before the field tower is built)
+the host's physical memory, counting the torus and Dickson tables when
+a selected check reads them and the FIG row lookup tables when one
+passes over every FIG row or --emit-plane is set, an --emit-plane file
+that cannot be written, a --theta out of range; all refused before any
+check runs, and all from q alone, before the field tower is built)
 or a geometry or kernel error during a run, reported as one
 "figplane: ..." line.  Output is byte-identical across runs with the
 same configuration; pass --timings to include (nondeterministic) timings
 of each check and, apart, of each shared stage built for them, once and
-before them, such as the one FIG row pass of the build and axioms checks.
+before them, such as the premises of the FIG checks or the one FIG row
+pass of the named row checks.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from .field import FieldError, context_for_q, order_of, table_bytes
 from .plane import GeometryError, format_point
 from .report import Report, TOOL_NAME, TOOL_VERSION
 from .suites import (SUITES, Session, census_checks, check_groups, figueroa_checks,
-                     maps_checks, over_row_bound, refusal, selected)
+                     maps_checks, refusal, selected)
 
 USAGE_ERROR = 2
 
@@ -178,7 +181,7 @@ def run_report(args) -> int:
     group = getattr(args, "check", None)
     emit = getattr(args, "emit_plane", None)
     suites = SUITES if suite == "all" else (suite,)
-    by_default = suite == "all"   # the default selection; what is named runs past its bound
+    by_default = suite == "all"   # the default selection; naming runs the row checks too
     if suite != "all" and (reason := refusal(order, suite, group)):
         raise UsageError(reason)
     if emit:    # the file is the FIG that the figueroa suite streams
@@ -186,12 +189,12 @@ def run_report(args) -> int:
             raise UsageError(reason)
         _require_writable(emit)
     picked = [c for name in suites for c in selected(order, name, group, by_default)]
-    fig = bool(emit) or any(c.readers for c in picked)
-    need, have = table_bytes(order.q, fig), physical_memory()
+    fig = any(c.readers or "equivariance" in c.reads for c in picked)
+    rows = bool(emit) or any(c.readers for c in picked)
+    need, have = table_bytes(order.q, fig, rows), physical_memory()
     if need > have:     # fail fast, not out of memory part-way
         raise UsageError(f"q = {order.q} needs about {need / 1e9:.3g} GB for its tables, "
                          f"more than the {have / 1e9:.3g} GB of physical memory")
-    skipped = [c for name in suites for c in selected(order, name, group) if c not in picked]
     ctx = context_for_q(args.q)
     sess = Session(ctx)
     entries = []
@@ -201,10 +204,6 @@ def run_report(args) -> int:
                   "figueroa": figueroa_checks}[name]
         entries.extend(checks(sess, group) if group else checks(sess, by_default=by_default))
     header = _header(ctx, args, {"check": group} if group else {"suite": suite})
-    if skipped:     # what the default left out, and why
-        groups = " and ".join(dict.fromkeys(c.group for c in skipped))
-        header["note"] = (f"{groups} checks skipped by default: {over_row_bound(order)}; "
-                          "name them with --suite or --check")
     report = Report(header, entries, sess.elapsed_ms)
     if args.command == "census" and args.format == "csv":
         sys.stdout.write(_census_csv(sess))

@@ -335,41 +335,39 @@ def _validate_params(p: int, k: int) -> None:
                          f"over the table bound {MAX_ELEMENTS}")
 
 
-def table_bytes(q: int, fig: bool = False) -> int:
+def table_bytes(q: int, fig: bool = False, rows: bool = False) -> int:
     """Estimated bytes of the bulk tables one run at order q holds, from q
     alone: the two q^3 x q^3 uint16 lookup tables of ``FieldArrays``,
     4 q^6 bytes, and 13 bytes for each of the n = q^6 + q^3 + 1 points of
     the ``PlaneTables`` entries every census and maps run holds, one int8
     type and three int32 tables (mu, phi and orbit).  With ``fig``, for a
-    run that streams the rows of the Figueroa plane, because a selected
-    check names a row reader or the plane is emitted, add 24 bytes a
-    point: the tables that the row pass builds, the point and line tables
-    of the torus and Dickson collineations (``PlaneTables.tau`` and
-    ``PlaneTables.dickson``) and the two int32 lookup tables the rows are
-    gathered from; no run holds the rows themselves.
+    run whose checks read the torus and Dickson collineations, the FIG
+    checks, add 16 bytes a point: their point and line tables
+    (``PlaneTables.tau`` and ``PlaneTables.dickson``).  With ``rows``, for
+    a run that passes over every FIG row, because a selected check names a
+    row reader or the plane is emitted, add 8 more: the two int32 lookup
+    tables the rows are gathered from (``PlaneTables.fig_lookup``); no run
+    holds the rows themselves.
     The estimate counts held tables only: every table build and n-entry
-    scan keeps its temporaries to one chunk (``arrays.CHUNK``), and what
-    only subsets read, the secants and the orbit members, is made from
-    closed forms when it is read."""
+    scan keeps its temporaries to one chunk (``arrays.CHUNK``) and at most
+    two sets of n bits (``arrays.Bits``), and what only subsets read, the
+    secants and the orbit members, is made from closed forms when it is
+    read."""
     q3 = q ** 3
     n = q3 * q3 + q3 + 1
-    return 4 * q3 * q3 + (37 if fig else 13) * n
+    return 4 * q3 * q3 + (13 + 16 * fig + 8 * rows) * n
 
 
 class Order(NamedTuple):
     """A prime power q = p^k, factored and checked against the table bound
     without building its field tower.  Gates and the memory guard read its
-    ``q`` and ``q3`` as they read those of a ``FieldContext``."""
+    ``q`` as they read that of a ``FieldContext``."""
     p: int
     k: int
 
     @property
     def q(self) -> int:
         return self.p ** self.k
-
-    @property
-    def q3(self) -> int:
-        return self.q ** 3
 
 
 def order_of(q: int) -> Order:

@@ -7,15 +7,21 @@ For a Type III point A with involution image line m, the block of A is
 
 a set of q^3+1 points.  The Figueroa plane FIG(q^3) keeps every Type I
 and Type II line of PG(2,q^3) and replaces each Type III line m by the
-block anchored at the involution image of m.  ``check_axioms`` verifies
-exactly, at every order, that the resulting incidence structure is a
-projective plane: block sizes, point degrees, and one block through
-every pair of distinct points.  The construction reads only
-phi-equivariant data, so FIG is invariant under the centralizer of phi,
-the Dickson matrices, a copy of PGL(3, q).  The checker shows the
-structure invariant, row by row, under two of them, the torus shift tau
-and one Dickson matrix d, which together are transitive on each point
-type; so it counts pairs from three points only.
+block anchored at the involution image of m.  The construction reads
+only phi-equivariant data, so FIG is invariant under the centralizer of
+phi, the Dickson matrices, a copy of PGL(3, q); two of them, the torus
+shift tau and one Dickson matrix d, are together transitive on each point
+type.  Two ways show that FIG(q^3) is a projective plane, both exact at
+every order: block sizes, point degrees, and one block through every
+pair of distinct points.
+
+* ``equivariance``, ``cover_faults`` and ``rep_faults``, mode
+  equivariant, for the closed-form FIG: table premises under which tau
+  and d map blocks to blocks (``Collineation.premises``), then the rows
+  at one point and one line of each <tau, d> orbit alone;
+* ``check_axioms``, the exhaustive control for any row source: it shows
+  the structure invariant row by row under tau and d, then counts pairs
+  from three points only.
 
 Every block is made by ``PlaneTables.fig_rows``, which gives the rows of
 the FIG (``build_fig_plane``) and the block of one anchor (``anchor_block``);
@@ -25,23 +31,24 @@ An ``IncidencePlane`` is a row source that holds no rows: every reader
 takes blocks through ``rows(L)`` in chunks, and the rows are made when
 they are read.  PG (``pg_incidence``), FIG (``build_fig_plane``) and a
 mutated FIG are one source, which differ only in the Type III lines they
-keep: every one, none, or one.  The build and axiom checks read the rows
-in one walk (``figplane.row_pass``), which makes a FIG row once for all
-of them: as itself, with the line it replaces, and once more as a
-Dickson image.
+keep: every one, none, or one.  The row controls read the rows in one
+walk (``figplane.row_pass``), which makes a FIG row once for all of
+them: as itself, with the line it replaces, and once more as a Dickson
+image.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import chunks, span
+from .arrays import Bits, Collineation, PlaneTables, chunks, orbit_minima, span
 from .field import FieldContext, Gate
 from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                     ProjectivePlane, Triple, format_point, incident, points_on_line)
-from .collineation import TYPE_II, TYPE_III, collineate_point, line_type, point_type
+from .collineation import TYPE_I, TYPE_II, TYPE_III, collineate_point, line_type, point_type
 from .linear_sets import sls_points, t_plane
 from .maps import (TypeRestrictionError, conjugate_join, conjugate_meet,
                    project_from_anchor)
@@ -63,6 +70,9 @@ def anchor_parts(plane: ProjectivePlane) -> tuple[np.ndarray, np.ndarray]:
     block = anchor_block(plane, ANCHOR)
     kind = plane.tables.types[block]
     return block[kind == TYPE_II], block[kind == TYPE_III]
+
+
+MAX_WITNESSES = 5      # witnesses a FIG plane check reports at most
 
 
 def fig_incident(ctx: FieldContext, P: Triple, L: Triple) -> bool:
@@ -127,6 +137,144 @@ def pg_incidence(plane: ProjectivePlane) -> IncidencePlane:
 
 FIGUEROA = Gate(lambda ctx: ctx.q > 2,
                 "the Figueroa construction needs q a prime power, q > 2")
+
+
+def good_blocks(tables: PlaneTables, blocks: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Which rows of ``blocks``, rows that replace Type III lines, with
+    ``inside`` marking those whose entries are all in [0, n), have the
+    block facts: strictly increasing, with q^2 + q + 1 Type II points, its
+    E part, and no Type I point."""
+    kinds = tables.types[blocks if inside.all() else np.clip(blocks, 0, tables.size - 1)]
+    return (inside & (blocks[:, 1:] > blocks[:, :-1]).all(axis=1)
+            & (np.count_nonzero(kinds == TYPE_II, axis=1) == tables.ctx.sub_order)
+            & (kinds != TYPE_I).all(axis=1))
+
+
+def line_blocks(tables: PlaneTables, blocks: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Which rows of ``blocks``, with ``inside`` as for ``good_blocks``, are
+    lines.  A k-set is a line exactly when it is the incidence row of the
+    join of its first two points, so only the rows whose first three points
+    are collinear are compared with a line's row."""
+    F, out = tables.field, np.zeros(len(blocks), dtype=bool)
+    maybe = np.flatnonzero((blocks[:, 0] != blocks[:, 1]) & inside)
+    rows = blocks[maybe]
+    join = F.cross(F.coords(rows[:, 0]), F.coords(rows[:, 1]))
+    line = F.dot(join, F.coords(rows[:, 2])) == 0    # first three points collinear
+    joins = F.index(*F.canonical(*(c[line] for c in join)))
+    out[maybe[line]] = (tables.incidence_rows(joins) == rows[line]).all(axis=1)
+    return out
+
+
+class Equivariance(NamedTuple):
+    """What the equivariant FIG checks read besides the rows at the
+    representatives: the witnesses of ``Collineation.premises`` of phi, tau
+    and the Dickson matrix d, by name, and the least point and the least
+    line of each orbit of G = <tau, d>, found only when the premises of tau
+    and d hold."""
+    premises: dict[str, list[str]]
+    points: np.ndarray
+    lines: np.ndarray
+
+    def witnesses(self, *names: str) -> list[str]:
+        """The premise witnesses of the maps ``names``, each named."""
+        return [f"{name}: {w}" for name in names for w in self.premises[name]]
+
+
+def equivariance(tables: PlaneTables, kept=()) -> Equivariance:
+    """The premises of phi, tau and d for the closed-form FIG that keeps
+    the Type III lines ``kept``, and the G-orbit representatives.
+
+    The lemma: a map g with permutation tables that preserve incidence and
+    the types, commute with mu on Type III objects and fix the kept set
+    maps the block of every line L to the block of g.lines[L], since a
+    block is made from types, mu and incidence alone (``fig_rows``).  Then
+    g preserves the number of blocks through any points, so the facts read
+    at one point or line of each G-orbit hold at all.  The premises are
+    table facts; that tau and d preserve incidence comes from their
+    matrices (their line tables are the cofactor action), and that phi
+    does from its semilinear formula, and is not computed."""
+    maps = {"phi": Collineation(tables.phi, tables.phi), "tau": tables.tau,
+            "dickson": tables.dickson}
+    premises = {name: g.premises(tables, kept) for name, g in maps.items()}
+    if premises["tau"] or premises["dickson"]:
+        none = np.zeros(0, dtype=np.int32)
+        return Equivariance(premises, none, none)
+    G = (tables.tau, tables.dickson)
+    return Equivariance(premises, orbit_minima([g.points for g in G]),
+                        orbit_minima([g.lines for g in G]))
+
+
+def blocks_through(tables: PlaneTables, P: int, kept=()) -> np.ndarray:
+    """The sorted lines whose blocks hold the point P in the FIG that keeps
+    the Type III lines ``kept``, by the closed form of ``fig_incident``: a
+    kept line (Type I, II, or in ``kept``) through P; a replaced line
+    through P when P is Type II; and, when P is Type III, mu[M] for each
+    Type III point M on the line mu[P], unless it is kept."""
+    types, mu = tables.types, tables.mu
+    lines = tables.incidence_rows([P])[0]       # the lines through P
+    held = (types[lines] != TYPE_III) | (types[P] == TYPE_II)
+    if kept:
+        held |= np.isin(lines, kept)
+    through = lines[held]
+    if types[P] == TYPE_III:
+        on = tables.incidence_rows([mu[P]])[0]
+        far = mu[on[types[on] == TYPE_III]]
+        through = np.concatenate((through, far[~np.isin(far, kept)] if kept else far))
+    return np.sort(through)
+
+
+def cover_faults(tables: PlaneTables, P: int, kept=()) -> list[str]:
+    """Witnesses, at most ``MAX_WITNESSES``, that the blocks through the
+    point P (``blocks_through``) are not k distinct blocks that each hold P
+    and that together hold every other point once; none when they are.
+    Their rows are made ``CHUNK // k`` at a time, and the points met as
+    one set of ``Bits``: they cover every other point once exactly when no
+    point is met twice and n - 1 are met.  The witnesses are the blocks
+    that miss P, or else the points met twice, then those never met."""
+    n, k = tables.size, tables.ctx.q3 + 1
+    name = tables.label(P)
+    through = blocks_through(tables, P, kept)
+    if len(through) != k or np.any(through[1:] == through[:-1]):
+        return [f"the closed form puts point {name} in {len(through)} blocks, "
+                f"{len(set(through.tolist()))} distinct, not {k}"]
+    seen, met, miss, twice = Bits(n), 0, [], []
+    for s in chunks(k, k):
+        L = through[s]
+        rows = tables.fig_rows(L, kept)[0]
+        miss.extend(L[~(rows == P).any(axis=1)].tolist())
+        v = np.sort(rows[rows != P])
+        head = np.flatnonzero(np.diff(v, prepend=-1))       # the first of each run
+        again = (np.diff(np.append(head, v.size)) > 1) | seen.has(v[head])
+        twice.extend(v[head[again]].tolist())
+        met += np.count_nonzero(~seen.has(v[head]))
+        seen.add(v[head])
+    if miss:
+        return [f"block {tables.label(L, 'line')} of the closed form through {name} "
+                "does not hold it" for L in miss[:MAX_WITNESSES]]
+    out = [f"point pair {name} , {tables.label(Q)} lies in more than one block"
+           for Q in sorted(twice)[:MAX_WITNESSES]]
+    for s in chunks(n):
+        if len(out) == MAX_WITNESSES or met == n - 1:
+            break
+        never = np.flatnonzero(~seen.mask(s)) + s.start
+        out.extend(f"point pair {name} , {tables.label(Q)} lies in no block"
+                   for Q in never[never != P][:MAX_WITNESSES - len(out)])
+    return out
+
+
+def rep_faults(tables: PlaneTables, L: np.ndarray, kept=()) -> dict[str, np.ndarray]:
+    """The lines among L whose rows, in the closed form that keeps
+    ``kept``, break a build fact: ``block``, the replaced lines whose
+    blocks fail ``good_blocks``; ``line``, those whose blocks are lines;
+    and ``kept``, the kept lines whose rows are not their incidence rows."""
+    rows, lines = tables.fig_rows(L, kept)
+    new = tables.types[L] == TYPE_III
+    if kept:
+        new &= ~np.isin(L, kept)
+    blocks, inside = rows[new], np.ones(np.count_nonzero(new), dtype=bool)
+    return {"block": L[new][~good_blocks(tables, blocks, inside)],
+            "line": L[new][line_blocks(tables, blocks, inside)],
+            "kept": L[~new][(rows[~new] != lines[~new]).any(axis=1)]}
 
 
 def build_fig_plane(plane: ProjectivePlane) -> IncidencePlane:
@@ -287,8 +435,10 @@ def characterize_fig_points(plane: ProjectivePlane,
 def emit_plane(structure: IncidencePlane, path: str) -> None:
     """Write the incidence structure: header ``FIG <q^3> <npoints>``, then
     one block per line as space-separated point indices, read in chunks
-    of rows."""
+    of rows, gathered from the lookup tables, as a pass over every row."""
     q3 = structure.plane.ctx.q ** 3
+    if structure.kept is not None:
+        structure.plane.tables.fig_lookup
     with open(path, "w") as fh:
         fh.write(f"FIG {q3} {structure.size}\n")
         for L in chunks(structure.shape[0], q3 + 1):

@@ -75,8 +75,6 @@ class Report:
 
     def to_text(self, timings: bool = False) -> str:
         lines = [f"{TOOL_NAME} {TOOL_VERSION}  q={self.header.get('q')}"]
-        if self.header.get("note"):
-            lines.append(f"note: {self.header['note']}")
         if timings:
             lines.extend(f"STAGE {name}  [{ms:.0f} ms]" for name, ms in self.elapsed_ms.items())
         for e in self.entries:

@@ -1,16 +1,20 @@
 """The one walk over the rows of an incidence structure, and the readers
-it serves: the build checks of a FIG (``_BuildFacts``) and the axiom check
-(``figueroa.check_axioms``) of the structure, of the lines its blocks
-replace, PG, and of the structure with one block put back to its line.
+it serves: the build facts of a FIG row by row (``_BuildFacts``) and the
+axiom check (``figueroa.check_axioms``) of the structure, of the lines its
+blocks replace, PG, and of the structure with one block put back to its
+line.  These are the exhaustive controls of the equivariant FIG checks,
+which read rows at the G-orbit representatives alone; they run when a
+selection names them.
 
 ``read_rows`` walks the rows in chunks of whole orbits of phi and tau on
 the lines, so the phi and tau images of the rows a chunk makes are rows
 of the same chunk, and reads each chunk one way, whatever readers it
 serves: one ``IncidencePlane.rows_and_lines`` call gives a FIG's rows and
-the lines they replace.  When an axiom reader is named, one more call
-per chunk gives the rows of the Dickson images of its blocks.  Every map
-is an ``arrays.Collineation``, read by its point and its line table.
-Only a run that reads rows imports this module.
+the lines they replace, gathered from the lookup tables
+``PlaneTables.fig_lookup``, which the walk builds.  When an axiom reader
+is named, one more call per chunk gives the rows of the Dickson images of
+its blocks.  Every map is an ``arrays.Collineation``, read by its point
+and its line table.  Only a run that reads every row imports this module.
 """
 
 from __future__ import annotations
@@ -19,12 +23,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .arrays import CHUNK, Collineation, fixed_points
-from .collineation import TYPE_I, TYPE_II, TYPE_III
-from .figueroa import AxiomReport, IncidencePlane, mutated_line, pg_incidence
+from .arrays import CHUNK, Collineation, orbit_minima
+from .collineation import TYPE_III
+from .figueroa import (MAX_WITNESSES, AxiomReport, IncidencePlane, good_blocks, line_blocks,
+                       mutated_line, pg_incidence)
 from .plane import ProjectivePlane, format_line, format_point
-
-MAX_WITNESSES = 5      # witnesses an axiom check reports at most
 
 
 def orbit_labels(generators) -> np.ndarray:
@@ -42,12 +45,6 @@ def orbit_labels(generators) -> np.ndarray:
         if np.array_equal(least, label):
             return label
         label = least
-
-
-def orbit_minima(generators) -> np.ndarray:
-    """The least point of each orbit of the group the collineations
-    ``generators`` generate, in increasing order."""
-    return fixed_points(orbit_labels([g.points for g in generators]))
 
 
 def moved_rows(L: np.ndarray, rows: np.ndarray, g: np.ndarray,
@@ -130,15 +127,14 @@ class _Rows:
 
 
 class _BuildFacts:
-    """The facts of both build checks of a FIG, read a chunk at a time: the
-    sorted Type III lines whose rows break the block-size facts (a block is
-    a strictly increasing row of width k in [0, n), with q^2 + q + 1 Type II
-    points, its E part, and no Type I point) and the row sub-checks of
-    ``fig.build``.  Block L replaces line L and phi maps lines by the point
+    """The build facts of a FIG row by row, read a chunk at a time, the
+    exhaustive control of the equivariant ``fig.block-sizes`` and
+    ``fig.build``: the sorted Type III lines whose rows break the block
+    facts (``figueroa.good_blocks``), and whether the kept lines keep their
+    rows, no block is a line (``figueroa.line_blocks``) and phi maps rows
+    to rows.  Block L replaces line L and phi maps lines by the point
     formula, so invariance is sort(phi[rows(L)]) == rows(phi[L]), a row of
-    the chunk.  A k-set is a line exactly when it is the incidence row of
-    the join of its first two points, so only the rows whose first three
-    points are collinear are compared with a line's row.
+    the chunk.
 
     A row holding an entry outside [0, n) is no point set, so it is no
     block, no line and has no phi image; its chunk is not compared under
@@ -149,22 +145,12 @@ class _BuildFacts:
         self.bad, self.agree, self.differ, self.invariant = [], True, True, True
 
     def read(self, chunk: _Rows, lines: np.ndarray) -> None:
-        tables, ctx, L, rows, inside = (self.plane.tables, self.plane.ctx, chunk.L, chunk.rows,
-                                        chunk.inside)
-        n, F, types = self.plane.size, tables.field, tables.types
-        new = types[L] == TYPE_III
-        blocks = rows[new]
-        kinds = types[blocks if inside.all() else np.clip(blocks, 0, n - 1)]
-        ok = (inside[new] & (blocks[:, 1:] > blocks[:, :-1]).all(axis=1)
-              & (np.count_nonzero(kinds == TYPE_II, axis=1) == ctx.sub_order)
-              & (kinds != TYPE_I).all(axis=1))
-        self.bad.append(L[new][~ok])
+        tables, L, rows, inside = self.plane.tables, chunk.L, chunk.rows, chunk.inside
+        new = tables.types[L] == TYPE_III
+        blocks, within = rows[new], inside[new]
+        self.bad.append(L[new][~good_blocks(tables, blocks, within)])
         self.agree &= np.array_equal(rows[~new], lines[~new])
-        blocks = blocks[(blocks[:, 0] != blocks[:, 1]) & inside[new]]
-        join = F.cross(F.coords(blocks[:, 0]), F.coords(blocks[:, 1]))
-        line = F.dot(join, F.coords(blocks[:, 2])) == 0    # first three points collinear
-        joins = F.index(*F.canonical(*(c[line] for c in join)))
-        self.differ &= not (tables.incidence_rows(joins) == blocks[line]).all(axis=1).any()
+        self.differ &= not line_blocks(tables, blocks, within).any()
         self.invariant &= inside.all() and not chunk.moved(self.phi).size
 
     def result(self) -> tuple[np.ndarray, dict[str, bool]]:
@@ -274,12 +260,14 @@ def read_rows(structure: IncidencePlane, readers) -> dict:
             facts["reference"] = read_rows(pg_incidence(plane), ("axioms",))["axioms"]
         return facts
     generators = {"tau": tables.tau, "dickson": tables.dickson} if readers_of_axioms else {}
-    reps = orbit_minima(generators.values()) if generators else ()
+    reps = orbit_minima([g.points for g in generators.values()]) if generators else ()
     degrees = {}    # the readers given one array -> the point counts of the rows they shared
     axioms = {r: _AxiomFacts(plane, generators, reps, r, degrees) for r in readers_of_axioms}
     phi = Collineation(tables.phi, tables.phi)      # phi maps lines by its point formula
     build = _BuildFacts(plane, phi) if "build" in readers else None
     swapped = mutated_line(tables)
+    if structure.kept is not None:
+        tables.fig_lookup   # a pass over every FIG row gathers the parts of its blocks
     for L in walk(structure, (phi, tables.tau)):
         rows, lines = structure.rows_and_lines(L)
         own = _by_reader(rows, lines, L == swapped)

@@ -5,18 +5,21 @@ Each check is a function of a :class:`Session` returning a
 deterministic order, registered with ``check`` under its suite, with its
 gates, the conditions on q it needs to run, the ``STAGES`` of the
 Session it reads, and the readers of the FIG row pass whose facts it
-reports, its only mark as a check that walks the FIG rows.  The checks
+reports, its only mark as a check that walks every FIG row.  The checks
 of suite S live in the module ``figplane.suite_S`` (``suite_census``,
 ``suite_maps``, ``suite_figueroa``), which is imported the first time
 ``selected``, ``refusal`` or ``check_groups`` names the suite: a run
 compiles the checks it can select and no others.  ``CHECKS``, the whole
 table in report order (the suites in ``SUITES`` order, each in the order
 its module registers them), imports every suite.  ``refusal`` says why a
-selection has nothing to run at q; the default selection also leaves
-out, past ``ROW_WORK``, every group holding a row reader.  Every check is
-exhaustive.  ``run_checks`` builds each stage a selection reads once,
-before its checks, then walks the FIG rows once for the row readers that
-the selection names and the Session lacks.
+selection has nothing to run at q.  The default selection leaves out,
+at every q, every group holding a row reader: the FIG claims are made
+there by the equivariant checks, which read the ``equivariance`` stage
+and the rows at the G-orbit representatives, and the row checks are
+their exhaustive controls, run when a selection names them.  Each check
+reports its mode when it is not exhaustive.  ``run_checks`` builds each
+stage a selection reads once, before its checks, then walks the FIG rows
+once for the row readers that the selection names and the Session lacks.
 """
 
 from __future__ import annotations
@@ -65,6 +68,13 @@ class Session:
         return gm.vertex_census(self.plane, ls.fixed_subplane(self.ctx))
 
     @cached_property
+    def equivariance(self) -> fg.Equivariance:
+        """The premises of phi, tau and d for the closed-form FIG and the
+        <tau, d> orbit representatives (``figueroa.equivariance``), which
+        the equivariant FIG checks read."""
+        return fg.equivariance(self.plane.tables)
+
+    @cached_property
     def fig_structure(self) -> fg.IncidencePlane:
         """FIG as a row source; its rows are made when they are read.  No
         check declares it as a stage: the row pass (``row_facts``) builds
@@ -104,24 +114,10 @@ SUITES = ("census", "maps", "figueroa")     # in report order
 _TABLE: dict[str, list[Check]] = {suite: [] for suite in SUITES}
 
 # the Session stages a check may read, in the order ``run_checks`` builds them
-STAGES = ("tables", "classes", "census", "fixed_census")
+STAGES = ("tables", "classes", "census", "fixed_census", "equivariance")
 
 EVEN_Q = Gate(lambda ctx: ctx.q % 2 == 0, "the even-order structure check needs q even")
 SUITE_GATES = {"figueroa": (fg.FIGUEROA,)}    # every check of the suite needs them
-
-ROW_WORK = 10 ** 9      # entries n (q^3 + 1) of a pass over the FIG rows, by default
-
-
-def row_work(ctx: FieldContext) -> int:
-    return (ctx.q3 * ctx.q3 + ctx.q3 + 1) * (ctx.q3 + 1)
-
-
-def over_row_bound(ctx: FieldContext) -> str | None:
-    """Why the default leaves out the FIG row checks at this order; None under the bound."""
-    work = row_work(ctx)
-    return (f"a pass over the FIG rows reads {work:.3g} entries at q = {ctx.q}, "
-            f"over the default bound of {ROW_WORK:.0e}") if work >= ROW_WORK else None
-
 
 def check(suite: str, group: str | None = None, gates: tuple[Gate, ...] = (),
           reads: tuple[str, ...] = (), readers: tuple[str, ...] = ()):
@@ -176,12 +172,11 @@ def selected(ctx: FieldContext, suite: str, group: str | None = None,
              by_default: bool = False) -> list[Check]:
     """The checks of the suite (or of one of its groups) that apply at
     this order, in table order; ``by_default`` for the default selection,
-    which, over the row bound (``over_row_bound``), also leaves out every
-    group holding a check that names a row reader."""
+    which leaves out every group holding a check that names a row reader."""
     table = suite_checks(suite)
-    bound = {c.group for c in table if c.readers} if by_default and over_row_bound(ctx) else ()
+    rows = {c.group for c in table if c.readers} if by_default else ()
     return [c for c in table
-            if group in (None, c.group) and c.group not in bound and c.applies(ctx)]
+            if group in (None, c.group) and c.group not in rows and c.applies(ctx)]
 
 
 def run_checks(sess: Session, suite: str, group: str | None = None,

@@ -546,17 +546,18 @@ def test_kernel_guards_raise_named_error(plane3):
 def test_table_bytes_counts_the_lookup_and_per_point_tables():
     """``field.table_bytes`` is the size of the two field lookup tables and
     of the four point tables every census and maps run holds, with the
-    torus and Dickson tables and the two FIG row lookup tables for a run
-    that streams the FIG."""
+    torus and Dickson tables for a run of the FIG checks, and the two FIG
+    row lookup tables too for a run that passes over every FIG row."""
     ctx = context_for_q(3)
     T = PlaneTables(ctx)
     field = [T.field._add, T.field._mul]
     per_point = [T.types, T.mu, T.phi, T.orbit]
     assert all(len(t) == T.size for t in per_point)
     assert sum(t.nbytes for t in per_point + field) == table_bytes(3)
-    # a run that streams the FIG rows adds the point and line tables of the
-    # torus and Dickson collineations and the two lookup tables of the rows,
-    # E and F
-    fig = [*T.tau, *T.dickson, *T._fig_lookup]
-    assert all(len(t) == T.size and t.dtype == np.int32 for t in fig)
+    # the FIG checks add the point and line tables of the torus and Dickson
+    # collineations, and a pass over every row the two lookup tables of the
+    # rows, E and F
+    fig, rows = [*T.tau, *T.dickson], [*T.fig_lookup]
+    assert all(len(t) == T.size and t.dtype == np.int32 for t in fig + rows)
     assert sum(t.nbytes for t in per_point + fig + field) == table_bytes(3, fig=True)
+    assert sum(t.nbytes for t in per_point + fig + rows + field) == table_bytes(3, True, True)

@@ -99,12 +99,8 @@ def test_figueroa_axioms_cmd(capsys):
     assert code == 0
     doc = json.loads(out)
     ids = [c["id"] for c in doc["checks"]]
-    assert "fig.axioms" in ids and "fig.axioms-mutation" in ids
-
-
-NOTE_Q11 = ("build and axioms checks skipped by default: a pass over the FIG rows "
-            "reads 2.36e+09 entries at q = 11, over the default bound of 1e+09; "
-            "name them with --suite or --check")
+    # every row control: the build facts row by row and the three axiom reports
+    assert ids == ["fig.build-rows", "fig.axioms", "fig.axioms-reference", "fig.axioms-mutation"]
 
 
 class _Unbuilt:
@@ -124,36 +120,40 @@ def _stub_suites(monkeypatch, ran):
 
 
 def test_verify_all_skips_the_fig_passes_at_q11(monkeypatch, capsys):
-    """From q = 11 a pass over the FIG rows reads over 10^9 entries, so the
-    default leaves out the build and axioms groups and says so, with the
-    estimate; every other group of every suite still runs by default."""
+    """The default leaves out the axioms group, the checks that pass over
+    every FIG row, at q = 11 as at every order, with no note; the build
+    group, which holds the equivariant FIG claims, and every other group of
+    every suite run by default."""
     from figplane.field import context_for_q
     monkeypatch.setattr("figplane.cli.Session", _Unbuilt)
     ran = []
     _stub_suites(monkeypatch, ran)
     code, out = run_cli(["verify", "--q", "11", "--suite", "all", "--format", "json"], capsys)
-    assert code == 0
-    assert json.loads(out)["header"]["note"] == NOTE_Q11
+    assert code == 0 and "note" not in json.loads(out)["header"]
     assert ran == [(name, {"by_default": True})
                    for name in ("census_checks", "maps_checks", "figueroa_checks")]
     ctx = context_for_q(11)
     groups = {c.group for c in selected(ctx, "figueroa", by_default=True)}
-    assert groups == {"pr", "arching", "characterization", "sp-mu"}
-    assert {c.group for c in selected(ctx, "figueroa")} == groups | {"build", "axioms"}
+    assert groups == {"build", "pr", "arching", "characterization", "sp-mu"}
+    assert {c.group for c in selected(ctx, "figueroa")} == groups | {"axioms"}
     assert selected(ctx, "maps", by_default=True) == selected(ctx, "maps")
 
 
 def test_verify_all_runs_every_suite_at_q9(monkeypatch, capsys):
-    """At q = 9 a FIG pass reads 3.9e8 entries, under the bound: the default
-    selects every check of every suite, with no note."""
+    """At q = 9, as at q = 11, the default runs every suite, all of census
+    and maps, and every figueroa check but the row controls of the axioms
+    group, with no note."""
     from figplane.field import context_for_q
     ctx = context_for_q(9)
-    for suite in ("census", "maps", "figueroa"):
+    for suite in ("census", "maps"):
         assert selected(ctx, suite, by_default=True) == selected(ctx, suite)
+    assert selected(ctx, "figueroa", by_default=True) == [
+        c for c in selected(ctx, "figueroa") if c.group != "axioms"]
     monkeypatch.setattr("figplane.cli.Session", _Unbuilt)
-    _stub_suites(monkeypatch, [])
+    ran = []
+    _stub_suites(monkeypatch, ran)
     code, out = run_cli(["verify", "--q", "9", "--suite", "all", "--format", "json"], capsys)
-    assert code == 0 and "note" not in json.loads(out)["header"]
+    assert code == 0 and "note" not in json.loads(out)["header"] and len(ran) == 3
 
 
 class _RowFacts(_Unbuilt):
@@ -165,12 +165,11 @@ class _RowFacts(_Unbuilt):
 
 
 def test_a_check_naming_a_row_reader_falls_under_the_default_bound(monkeypatch, capsys):
-    """Naming a row reader is all it takes to fall under the default bound.
-    A probe in the figueroa table, in a group of its own that names the
-    ``axioms`` reader and carries no gate of its own: at q = 11 the default
-    leaves out its group and names it in the note, naming the group runs
-    it after the row pass of its reader, and at q = 9, under the bound,
-    the default keeps it."""
+    """Naming a row reader is all it takes to fall out of the default
+    selection, at every order.  A probe in the figueroa table, in a group
+    of its own that names the ``axioms`` reader and carries no gate of its
+    own: the default leaves out its group at q = 3, 9 and 11, and naming the
+    group runs it after the row pass of its reader."""
     from figplane import suites
     ran = []     # the row readers the Session held when the probe ran
 
@@ -179,17 +178,15 @@ def test_a_check_naming_a_row_reader_falls_under_the_default_bound(monkeypatch, 
         return entry("fig.probe", "the probe ran", True, {}, [])
     monkeypatch.setitem(suites._TABLE, "figueroa", list(suites.suite_checks("figueroa")))
     suites.check("figueroa", "probe", readers=("axioms",))(probe)
-    assert "probe" not in {c.group for c in selected(order_of(11), "figueroa", by_default=True)}
-    assert "probe" in {c.group for c in selected(order_of(9), "figueroa", by_default=True)}
+    for q in (3, 9, 11):
+        assert "probe" not in {c.group for c in selected(order_of(q), "figueroa",
+                                                         by_default=True)}
+    assert "probe" in {c.group for c in selected(order_of(11), "figueroa")}
     monkeypatch.setattr("figplane.cli.Session", _RowFacts)
     code, out = run_cli(["figueroa", "--q", "11", "--check", "probe", "--format", "json"],
                         capsys)
     assert code == 0 and [c["id"] for c in json.loads(out)["checks"]] == ["fig.probe"]
     assert ran == [("axioms",)]
-    _stub_suites(monkeypatch, [])
-    code, out = run_cli(["verify", "--q", "11", "--suite", "all", "--format", "json"], capsys)
-    assert code == 0
-    assert json.loads(out)["header"]["note"] == NOTE_Q11.replace("axioms", "axioms and probe", 1)
 
 
 def test_verify_all_runs_every_suite_at_q8(monkeypatch, capsys):
@@ -221,17 +218,6 @@ def test_report_commands_look_up_the_suite_functions_when_run(monkeypatch, capsy
     code, out = run_cli(command + ["--q", "3", "--format", "json"], capsys)
     assert code == 0 and json.loads(out)["checks"] == []
     assert ran == [called]
-
-
-def test_text_report_prints_the_header_note(monkeypatch, capsys):
-    """The text report says what the default skipped, under its title line;
-    a report without a note has no note line."""
-    monkeypatch.setattr("figplane.cli.Session", _Unbuilt)
-    _stub_suites(monkeypatch, [])
-    code, out = run_cli(["verify", "--q", "11", "--suite", "all"], capsys)
-    assert code == 0
-    assert out.splitlines()[1] == "note: " + NOTE_Q11
-    assert "note" not in Report({"q": 3}, [entry("x", "claim", True)]).to_text()
 
 
 def test_figueroa_pr_when_3_divides_q_minus_1(capsys):
@@ -363,33 +349,37 @@ def test_csv_report_rows_have_three_fields(q, capsys):
 
 
 def test_timings_list_the_stages_of_the_build_group_once(capsys):
-    """The build group reads the point tables and the row pass, which
-    builds the FIG structure: --timings lists each once, under their own
-    key and in stage order, and a time for every check."""
-    code, out = run_cli(["figueroa", "--q", "4", "--check", "build", "--format", "json",
-                         "--timings"], capsys)
-    assert code == 0
-    doc = json.loads(out)
-    assert [s["id"] for s in doc["stages"]] == ["tables", "row_pass"]
-    assert [c["id"] for c in doc["checks"]] == ["fig.block", "fig.block-sizes", "fig.build"]
-    assert all(t["elapsed_ms"] >= 0 for t in doc["stages"] + doc["checks"])
+    """The build group reads the point tables and the premises of the
+    equivariant FIG checks, and the axioms group the row pass, which builds
+    the FIG structure: --timings lists each once, under their own key and
+    in stage order, and a time for every check."""
+    for group, stages, checks in (
+            ("build", ["tables", "equivariance"],
+             ["fig.block", "fig.block-sizes", "fig.build", "fig.plane"]),
+            ("axioms", ["tables", "row_pass"],
+             ["fig.build-rows", "fig.axioms", "fig.axioms-reference", "fig.axioms-mutation"])):
+        code, out = run_cli(["figueroa", "--q", "4", "--check", group, "--format", "json",
+                             "--timings"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        assert [s["id"] for s in doc["stages"]] == stages
+        assert [c["id"] for c in doc["checks"]] == checks
+        assert all(t["elapsed_ms"] >= 0 for t in doc["stages"] + doc["checks"])
 
 
 def test_verify_all_builds_each_stage_once(monkeypatch, capsys):
     """verify --suite all runs its three suites on one Session, which builds
-    every stage once, and walks the FIG rows once, as ``row_pass``; the
-    text report gives each its own line, after the header, and every check
-    line its time."""
-    import figplane.row_pass as rp
+    every stage once and walks no FIG row; the text report gives each stage
+    its own line, after the header, and every check line its time."""
     from figplane.suites import STAGES, Session
     built = []
     for name in STAGES:
         stage = vars(Session)[name]
         monkeypatch.setattr(stage, "func", lambda sess, real=stage.func, name=name:
                             built.append(name) or real(sess))
-    monkeypatch.setattr(rp, "read_rows", lambda *a, real=rp.read_rows:
-                        built.append("row_pass") or real(*a))
-    timed = list(STAGES) + ["row_pass"]
+    monkeypatch.setattr(Session, "row_facts", lambda sess, *readers:
+                        built.append("row_pass"))
+    timed = list(STAGES)
     code, out = run_cli(["verify", "--q", "4", "--suite", "all", "--timings"], capsys)
     assert code == 0 and built == timed
     lines = out.splitlines()
@@ -507,7 +497,8 @@ def test_tables_larger_than_memory_refused_before_any_session(capsys, monkeypatc
     assert main(command + ["--q", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    # verify --suite all runs the figueroa suite, whose build checks stream the FIG
+    # verify --suite all runs the figueroa suite, whose build checks read
+    # the torus and Dickson tables
     need = table_bytes(3, fig=command[0] == "verify")
     assert captured.err == (f"figplane: q = 3 needs about {need / 1e9:.3g} GB for "
                             f"its tables, more than the {(table_bytes(3) - 1) / 1e9:.3g} GB "
@@ -537,22 +528,24 @@ def _no_session(*args, **kwargs):
     (["census"], False),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
 def test_memory_guard_counts_the_fig_array(tmp_path, capsys, monkeypatch, command, fig):
-    """With physical memory between the estimates without and with the two
-    lookup tables the FIG rows are gathered from, a selection that streams
-    the FIG, because a selected check reads its rows or --emit-plane writes
-    them, exits 2 with the larger estimate, and any other selection gets
-    past the guard."""
+    """With physical memory just enough for the census tables, a selection
+    that reads the torus and Dickson tables, as the FIG checks do, or the
+    row lookup tables, because a selected check passes over every FIG row
+    or --emit-plane writes the rows, exits 2 with its estimate, and any
+    other selection gets past the guard."""
     monkeypatch.setattr("figplane.cli.Session", _no_session)
-    have = (table_bytes(3) + table_bytes(3, fig=True)) // 2
+    have = table_bytes(3)
     monkeypatch.setattr("figplane.cli.physical_memory", lambda: have)
     command = [str(tmp_path / "plane.txt") if a == "PLANE" else a for a in command]
     if not fig:
         with pytest.raises(SessionBuilt):
             main(command + ["--q", "3"])
         return
+    rows = "axioms" in command or "figueroa" in command[1:] or "--emit-plane" in command
+    need = table_bytes(3, fig="census" not in command, rows=rows)
     assert main(command + ["--q", "3"]) == 2
     assert capsys.readouterr().err == (
-        f"figplane: q = 3 needs about {table_bytes(3, fig=True) / 1e9:.3g} GB for its "
+        f"figplane: q = 3 needs about {need / 1e9:.3g} GB for its "
         f"tables, more than the {have / 1e9:.3g} GB of physical memory\n")
 
 
@@ -564,7 +557,7 @@ def test_fig_checks_at_q11_pass_the_memory_guard(capsys, monkeypatch):
     guard, as the census and maps suites do.  No q = 11 table is built."""
     monkeypatch.setattr("figplane.cli.Session", _no_session)
     monkeypatch.setattr("figplane.cli.physical_memory", lambda: 8_400_000_000)
-    assert round(table_bytes(11, fig=True) / 1e6) == 73
+    assert round(table_bytes(11, fig=True, rows=True) / 1e6) == 73
     for command in (["figueroa", "--check", "build"], ["figueroa", "--check", "axioms"],
                     ["verify", "--suite", "figueroa"], ["census"],
                     ["verify", "--suite", "maps"]):
@@ -573,18 +566,19 @@ def test_fig_checks_at_q11_pass_the_memory_guard(capsys, monkeypatch):
 
 
 def test_default_at_q11_gets_past_the_guard_without_the_fig_tables(capsys, monkeypatch):
-    """With physical memory between the q = 11 estimates without and with
-    the FIG row tables, verify --q 11 gets past the guard, since the
-    default selects no check that names a row reader, and naming the
-    figueroa suite is refused with the larger estimate."""
+    """With physical memory between the q = 11 estimates with the torus and
+    Dickson tables and with the FIG row lookup tables too, verify --q 11
+    gets past the guard, since the default selects no check that names a
+    row reader, and naming the figueroa suite is refused with the larger
+    estimate."""
     monkeypatch.setattr("figplane.cli.Session", _no_session)
-    have = (table_bytes(11) + table_bytes(11, fig=True)) // 2
+    have = (table_bytes(11, fig=True) + table_bytes(11, fig=True, rows=True)) // 2
     monkeypatch.setattr("figplane.cli.physical_memory", lambda: have)
     with pytest.raises(SessionBuilt):
         main(["verify", "--q", "11"])
     assert main(["verify", "--q", "11", "--suite", "figueroa"]) == 2
     assert capsys.readouterr().err == (
-        f"figplane: q = 11 needs about {table_bytes(11, fig=True) / 1e9:.3g} GB for its "
+        f"figplane: q = 11 needs about {table_bytes(11, True, True) / 1e9:.3g} GB for its "
         f"tables, more than the {have / 1e9:.3g} GB of physical memory\n")
 
 

@@ -194,20 +194,22 @@ def test_errors(monkeypatch):
 
 
 def test_table_bytes_from_q_alone():
-    """4 q^6 bytes of field lookup tables and 13 bytes a point, 37 with the
-    FIG tables: at q = 27 that is about 6.6 GB, for the census alone."""
+    """4 q^6 bytes of field lookup tables and 13 bytes a point, 29 with the
+    torus and Dickson tables of the FIG checks, 37 with the row lookup
+    tables too: at q = 27 that is about 6.6 GB, for the census alone."""
     assert table_bytes(3) == 4 * 27 ** 2 + 13 * (27 ** 2 + 27 + 1) == 12_757
-    assert table_bytes(3, fig=True) == 4 * 27 ** 2 + 37 * (27 ** 2 + 27 + 1)
+    assert table_bytes(3, fig=True) == 4 * 27 ** 2 + 29 * (27 ** 2 + 27 + 1)
+    assert table_bytes(3, fig=True, rows=True) == 4 * 27 ** 2 + 37 * (27 ** 2 + 27 + 1)
     assert round(table_bytes(27) / 1e9, 1) == 6.6
 
 
 def test_order_of_factors_without_building_a_field(monkeypatch):
-    """``order_of`` gives p, k, q and q^3 and raises as ``context_for_q``
+    """``order_of`` gives p, k and q and raises as ``context_for_q``
     does, with no field built: the tower constructor may not be called."""
     def no_tower(*args):
         raise AssertionError("a field tower was built")
     monkeypatch.setattr("figplane.field.FieldContext", no_tower)
-    assert order_of(64) == (2, 6) and order_of(64).q == 64 and order_of(9).q3 == 729
+    assert order_of(64) == (2, 6) and order_of(64).q == 64 and order_of(9).q == 9
     for q, message in ((12, "q = 12 is not a prime power"), (1, "q = 1 is not a prime power"),
                        (256, "over the table bound")):
         with pytest.raises(FieldError, match=message):

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from figplane.arrays import Collineation, PlaneTables
+from figplane.arrays import Collineation, PlaneTables, orbit_minima
 from figplane.collineation import (TYPE_I, TYPE_II, TYPE_III, TYPE_NAMES,
                                    collineate_point, det3, point_type)
 from figplane.figueroa import (IncidencePlane, anchor_block, arching_census,
@@ -16,7 +16,7 @@ from figplane.maps import TypeRestrictionError, conjugate_join
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                             canonical, format_line, format_point, join,
                             points_on_line)
-from figplane.row_pass import moved_rows, orbit_minima, walk
+from figplane.row_pass import moved_rows, walk
 from figplane.suite_figueroa import even_structure, splash_involution
 from figplane.suites import CHECKS, Session, figueroa_checks
 
@@ -660,8 +660,10 @@ def test_representatives_follow_the_census(q):
     tau, d, types = tables.tau.points, tables.dickson.points, tables.types
     assert np.array_equal(d[tables.phi], tables.phi[d])
     assert np.array_equal(types[d], types)
-    reps = orbit_minima([tables.tau, tables.dickson])
+    reps = orbit_minima([tables.tau.points, tables.dickson.points])
     assert len(reps) == 3
+    lines = orbit_minima([tables.tau.lines, tables.dickson.lines])
+    assert sorted(types[lines]) == [TYPE_I, TYPE_II, TYPE_III]
     (tally,) = [e for e in census_checks(sess) if e.id == "census.point-types"]
     for P in reps:
         orbit = _reach(P, [tau, d])
@@ -672,20 +674,22 @@ def test_representatives_follow_the_census(q):
 
 
 def _build_failures(fig, blocks):
-    """The failing sub-checks that ``fig.build`` names for a session whose
-    FIG structure has the given blocks."""
-    from figplane.suites import Session, figueroa_checks
+    """The failing sub-checks that ``fig.build-rows``, the row control of
+    ``fig.build``, names for a session whose FIG structure has the given
+    blocks."""
+    from figplane.suite_figueroa import build_rows
     sess = Session(fig.plane.ctx)
     sess.plane = fig.plane
     sess.fig_structure = HeldRows(fig.plane, blocks)
-    (build,) = [e for e in figueroa_checks(sess, "build") if e.id == "fig.build"]
+    build = build_rows(sess)
     assert build.passed == (build.witnesses == [])
-    return build.witnesses
+    return [w for w in build.witnesses if "_" in w]
 
 
 def test_build_check_names_each_failing_subcheck(plane3, fig3):
-    """Each vectorized ``fig.build`` sub-check fails alone, with its name as
-    the witness, on a mutation that leaves the other sub-checks true."""
+    """Each vectorized row sub-check of ``fig.build-rows`` fails alone, with
+    its name as the witness, on a mutation that leaves the other sub-checks
+    true."""
     inc, phi = plane3.tables.incidence_rows(np.arange(plane3.size)), plane3.tables.phi
     fig_blocks = held(fig3).blocks
     assert _build_failures(fig3, fig_blocks) == []
@@ -878,18 +882,24 @@ def test_guards_fire_under_optimize():
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_one_row_read_leaves_the_lookup_tables_unbuilt(q):
-    """A read of one row, as ``anchor_block`` makes, computes its two parts
-    from the type and involution tables; a read of more builds the n-entry
-    lookup tables E and F.  Both give every row alike."""
+    """A read of rows, one as ``anchor_block`` makes or every row at once,
+    computes their two parts from the type and involution tables; only a
+    pass over every row, such as the row pass, builds the n-entry lookup
+    tables E and F, and reads gather from them then.  All give every row
+    alike."""
     from figplane.field import build_field_tower
     from figplane.plane import ProjectivePlane
+    from figplane.row_pass import read_rows
     plane = ProjectivePlane(build_field_tower(*{3: (3, 1), 4: (2, 2)}[q]))
     tables = plane.tables
     single = [tables.fig_rows([L])[0][0] for L in range(plane.size)]
     anchor_block(plane, ANCHOR)
-    assert "_fig_lookup" not in vars(tables)
-    assert np.array_equal(np.stack(single), tables.fig_rows(np.arange(plane.size))[0])
-    assert "_fig_lookup" in vars(tables)
+    every = tables.fig_rows(np.arange(plane.size))[0]
+    assert "fig_lookup" not in vars(tables)
+    assert np.array_equal(np.stack(single), every)
+    read_rows(build_fig_plane(plane), ("build",))
+    assert "fig_lookup" in vars(tables)
+    assert np.array_equal(tables.fig_rows(np.arange(plane.size))[0], every)
 
 
 def test_streamed_axiom_check_holds_no_block_array(plane5):
@@ -898,7 +908,7 @@ def test_streamed_axiom_check_holds_no_block_array(plane5):
     beyond the per-point tables it reads, which are built first."""
     import tracemalloc
     tables = plane5.tables
-    for name in ("types", "mu", "tau", "dickson", "_fig_lookup"):
+    for name in ("types", "mu", "tau", "dickson", "fig_lookup"):
         getattr(tables, name)
     assert plane5.size * 126 * 4 > 7_900_000
     tracemalloc.start()

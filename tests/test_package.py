@@ -111,10 +111,22 @@ def test_a_run_compiles_only_the_checks_of_its_suite(argv, suite):
 
 
 def test_verify_all_compiles_every_suite():
+    """The default run compiles the checks of every suite, and not the row
+    pass: its FIG claims are equivariant, and only the row controls, which
+    the default leaves out, pass over every FIG row."""
     loaded = loaded_after(_run("verify --q 3 --suite all"))
     assert [m for m in loaded if m.startswith("figplane.suite_")] == [
         "figplane." + m for m in CHECK_MODULES]
-    assert f"figplane.{ROW_PASS}" in loaded
+    assert f"figplane.{ROW_PASS}" not in loaded
+
+
+@pytest.mark.parametrize("q", [4, 5])
+def test_verify_all_leaves_the_row_pass_uncompiled(q):
+    assert f"figplane.{ROW_PASS}" not in loaded_after(_run(f"verify --q {q} --suite all"))
+
+
+def test_named_row_checks_compile_the_row_pass():
+    assert f"figplane.{ROW_PASS}" in loaded_after(_run("figueroa --q 3 --check axioms"))
 
 
 def test_check_table_is_whole_in_report_order():
@@ -139,7 +151,8 @@ def test_check_table_is_whole_in_report_order():
         ("maps", "vertices", "count_spectrum"), ("maps", "vertices", "cross_plane"),
         ("maps", "vertices", "club_images")] + [
         ("figueroa", "build", "block_anatomy"), ("figueroa", "build", "block_sizes"),
-        ("figueroa", "build", "assembly"), ("figueroa", "axioms", "axioms"),
+        ("figueroa", "build", "assembly"), ("figueroa", "build", "projective_plane"),
+        ("figueroa", "axioms", "build_rows"), ("figueroa", "axioms", "axioms"),
         ("figueroa", "axioms", "axioms_reference"), ("figueroa", "axioms", "axioms_mutation"),
         ("figueroa", "pr", "projection_anchor"), ("figueroa", "pr", "projection_conjugates"),
         ("figueroa", "arching", "arching"), ("figueroa", "characterization", "characterization"),

@@ -27,6 +27,7 @@ COMMANDS = [
     ["census", "--q", "3", "--format", "csv"],
     ["census", "--q", "3", "--format", "json"],
     ["maps", "--q", "3", "--check", "fixed"],
+    ["figueroa", "--q", "3", "--check", "axioms"],
     ["sls", "--q", "3", "--theta", "1", "--side", "1"],
     ["tplane", "--q", "3", "--theta", "1"],
 ]

@@ -7,15 +7,17 @@ The golden reports are the output of
     figplane verify --q Q --suite all --format json --seed 1
 
 at q = 3, 4 and 5, kept under ``tests/data``; they pin every entry, its
-counts and the report order.  At q = 7, 8, 11 and 13 the same report, at
-the default seed, is pinned by its sha256 digest, in a test marked slow,
-and at q = 11 the text report too, which prints the note of the default
-skip.  q = 5 is the least order with q = 1 mod 4, where
+counts and the report order.  The default report at q = 4, 5, 7, 8, 11
+and 13, in json and text, and the census at q = 9, are pinned by their
+sha256 digests in ``tests/data/digests.json``, in a test marked slow;
+``tests/digests.py`` writes and checks that matrix and the goldens.
+q = 5 is the least order with q = 1 mod 4, where
 ``fig.projection-anchor`` takes its other odd-q size.  The maps and
 census suites have goldens at q = 7 too, the least order whose n-entry
 scans take more than one chunk of ``arrays.CHUNK``.  The q = 3 report in
-text and csv, and the census csv table at q = 3 and 4, have goldens of
-their own, and so has the emitted q = 3 plane, as its sha256 digest.
+text and csv, the census csv table at q = 3 and 4, and the build and
+axioms groups at q = 4 have goldens of their own, and so has the emitted
+q = 3 plane, as its sha256 digest.
 """
 
 import json
@@ -38,9 +40,10 @@ from figplane.plane import ProjectivePlane, format_line, format_point
 from figplane.suite_census import (categories, collineation_permutes, norm_det_relation,
                                    orbit_sizes, type_tally)
 from figplane.suite_figueroa import (arching, assembly, axioms, axioms_mutation,
-                                     axioms_reference, block_anatomy, block_sizes,
+                                     axioms_reference, block_anatomy, block_sizes, build_rows,
                                      characterization, even_structure, projection_anchor,
-                                     projection_conjugates, splash_involution)
+                                     projection_conjugates, projective_plane,
+                                     splash_involution)
 from figplane.suite_maps import (block_incidence_twist, club_images, collineation_fixed,
                                  count_spectrum, cross_plane, generic_plane, involution_fixed,
                                  parity_table, pencil_census, plane_images,
@@ -50,6 +53,7 @@ from figplane.figueroa import IncidencePlane
 from figplane.suites import (CHECKS, STAGES, Session, check_groups, figueroa_checks,
                              maps_checks, run_checks)
 
+import digests
 from conftest import HeldRows, held
 from set_oracle import conjugate_subplane
 
@@ -99,8 +103,8 @@ def test_checks_read_only_the_stages_they_declare(q):
     """Every check passes against a Session whose declared stages are
     prebuilt and which raises on any other, so ``run_checks`` builds what
     each selection reads before its checks.  The checks that name row
-    readers, which the default bound and the memory guard read, are all in
-    the build and axioms groups."""
+    readers, which the default selection and the memory guard read, are
+    all in the axioms group, which holds nothing else."""
     full = Session(build_field_tower(*{3: (3, 1), 4: (2, 2)}[q]))
     for name in STAGES:
         getattr(full, name)
@@ -108,24 +112,30 @@ def test_checks_read_only_the_stages_they_declare(q):
         assert set(c.reads) <= set(STAGES), c.run
         if c.applies(full.ctx):
             assert c.run(_Declared(full, c.reads)).passed, c.run
-        assert not c.readers or (c.suite, c.group) in {("figueroa", "build"),
-                                                       ("figueroa", "axioms")}, c.run
+        assert bool(c.readers) == ((c.suite, c.group) == ("figueroa", "axioms")), c.run
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("q, fmt", [(7, "json"), (8, "json"), (11, "json"), (11, "text"),
-                                    (13, "json")])
-def test_verify_all_matches_golden_digest(q, fmt, capsys):
-    """At q = 7, 8, 11 and 13 the report of every suite hashes to the
-    sha256 digest kept under ``tests/data``; from q = 11 the default
-    leaves out the FIG row checks, and the text report prints the note
-    that says so.  These runs take seconds each, so the test is marked
-    slow: ``pytest -m slow`` runs it."""
+@pytest.mark.parametrize("command", digests.DIGESTS)
+def test_verify_all_matches_golden_digest(command, capsys):
+    """The default report at q = 4, 5, 7, 8, 11 and 13, in json and text,
+    and the census at q = 9, hash to the sha256 digests of the matrix
+    ``tests/data/digests.json``.  These runs take seconds each, so the
+    test is marked slow: ``pytest -m slow`` runs it."""
     import hashlib
-    assert main(["verify", "--q", str(q), "--suite", "all", "--format", fmt]) == 0
-    suffix = {"json": "json", "text": "txt"}[fmt]
+    assert main(command.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == \
-        (DATA / f"verify-all-q{q}.{suffix}.sha256").read_text().strip()
+        json.loads((DATA / "digests.json").read_text())[command]
+
+
+def test_digest_matrix_pins_every_golden_file():
+    """The matrix holds every command of ``tests/digests.py``, and each
+    golden file hashes to the digest of its command."""
+    import hashlib
+    matrix = json.loads((DATA / "digests.json").read_text())
+    assert list(matrix) == digests.COMMANDS
+    for command, name in digests.GOLDENS.items():
+        assert hashlib.sha256((DATA / name).read_bytes()).hexdigest() == matrix[command], name
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
@@ -146,8 +156,10 @@ def test_verify_all_matches_golden_report(q, capsys):
 def test_readme_names_only_check_ids_of_the_report():
     """Every check id that the README names in backticks, a dotted word
     whose prefix is that of an entry id (``fig.build``), is the id of an
-    entry of the q = 4 golden report, which holds every check."""
-    ids = {e["id"] for e in json.loads((DATA / "verify-all-q4.json").read_text())["checks"]}
+    entry of the q = 4 golden reports, the default one and that of the
+    axioms group, which together hold every check."""
+    ids = {e["id"] for name in ("verify-all-q4.json", "figueroa-axioms-q4.json")
+           for e in json.loads((DATA / name).read_text())["checks"]}
     assert len(ids) == len(CHECKS)
     prefixes = {i.split(".")[0] for i in ids}
     readme = (Path(__file__).parent.parent / "README.md").read_text()
@@ -525,9 +537,11 @@ def test_fixed_scan_that_finds_every_plane_names_five(ctx3, monkeypatch):
 
 
 def test_block_sizes_report_a_repeated_point(fig3):
+    """The row control of the block sizes, ``fig.build-rows``, names the
+    anchor of a row that repeats a point."""
     sess = Session(fig3.plane.ctx)
     sess.plane = fig3.plane
-    assert block_sizes(sess).passed
+    assert build_rows(sess).passed
     types = fig3.plane.tables.types
     i = list(types).index(TYPE_III)
     blocks = held(fig3).blocks.copy()
@@ -535,18 +549,19 @@ def test_block_sizes_report_a_repeated_point(fig3):
     # a fresh session: the build pass of the first one is cached
     sess = Session(fig3.plane.ctx)
     sess.plane, sess.fig_structure = fig3.plane, HeldRows(fig3.plane, blocks)
-    e = block_sizes(sess)
+    e = build_rows(sess)
     assert not e.passed
     anchor = fig3.plane.points[fig3.plane.tables.mu[i]]
-    assert e.witnesses == [format_point(anchor)]
+    assert e.witnesses == [format_point(anchor), "collineation_invariant"]
     assert e.counts == {"anchors": 432, "mode": "exhaustive"}
 
 
 @pytest.mark.parametrize("out_type, in_type", [(TYPE_II, TYPE_III), (TYPE_III, TYPE_I)],
                          ids=["II-for-III", "III-for-I"])
 def test_block_sizes_count_the_point_types(fig3, out_type, in_type):
-    """A sorted block of k distinct points still fails when it has one Type II
-    point too few, or a Type I point."""
+    """A sorted block of k distinct points still fails the row control of
+    the block sizes when it has one Type II point too few, or a Type I
+    point."""
     plane = fig3.plane
     types = plane.tables.types
     sess = Session(plane.ctx)
@@ -558,9 +573,9 @@ def test_block_sizes_count_the_point_types(fig3, out_type, in_type):
     blocks = held(fig3).blocks.copy()
     blocks[i] = sorted(row - {out} | {into})
     sess.fig_structure = HeldRows(plane, blocks)
-    e = block_sizes(sess)
+    e = build_rows(sess)
     assert not e.passed
-    assert e.witnesses == [format_point(plane.points[plane.tables.mu[i]])]
+    assert e.witnesses[0] == format_point(plane.points[plane.tables.mu[i]])
 
 
 @pytest.mark.parametrize("corruption", ["split", "recategorized"])
@@ -728,7 +743,7 @@ def test_figueroa_run_holds_no_block_array(monkeypatch, capsys):
     assert all(v.ndim == 1 for v in tables.values() if isinstance(v, np.ndarray))
     assert sess.fig_structure.shape == (sess.plane.size, 126)
     assert not hasattr(sess.fig_structure, "blocks")
-    assert "_fig_lookup" in tables          # the E and F lookup tables, one entry a point
+    assert "fig_lookup" in tables           # the E and F lookup tables, one entry a point
 
 
 def test_census_and_maps_build_no_dickson_table(monkeypatch, capsys):
@@ -859,10 +874,11 @@ def test_figueroa_entries_fail_on_a_corrupted_table(ctx3, monkeypatch, check, co
 
 
 def test_build_makes_each_fig_row_once(ctx4):
-    """Both build entries read one pass over the FIG in chunks closed under
-    phi, so the phi image of each row is a row of its chunk: one session
-    running the build group, ``fig.block-sizes`` and ``fig.build`` among
-    it, makes n rows, not 2n, nor n more for the Type III rows alone."""
+    """The build facts row by row, the control ``fig.build-rows``, read one
+    pass over the FIG in chunks closed under phi, so the phi image of each
+    row is a row of its chunk: it makes n rows, not 2n, nor n more for the
+    Type III rows alone.  The build group, equivariant, makes no row of
+    the structure."""
     from figplane.figueroa import IncidencePlane
 
     class Counted(IncidencePlane):
@@ -876,22 +892,24 @@ def test_build_makes_each_fig_row_once(ctx4):
     sess.fig_structure = Counted(sess.plane, kept=sess.fig_structure.kept)
     entries = {e.id: e for e in run_checks(sess, "figueroa", "build")}
     assert entries["fig.block-sizes"].passed and entries["fig.build"].passed
+    assert sess.fig_structure.made == 0
+    assert build_rows(sess).passed
     assert sess.fig_structure.made == sess.plane.size == 4161
 
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_one_walk_reports_as_the_one_structure_calls(q, monkeypatch):
-    """The figueroa suite's default selection builds the row pass with one
-    walk for its four readers, whose facts are those of a walk for the
-    build reader alone and of three ``check_axioms`` calls: on the FIG, on
-    PG and on the FIG with the first Type III line kept."""
+    """The figueroa suite, named, builds the row pass with one walk for its
+    four readers, whose facts are those of a walk for the build reader
+    alone and of three ``check_axioms`` calls: on the FIG, on PG and on the
+    FIG with the first Type III line kept."""
     import dataclasses
     import figplane.figueroa as fg
     import figplane.row_pass as rp
     sess = Session(build_field_tower(*{3: (3, 1), 4: (2, 2)}[q]))
     walks, real = [], rp.walk
     monkeypatch.setattr(rp, "walk", lambda *a: walks.append(a) or real(*a))
-    entries = {e.id: e for e in figueroa_checks(sess, by_default=True)}
+    entries = {e.id: e for e in figueroa_checks(sess)}
     assert len(walks) == 1 and all(e.passed for e in entries.values())
     facts, fig = sess.row_pass, sess.fig_structure
     assert set(facts) == set(rp.READERS)
@@ -905,17 +923,18 @@ def test_one_walk_reports_as_the_one_structure_calls(q, monkeypatch):
 
 
 def test_a_second_selection_walks_for_the_readers_it_lacks(ctx4, monkeypatch):
-    """One Session runs the build group, then the axioms group: the second
-    walks the rows once, for the three axiom readers alone, and the build
-    group run again walks none."""
+    """One Session reads the build facts row by row, then runs the axioms
+    group: the second walks the rows once, for the three axiom readers
+    alone, and the axioms group run again, or the build group, walks none."""
     import figplane.row_pass as rp
     sess, walks, read, real = Session(ctx4), [], [], rp.read_rows
     monkeypatch.setattr(rp, "walk", lambda *a, real=rp.walk: walks.append(a) or real(*a))
     monkeypatch.setattr(rp, "read_rows", lambda s, readers: read.append(set(readers))
                         or real(s, readers))
-    for group, want in (("build", 1), ("axioms", 2), ("build", 2)):
+    assert build_rows(sess).passed and len(walks) == 1
+    for group in ("axioms", "axioms", "build"):
         entries = figueroa_checks(sess, group)
-        assert entries and all(e.passed for e in entries) and len(walks) == want, group
+        assert entries and all(e.passed for e in entries) and len(walks) == 2, group
     assert read == [{"build"}, {"axioms", "reference", "mutation"}]
     assert set(sess.row_pass) == set(rp.READERS)
 
@@ -929,13 +948,16 @@ class _Counted(IncidencePlane):
         return super().rows(L)
 
 
-@pytest.mark.parametrize("argv, passes", [(["verify"], 2), (["figueroa", "--check", "build"], 1),
+@pytest.mark.parametrize("argv, passes", [(["verify"], 0), (["figueroa", "--check", "build"], 0),
                                           (["figueroa", "--check", "axioms"], 2)])
 def test_a_run_makes_each_fig_row_once_per_pass(argv, passes, monkeypatch, capsys):
-    """One walk serves every reader a run selects: the default run and the
-    axioms group make each FIG row twice, as itself and as a Dickson image,
-    where they made it six times, and the build group once.  Made through
-    ``fig_rows``, which hands on the lines, the walk makes the same rows."""
+    """One walk serves every reader a run selects: the axioms group makes
+    each FIG row twice, as itself and as a Dickson image, for the build
+    facts and the axiom reports alike.  The default run and the build
+    group walk no row: they make only the rows through the representatives
+    and the anchor blocks, fewer than one row in ten at q = 4.  Made
+    through ``fig_rows``, which hands on the lines, the walk makes the same
+    rows."""
     import figplane.figueroa as fg
     from figplane.arrays import PlaneTables
     sources = []
@@ -948,25 +970,27 @@ def test_a_run_makes_each_fig_row_once_per_pass(argv, passes, monkeypatch, capsy
     monkeypatch.setattr(PlaneTables, "fig_rows",
                         lambda self, L, *a, **kw: calls.append(len(L)) or real(self, L, *a, **kw))
     assert main(argv[:1] + ["--q", "4"] + argv[1:]) == 0
-    # the other calls are the anchor blocks of the block checks, one row each
-    assert sum(m for m in calls if m > 1) == passes * 4161
+    walked = sum(m for m in calls if m > 65)    # a chunk of the walk holds 252 rows at q = 4
+    assert walked == passes * 4161 and sum(calls) - walked < 4161 / 10
 
 
 def test_build_entries_fail_with_their_own_witnesses_from_one_pass(fig3):
     """One repeated point in the first Type III row, read through one
-    shared pass: ``fig.block-sizes`` names the row's anchor, and
-    ``fig.build`` names the invariance its phi image breaks, and nothing
-    else."""
+    shared pass: ``fig.build-rows`` names the row's anchor and the
+    invariance its phi image breaks, and nothing else; the equivariant
+    ``fig.block-sizes`` and ``fig.build`` read the closed form, not the
+    held rows, and pass."""
     plane = fig3.plane
     i = list(plane.tables.types).index(TYPE_III)
     blocks = held(fig3).blocks.copy()
     blocks[i, 1] = blocks[i, 0]
     sess = Session(plane.ctx)
     sess.plane, sess.fig_structure = plane, HeldRows(plane, blocks)
-    sizes, build = block_sizes(sess), assembly(sess)
-    assert not sizes.passed and not build.passed
-    assert sizes.witnesses == [format_point(plane.points[plane.tables.mu[i]])]
-    assert build.witnesses == ["collineation_invariant"]
+    rows = build_rows(sess)
+    assert not rows.passed
+    assert rows.witnesses == [format_point(plane.points[plane.tables.mu[i]]),
+                              "collineation_invariant"]
+    assert block_sizes(sess).passed and assembly(sess).passed
 
 
 @pytest.mark.parametrize("fault, column", [
@@ -976,8 +1000,8 @@ def test_build_entries_fail_with_their_own_witnesses_from_one_pass(fig3):
 def test_build_entries_fail_on_a_malformed_structure(fig3, fault, column):
     """Blocks one column short or long, or the first Type III row holding an
     entry outside [0, n) at its first or last column: neither build entry
-    raises, ``fig.block-sizes`` names the bad row's anchor (every anchor
-    when no row has the width of a block), ``fig.build`` names its failing
+    raises: ``fig.build-rows`` names the bad row's anchor (the first five
+    anchors when no row has the width of a block), then its failing
     sub-checks, and ``fig.axioms`` fails too, with a witness."""
     plane = fig3.plane
     n, tables = plane.size, plane.tables
@@ -991,14 +1015,12 @@ def test_build_entries_fail_on_a_malformed_structure(fig3, fault, column):
         blocks[i, column] = n if fault == "n" else fault
     sess = Session(plane.ctx)
     sess.plane, sess.fig_structure = plane, HeldRows(plane, blocks)
-    sizes, build, axiom_entry = block_sizes(sess), assembly(sess), axioms(sess)
+    rows, axiom_entry = build_rows(sess), axioms(sess)
     anchors = [format_point(plane.point(a)) for a in tables.mu[tables.types == TYPE_III]]
-    assert not sizes.passed and not build.passed
+    assert not rows.passed
     if column is None:
-        assert sizes.witnesses == anchors[:5]
-        assert build.witnesses == ["kept_lines_agree", "blocks_differ_from_lines",
-                                   "collineation_invariant"]
+        assert rows.witnesses == anchors[:5] + ["kept_lines_agree", "blocks_differ_from_lines",
+                                                "collineation_invariant"]
     else:
-        assert sizes.witnesses == anchors[:1]
-        assert build.witnesses == ["collineation_invariant"]
+        assert rows.witnesses == anchors[:1] + ["collineation_invariant"]
     assert not axiom_entry.passed and axiom_entry.witnesses
