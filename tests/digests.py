@@ -13,7 +13,7 @@ The matrix, ``tests/data/digests.json``, maps each command line of
 command whose output differs from the matrix, with the old and the new
 digest, so a declared report change lists every id it changed.  The runs
 go in-process through ``figplane.cli.main``, one at a time; the q = 13
-runs take seconds and about 190 MiB each.
+runs take seconds and about 190 MiB each, the q = 16 maps run about 300 MiB.
 """
 
 from __future__ import annotations
@@ -45,10 +45,15 @@ GOLDENS = {
 }
 
 # the runs pinned by their digest alone: the default report in json and
-# text at every order the tier-1 goldens do not cover, and the census at q = 9
+# text at every order the tier-1 goldens do not cover, the census at q = 9,
+# the maps suite at q = 16, and the side linear sets and side subplane of
+# norm class 1 at q = 4, 7, 16 and 37, an order past the int32 plane tables
 DIGESTS = ([f"verify --q {q} --suite all --format {fmt}"
             for q in (4, 5, 7, 8, 11, 13) for fmt in ("json", "text") if fmt == "text" or q > 5]
-           + ["census --q 9 --format json"])
+           + ["census --q 9 --format json", "verify --q 16 --suite maps --format json"]
+           + [command for q in (4, 7, 16, 37)
+              for command in [f"sls --q {q} --theta 1 --side {side}" for side in range(3)]
+              + [f"tplane --q {q} --theta 1"]])
 
 COMMANDS = list(GOLDENS) + DIGESTS
 

@@ -8,7 +8,8 @@ The golden reports are the output of
 
 at q = 3, 4 and 5, kept under ``tests/data``; they pin every entry, its
 counts and the report order.  The default report at q = 4, 5, 7, 8, 11
-and 13, in json and text, and the census at q = 9, are pinned by their
+and 13, in json and text, the census at q = 9, the maps suite at q = 16
+and the ``sls`` and ``tplane`` output at q = 4, 7, 16 and 37 are pinned by their
 sha256 digests in ``tests/data/digests.json``, in a test marked slow;
 ``tests/digests.py`` writes and checks that matrix and the goldens.
 q = 5 is the least order with q = 1 mod 4, where
@@ -119,8 +120,9 @@ def test_checks_read_only_the_stages_they_declare(q):
 @pytest.mark.parametrize("command", digests.DIGESTS)
 def test_verify_all_matches_golden_digest(command, capsys):
     """The default report at q = 4, 5, 7, 8, 11 and 13, in json and text,
-    and the census at q = 9, hash to the sha256 digests of the matrix
-    ``tests/data/digests.json``.  These runs take seconds each, so the
+    the census at q = 9, the maps suite at q = 16 and the ``sls`` and
+    ``tplane`` output at q = 4, 7, 16 and 37 hash to the sha256 digests of
+    the matrix ``tests/data/digests.json``.  These runs take seconds each, so the
     test is marked slow: ``pytest -m slow`` runs it."""
     import hashlib
     assert main(command.split()) == 0
