@@ -4,21 +4,25 @@ Shows the three ways a side subplane turns into a scattered linear set on
 the axis, the projection-vertex census, and the fixed-plane searches.
 """
 
-from figplane import (ProjectivePlane, build_field_tower, conjugate_meet,
-                      format_point, partition_orbits, project_from_anchor, splash,
+from figplane import (ProjectivePlane, build_field_tower, format_point, partition_orbits,
                       vertex_census)
 from figplane.linear_sets import fixed_subplane, sls_points, t_plane
-from figplane.maps import mu_fixed_planes, phi_fixed_planes
+from figplane.maps import anchor_cross, anchor_projections, mu_fixed_planes, phi_fixed_planes
 
 ctx = build_field_tower(3, 1)
 q = ctx.q
+plane = ProjectivePlane(ctx)
+tables = plane.tables
 
+# orbit objects are sorted rows of point (or line) indices; the maps act
+# on whole rows at once
 theta = 2  # a norm class with norm != 1
 B = t_plane(ctx, theta)
-projection = frozenset(project_from_anchor(ctx, P) for P in B.points)
-splashes = frozenset(splash(ctx, l) for l in B.lines)
-involution = frozenset(conjugate_meet(ctx, l) for l in B.lines)
-print(f"side subplane for theta = {theta} (norm class {ctx.norm_class(theta)}):")
+projection = tuple(sorted(anchor_projections(tables, B.points).tolist()))
+splashes = tuple(sorted(anchor_cross(tables, B.lines).tolist()))
+involution = tuple(sorted(tables.mu[list(B.lines)].tolist()))
+print(f"side subplane for theta = {theta} (norm class {ctx.norm_class(theta)}), "
+      f"through {format_point(plane.point(B.points[0]))}:")
 print(f"  projection image  = linear set of norm class "
       f"{ctx.norm_class(ctx.mul(theta, theta))}")
 assert projection == sls_points(ctx, ctx.mul(theta, theta))
@@ -30,7 +34,6 @@ print(f"  involution image  = linear set of norm class "
 assert involution == sls_points(ctx, ctx.neg(ctx.inv(theta)))
 print()
 
-plane = ProjectivePlane(ctx)
 vc = vertex_census(plane, fixed_subplane(ctx))
 total = sum(len(v) for v in vc.by_class.values())
 print(f"projection vertices for the fixed subplane: {total} "

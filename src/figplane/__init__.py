@@ -37,13 +37,12 @@ _EXPORTS = {name: module for module, names in (
     ("plane", "ANCHOR ANCHOR_1 ANCHOR_2 AXIS GeometryError ProjectivePlane canonical "
               "format_line format_point incident join meet"),
     ("collineation", "TYPE_I TYPE_II TYPE_III Census OrbitClasses SlsId "
-                     "apply_stabilizer census_of collineate_line collineate_point line_type "
-                     "norm_det_identity partition_orbits point_type stabilizer_orbit"),
-    ("linear_sets", "SubplaneSet fixed_subplane pencil_lines pencil_type plane_from_rep "
+                     "census_of collineate_line collineate_point line_type "
+                     "norm_det_identity partition_orbits point_type"),
+    ("linear_sets", "SubplaneSet fixed_subplane pencil_lines plane_from_rep "
                     "sls_points t_plane"),
-    ("maps", "LinearSetImage TypeRestrictionError conjugate_join conjugate_meet "
-             "mu_fixed_planes phi_fixed_planes project_from_anchor project_from_vertex "
-             "splash vertex_census"),
+    ("maps", "TypeRestrictionError conjugate_join conjugate_meet "
+             "mu_fixed_planes phi_fixed_planes vertex_census"),
     ("figueroa", "IncidencePlane anchor_block arching_census build_fig_plane "
                  "characterize_fig_points check_axioms fig_incident pg_incidence "
                  "pr_fig_block"),

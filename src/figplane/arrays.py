@@ -65,12 +65,15 @@ from the index array it is asked for.
 * ``sec``    the secant line [yz, xz, xy] of a point off the triangle
   sides, (1, 1/b, 1/c) for the index b q^3 + c, and -1 for every other
   entry, the sides and -1 among them, as a lookup at -1 read it;
-* ``orbit_rows``  the q^2 + q + 1 members of the stabilizer orbit of
-  each representative but the triangle vertices, sorted.  With w_k the
-  norm-one element of log k(q - 1), k < q^2 + q + 1, the orbit of
-  (1, b, c), b != 0, is (1, b w_k, w_k^(q+1) c) and that of (1, 0, c) or
-  (0, 1, c) is c w_k in place of c; for a representative, whose leading
-  code b (or c) is at most q - 1, the code b w_k is b + k(q - 1).
+
+The module function ``orbit_rows`` makes the stabilizer orbits, the
+objects every orbit check reads, from the field context alone, so it
+serves every order the field allows, past the int32 tables too.  With w_k
+the norm-one element of log k(q - 1), k < q^2 + q + 1, the orbit of
+(1, b, c), b != 0, is (1, b w_k, w_k^(q+1) c) and that of (1, 0, c) or
+(0, 1, c) is c w_k in place of c.  Its least member leads with the code
+of b (or c) reduced mod q - 1, at most q - 1, and from there the code of
+b w_k is b + k(q - 1), so the rows come out sorted.
 
 No table has a row per object.  ``PlaneTables.incidence_rows`` makes the
 rows of q^3 + 1 sorted point indices of any lines from their closed form
@@ -82,15 +85,16 @@ n-entry lookup tables once a pass over every row has built them, and
 gives them with the rows they came from; it is the only code that
 assembles a block, and no table holds the blocks: every reader of FIG
 makes its rows when it reads them.
-``PlaneTables.project`` classifies the projection images of a batch of
-vertices, each from its own coordinates, ``PlaneTables.vertex_kinds``
-classifies the points as vertices for an orbit subplane by projecting
-one vertex per stabilizer orbit, which stands for its orbit, and
+``PlaneTables.project`` classifies the projection images of a point set,
+given by its indices, from a batch of vertices, each from its own
+coordinates, ``PlaneTables.vertex_kinds`` classifies the points as
+vertices for an orbit subplane by projecting one vertex per stabilizer
+orbit, which stands for its orbit, and
 ``PlaneTables.norm_det_mismatches`` tests the norm/determinant relation
 at every point off the triangle sides.  The scalar functions
-(``point_type``, ``conjugate_join``, ``points_on_line``,
-``project_from_vertex``, ...) remain the single-object API and the test
-oracle for everything here.
+(``point_type``, ``conjugate_join``, ``lines_through_point``, ...) remain the
+single-object API and, with the whole-set oracles of the tests, the
+reference for everything here.
 """
 
 from __future__ import annotations
@@ -132,6 +136,43 @@ def chunks(stop: int, width: int = 1, start: int = 0):
 def span(s: slice) -> np.ndarray:
     """The int32 indices of the chunk s, which reads a table as a view."""
     return np.arange(s.start, s.stop, dtype=np.int32)
+
+
+def contains(row: np.ndarray, i) -> np.ndarray:
+    """Whether each entry of the array i is in the sorted array ``row``, by
+    binary search, so that no mask over every index is made."""
+    i = np.asarray(i)
+    if len(row) == 0:
+        return np.zeros(i.shape, dtype=bool)
+    return row[np.minimum(np.searchsorted(row, i), len(row) - 1)] == i
+
+
+def distinct(v) -> np.ndarray:
+    """The distinct entries of an array, sorted; np.unique would import
+    numpy.ma."""
+    v = np.sort(v)
+    return v[np.concatenate(([True], v[1:] != v[:-1]))] if len(v) else v
+
+
+def orbit_rows(ctx: FieldContext, P) -> np.ndarray:
+    """The stabilizer orbit of each point with an index in P, none of them
+    a triangle vertex, as one sorted row of q^2 + q + 1 point indices, its
+    least member first, made from the closed form of the module docstring
+    and the field context alone: int32 where every index of the plane fits,
+    int64 past that.  Each point is first taken to the least member of its
+    orbit: its lead code u, b for (1, b, c) with b != 0 and c otherwise,
+    goes to (u - 1) mod (q - 1) + 1 by the w whose log is the difference,
+    a multiple of q - 1, and w^(q+1) scales c of (1, b, c)."""
+    q, q3, n = ctx.q, ctx.q3, ctx.n
+    dtype = np.int32 if q3 * q3 + q3 + 1 < _INT32_LIMIT else np.int64
+    logs = np.arange(ctx.sub_order, dtype=dtype) * (q - 1)     # log w_k
+    y, z = np.divmod(np.asarray(P, dtype=dtype)[:, None], q3)
+    inner = (y != 0) & (y < q3)                     # (1, y, z) with y != 0: y leads
+    lead = np.where(inner, y, z)
+    least = (lead - 1) % (q - 1) + 1
+    # the code of w^(q+1) w_k^(q+1) z, zero for z = 0
+    twist = np.where(z == 0, 0, (z - 1 + (q + 1) * (least - lead + logs)) % n + 1)
+    return np.where(inner, (least + logs) * q3 + twist, y * q3 + least + logs)
 
 
 def fixed_points(table: np.ndarray) -> np.ndarray:
@@ -568,30 +609,6 @@ class PlaneTables:
         """Least index in the stabilizer orbit of every point."""
         return self._point_tables["orbit"]
 
-    def orbit_rows(self, R) -> np.ndarray:
-        """The stabilizer orbit of each representative in R, one sorted row
-        of q^2 + q + 1 int32 point indices each, made from the closed form
-        of the module docstring on every call.  R holds least members of
-        orbits, none of them a triangle vertex; a (1, b, c) row walks b
-        through its q^2 + q + 1 blocks of q^3 indices, and any other row
-        is R + k(q - 1), so the rows come out sorted."""
-        ctx = self.ctx
-        q, q3, n = ctx.q, ctx.q3, ctx.n
-        logs = np.arange(ctx.sub_order, dtype=np.int32) * (q - 1)    # log w_k
-        R = np.asarray(R, dtype=np.int32)[:, None]
-        y, z = np.divmod(R, q3)
-        # w_k^(q+1) z, the code of log z + (q + 1) log w_k mod n, for z != 0:
-        # one gather from the codes 1 .. n twice over, not a remainder
-        codes = np.arange(1, n + 1, dtype=np.int32)
-        rows = np.take(np.concatenate((codes, codes)), z - 1 + (q + 1) * logs % n)
-        rows += y * q3
-        rows += logs * q3
-        other = ((y == 0) | (y >= q3) | (z == 0))[:, 0]     # not (1, y, z) with yz != 0
-        if other.any():
-            y, R = y[other], R[other]
-            rows[other] = np.where((y != 0) & (y < q3), (y + logs) * q3, R + logs)
-        return rows
-
     def incidence_rows(self, L) -> np.ndarray:
         """The points on each line with an index in L, equally the lines
         through each point with an index in L: one row of q^3 + 1 sorted
@@ -677,11 +694,11 @@ class PlaneTables:
         out[new] = members[:, :k]
         return out, rows
 
-    def _subplane(self, B) -> np.ndarray:
-        pts = np.asarray(sorted(B), dtype=np.int32).reshape(-1, 3)
-        if len(pts) == 0:
+    def _subplane(self, P) -> np.ndarray:
+        """The coordinates of the points with the indices P, one row each."""
+        if len(P) == 0:
             raise KernelError("projection of an empty point set")
-        return pts
+        return np.stack(self.field.coords(P), axis=1)
 
     def _project_chunk(self, x, y, z, pts):
         """Projection kind of each vertex (x, y, z), z != 0, for the points
@@ -711,39 +728,39 @@ class PlaneTables:
             out[s] = self._project_chunk(x[s], y[s], z[s], pts)
         return out
 
-    def project(self, vertices, B) -> np.ndarray:
-        """Projection kind of each vertex V (off the axis, outside B) for the
-        point set B onto the axis: the norm class j of a scattered image, or
-        CLUB or OTHER, exactly as ``project_from_vertex`` classifies it.
-        Each vertex is projected on its own, in blocks of
-        ``CHUNK // |B|`` vertices."""
-        pts = self._subplane(B)
-        V = np.asarray(vertices, dtype=np.int32).reshape(-1, 3)
-        if np.any(V[:, 2] == 0):
+    def project(self, vertices, P) -> np.ndarray:
+        """Projection kind of each vertex V (off the axis, outside the point
+        set) for the points with the indices P onto the axis: the norm class
+        j of a scattered image, or CLUB or OTHER.  ``vertices`` are point
+        indices too.  Each vertex is projected on its own, in blocks of
+        ``CHUNK // |P|`` vertices."""
+        pts = self._subplane(P)
+        x, y, z = self.field.coords(vertices)
+        if np.any(z == 0):
             raise GeometryError("a vertex lies on the axis")
-        return self._project(*V.T, pts)
+        return self._project(x, y, z, pts)
 
-    def vertex_kinds(self, B) -> tuple[np.ndarray, np.ndarray]:
-        """The orbit representatives that are vertices for B, off the axis
-        and outside B, in increasing order, and the projection kind of each,
-        which is that of every point of its orbit.
+    def vertex_kinds(self, P) -> tuple[np.ndarray, np.ndarray]:
+        """The orbit representatives that are vertices for the point set of
+        the indices P, off the axis and outside it, in increasing order, and
+        the projection kind of each, which is that of every point of its
+        orbit.
 
-        B must be a union of stabilizer orbits, as every orbit subplane and
-        its conjugates are: ``KernelError`` unless tau maps B onto itself.
-        Then the kind is constant on each orbit.  tau fixes B and the axis,
-        and on the axis it multiplies a/b of (a : b : 0) by g^(1-q), whose
-        norm is one, fixing (1 : 0 : 0) and (0 : 1 : 0); so B projects from
-        V and from tau V onto images of one norm class and one size.  One
-        vertex per orbit, the least index, is projected.  Membership in B is
-        read by binary search in its sorted indices, so no n-entry mask is
-        made.
+        The set must be a union of stabilizer orbits, as every orbit
+        subplane and its conjugates are: ``KernelError`` unless tau maps it
+        onto itself.  Then the kind is constant on each orbit.  tau fixes
+        the set and the axis, and on the axis it multiplies a/b of
+        (a : b : 0) by g^(1-q), whose norm is one, fixing (1 : 0 : 0) and
+        (0 : 1 : 0); so the set projects from V and from tau V onto images
+        of one norm class and one size.  One vertex per orbit, the least
+        index, is projected.  Membership in the set is read by binary
+        search in its sorted indices, so no n-entry mask is made.
         """
-        pts = self._subplane(B)
-        inside = np.sort(self.field.index(*pts.T))
+        pts = self._subplane(P)
+        inside = np.sort(P)
         if not np.array_equal(np.sort(self._image(self._torus_rows, *pts.T)), inside):
             raise KernelError("vertex kinds of a point set that the torus shift tau moves")
         reps = fixed_points(self.orbit)
         x, y, z = self.field.coords(reps)
-        found = np.minimum(np.searchsorted(inside, reps), len(inside) - 1)
-        keep = (z != 0) & (inside[found] != reps)
+        keep = (z != 0) & ~contains(inside, reps)
         return reps[keep], self._project(x[keep], y[keep], z[keep], pts)

@@ -47,7 +47,7 @@ from . import linear_sets as ls
 from .arrays import KernelError
 from .collineation import CATEGORIES, CATEGORY_TYPES, TYPE_NAMES
 from .field import FieldError, context_for_q, order_of, table_bytes
-from .plane import GeometryError, format_point
+from .plane import GeometryError, ProjectivePlane, format_point
 from .report import Report, TOOL_NAME, TOOL_VERSION
 from .suites import (SUITES, Session, census_checks, check_groups, figueroa_checks,
                      maps_checks, refusal, selected)
@@ -224,9 +224,9 @@ def print_points(args) -> int:
         raise UsageError(f"--theta must be a norm class index 0 .. {q - 2}")
     ctx = context_for_q(args.q)
     theta = ctx.norm_class_rep(args.theta)
-    points = (ls.sls_points(ctx, theta, args.side) if args.command == "sls"
-              else ls.t_plane(ctx, theta).points)
-    for P in sorted(points):
+    row = (ls.sls_points(ctx, theta, args.side) if args.command == "sls"
+           else ls.t_plane(ctx, theta).points)
+    for P in sorted(map(ProjectivePlane(ctx).point, row)):
         print(format_point(P))
     return 0
 

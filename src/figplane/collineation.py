@@ -17,13 +17,11 @@ three vertices, the scattered linear sets on the triangle sides
 (``sls_II``, ``sls_III``) and four kinds of subplanes of order q.
 ``partition_orbits`` reads the representatives from ``PlaneTables.orbit``
 and makes two arrays, the representatives and their categories; it checks
-every member row, made from the stabilizer's closed form, against the
-table, and keeps none: ``OrbitClasses.members`` makes the rows of any
-classes again when they are read.  ``census_of`` counts the classes with
-one bincount.
-``stabilizer_orbit``, the orbit of one point under ``apply_stabilizer``,
-is the closed form from which :mod:`figplane.linear_sets` builds the
-linear sets and subplanes, and the scalar reference for the orbit table;
+every member row, made from the stabilizer's closed form
+(``figplane.arrays.orbit_rows``, from which :mod:`figplane.linear_sets`
+makes the linear sets and subplanes too), against the table, and keeps
+none: ``OrbitClasses.members`` makes the rows of any classes again when
+they are read.  ``census_of`` counts the classes with one bincount.
 ``sls_id_of_point`` names the side and norm class of a linear set.
 """
 
@@ -127,27 +125,6 @@ def line_type(ctx: FieldContext, l: Triple) -> int:
     return rank3(ctx, line_orbit_matrix(ctx, l))
 
 
-def apply_stabilizer(ctx: FieldContext, t: int, P: Triple) -> Triple:
-    """The projectivity (x,y,z) |-> (t x, t^q y, t^q^2 z); t nonzero."""
-    if t == 0:
-        raise FieldError("stabilizer parameter must be nonzero")
-    x, y, z = P
-    return canonical(ctx, (ctx.mul(t, x),
-                           ctx.mul(ctx.frob(t), y),
-                           ctx.mul(ctx.frob(t, 2), z)))
-
-
-def stabilizer_orbit(ctx: FieldContext, P: Triple) -> frozenset[Triple]:
-    """Orbit of P under the stabilizer, the closed form from which
-    :mod:`figplane.linear_sets` makes every orbit object.
-
-    Parameters t and lambda*t (lambda in GF(q)*) induce the same
-    projectivity, so t runs over the q^2+q+1 coset representatives
-    ``ctx.coset_reps()``.
-    """
-    return frozenset(apply_stabilizer(ctx, t, P) for t in ctx.coset_reps())
-
-
 def norm_det_identity(ctx: FieldContext, P: Triple) -> bool:
     """Check the norm/determinant relation tying a point off the triangle
     sides to the secant line of its stabilizer orbit.
@@ -249,7 +226,7 @@ class OrbitClasses:
     positions in ``CATEGORIES``; ``len`` is the number of classes.  A class
     is named by its position.  No member is held: ``members`` makes the
     sorted member rows of any classes from the stabilizer's closed form
-    (``PlaneTables.orbit_rows``) when they are asked for.  ``split_by``
+    (``figplane.arrays.orbit_rows``) when they are asked for.  ``split_by``
     flags the classes that a point permutation splits."""
     reps: np.ndarray
     categories: np.ndarray
@@ -268,10 +245,11 @@ class OrbitClasses:
         in j, its representative first; a vertex class, of one point, has
         no such row and raises ``ValueError``."""
         import numpy as np
+        from .arrays import orbit_rows
         j = np.asarray(j, dtype=np.intp)
         if (self.categories[j] == VERTEX).any():
             raise ValueError("a vertex class has one member and no member row")
-        return self.tables.orbit_rows(self.reps[j])
+        return orbit_rows(self.tables.ctx, self.reps[j])
 
     def split_by(self, g) -> np.ndarray:
         """One bool per class: whether the point permutation g, an index
@@ -304,13 +282,13 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
     k(q - 1), k < q^2+q+1; so a class whose least member leads with the
     code u <= q - 1 (y, or z where y = 0; q and q + 1 are prime to
     q^2+q+1) leads with u + k(q - 1).  Its member row, made sorted from
-    that closed form (``PlaneTables.orbit_rows``), is checked against the
+    that closed form (``figplane.arrays.orbit_rows``), is checked against the
     table once and not kept.  A representative leading with a larger code,
     or a row entry labelled otherwise or of another point type, raises
     ``OrbitInconsistency``.
     """
     import numpy as np
-    from .arrays import chunks, fixed_points
+    from .arrays import chunks, fixed_points, orbit_rows
     ctx, tables = plane.ctx, plane.tables
     types, orbit = tables.types, tables.orbit
     q, q3, s = ctx.q, ctx.q3, ctx.sub_order
@@ -332,7 +310,7 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
     lead = np.where((full < q3 * q3) & (y != 0), y, z)
     for j in chunks(len(full), s):
         R = full[j, None]
-        rows = tables.orbit_rows(full[j])
+        rows = orbit_rows(ctx, full[j])
         bad = (lead[j] >= q) | (np.take(orbit, rows, mode="clip") != R).any(axis=1)
         if bad.any():
             raise OrbitInconsistency("the orbit table disagrees with the stabilizer orbit "

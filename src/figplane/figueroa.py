@@ -44,14 +44,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrays import Bits, Collineation, PlaneTables, chunks, orbit_minima, span
+from .arrays import (Bits, Collineation, PlaneTables, chunks, contains, distinct, orbit_minima,
+                     span)
 from .field import FieldContext, Gate
-from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
-                    ProjectivePlane, Triple, format_point, incident, points_on_line)
+from .plane import ANCHOR, GeometryError, ProjectivePlane, Triple, format_point, incident
 from .collineation import TYPE_I, TYPE_II, TYPE_III, collineate_point, line_type, point_type
 from .linear_sets import sls_points, t_plane
-from .maps import (TypeRestrictionError, conjugate_join, conjugate_meet,
-                   project_from_anchor)
+from .maps import (TypeRestrictionError, anchor_projections, axis_points, conjugate_join,
+                   conjugate_meet)
 
 
 def anchor_block(plane: ProjectivePlane, anchor: Triple) -> np.ndarray:
@@ -344,18 +344,18 @@ def check_axioms(structure: IncidencePlane) -> AxiomReport:
     return read_rows(structure, ("axioms",))["axioms"]
 
 
-def pr_fig_block(plane: ProjectivePlane, which: int = 0) -> frozenset[Triple]:
+def pr_fig_block(plane: ProjectivePlane, which: int = 0) -> np.ndarray:
     """Projection from the anchor of the block at the anchor's conjugate
-    ``which`` (0, 1 or 2); the anchor itself, a member of the conjugate
-    blocks, is skipped since projection is undefined there."""
-    ctx = plane.ctx
-    block = anchor_block(plane, collineate_point(ctx, ANCHOR, which))
-    return frozenset(project_from_anchor(ctx, P)
-                     for P in map(plane.point, block) if P != ANCHOR)
+    ``which`` (0, 1 or 2), as the sorted indices of its distinct points;
+    the anchor itself, a member of the conjugate blocks, is skipped since
+    projection is undefined there."""
+    block = anchor_block(plane, collineate_point(plane.ctx, ANCHOR, which))
+    return distinct(anchor_projections(plane.tables, block[block != plane.size - 1]))
 
 
-def expected_pr_fig_block(ctx: FieldContext, which: int = 0) -> frozenset[Triple]:
-    """Closed form for the projection of a block from the anchor.
+def expected_pr_fig_block(ctx: FieldContext, which: int = 0) -> np.ndarray:
+    """Closed form for the projection of a block from the anchor, as sorted
+    point indices.
 
     For the anchor's own block: the whole axis when q is even; for odd q
     the two axis vertices, the norm minus-one linear set, and the linear
@@ -364,36 +364,37 @@ def expected_pr_fig_block(ctx: FieldContext, which: int = 0) -> frozenset[Triple
     the image is the axis minus the norm-one linear set and minus the
     co-vertex that is the conjugate's own projection shadow.
     """
-    axis_pts = frozenset(points_on_line(ctx, AXIS))
+    axis = axis_points(ctx)
     if which == 0:
         if ctx.q % 2 == 0:
-            return axis_pts
-        img = {ANCHOR_1, ANCHOR_2}
-        img.update(sls_points(ctx, ctx.neg_one))
-        for j in range(ctx.q - 1):
-            theta = ctx.norm_class_rep(j)
-            if ctx.is_nonzero_square(ctx.norm(theta)):
-                img.update(sls_points(ctx, theta))
-        return frozenset(img)
-    s1 = sls_points(ctx, ctx.one)
-    gone = {ANCHOR_1} if which == 1 else {ANCHOR_2}
-    return axis_pts - s1 - gone
+            return axis
+        sets = [(axis[0], axis[-1]), sls_points(ctx, ctx.neg_one)]     # (1, 0, 0), (0, 1, 0)
+        sets.extend(sls_points(ctx, theta) for theta in map(ctx.norm_class_rep, range(ctx.q - 1))
+                    if ctx.is_nonzero_square(ctx.norm(theta)))
+        return distinct(np.concatenate(sets))
+    gone = np.concatenate((sls_points(ctx, ctx.one), [axis[0] if which == 1 else axis[-1]]))
+    return axis[~contains(np.sort(gone), axis)]
 
 
 def arching_census(ctx: FieldContext) -> dict[int, int]:
     """For each pencil, by norm class, how many of the q-1 side subplanes
-    it arches over, i.e. meets once on every pencil line."""
+    it arches over, i.e. meets once on every pencil line.  Every point of
+    a subplane is (1, y, z) with yz != 0, and its join with the anchor is
+    [-y : 1 : 0] = [1 : -1/y : 0], of index q^3 times the code of -1/y: so
+    a pencil arches over a subplane when the sorted joins of its points
+    hold each line of the pencil once."""
     from .linear_sets import pencil_lines
-    q = ctx.q
-    planes = [t_plane(ctx, ctx.norm_class_rep(j)).points for j in range(q - 1)]
+    n, q3 = ctx.n, ctx.q3
+    thetas = [ctx.norm_class_rep(j) for j in range(ctx.q - 1)]
+    joins = []
+    for theta in thetas:
+        y = np.asarray(t_plane(ctx, theta).points) // q3
+        joins.append(np.sort(((ctx.neg_one - y) % n + 1) * q3))   # the code of -1/y
     per_class: dict[int, int] = {}
-    for j in range(q - 1):
-        pencil = pencil_lines(ctx, ctx.norm_class_rep(j))
-        arched = 0
-        for pts in planes:
-            if all(sum(1 for P in pts if incident(ctx, P, l)) == 1 for l in pencil):
-                arched += 1
-        per_class[j] = arched
+    for j, theta in enumerate(thetas):
+        pencil = np.asarray(pencil_lines(ctx, theta))
+        per_class[j] = sum(bool(np.all(np.searchsorted(s, pencil, "right")
+                                       - np.searchsorted(s, pencil) == 1)) for s in joins)
     return per_class
 
 
@@ -410,25 +411,24 @@ def characterize_fig_points(plane: ProjectivePlane,
     """Exhaustive equivalence scan: a point off the axis and distinct from
     the anchor projects the fixed subplane onto a side linear set exactly
     when it belongs to the anchor's block.  ``census`` is the vertex census
-    of the fixed subplane, computed here when not given."""
+    of the fixed subplane, computed here when not given.  The witnesses
+    are listed in the order of the points' triples."""
     from .linear_sets import fixed_subplane
     from .maps import vertex_census
-    ctx = plane.ctx
-    q = ctx.q
+    ctx, anchor = plane.ctx, plane.size - 1
     vc = census if census is not None else vertex_census(plane, fixed_subplane(ctx))
-    vertices = set()
-    for vs in vc.by_class.values():
-        vertices.update(vs)
-    off_axis_members = {P for P in map(plane.point, anchor_block(plane, ANCHOR))
-                        if P[2] != 0}
-    mismatches = []
-    for P in sorted(vertices - {ANCHOR} - off_axis_members)[:5]:
-        mismatches.append(f"{format_point(P)} projects to a side set but is no block member")
-    for P in sorted(off_axis_members - vertices)[:5]:
-        mismatches.append(f"block member {format_point(P)} fails to project to a side set")
+    vertices = np.sort(np.concatenate([np.asarray(vs, dtype=np.int64)
+                                       for vs in vc.by_class.values()]))
+    block = anchor_block(plane, ANCHOR)
+    members = block[plane.tables.field.coords(block)[2] != 0]     # off the axis
+    others = vertices[vertices != anchor]
+    mismatches = [f"{format_point(P)} projects to a side set but is no block member"
+                  for P in sorted(map(plane.point, others[~contains(members, others)]))[:5]]
+    mismatches += [f"block member {format_point(P)} fails to project to a side set"
+                   for P in sorted(map(plane.point, members[~contains(vertices, members)]))[:5]]
     count = len(vertices)
-    expected = q ** 3 - q ** 2 - q - 1
-    ok = not mismatches and ANCHOR in vertices and count == expected
+    expected = ctx.q ** 3 - ctx.q ** 2 - ctx.q - 1
+    ok = not mismatches and bool(contains(vertices, [anchor])[0]) and count == expected
     return CharacterizationReport(ok, count, expected, mismatches)
 
 

@@ -1,4 +1,4 @@
-"""Distinguished stabilizer orbits in closed form.
+"""Distinguished stabilizer orbits in closed form, as rows of indices.
 
 Three families, all parametrized by a nonzero field element theta whose
 norm alone decides the object:
@@ -10,10 +10,14 @@ norm alone decides the object:
 * the subplanes of order q ("theta-planes") {(r theta^(q+1), r^q, r^q^2 theta)},
   ``t_plane``, with the q = norm-1 member being the pointwise fixed subplane.
 
-Linear sets and subplanes are stabilizer orbits of one point each
-(``collineation.stabilizer_orbit``): (theta : 1 : 0) pushed to a side, or a
-point off the sides with the orbit of its secant [yz : xz : xy] as lines.
-``_require_size`` raises unless each orbit has q^2+q+1 members.
+Each object is the stabilizer orbit of one point or line, given as the
+sorted tuple of its dense indices (:class:`figplane.plane.ProjectivePlane`)
+that the closed form ``figplane.arrays.orbit_rows`` makes from the field
+context alone: (theta : 1 : 0) moved to a side by the collineation, the
+line joining it to the anchor, or a point off the sides with its secant
+[yz : xz : xy], whose orbit is the subplane's line set (lines move under
+the stabilizer by the point formula).  ``_require_size`` raises unless each
+orbit has q^2+q+1 distinct members.
 
 Sides are numbered as in :mod:`figplane.plane`: 0 is the axis, 1 and 2
 its images under the collineation.
@@ -24,45 +28,57 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
+import numpy as np
+
+from .arrays import orbit_rows
 from .field import FieldContext, FieldError
-from .plane import ANCHOR, GeometryError, Triple, join
-from .collineation import collineate_point, line_type, stabilizer_orbit
+from .plane import ANCHOR, GeometryError, ProjectivePlane, Triple, canonical, join
+from .collineation import collineate_point
 
 
 @dataclass(frozen=True)
 class SubplaneSet:
-    points: frozenset[Triple]
-    lines: frozenset[Triple]
+    """An orbit subplane: the sorted indices of its points and of its lines."""
+    points: tuple[int, ...]
+    lines: tuple[int, ...]
 
 
-def sls_points(ctx: FieldContext, theta: int, side: int = 0) -> frozenset[Triple]:
-    """The scattered linear set {(x theta, x^q, 0)}, the orbit of
-    (theta : 1 : 0), pushed to ``side``."""
-    if theta == 0:
-        raise FieldError("theta must be nonzero")
-    pts = stabilizer_orbit(ctx, collineate_point(ctx, (theta, 1, 0), side))
-    _require_size(ctx, f"linear set of {theta}", pts)
-    return pts
+def _orbits(ctx: FieldContext, what: str, *objects: Triple) -> list[tuple[int, ...]]:
+    """The sorted index rows of the stabilizer orbits of the triples
+    ``objects``, points or lines alike, each checked by ``_require_size``."""
+    index = ProjectivePlane(ctx).index
+    rows = orbit_rows(ctx, [index(canonical(ctx, t)) for t in objects])
+    _require_size(ctx, what, *rows)
+    return [tuple(row.tolist()) for row in rows]
 
 
-def _require_size(ctx: FieldContext, what: str, *sets) -> None:
-    """Raise unless each set has the q^2+q+1 members of a stabilizer orbit."""
-    sizes = [len(s) for s in sets]
+def _require_size(ctx: FieldContext, what: str, *rows) -> None:
+    """Raise unless each row has the q^2+q+1 distinct members of a
+    stabilizer orbit."""
+    sizes = []
+    for row in rows:
+        row = np.sort(row)
+        sizes.append(int(np.count_nonzero(row[1:] != row[:-1])) + 1)
     if any(size != ctx.sub_order for size in sizes):
         raise GeometryError(f"{what} has {sizes} members, not {ctx.sub_order}")
 
 
-def pencil_lines(ctx: FieldContext, theta: int) -> frozenset[Triple]:
-    """Lines joining the anchor to the axis linear set of theta."""
-    return frozenset(join(ctx, ANCHOR, P) for P in sls_points(ctx, theta))
+def sls_points(ctx: FieldContext, theta: int, side: int = 0) -> tuple[int, ...]:
+    """The scattered linear set {(x theta, x^q, 0)}, the orbit of
+    (theta : 1 : 0), pushed to ``side``."""
+    if theta == 0:
+        raise FieldError("theta must be nonzero")
+    return _orbits(ctx, f"linear set of {theta}",
+                   collineate_point(ctx, (theta, 1, 0), side))[0]
 
 
-def pencil_type(ctx: FieldContext, theta: int) -> int:
-    """Common type of the pencil lines, verified to be uniform."""
-    kinds = {line_type(ctx, l) for l in pencil_lines(ctx, theta)}
-    if len(kinds) != 1:
-        raise GeometryError(f"pencil of {theta} mixes line types {sorted(kinds)}")
-    return kinds.pop()
+def pencil_lines(ctx: FieldContext, theta: int) -> tuple[int, ...]:
+    """Lines joining the anchor to the axis linear set of theta: the orbit
+    of the line joining it to (theta : 1 : 0), since the stabilizer fixes
+    the anchor."""
+    if theta == 0:
+        raise FieldError("theta must be nonzero")
+    return _orbits(ctx, f"pencil of {theta}", join(ctx, ANCHOR, (theta, 1, 0)))[0]
 
 
 @cache
@@ -90,7 +106,5 @@ def plane_from_rep(ctx: FieldContext, P: Triple) -> SubplaneSet:
     x, y, z = P
     if x == 0 or y == 0 or z == 0:
         raise FieldError(f"{P} lies on a triangle side")
-    pts = stabilizer_orbit(ctx, P)
-    lns = stabilizer_orbit(ctx, (ctx.mul(y, z), ctx.mul(x, z), ctx.mul(x, y)))
-    _require_size(ctx, f"orbit plane of {P}", pts, lns)
-    return SubplaneSet(pts, lns)
+    return SubplaneSet(*_orbits(ctx, f"orbit plane of {P}", P,
+                                (ctx.mul(y, z), ctx.mul(x, z), ctx.mul(x, y))))

@@ -13,11 +13,12 @@ construction downstream.
 Projection sends P != anchor to (anchor P) meet axis; the splash sends a
 line != axis to its meet with the axis.  Projecting an orbit subplane
 from any vertex off the axis yields a rank-3 linear set on the axis,
-which is a club (q^2+1 points) or scattered (q^2+q+1 points); scattered
-images that coincide with a side orbit are tagged with their SlsId.
-``anchor_projections`` and ``anchor_cross`` are the projection from the
-anchor, the join with it and the splash on arrays of point and line
-indices, one closed form each.
+which is a club (q^2+1 points) or scattered (q^2+q+1 points), the side
+linear set of one norm class (``PlaneTables.project``, read one vertex
+per stabilizer orbit by ``vertex_census``).  ``anchor_projections`` and
+``anchor_cross`` are the projection from the anchor, the join with it and
+the splash on arrays of point and line indices, one closed form each,
+and ``axis_points`` the points of the axis.
 """
 
 from __future__ import annotations
@@ -26,13 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import CLUB, OTHER, chunks
+from .arrays import CLUB, OTHER, chunks, orbit_rows
 from .field import FieldContext
-from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane, Triple,
-                    GeometryError, canonical, join, meet)
-from .collineation import (CATEGORIES, TYPE_III, OrbitClasses,
-                           OrbitInconsistency, SlsId, collineate_line,
-                           collineate_point, line_type, point_type)
+from .plane import ProjectivePlane, Triple, GeometryError, canonical, join, meet
+from .collineation import (CATEGORIES, TYPE_III, OrbitClasses, OrbitInconsistency,
+                           collineate_line, collineate_point, line_type, point_type)
 from .linear_sets import SubplaneSet
 
 
@@ -54,20 +53,8 @@ def conjugate_meet(ctx: FieldContext, l: Triple) -> Triple:
     return meet(ctx, collineate_line(ctx, l), collineate_line(ctx, l, 2))
 
 
-def project_from_anchor(ctx: FieldContext, P: Triple) -> Triple:
-    if P == ANCHOR:
-        raise GeometryError("projection from the anchor is undefined at the anchor")
-    return meet(ctx, join(ctx, ANCHOR, P), AXIS)
-
-
-def splash(ctx: FieldContext, l: Triple) -> Triple:
-    if l == AXIS:
-        raise GeometryError("splash of the axis is undefined")
-    return meet(ctx, l, AXIS)
-
-
 def anchor_projections(tables, P) -> np.ndarray:
-    """The bulk ``project_from_anchor`` on point indices: (x, y, z) goes to
+    """The projection from the anchor on point indices: (x, y, z) goes to
     (x, y, 0), so (1, b, c), index b q^3 + c, goes to index b q^3, and
     (0, 1, c) to (0, 1, 0), index q^6."""
     P = np.asarray(P)
@@ -89,55 +76,21 @@ def anchor_cross(tables, i) -> np.ndarray:
     return F.index(*F.canonical(F.neg(y), x, np.zeros_like(x)))
 
 
-@dataclass(frozen=True)
-class LinearSetImage:
-    vertex: Triple
-    points: frozenset[Triple]
-    kind: str                 # "sls" | "club" | "other"
-    sls: SlsId | None
-
-
-def _classify_axis_set(ctx: FieldContext, pts: frozenset[Triple],
-                       vertex: Triple) -> LinearSetImage:
-    sub = ctx.sub_order
-    if len(pts) == ctx.q ** 2 + 1:
-        return LinearSetImage(vertex, pts, "club", None)
-    if len(pts) == sub and ANCHOR_1 not in pts and ANCHOR_2 not in pts:
-        classes = {ctx.norm_class(ctx.div(a, b)) for a, b, _ in pts}
-        if len(classes) == 1:
-            return LinearSetImage(vertex, pts, "sls", SlsId(0, classes.pop()))
-    return LinearSetImage(vertex, pts, "other", None)
-
-
-def project_from_vertex(ctx: FieldContext, V: Triple,
-                        B: SubplaneSet) -> LinearSetImage:
-    """Project B from V onto the axis and classify the image.
-
-    V must be off the axis (projection from an axis point collapses to
-    that point) and outside B.
-    """
-    if V[2] == 0:
-        raise GeometryError(f"vertex {V} lies on the axis")
-    if V in B.points:
-        raise GeometryError(f"vertex {V} belongs to the projected subplane")
-    mul, sub = ctx.mul, ctx.sub
-    v1, v2, v3 = V
-    pts = set()
-    for (p1, p2, p3) in B.points:
-        a = sub(mul(v3, p1), mul(v1, p3))
-        b = sub(mul(v3, p2), mul(v2, p3))
-        pts.add(canonical(ctx, (a, b, 0)))
-    return _classify_axis_set(ctx, frozenset(pts), V)
+def axis_points(ctx: FieldContext) -> np.ndarray:
+    """The sorted indices of the q^3 + 1 points of the axis: (1, b, 0) at
+    b q^3, then (0, 1, 0) at q^6."""
+    q3 = ctx.q3
+    return np.append(np.arange(q3, dtype=np.int64) * q3, q3 * q3)
 
 
 @dataclass
 class VertexCensus:
     """Vertices V (off the axis, outside B) sorted by their image kind.
 
-    ``by_class[j]`` lists the vertices whose projection image is the axis
-    linear set of norm class j, in enumeration order.
+    ``by_class[j]`` lists the indices of the vertices whose projection
+    image is the axis linear set of norm class j, in increasing order.
     """
-    by_class: dict[int, list[Triple]]
+    by_class: dict[int, list[int]]
     club: int
     other: int
 
@@ -152,16 +105,15 @@ def vertex_census(plane: ProjectivePlane, B: SubplaneSet) -> VertexCensus:
     its kind counts for the q^2 + q + 1 points of its orbit, or for the
     anchor alone, the one triangle vertex off the axis, and the vertices of
     a norm class are the members of its orbits."""
-    tables = plane.tables
-    reps, kinds = tables.vertex_kinds(B.points)
+    reps, kinds = plane.tables.vertex_kinds(B.points)
     anchor = reps == plane.size - 1
     sizes = np.where(anchor, 1, plane.ctx.sub_order)
     by_class = {}
     for j in range(plane.ctx.q - 1):
         pick = kinds == j
         points = np.concatenate((reps[pick & anchor],
-                                 tables.orbit_rows(reps[pick & ~anchor]).ravel()))
-        by_class[j] = [plane.point(i) for i in np.sort(points)]
+                                 orbit_rows(plane.ctx, reps[pick & ~anchor]).ravel()))
+        by_class[j] = np.sort(points).tolist()
     return VertexCensus(by_class, int(sizes[kinds == CLUB].sum()),
                         int(sizes[kinds == OTHER].sum()))
 

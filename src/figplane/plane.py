@@ -98,10 +98,6 @@ def _pencil(ctx: FieldContext, base: Triple) -> list[Triple]:
     return out
 
 
-def points_on_line(ctx: FieldContext, line: Triple) -> list[Triple]:
-    return _pencil(ctx, line)
-
-
 def lines_through_point(ctx: FieldContext, point: Triple) -> list[Triple]:
     return _pencil(ctx, point)
 
@@ -168,7 +164,7 @@ class ProjectivePlane:
         return PlaneTables(self.ctx)
 
     def points_on(self, line: Triple) -> list[int]:
-        return [self.index(P) for P in points_on_line(self.ctx, line)]
+        return [self.index(P) for P in _pencil(self.ctx, line)]
 
     def __len__(self):
         return self.size

@@ -24,38 +24,41 @@ import numpy as np
 from . import figueroa as fg
 from . import linear_sets as ls
 from . import maps as gm
-from .collineation import TYPE_III, point_type, tally_types
-from .plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, format_line, format_point,
-                    points_on_line)
+from .arrays import chunks, contains, distinct
+from .collineation import TYPE_III, tally_types
+from .plane import ANCHOR, ANCHOR_1, ANCHOR_2, format_line, format_point
 from .report import CheckEntry, entry
 from .suites import EVEN_Q, Session, check
 
 
-def _axis_mismatch(image, want, prefix: str = "") -> list[str]:
-    """Witnesses that the point set ``image`` is not ``want``: the points
-    it misses, then those it has in excess."""
-    return ([f"{prefix}missing {format_point(P)}" for P in sorted(want - image)]
-            + [f"{prefix}extra {format_point(P)}" for P in sorted(image - want)])
+def _axis_mismatch(plane, image, want, prefix: str = "") -> list[str]:
+    """Witnesses that the sorted distinct point indices ``image`` are not
+    ``want``: the points it misses, then those it has in excess, each in
+    the order of their triples."""
+    return ([f"{prefix}missing {format_point(P)}"
+             for P in sorted(map(plane.point, want[~contains(image, want)]))]
+            + [f"{prefix}extra {format_point(P)}"
+               for P in sorted(map(plane.point, image[~contains(want, image)]))])
 
 
 @check("figueroa", "build", reads=("tables",))
 def block_anatomy(sess: Session) -> CheckEntry:
     ctx, plane = sess.ctx, sess.plane
+    tables = plane.tables
     block = fg.anchor_block(plane, ANCHOR)
-    # distinct entries of the sorted row; np.unique would import numpy.ma
-    size = 1 + int(np.count_nonzero(block[1:] != block[:-1]))
-    f_points = set(map(plane.point, fg.anchor_parts(sess.plane)[1]))
-    want_planes = set()
-    for th in sess.norm_reps():
-        if ctx.norm(th) != 1:
-            want_planes.update(ls.t_plane(ctx, th).points)
+    size = len(distinct(block))
+    f_points = fg.anchor_parts(plane)[1]
+    on_axis = np.count_nonzero(tables.field.coords(block)[2] == 0)
+    carriers = np.array([plane.index(ANCHOR_1), plane.index(ANCHOR_2)])
+    want_planes = np.sort(np.array([ls.t_plane(ctx, th).points for th in sess.norm_reps()
+                                    if ctx.norm(th) != 1], dtype=np.int64).ravel())
     conj = fg.anchor_block(plane, ANCHOR_1)
     checks = {
         "size": size == ctx.q ** 3 + 1,
-        "axis_overlap": sum(P[2] == 0 for P in map(plane.point, block)) == ctx.sub_order + 2,
-        "carriers": {ANCHOR_1, ANCHOR_2} <= f_points,
-        "type3_part": f_points - {ANCHOR_1, ANCHOR_2} == want_planes,
-        "equivariant": np.array_equal(np.sort(plane.tables.phi[block]), conj),
+        "axis_overlap": on_axis == ctx.sub_order + 2,
+        "carriers": bool(contains(f_points, carriers).all()),
+        "type3_part": np.array_equal(f_points[~contains(carriers, f_points)], want_planes),
+        "equivariant": np.array_equal(np.sort(tables.phi[block]), conj),
     }
     bad = [k for k, v in checks.items() if not v]
     return entry("fig.block",
@@ -182,7 +185,7 @@ def projection_anchor(sess: Session) -> CheckEntry:
         size_want = q ** 3 + 1
     else:
         size_want = 2 + (q - 1 if q % 4 == 1 else q + 1) // 2 * ctx.sub_order
-    bad = _axis_mismatch(img, want)
+    bad = _axis_mismatch(sess.plane, img, want)
     if len(want) != size_want:
         bad.append(f"image and closed form have {len(want)} points, not {size_want}")
     return entry("fig.projection-anchor",
@@ -194,7 +197,7 @@ def projection_anchor(sess: Session) -> CheckEntry:
 def projection_conjugates(sess: Session) -> CheckEntry:
     images = {which: fg.pr_fig_block(sess.plane, which) for which in (1, 2)}
     bad = [w for which, img in images.items()
-           for w in _axis_mismatch(img, fg.expected_pr_fig_block(sess.ctx, which),
+           for w in _axis_mismatch(sess.plane, img, fg.expected_pr_fig_block(sess.ctx, which),
                                    f"conjugate {which}: ")]
     return entry("fig.projection-conjugates",
                  "each conjugate block projects onto the axis minus the norm-one set and its own vertex",
@@ -236,19 +239,22 @@ def even_structure(sess: Session) -> CheckEntry:
     conjugate vertices are the conjugates of the anchor block's parts,
     matching the collineation equivariance of the construction."""
     plane, tables = sess.plane, sess.plane.tables
+    k = sess.ctx.q3 + 1
     parts = fg.anchor_parts(sess.plane)
     counts, bad = {}, []
     for key, V in (("anchor_ok", ANCHOR), ("conjugate1_ok", ANCHOR_1),
                    ("conjugate2_ok", ANCHOR_2)):
         lines = tables.incidence_rows([plane.index(V)])[0]    # the lines through V
-        rows = tables.incidence_rows(lines)
-        ne, nf = (np.isin(rows, part).sum(axis=1) for part in parts)
+        ne, nf = (np.empty(k, dtype=np.intp) for _ in parts)
+        for s in chunks(k, k):                              # the rows of CHUNK // k lines at a time
+            rows = tables.incidence_rows(lines[s])
+            ne[s], nf[s] = (np.count_nonzero(contains(part, rows), axis=1) for part in parts)
         wrong = np.flatnonzero(ne + nf != 1)
         bad.extend(f"vertex {format_point(V)}: line {format_line(plane.point(lines[j]))}"
                    f" carries {nf[j]} Type III and {ne[j]} Type II block points"
                    for j in wrong)
         counts[key] = str(not wrong.size)
-        parts = tuple(tables.phi[part] for part in parts)     # on to the next vertex
+        parts = tuple(np.sort(tables.phi[part]) for part in parts)     # on to the next vertex
     return entry("fig.even-structure",
                  "for even q, every line through a triangle vertex carries one conjugated block point of exactly one kind",
                  not bad, counts, bad[:5])
@@ -259,20 +265,24 @@ def splash_involution(sess: Session) -> CheckEntry:
     """Splash after the involution, over the Type III part of the anchor
     block, must biject onto the axis minus the norm-one linear set, and
     hit exactly the Type III axis points iff q is even."""
-    ctx = sess.ctx
-    first, collisions = {}, []       # image -> the first block point splashed onto it
-    for P in sorted(map(sess.plane.point, fg.anchor_parts(sess.plane)[1])):
-        I = gm.splash(ctx, gm.conjugate_join(ctx, P))
-        if first.setdefault(I, P) != P:
-            collisions.append(f"{format_point(first[I])} and {format_point(P)}"
-                              f" both go to {format_point(I)}")
-    image, axis = frozenset(first), frozenset(points_on_line(ctx, AXIS))
-    want = axis - ls.sls_points(ctx, ctx.one)
-    type3_axis = {P for P in axis if point_type(ctx, P) == TYPE_III}
-    iff_even = (image == type3_axis) == (ctx.q % 2 == 0)
-    bad = collisions + _axis_mismatch(image, want)
+    ctx, plane = sess.ctx, sess.plane
+    tables = plane.tables
+    part = fg.anchor_parts(plane)[1]
+    splashes = gm.anchor_cross(tables, tables.mu[part])   # of the conjugate joins
+    image, collisions = distinct(splashes), []
+    if len(image) < len(splashes):
+        first = {}          # image -> the first block point, in triple order, splashed onto it
+        for P, I in sorted(zip(map(plane.point, part), splashes.tolist())):
+            if first.setdefault(I, P) != P:
+                collisions.append(f"{format_point(first[I])} and {format_point(P)}"
+                                  f" both go to {format_point(plane.point(I))}")
+    axis = gm.axis_points(ctx)
+    want = axis[~contains(np.asarray(ls.sls_points(ctx, ctx.one)), axis)]
+    is_type3 = np.array_equal(image, axis[tables.types[axis] == TYPE_III])
+    iff_even = is_type3 == (ctx.q % 2 == 0)
+    bad = collisions + _axis_mismatch(plane, image, want)
     if not iff_even:
-        bad.append(f"at q = {ctx.q} the image {'is' if image == type3_axis else 'is not'}"
+        bad.append(f"at q = {ctx.q} the image {'is' if is_type3 else 'is not'}"
                    " the Type III axis points")
     return entry("fig.splash-involution",
                  "splash after the involution bijects the Type III block part onto the axis minus the norm-one set",

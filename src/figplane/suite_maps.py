@@ -17,39 +17,23 @@ from . import linear_sets as ls
 from . import maps as gm
 from .arrays import chunks, span
 from .collineation import TYPE_II, TYPE_III, TYPE_NAMES
-from .plane import ANCHOR, GeometryError, format_line, format_point
+from .plane import GeometryError, format_line, format_point
 from .report import CheckEntry, entry
 from .suites import Session, check
 
 
-def _indices(sess: Session, objs) -> np.ndarray:
-    """Sorted dense indices of a set of points or lines."""
-    return np.array(sorted(map(sess.plane.index, objs)), dtype=np.int64)
-
-
-def _same(sess: Session, image: np.ndarray, objs) -> bool:
-    """Whether the index array ``image`` holds exactly the indices of the
-    points or lines ``objs``, as sets."""
-    return frozenset(image.tolist()) == frozenset(map(sess.plane.index, objs))
-
-
-def _projection(sess: Session, B: ls.SubplaneSet) -> np.ndarray:
-    """Indices of the anchor projections of the points of B."""
-    return gm.anchor_projections(sess.plane.tables, _indices(sess, B.points))
-
-
-def _splash(sess: Session, B: ls.SubplaneSet) -> np.ndarray:
-    """Indices of the splashes of the lines of B."""
-    return gm.anchor_cross(sess.plane.tables, _indices(sess, B.lines))
+def _equal_rows(image, row) -> bool:
+    """Whether the index array ``image`` and the row of distinct indices
+    ``row`` hold the same indices, as sorted arrays: an image with a
+    repeated or a -1 entry matches no row."""
+    return np.array_equal(np.sort(image), np.sort(row))
 
 
 def _pencil_type(sess: Session, theta: int) -> int:
     """Common type of the lines joining the anchor to the axis linear set
-    of theta, read from the type table; like ``pencil_type`` it raises
-    when they mix types."""
-    tables = sess.plane.tables
-    lines = gm.anchor_cross(tables, _indices(sess, ls.sls_points(sess.ctx, theta)))
-    kinds = set(tables.types[lines].tolist())
+    of theta (``linear_sets.pencil_lines``), read from the type table; it
+    raises when they mix types."""
+    kinds = set(sess.plane.tables.types[np.asarray(ls.pencil_lines(sess.ctx, theta))].tolist())
     if len(kinds) != 1:
         raise GeometryError(f"pencil of {theta} mixes line types {sorted(kinds)}")
     return kinds.pop()
@@ -100,25 +84,19 @@ def plane_images(sess: Session) -> CheckEntry:
     comparison."""
     ctx, tables = sess.ctx, sess.plane.tables
     mu, sec, phi = tables.mu, tables.sec, tables.phi
-
-    def same_set(image, want):
-        # want holds distinct indices >= 0, so equal sorted arrays are
-        # equal sets and a -1 in the image never matches
-        return np.array_equal(np.sort(image), np.sort(want))
-
     bad = []
     for th in sess.norm_reps():
         if ctx.norm(th) == 1:
             continue
-        P = _indices(sess, ls.t_plane(ctx, th).points)
-        want_pts = _indices(sess, ls.sls_points(ctx, ctx.neg(ctx.inv(th))))
-        want_lns = gm.anchor_cross(tables, _indices(sess, ls.sls_points(ctx, ctx.inv(th))))
+        P = np.asarray(ls.t_plane(ctx, th).points)
+        want_pts = np.asarray(ls.sls_points(ctx, ctx.neg(ctx.inv(th))))
+        want_lns = np.asarray(ls.pencil_lines(ctx, ctx.inv(th)))
         for side in (0, 1, 2):
             name = f"conjugate {side} of plane {th}" if side else f"plane {th}"
             lines = sec(P)
-            if not same_set(np.where(lines >= 0, mu[lines], -1), want_pts):
+            if not _equal_rows(np.where(lines >= 0, mu[lines], -1), want_pts):
                 bad.append(f"line image of {name}")
-            if not same_set(mu[P], want_lns):
+            if not _equal_rows(mu[P], want_lns):
                 bad.append(f"point image of {name}")
             P, want_pts, want_lns = phi[P], phi[want_pts], phi[want_lns]
     return entry("mu.plane-images",
@@ -151,8 +129,7 @@ def generic_plane(sess: Session) -> CheckEntry:
     mu, sec, phi = tables.mu, tables.sec, tables.phi
     owner = tables.orbit                                    # point -> class rep
     # the classes of the side subplanes and their two conjugates
-    pts = np.concatenate([_indices(sess, ls.t_plane(sess.ctx, th).points)
-                          for th in sess.norm_reps()])
+    pts = np.concatenate([ls.t_plane(sess.ctx, th).points for th in sess.norm_reps()])
     side = np.zeros(len(classes), dtype=bool)
     owners = owner[np.concatenate((pts, phi[pts], phi[phi[pts]]))]
     side[np.searchsorted(classes.reps, owners)] = True
@@ -198,14 +175,14 @@ def block_incidence_twist(sess: Session) -> CheckEntry:
 
 @check("maps", "pr-sp", reads=("tables",))
 def t_plane_images(sess: Session) -> CheckEntry:
-    ctx = sess.ctx
+    ctx, tables = sess.ctx, sess.plane.tables
     bad = []
     for th in sess.norm_reps():
         B = ls.t_plane(ctx, th)
         th2 = ctx.mul(th, th)
-        if not _same(sess, _projection(sess, B), ls.sls_points(ctx, th2)):
+        if not _equal_rows(gm.anchor_projections(tables, B.points), ls.sls_points(ctx, th2)):
             bad.append(f"projection of plane {th}")
-        if not _same(sess, _splash(sess, B), ls.sls_points(ctx, ctx.neg(th2))):
+        if not _equal_rows(gm.anchor_cross(tables, B.lines), ls.sls_points(ctx, ctx.neg(th2))):
             bad.append(f"splash of plane {th}")
     return entry("projection.t-planes",
                  "projection and splash of each side subplane are the squared-norm linear sets",
@@ -221,26 +198,27 @@ def parity_table(sess: Session) -> CheckEntry:
     s1 = ls.sls_points(ctx, ctx.one)
     sm1 = ls.sls_points(ctx, ctx.neg_one)
     fixed = ls.fixed_subplane(ctx)
+    pr, sp = gm.anchor_projections, gm.anchor_cross
     checks = {}
-    t_s1 = set(types[_indices(sess, s1)].tolist())
+    t_s1 = set(types[np.asarray(s1)].tolist())
     checks["pencil_of_one_is_type_II"] = _pencil_type(sess, ctx.one) == TYPE_II
-    checks["pr_fixed_is_norm_one"] = _same(sess, _projection(sess, fixed), s1)
+    checks["pr_fixed_is_norm_one"] = _equal_rows(pr(tables, fixed.points), s1)
     if ctx.q % 2 == 0:
         checks["s1_type_II"] = t_s1 == {TYPE_II}
-        checks["sp_fixed_is_norm_one"] = _same(sess, _splash(sess, fixed), s1)
+        checks["sp_fixed_is_norm_one"] = _equal_rows(sp(tables, fixed.lines), s1)
     else:
         m1 = ls.t_plane(ctx, ctx.neg_one)
-        mu_points = mu[_indices(sess, m1.points)]           # lines
+        mu_points = mu[np.asarray(m1.points)]               # lines
         checks["s1_type_III"] = t_s1 == {TYPE_III}
-        checks["s_minus1_type_II"] = set(types[_indices(sess, sm1)].tolist()) == {TYPE_II}
+        checks["s_minus1_type_II"] = set(types[np.asarray(sm1)].tolist()) == {TYPE_II}
         checks["pencil_of_minus_one_is_type_III"] = \
             _pencil_type(sess, ctx.neg_one) == TYPE_III
-        checks["mu_line_of_minus_plane"] = _same(sess, mu[_indices(sess, m1.lines)], s1)
-        checks["pr_minus_plane"] = _same(sess, _projection(sess, m1), s1)
-        checks["sp_fixed"] = _same(sess, _splash(sess, fixed), sm1)
-        checks["sp_minus_plane"] = _same(sess, _splash(sess, m1), sm1)
-        checks["sp_of_mu_pt_minus_plane"] = bool((mu_points >= 0).all()) and _same(
-            sess, gm.anchor_cross(tables, mu_points), sm1)
+        checks["mu_line_of_minus_plane"] = _equal_rows(mu[np.asarray(m1.lines)], s1)
+        checks["pr_minus_plane"] = _equal_rows(pr(tables, m1.points), s1)
+        checks["sp_fixed"] = _equal_rows(sp(tables, fixed.lines), sm1)
+        checks["sp_minus_plane"] = _equal_rows(sp(tables, m1.lines), sm1)
+        checks["sp_of_mu_pt_minus_plane"] = bool((mu_points >= 0).all()) and _equal_rows(
+            sp(tables, mu_points), sm1)
     bad = [k for k, v in checks.items() if not v]
     return entry("projection.parity-table",
                  "the norm-one and norm-minus-one linear sets, pencils and subplanes obey the parity table",
@@ -269,14 +247,21 @@ def pencil_census(sess: Session) -> CheckEntry:
 
 @check("maps", "pr-sp", reads=("tables",))
 def projection_vs_splash(sess: Session) -> CheckEntry:
-    ctx = sess.ctx
+    """The anchor, projected from as any other vertex
+    (``PlaneTables.project``), must give the image of the anchor
+    projection: a scattered image of norm class j is the whole axis linear
+    set of class j, so the two agree when the kind is a class whose linear
+    set is that image."""
+    ctx, tables = sess.ctx, sess.plane.tables
+    anchor = [sess.plane.size - 1]
     bad = []
     for th in sess.norm_reps():
         B = ls.t_plane(ctx, th)
-        pr, sp = _projection(sess, B), _splash(sess, B)
-        if (frozenset(pr.tolist()) == frozenset(sp.tolist())) != (ctx.q % 2 == 0):
+        pr, sp = gm.anchor_projections(tables, B.points), gm.anchor_cross(tables, B.lines)
+        if _equal_rows(pr, sp) != (ctx.q % 2 == 0):
             bad.append(f"plane {th}")
-        if not _same(sess, pr, gm.project_from_vertex(ctx, ANCHOR, B).points):
+        kind = int(tables.project(anchor, B.points)[0])
+        if kind < 0 or not _equal_rows(pr, ls.sls_points(ctx, ctx.norm_class_rep(kind))):
             bad.append(f"anchor projection of plane {th}")
     return entry("projection.vs-splash",
                  "projection equals splash exactly for even q, and the anchor is an ordinary vertex",
@@ -293,16 +278,15 @@ def _fixed_planes(sess: Session, id: str, claim: str, found: np.ndarray, reps,
     plane, classes = sess.plane, sess.classes
     found = np.asarray(found, dtype=np.intp)
     found_reps = [format_point(plane.point(i)) for i in classes.reps[found[:5]]]
+    want = [ls.plane_from_rep(sess.ctx, R).points for R in reps]     # least member first
     if len(found) == expected:
-        want = [frozenset(plane.index(P) for P in ls.plane_from_rep(sess.ctx, R).points)
-                for R in reps]
-        got = {frozenset(row) for row in classes.members(found).tolist()}
+        got = set(map(tuple, classes.members(found).tolist()))
         ok = ok and got == set(want)
         missing = [R for R, points in zip(reps, want) if points not in got]
     else:
         ok = False
-        of_reps = plane.tables.orbit[[plane.index(R) for R in reps]]
-        missing = [R for R, seen in zip(reps, np.isin(of_reps, classes.reps[found])) if not seen]
+        seen = set(classes.reps[found].tolist())
+        missing = [R for R, points in zip(reps, want) if points[0] not in seen]
     missing = [f"no class is the subplane through {format_point(R)}" for R in missing]
     return entry(id, claim, ok,
                  {"found": len(found), "expected": expected,
@@ -376,15 +360,14 @@ def cross_plane(sess: Session) -> CheckEntry:
     vertex of each ordered pair, in the order of the projecting plane."""
     ctx, tables = sess.ctx, sess.plane.tables
     reps = sess.norm_reps()
-    planes = [_indices(sess, ls.t_plane(ctx, th).points) for th in reps]
+    planes = [np.asarray(ls.t_plane(ctx, th).points) for th in reps]
     first_wrong = {}            # (kappa class, theta class) -> vertex index
     for jt, theta in enumerate(reps):
         others = [jk for jk in range(len(reps)) if jk != jt]
         if not others:
             continue
         V = np.concatenate([planes[jk] for jk in others])
-        kinds = tables.project(np.stack(tables.field.coords(V), axis=1),
-                               ls.t_plane(ctx, theta).points)
+        kinds = tables.project(V, ls.t_plane(ctx, theta).points)
         for jk, got in zip(others, np.split(kinds, len(others))):
             # an image is the side linear set of a norm class exactly
             # when it is classified as scattered with that class

@@ -13,16 +13,13 @@ import time
 import pytest
 
 from figplane.field import build_field_tower
-from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane,
-                            points_on_line)
+from figplane.plane import ANCHOR_1, ANCHOR_2, AXIS, ProjectivePlane
 from figplane.collineation import (TYPE_I, TYPE_II, TYPE_III, census_of,
                                    expected_type_counts, partition_orbits,
                                    tally_types)
-from figplane.linear_sets import (fixed_subplane, pencil_lines, sls_points,
-                                  t_plane)
+from figplane.linear_sets import fixed_subplane
 from figplane.maps import (conjugate_join, conjugate_meet, mu_fixed_planes,
-                           phi_fixed_planes, project_from_vertex, splash,
-                           vertex_census)
+                           phi_fixed_planes, vertex_census)
 from figplane.figueroa import (arching_census, build_fig_plane,
                                characterize_fig_points, check_axioms,
                                pr_fig_block, expected_pr_fig_block)
@@ -30,7 +27,9 @@ from figplane.suite_figueroa import even_structure, splash_involution
 from figplane.suites import Session
 
 from conftest import HeldRows, child_env, held
-from set_oracle import involution_line_image, involution_point_image, pr_set, sp_set
+from set_oracle import (fixed_set, involution_line_image, involution_point_image, pencil_set,
+                        points_on_line, pr_set, project_from_vertex, sls_set, sp_set, splash,
+                        t_plane_set, triples)
 
 
 def _ok(label):
@@ -99,11 +98,11 @@ def test_05_involution_action(ctx3, ctx4, ctx5, plane3, types3):
             th = ctx.norm_class_rep(j)
             if ctx.norm(th) == 1:
                 continue
-            B = t_plane(ctx, th)
+            B = t_plane_set(ctx, th)
             assert involution_line_image(ctx, B) == \
-                sls_points(ctx, ctx.neg(ctx.inv(th)))
+                sls_set(ctx, ctx.neg(ctx.inv(th)))
             assert involution_point_image(ctx, B) == \
-                pencil_lines(ctx, ctx.inv(th))
+                pencil_set(ctx, ctx.inv(th))
     # involution property, exhaustive at q=3
     ctx = plane3.ctx
     for P, t in zip(plane3.points, types3):
@@ -121,20 +120,20 @@ def test_06_projection_splash(ctx3, ctx4, ctx5):
         q = ctx.q
         for j in range(q - 1):
             th = ctx.norm_class_rep(j)
-            B = t_plane(ctx, th)
+            B = t_plane_set(ctx, th)
             th2 = ctx.mul(th, th)
-            assert pr_set(ctx, B) == sls_points(ctx, th2)
-            assert sp_set(ctx, B) == sls_points(ctx, ctx.neg(th2))
+            assert pr_set(ctx, B) == sls_set(ctx, th2)
+            assert sp_set(ctx, B) == sls_set(ctx, ctx.neg(th2))
         # parity table
-        s1 = sls_points(ctx, 1)
-        fixed = fixed_subplane(ctx)
+        s1 = sls_set(ctx, 1)
+        fixed = fixed_set(ctx)
         from figplane.collineation import point_type
         if q % 2 == 0:
             assert {point_type(ctx, P) for P in s1} == {TYPE_II}
             assert pr_set(ctx, fixed) == s1 == sp_set(ctx, fixed)
         else:
-            sm1 = sls_points(ctx, ctx.neg_one)
-            m1 = t_plane(ctx, ctx.neg_one)
+            sm1 = sls_set(ctx, ctx.neg_one)
+            m1 = t_plane_set(ctx, ctx.neg_one)
             assert {point_type(ctx, P) for P in s1} == {TYPE_III}
             assert pr_set(ctx, fixed) == pr_set(ctx, m1) == s1
             assert involution_line_image(ctx, m1) == s1
@@ -152,9 +151,9 @@ def test_07_cross_plane_projection(ctx3, ctx4):
                 if jt == jk:
                     continue
                 theta = ctx.norm_class_rep(jt)
-                B = t_plane(ctx, theta)
-                want = sls_points(ctx, ctx.neg(ctx.mul(kappa, theta)))
-                for V in t_plane(ctx, kappa).points:
+                B = t_plane_set(ctx, theta)
+                want = sls_set(ctx, ctx.neg(ctx.mul(kappa, theta)))
+                for V in t_plane_set(ctx, kappa).points:
                     assert project_from_vertex(ctx, V, B).points == want
     _ok("07 vertex projection across norm classes, all vertices (q=3,4)")
 
@@ -184,16 +183,16 @@ def test_08_projection_vertex_census(plane3, plane4, plane5):
 def test_09_block_projections(plane3, plane4, plane5):
     ctx3, ctx4, ctx5 = plane3.ctx, plane4.ctx, plane5.ctx
     assert len(pr_fig_block(plane4, 0)) == 65
-    assert pr_fig_block(plane4, 0) == frozenset(points_on_line(ctx4, AXIS))
+    assert triples(ctx4, pr_fig_block(plane4, 0)) == frozenset(points_on_line(ctx4, AXIS))
     assert len(pr_fig_block(plane3, 0)) == 28
-    assert pr_fig_block(plane3, 0) == expected_pr_fig_block(ctx3, 0)
+    assert pr_fig_block(plane3, 0).tolist() == expected_pr_fig_block(ctx3, 0).tolist()
     assert len(pr_fig_block(plane5, 0)) == 64
-    assert pr_fig_block(plane5, 0) == expected_pr_fig_block(ctx5, 0)
+    assert pr_fig_block(plane5, 0).tolist() == expected_pr_fig_block(ctx5, 0).tolist()
     for plane in (plane3, plane4):
         axis = frozenset(points_on_line(plane.ctx, AXIS))
-        s1 = sls_points(plane.ctx, 1)
-        assert pr_fig_block(plane, 1) == axis - s1 - {ANCHOR_1}
-        assert pr_fig_block(plane, 2) == axis - s1 - {ANCHOR_2}
+        s1 = sls_set(plane.ctx, 1)
+        assert triples(plane.ctx, pr_fig_block(plane, 1)) == axis - s1 - {ANCHOR_1}
+        assert triples(plane.ctx, pr_fig_block(plane, 2)) == axis - s1 - {ANCHOR_2}
     _ok("09 block projections from the anchor (q=3,4,5; conjugates q=3,4)")
 
 

@@ -20,19 +20,18 @@ from figplane.collineation import (CATEGORIES, TYPE_III, collineate_line, collin
                                    det3, line_orbit_matrix, line_type,
                                    line_types_table, norm_det_identity,
                                    partition_orbits, point_orbit_matrix,
-                                   point_type, point_types_table,
-                                   stabilizer_orbit)
+                                   point_type, point_types_table)
 from figplane.field import build_field_tower, context_for_q, table_bytes
 from figplane.figueroa import build_fig_plane, fig_incident
 from figplane.linear_sets import fixed_subplane, plane_from_rep, t_plane
-from figplane.maps import (VertexCensus, conjugate_join, conjugate_meet, project_from_vertex,
-                           vertex_census)
+from figplane.maps import VertexCensus, conjugate_join, conjugate_meet, vertex_census
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, GeometryError,
                             ProjectivePlane, canonical, cross, join,
-                            lines_through_point, points_on_line)
+                            lines_through_point)
 
 from conftest import held
-from set_oracle import conjugate_subplane
+from set_oracle import (as_rows, as_triples, conjugate_subplane, points_on_line,
+                        project_from_vertex, stabilizer_orbit)
 
 TABLES = ("types", "mu", "sec", "phi", "orbit", "tau", "tau_line")
 
@@ -91,8 +90,9 @@ def table_of(plane, name, indices=None) -> np.ndarray:
     return getattr(plane.tables, name)[i]
 
 
-def scalar_kind(ctx, V, B) -> int:
-    img = project_from_vertex(ctx, V, B)
+def scalar_kind(ctx, V, T) -> int:
+    """The kind of V as a vertex for the scalar point set T."""
+    img = project_from_vertex(ctx, V, T)
     if img.kind == "sls":
         return img.sls.norm_class
     return CLUB if img.kind == "club" else OTHER
@@ -103,10 +103,10 @@ def full_scan_kinds(plane, B) -> np.ndarray:
     the full scan that ``vertex_kinds`` reduces to one vertex per orbit."""
     x, y, z = plane.tables.field.coords(np.arange(plane.size))
     inside = np.zeros(plane.size, dtype=bool)
-    inside[[plane.index(P) for P in B.points]] = True
+    inside[list(B.points)] = True
     keep = (z != 0) & ~inside
     out = np.full(plane.size, SKIPPED, dtype=np.int32)
-    out[keep] = plane.tables.project(np.stack((x, y, z), axis=1)[keep], B.points)
+    out[keep] = plane.tables.project(np.flatnonzero(keep), B.points)
     return out
 
 
@@ -259,11 +259,11 @@ def test_secant_sets_are_orbit_plane_lines(small_plane):
     """Exhaustive over the orbit subplanes: the secants of the members are
     the line set of ``plane_from_rep``."""
     plane = small_plane
-    ctx, idx, sec = plane.ctx, plane.index, plane.tables.sec
+    ctx, sec = plane.ctx, plane.tables.sec
     classes, checked = partition_orbits(plane), 0
     for cat in (c for c in CATEGORIES if c.startswith("plane")):
         for members in classes.members(classes.of(cat)).tolist():
-            want = {idx(l) for l in plane_from_rep(ctx, plane.point(members[0])).lines}
+            want = set(plane_from_rep(ctx, plane.point(members[0])).lines)
             assert set(sec(members).tolist()) == want
             checked += 1
     assert checked > 0
@@ -390,7 +390,8 @@ def test_vertex_kinds_match_oracle_exhaustive(small_plane):
     ctx = plane.ctx
     for B in subplanes(ctx):
         kinds = kinds_by_point(plane, B).tolist()
-        want = [SKIPPED if V[2] == 0 or V in B.points else scalar_kind(ctx, V, B)
+        T = as_triples(ctx, B)
+        want = [SKIPPED if V[2] == 0 or V in T.points else scalar_kind(ctx, V, T)
                 for V in plane.points]
         assert kinds == want
 
@@ -401,7 +402,8 @@ def test_vertex_kinds_match_full_scan(sampled_plane):
     plane, _ = sampled_plane
     ctx = plane.ctx
     sides = [t_plane(ctx, ctx.norm_class_rep(j)) for j in range(ctx.q - 1)]
-    for B in sides + [conjugate_subplane(ctx, sides[1]), plane_from_rep(ctx, (1, 2, 5))]:
+    conjugate = as_rows(ctx, conjugate_subplane(ctx, as_triples(ctx, sides[1])))
+    for B in sides + [conjugate, plane_from_rep(ctx, (1, 2, 5))]:
         assert np.array_equal(kinds_by_point(plane, B), full_scan_kinds(plane, B)), min(B.points)
 
 
@@ -409,9 +411,9 @@ def test_vertex_kinds_refuse_a_set_tau_moves(plane3):
     """The fixed subplane with one point swapped for a point outside it is
     no union of stabilizer orbits, and is refused before any projection."""
     B = fixed_subplane(plane3.ctx).points
-    outside = next(P for P in plane3.points if P[2] != 0 and P not in B)
+    outside = next(i for i, P in enumerate(plane3.points) if P[2] != 0 and i not in B)
     with pytest.raises(KernelError, match="tau"):
-        plane3.tables.vertex_kinds(B - {min(B)} | {outside})
+        plane3.tables.vertex_kinds(sorted(B[1:] + (outside,)))
 
 
 def test_vertex_kinds_are_one_per_orbit(small_plane):
@@ -424,7 +426,7 @@ def test_vertex_kinds_are_one_per_orbit(small_plane):
         assert (np.diff(reps) > 0).all() and (orbit[reps] == reps).all()
         assert len(kinds) == len(reps)
         want = [i for i in range(plane.size) if orbit[i] == i
-                and plane.points[i][2] != 0 and plane.points[i] not in B.points]
+                and plane.points[i][2] != 0 and i not in B.points]
         assert reps.tolist() == want
 
 
@@ -432,7 +434,7 @@ def census_from_scan(plane, B) -> VertexCensus:
     """The vertex census of B from ``full_scan_kinds``, every vertex
     projected on its own."""
     kinds = full_scan_kinds(plane, B)
-    return VertexCensus({j: [plane.points[i] for i in np.flatnonzero(kinds == j)]
+    return VertexCensus({j: np.flatnonzero(kinds == j).tolist()
                          for j in range(plane.ctx.q - 1)},
                         int(np.count_nonzero(kinds == CLUB)), int(np.count_nonzero(kinds == OTHER)))
 
@@ -444,7 +446,7 @@ def census_disagreements(plane) -> list:
     ctx = plane.ctx
     sets = subplanes(ctx)
     if ctx.q > 2:
-        sets.append(conjugate_subplane(ctx, sets[-1]))
+        sets.append(as_rows(ctx, conjugate_subplane(ctx, as_triples(ctx, sets[-1]))))
     return [min(B.points) for B in sets if vertex_census(plane, B) != census_from_scan(plane, B)]
 
 
@@ -477,12 +479,12 @@ def test_projection_matches_oracle_sampled(sampled_plane, data):
     i = data.draw(st.integers(0, plane.size - 1) | st.sampled_from(rare or [0]),
                   label="vertex")
     V = plane.points[i]
-    if V[2] == 0 or V in B.points:
+    if V[2] == 0 or i in B.points:
         assert table[i] == SKIPPED
         return
-    want = scalar_kind(ctx, V, B)
+    want = scalar_kind(ctx, V, as_triples(ctx, B))
     assert table[i] == want
-    assert plane.tables.project([V], B.points).tolist() == [want]
+    assert plane.tables.project([i], B.points).tolist() == [want]
 
 
 @pytest.mark.parametrize("q", [3, 4])
@@ -510,11 +512,12 @@ def test_norm_det_matches_oracle_exhaustive(q):
 
 def test_projection_comparison_reports_a_corrupted_entry(plane3):
     B = fixed_subplane(plane3.ctx)
+    T = as_triples(plane3.ctx, B)
     kinds = kinds_by_point(plane3, B)
-    i = next(j for j, V in enumerate(plane3.points) if V[2] != 0 and V not in B.points)
+    i = next(j for j, V in enumerate(plane3.points) if V[2] != 0 and V not in T.points)
     kinds[i] = OTHER if kinds[i] != OTHER else CLUB
     bad = [j for j, V in enumerate(plane3.points)
-           if kinds[j] != SKIPPED and kinds[j] != scalar_kind(plane3.ctx, V, B)]
+           if kinds[j] != SKIPPED and kinds[j] != scalar_kind(plane3.ctx, V, T)]
     assert bad == [i]
 
 
@@ -523,9 +526,9 @@ def test_projection_rejections_match_scalar(plane3):
     B = fixed_subplane(ctx)
     for V in ((1, 1, 0), (1, 1, 1)):          # on the axis; in B
         with pytest.raises(GeometryError):
-            project_from_vertex(ctx, V, B)
+            project_from_vertex(ctx, V, as_triples(ctx, B))
         with pytest.raises(GeometryError):
-            plane3.tables.project([V], B.points)
+            plane3.tables.project([plane3.index(V)], B.points)
 
 
 def test_kernel_guards_raise_named_error(plane3):

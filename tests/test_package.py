@@ -30,20 +30,25 @@ ROW_PASS = "row_pass"
 # ``LineRows`` and ``RowSwap``: PG, FIG and a mutated FIG are one
 # ``IncidencePlane``, which differ in the Type III lines they keep; and less
 # ``pr_set`` and ``sp_set``: the checks read the projection and splash of a
-# set as index arrays, and tests apply the single-object maps member by member.
+# set as index arrays, and tests apply the single-object maps member by member;
+# and less ``apply_stabilizer``, ``stabilizer_orbit``, ``pencil_type``,
+# ``project_from_vertex``, ``LinearSetImage``, ``project_from_anchor`` and
+# ``splash``: the orbit objects are index rows from one closed form, the
+# checks read the pencil types, vertex projections, anchor projections and
+# splashes from the tables and index arithmetic, and the scalar forms are
+# test oracles (``tests/set_oracle.py``).
 EXPORTED = {
     "field": ["FieldContext", "FieldError", "build_field_tower", "context_for_q"],
     "plane": ["ANCHOR", "ANCHOR_1", "ANCHOR_2", "AXIS", "GeometryError", "ProjectivePlane",
               "canonical", "format_line", "format_point", "incident", "join", "meet"],
     "collineation": ["Census", "OrbitClasses", "SlsId", "TYPE_I", "TYPE_II",
-                     "TYPE_III", "apply_stabilizer", "census_of", "collineate_line",
+                     "TYPE_III", "census_of", "collineate_line",
                      "collineate_point", "line_type", "norm_det_identity",
-                     "partition_orbits", "point_type", "stabilizer_orbit"],
-    "linear_sets": ["SubplaneSet", "fixed_subplane", "pencil_lines", "pencil_type",
+                     "partition_orbits", "point_type"],
+    "linear_sets": ["SubplaneSet", "fixed_subplane", "pencil_lines",
                     "plane_from_rep", "sls_points", "t_plane"],
-    "maps": ["LinearSetImage", "TypeRestrictionError", "conjugate_join", "conjugate_meet",
-             "mu_fixed_planes", "phi_fixed_planes", "project_from_anchor",
-             "project_from_vertex", "splash", "vertex_census"],
+    "maps": ["TypeRestrictionError", "conjugate_join", "conjugate_meet",
+             "mu_fixed_planes", "phi_fixed_planes", "vertex_census"],
     "figueroa": ["IncidencePlane", "anchor_block", "arching_census", "build_fig_plane",
                  "characterize_fig_points", "check_axioms", "fig_incident", "pg_incidence",
                  "pr_fig_block"],
@@ -69,14 +74,14 @@ def test_field_and_plane_load_nothing_else():
     assert loaded == ["figplane.field", "figplane.plane"]
 
 
-def test_scalar_linear_sets_load_no_numpy():
-    """The scalar orbit constructors need no array code: collineation
-    imports numpy only inside its table functions."""
+def test_linear_sets_load_only_the_array_kernel():
+    """The orbit rows need the array kernel's closed form and numpy, but
+    no check module, suite runner or report code."""
     loaded = loaded_after("from figplane.field import context_for_q\n"
                           "from figplane.linear_sets import sls_points\n"
                           "sls_points(context_for_q(3), 1)")
-    assert loaded == ["figplane.collineation", "figplane.field", "figplane.linear_sets",
-                      "figplane.plane"]
+    assert loaded == ["figplane.arrays", "figplane.collineation", "figplane.field",
+                      "figplane.linear_sets", "figplane.plane", "numpy"]
 
 
 def test_cli_loads_every_submodule():
@@ -165,7 +170,7 @@ def test_submodule_list_is_complete():
 
 
 def test_exports_are_the_names_of_0_1_0():
-    assert len(NAMES) == 57
+    assert len(NAMES) == 50
     assert sorted(figplane.__all__) == NAMES
 
 

@@ -35,6 +35,7 @@ COMMANDS = [
 ORACLE = "scalar reference that tests compare the tables and bulk checks against"
 TRACED = "wrapped by perfbench/tracer.py, which reads its calls"
 PROTOCOL = "protocol or convenience method for interactive use"
+BENEATH = "single-object primitive under a function listed here or under conjugate_meet"
 
 # module.qualname -> why it stays though no command reaches it
 UNREACHED = {
@@ -45,9 +46,14 @@ UNREACHED = {
     "figueroa.fig_incident": ORACLE,
     "figueroa.check_axioms": TRACED,
     "figueroa.pg_incidence": TRACED,
-    "linear_sets.pencil_type": ORACLE,
     "plane.ProjectivePlane.points_on": TRACED,
     "plane.lines_through_point": TRACED,
+    "field.FieldContext.div": BENEATH,
+    "field.FieldContext.elements": BENEATH,
+    "plane._pencil": BENEATH,
+    "plane.dot": BENEATH,
+    "plane.incident": BENEATH,
+    "plane.meet": BENEATH,
     "__init__.__dir__": PROTOCOL,
     "field.FieldContext.__repr__": PROTOCOL,
     "plane.ProjectivePlane.__len__": PROTOCOL,

@@ -37,7 +37,7 @@ from figplane.collineation import (CATEGORIES, TYPE_I, TYPE_II, TYPE_III, VERTEX
 from figplane.field import build_field_tower
 from figplane.linear_sets import t_plane
 from figplane.maps import VertexCensus
-from figplane.plane import ProjectivePlane, format_line, format_point
+from figplane.plane import ANCHOR_1, ProjectivePlane, format_line, format_point
 from figplane.suite_census import (categories, collineation_permutes, norm_det_relation,
                                    orbit_sizes, type_tally)
 from figplane.suite_figueroa import (arching, assembly, axioms, axioms_mutation,
@@ -56,7 +56,7 @@ from figplane.suites import (CHECKS, STAGES, Session, check_groups, figueroa_che
 
 import digests
 from conftest import HeldRows, held
-from set_oracle import conjugate_subplane
+from set_oracle import as_rows, as_triples, conjugate_subplane, splash, triples
 
 DATA = Path(__file__).parent / "data"
 
@@ -314,7 +314,7 @@ def _side_points(sess):
     """Indices of the points of the side subplanes and their conjugates."""
     idx = sess.plane.index
     return {idx(collineate_point(sess.ctx, P, s))
-            for th in sess.norm_reps() for P in t_plane(sess.ctx, th).points
+            for th in sess.norm_reps() for P in triples(sess.ctx, t_plane(sess.ctx, th).points)
             for s in range(3)}
 
 
@@ -436,20 +436,23 @@ def test_pencil_census_without_a_type_ii_pencil_fails(q, monkeypatch):
 
 
 def test_splash_involution_names_a_collision_and_the_point_it_misses(ctx3, monkeypatch):
+    """A splash that sends the conjugate join of the second Type III block
+    point, in the order of the triples, where that of the first goes."""
     import figplane.figueroa as fg
     import figplane.maps as gm
     plane = Session(ctx3).plane
     block = fg.anchor_block(plane, fg.ANCHOR)
     P, Q = sorted(plane.point(i) for i in block[plane.tables.types[block] == TYPE_III])[:2]
-    real = gm.splash
-    image_p, line_q = real(ctx3, gm.conjugate_join(ctx3, P)), gm.conjugate_join(ctx3, Q)
+    image_p, line_q = splash(ctx3, gm.conjugate_join(ctx3, P)), gm.conjugate_join(ctx3, Q)
     assert splash_involution(Session(ctx3)).passed
-    monkeypatch.setattr(gm, "splash", lambda ctx, l: image_p if l == line_q else real(ctx, l))
+    real, at_p, at_q = gm.anchor_cross, plane.index(image_p), plane.index(line_q)
+    monkeypatch.setattr(gm, "anchor_cross", lambda tables, i: np.where(
+        np.asarray(i) == at_q, at_p, real(tables, i)))
     e = splash_involution(Session(ctx3))
     assert not e.passed and e.counts["injective"] == "False"
     assert e.witnesses == [
         f"{format_point(P)} and {format_point(Q)} both go to {format_point(image_p)}",
-        f"missing {format_point(real(ctx3, line_q))}"]
+        f"missing {format_point(splash(ctx3, line_q))}"]
 
 
 def first_off_axis(plane, block):
@@ -483,11 +486,11 @@ def test_block_projections_name_the_axis_points_they_miss(ctx3, monkeypatch):
     """A block short of one point projects onto the axis minus that point's
     image; the projection entries name the missing point, per conjugate."""
     import figplane.figueroa as fg
-    from figplane.maps import project_from_anchor
+    from set_oracle import project_from_anchor
     sess = Session(ctx3)
     plane = sess.plane
     lost = [project_from_anchor(ctx3, plane.point(first_off_axis(plane, fg.anchor_block(plane, A))))
-            for A in (fg.ANCHOR, fg.ANCHOR_1)]
+            for A in (fg.ANCHOR, ANCHOR_1)]
     monkeypatch.setattr(fg, "anchor_block", short_of_one_point(fg.anchor_block))
     e = projection_anchor(sess)
     assert not e.passed and e.witnesses == [f"missing {format_point(lost[0])}"]
@@ -612,7 +615,7 @@ def test_plane_images_report_a_wrong_table_entry(ctx3, corruption, image):
     tables = sess.plane.tables
     assert plane_images(sess).passed
     th = next(t for t in sess.norm_reps() if ctx3.norm(t) != 1)
-    P, Q = sorted(sess.plane.index(R) for R in t_plane(ctx3, th).points)[:2]
+    P, Q = t_plane(ctx3, th).points[:2]
     if corruption == "no-secant":
         sec = tables.sec
         tables.sec = lambda i: np.where(np.asarray(i) == P, -1, sec(i))
@@ -636,8 +639,8 @@ def test_t_planes_report_a_moved_subplane(ctx3, monkeypatch):
     assert t_plane_images(sess).passed
     th = sess.norm_reps()[1]
     real = ls.t_plane
-    monkeypatch.setattr(ls, "t_plane", lambda ctx, theta: conjugate_subplane(
-        ctx, real(ctx, theta)) if theta == th else real(ctx, theta))
+    monkeypatch.setattr(ls, "t_plane", lambda ctx, theta: as_rows(ctx, conjugate_subplane(
+        ctx, as_triples(ctx, real(ctx, theta)))) if theta == th else real(ctx, theta))
     e = t_plane_images(sess)
     assert not e.passed
     assert e.witnesses == [f"projection of plane {th}", f"splash of plane {th}"]
@@ -659,18 +662,15 @@ def test_parity_table_reports_a_type_table_without_type_ii(q):
 
 
 def test_vs_splash_reports_an_anchor_image_short_of_a_point(ctx3, monkeypatch):
-    """A vertex projection from the anchor that loses its least image point
-    differs from the anchor projection of every side subplane."""
-    import figplane.maps as gm
+    """A vertex projection from the anchor that loses an image point, so
+    that its image is no side linear set (kind OTHER), differs from the
+    anchor projection of every side subplane."""
     sess = Session(ctx3)
     assert projection_vs_splash(sess).passed
-    real = gm.project_from_vertex
-
-    def short(ctx, V, B):
-        img = real(ctx, V, B)
-        return gm.LinearSetImage(V, img.points - {min(img.points)}, img.kind, img.sls)
-
-    monkeypatch.setattr(gm, "project_from_vertex", short)
+    tables = sess.plane.tables
+    real, anchor = tables.project, sess.plane.size - 1
+    monkeypatch.setattr(tables, "project", lambda V, P: np.where(
+        np.asarray(V) == anchor, OTHER, real(V, P)))
     e = projection_vs_splash(sess)
     assert not e.passed
     assert e.witnesses == [f"anchor projection of plane {th}" for th in sess.norm_reps()]
@@ -714,13 +714,14 @@ def test_cross_plane_reports_a_wrong_projection(ctx3, ctx4):
         tables = sess.plane.tables
         project = tables.project
         reps = sess.norm_reps()
-        least = {min(t_plane(ctx, kappa).points) for kappa in reps}
+        least = {t_plane(ctx, kappa).points[0] for kappa in reps}
         tables.project = lambda V, B: np.where(
-            [tuple(v) in least for v in np.asarray(V).tolist()], OTHER, project(V, B))
+            [v in least for v in np.asarray(V).tolist()], OTHER, project(V, B))
         e = cross_plane(sess)
         assert not e.passed
         assert e.witnesses == [
-            f"vertex {format_point(min(t_plane(ctx, kappa).points))} of plane {kappa} onto plane {theta}"
+            f"vertex {format_point(sess.plane.point(t_plane(ctx, kappa).points[0]))} of plane "
+            f"{kappa} onto plane {theta}"
             for kappa in reps for theta in reps if theta != kappa][:5]
 
 
