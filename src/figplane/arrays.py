@@ -65,15 +65,12 @@ from the index array it is asked for.
 * ``sec``    the secant line [yz, xz, xy] of a point off the triangle
   sides, (1, 1/b, 1/c) for the index b q^3 + c, and -1 for every other
   entry, the sides and -1 among them, as a lookup at -1 read it;
-
-The module function ``orbit_rows`` makes the stabilizer orbits, the
-objects every orbit check reads, from the field context alone, so it
-serves every order the field allows, past the int32 tables too.  With w_k
-the norm-one element of log k(q - 1), k < q^2 + q + 1, the orbit of
-(1, b, c), b != 0, is (1, b w_k, w_k^(q+1) c) and that of (1, 0, c) or
-(0, 1, c) is c w_k in place of c.  Its least member leads with the code
-of b (or c) reduced mod q - 1, at most q - 1, and from there the code of
-b w_k is b + k(q - 1), so the rows come out sorted.
+* ``orbit_rows``, a function of the field context alone, so past the int32
+  tables too: the sorted stabilizer orbits of points but the vertices.  With
+  w_k the norm-one element of log k(q - 1), k < q^2 + q + 1, the orbit of
+  (1, b, c), b != 0, is (1, b w_k, w_k^(q+1) c) and that of (1, 0, c) or
+  (0, 1, c) is c w_k in place of c; its least member leads with the code of
+  b (or c) reduced mod q - 1, and from there b w_k has code b + k(q - 1).
 
 No table has a row per object.  ``PlaneTables.incidence_rows`` makes the
 rows of q^3 + 1 sorted point indices of any lines from their closed form
@@ -155,14 +152,11 @@ def distinct(v) -> np.ndarray:
 
 
 def orbit_rows(ctx: FieldContext, P) -> np.ndarray:
-    """The stabilizer orbit of each point with an index in P, none of them
-    a triangle vertex, as one sorted row of q^2 + q + 1 point indices, its
-    least member first, made from the closed form of the module docstring
-    and the field context alone: int32 where every index of the plane fits,
-    int64 past that.  Each point is first taken to the least member of its
-    orbit: its lead code u, b for (1, b, c) with b != 0 and c otherwise,
-    goes to (u - 1) mod (q - 1) + 1 by the w whose log is the difference,
-    a multiple of q - 1, and w^(q+1) scales c of (1, b, c)."""
+    """The stabilizer orbit of each point of index in P, no triangle vertex,
+    as a sorted row of q^2 + q + 1 indices (int32 where the plane's indices
+    fit, else int64) by the closed form of the module docstring.  The lead
+    code u of a point (b of (1, b, c), b != 0, else c) goes to its least
+    member's, (u - 1) mod (q - 1) + 1, by a w whose log is the difference."""
     q, q3, n = ctx.q, ctx.q3, ctx.n
     dtype = np.int32 if q3 * q3 + q3 + 1 < _INT32_LIMIT else np.int64
     logs = np.arange(ctx.sub_order, dtype=dtype) * (q - 1)     # log w_k
@@ -170,9 +164,17 @@ def orbit_rows(ctx: FieldContext, P) -> np.ndarray:
     inner = (y != 0) & (y < q3)                     # (1, y, z) with y != 0: y leads
     lead = np.where(inner, y, z)
     least = (lead - 1) % (q - 1) + 1
-    # the code of w^(q+1) w_k^(q+1) z, zero for z = 0
-    twist = np.where(z == 0, 0, (z - 1 + (q + 1) * (least - lead + logs)) % n + 1)
-    return np.where(inner, (least + logs) * q3 + twist, y * q3 + least + logs)
+    # the code of w^(q+1) w_k^(q+1) z for z != 0: one gather from the codes
+    # 1 .. n twice over, not a remainder over the whole rows
+    codes = np.arange(1, n + 1, dtype=dtype)
+    rows = np.take(np.concatenate((codes, codes)),
+                   (z - 1 + (q + 1) * (least - lead)) % n + (q + 1) * logs % n)
+    rows += (least + logs) * q3
+    other = ~inner[:, 0] | (z[:, 0] == 0)           # the points on the triangle sides
+    if other.any():
+        y, least = y[other], least[other]
+        rows[other] = np.where(inner[other], (least + logs) * q3, y * q3 + least + logs)
+    return rows
 
 
 def fixed_points(table: np.ndarray) -> np.ndarray:
@@ -695,7 +697,6 @@ class PlaneTables:
         return out, rows
 
     def _subplane(self, P) -> np.ndarray:
-        """The coordinates of the points with the indices P, one row each."""
         if len(P) == 0:
             raise KernelError("projection of an empty point set")
         return np.stack(self.field.coords(P), axis=1)
@@ -729,11 +730,10 @@ class PlaneTables:
         return out
 
     def project(self, vertices, P) -> np.ndarray:
-        """Projection kind of each vertex V (off the axis, outside the point
-        set) for the points with the indices P onto the axis: the norm class
-        j of a scattered image, or CLUB or OTHER.  ``vertices`` are point
-        indices too.  Each vertex is projected on its own, in blocks of
-        ``CHUNK // |P|`` vertices."""
+        """Projection kind of each vertex V, an index off the axis and
+        outside P, for the points of the indices P onto the axis: the norm
+        class j of a scattered image, or CLUB or OTHER.  Each vertex is
+        projected on its own, in blocks of ``CHUNK // |P|`` vertices."""
         pts = self._subplane(P)
         x, y, z = self.field.coords(vertices)
         if np.any(z == 0):
@@ -741,20 +741,18 @@ class PlaneTables:
         return self._project(x, y, z, pts)
 
     def vertex_kinds(self, P) -> tuple[np.ndarray, np.ndarray]:
-        """The orbit representatives that are vertices for the point set of
-        the indices P, off the axis and outside it, in increasing order, and
-        the projection kind of each, which is that of every point of its
-        orbit.
+        """The orbit representatives that are vertices for the point indices
+        P, off the axis and outside P, in increasing order, and the
+        projection kind of each, which is that of every point of its orbit.
 
-        The set must be a union of stabilizer orbits, as every orbit
-        subplane and its conjugates are: ``KernelError`` unless tau maps it
-        onto itself.  Then the kind is constant on each orbit.  tau fixes
-        the set and the axis, and on the axis it multiplies a/b of
-        (a : b : 0) by g^(1-q), whose norm is one, fixing (1 : 0 : 0) and
-        (0 : 1 : 0); so the set projects from V and from tau V onto images
-        of one norm class and one size.  One vertex per orbit, the least
-        index, is projected.  Membership in the set is read by binary
-        search in its sorted indices, so no n-entry mask is made.
+        P must be a union of stabilizer orbits, as every orbit subplane and
+        its conjugates are: ``KernelError`` unless tau maps P onto itself.
+        Then the kind is constant on each orbit.  tau fixes P and the axis,
+        and on the axis it multiplies a/b of (a : b : 0) by g^(1-q), whose
+        norm is one, fixing (1 : 0 : 0) and (0 : 1 : 0); so P projects from
+        V and from tau V onto images of one norm class and one size.  One
+        vertex per orbit, the least index, is projected.  Membership in P is
+        read by binary search (``contains``), so no n-entry mask is made.
         """
         pts = self._subplane(P)
         inside = np.sort(P)

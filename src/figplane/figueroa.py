@@ -378,11 +378,9 @@ def expected_pr_fig_block(ctx: FieldContext, which: int = 0) -> np.ndarray:
 
 def arching_census(ctx: FieldContext) -> dict[int, int]:
     """For each pencil, by norm class, how many of the q-1 side subplanes
-    it arches over, i.e. meets once on every pencil line.  Every point of
-    a subplane is (1, y, z) with yz != 0, and its join with the anchor is
-    [-y : 1 : 0] = [1 : -1/y : 0], of index q^3 times the code of -1/y: so
-    a pencil arches over a subplane when the sorted joins of its points
-    hold each line of the pencil once."""
+    it arches over, i.e. meets once on every pencil line: the joins of the
+    anchor with the subplane's points (1, y, z), [1 : -1/y : 0], of index
+    q^3 times the code of -1/y, hold each pencil line once."""
     from .linear_sets import pencil_lines
     n, q3 = ctx.n, ctx.q3
     thetas = [ctx.norm_class_rep(j) for j in range(ctx.q - 1)]
@@ -411,8 +409,7 @@ def characterize_fig_points(plane: ProjectivePlane,
     """Exhaustive equivalence scan: a point off the axis and distinct from
     the anchor projects the fixed subplane onto a side linear set exactly
     when it belongs to the anchor's block.  ``census`` is the vertex census
-    of the fixed subplane, computed here when not given.  The witnesses
-    are listed in the order of the points' triples."""
+    of the fixed subplane, computed here when not given."""
     from .linear_sets import fixed_subplane
     from .maps import vertex_census
     ctx, anchor = plane.ctx, plane.size - 1

@@ -10,13 +10,10 @@ norm alone decides the object:
 * the subplanes of order q ("theta-planes") {(r theta^(q+1), r^q, r^q^2 theta)},
   ``t_plane``, with the q = norm-1 member being the pointwise fixed subplane.
 
-Each object is the stabilizer orbit of one point or line, given as the
-sorted tuple of its dense indices (:class:`figplane.plane.ProjectivePlane`)
-that the closed form ``figplane.arrays.orbit_rows`` makes from the field
-context alone: (theta : 1 : 0) moved to a side by the collineation, the
-line joining it to the anchor, or a point off the sides with its secant
-[yz : xz : xy], whose orbit is the subplane's line set (lines move under
-the stabilizer by the point formula).  ``_require_size`` raises unless each
+Each is the stabilizer orbit of (theta : 1 : 0) moved to a side, of its
+join with the anchor, or of a point off the sides with, as lines, that of
+its secant [yz : xz : xy]: a sorted tuple of indices from the closed form
+``figplane.arrays.orbit_rows``.  ``_require_size`` raises unless each
 orbit has q^2+q+1 distinct members.
 
 Sides are numbered as in :mod:`figplane.plane`: 0 is the axis, 1 and 2
@@ -28,9 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
-from .arrays import orbit_rows
+from .arrays import distinct, orbit_rows
 from .field import FieldContext, FieldError
 from .plane import ANCHOR, GeometryError, ProjectivePlane, Triple, canonical, join
 from .collineation import collineate_point
@@ -38,7 +33,6 @@ from .collineation import collineate_point
 
 @dataclass(frozen=True)
 class SubplaneSet:
-    """An orbit subplane: the sorted indices of its points and of its lines."""
     points: tuple[int, ...]
     lines: tuple[int, ...]
 
@@ -55,10 +49,7 @@ def _orbits(ctx: FieldContext, what: str, *objects: Triple) -> list[tuple[int, .
 def _require_size(ctx: FieldContext, what: str, *rows) -> None:
     """Raise unless each row has the q^2+q+1 distinct members of a
     stabilizer orbit."""
-    sizes = []
-    for row in rows:
-        row = np.sort(row)
-        sizes.append(int(np.count_nonzero(row[1:] != row[:-1])) + 1)
+    sizes = [len(distinct(row)) for row in rows]
     if any(size != ctx.sub_order for size in sizes):
         raise GeometryError(f"{what} has {sizes} members, not {ctx.sub_order}")
 
@@ -73,9 +64,8 @@ def sls_points(ctx: FieldContext, theta: int, side: int = 0) -> tuple[int, ...]:
 
 
 def pencil_lines(ctx: FieldContext, theta: int) -> tuple[int, ...]:
-    """Lines joining the anchor to the axis linear set of theta: the orbit
-    of the line joining it to (theta : 1 : 0), since the stabilizer fixes
-    the anchor."""
+    """Lines joining the anchor, which the stabilizer fixes, to the axis
+    linear set of theta: the orbit of its join with (theta : 1 : 0)."""
     if theta == 0:
         raise FieldError("theta must be nonzero")
     return _orbits(ctx, f"pencil of {theta}", join(ctx, ANCHOR, (theta, 1, 0)))[0]

@@ -32,9 +32,8 @@ from .suites import EVEN_Q, Session, check
 
 
 def _axis_mismatch(plane, image, want, prefix: str = "") -> list[str]:
-    """Witnesses that the sorted distinct point indices ``image`` are not
-    ``want``: the points it misses, then those it has in excess, each in
-    the order of their triples."""
+    """Witnesses that the sorted point indices ``image`` are not ``want``:
+    the points it misses, then those it has in excess, in triple order."""
     return ([f"{prefix}missing {format_point(P)}"
              for P in sorted(map(plane.point, want[~contains(image, want)]))]
             + [f"{prefix}extra {format_point(P)}"
