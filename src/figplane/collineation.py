@@ -284,14 +284,14 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
     q^2+q+1) leads with u + k(q - 1).  Its member row, made sorted from
     that closed form (``figplane.arrays.orbit_rows``), is checked against the
     table once and not kept.  A representative leading with a larger code,
-    or a row entry labelled otherwise or of another point type, raises
-    ``OrbitInconsistency``.
+    so not the first entry of its row, or a row entry labelled otherwise or
+    of another point type, raises ``OrbitInconsistency``.
     """
     import numpy as np
     from .arrays import chunks, fixed_points, orbit_rows
     ctx, tables = plane.ctx, plane.tables
     types, orbit = tables.types, tables.orbit
-    q, q3, s = ctx.q, ctx.q3, ctx.sub_order
+    s = ctx.sub_order
     reps = fixed_points(orbit)
     vertices = np.array([plane.index(V) for V in (ANCHOR, ANCHOR_1, ANCHOR_2)])
     at_vertex = (reps[:, None] == vertices).any(axis=1)
@@ -306,12 +306,11 @@ def partition_orbits(plane: ProjectivePlane) -> OrbitClasses:
         if sizes[j] == 1:
             raise OrbitInconsistency(f"unexpected singleton orbit at {P}")
         raise OrbitInconsistency(f"orbit of {P} has size {int(sizes[j])}, not {int(want[j])}")
-    y, z = full // q3, full % q3
-    lead = np.where((full < q3 * q3) & (y != 0), y, z)
     for j in chunks(len(full), s):
         R = full[j, None]
         rows = orbit_rows(ctx, full[j])
-        bad = (lead[j] >= q) | (np.take(orbit, rows, mode="clip") != R).any(axis=1)
+        bad = (rows[:, :1] != R) | (np.take(orbit, rows, mode="clip") != R)
+        bad = bad.any(axis=1)
         if bad.any():
             raise OrbitInconsistency("the orbit table disagrees with the stabilizer orbit "
                                      f"of {plane.point(R[np.argmax(bad), 0])}")

@@ -379,21 +379,15 @@ def expected_pr_fig_block(ctx: FieldContext, which: int = 0) -> np.ndarray:
 def arching_census(ctx: FieldContext) -> dict[int, int]:
     """For each pencil, by norm class, how many of the q-1 side subplanes
     it arches over, i.e. meets once on every pencil line: the joins of the
-    anchor with the subplane's points (1, y, z), [1 : -1/y : 0], of index
-    q^3 times the code of -1/y, hold each pencil line once."""
+    anchor with the subplane's q^2+q+1 points (1, y, z), [1 : -1/y : 0] of
+    index q^3 times the code of -1/y, are the pencil's lines, each once."""
     from .linear_sets import pencil_lines
     n, q3 = ctx.n, ctx.q3
     thetas = [ctx.norm_class_rep(j) for j in range(ctx.q - 1)]
-    joins = []
-    for theta in thetas:
-        y = np.asarray(t_plane(ctx, theta).points) // q3
-        joins.append(np.sort(((ctx.neg_one - y) % n + 1) * q3))   # the code of -1/y
-    per_class: dict[int, int] = {}
-    for j, theta in enumerate(thetas):
-        pencil = np.asarray(pencil_lines(ctx, theta))
-        per_class[j] = sum(bool(np.all(np.searchsorted(s, pencil, "right")
-                                       - np.searchsorted(s, pencil) == 1)) for s in joins)
-    return per_class
+    joins = [np.sort(((ctx.neg_one - np.asarray(t_plane(ctx, th).points) // q3) % n + 1) * q3)
+             for th in thetas]
+    return {j: sum(np.array_equal(s, pencil_lines(ctx, th)) for s in joins)
+            for j, th in enumerate(thetas)}
 
 
 @dataclass
