@@ -164,12 +164,12 @@ def orbit_rows(ctx: FieldContext, P) -> np.ndarray:
     inner = (y != 0) & (y < q3)                     # (1, y, z) with y != 0: y leads
     lead = np.where(inner, y, z)
     least = (lead - 1) % (q - 1) + 1
-    # the code of w^(q+1) w_k^(q+1) z for z != 0: one gather from the codes
-    # 1 .. n twice over, not a remainder over the whole rows
-    codes = np.arange(1, n + 1, dtype=dtype)
-    rows = np.take(np.concatenate((codes, codes)),
-                   (z - 1 + (q + 1) * (least - lead)) % n + (q + 1) * logs % n)
-    rows += (least + logs) * q3
+    # the code of w^(q+1) w_k^(q+1) z for z != 0, by one remainder of the
+    # whole rows: a gather from a table of 2n codes, as the plane tables
+    # did, would hold megabytes for the single row of a large q
+    rows = (z - 1 + (q + 1) * (least - lead)) % n + (q + 1) * logs % n
+    rows %= n
+    rows += (least + logs) * q3 + 1
     other = ~inner[:, 0] | (z[:, 0] == 0)           # the points on the triangle sides
     if other.any():
         y, least = y[other], least[other]
