@@ -165,8 +165,8 @@ def orbit_rows(ctx: FieldContext, P) -> np.ndarray:
     lead = np.where(inner, y, z)
     least = (lead - 1) % (q - 1) + 1
     # the code of w^(q+1) w_k^(q+1) z for z != 0, by one remainder of the
-    # whole rows: a gather from a table of 2n codes, as the plane tables
-    # did, would hold megabytes for the single row of a large q
+    # whole rows: a gather from a table of 2n codes would hold megabytes
+    # for the single row of a large q
     rows = (z - 1 + (q + 1) * (least - lead)) % n + (q + 1) * logs % n
     rows %= n
     rows += (least + logs) * q3 + 1
